@@ -233,8 +233,6 @@ class Processor:
         self.txn = None
         #: Optional lifetime accountant (see :mod:`repro.obs.lifetime`).
         self.lifetime = None
-        #: Opaque slot for the run-time system (scheduler, queues...).
-        self.env = None
 
     # -- register file ----------------------------------------------------
 
@@ -386,11 +384,13 @@ class Processor:
     def use_reference_interpreter(self):
         """Route all step() calls through :meth:`step_reference`.
 
-        Shadows the bound method on the instance so every caller —
-        run-time system, machine loop, tests — gets the if-chain path
-        without per-step branching.
+        Re-classes the instance so every caller — run-time system,
+        machine loop, tests — gets the if-chain path without per-step
+        branching.  (Shadowing ``step`` with the bound method on the
+        instance would make the processor part of a reference cycle,
+        and its memory bank garbage only the cycle collector frees.)
         """
-        self.step = self.step_reference
+        self.__class__ = _ReferenceProcessor
 
     # -- superblock executor (fast path only) --------------------------------
 
@@ -858,3 +858,10 @@ class Processor:
         return "Processor(node=%d, fp=%d, cycles=%d, halted=%s)" % (
             self.node_id, self.fp, self.cycles, self.halted,
         )
+
+
+class _ReferenceProcessor(Processor):
+    """A :class:`Processor` whose ``step`` is the reference interpreter
+    (see :meth:`Processor.use_reference_interpreter`)."""
+
+    step = Processor.step_reference

@@ -5,10 +5,7 @@ One JSON file per job under ``<root>/<hh>/<hash>.json`` where
 its first two hex characters — 256 shard directories, so the cache
 survives service-scale entry counts (a flat directory degrades badly
 once ``april serve`` has pushed a few hundred thousand results into
-it).  Caches written by older versions used a flat layout
-(``<root>/<hash>.json``); reads fall back to the flat path and lazily
-migrate the entry into its shard, so warm caches keep working across
-the upgrade without a rewrite pass.
+it).  Caches are disposable: nothing reads another layout.
 
 The cache is what makes sweeps resumable and the serve hot path cheap:
 an interrupted or edited sweep re-executes only the cells whose hashes
@@ -43,7 +40,6 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.writes = 0
-        self.migrated = 0
         self.dropped = 0
 
     def path_for(self, content_hash):
@@ -52,17 +48,9 @@ class ResultCache:
         return os.path.join(self.root, content_hash[:2],
                             "%s.json" % content_hash)
 
-    def legacy_path_for(self, content_hash):
-        """The pre-sharding flat location (read-and-migrate only)."""
-        return os.path.join(self.root, "%s.json" % content_hash)
-
     def get(self, content_hash):
         """The cached payload dict, or ``None`` on any kind of miss."""
         payload = self._read(self.path_for(content_hash))
-        if payload is None:
-            payload = self._read(self.legacy_path_for(content_hash))
-            if payload is not None:
-                self._migrate(content_hash, payload)
         if payload is None:
             self.misses += 1
             return None
@@ -92,22 +80,8 @@ class ResultCache:
         except OSError:
             pass
 
-    def _migrate(self, content_hash, payload):
-        """Move a flat-layout entry into its shard (lazy migration)."""
-        self._write(content_hash, payload)
-        try:
-            os.unlink(self.legacy_path_for(content_hash))
-        except OSError:
-            pass
-        self.migrated += 1
-
     def put(self, content_hash, payload):
         """Atomically store ``payload``; returns its path."""
-        path = self._write(content_hash, payload)
-        self.writes += 1
-        return path
-
-    def _write(self, content_hash, payload):
         path = self.path_for(content_hash)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = "%s.tmp.%d" % (path, os.getpid())
@@ -115,10 +89,10 @@ class ResultCache:
             json.dump(payload, handle, sort_keys=True)
             handle.write("\n")
         os.replace(tmp, path)
+        self.writes += 1
         return path
 
     def counters(self):
         """JSON-ready hit/miss/write counts for the sweep summary."""
         return {"hits": self.hits, "misses": self.misses,
-                "writes": self.writes, "migrated": self.migrated,
-                "dropped": self.dropped}
+                "writes": self.writes, "dropped": self.dropped}

@@ -9,9 +9,10 @@ cached results, while whitespace-only reformatting that assembles to
 the same words does not), every config knob, the run arguments, and
 :data:`SCHEMA_VERSION`.
 
-Jobs are picklable: the in-parent compiled program is dropped from the
-pickle and workers recompile from source (compilation is
-deterministic).
+Jobs are picklable plain data: a job never holds its compiled program
+(:func:`~repro.lang.compiler.compile_source` keeps one per distinct
+program per process), so workers compile from source — once each —
+and compilation is deterministic.
 """
 
 import hashlib
@@ -73,7 +74,6 @@ class Job:
         self.max_cycles = max_cycles
         self.expect = expect
         self.cacheable = cacheable
-        self._compiled = None
         self._hash = None
 
     @classmethod
@@ -120,24 +120,24 @@ class Job:
         return "/".join(str(part) for part in self.key)
 
     def compiled(self):
-        """The in-parent compiled program (memoized; used for hashing)."""
-        if self._compiled is None:
-            from repro.lang.compiler import compile_source
-            self._compiled = compile_source(
-                self.source, mode=self.mode,
-                software_checks=self.software_checks,
-                optimize=self.optimize)
-        return self._compiled
+        """The compiled program (used for hashing; compiled once per
+        process however many jobs share it)."""
+        from repro.lang.compiler import compile_source
+        return compile_source(
+            self.source, mode=self.mode,
+            software_checks=self.software_checks,
+            optimize=self.optimize)
 
     def content_hash(self):
         """The cache key: schema + compiled words + knobs + run params."""
         if self._hash is None:
-            program = self.compiled().program
+            compiled = self.compiled()
+            program = compiled.program
             # Hash the entry's *address*, not its label: gensym counters
             # make label names depend on what compiled earlier in this
             # process, while the assembled words and addresses are
             # deterministic.
-            entry_label = self.compiled().entry_label(self.entry)
+            entry_label = compiled.entry_label(self.entry)
             self._hash = _digest({
                 "schema": SCHEMA_VERSION,
                 "kind": self.kind,
@@ -178,11 +178,6 @@ class Job:
         if self.expect is not None:
             data["expect"] = self.expect
         return data
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_compiled"] = None      # workers recompile from source
-        return state
 
     def __repr__(self):
         return "Job(%s)" % self.label

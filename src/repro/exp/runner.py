@@ -197,13 +197,18 @@ class SweepResult:
     """Every outcome of one ``run_jobs`` call, in submission order."""
 
     def __init__(self, outcomes, executed, cache_hits, deduped, retries,
-                 wall_time_s):
+                 wall_time_s, compile_cache=None):
         self.outcomes = outcomes
         self.executed = executed
         self.cache_hits = cache_hits
         self.deduped = deduped
         self.retries = retries
         self.wall_time_s = wall_time_s
+        #: This process's compile-cache ``hits``/``misses`` during the
+        #: sweep and its ``size`` afterwards.  Depends on what compiled
+        #: earlier and on the pool size (workers compile in their own
+        #: processes), so it stays off :meth:`summary`.
+        self.compile_cache = compile_cache
 
     def __iter__(self):
         return iter(self.outcomes)
@@ -233,9 +238,12 @@ class SweepResult:
         }
 
     def timing_summary(self):
-        """Summary plus host wall time (for stderr, never cached files)."""
+        """Summary plus host wall time and compile-cache counters (for
+        stderr, never cached files)."""
         data = self.summary()
         data["wall_time_s"] = round(self.wall_time_s, 2)
+        if self.compile_cache is not None:
+            data["compile_cache"] = self.compile_cache
         return data
 
 
@@ -255,8 +263,10 @@ def run_jobs(jobs, pool_size=1, cache=None, force=False, timeout_s=None,
         retries: extra attempts for ``timeout``/``crash`` failures.
         progress: optional callable invoked with each finished outcome.
     """
+    from repro.lang.compiler import COMPILE_CACHE
     jobs = list(jobs)
     start = time.perf_counter()
+    compiles_before = COMPILE_CACHE.counters()
     outcomes = {}
     cache_hits = 0
 
@@ -325,9 +335,13 @@ def run_jobs(jobs, pool_size=1, cache=None, force=False, timeout_s=None,
                     progress(outcomes[member])
 
     ordered = [outcomes[index] for index in range(len(jobs))]
+    compiles = COMPILE_CACHE.counters()
+    for name in ("hits", "misses"):
+        compiles[name] -= compiles_before[name]
     return SweepResult(ordered, executed=executed, cache_hits=cache_hits,
                        deduped=deduped, retries=retry_count,
-                       wall_time_s=time.perf_counter() - start)
+                       wall_time_s=time.perf_counter() - start,
+                       compile_cache=compiles)
 
 
 def _execute_round(jobs, indices, pool_size, timeout_s):

@@ -18,6 +18,9 @@ mode            futures                 software checks
 future-tag tests before every strict operand (no tag hardware).
 """
 
+import threading
+from collections import OrderedDict
+
 from repro.errors import CompilerError
 from repro.isa.assembler import assemble
 from repro.lang.analyzer import Analyzer
@@ -70,15 +73,82 @@ class CompiledProgram:
         return self.mode == "lazy"
 
 
+class CompileCache:
+    """A bounded LRU of :class:`CompiledProgram` keyed by every
+    :func:`compile_source` argument.
+
+    Sweeps are grids of cells over a handful of programs, and every
+    cell needs the compiled words twice (content hash, then run); the
+    cache makes each distinct program cost one compilation per
+    process.  A hit hands back the same object, which is sound because
+    nothing outside the assembler writes a ``Program``'s
+    words/labels/source map — the machine copies the words into its
+    own memory bank.
+    """
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.hits = 0
+        self.misses = 0
+        self._entries = OrderedDict()
+
+    def get(self, key):
+        compiled = self._entries.get(key)
+        if compiled is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self._entries.move_to_end(key)
+        return compiled
+
+    def put(self, key, compiled):
+        self._entries[key] = compiled
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+
+    def clear(self):
+        """Drop every entry (the counters keep running)."""
+        self._entries.clear()
+
+    def counters(self):
+        """JSON-ready hit/miss/size counts."""
+        return {"hits": self.hits, "misses": self.misses,
+                "size": len(self._entries)}
+
+
+#: The process-wide compile cache.  64 programs is several sweeps'
+#: worth of (program, mode, checks) variants at well under a megabyte
+#: each.
+COMPILE_CACHE = CompileCache(64)
+
+# One compile at a time: the label gensyms below are module state, and
+# serve's thread dispatch mode compiles from several threads.
+_COMPILE_LOCK = threading.Lock()
+
+
 def compile_source(source, mode="eager", software_checks=False, base=0,
                    include_prelude=True, optimize=False):
     """Compile Mul-T source text into a :class:`CompiledProgram`.
 
     ``optimize=True`` runs the postpass branch-delay-slot filler
     (:mod:`repro.isa.optimizer`) over the generated assembly.
+
+    Answers from :data:`COMPILE_CACHE` when the same arguments were
+    compiled before in this process; the returned object is shared, so
+    treat it as read-only.
     """
     if mode not in MODES:
         raise CompilerError("unknown compilation mode %r" % mode)
+    key = (source, mode, software_checks, base, include_prelude, optimize)
+    with _COMPILE_LOCK:
+        compiled = COMPILE_CACHE.get(key)
+        if compiled is None:
+            compiled = _compile(*key)
+            COMPILE_CACHE.put(key, compiled)
+    return compiled
+
+
+def _compile(source, mode, software_checks, base, include_prelude, optimize):
     # Deterministic label names: the same source always compiles to the
     # same labels, even on recompilation within one process (monitor
     # breakpoint scripts and post-mortem listings depend on this).

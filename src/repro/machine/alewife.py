@@ -115,7 +115,7 @@ class AlewifeMachine:
         else:
             # Full cache + directory + network system.
             from repro.mem.system import CoherentMemorySystem
-            self.fabric = CoherentMemorySystem(self, decoder)
+            self.fabric = CoherentMemorySystem(config, self.memory, decoder)
             self.cpus = self.fabric.cpus
 
     # -- execution ---------------------------------------------------------
@@ -572,12 +572,14 @@ def execute_payload(payload):
          "entry": ..., "args": [...], "max_cycles": ...,
          "capture": "report" | "stats", "expect": optional}
 
-    The worker recompiles from source (compilation is deterministic;
-    the parent already hashed the compiled words for the cache key),
-    attaches the per-job observation from
-    :func:`repro.obs.session.for_job`, and returns the result value,
-    cycle count, stats, and — under ``capture="report"`` — the full
-    ``machine_report`` plus the coherence-latency histogram summary.
+    The worker compiles from source (deterministic, and once per
+    distinct program per process —
+    :func:`~repro.lang.compiler.compile_source` caches; the parent
+    already hashed the compiled words for the cache key), attaches the
+    per-job observation from :func:`repro.obs.session.for_job`, and
+    returns the result value, cycle count, stats, and — under
+    ``capture="report"`` — the full ``machine_report`` plus the
+    coherence-latency histogram summary.
 
     Raises :class:`~repro.errors.WorkloadCheckError` when ``expect`` is
     given and the run returns a different value.

@@ -70,7 +70,7 @@ class CacheController(MemoryPort):
         self.node_id = node_id
         self.memory = memory
         self.cache = cache
-        self.system = system          # CoherentMemorySystem (peers, net)
+        self.system = system          # Interconnect (peers, net)
         self.pending = {}             # block -> completion time
         self.stats = ControllerStats()
         #: Optional event bus (see :mod:`repro.obs`); None = no-op hooks.
@@ -309,12 +309,12 @@ class CacheController(MemoryPort):
     def stio(self, address, value, context=None):
         now = self._now(context)
         if address == IO_IPI_TARGET:
-            self._ipi_target = value % len(self.system.cpus)
+            self._ipi_target = value % len(self.system.ipi_queues)
             return MemOutcome.hit(cycles=1)
         if address == IO_IPI_SEND:
             latency = self.system.network.send(
                 self.node_id, self._ipi_target, REQUEST_FLITS, now) - now
-            self.system.cpus[self._ipi_target].post_ipi(value)
+            self.system.ipi_queues[self._ipi_target].append(value)
             self.stats.ipis_sent += 1
             return MemOutcome.hit(cycles=max(latency // 4, 1))
         if address == IO_BT_SRC:

@@ -17,6 +17,8 @@ cache/directory controller are built on them so the synchronization
 behavior is identical in every machine mode.
 """
 
+import weakref
+
 from repro.core.traps import TrapKind
 from repro.errors import MemoryError_
 from repro.isa.tags import WORD_MASK
@@ -46,16 +48,22 @@ class CodeWatch:
         self._listeners = []
 
     def add_listener(self, callback):
-        """Register ``callback(address)`` for writes to watched words."""
-        self._listeners.append(callback)
+        """Register the bound method ``callback(address)`` for writes
+        to watched words.  Held weakly: the watch hangs off the memory
+        bank its listeners reach, and a strong reference would close a
+        cycle that keeps a finished machine's bank alive until the
+        cycle collector runs."""
+        self._listeners.append(weakref.WeakMethod(callback))
 
     def cover(self, start, end):
         """Watch the byte range ``[start, end)`` (word granular)."""
         self.words.update(range(start >> 2, (end + 3) >> 2))
 
     def notify(self, address):
-        for callback in self._listeners:
-            callback(address)
+        for listener in self._listeners:
+            callback = listener()
+            if callback is not None:
+                callback(address)
 
 
 class Memory:

@@ -14,23 +14,44 @@ from repro.net.network import Network
 from repro.net.topology import KAryNCube
 
 
+class Interconnect:
+    """What a node's controller reaches of its peers: the network,
+    every node's cache and directory slice, and the processors'
+    IPI queues.
+
+    It holds no controller and no processor — they point here, not the
+    other way round — so the memory system has no reference cycle and
+    a finished machine's memory bank is freed with the machine rather
+    than by a later cycle-collector pass.
+    """
+
+    def __init__(self, config):
+        self.memory_latency = config.coherent_memory_latency
+        self.block_bytes = config.cache_block_bytes
+        self.network = Network(
+            KAryNCube.fitting(config.num_processors, dim=config.network_dim),
+            hop_cycles=config.network_hop_cycles)
+        self.caches = []
+        self.directories = []
+        #: Each processor's ``ipi_queue``, by node: posting an IPI is
+        #: an append here (see :meth:`Processor.post_ipi`).
+        self.ipi_queues = []
+
+    def home_of(self, block_address):
+        """The home node of a block (block-interleaved)."""
+        return (block_address // self.block_bytes) % len(self.caches)
+
+
 class CoherentMemorySystem:
     """Builds and owns the per-node memory hierarchy."""
 
-    def __init__(self, machine, decoder):
-        config = machine.config
-        self.machine = machine
-        self.memory = machine.memory
-        self.memory_latency = config.coherent_memory_latency
-        self.block_bytes = config.cache_block_bytes
+    def __init__(self, config, memory, decoder):
+        peers = Interconnect(config)
+        self.network = peers.network
+        self.caches = peers.caches
+        self.directories = peers.directories
+        self.home_of = peers.home_of
 
-        self.topology = KAryNCube.fitting(
-            config.num_processors, dim=config.network_dim)
-        self.network = Network(self.topology,
-                               hop_cycles=config.network_hop_cycles)
-
-        self.caches = []
-        self.directories = []
         self.controllers = []
         self.cpus = []
         for node in range(config.num_processors):
@@ -38,20 +59,16 @@ class CoherentMemorySystem:
                           block_bytes=config.cache_block_bytes,
                           assoc=config.cache_assoc,
                           node_id=node)
-            directory = Directory(node)
-            controller = CacheController(node, self.memory, cache, self)
+            controller = CacheController(node, memory, cache, peers)
             cpu = Processor(node_id=node, port=controller,
                             num_frames=config.num_task_frames,
                             decoder=decoder)
             cpu.trap_squash_cycles = config.trap_squash_cycles
             self.caches.append(cache)
-            self.directories.append(directory)
+            self.directories.append(Directory(node))
+            peers.ipi_queues.append(cpu.ipi_queue)
             self.controllers.append(controller)
             self.cpus.append(cpu)
-
-    def home_of(self, block_address):
-        """The home node of a block (block-interleaved)."""
-        return (block_address // self.block_bytes) % len(self.cpus)
 
     def advance_to(self, time):
         """Hook for time-driven components (none: transactions compute

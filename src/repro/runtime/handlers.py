@@ -12,6 +12,8 @@ future touch; parameterized costs for the rest — see
 :class:`repro.machine.config.MachineConfig`).
 """
 
+import weakref
+
 from repro.core.traps import TrapAction, TrapKind
 from repro.errors import RuntimeSystemError, SimulationError
 from repro.isa import registers, tags
@@ -29,7 +31,12 @@ class TrapHandlers:
     """Installs and implements all trap handlers for one machine."""
 
     def __init__(self, rts):
-        self.rts = rts
+        # Weak: the handlers sit in every processor's trap table and
+        # the run-time system holds the processors, so a strong
+        # reference would make the whole machine — memory bank
+        # included — cyclic garbage.  The machine owns the run-time
+        # system for as long as anything can trap.
+        self.rts = weakref.proxy(rts)
         self.config = rts.config
 
     def install(self, cpu):

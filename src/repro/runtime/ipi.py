@@ -77,7 +77,7 @@ class MessagePassing:
     """Machine-wide message-passing service on mailboxes + IPIs."""
 
     def __init__(self, machine, slots=DEFAULT_SLOTS):
-        self.machine = machine
+        self.cpus = machine.cpus
         runtime = machine.runtime
         self.mailboxes = []
         for node in range(len(machine.cpus)):
@@ -104,7 +104,7 @@ class MessagePassing:
         mailbox = self.mailboxes[dst_node]
         if mailbox.deposit(list(payload_words)) is None:
             return False
-        cpu = self.machine.cpus[dst_node]
+        cpu = self.cpus[dst_node]
         cpu.post_ipi(("message", src_node))
         if charge_to is not None:
             # Block transfer + IPI launch cost, charged to the sender.

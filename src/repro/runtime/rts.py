@@ -72,7 +72,6 @@ class RuntimeSystem:
         for cpu in cpus:
             handlers.install(cpu)
             self._init_globals(cpu)
-            cpu.env = self
 
     # -- memory layout ------------------------------------------------------
 

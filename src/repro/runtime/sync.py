@@ -87,7 +87,6 @@ class SyncAllocator:
     """Allocates synchronization structures in a machine's memory."""
 
     def __init__(self, machine):
-        self.machine = machine
         self.heap = machine.runtime.kernel_heap(0)
         self.memory = machine.memory
         self.istructure_arrays = 0

@@ -38,6 +38,7 @@ from collections import OrderedDict
 from repro.errors import ServeError, ServeRequestError
 from repro.exp.cache import ResultCache
 from repro.exp.job import canonical_json
+from repro.lang.compiler import COMPILE_CACHE
 from repro.obs.hist import Log2Histogram
 from repro.serve import protocol
 from repro.serve.dispatch import Dispatcher
@@ -472,7 +473,10 @@ class SweepServer:
             [trace.to_dict() for trace in self.traces.completed()])
 
     def metrics_snapshot(self):
-        """The JSON-ready ``metrics`` response body."""
+        """The JSON-ready ``metrics`` response body.
+
+        ``compile_cache`` is this process's: the programs the front
+        end compiled to hash specs (pool workers keep their own)."""
         counters_patch = {
             "deduped": self.flights.deduped,
             "cancelled": self.flights.cancelled,
@@ -489,6 +493,7 @@ class SweepServer:
             cache=self._cache_section(),
             spec_index={"hits": self.specs.hits,
                         "builds": self.specs.builds},
+            compile_cache=COMPILE_CACHE.counters(),
         )
         snapshot["counters"].update(counters_patch)
         if self.traces is not None:

@@ -338,9 +338,16 @@ class TestSelfModifyingCode:
         """
         ref_cpu, _, _ = build_cpu(source)
         run_to_halt(ref_cpu)
-        jit_cpu, _, _ = build_jit_cpu(source)
+        jit_cpu, jit_memory, program = build_jit_cpu(source)
+        assembled = list(program.words)
         run_jit_to_halt(jit_cpu)
         assert jit_cpu.read_reg(1) == ref_cpu.read_reg(1) == 8 + 8 * 5
+        # The patch landed in the memory bank, not in the assembled
+        # Program — which the compile cache shares between runs.
+        target = program.address_of("target")
+        assert jit_memory.read_word(target) != assembled[
+            (target - program.base) >> 2]
+        assert program.words == assembled
         assert jit_cpu.cycles == ref_cpu.cycles
         assert jit_cpu.stats.snapshot() == ref_cpu.stats.snapshot()
         assert jit_cpu._jit.invalidations > 0

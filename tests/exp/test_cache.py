@@ -23,7 +23,7 @@ class TestResultCache:
         assert os.path.exists(path)
         assert cache.get("abc123") == payload
         assert cache.counters() == {"hits": 1, "misses": 0, "writes": 1,
-                                    "migrated": 0, "dropped": 0}
+                                    "dropped": 0}
 
     def test_missing_entry_is_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -76,8 +76,6 @@ class TestSharding:
         cache = ResultCache(str(tmp_path))
         assert cache.path_for("abcdef") == os.path.join(
             str(tmp_path), "ab", "abcdef.json")
-        assert cache.legacy_path_for("abcdef") == os.path.join(
-            str(tmp_path), "abcdef.json")
 
     def test_put_lands_in_shard_directory(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -87,29 +85,17 @@ class TestSharding:
         assert not os.path.exists(
             os.path.join(str(tmp_path), "deadbeef.json"))
 
-    def test_flat_legacy_entry_is_read_and_migrated(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        payload = {"status": "ok", "value": 99}
-        flat = cache.legacy_path_for("cafe01")
-        with open(flat, "w") as handle:
-            json.dump(payload, handle)
-        assert cache.get("cafe01") == payload
-        # Lazily migrated: sharded file exists, flat file is gone.
-        assert os.path.exists(cache.path_for("cafe01"))
-        assert not os.path.exists(flat)
-        assert cache.counters()["migrated"] == 1
-        # Second read comes straight from the shard.
-        assert cache.get("cafe01") == payload
-        assert cache.counters()["hits"] == 2
-        assert cache.counters()["migrated"] == 1
-
     def test_sharded_entry_wins_over_flat(self, tmp_path):
+        # A flat-layout file (a cache from before sharding) is never
+        # read: caches are disposable, not migrated.
         cache = ResultCache(str(tmp_path))
-        with open(cache.legacy_path_for("k"), "w") as handle:
+        flat = os.path.join(str(tmp_path), "k.json")
+        with open(flat, "w") as handle:
             json.dump({"status": "ok", "value": "old"}, handle)
+        assert cache.get("k") is None
         cache.put("k", {"status": "ok", "value": "new"})
         assert cache.get("k")["value"] == "new"
-        assert cache.counters()["migrated"] == 0
+        assert os.path.exists(flat)
 
 
 class TestDefaults:

@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from repro.exp.job import SCHEMA_VERSION, CallJob, Job, canonical_json
+from repro.lang.compiler import COMPILE_CACHE
 from repro.machine.config import MachineConfig
 from repro import workloads
 
@@ -75,11 +76,18 @@ class TestPayloadAndPickle:
         assert payload["config"]["num_processors"] == 2
 
     def test_pickle_drops_compiled_program(self):
+        # A job is plain data: hashing it leaves no compiled program
+        # on it, so the pickle a worker receives is the spec alone.
         job = fib_job()
-        job.compiled()
-        clone = pickle.loads(pickle.dumps(job))
-        assert clone._compiled is None
-        assert clone.content_hash() == job.content_hash()
+        expected = job.content_hash()
+        blob = pickle.dumps(job)
+        assert len(blob) < 2 * len(FIB) + 2048
+        assert pickle.loads(blob).content_hash() == expected
+        # An unhashed job recomputes the same hash on the other side,
+        # even when that process has compiled nothing yet.
+        unhashed = pickle.dumps(fib_job())
+        COMPILE_CACHE.clear()
+        assert pickle.loads(unhashed).content_hash() == expected
 
     def test_label(self):
         assert fib_job(key=("table3", "fib", 4)).label == "table3/fib/4"

@@ -125,6 +125,19 @@ class TestCacheAndDedupe:
         a, b = sweep.outcomes
         assert a.cycles == b.cycles and a.key != b.key
 
+    def test_compile_counters_on_the_trailer_only(self):
+        from repro.harness.reporting import sweep_summary_line
+        from repro.lang.compiler import COMPILE_CACHE
+        COMPILE_CACHE.clear()
+        jobs = [fib_job(processors=p, key=("t", p)) for p in (1, 2, 4)]
+        sweep = run_jobs(jobs)
+        # One program: compiled once, reused by the other two hashes
+        # and by all three executions.
+        assert sweep.compile_cache == {"hits": 5, "misses": 1, "size": 1}
+        assert "compile_cache" not in sweep.summary()
+        line = sweep_summary_line(sweep.timing_summary())
+        assert "compile_hits=5 compile_misses=1 compile_size=1" in line
+
     def test_uncacheable_jobs_bypass_cache(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         run_jobs([call_job("add", a=1, b=2)], cache=cache)

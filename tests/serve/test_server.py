@@ -73,6 +73,9 @@ class TestOps:
         assert metrics["counters"]["executed"] == 1
         assert metrics["counters"]["requests"] == 2
         assert metrics["queue"] == {"depth": 0, "limit": 64}
+        compiles = metrics["compile_cache"]
+        assert sorted(compiles) == ["hits", "misses", "size"]
+        assert compiles["size"] >= 1    # the front end hashed the spec
         assert metrics["workers"]["mode"] == "thread"
         assert metrics["latency_by_served"]["executed"]["count"] == 1
 
