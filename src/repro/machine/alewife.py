@@ -26,6 +26,14 @@ from repro.mem.ideal import IdealMemoryPort
 from repro.mem.memory import CodeWatch, Memory
 from repro.runtime.rts import RuntimeSystem
 
+#: How long the fast form lets a processor run when no other is queued,
+#: so that the per-pop cycle-limit and watchdog polls stay live.
+SOLO_SLICE_CYCLES = 4096
+
+_NO_BUDGET = 1 << 62
+_ALL_HALTED = "all processors halted without a result"
+_CYCLE_LIMIT = "cycle limit %d exceeded (deadlock or undersized limit)"
+
 
 class MachineResult:
     """Outcome of one machine run."""
@@ -44,14 +52,22 @@ class MachineResult:
 class AlewifeMachine:
     """An N-node ALEWIFE machine executing one loaded program.
 
-    ``fastpath`` selects the interpreter/loop generation.  ``True`` (the
-    default) uses predecoded dispatch plus — when every observability
-    hook is dormant — the superblock fast loops; ``False`` pins every
-    processor to the original decode + if-chain interpreter and the
-    per-instruction heapq loop, which is the oracle side of the
-    differential lockstep harness.  It is deliberately a constructor
-    argument and *not* a :class:`MachineConfig` knob, so experiment
-    cache fingerprints are unaffected.
+    The schedule — which processor runs next in simulated time — has
+    two statements.  The **oracle** is :class:`MachineStepper`: pop the
+    earliest processor, run one instruction or idle poll, re-push;
+    every hook observes it, ``april monitor`` drives it by hand, and
+    :meth:`run` drives one to completion whenever ``fastpath=False`` or
+    any observability hook is attached.  The **fast form** is
+    :meth:`_run_fast`: the same schedule a slice at a time, for any
+    processor count, legal only while :meth:`_hooks_dormant`.
+
+    ``fastpath=True`` (the default) pairs the fast form with predecoded
+    dispatch and superblocks; ``False`` pins every processor to the
+    original decode + if-chain interpreter under the oracle, which is
+    the reference side of the differential lockstep harness.  It is
+    deliberately a constructor argument and *not* a
+    :class:`MachineConfig` knob, so experiment cache fingerprints are
+    unaffected.
 
     ``jit`` gates the third interpreter tier (:mod:`repro.core.jit`):
     hot superblocks compiled to generated Python functions.  ``False``
@@ -74,16 +90,16 @@ class AlewifeMachine:
         self.memory.load_program(program)
         self.time = 0
         self.fastpath = fastpath
-        #: Which execution loop :meth:`run` chose ("fast-sequential",
-        #: "fast-sliced", or "reference"); set at run time, for tests.
+        #: Which schedule drove the run, for tests: "fast", "reference"
+        #: (:meth:`run` drove the oracle) or "stepper" (a caller did).
         self.loop_used = None
         #: Observability slots (see :mod:`repro.obs`): an attached
         #: ``Observation`` wires these; ``None`` keeps the fast path.
         self.sampler = None
         self.events = None
-        #: Optional :class:`repro.obs.flight.Watchdog`; every loop polls
-        #: its ``next_check_at`` and :meth:`run` converts the run-time
-        #: system's deadlock abort into a typed ``HangDetected``.
+        #: Optional :class:`repro.obs.flight.Watchdog`; both schedules
+        #: poll its ``next_check_at`` and turn the run-time system's
+        #: deadlock abort into its typed ``HangDetected``.
         self.watchdog = None
         decoder = DecodeCache()
 
@@ -123,20 +139,20 @@ class AlewifeMachine:
     def _hooks_dormant(self):
         """True when no observability hook anywhere can observe steps.
 
-        This is the PR 1 dormant-hook contract: the superblock fast
-        loops are only legal when nothing samples, traces, profiles, or
-        accounts per instruction/charge, so batching cannot change what
-        an observer would have seen.
+        The dormant-hook contract: the fast form batches instructions
+        into superblocks and slices, which is only legal when nothing
+        samples, traces, profiles, or accounts per instruction/charge —
+        then batching cannot change what an observer would have seen.
+        Any attached hook sends :meth:`run` to the oracle instead.
 
         One refinement: an event bus marked ``coarse=True`` (the flight
-        recorder's) does not pin the reference loop.  Every event kind
-        is emitted outside fused superblocks — traps, scheduling,
-        futures, network, memory transactions — and their cycle stamps
-        are identical on the fast and reference paths (the lockstep
-        harness proves the schedules equal), so a coarse-only consumer
-        observes the same stream either way.  A default
-        (``coarse=False``) bus still forces the reference loop, as
-        before.
+        recorder's) leaves the fast form eligible.  Every event kind is
+        emitted outside fused superblocks — traps, scheduling, futures,
+        network, memory transactions — and their cycle stamps are
+        identical under both schedules (the lockstep harness proves
+        them equal), so a coarse-only consumer observes the same stream
+        either way.  A default (``coarse=False``) bus still selects the
+        oracle.
         """
         if self.sampler is not None:
             return False
@@ -158,201 +174,89 @@ class AlewifeMachine:
 
         Raises :class:`SimulationError` on deadlock or cycle exhaustion.
         """
-        runtime = self.runtime
-        runtime.spawn_main(entry, args)
+        if self.fastpath and self._hooks_dormant():
+            self.loop_used = "fast"
+            self._run_fast(self._start(entry, args), max_cycles)
+            return self._finish()
+        stepper = self.stepper(entry, args, max_cycles)
+        self.loop_used = "reference"
+        step_machine = stepper.step_machine
+        while step_machine() is not None:
+            pass
+        return stepper.result()
 
+    # What both schedules share: how a run starts, ends, and aborts.
+
+    def _start(self, entry, args):
+        """Spawn the root thread; returns the initial event queue.
+
+        Entries are ``(local clock, sequence, cpu index)``; the
+        sequence number breaks clock ties deterministically.  (A sorted
+        list is a heap.)
+        """
+        self.runtime.spawn_main(entry, args)
         if self.watchdog is not None:
             self.watchdog.next_check_at = self.watchdog.interval
-        try:
-            if self.fastpath and self._hooks_dormant():
-                if len(self.cpus) == 1:
-                    self.loop_used = "fast-sequential"
-                    self._run_fast_sequential(max_cycles)
-                else:
-                    self.loop_used = "fast-sliced"
-                    self._run_fast_sliced(max_cycles)
-            else:
-                self.loop_used = "reference"
-                self._run_reference(max_cycles)
-        except DeadlockError as exc:
-            # The idle-streak deadlock abort fires long before the
-            # watchdog's periodic window; with a watchdog attached it
-            # becomes the same typed post-mortem result.
-            if self.watchdog is not None:
-                self.time = max(self.time,
-                                max(cpu.cycles for cpu in self.cpus))
-                raise self.watchdog.on_deadlock(self.time, exc) from exc
-            raise
+        return sorted((cpu.cycles, index, index)
+                      for index, cpu in enumerate(self.cpus))
 
+    def _finish(self):
+        """Settle the final clock; returns the :class:`MachineResult`."""
         self.time = max(self.time, max(cpu.cycles for cpu in self.cpus))
         if self.sampler is not None:
             self.sampler.finish(self.time)
-        return MachineResult(self, runtime.result)
+        return MachineResult(self, self.runtime.result)
 
-    def _cycle_limit_error(self, max_cycles):
-        return SimulationError(
-            "cycle limit %d exceeded (deadlock or undersized limit)"
-            % max_cycles)
+    def _check_deadlock(self):
+        """The idle-streak abort: no processor can make progress again.
 
-    def _run_reference(self, max_cycles):
-        """The per-instruction event loop every hook observes.
+        It fires long before the watchdog's periodic window; with a
+        watchdog attached it becomes the same typed post-mortem result.
+        """
+        try:
+            self.runtime.check_deadlock()
+        except DeadlockError as exc:
+            if self.watchdog is None:
+                raise
+            raise self.watchdog.on_deadlock(self.time, exc) from exc
 
-        This is the oracle path: it runs whenever observability is
-        attached (or ``fastpath=False``), executing one instruction per
-        iteration through :meth:`Processor.step` so every hook sees the
-        exact per-instruction interleaving.
+    def _run_fast(self, queue, max_cycles):
+        """The fast form: an event queue of *slices* instead of steps.
 
-        The only departure from the seed loop is *pop slicing*: after
-        popping the earliest processor, it keeps stepping it while its
-        clock stays strictly below the next queue entry.  The seed loop
-        would re-push and immediately re-pop the same processor in that
-        situation (strict minimum wins; at a clock tie the earlier
-        sequence number — the entry still in the queue — wins), so the
-        schedule, and therefore every observable, is unchanged; each
-        in-slice iteration still advances :attr:`time`, polls the
-        sampler, and enforces the cycle limit exactly as a pop did.
+        Equivalence with the oracle (:meth:`MachineStepper.step_machine`):
+        once a CPU is popped as the minimum clock, the oracle keeps
+        re-popping it while its clock stays *strictly* below the next
+        entry's clock (at equality the waiting entry's older sequence
+        number wins).  So granting the popped CPU an uninterrupted
+        slice bounded by the next queue head's clock is exactly the
+        oracle's schedule — provided no fused superblock overshoots the
+        bound, which ``step_block(budget)`` guarantees (fused
+        instructions cost one cycle each).  Cross-CPU interactions
+        (shared memory is serialized by the host; IPIs are timestamped
+        by the receiver's own clock at delivery) therefore happen at
+        identical simulated times.  Halted CPUs are dropped instead of
+        re-pushed.
+
+        A CPU popped off an empty queue — the only one, or the last not
+        halted — has nobody to yield to: its blocks run unbudgeted and
+        :data:`SOLO_SLICE_CYCLES` ends the slice.
         """
         runtime = self.runtime
         cpus = self.cpus
-        sampler = self.sampler
-        watchdog = self.watchdog
-        fabric = self.fabric
-        has_work = runtime.has_work
-        on_idle = runtime.on_idle
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        idle_limit = 4 * len(cpus)
-
-        # Event queue of (local clock, sequence, cpu index); the
-        # sequence breaks ties deterministically.
-        queue = []
-        seq = 0
-        for index, cpu in enumerate(cpus):
-            heappush(queue, (cpu.cycles, seq, index))
-            seq += 1
-
-        idle_streak = 0
-        while not runtime.done:
-            if not queue:
-                raise SimulationError(
-                    "all processors halted without a result")
-            _, _, index = heappop(queue)
-            cpu = cpus[index]
-            if cpu.halted:
-                # A halted processor never makes progress again: drop
-                # it from the event queue instead of re-popping it at a
-                # frozen clock forever.
-                continue
-            while True:
-                before = cpu.cycles
-                if before > self.time:
-                    self.time = before
-                if (sampler is not None
-                        and self.time >= sampler.next_sample_at):
-                    sampler.sample(self.time)
-                if (watchdog is not None
-                        and self.time >= watchdog.next_check_at):
-                    watchdog.check(self.time)
-                if self.time > max_cycles:
-                    raise self._cycle_limit_error(max_cycles)
-
-                if fabric is not None:
-                    fabric.advance_to(self.time)
-
-                if has_work(cpu):
-                    cpu.step()
-                    idle_streak = 0
-                elif on_idle(cpu):
-                    idle_streak = 0
-                else:
-                    idle_streak += 1
-                    if idle_streak > idle_limit:
-                        runtime.check_deadlock()
-
-                if (cpu.cycles == before or cpu.halted or runtime.done
-                        or (queue and cpu.cycles >= queue[0][0])):
-                    # Zero progress re-arbitrates (the re-pushed entry
-                    # loses any clock tie, exactly like the seed loop);
-                    # reaching the next entry's clock ends the slice.
-                    break
-
-            if not cpu.halted:
-                heappush(queue, (cpu.cycles, seq, index))
-                seq += 1
-
-    def _run_fast_sequential(self, max_cycles):
-        """Single-CPU fast loop: no heapq, superblocks unbounded.
-
-        With one processor there is no interleaving to arbitrate, so
-        the event queue is pure overhead: this loop just drives the CPU
-        directly, letting :meth:`Processor.step_block` fuse every
-        straight-line run it finds.
-        """
-        runtime = self.runtime
-        cpu = self.cpus[0]
-        step_block = cpu.step_block
-        has_work = runtime.has_work
-        on_idle = runtime.on_idle
-        watchdog = self.watchdog
-        no_budget_limit = 1 << 62
-        idle_streak = 0
-        while not runtime.done:
-            if cpu.halted:
-                raise SimulationError(
-                    "all processors halted without a result")
-            if has_work(cpu):
-                step_block(no_budget_limit)
-                idle_streak = 0
-            elif on_idle(cpu):
-                idle_streak = 0
-            else:
-                idle_streak += 1
-                if idle_streak > 4:
-                    runtime.check_deadlock()
-            if watchdog is not None and cpu.cycles >= watchdog.next_check_at:
-                watchdog.check(cpu.cycles)
-            if cpu.cycles > max_cycles:
-                self.time = cpu.cycles
-                raise self._cycle_limit_error(max_cycles)
-        self.time = max(self.time, cpu.cycles)
-
-    def _run_fast_sliced(self, max_cycles):
-        """Multi-CPU fast loop: heapq of *slices* instead of steps.
-
-        Equivalence with :meth:`_run_reference`: once a CPU is popped
-        as the minimum clock, the reference loop keeps re-popping it
-        while its clock stays *strictly* below the next entry's clock
-        (at equality the waiting entry's older sequence number wins).
-        So granting the popped CPU an uninterrupted slice bounded by
-        the next queue head's clock is exactly the reference schedule —
-        provided no fused superblock overshoots the bound, which
-        ``step_block(budget)`` guarantees (fused instructions cost one
-        cycle each).  Cross-CPU interactions (shared memory is
-        serialized by the host; IPIs are timestamped by the receiver's
-        own clock at delivery) therefore happen at identical simulated
-        times.  Halted CPUs are dropped instead of re-pushed.
-        """
-        runtime = self.runtime
-        cpus = self.cpus
-        fabric = self.fabric
         watchdog = self.watchdog
         has_work = runtime.has_work
         on_idle = runtime.on_idle
         heappush = heapq.heappush
         heappop = heapq.heappop
+        step_blocks = [cpu.step_block for cpu in cpus]
+        steps = [cpu.step for cpu in cpus]
         idle_limit = 4 * len(cpus)
-
-        queue = []
-        seq = 0
-        for index, cpu in enumerate(cpus):
-            heappush(queue, (cpu.cycles, seq, index))
-            seq += 1
+        seq = len(queue)
 
         idle_streak = 0
         while not runtime.done:
             if not queue:
-                raise SimulationError(
-                    "all processors halted without a result")
+                raise SimulationError(_ALL_HALTED)
             when, _, index = heappop(queue)
             cpu = cpus[index]
             if cpu.halted:
@@ -360,34 +264,29 @@ class AlewifeMachine:
             if when > self.time:
                 self.time = when
             if watchdog is not None and self.time >= watchdog.next_check_at:
-                # Slices are bounded by the next queue head, so the
-                # check lags `interval` by at most one slice.
+                # Polled per slice: lags `interval` by at most one.
                 watchdog.check(self.time)
             if self.time > max_cycles:
-                raise self._cycle_limit_error(max_cycles)
-            if fabric is not None:
-                # advance_to is documented time-driven-work-free
-                # (transactions compute completion at issue), so once
-                # per slice is as good as once per instruction.
-                fabric.advance_to(self.time)
+                raise SimulationError(_CYCLE_LIMIT % max_cycles)
 
             # The slice: run while this CPU's clock is strictly the
-            # minimum.  With the queue momentarily holding the *other*
-            # CPUs, the bound is the next head's clock.  The pop
-            # already arbitrated any clock tie, so the first iteration
-            # always runs — with a zero budget no superblock fits and
-            # step_block degrades to exactly one reference step.
-            horizon = queue[0][0] if queue else when + 4096
-            budget = horizon - cpu.cycles
+            # minimum — below the head of the queue, which momentarily
+            # holds the *other* CPUs.  The pop already arbitrated any
+            # clock tie, so the first iteration always runs.  Budgets
+            # under 4 cycles (tightly interleaved clocks) cannot fit a
+            # superblock worth fusing: take a single step rather than
+            # pay the block lookup.
+            solo = not queue
+            horizon = when + SOLO_SLICE_CYCLES if solo else queue[0][0]
+            step_block = step_blocks[index]
+            step = steps[index]
             while True:
                 if has_work(cpu):
-                    # Tiny budgets (tightly interleaved clocks) cannot
-                    # fit a superblock worth fusing; skip straight to a
-                    # single step rather than paying the block lookup.
+                    budget = _NO_BUDGET if solo else horizon - cpu.cycles
                     if budget >= 4:
-                        spent = cpu.step_block(budget)
+                        spent = step_block(budget)
                     else:
-                        spent = cpu.step()
+                        spent = step()
                     idle_streak = 0
                     if spent == 0:
                         # Halted (or a zero-cost trap in an exotic
@@ -398,12 +297,9 @@ class AlewifeMachine:
                 else:
                     idle_streak += 1
                     if idle_streak > idle_limit:
-                        runtime.check_deadlock()
+                        self._check_deadlock()
                     break
-                if runtime.done or cpu.halted:
-                    break
-                budget = horizon - cpu.cycles
-                if budget <= 0:
+                if runtime.done or cpu.halted or cpu.cycles >= horizon:
                     break
 
             if not cpu.halted:
@@ -445,16 +341,19 @@ class StepInfo:
 
 
 class MachineStepper:
-    """Per-instruction, resumable driver over one machine run.
+    """The oracle schedule: a per-instruction, resumable machine driver.
 
-    Replays exactly the :meth:`AlewifeMachine._run_reference` schedule
-    in its pre-pop-slicing form: pop the earliest processor, run one
-    iteration, re-push with a fresh sequence number.  (Pop slicing was
-    proven schedule-identical to that seed loop, so a stepper-driven
-    run executes the same interleaving as ``machine.run()`` — the
-    monitor observes the run it would have gotten, one step at a time.)
+    This is the simplest statement of the event-driven loop, and the
+    one every other form is checked against: pop the processor with the
+    earliest clock (ties to the older sequence number), advance machine
+    time to it, poll the sampler and the watchdog, enforce the cycle
+    limit, run one instruction or one idle poll, and re-push with a
+    fresh sequence number.  :meth:`AlewifeMachine.run` drives one to
+    completion for every ``fastpath=False`` or hooked run, so a
+    caller-driven stepper (``april monitor``) observes exactly the run
+    ``machine.run()`` would have given, one step at a time.
 
-    The heapq state persists across calls, which is what makes the run
+    The queue persists across calls, which is what makes the run
     *resumable*: breakpoint checks are a ``guard`` callable consulted
     after arbitration but before execution; a guarded stop re-pushes
     the popped entry unchanged (same sequence number), so stopping and
@@ -467,12 +366,8 @@ class MachineStepper:
         self.runtime = machine.runtime
         self.max_cycles = max_cycles
         machine.loop_used = "stepper"
-        self.runtime.spawn_main(entry, args)
-        self._queue = []
-        self._seq = 0
-        for index, cpu in enumerate(machine.cpus):
-            heapq.heappush(self._queue, (cpu.cycles, self._seq, index))
-            self._seq += 1
+        self._queue = machine._start(entry, args)
+        self._seq = len(self._queue)
         self._idle_streak = 0
         self._idle_limit = 4 * len(machine.cpus)
 
@@ -488,10 +383,7 @@ class MachineStepper:
         """The :class:`MachineResult` once the run is done, else None."""
         if not self.runtime.done:
             return None
-        machine = self.machine
-        machine.time = max(machine.time,
-                           max(cpu.cycles for cpu in machine.cpus))
-        return MachineResult(machine, self.runtime.result)
+        return self.machine._finish()
 
     def step_machine(self, guard=None):
         """Advance the machine by one scheduling iteration.
@@ -504,36 +396,44 @@ class MachineStepper:
 
         Returns a :class:`StepInfo`, or ``None`` once the run is done.
         Raises :class:`SimulationError` on deadlock, cycle exhaustion,
-        or all processors halting.
+        or all processors halting, and the watchdog's
+        :class:`~repro.errors.HangDetected` when one is attached.
         """
         machine = self.machine
         runtime = self.runtime
+        queue = self._queue
         while True:
             if runtime.done:
                 return None
-            if not self._queue:
-                raise SimulationError(
-                    "all processors halted without a result")
-            entry = heapq.heappop(self._queue)
-            cpu = machine.cpus[entry[2]]
+            if not queue:
+                raise SimulationError(_ALL_HALTED)
+            entry = heapq.heappop(queue)
+            index = entry[2]
+            cpu = machine.cpus[index]
+            # A halted processor never makes progress again: drop it
+            # instead of re-popping it at a frozen clock forever.
             if not cpu.halted:
                 break
-        if cpu.cycles > machine.time:
-            machine.time = cpu.cycles
-        if machine.time > self.max_cycles:
-            heapq.heappush(self._queue, entry)
-            raise machine._cycle_limit_error(self.max_cycles)
-        if machine.fabric is not None:
-            machine.fabric.advance_to(machine.time)
+        now = machine.time
+        if cpu.cycles > now:
+            now = machine.time = cpu.cycles
+        sampler = machine.sampler
+        if sampler is not None and now >= sampler.next_sample_at:
+            sampler.sample(now)
+        watchdog = machine.watchdog
+        if watchdog is not None and now >= watchdog.next_check_at:
+            watchdog.check(now)
+        if now > self.max_cycles:
+            heapq.heappush(queue, entry)
+            raise SimulationError(_CYCLE_LIMIT % self.max_cycles)
 
-        index = entry[2]
         pc = None
         executed = False
         if runtime.has_work(cpu):
             pc = cpu.frames[cpu.fp].pc
             if guard is not None and guard(cpu):
-                heapq.heappush(self._queue, entry)
-                return StepInfo(index, pc, executed=False, stopped=True)
+                heapq.heappush(queue, entry)
+                return StepInfo(index, pc, False, True)
             cpu.step()
             executed = True
             self._idle_streak = 0
@@ -542,14 +442,14 @@ class MachineStepper:
         else:
             self._idle_streak += 1
             if self._idle_streak > self._idle_limit:
-                # May raise DeadlockError; the machine is terminally
-                # stuck then, so losing this queue entry is harmless
-                # (any further stepping re-detects via another node).
-                runtime.check_deadlock()
+                # Raises when the machine is terminally stuck, so
+                # losing this queue entry is harmless (any further
+                # stepping re-detects via another node).
+                machine._check_deadlock()
         if not cpu.halted:
-            heapq.heappush(self._queue, (cpu.cycles, self._seq, index))
+            heapq.heappush(queue, (cpu.cycles, self._seq, index))
             self._seq += 1
-        return StepInfo(index, pc, executed=executed, stopped=False)
+        return StepInfo(index, pc, executed, False)
 
 
 def run_program(program, config=None, entry="main", args=(),

@@ -70,10 +70,6 @@ class CoherentMemorySystem:
             self.controllers.append(controller)
             self.cpus.append(cpu)
 
-    def advance_to(self, time):
-        """Hook for time-driven components (none: transactions compute
-        their completion at issue; see the controller docstring)."""
-
     def check_coherence_invariants(self):
         """Machine-wide single-writer check (tests and debugging)."""
         for directory in self.directories:

@@ -125,7 +125,7 @@ class EventBus:
             futures, memory transactions — never per-instruction
             observations).  All :class:`EventKind` emission sites *are*
             coarse-grained and superblock fusion does not change their
-            cycle stamps, so the machine keeps its fast loops when the
+            cycle stamps, so the machine keeps its fast loop when the
             only attached bus is a coarse one (the flight recorder's);
             the default ``False`` preserves the conservative contract
             that any attached bus pins the per-instruction reference

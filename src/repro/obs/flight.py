@@ -7,7 +7,7 @@ every run:
   event kinds (traps, context switches, scheduling, futures, network
   deliveries, memory-transaction completions — never per-instruction),
   subscribed through an :class:`~repro.obs.events.EventBus` marked
-  ``coarse=True`` so the PR 5 superblock fast loops stay eligible:
+  ``coarse=True`` so the superblock fast loop stays eligible:
   every one of those emission sites fires outside fused superblocks and
   with identical cycle stamps on the fast and reference paths (the
   lockstep harness pins this).
@@ -96,7 +96,7 @@ class FlightRecorder:
     ``coarse=True`` bus on every emitting component, which — by the
     dormant-hook contract extension in
     :meth:`AlewifeMachine._hooks_dormant` — keeps the superblock fast
-    loops eligible.
+    loop eligible.
     """
 
     def __init__(self, per_node=64):

@@ -67,11 +67,11 @@ def _assert_triple(jit, closure, reference, expect_jit_runs=True):
         assert any(cpu.jit_runs > 0 for cpu in jit_machine.cpus)
 
 
-def _assert_lockstep(fast, reference):
+def _assert_lockstep(fast, reference, oracle="reference"):
     fast_machine, fast_result = fast
     ref_machine, ref_result = reference
-    assert fast_machine.loop_used in ("fast-sequential", "fast-sliced")
-    assert ref_machine.loop_used == "reference"
+    assert fast_machine.loop_used == "fast"
+    assert ref_machine.loop_used == oracle
     assert fast_result.value == ref_result.value
     assert fast_result.cycles == ref_result.cycles
     assert fast_result.output == ref_result.output
@@ -145,8 +145,46 @@ class TestBenchmarkLockstep:
         compiled = compile_source(module.source(), mode="sequential")
         machine = _build(compiled, MachineConfig(num_processors=1), True)
         machine.run(entry=compiled.entry_label("main"), args=(10,))
-        assert machine.loop_used == "fast-sequential"
+        assert machine.loop_used == "fast"
         assert machine.cpus[0].superblocks > 0
+
+
+class TestScheduleLockstep:
+    """Schedule only: one ``fastpath=True`` build, driven once by
+    ``run()`` (the fast sliced loop) and once by a caller-driven
+    :class:`MachineStepper` (the oracle).  The triple above changes
+    interpreter and loop together; this pins the loop alone."""
+
+    SCENARIOS = {
+        "sequential": ("sequential", MachineConfig(num_processors=1)),
+        "eager-p2": ("eager", MachineConfig(num_processors=2)),
+        "eager-p4": ("eager", MachineConfig(num_processors=4)),
+        "lazy-p4": ("lazy", MachineConfig(num_processors=4)),
+        "coherent-p4": ("eager", MachineConfig(num_processors=4,
+                                               memory_mode="coherent")),
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize("program,args", [("fib", (9,)),
+                                              ("queens", (4,))])
+    def test_fast_loop_matches_stepper(self, program, args, scenario):
+        mode, config = self.SCENARIOS[scenario]
+        module = workloads.get(program)
+        compiled = compile_source(module.source(), mode=mode)
+        entry = compiled.entry_label("main")
+
+        fast_machine = _build(compiled, config, True)
+        fast = fast_machine.run(entry=entry, args=args)
+        assert fast.value == module.reference(*args)
+
+        stepped_machine = _build(compiled, config, True)
+        stepper = stepped_machine.stepper(entry=entry, args=args)
+        while stepper.step_machine() is not None:
+            pass
+        stepped = stepper.result()
+        assert stepped_machine.time == fast_machine.time
+        _assert_lockstep((fast_machine, fast), (stepped_machine, stepped),
+                         oracle="stepper")
 
 
 _SETTINGS = settings(
@@ -180,7 +218,7 @@ class TestRandomizedLockstep:
 def _dormant_baseline(compiled, config, args):
     machine = _build(compiled, config, True)
     result = machine.run(entry=compiled.entry_label("main"), args=args)
-    assert machine.loop_used in ("fast-sequential", "fast-sliced")
+    assert machine.loop_used == "fast"
     return machine, result
 
 
@@ -303,7 +341,7 @@ class TestJitFallbackMatrix:
 
         machine = _build(compiled, config, True, jit=False)
         result = machine.run(entry=compiled.entry_label("main"), args=(9,))
-        assert machine.loop_used in ("fast-sequential", "fast-sliced")
+        assert machine.loop_used == "fast"
         assert all(not cpu.jit_runs for cpu in machine.cpus)
         assert result.value == dormant.value
         assert result.cycles == dormant.cycles

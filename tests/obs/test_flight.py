@@ -140,7 +140,7 @@ class TestFastPathEligibility:
         machine, compiled, _ = _deadlocked_machine()
         with pytest.raises(HangDetected):
             machine.run(entry=compiled.entry_label("main"))
-        assert machine.loop_used == "fast-sliced"
+        assert machine.loop_used == "fast"
 
     def test_detach_restores_dormancy(self):
         machine, compiled = build_mult_machine(FIB, processors=1)
@@ -152,7 +152,7 @@ class TestFastPathEligibility:
         assert machine.watchdog is None
         result = machine.run(entry=compiled.entry_label("main"), args=(10,))
         assert result.value == 55
-        assert machine.loop_used == "fast-sequential"
+        assert machine.loop_used == "fast"
 
     def test_existing_observation_bus_is_reused(self):
         """When an Observation already owns the event bus, the recorder
