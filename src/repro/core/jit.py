@@ -52,7 +52,7 @@ registers dirtied so far, commits the cycles already earned, parks the
 PC chain at the guarded instruction, and raises the *identical*
 :class:`TrapSignal` the closure tier's strict op would — same kind,
 instr, pc, value, and cause — which the runner
-(:meth:`repro.core.processor.Processor._run_jit`) takes exactly as
+(:meth:`repro.core.processor.Processor.step_block`) takes exactly as
 ``step()`` does.  ``DIV``/``REM`` (divide-by-zero on top of
 strictness) are never inlined.
 
@@ -60,6 +60,19 @@ A block's final terminator is either *inlined* (``BA``, ``CALL``,
 ``JMPL`` — pure PC-chain math on the locals) or *delegated*: any other
 decodable instruction (frame ops, system ops, ``DIV``/``REM``) runs
 through its closure after the prefix commits, ending the block.
+
+The same scan and emitter produce a second shape, the *sync-headed
+slice* (``compile_block(..., sliced=True)``), for the machine loop's
+run-ahead: the instruction at the pc — inlined as above, whatever it
+is — followed only by *private* instructions (straight ops, branches,
+``CALL``/``JMPL``: one cycle, this processor's registers, condition
+codes and PC chain, nothing else), stopping before the next memory or
+delegated instruction.  Past the head a tripped guard parks the chain
+and returns instead of raising, and every exit records how many
+private instructions ran and their post-head register values, so
+:meth:`repro.core.processor.Processor.unrun_tail` can take them back.
+Slices share :data:`SHARED_BLOCKS` (own key suffix), the promotion
+threshold, the per-CPU LRU bound and code-watch invalidation.
 
 Self-modifying code: each compiled block records the byte range
 ``[start, end)`` it was translated from and a hash of the translated
@@ -270,14 +283,26 @@ class JitBlock:
 
 
 class _Emitter:
-    """Accumulates generated source plus the register-local bookkeeping."""
+    """Accumulates generated source plus the register-local bookkeeping.
 
-    def __init__(self):
+    ``sliced`` selects the sync-headed slice shape (see
+    :func:`compile_block`): guards past the head park instead of
+    raising, and every exit that ran a private tail leaves the undo
+    record :meth:`Processor.unrun_tail` restores from.
+    """
+
+    def __init__(self, sliced=False):
+        self.sliced = sliced
+        #: ``(body index, pc expr, npc expr)`` just past the slice head.
+        self.head = None
+        #: Some exit emitted so far leaves an undo record.
+        self.undoable = False
         self.body = []
         # name -> load statement, in first-reference order.
         self.refs = OrderedDict()
         self.dirty = OrderedDict()   # name -> store_stmt
         self._stores = {}
+        self._numbers = {}           # name -> encoded register number
         self.psr_used = False
         self.psr_dirty = False
         self.needs_regs = False
@@ -309,6 +334,7 @@ class _Emitter:
         if name not in self.refs:
             self.refs[name] = load
             self._stores[name] = store
+            self._numbers[name] = number
         return name
 
     def def_reg(self, number):
@@ -348,12 +374,41 @@ class _Emitter:
             self.line(indent, "_psr.value = psr")
 
     def commit(self, indent, count):
-        """Emit the batched cycle/useful/instruction accounting."""
+        """Emit the batched cycle/useful/instruction accounting.
+
+        A slice that ran ``count - 1`` private instructions past its
+        head also leaves the record that can take them back.
+        """
         self.line(indent, "cpu.cycles += %d" % count)
         self.line(indent, "_st = cpu.stats")
         self.line(indent, "_st.useful += %d" % count)
         self.line(indent, "_st._total += %d" % count)
         self.line(indent, "_st.instructions += %d" % count)
+        if self.sliced and count > 1:
+            self.undoable = True
+            self.line(indent, "cpu.ahead_tail = (%d, _u)" % (count - 1))
+            self.line(indent, "cpu.ahead_slices += 1")
+            self.line(indent, "cpu.ahead_instructions += %d" % (count - 1))
+
+    def mark_head(self, pc_expr, npc_expr):
+        """The slice head's own effects end here (first call only)."""
+        if self.sliced and self.head is None:
+            self.head = (len(self.body), pc_expr, npc_expr)
+
+    def snapshot_head(self):
+        """Insert the undo snapshot just past the slice head.
+
+        ``_u = (pc, npc, psr, numbers, *values)``: the PC chain the
+        tail starts from and the post-head value of everything the
+        tail may dirty — they are already locals, so one tuple build
+        records them.
+        """
+        at, pc_expr, npc_expr = self.head
+        names = list(self.dirty)
+        fields = [str(pc_expr), str(npc_expr),
+                  "psr" if self.psr_dirty else "None",
+                  repr(tuple(self._numbers[name] for name in names))]
+        self.body.insert(at, "    _u = (%s)" % ", ".join(fields + names))
 
 
 def _emit_guard(emitter, guard_expr, value_expr, instr, pending, pc_k,
@@ -368,6 +423,10 @@ def _emit_guard(emitter, guard_expr, value_expr, instr, pending, pc_k,
     and raises the *identical* :class:`TrapSignal` the closure tier's
     strict op would — same kind, instr, pc, value, and cause — which
     the runner takes exactly as ``step()`` does.
+
+    Past the head of a sync-headed slice the guard only parks: the
+    trap reads shared state (is the future resolved yet?), so it is
+    taken when the instruction heads a later slice, at its own key.
     """
     emitter.line(1, "if %s:" % guard_expr)
     # Snapshot of dirt *so far* — later instructions' write-backs must
@@ -379,6 +438,9 @@ def _emit_guard(emitter, guard_expr, value_expr, instr, pending, pc_k,
     emitter.line(2, "frame.pc = %d" % pc_k)
     emitter.line(2, "frame.npc = %s" % (
         npc_expr if npc_expr is not None else "%d" % (pc_k + 4)))
+    if emitter.sliced and pending:
+        emitter.line(2, "return")
+        return
     name = emitter.add_instr(instr)
     emitter.line(2, "raise _TS(_T(_FC, instr=%s, pc=%d, value=%s,"
                  " cause=%r))" % (name, pc_k, value_expr, instr.op.name))
@@ -602,7 +664,7 @@ def _classify_delay(decoder, fetch, address):
     return None
 
 
-def _scan_block(cpu, pc, spec):
+def _scan_block(cpu, pc, spec, sliced=False):
     """Scan the superblock at ``pc`` into a translation plan.
 
     Returns ``(plan, words, total, end)`` — the classified
@@ -614,6 +676,14 @@ def _scan_block(cpu, pc, spec):
     string building.  Scanning uses side-effect-free instruction
     fetches (the perfect I-cache), exactly like the closure tier's
     ``_build_block``.
+
+    ``sliced`` scans the second shape, a *sync-headed slice*: whatever
+    stands at ``pc``, then only *private* instructions — one cycle,
+    touching nothing but this CPU's registers, condition codes and PC
+    chain, unable to trap (a strict op's guard parks instead).  The
+    scan stops *before* the next load/store or delegated instruction,
+    and a memory delay slot is left unfused, so the head is the only
+    instruction in the plan another processor could observe.
 
     Plan items:
         ``("s", instr, pc)`` — inlined straight-line op;
@@ -649,6 +719,11 @@ def _scan_block(cpu, pc, spec):
             scan += 4
             continue
 
+        redirect = op in _UNCOND_EXITS or op in _COND
+        if sliced and plan and not redirect:
+            # Not private: it may only ever be the head of a slice.
+            break
+
         if op in _MEM:
             try:
                 run = predecode(word).run
@@ -666,12 +741,14 @@ def _scan_block(cpu, pc, spec):
             scan += 4
             break
 
-        if op in _UNCOND_EXITS or op in _COND:
+        if redirect:
             delay = _classify_delay(decoder, fetch, scan + 4)
-            if delay is not None and delay[0] == "m" and spec is None:
+            if delay is not None and delay[0] == "m" and (
+                    spec is None or sliced):
                 # A delegated delay slot ends the block anyway; fusing
                 # it buys nothing over the bare exit, so keep the exit
-                # simple on non-ideal ports.
+                # simple on non-ideal ports.  In a slice it would be a
+                # second memory access.
                 delay = None
             if op in _COND:
                 if delay is None:
@@ -711,7 +788,7 @@ def _scan_block(cpu, pc, spec):
     return plan, words, total, scan
 
 
-def compile_block(cpu, pc):
+def compile_block(cpu, pc, sliced=False):
     """Compile the superblock starting at ``pc`` for ``cpu``.
 
     Returns a :class:`JitBlock`, or ``None`` when the code at ``pc``
@@ -719,18 +796,29 @@ def compile_block(cpu, pc):
     generated function).  Identical translations are shared
     process-wide through :data:`SHARED_BLOCKS` — source emission and
     ``compile()`` run only on a cache miss.
+
+    ``sliced`` compiles the sync-headed slice at ``pc`` instead (see
+    :func:`_scan_block`): the same emitter, except that a guard past
+    the head parks the chain there and returns without raising, and
+    every exit past the head sets ``cpu.ahead_tail`` to the number of
+    private instructions it ran and their undo snapshot.  A head that
+    is delegated ends the slice like any block: it has no tail.
     """
     spec = _port_spec(cpu)
-    plan, words, total, end = _scan_block(cpu, pc, spec)
-    if total < 2:
+    plan, words, total, end = _scan_block(cpu, pc, spec, sliced)
+    if total < (1 if sliced else 2):
+        # A slice of one still beats step(): an inlined head skips the
+        # closure tier's port call, a delegated one its dispatch.
         return None
 
     key = (pc, tuple(words), spec)
+    if sliced:
+        key += ("slice",)
     shared = SHARED_BLOCKS.get(key)
     if shared is not None:
         return shared
 
-    emitter = _Emitter()
+    emitter = _Emitter(sliced)
     line = emitter.line
     pending = 0        # uncommitted 1-cycle instructions so far
     term_emitted = False
@@ -741,11 +829,13 @@ def compile_block(cpu, pc):
             _, instr, pc_i = item
             _emit_straight(emitter, instr, pending, pc_i)
             pending += 1
+            emitter.mark_head(pc_i + 4, pc_i + 8)
         elif kind == "mi":
             _, instr, run, pc_i = item
             _emit_mem_inline(emitter, instr, run, pending, pc_i,
                              "%d" % (pc_i + 4), spec, install=False)
             pending += 1
+            emitter.mark_head(pc_i + 4, pc_i + 8)
         elif kind == "md":
             _, instr, run, pc_i = item
             _emit_mem_delegate(emitter, instr, run, pending, pc_i,
@@ -772,6 +862,7 @@ def compile_block(cpu, pc):
             line(1, "_tk = %s" % _COND[instr.op])
             line(1, "_nn = %d if _tk else %d" % (target, pc_i + 8))
             pending += 1
+            emitter.mark_head(pc_i + 4, "_nn")
             dkind, dinstr, drun, _dword = delay
             if dkind == "s":
                 _emit_straight(emitter, dinstr, pending, pc_i + 4,
@@ -807,6 +898,7 @@ def compile_block(cpu, pc):
                 target_expr = "_nn"
             else:  # BA
                 target_expr = "%d" % (pc_i + 4 * instr.imm)
+            emitter.mark_head(pc_i + 4, target_expr)
             if delay is None:
                 emitter.writeback(1)
                 emitter.commit(1, pending)
@@ -858,6 +950,8 @@ def compile_block(cpu, pc):
         emitter.line(1, "frame.pc = %d" % scan)
         emitter.line(1, "frame.npc = %d" % (scan + 4))
         emitter.line(1, "return")
+    if emitter.undoable:
+        emitter.snapshot_head()
 
     params = ["cpu", "frame"]
     for index in range(len(emitter.delegates)):

@@ -24,7 +24,7 @@ from collections import deque
 
 from repro.core import alu
 from repro.core.fpu import FPU
-from repro.core.jit import CodeCache, compile_block
+from repro.core.jit import MAX_JIT_BLOCK, CodeCache, compile_block
 from repro.core.psr import ET_BIT
 from repro.core.task_frame import TaskFrame
 from repro.core.traps import (
@@ -193,10 +193,13 @@ class Processor:
         #: The JIT tier (see :mod:`repro.core.jit`): pc ->
         #: :class:`JitBlock` (or ``False`` for "not compilable here"),
         #: bounded LRU; ``_jit_map`` aliases its backing OrderedDict.
+        #: The tier's second shape, the sync-headed slice compiled at a
+        #: pc (``step_block(..., True)``), lives here under ``~pc``.
         self._jit = CodeCache(JIT_CACHE_CAPACITY)
         self._jit_map = self._jit.data
-        #: pc -> visit count; promotion to the JIT tier at
-        #: :data:`JIT_THRESHOLD` (bounded by the code footprint).
+        #: pc (``~pc`` for a slice) -> visit count; promotion to the
+        #: JIT tier at :data:`JIT_THRESHOLD` (bounded by the code
+        #: footprint).
         self._heat = {}
         #: Master switch for the JIT tier (the ``april bench --no-jit``
         #: A/B knob; the machine sets it from its ``jit`` argument).
@@ -209,6 +212,18 @@ class Processor:
         #: Count of fused superblocks executed (diagnostics/tests only;
         #: deliberately not part of ``stats.snapshot()``).
         self.superblocks = 0
+        #: Run-ahead diagnostics (same contract, and not part of
+        #: :meth:`translation_counters` either): slices that ran a
+        #: private tail, the instructions in those tails, and the ones
+        #: :meth:`unrun_tail` took back when the run ended under them.
+        self.ahead_slices = 0
+        self.ahead_instructions = 0
+        self.ahead_undone = 0
+        #: ``(count, undo)`` while the last thing this processor ran
+        #: was a slice with ``count`` private instructions behind its
+        #: head, else ``None``; ``undo`` is the generated code's
+        #: snapshot ``(pc, npc, psr, numbers, *values)``.
+        self.ahead_tail = None
         #: JIT tier diagnostics (same non-snapshot contract).
         self.jit_compiles = 0
         self.jit_runs = 0
@@ -394,7 +409,7 @@ class Processor:
 
     # -- superblock executor (fast path only) --------------------------------
 
-    def step_block(self, budget):
+    def step_block(self, budget, ahead=False):
         """Execute one superblock — JIT, fused closures — or :meth:`step`.
 
         The tier ladder at a block-start pc: cold pcs run through the
@@ -413,6 +428,26 @@ class Processor:
         costs exactly one cycle; a delegated memory terminator may
         stall past the horizon, but so would the same instruction under
         :meth:`step` — the reference loop has the same property).
+
+        ``ahead`` lets a budget too small for a full-length block be
+        overrun by a *sync-headed slice* instead: the instruction at
+        the pc — the caller vouches that it is next in the machine's
+        schedule — and then, in the same generated function, every
+        following *private* instruction (one cycle; reads and writes
+        only this processor's registers, condition codes and PC chain;
+        cannot trap), stopping before the next load/store, frame,
+        system or I/O instruction, before a tripped future guard (chain
+        parked there, trap not taken) and at
+        :data:`~repro.core.jit.MAX_JIT_BLOCK`.  Nothing another
+        processor does can change what a private instruction computes
+        and nothing it computes can be seen from outside before the
+        next head, so running the tail early changes only the host
+        order; legal only while nothing can reach into this processor
+        between two of its own heads (no IPI sender, no hook).
+        :attr:`ahead_tail` says how far past the head the slice ran and
+        :meth:`unrun_tail` takes that back.  A pc whose slice is still
+        cold runs one :meth:`step` — a slice of one.
+
         Falls back to :meth:`step` — same return convention, cycles
         consumed — whenever no block applies or any per-instruction
         hook is attached; only call this with machine-level
@@ -420,6 +455,7 @@ class Processor:
         """
         if self.halted:
             return 0
+        self.ahead_tail = None
         if (self.trace_hook is not None or self.profile_hook is not None
                 or self.lifetime is not None):
             return self.step()
@@ -432,24 +468,52 @@ class Processor:
             # block's straight-line npc math would be wrong.
             return self.step()
 
+        if budget >= MAX_JIT_BLOCK:
+            # Nobody to run ahead of: a full-length block, memory
+            # accesses and all, beats a slice.
+            ahead = False
         if self.jit_enabled:
             jit_map = self._jit_map
-            jb = jit_map.get(pc)
+            key = ~pc if ahead else pc
+            jb = jit_map.get(key)
             if jb is not None:
-                jit_map.move_to_end(pc)
-                if jb is not False and jb.cost <= budget:
-                    return self._run_jit(jb, frame, budget)
-                # Uncompilable pc, or the compiled block overshoots the
-                # slice: fall through to the closure tier / step().
+                jit_map.move_to_end(key)
             else:
-                heat = self._heat.get(pc, 0) + 1
+                heat = self._heat.get(key, 0) + 1
                 if heat >= self.jit_threshold:
-                    self._heat.pop(pc, None)
-                    jb = self._compile_jit(pc)
-                    if jb is not None and jb.cost <= budget:
-                        return self._run_jit(jb, frame, budget)
+                    self._heat.pop(key, None)
+                    jb = self._compile_jit(pc, ahead)
                 else:
-                    self._heat[pc] = heat
+                    self._heat[key] = heat
+            # Not an uncompilable or still-cold pc (those fall through
+            # to the closure tier / step()), and the block fits.
+            if jb and (ahead or jb.cost <= budget):
+                # The block may stop early — at a tripped future
+                # guard, at the slow path of an inlined memory access,
+                # or at a taken branch — so the cycles consumed are
+                # whatever the generated code banked, not ``jb.cost``.
+                # Traps raised by a guard or a delegated instruction
+                # are taken here exactly as :meth:`step` takes them
+                # (the generated code parked the PC chain at the
+                # instruction and committed the prefix first).
+                start = self.cycles
+                try:
+                    jb.fn(self, frame)
+                except TrapSignal as signal:
+                    self._take_trap(frame, signal.trap)
+                    self.jit_runs += 1
+                    return self.cycles - start
+                spent = self.cycles - start
+                if spent == 0:
+                    # Cannot happen on current codegen (guards raise
+                    # or park after the head, delegates charge); keeps
+                    # a zero-progress block from livelocking the loop.
+                    self.jit_deopts += 1
+                    return self.step()
+                self.jit_runs += 1
+                return spent
+        if ahead:
+            return self.step()
 
         block = self._blocks.get(pc)
         if block is None:
@@ -505,15 +569,15 @@ class Processor:
 
     # -- JIT tier (see repro.core.jit) ----------------------------------------
 
-    def _compile_jit(self, pc):
-        """Compile the superblock at ``pc``; caches the result.
+    def _compile_jit(self, pc, sliced=False):
+        """Compile the superblock (or slice) at ``pc``; caches the result.
 
         Uncompilable pcs cache ``False`` so the hotness counter is paid
         only once per pc; real blocks register their pc range with the
         code watch so self-modifying stores invalidate them.
         """
-        jb = compile_block(self, pc)
-        self._jit.put(pc, jb if jb is not None else False)
+        jb = compile_block(self, pc, sliced)
+        self._jit.put(~pc if sliced else pc, jb if jb is not None else False)
         if jb is not None:
             self.jit_compiles += 1
             watch = self._code_watch
@@ -521,42 +585,41 @@ class Processor:
                 watch.cover(jb.start, jb.end)
         return jb
 
-    def _run_jit(self, jb, frame, budget):
-        """Execute one compiled block; returns cycles consumed.
+    def unrun_tail(self, keep):
+        """Take back the private tail of the slice just run, then
+        re-execute its first ``keep`` instructions.
 
-        The block may stop early — at a tripped future guard, at the
-        slow path of an inlined memory access, or at a taken branch —
-        so the cycles consumed are whatever the generated code banked,
-        not ``jb.cost``.  Traps raised by a guard or a delegated
-        instruction are taken here exactly as :meth:`step` takes them
-        (the generated code parked the PC chain at the instruction and
-        committed the prefix first).  A zero-cycle return cannot
-        happen on current codegen (guards raise, delegates charge);
-        the deoptimize-to-:meth:`step` branch below is a safety net
-        that keeps any future zero-progress block from livelocking the
-        event loop.
+        The tail wrote only the registers in the snapshot, the
+        condition codes, the PC chain and four counters, each by
+        exactly one per instruction, so restoring the first three and
+        subtracting from the rest is the state right after the head;
+        :meth:`step` replays what the run's end still covers.
         """
-        start = self.cycles
-        try:
-            jb.fn(self, frame)
-        except TrapSignal as signal:
-            self._take_trap(frame, signal.trap)
-            self.jit_runs += 1
-            return self.cycles - start
-        spent = self.cycles - start
-        if spent == 0:
-            self.jit_deopts += 1
-            return self.step()
-        self.jit_runs += 1
-        return spent
+        count, (pc, npc, psr, numbers, *values) = self.ahead_tail
+        self.ahead_tail = None
+        frame = self.frames[self.fp]
+        frame.pc = pc
+        frame.npc = npc
+        if psr is not None:
+            frame.psr.value = psr
+        for number, value in zip(numbers, values):
+            self.write_reg(number, value, frame)
+        self.cycles -= count
+        stats = self.stats
+        stats.useful -= count
+        stats._total -= count
+        stats.instructions -= count
+        self.ahead_undone += count - keep
+        for _ in range(keep):
+            self.step()
 
     def attach_code_watch(self, watch):
         """Register with a :class:`~repro.mem.memory.CodeWatch`.
 
         The watch notifies :meth:`invalidate_code` on every store into
         a word this CPU has translated, keeping all three cache tiers
-        (predecode entries, fused closure blocks, JIT blocks) correct
-        under self-modifying code.
+        (predecode entries, fused closure blocks, JIT blocks and
+        slices) correct under self-modifying code.
         """
         self._code_watch = watch
         watch.add_listener(self.invalidate_code)

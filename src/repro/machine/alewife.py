@@ -59,7 +59,16 @@ class AlewifeMachine:
     :meth:`run` drives one to completion whenever ``fastpath=False`` or
     any observability hook is attached.  The **fast form** is
     :meth:`_run_fast`: the same schedule a slice at a time, for any
-    processor count, legal only while :meth:`_hooks_dormant`.
+    processor count, legal only while :meth:`_hooks_dormant`.  Its
+    queue key orders tied processors as the oracle's sequence numbers
+    do without changing on a one-cycle step, so where nothing can reach
+    into a running processor (:meth:`_runs_ahead`: ideal memory, no IPI
+    sender) a slice carries that processor's private instructions —
+    registers, condition codes, PC chain — past a tied clock; they
+    commute with whatever the others do, every load, store, trap and
+    idle poll still happens in the oracle's order, and a run that ends
+    under such a tail is wound back to where the oracle stops
+    (:meth:`_end_at`).
 
     ``fastpath=True`` (the default) pairs the fast form with predecoded
     dispatch and superblocks; ``False`` pins every processor to the
@@ -220,26 +229,73 @@ class AlewifeMachine:
                 raise
             raise self.watchdog.on_deadlock(self.time, exc) from exc
 
+    def _runs_ahead(self):
+        """Whether the fast form may run processors ahead of a tie.
+
+        Derived, never configured: a private tail is exact only while
+        nothing can reach into a processor between two of its own
+        heads.  On this machine that is an IPI landing in its queue —
+        so the port must be the ideal one with no I/O hook to post one
+        and no run-time receiver to post more — and every trap must
+        cost more than a cycle (the squash alone does), which is how
+        the loop tells one from retired instructions.  Coherent
+        machines are out: a ``STIO`` lands at the receiver's clock with
+        zero lookahead.  Slices are a JIT shape, so ``jit=False`` runs
+        none.
+        """
+        return (self.jit and self.fabric is None
+                and self.config.trap_squash_cycles > 1
+                and self.runtime._ipi_receiver is None
+                and all(cpu.port.io_read_hook is None
+                        and cpu.port.io_write_hook is None
+                        for cpu in self.cpus))
+
     def _run_fast(self, queue, max_cycles):
         """The fast form: an event queue of *slices* instead of steps.
 
-        Equivalence with the oracle (:meth:`MachineStepper.step_machine`):
-        once a CPU is popped as the minimum clock, the oracle keeps
-        re-popping it while its clock stays *strictly* below the next
-        entry's clock (at equality the waiting entry's older sequence
-        number wins).  So granting the popped CPU an uninterrupted
-        slice bounded by the next queue head's clock is exactly the
-        oracle's schedule — provided no fused superblock overshoots the
-        bound, which ``step_block(budget)`` guarantees (fused
-        instructions cost one cycle each).  Cross-CPU interactions
-        (shared memory is serialized by the host; IPIs are timestamped
-        by the receiver's own clock at delivery) therefore happen at
-        identical simulated times.  Halted CPUs are dropped instead of
-        re-pushed.
+        **The key.**  The oracle (:meth:`MachineStepper.step_machine`)
+        breaks a clock tie by a sequence number drawn at every push.
+        Here an entry is ``(clock, -origin, oseq, cpu)``: ``origin`` is
+        the clock at which the processor's current unbroken run of
+        exactly-one-cycle steps began and ``oseq`` a number drawn only
+        then.  That is the same order.  Of two processors tied at T,
+        the one whose last step cost more than a cycle started that
+        step before T - 1, so it was pushed to T before one that
+        stepped from T - 1; two that both stepped from T - 1 were tied
+        there and keep their order; so the later ``origin`` goes first,
+        and equal origins in the order their steps were taken.  A
+        zero-cost step re-queues behind everything at its clock
+        (``origin`` -1).  What the key buys: a one-cycle step does not
+        change it, so the queue need not see one.
 
-        A CPU popped off an empty queue — the only one, or the last not
-        halted — has nobody to yield to: its blocks run unbudgeted and
-        :data:`SOLO_SLICE_CYCLES` ends the slice.
+        **Budget-bound slices.**  A popped processor runs while its
+        clock stays strictly below the next entry's (at equality the
+        key decides, so it is pushed back).  ``step_block(budget)``
+        never overshoots: fused instructions cost a cycle each and a
+        gap (trap, stall) ends the block.  Cross-processor
+        interactions (shared memory is serialized by the host; IPIs are
+        stamped by the receiver's clock at delivery) therefore happen
+        at identical simulated times.  Halted processors are dropped.
+
+        **Run-ahead slices** (while :meth:`_runs_ahead`).  At a tie the
+        budget is a cycle or less, and a popped processor instead runs
+        a sync-headed slice — ``step_block(budget, True)`` — the
+        instruction at its pc, which holds the minimum key and may be
+        anything, and then its *private* successors, which read and
+        write only that processor's registers, condition codes and PC
+        chain.  Those commute with everything any other processor
+        does, so executing them early changes the host order of
+        instructions and nothing else; every load, store, trap and
+        idle poll is still the head of a slice, and heads are popped
+        in key order — the oracle's.
+
+        **How a run ends.**  When the root's exit sets ``done`` at key
+        K the oracle stops, and a parked processor may have run its
+        tail past K: :meth:`_end_at` takes those instructions back.
+
+        A processor popped off an empty queue — the only one, or the
+        last not halted — has nobody to yield to: its blocks run
+        unbudgeted and :data:`SOLO_SLICE_CYCLES` ends the slice.
         """
         runtime = self.runtime
         cpus = self.cpus
@@ -251,13 +307,15 @@ class AlewifeMachine:
         step_blocks = [cpu.step_block for cpu in cpus]
         steps = [cpu.step for cpu in cpus]
         idle_limit = 4 * len(cpus)
+        ahead = self._runs_ahead()
+        queue = [(clock, 0, seq, index) for clock, seq, index in queue]
         seq = len(queue)
 
         idle_streak = 0
-        while not runtime.done:
+        while True:
             if not queue:
                 raise SimulationError(_ALL_HALTED)
-            when, _, index = heappop(queue)
+            when, behind, oseq, index = heappop(queue)
             cpu = cpus[index]
             if cpu.halted:
                 continue
@@ -272,39 +330,84 @@ class AlewifeMachine:
             # The slice: run while this CPU's clock is strictly the
             # minimum — below the head of the queue, which momentarily
             # holds the *other* CPUs.  The pop already arbitrated any
-            # clock tie, so the first iteration always runs.  Budgets
-            # under 4 cycles (tightly interleaved clocks) cannot fit a
-            # superblock worth fusing: take a single step rather than
-            # pay the block lookup.
+            # clock tie, so the first iteration always runs.
             solo = not queue
             horizon = when + SOLO_SLICE_CYCLES if solo else queue[0][0]
             step_block = step_blocks[index]
             step = steps[index]
+            stats = cpu.stats
             while True:
                 if has_work(cpu):
                     budget = _NO_BUDGET if solo else horizon - cpu.cycles
-                    if budget >= 4:
-                        spent = step_block(budget)
+                    if ahead or budget >= 4:
+                        # `lead` one-cycle instructions retire, then at
+                        # most one gap (a trap, a stall), which ends
+                        # whatever block or slice ran.
+                        lead = stats.instructions
+                        spent = step_block(budget, ahead)
+                        lead = stats.instructions - lead
+                        gap = spent != lead
                     else:
+                        # Too tight for a superblock worth fusing.
+                        lead = 0
                         spent = step()
+                        gap = spent != 1
                     idle_streak = 0
-                    if spent == 0:
-                        # Halted (or a zero-cost trap in an exotic
-                        # config): yield to the event queue's tie-break.
-                        break
-                elif on_idle(cpu):
-                    idle_streak = 0
+                    if runtime.done:
+                        if ahead:
+                            self._end_at(
+                                (cpu.cycles - spent + lead, behind, oseq),
+                                queue)
+                        return
                 else:
-                    idle_streak += 1
-                    if idle_streak > idle_limit:
-                        self._check_deadlock()
-                    break
-                if runtime.done or cpu.halted or cpu.cycles >= horizon:
+                    before = cpu.cycles
+                    found = on_idle(cpu)
+                    spent = cpu.cycles - before
+                    gap = spent != 1
+                    if found:
+                        idle_streak = 0
+                    else:
+                        idle_streak += 1
+                        if idle_streak > idle_limit:
+                            self._check_deadlock()
+                if gap or not spent:
+                    # Re-key: a new run of one-cycle steps starts here;
+                    # a zero-cost step goes behind its whole clock.
+                    behind = -cpu.cycles if spent else 1
+                    oseq = seq
+                    seq += 1
+                # A failed idle poll (the only thing that leaves the
+                # streak non-zero) and a zero-cost step go back through
+                # the queue.
+                if (cpu.halted or cpu.cycles >= horizon or idle_streak
+                        or not spent):
                     break
 
             if not cpu.halted:
-                heappush(queue, (cpu.cycles, seq, index))
-                seq += 1
+                heappush(queue, (cpu.cycles, behind, oseq, index))
+
+    def _end_at(self, key, queue):
+        """End a run-ahead run where the oracle ends it.
+
+        ``key`` is the ``(clock, -origin, oseq)`` at which the step
+        that set ``done`` began; the oracle ran exactly the steps with
+        a smaller key.  Every head in ``queue`` is at a larger one, but
+        the private tail a queued processor ran behind its last head
+        shares that head's origin and ``oseq`` and counts its clock up
+        by one per instruction, so its suffix from the first key not
+        below ``key`` was never run by the oracle and is taken back.
+        """
+        clock, behind, oseq = key
+        for _, its_behind, its_oseq, index in queue:
+            cpu = self.cpus[index]
+            if cpu.ahead_tail is None:
+                continue
+            count, _ = cpu.ahead_tail
+            keep = clock - (cpu.cycles - count)
+            if (its_behind, its_oseq) < (behind, oseq):
+                keep += 1
+            if keep < count:
+                cpu.unrun_tail(max(keep, 0))
 
     def stats(self):
         """Current :class:`MachineStats` snapshot."""

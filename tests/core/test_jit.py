@@ -9,10 +9,20 @@ sharing, and self-modifying-code invalidation.
 
 import pytest
 
-from repro.core.jit import SHARED_BLOCKS, CodeCache, compile_block
+from repro import workloads
+from repro.core.jit import (
+    _COND,
+    _STRAIGHT,
+    _UNCOND_EXITS,
+    MAX_JIT_BLOCK,
+    SHARED_BLOCKS,
+    CodeCache,
+    compile_block,
+)
 from repro.core.traps import TrapAction, TrapKind
 from repro.isa.assembler import assemble
 from repro.isa.tags import make_fixnum
+from repro.lang.compiler import compile_source
 from repro.mem.memory import CodeWatch
 
 from tests.helpers import build_cpu, run_to_halt
@@ -37,6 +47,17 @@ def run_jit_to_halt(cpu, max_blocks=200000):
         blocks += 1
         if blocks > max_blocks:
             raise AssertionError("program did not halt in %d blocks" % blocks)
+    return cpu
+
+
+def run_slices_to_halt(cpu, max_slices=200000):
+    """Drive the processor through sync-headed slices until HALT."""
+    slices = 0
+    while not cpu.halted:
+        cpu.step_block(0, True)
+        slices += 1
+        if slices > max_slices:
+            raise AssertionError("program did not halt in %d slices" % slices)
     return cpu
 
 
@@ -352,9 +373,191 @@ class TestSelfModifyingCode:
         assert jit_cpu.stats.snapshot() == ref_cpu.stats.snapshot()
         assert jit_cpu._jit.invalidations > 0
 
+        # The same on the slice shape, where the patched word is not
+        # the head the slice is keyed by but sits in its private tail:
+        # the second pass over `body` must not run the stale tail.
+        source = """
+                set 0, r1
+                set 0, r7
+                set donor, r3
+            again:
+                set 0, r2
+            body:
+                ldr [r3+0], r6       ; the slice's head
+            target:
+                addr r1, 1, r1       ; its tail; becomes "addr r1, 5, r1"
+                addr r2, 1, r2
+                cmpr r2, 8
+                bl body
+                cmpr r7, 0
+                bne done
+                addr r7, 1, r7
+                ldr [r3+0], r4
+                set target, r5
+                str r4, [r5+0]
+                ba again
+            done:
+                halt
+            donor:
+                addr r1, 5, r1
+        """
+        ref_cpu, _, _ = build_jit_cpu(source)    # step() needs the watch too
+        run_to_halt(ref_cpu)
+        cpu, _, program = build_jit_cpu(source)
+        body, target = program.address_of("body"), program.address_of("target")
+        first = compile_block(cpu, body, sliced=True)
+        assert first.start == body < target < first.end
+        run_slices_to_halt(cpu)
+        assert cpu.read_reg(1) == ref_cpu.read_reg(1) == 8 + 8 * 5
+        assert cpu.cycles == ref_cpu.cycles
+        assert cpu.stats.snapshot() == ref_cpu.stats.snapshot()
+        assert cpu.ahead_instructions > 0
+        assert cpu._jit.invalidations > 0
+        assert cpu._jit_map[~body].key != first.key
+
     def test_deopt_counter_stays_zero(self):
         # Current codegen never returns without progress (guards raise,
         # delegates charge), so the deopt safety net must stay cold.
         cpu, _, _ = build_jit_cpu(self._smc_source())
         run_jit_to_halt(cpu)
         assert cpu.jit_deopts == 0
+
+
+class TestSyncHeadedSlices:
+    """The JIT tier's second shape (``compile_block(..., sliced=True)``,
+    run by ``step_block(budget, True)``): one instruction another
+    processor may observe, then private ones only."""
+
+    FUTURE_WORD = TestGuardTrapParity.FUTURE_WORD
+
+    @pytest.mark.parametrize("mode", ["eager", "lazy"])
+    @pytest.mark.parametrize("program", ["fib", "queens", "factor"])
+    def test_only_the_head_can_be_seen_from_outside(self, program, mode):
+        compiled = compile_source(workloads.get(program).source(), mode=mode)
+        words = compiled.program.words
+        base = compiled.program.base
+        cpu, _, _ = build_jit_cpu("halt")
+        cpu.port.memory.load_program(compiled.program)
+        private = _STRAIGHT | _UNCOND_EXITS | set(_COND)
+        slices = tails = 0
+        for pc in range(base, base + 4 * len(words), 4):
+            jb = compile_block(cpu, pc, sliced=True)
+            if jb is None:
+                continue
+            slices += 1
+            assert jb.start == pc and jb.count <= MAX_JIT_BLOCK
+            assert (jb.end - jb.start) >> 2 == jb.count
+            for address in range(pc + 4, jb.end, 4):
+                tails += 1
+                op = cpu.decoder.decode(words[(address - base) >> 2]).op
+                assert op in private, (hex(pc), hex(address), op)
+        assert slices > 50 and tails > slices
+
+    def test_slices_match_step(self):
+        # Loads, stores, calls and taken/untaken branches, each leg
+        # entered as a slice head and run through as a tail.
+        source = """
+                set 0, r1
+                set 0, r2
+                set buffer, r3
+            loop:
+                str r2, [r3+0]
+                addr r2, 3, r2
+                ldr [r3+0], r4
+                addr r1, r4, r1
+                call bump
+                cmpr r2, 30
+                bl loop
+                halt
+            bump:
+                addr r1, 1, r1
+                ret
+            buffer:
+                .word 0
+        """
+        ref_cpu, _, _ = build_cpu(source)
+        run_to_halt(ref_cpu)
+        cpu, _, _ = build_jit_cpu(source)
+        run_slices_to_halt(cpu)
+        assert cpu.cycles == ref_cpu.cycles
+        assert cpu.stats.snapshot() == ref_cpu.stats.snapshot()
+        assert cpu.frame.regs == ref_cpu.frame.regs
+        assert cpu.frame.psr.value == ref_cpu.frame.psr.value
+        assert cpu.ahead_slices > 0
+        assert cpu.ahead_instructions >= cpu.ahead_slices
+
+    def _guarded(self):
+        source = """
+            set %d, r1
+            addr r0, 7, r3
+            addr r3, 1, r4
+            add r1, 4, r2
+            halt
+        """ % self.FUTURE_WORD
+        cpu, _, program = build_jit_cpu(source)
+        log = []
+        cpu.trap_table.register(
+            TrapKind.FUTURE_COMPUTE,
+            TestGuardTrapParity()._resolver(log))
+        guarded = next(
+            pc for pc in range(program.base, program.base + 64, 4)
+            if cpu.decoder.decode(cpu.port.fetch(pc)).op.name == "ADD")
+        return cpu, log, guarded
+
+    def test_guard_past_the_head_parks_without_trapping(self):
+        cpu, log, guarded = self._guarded()
+        spent = cpu.step_block(0, True)
+        # Everything before the strict ADD ran; the ADD did not, and
+        # its trap was not taken: that waits until it heads a slice.
+        assert cpu.stats.traps_taken == 0 and not log
+        assert (cpu.frame.pc, cpu.frame.npc) == (guarded, guarded + 4)
+        assert (cpu.read_reg(3), cpu.read_reg(4)) == (7, 8)
+        assert cpu.read_reg(1) == self.FUTURE_WORD
+        assert spent == cpu.cycles == cpu.stats.instructions
+        assert cpu.ahead_tail[0] == spent - 1 > 0
+
+        cpu.step_block(0, True)
+        assert cpu.stats.traps_taken == 1 and len(log) == 1
+        assert log[0][1] == guarded
+        assert cpu.ahead_tail is None
+
+    @pytest.mark.parametrize("keep", [0, 1, 2])
+    def test_unrun_tail_restores_the_state_after_the_head(self, keep):
+        cpu, _, _ = self._guarded()
+        spent = cpu.step_block(0, True)
+        assert keep < spent - 1
+        cpu.unrun_tail(keep)
+        ref_cpu, _, _ = self._guarded()
+        for _ in range(1 + keep):
+            ref_cpu.step()
+        assert cpu.cycles == ref_cpu.cycles == 1 + keep
+        assert cpu.stats.snapshot() == ref_cpu.stats.snapshot()
+        assert cpu.frame.regs == ref_cpu.frame.regs
+        assert cpu.frame.psr.value == ref_cpu.frame.psr.value
+        assert (cpu.frame.pc, cpu.frame.npc) == (
+            ref_cpu.frame.pc, ref_cpu.frame.npc)
+        assert cpu.ahead_tail is None
+        assert cpu.ahead_undone == spent - 1 - keep
+
+    def test_slices_live_in_the_bounded_block_cache(self):
+        # One LRU for both shapes of the tier: slices sit under ~pc.
+        cpu, _, _ = build_jit_cpu(TestSelfModifyingCode()._smc_source())
+        cpu._jit.capacity = 2
+        run_slices_to_halt(cpu)
+        assert cpu.read_reg(1) == 10
+        assert len(cpu._jit) <= 2 and cpu._jit.evictions > 0
+        assert all(key < 0 for key in cpu._jit_map)
+
+    def test_slices_are_shared_under_their_own_key(self):
+        source = """
+            addr r0, 1, r1
+            addr r1, 1, r2
+            halt
+        """
+        first, _, program = build_jit_cpu(source)
+        second, _, _ = build_jit_cpu(source)
+        block = compile_block(first, program.base)
+        sliced = compile_block(first, program.base, sliced=True)
+        assert sliced is compile_block(second, program.base, sliced=True)
+        assert sliced is not block
+        assert sliced.key[0] == block.key[0] and sliced.key[-1] == "slice"

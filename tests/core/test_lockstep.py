@@ -8,7 +8,8 @@ if-chain interpreter on the per-instruction heapq loop) — and all runs
 must agree on everything a program or an observer could see: the
 result value, the final machine clock, every per-CPU cycle-category
 counter (byte-identical ``snapshot()`` dicts), the architectural
-register state, and printed output.
+register state, the memory words and their full/empty bits, and
+printed output.
 
 The fallback matrix then checks the dormant-hook contract from the
 other side: attaching any single observability hook must push the
@@ -33,6 +34,16 @@ def _build(compiled, config, fastpath, jit=True):
         config = config.replace(lazy_futures=compiled.wants_lazy_scheduling)
     return AlewifeMachine(compiled.program, config, fastpath=fastpath,
                           jit=jit)
+
+
+def _run_stepper(compiled, config, entry, args):
+    """The same build under a caller-driven :class:`MachineStepper`
+    (the oracle); returns (machine, result)."""
+    machine = _build(compiled, config, True)
+    stepper = machine.stepper(entry=entry, args=args)
+    while stepper.step_machine() is not None:
+        pass
+    return machine, stepper.result()
 
 
 def _run_pair(source, mode, config, args):
@@ -90,6 +101,9 @@ def _assert_lockstep(fast, reference, oracle="reference"):
             # PSR comparison masks the tid field out.
             assert (fast_frame.psr.value & ~0xFFFF
                     == ref_frame.psr.value & ~0xFFFF)
+    # `==` on the banks, not assert-rewriting's diff of 2 Mi entries.
+    assert (fast_machine.memory._words == ref_machine.memory._words) is True
+    assert (fast_machine.memory._full == ref_machine.memory._full) is True
 
 
 class TestBenchmarkLockstep:
@@ -159,31 +173,67 @@ class TestScheduleLockstep:
         "sequential": ("sequential", MachineConfig(num_processors=1)),
         "eager-p2": ("eager", MachineConfig(num_processors=2)),
         "eager-p4": ("eager", MachineConfig(num_processors=4)),
+        "eager-p8": ("eager", MachineConfig(num_processors=8)),
+        "eager-p16": ("eager", MachineConfig(num_processors=16)),
         "lazy-p4": ("lazy", MachineConfig(num_processors=4)),
+        "lazy-p8": ("lazy", MachineConfig(num_processors=8)),
+        "lazy-p16": ("lazy", MachineConfig(num_processors=16)),
         "coherent-p4": ("eager", MachineConfig(num_processors=4,
                                                memory_mode="coherent")),
     }
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("program,args", [("fib", (9,)),
-                                              ("queens", (4,))])
+                                              ("queens", (4,)),
+                                              ("factor", (10007, 6))])
     def test_fast_loop_matches_stepper(self, program, args, scenario):
         mode, config = self.SCENARIOS[scenario]
         module = workloads.get(program)
         compiled = compile_source(module.source(), mode=mode)
         entry = compiled.entry_label("main")
+        expected = module.reference(*args)
+        args = module.args(*args)
 
         fast_machine = _build(compiled, config, True)
         fast = fast_machine.run(entry=entry, args=args)
-        assert fast.value == module.reference(*args)
+        assert fast.value == expected
 
-        stepped_machine = _build(compiled, config, True)
-        stepper = stepped_machine.stepper(entry=entry, args=args)
-        while stepper.step_machine() is not None:
-            pass
-        stepped = stepper.result()
-        assert stepped_machine.time == fast_machine.time
-        _assert_lockstep((fast_machine, fast), (stepped_machine, stepped),
+        stepped = _run_stepper(compiled, config, entry, args)
+        assert stepped[0].time == fast_machine.time
+        _assert_lockstep((fast_machine, fast), stepped, oracle="stepper")
+
+    #: Step costs that sit on the queue key's edges: an idle poll of
+    #: exactly one cycle (a non-instruction that must *not* re-key),
+    #: and traps that cost one cycle or none (re-queued behind their
+    #: clock; no run-ahead without a squash to tell a trap by).
+    ODD_COSTS = {
+        "one-cycle-idle-poll": dict(idle_poll_cycles=1, steal_poll_cycles=0),
+        "one-cycle-steal-poll": dict(idle_poll_cycles=0, steal_poll_cycles=1),
+        "free-traps": dict(trap_squash_cycles=0, lazy_push_cycles=0,
+                           lazy_finish_cycles=0,
+                           future_touch_resolved_cycles=0),
+        "one-cycle-traps": dict(trap_squash_cycles=1, lazy_push_cycles=0,
+                                lazy_finish_cycles=0,
+                                switch_handler_cycles=0,
+                                future_touch_resolved_cycles=0),
+    }
+
+    @pytest.mark.parametrize("costs", sorted(ODD_COSTS))
+    @pytest.mark.parametrize("mode", ["eager", "lazy"])
+    def test_odd_step_costs_match_stepper(self, mode, costs):
+        module = workloads.get("fib")
+        compiled = compile_source(module.source(), mode=mode)
+        entry = compiled.entry_label("main")
+        config = MachineConfig(num_processors=4, **self.ODD_COSTS[costs])
+
+        fast_machine = _build(compiled, config, True)
+        fast = fast_machine.run(entry=entry, args=(9,))
+        assert fast.value == module.reference(9)
+        assert _ran_ahead(fast_machine) == ("idle" in costs
+                                            or "steal" in costs)
+
+        _assert_lockstep((fast_machine, fast),
+                         _run_stepper(compiled, config, entry, (9,)),
                          oracle="stepper")
 
 
@@ -215,10 +265,19 @@ class TestRandomizedLockstep:
 
 # -- the fallback matrix -----------------------------------------------------
 
+def _ran_ahead(machine):
+    """Any processor ran a private tail past a tied clock."""
+    return any(cpu.ahead_slices or cpu.ahead_instructions
+               or cpu.ahead_undone for cpu in machine.cpus)
+
+
 def _dormant_baseline(compiled, config, args):
+    """The dormant fast run every hooked run is compared with; on an
+    ideal multiprocessor it is the run-ahead form of the fast loop."""
     machine = _build(compiled, config, True)
     result = machine.run(entry=compiled.entry_label("main"), args=args)
     assert machine.loop_used == "fast"
+    assert _ran_ahead(machine)
     return machine, result
 
 
@@ -272,6 +331,7 @@ class TestFallbackMatrix:
         result = machine.run(entry=compiled.entry_label("main"), args=(9,))
         assert machine.loop_used == "reference"
         assert machine.cpus[0].superblocks == 0
+        assert not _ran_ahead(machine)
         assert result.value == dormant.value
         assert result.cycles == dormant.cycles
         for cpu, dormant_row in zip(machine.cpus, dormant.stats.per_cpu):
@@ -291,6 +351,7 @@ class TestFallbackMatrix:
         obs.attach(machine)
         result = machine.run(entry=compiled.entry_label("main"), args=(9,))
         assert machine.loop_used == "reference"
+        assert not _ran_ahead(machine)
         assert result.cycles == dormant.cycles
         assert result.value == dormant.value
         assert obs.lifetime.finalize(machine).check()["exact"]
@@ -306,6 +367,7 @@ class TestFallbackMatrix:
         obs.attach(machine)
         result = machine.run(entry=compiled.entry_label("main"), args=(9,))
         assert machine.loop_used == "reference"
+        assert not _ran_ahead(machine)
         assert result.cycles == dormant.cycles
 
 
@@ -328,6 +390,7 @@ class TestJitFallbackMatrix:
         result = machine.run(entry=compiled.entry_label("main"), args=(9,))
         assert machine.loop_used == "reference"
         assert all(not cpu.jit_runs for cpu in machine.cpus)
+        assert not _ran_ahead(machine)
         assert result.value == dormant.value
         assert result.cycles == dormant.cycles
         for cpu, dormant_row in zip(machine.cpus, dormant.stats.per_cpu):
@@ -343,6 +406,7 @@ class TestJitFallbackMatrix:
         result = machine.run(entry=compiled.entry_label("main"), args=(9,))
         assert machine.loop_used == "fast"
         assert all(not cpu.jit_runs for cpu in machine.cpus)
+        assert not _ran_ahead(machine)
         assert result.value == dormant.value
         assert result.cycles == dormant.cycles
         for cpu, dormant_row in zip(machine.cpus, dormant.stats.per_cpu):

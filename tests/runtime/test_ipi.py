@@ -127,3 +127,44 @@ class TestMessagePassing:
         assert values == [0, 1, 2, 3, 4, 5]
         nodes = [node for node, _value in log]
         assert nodes == [1, 0, 1, 0, 1, 0]
+
+    def test_ping_pong_never_runs_ahead(self):
+        """An IPI lands in the middle of the receiver's dawdle loop —
+        private instructions a run-ahead slice would have executed
+        early.  With a receiver installed the fast loop must not run
+        ahead, and must deliver every bounce at the stepper's clock."""
+        def play(drive):
+            machine = build(processors=2)
+            mp = MessagePassing(machine)
+            log = []
+
+            def bounce(node):
+                def handler(src, words):
+                    value = tags.fixnum_value(words[0])
+                    log.append((node, value, machine.cpus[node].cycles))
+                    if value < 5:
+                        mp.send(node, src, [tags.make_fixnum(value + 1)])
+                return handler
+
+            mp.on_message(0, bounce(0))
+            mp.on_message(1, bounce(1))
+            mp.send(0, 1, [tags.make_fixnum(0)])
+            drive(machine)
+            return machine, log
+
+        def step_through(machine):
+            stepper = machine.stepper()
+            while stepper.step_machine() is not None:
+                pass
+            stepper.result()
+
+        fast, fast_log = play(lambda machine: machine.run())
+        stepped, stepped_log = play(step_through)
+        assert fast.loop_used == "fast"
+        assert [value for _, value, _ in fast_log] == [0, 1, 2, 3, 4, 5]
+        assert fast_log == stepped_log
+        assert fast.time == stepped.time
+        for cpu, oracle in zip(fast.cpus, stepped.cpus):
+            assert (cpu.ahead_slices, cpu.ahead_instructions,
+                    cpu.ahead_undone) == (0, 0, 0)
+            assert cpu.stats.snapshot() == oracle.stats.snapshot()
