@@ -5,7 +5,10 @@ One JSON file per job under ``<root>/<hh>/<hash>.json`` where
 its first two hex characters — 256 shard directories, so the cache
 survives service-scale entry counts (a flat directory degrades badly
 once ``april serve`` has pushed a few hundred thousand results into
-it).  Caches are disposable: nothing reads another layout.
+it).  Caches are disposable: nothing reads another layout.  A file is
+one line of :func:`~repro.exp.job.canonical_json`, written in a single
+``write``; files from before that (``", "`` separators) read back the
+same.
 
 The cache is what makes sweeps resumable and the serve hot path cheap:
 an interrupted or edited sweep re-executes only the cells whose hashes
@@ -19,6 +22,8 @@ can never permanently poison every future request with that hash.
 
 import json
 import os
+
+from repro.exp.job import canonical_json
 
 
 def default_cache_dir():
@@ -80,14 +85,18 @@ class ResultCache:
         except OSError:
             pass
 
-    def put(self, content_hash, payload):
-        """Atomically store ``payload``; returns its path."""
+    def put(self, content_hash, payload, encoded=None):
+        """Atomically store ``payload`` as one line of canonical JSON;
+        returns its path.  A caller that already holds
+        ``canonical_json(payload)`` as UTF-8 bytes passes it as
+        ``encoded`` and the payload is not serialised again."""
+        if encoded is None:
+            encoded = canonical_json(payload).encode("utf-8")
         path = self.path_for(content_hash)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = "%s.tmp.%d" % (path, os.getpid())
-        with open(tmp, "w") as handle:
-            json.dump(payload, handle, sort_keys=True)
-            handle.write("\n")
+        with open(tmp, "wb") as handle:
+            handle.write(encoded + b"\n")
         os.replace(tmp, path)
         self.writes += 1
         return path

@@ -11,6 +11,18 @@ full/empty state of every word defaults to *full*, so ordinary data is
 unaffected; the run-time system allocates synchronization slots (future
 value cells, I-structure elements, lock words) in the empty state.
 
+Storage is the paper's 33 bits per word, literally: the data fields are
+one ``array('I')`` (four bytes each) and the full/empty bits one
+``bytearray``.  Neither holds Python object references, so a cycle
+collector pass finds nothing to walk in a bank however large it is (a
+2 Mi-entry ``list`` cost one pass ~8 ms, about once per short job), and
+a finished machine's bank is one ``free()``.  The price is a contract:
+a value stored into a word must already be a masked 32-bit unsigned
+integer — every write choke point here masks with ``WORD_MASK``, and
+the JIT's inlined stores rely on registers only ever holding masked
+words — because an unmasked value raises ``OverflowError`` where a
+``list`` would have silently widened the word.
+
 The :meth:`Memory.sync_load` / :meth:`Memory.sync_store` helpers apply
 the Table 2 flavor semantics; both the ideal memory port and the full
 cache/directory controller are built on them so the synchronization
@@ -18,10 +30,14 @@ behavior is identical in every machine mode.
 """
 
 import weakref
+from array import array
 
 from repro.core.traps import TrapKind
 from repro.errors import MemoryError_
 from repro.isa.tags import WORD_MASK
+
+if array("I").itemsize != 4:                    # pragma: no cover
+    raise ImportError("repro.mem.memory needs a 4-byte array('I') item")
 
 
 class CodeWatch:
@@ -31,14 +47,14 @@ class CodeWatch:
     (:mod:`repro.core.execops` closures and :mod:`repro.core.jit`
     blocks): each processor registers the word ranges it has compiled
     via :meth:`cover`; :class:`Memory` calls :meth:`notify` from its
-    two write choke points (:meth:`Memory.sync_store`,
+    write choke points (:meth:`Memory.sync_store`,
     :meth:`Memory.write_word` — every store flavor, block transfer, and
-    monitor poke lands on one of them) whenever a watched word is
-    written, and every registered listener drops its stale
-    translations.  Word-granular, so data stores never false-positive;
-    the set only grows with the translated code footprint.  Purely a
-    host-level mechanism: no cycle accounting is involved, so the
-    lockstep schedules are unaffected.
+    monitor poke lands on one of them — and :meth:`Memory.load_program`)
+    whenever a watched word is written, and every registered listener
+    drops its stale translations.  Word-granular, so data stores never
+    false-positive; the set only grows with the translated code
+    footprint.  Purely a host-level mechanism: no cycle accounting is
+    involved, so the lockstep schedules are unaffected.
     """
 
     __slots__ = ("words", "_listeners")
@@ -80,9 +96,10 @@ class Memory:
             raise MemoryError_("memory base must be word aligned")
         self.base = base
         self.size_words = size_words
-        self._words = [0] * size_words
+        # Both repeats fill in place: no per-word temporary is built.
+        self._words = array("I", (0,)) * size_words
         # full/empty bits: 1 = full (the default for ordinary data)
-        self._full = bytearray(b"\x01" * size_words)
+        self._full = bytearray(b"\x01") * size_words
         #: Optional :class:`CodeWatch` (the machine attaches one per
         #: bank); None keeps both write paths check-free.
         self.code_watch = None
@@ -175,11 +192,24 @@ class Memory:
     # -- program loading --------------------------------------------------------
 
     def load_program(self, program):
-        """Copy an assembled :class:`~repro.isa.assembler.Program` in."""
-        address = program.base
-        for word in program.words:
-            self.write_word(address, word)
-            address += 4
+        """Copy an assembled :class:`~repro.isa.assembler.Program` in:
+        one bounds check, one slice assignment, one code-watch pass."""
+        words = program.words
+        if not words:
+            return
+        base = program.base
+        start = self._index(base)
+        self._index(base + 4 * (len(words) - 1))    # raises past the end
+        # In bounds, so both sides are equally long: a slice assignment
+        # of any other length would resize the bank.
+        self._words[start:start + len(words)] = array(
+            "I", [word & WORD_MASK for word in words])
+        watch = self.code_watch
+        if watch is not None and watch.words:
+            first = base >> 2
+            for hit in sorted(watch.words.intersection(
+                    range(first, first + len(words)))):
+                watch.notify(hit << 2)
 
     def dump(self, address, count):
         """Read ``count`` words starting at a byte address (debugging)."""

@@ -5,7 +5,11 @@ speaks the :mod:`repro.serve.protocol` NDJSON protocol, and serves job
 results through a four-level ladder — each level orders of magnitude
 cheaper than the next:
 
-1. **hot LRU** — recent result payloads by content hash, in memory;
+1. **hot LRU** — recent results by content hash, in memory, held as
+   their canonical JSON bytes (:func:`protocol.encode_result`): a
+   result is serialised once, when it enters this level, and every
+   response that carries it splices those bytes into its envelope
+   (:func:`protocol.encode_ok`) — a hit encodes no result at all;
 2. **disk cache** — the shared content-addressed
    :class:`~repro.exp.cache.ResultCache` the sweep commands also use,
    so a restarted server (or a sweep that ran yesterday) resumes warm;
@@ -118,8 +122,11 @@ class _Connection:
         self.lock = asyncio.Lock()
         self.closed = False
 
-    async def send(self, response):
-        data = protocol.encode(response)
+    async def send(self, response, result=None):
+        """Write one response line; ``result`` is the already-encoded
+        result of an ``ok`` job response (see ``_handle_job``)."""
+        data = (protocol.encode(response) if result is None
+                else protocol.encode_ok(response, result))
         async with self.lock:
             if self.closed:
                 return
@@ -292,7 +299,7 @@ class SweepServer:
             trace.request_id = request_id
             trace.mark("parse")
         try:
-            response = await self._handle_job(conn, request, trace)
+            response, result = await self._handle_job(conn, request, trace)
         except asyncio.CancelledError:
             # Client disconnect mid-request: freeze what we have so the
             # flight recorder shows the abandoned request, then let the
@@ -311,7 +318,7 @@ class SweepServer:
         self.metrics.observe(axis, latency_us, conn.hist)
         response["latency_us"] = latency_us
         flush_start = self._clock()
-        await conn.send(response)
+        await conn.send(response, result)
         if trace is not None:
             # Socket-write time is the client's read speed, not service
             # latency: recorded beside the spans, never inside them.
@@ -330,6 +337,10 @@ class SweepServer:
     # -- the job ladder ----------------------------------------------------
 
     async def _handle_job(self, conn, request, trace=None):
+        """One job request down the ladder.  Returns ``(response,
+        result)``: for an ``ok`` response ``result`` is the canonical
+        result bytes and the envelope's own ``result`` is ``None``;
+        every other response is complete and ``result`` is ``None``."""
         request_id = request.get("id")
         mark = trace.mark if trace is not None else _no_mark
         self.metrics.bump("jobs")
@@ -337,13 +348,14 @@ class SweepServer:
             mark("admit")
             self.metrics.bump("rejected_draining")
             return protocol.rejected_response(
-                request_id, "draining", "server is draining for shutdown")
+                request_id, "draining",
+                "server is draining for shutdown"), None
         if conn.bucket is not None and not conn.bucket.try_acquire():
             mark("admit")
             self.metrics.bump("rejected_ratelimit")
             return protocol.rejected_response(
                 request_id, "rate-limited",
-                "connection exceeds %g requests/s" % self.rate)
+                "connection exceeds %g requests/s" % self.rate), None
         mark("admit")
         try:
             content_hash, payload, cacheable = self.specs.resolve(
@@ -351,24 +363,26 @@ class SweepServer:
         except ServeRequestError as exc:
             mark("validate")
             self.metrics.bump("bad_requests")
-            return protocol.error_response(request_id, exc)
+            return protocol.error_response(request_id, exc), None
         mark("validate")
 
         # Level 1+2: already computed, by anyone, ever.
-        result = self.hot.get(content_hash) if cacheable else None
+        encoded = self.hot.get(content_hash) if cacheable else None
         mark("hot")
-        if result is not None:
+        if encoded is not None:
             self.metrics.bump("hit_hot")
-            return protocol.ok_response(request_id, content_hash, result,
-                                        served="hit")
-        if cacheable and self.cache is not None:
+        elif cacheable and self.cache is not None:
             result = self.cache.get(content_hash)
             mark("disk")
             if result is not None and result.get("status") == "ok":
-                self.hot.put(content_hash, result)
+                # Re-encoded, not read raw: an entry written before the
+                # cache went canonical has other separators.
+                encoded = protocol.encode_result(result)
+                self.hot.put(content_hash, encoded)
                 self.metrics.bump("hit_disk")
-                return protocol.ok_response(request_id, content_hash,
-                                            result, served="hit")
+        if encoded is not None:
+            return protocol.ok_response(request_id, content_hash, None,
+                                        served="hit"), encoded
 
         # Level 3+4: join the open flight, or become its leader —
         # backpressure applies only to new work (followers ride free).
@@ -378,12 +392,12 @@ class SweepServer:
             return protocol.rejected_response(
                 request_id, "overloaded",
                 "admission queue full (%d executions in flight)"
-                % len(self.flights))
+                % len(self.flights)), None
         # No awaits between the leading() check and flights.run, so a
         # follower reliably reads its leader's trace id off the flight.
         leader_trace = (None if leading
                         else self.flights.flight_meta(content_hash))
-        result, leader = await self.flights.run(
+        (encoded, failure), leader = await self.flights.run(
             content_hash,
             lambda: self._execute_and_store(content_hash, payload,
                                             cacheable, trace),
@@ -394,12 +408,12 @@ class SweepServer:
             trace.link_to(leader_trace)
             trace.mark("flight")
         served = "executed" if leader else "deduped"
-        if result.get("status") == "ok":
-            return protocol.ok_response(request_id, content_hash, result,
-                                        served=served)
+        if failure is None:
+            return protocol.ok_response(request_id, content_hash, None,
+                                        served=served), encoded
         self.metrics.bump("failed")
-        return protocol.failed_response(request_id, content_hash, result,
-                                        served=served)
+        return protocol.failed_response(request_id, content_hash, failure,
+                                        served=served), None
 
     async def _execute_and_store(self, content_hash, payload, cacheable,
                                  trace=None):
@@ -414,6 +428,12 @@ class SweepServer:
         ``"spans"`` key is popped before the payload is cached or
         returned, so stored results and response bodies keep the exact
         PR 8 shape.
+
+        Returns ``(encoded, failure)`` — what every waiter of the
+        flight receives: an ``ok`` result as its canonical bytes
+        (encoded here, once, for the leader, its followers, the hot
+        LRU and the disk cache alike) and ``None``, or ``None`` and the
+        typed failure payload.
         """
         result = await self.dispatcher.execute(payload,
                                                spans=trace is not None)
@@ -426,11 +446,14 @@ class SweepServer:
             trace.mark_split("queue", "execute", worker_us)
             for name, duration in worker_spans or ():
                 trace.child("execute", name, duration)
-        if cacheable and result.get("status") == "ok":
-            self.hot.put(content_hash, result)
+        if result.get("status") != "ok":
+            return None, result
+        encoded = protocol.encode_result(result)
+        if cacheable:
+            self.hot.put(content_hash, encoded)
             if self.cache is not None:
-                self.cache.put(content_hash, result)
-        return result
+                self.cache.put(content_hash, result, encoded=encoded)
+        return encoded, None
 
     # -- introspection -----------------------------------------------------
 

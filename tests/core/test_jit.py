@@ -8,6 +8,8 @@ sharing, and self-modifying-code invalidation.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import workloads
 from repro.core.jit import (
@@ -21,7 +23,8 @@ from repro.core.jit import (
 )
 from repro.core.traps import TrapAction, TrapKind
 from repro.isa.assembler import assemble
-from repro.isa.tags import make_fixnum
+from repro.isa.instructions import STORE_FLAVORS
+from repro.isa.tags import WORD_MASK, make_fixnum
 from repro.lang.compiler import compile_source
 from repro.mem.memory import CodeWatch
 
@@ -170,6 +173,89 @@ class TestCodegenParity:
                 jmpl [ra+0], r0
                 @nop
         """)
+
+
+#: Each computes r4 from r1/r2 (any words), r5/r6 (even words: the
+#: strict ops trap on a future-tagged operand) or an immediate.
+_STORED_RESULTS = (
+    "addr r1, r2, r4", "subr r1, r2, r4", "subr r0, r1, r4",
+    "addr r1, -1, r4", "subr r1, 5, r4", "addr r2, 6, r4",    # tag arithmetic
+    "add r5, r6, r4", "sub r5, r6, r4", "sub r0, r6, r4", "mul r5, r6, r4",
+    "sll r1, 1, r4", "sll r1, 31, r4", "sll r1, r2, r4",
+    "srl r1, r2, r4", "sra r1, 3, r4", "sra r1, r2, r4",
+    "xor r1, -1, r4", "andn r2, r1, r4", "or r1, r2, r4",
+    "set {imm:#x}, r4",                                       # LUI + ORIL
+    "lui r4, {hi}", "or r0, r0, r4\n    oril r4, {lo}",
+)
+_STORE_BASE = 0x8000
+_STORE_OPS = sorted(STORE_FLAVORS, key=int)
+_words = st.one_of(
+    st.integers(min_value=0, max_value=WORD_MASK),
+    st.sampled_from([0, 1, 2, WORD_MASK, WORD_MASK - 1, 1 << 31,
+                     (1 << 31) - 1, (1 << 31) + 1, 0xFFFF0000, 0x0000FFFF]))
+# Unmasked on purpose: ``write_reg`` is the choke point for register
+# writes from outside the instruction stream.
+_seeds = st.one_of(_words, st.integers(min_value=-(1 << 40),
+                                       max_value=1 << 40))
+
+
+class TestStoredWordsStayWords:
+    """The bank is an ``array('I')``: a stored value outside
+    ``[0, 2**32)`` raises ``OverflowError`` where a list widened the
+    word.  The JIT's inlined ``_mw[_x] = reg`` carries no mask of its
+    own — it relies on every register write in every tier being masked
+    — so this drives each result-producing instruction class into each
+    store flavor, on all three tiers."""
+
+    @staticmethod
+    def _source(imm):
+        lines = ["    set %#x, r10" % _STORE_BASE]
+        for i, compute in enumerate(_STORED_RESULTS):
+            store = _STORE_OPS[i % len(_STORE_OPS)].name.lower()
+            lines.append("    " + compute.format(
+                imm=imm, hi=imm >> 14, lo=imm & 0x3FFF))
+            lines.append("    %s r4, [r10+%d]" % (store, 4 * i))
+        lines.append("    halt")
+        return "\n".join(lines)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=_seeds, b=_seeds, c=_seeds, d=_seeds, imm=_words)
+    def test_every_tier_stores_masked_words(self, a, b, c, d, imm):
+        source = self._source(imm)
+
+        def prepare(cpu, memory):
+            for number, value in ((1, a), (2, b), (5, c & ~1), (6, d & ~1)):
+                cpu.write_reg(number, value)
+            for i in range(len(_STORED_RESULTS)):
+                # Trap-on-full flavors must find their word empty.
+                memory.set_full(_STORE_BASE + 4 * i, False)
+
+        reference, ref_mem, _ = build_cpu(source)
+        reference.use_reference_interpreter()
+        closure, closure_mem, _ = build_cpu(source)
+        jit, jit_mem, _ = build_jit_cpu(source)
+        for cpu, memory in ((reference, ref_mem), (closure, closure_mem),
+                            (jit, jit_mem)):
+            prepare(cpu, memory)
+        run_to_halt(reference)              # none may raise OverflowError
+        run_to_halt(closure)
+        run_jit_to_halt(jit)
+        assert jit.jit_runs > 0 and not closure.jit_runs
+        for cpu, memory in ((closure, closure_mem), (jit, jit_mem)):
+            assert cpu.cycles == reference.cycles
+            assert cpu.frames[0].regs == reference.frames[0].regs
+            assert (memory._words == ref_mem._words) is True
+            assert (memory._full == ref_mem._full) is True
+        stored = ref_mem.dump(_STORE_BASE, len(_STORED_RESULTS))
+        mask = WORD_MASK
+        a, b, c, d = a & mask, b & mask, c & mask & ~1, d & mask & ~1
+        assert stored[:10] == [
+            (a + b) & mask, (a - b) & mask, -a & mask, (a - 1) & mask,
+            (a - 5) & mask, (b + 6) & mask, (c + d) & mask, (c - d) & mask,
+            -d & mask, stored[9]]
+        assert stored[-3:] == [imm, (imm >> 14 << 14) & mask,
+                               imm & 0x3FFF]
+        assert all(0 <= word <= mask for word in reference.frames[0].regs)
 
 
 class TestGuardTrapParity:

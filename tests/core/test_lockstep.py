@@ -101,9 +101,13 @@ def _assert_lockstep(fast, reference, oracle="reference"):
             # PSR comparison masks the tid field out.
             assert (fast_frame.psr.value & ~0xFFFF
                     == ref_frame.psr.value & ~0xFFFF)
-    # `==` on the banks, not assert-rewriting's diff of 2 Mi entries.
-    assert (fast_machine.memory._words == ref_machine.memory._words) is True
-    assert (fast_machine.memory._full == ref_machine.memory._full) is True
+    # `==` on the banks, not assert-rewriting's diff of 2 Mi entries —
+    # and like with like: an array never equals a list of its items.
+    fast_memory, ref_memory = fast_machine.memory, ref_machine.memory
+    assert type(fast_memory._words) is type(ref_memory._words)
+    assert type(fast_memory._full) is type(ref_memory._full)
+    assert (fast_memory._words == ref_memory._words) is True
+    assert (fast_memory._full == ref_memory._full) is True
 
 
 class TestBenchmarkLockstep:

@@ -4,6 +4,7 @@ import json
 import os
 
 from repro.exp.cache import ResultCache, default_cache, default_cache_dir
+from repro.exp.job import canonical_json
 
 
 def _plant(cache, content_hash, text):
@@ -69,6 +70,51 @@ class TestResultCache:
         cache.put("k", {"status": "ok", "value": 1})
         cache.put("k", {"status": "ok", "value": 2})
         assert cache.get("k")["value"] == 2
+
+
+class TestFileLayout:
+    """An entry is one line of canonical JSON; the spaced layout that
+    ``json.dump`` wrote before stays readable."""
+
+    PAYLOAD = {"status": "ok", "value": 13, "output": ["caf\u00e9", "a\"b"],
+               "stats": {"per_cpu": [{"cycles": 5}, {"cycles": 7}],
+                         "utilization": 0.25}}
+
+    def test_put_writes_one_canonical_line(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        path = cache.put("abc123", self.PAYLOAD)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        assert data == canonical_json(self.PAYLOAD).encode("utf-8") + b"\n"
+
+    def test_put_takes_the_callers_encoding(self, tmp_path, monkeypatch):
+        import repro.exp.cache as cache_module
+
+        def no_encode(payload):
+            raise AssertionError("payload was serialised a second time")
+
+        encoded = canonical_json(self.PAYLOAD).encode("utf-8")
+        monkeypatch.setattr(cache_module, "canonical_json", no_encode)
+        cache = ResultCache(str(tmp_path))
+        path = cache.put("abc123", self.PAYLOAD, encoded=encoded)
+        with open(path, "rb") as handle:
+            assert handle.read() == encoded + b"\n"
+        assert cache.get("abc123") == self.PAYLOAD
+        assert cache.counters()["writes"] == 1
+
+    def test_both_layouts_read_back_equal(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        spaced = json.dumps(self.PAYLOAD, sort_keys=True) + "\n"
+        assert ", " in spaced and ": " in spaced
+        _plant(cache, "old", spaced)
+        cache.put("new", self.PAYLOAD)
+        assert cache.get("old") == cache.get("new") == self.PAYLOAD
+        # Rewriting an old entry converts it; nothing is dropped.
+        cache.put("old", cache.get("old"))
+        with open(cache.path_for("old"), "rb") as old, \
+                open(cache.path_for("new"), "rb") as new:
+            assert old.read() == new.read()
+        assert cache.counters()["dropped"] == 0
 
 
 class TestSharding:

@@ -1,13 +1,33 @@
 """Memory bank + full/empty bit semantics (the Table 2 matrix)."""
 
+import gc
+import io
+from array import array
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.traps import TrapKind
 from repro.errors import MemoryError_
+from repro.isa.assembler import assemble
 from repro.isa.instructions import LOAD_FLAVORS, Opcode, STORE_FLAVORS
-from repro.mem.memory import Memory
+from repro.isa.tags import WORD_MASK
+from repro.lang.run import build_mult_machine
+from repro.machine.alewife import AlewifeMachine
+from repro.machine.config import MachineConfig
+from repro.mem.controller import IO_BT_DST, IO_BT_GO, IO_BT_SRC
+from repro.mem.memory import CodeWatch, Memory
+from repro.obs.monitor import Monitor
+from repro.runtime import stubs
+
+#: Values a Python ``list`` bank would have swallowed whole: negative,
+#: at and beyond 2**32, and the 32-bit boundaries themselves.
+unmasked_words = st.one_of(
+    st.integers(min_value=-(1 << 40), max_value=1 << 40),
+    st.sampled_from([0, 1, -1, (1 << 31) - 1, 1 << 31, -(1 << 31),
+                     WORD_MASK, WORD_MASK + 1, WORD_MASK + 2,
+                     -WORD_MASK, -(WORD_MASK + 1), 1 << 63, -(1 << 63)]))
 
 
 @pytest.fixture
@@ -140,3 +160,174 @@ class TestProducerConsumer:
         memory.sync_store(80, 1, produce)
         _, trap = memory.sync_store(80, 2, produce)
         assert trap is TrapKind.FULL_STORE
+
+
+def tiny_machine(mode, **overrides):
+    program = assemble(stubs.thread_start_stub()
+                       + "main:\n    set 0, a0\n    ret\n")
+    return AlewifeMachine(program, MachineConfig(
+        num_processors=2, memory_mode=mode, **overrides))
+
+
+class TestWordStorage:
+    """The bank is ``array('I')`` + ``bytearray`` (Section 3.3's 33 bits
+    per word): nothing for the cycle collector to walk, and a store of
+    an unmasked value is an error rather than a wider word — so every
+    write path must mask."""
+
+    def test_bank_shape(self):
+        memory = Memory(1024)
+        assert isinstance(memory._words, array)
+        assert memory._words.typecode == "I" and memory._words.itemsize == 4
+        assert isinstance(memory._full, bytearray)
+        assert len(memory._words) == len(memory._full) == 1024
+        assert not any(memory._words)
+        assert all(memory._full)
+
+    def test_bank_gives_the_collector_nothing_to_walk(self):
+        # CPython >= 3.10 tracks an array *object* (its type is a heap
+        # type), so ``gc.is_tracked`` is not the contract: what a
+        # collector pass visits through the bank — its ``tp_traverse``,
+        # which is what ``get_referents`` runs — is.  A list bank
+        # answers with one entry per word.
+        memory = Memory(1024)
+        assert gc.get_referents(memory._words) in ([], [array])
+        assert not gc.is_tracked(memory._full)
+        assert gc.get_referents(memory._full) == []
+
+    @pytest.mark.parametrize("mode", ["ideal", "coherent"])
+    def test_collector_sees_no_bank_sized_container_in_a_machine(self, mode):
+        machine = tiny_machine(mode)
+        words = machine.config.memory_words
+        assert len(machine.memory._words) == len(machine.memory._full) == words
+        walked = [type(obj) for obj in gc.get_objects()
+                  if isinstance(obj, (list, tuple, dict, set, frozenset))
+                  and len(obj) >= words]
+        assert walked == []
+        assert gc.get_referents(machine.memory._words) in ([], [array])
+        assert not gc.is_tracked(machine.memory._full)
+
+    def test_an_unmasked_store_into_the_bank_is_an_error(self):
+        # The contract the masks below (and the JIT's inlined stores)
+        # live by: the bank itself refuses what a list used to widen.
+        memory = Memory(16)
+        for value in (-1, WORD_MASK + 1):
+            with pytest.raises(OverflowError):
+                memory._words[0] = value
+
+    @given(unmasked_words)
+    def test_write_word_masks(self, value):
+        memory = Memory(16)
+        memory.write_word(8, value)
+        assert memory.read_word(8) == value & WORD_MASK
+
+    @given(st.sampled_from(sorted(STORE_FLAVORS, key=int)), unmasked_words)
+    def test_every_store_flavor_masks(self, opcode, value):
+        memory = Memory(16)
+        memory.set_full(8, False)       # no flavor traps on an empty word
+        was_full, trap = memory.sync_store(8, value, STORE_FLAVORS[opcode])
+        assert (was_full, trap) == (False, None)
+        assert memory.read_word(8) == value & WORD_MASK
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(unmasked_words, min_size=1, max_size=8))
+    def test_block_transfer_masks(self, values):
+        machine = tiny_machine("coherent", memory_words=1 << 18)
+        controller = machine.fabric.controllers[0]
+        cpu = machine.cpus[0]
+        src, dst = 0x5000, 0x6000
+        for i, value in enumerate(values):
+            machine.memory.write_word(src + 4 * i, value)
+        controller.stio(IO_BT_SRC, src, context=cpu)
+        controller.stio(IO_BT_DST, dst, context=cpu)
+        controller.stio(IO_BT_GO, len(values), context=cpu)
+        assert machine.memory.dump(dst, len(values)) == [
+            value & WORD_MASK for value in values]
+
+    @pytest.mark.parametrize("mode", ["ideal", "coherent"])
+    @settings(max_examples=10, deadline=None)
+    @given(value=unmasked_words)
+    def test_monitor_poke_masks(self, mode, value):
+        machine, compiled = build_mult_machine(
+            "(define (main) 42)",
+            config=MachineConfig(num_processors=2, memory_mode=mode,
+                                 memory_words=1 << 18))
+        monitor = Monitor(machine, entry=compiled.entry_label("main"),
+                          out=io.StringIO())
+        monitor.dispatch("poke mem 0x21004 %d" % value)
+        monitor.dispatch("poke reg r5 %d" % value)
+        assert machine.memory.read_word(0x21004) == value & WORD_MASK
+        assert machine.cpus[0].read_reg(5) == value & WORD_MASK
+        monitor.dispatch("run")
+        assert "result 42" in monitor.out.getvalue()
+
+
+class TestLoadProgram:
+    def test_equals_per_word_writes(self):
+        program = assemble("""
+            set 0x12345678, r1
+            addr r1, 1, r2
+            halt
+            .word 0xFFFFFFFF
+        """, base=0x100)
+        sliced, looped = Memory(1024), Memory(1024)
+        sliced.load_program(program)
+        for i, word in enumerate(program.words):
+            looped.write_word(program.base + 4 * i, word)
+        assert sliced._words == looped._words
+        assert sliced._full == looped._full
+
+    def test_masks_program_words(self):
+        class Program:
+            base = 8
+            words = [-1, WORD_MASK + 2]
+
+        memory = Memory(16)
+        memory.load_program(Program)
+        assert memory.dump(8, 2) == [WORD_MASK, 1]
+
+    @pytest.mark.parametrize("base", [4 * 14, 4 * 16, 4 * 100])
+    def test_overrun_raises_and_never_resizes_the_bank(self, base):
+        class Program:
+            words = [1, 2, 3]
+
+        Program.base = base
+        memory = Memory(16)
+        with pytest.raises(MemoryError_):
+            memory.load_program(Program)
+        assert len(memory._words) == len(memory._full) == 16
+        assert not any(memory._words)
+
+    def test_exact_fit_and_empty_program(self):
+        class Program:
+            base = 4 * 13
+            words = [1, 2, 3]
+
+        memory = Memory(16)
+        memory.load_program(Program)
+        assert memory.dump(4 * 13, 3) == [1, 2, 3]
+        Program.words = []
+        Program.base = 4 * 400          # nothing to write: nothing checked
+        memory.load_program(Program)
+        assert len(memory._words) == 16
+
+    def test_notifies_the_code_watch_once_per_watched_word(self):
+        class Listener:
+            def __init__(self):
+                self.seen = []
+
+            def on_write(self, address):
+                self.seen.append(address)
+
+        class Program:
+            base = 0x20
+            words = [7] * 8
+
+        memory = Memory(64)
+        memory.code_watch = CodeWatch()
+        listener = Listener()
+        memory.code_watch.add_listener(listener.on_write)
+        memory.code_watch.cover(0x18, 0x28)     # words 0x18..0x24
+        memory.code_watch.cover(0x3C, 0x48)     # 0x3C inside, rest past it
+        memory.load_program(Program)
+        assert listener.seen == [0x20, 0x24, 0x3C]

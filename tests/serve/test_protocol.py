@@ -3,9 +3,31 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ServeRequestError
 from repro.serve import protocol
+
+# Whatever JSON a client may send as its ``id`` is echoed verbatim —
+# including text that looks like the envelope the splice cuts at.
+_tricky_text = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(['"result":', ',"result":null}', '"served":"hit"',
+                     'a"b', "back\\slash", "\\\"",
+                     "caf\u00e9 \u2603 \U0001f600",
+                     "null}", "\n", "result", "served"]))
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.floats(allow_nan=False, allow_infinity=False),
+              _tricky_text),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_tricky_text, children, max_size=4)),
+    max_leaves=12)
+_results = st.dictionaries(_tricky_text, _json, max_size=6).map(
+    lambda extra: dict(extra, status="ok"))
+_hashes = st.text(alphabet="0123456789abcdef", min_size=64, max_size=64)
 
 
 class TestParseRequest:
@@ -154,3 +176,40 @@ class TestResponses:
         response = protocol.error_response(None, exc)
         assert response == {"id": None, "status": "error",
                             "kind": "bad-job", "message": "nope"}
+
+
+class TestEncodeOk:
+    """The spliced ``ok`` line is ``encode``'s line, byte for byte."""
+
+    @given(request_id=_json, content_hash=_hashes, result=_results,
+           served=st.sampled_from(["hit", "executed", "deduped"]),
+           latency_us=st.integers(min_value=0, max_value=10 ** 9),
+           trace=st.one_of(st.none(), st.integers(min_value=1)))
+    def test_equals_encode_of_the_whole_response(
+            self, request_id, content_hash, result, served, latency_us,
+            trace):
+        whole = protocol.ok_response(request_id, content_hash, result,
+                                     served)
+        envelope = protocol.ok_response(request_id, content_hash, None,
+                                        served)
+        # The server adds these two after the ladder, trace id first.
+        for response in (whole, envelope):
+            if trace is not None:
+                response["trace"] = trace
+            response["latency_us"] = latency_us
+        line = protocol.encode_ok(envelope, protocol.encode_result(result))
+        assert line == protocol.encode(whole)
+        assert json.loads(line) == whole
+
+    def test_bare_envelope(self):
+        # No latency, no trace: head and tail are at their smallest.
+        line = protocol.encode_ok(
+            protocol.ok_response(None, "h", None, "hit"),
+            protocol.encode_result({"status": "ok", "value": 1}))
+        assert line == (b'{"hash":"h","id":null,"result":{"status":"ok",'
+                        b'"value":1},"served":"hit","status":"ok"}\n')
+
+    def test_encode_result_is_the_canonical_form(self):
+        result = {"status": "ok", "b": [1, 2.5, "caf\u00e9"], "a": {"z": 0}}
+        assert protocol.encode_result(result) == protocol.encode(
+            result)[:-1]

@@ -138,6 +138,210 @@ class TestLadder:
         assert second_server.metrics.counts["executed"] == 0
 
 
+async def request_line(reader, writer, payload):
+    """One round trip that keeps the response line's bytes."""
+    writer.write((json.dumps(payload) + "\n").encode())
+    await writer.drain()
+    return await reader.readline()
+
+
+def result_bytes(line):
+    """The ``result`` member of an ``ok`` line, as sent (test ids and
+    results hold neither marker)."""
+    start = line.index(b',"result":') + len(b',"result":')
+    return line[start:line.rindex(b',"served":')]
+
+
+class CountingCodec:
+    """Counts the places a result payload can be serialised: the
+    protocol's ``encode_result``, the disk cache's own encoder, and a
+    whole-response ``encode`` that carries a result."""
+
+    def __init__(self, monkeypatch):
+        import repro.exp.cache as cache_module
+        self.result_encodes = 0
+        self.cache_encodes = 0
+        self.whole_encodes = 0
+        encode_result = protocol.encode_result
+        canonical_json = cache_module.canonical_json
+        encode = protocol.encode
+
+        def counting_encode_result(result):
+            self.result_encodes += 1
+            return encode_result(result)
+
+        def counting_canonical_json(payload):
+            self.cache_encodes += 1
+            return canonical_json(payload)
+
+        def counting_encode(response):
+            if response.get("result") is not None:
+                self.whole_encodes += 1
+            return encode(response)
+
+        monkeypatch.setattr(protocol, "encode_result",
+                            counting_encode_result)
+        monkeypatch.setattr(cache_module, "canonical_json",
+                            counting_canonical_json)
+        monkeypatch.setattr(protocol, "encode", counting_encode)
+
+    def total(self):
+        return self.result_encodes + self.cache_encodes + self.whole_encodes
+
+
+class TestEncodedOnce:
+    """A result is serialised when it enters the hot LRU and never
+    again; every response line is still ``protocol.encode``'s."""
+
+    def test_every_route_sends_the_same_result_bytes(self, tmp_path):
+        socket_path = str(tmp_path / "april.sock")
+        cache_root = str(tmp_path / "cache")
+        spec = harness.cold_source_spec(21)
+
+        async def scenario():
+            dispatcher = harness.GatedDispatcher()
+            server = make_server(socket_path, dispatcher=dispatcher,
+                                 cache=ResultCache(cache_root))
+
+            async def first_life():
+                reader, writer = await harness.connect(socket_path)
+                for request_id in ("leader", "follower"):
+                    writer.write((json.dumps(
+                        {"op": "job", "id": request_id, "job": spec})
+                        + "\n").encode())
+                    await writer.drain()
+                assert await harness.eventually(
+                    lambda: server.flights.deduped == 1)
+                dispatcher.gate.set()
+                lines = [await reader.readline() for _ in range(2)]
+                lines.append(await request_line(
+                    reader, writer, {"op": "job", "id": "hot", "job": spec}))
+                writer.close()
+                return lines
+
+            lines = await harness.serving(server, first_life)
+            restarted = make_server(socket_path,
+                                    cache=ResultCache(cache_root))
+
+            async def second_life():
+                reader, writer = await harness.connect(socket_path)
+                line = await request_line(
+                    reader, writer, {"op": "job", "id": "disk", "job": spec})
+                writer.close()
+                return line
+
+            lines.append(await harness.serving(restarted, second_life))
+            return lines, server, restarted
+
+        lines, server, restarted = harness.run(scenario())
+        by_id = {json.loads(line)["id"]: line for line in lines}
+        assert {request_id: json.loads(line)["served"]
+                for request_id, line in by_id.items()} == {
+            "leader": "executed", "follower": "deduped", "hot": "hit",
+            "disk": "hit"}
+        assert restarted.metrics.counts["hit_disk"] == 1
+        sent = {result_bytes(line) for line in lines}
+        assert len(sent) == 1
+        encoded, = sent
+        content_hash = json.loads(lines[0])["hash"]
+        with open(ResultCache(cache_root).path_for(content_hash),
+                  "rb") as handle:
+            assert handle.read() == encoded + b"\n"
+        # What the LRU holds is those bytes, not a decoded dict.
+        assert server.hot.get(content_hash) == encoded
+        assert type(restarted.hot.get(content_hash)) is bytes
+        for line in lines:
+            # Canonical: what ``encode`` makes of the parsed response.
+            assert line == protocol.encode(json.loads(line))
+            assert json.loads(line)["result"] == json.loads(encoded)
+
+    def test_one_encode_per_cold_request_none_per_hit(self, tmp_path,
+                                                      monkeypatch):
+        codec = CountingCodec(monkeypatch)
+        socket_path = str(tmp_path / "april.sock")
+        cache_root = str(tmp_path / "cache")
+        specs = [harness.cold_source_spec(30 + i) for i in range(3)]
+
+        async def burst(server, rounds):
+            async def client():
+                reader, writer = await harness.connect(socket_path)
+                counts = []
+                for request_id in range(rounds * len(specs)):
+                    response = await harness.request(
+                        reader, writer,
+                        {"op": "job", "id": request_id,
+                         "job": specs[request_id % len(specs)]})
+                    assert response["status"] == "ok"
+                    counts.append((response["served"], codec.total()))
+                writer.close()
+                return counts
+
+            return await harness.serving(server, client)
+
+        async def scenario():
+            cold = await burst(make_server(
+                socket_path, cache=ResultCache(cache_root)), rounds=5)
+            warm = await burst(make_server(
+                socket_path, cache=ResultCache(cache_root)), rounds=5)
+            return cold, warm
+
+        cold, warm = harness.run(scenario())
+        # Cold server: one encode per execution (it used to be two: the
+        # response line and the cache file), then a hot burst at zero.
+        assert cold[:3] == [("executed", 1), ("executed", 2),
+                            ("executed", 3)]
+        assert cold[3:] == [("hit", 3)] * 12
+        # Restarted server: one encode per disk hit, then zero again.
+        assert warm == [("hit", 4), ("hit", 5), ("hit", 6)] + [("hit", 6)] * 12
+        assert (codec.result_encodes, codec.cache_encodes,
+                codec.whole_encodes) == (6, 0, 0)
+
+    def test_other_responses_are_encoded_whole(self, tmp_path, monkeypatch):
+        """Failed, error, rejected and ping lines are ``encode``'s, as
+        before."""
+        codec = CountingCodec(monkeypatch)
+        socket_path = str(tmp_path / "april.sock")
+        failing = dict(harness.cold_source_spec(40), expect=-1)
+
+        async def scenario():
+            server = make_server(socket_path, rate=1000.0, burst=4)
+
+            async def client():
+                reader, writer = await harness.connect(socket_path)
+                lines = [
+                    await request_line(reader, writer, payload)
+                    for payload in (
+                        {"op": "job", "id": "f1", "job": failing},
+                        {"op": "job", "id": "f2", "job": failing},
+                        {"op": "job", "id": "bad", "job": {"nope": 1}},
+                        {"op": "ping", "id": "p"},
+                    )]
+                server.begin_drain()
+                lines.append(await request_line(
+                    reader, writer,
+                    {"op": "job", "id": "late",
+                     "job": harness.cold_source_spec(41)}))
+                writer.close()
+                return lines, server
+
+            return await harness.serving(server, client)
+
+        lines, server = harness.run(scenario())
+        responses = [json.loads(line) for line in lines]
+        assert [r["status"] for r in responses] == [
+            "failed", "failed", "error", "ok", "rejected"]
+        # Failures are never cached: the second one executed again.
+        assert [r["served"] for r in responses[:2]] == ["executed"] * 2
+        assert len(server.hot) == 0
+        assert all("result" not in r for r in responses)
+        assert lines[3] == (b'{"id":"p","op":"ping","protocol":"%s",'
+                            b'"status":"ok"}\n'
+                            % protocol.PROTOCOL.encode())
+        for line, response in zip(lines, responses):
+            assert line == protocol.encode(response)
+        assert codec.total() == 0
+
+
 class TestBadRequests:
     def test_bad_json_line(self, tmp_path):
         socket_path = str(tmp_path / "april.sock")
