@@ -46,10 +46,11 @@ target for whatever the generated code does not inline.  Every rung is
 held to the same lockstep contract against the reference if-chain.
 
 Cycle accounting contract: handlers charge "useful" cycles inline
-(``cpu.cycles``/``stats.useful``/``stats._total``) but still honor the
-dormant observability hook — ``cpu.lifetime.on_charge`` fires exactly
-as :meth:`Processor.charge` would.  All other categories go through
-``cpu.charge`` itself.
+(``cpu.cycles``/``stats.useful``/``stats._total``); all other
+categories go through ``cpu.charge``.  Nothing observes a charge — the
+lifetime accountant reads the counters by difference — but the three
+instructions that move FP change who the next cycles belong to, so they
+let it settle first (``cpu.lifetime.settle``, after their own cycle).
 """
 
 from repro.core.psr import C_BIT, FE_BIT, N_BIT, V_BIT, Z_BIT
@@ -233,9 +234,6 @@ def _charged_straightline(fuse):
         stats = cpu.stats
         stats.useful += 1
         stats._total += 1
-        lifetime = cpu.lifetime
-        if lifetime is not None:
-            lifetime.on_charge(cpu, 1, "useful")
         return npc, npc + 4
 
     return run
@@ -291,9 +289,6 @@ def _factory_alu(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             return npc, npc + 4
 
         return ExecEntry(instr, run)
@@ -322,9 +317,6 @@ def _factory_alu(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             return npc, npc + 4
 
         return ExecEntry(instr, run)
@@ -377,9 +369,6 @@ def _factory_load(instr):
         stats = cpu.stats
         stats.useful += 1
         stats._total += 1
-        lifetime = cpu.lifetime
-        if lifetime is not None:
-            lifetime.on_charge(cpu, 1, "useful")
         if cycles > 1:
             cpu.charge(cycles - 1, "stall")
         psr = frame.psr
@@ -430,9 +419,6 @@ def _factory_store(instr):
         stats = cpu.stats
         stats.useful += 1
         stats._total += 1
-        lifetime = cpu.lifetime
-        if lifetime is not None:
-            lifetime.on_charge(cpu, 1, "useful")
         if cycles > 1:
             cpu.charge(cycles - 1, "stall")
         psr = frame.psr
@@ -460,9 +446,6 @@ def _factory_branch(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             return npc, pc + off
 
     elif op is Opcode.BN:
@@ -472,9 +455,6 @@ def _factory_branch(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             return npc, npc + 4
 
     else:
@@ -485,9 +465,6 @@ def _factory_branch(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             if test(frame.psr.value):
                 return npc, pc + off
             return npc, npc + 4
@@ -504,9 +481,6 @@ def _factory_call(instr):
         stats = cpu.stats
         stats.useful += 1
         stats._total += 1
-        lifetime = cpu.lifetime
-        if lifetime is not None:
-            lifetime.on_charge(cpu, 1, "useful")
         frame.regs[ra] = (pc + 8) & WORD_MASK
         return npc, pc + off
 
@@ -523,9 +497,6 @@ def _factory_jmpl(instr):
         stats = cpu.stats
         stats.useful += 1
         stats._total += 1
-        lifetime = cpu.lifetime
-        if lifetime is not None:
-            lifetime.on_charge(cpu, 1, "useful")
         regs = frame.regs
         base = regs[rs1] if rs1f else cpu.globals[g1]
         target = (base + imm) & WORD_MASK
@@ -553,20 +524,21 @@ def _factory_frame(instr):
         stats = cpu.stats
         stats.useful += 1
         stats._total += 1
-        lifetime = cpu.lifetime
-        if lifetime is not None:
-            lifetime.on_charge(cpu, 1, "useful")
-        count = len(cpu.frames)
-        if op is Opcode.INCFP:
-            cpu.fp = (cpu.fp + 1) % count
-        elif op is Opcode.DECFP:
-            cpu.fp = (cpu.fp - 1) % count
-        elif op is Opcode.RDFP:
+        if op is Opcode.RDFP:
             if rd:
                 if rdf:
                     frame.regs[rd] = cpu.fp
                 else:
                     cpu.globals[gd] = cpu.fp
+            return npc, npc + 4
+        if cpu.lifetime is not None:
+            # The cycles so far, this one included, ran in this frame.
+            cpu.lifetime.settle(cpu)
+        count = len(cpu.frames)
+        if op is Opcode.INCFP:
+            cpu.fp = (cpu.fp + 1) % count
+        elif op is Opcode.DECFP:
+            cpu.fp = (cpu.fp - 1) % count
         else:  # STFP
             value = frame.regs[rs1] if rs1f else cpu.globals[g1]
             cpu.fp = value % count
@@ -594,9 +566,6 @@ def _factory_system(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             cpu.halted = True
             return pc, npc  # PC frozen at the halt
 
@@ -610,9 +579,6 @@ def _factory_system(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             raise TrapSignal(Trap(
                 TrapKind.SOFTWARE, vector=vector, instr=instr, pc=pc))
 
@@ -627,9 +593,6 @@ def _factory_system(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             if rd:
                 value = frame.psr.value & WORD_MASK
                 if rdf:
@@ -649,9 +612,6 @@ def _factory_system(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             frame.psr.value = (
                 frame.regs[rs1] if rs1f else cpu.globals[g1])
             return npc, npc + 4
@@ -665,9 +625,6 @@ def _factory_system(instr):
             stats = cpu.stats
             stats.useful += 1
             stats._total += 1
-            lifetime = cpu.lifetime
-            if lifetime is not None:
-                lifetime.on_charge(cpu, 1, "useful")
             frame.return_from_trap(retry=True)
             return frame.pc, frame.npc
 

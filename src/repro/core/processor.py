@@ -60,10 +60,10 @@ MAX_SUPERBLOCK = 32
 #: of their cycles warm only if the ladder promotes quickly.
 JIT_THRESHOLD = 4
 
-#: Bound on the per-CPU pc -> ExecEntry predecode cache (LRU).
+#: Bound on a machine's pc -> ExecEntry predecode cache (LRU).
 PREDECODE_CACHE_CAPACITY = 1 << 16
 
-#: Bound on the per-CPU JIT block cache (LRU).
+#: Bound on a machine's JIT block cache (LRU).
 JIT_CACHE_CAPACITY = 2048
 
 
@@ -178,37 +178,11 @@ class Processor:
         self.stats = ProcessorStats()
         self.halted = False
         self.ipi_queue = deque()
-        #: Superblock cache: block-start pc -> list of fuse closures, or
-        #: ``False`` for "no fusible run here".  Invalidated through
-        #: :meth:`invalidate_code` when an attached
-        #: :class:`~repro.mem.memory.CodeWatch` sees a store into the
-        #: block's pc range.
-        self._blocks = {}
-        #: pc -> :class:`ExecEntry` translation cache, bounded LRU;
-        #: lets :meth:`step` skip the fetch + word-keyed predecode pair
-        #: on every revisited pc.  ``_entry_map`` aliases its backing
-        #: OrderedDict for the hot path.
-        self._entries = CodeCache(PREDECODE_CACHE_CAPACITY)
-        self._entry_map = self._entries.data
-        #: The JIT tier (see :mod:`repro.core.jit`): pc ->
-        #: :class:`JitBlock` (or ``False`` for "not compilable here"),
-        #: bounded LRU; ``_jit_map`` aliases its backing OrderedDict.
-        #: The tier's second shape, the sync-headed slice compiled at a
-        #: pc (``step_block(..., True)``), lives here under ``~pc``.
-        self._jit = CodeCache(JIT_CACHE_CAPACITY)
-        self._jit_map = self._jit.data
-        #: pc (``~pc`` for a slice) -> visit count; promotion to the
-        #: JIT tier at :data:`JIT_THRESHOLD` (bounded by the code
-        #: footprint).
-        self._heat = {}
+        self.share_translations(Translations())
         #: Master switch for the JIT tier (the ``april bench --no-jit``
         #: A/B knob; the machine sets it from its ``jit`` argument).
         self.jit_enabled = True
         self.jit_threshold = JIT_THRESHOLD
-        #: Optional :class:`~repro.mem.memory.CodeWatch` this CPU
-        #: registers its translated pc ranges with (self-modifying-code
-        #: invalidation); see :meth:`attach_code_watch`.
-        self._code_watch = None
         #: Count of fused superblocks executed (diagnostics/tests only;
         #: deliberately not part of ``stats.snapshot()``).
         self.superblocks = 0
@@ -228,7 +202,6 @@ class Processor:
         self.jit_compiles = 0
         self.jit_runs = 0
         self.jit_deopts = 0
-        self.block_invalidations = 0
         #: Pipeline-squash cost per trap (4 on custom APRIL silicon).
         self.trap_squash_cycles = TRAP_SQUASH_CYCLES
         #: Optional per-instruction callback(cpu, pc, instr) for tracing.
@@ -246,7 +219,9 @@ class Processor:
         self.events = None
         #: Optional transaction tracer (see :mod:`repro.obs.txn`).
         self.txn = None
-        #: Optional lifetime accountant (see :mod:`repro.obs.lifetime`).
+        #: Optional lifetime accountant (see :mod:`repro.obs.lifetime`);
+        #: it reads :attr:`stats` by difference, so only the
+        #: instructions that move FP tell it anything.
         self.lifetime = None
 
     # -- register file ----------------------------------------------------
@@ -282,8 +257,6 @@ class Processor:
             raise ProcessorError("negative cycle charge")
         self.cycles += cycles
         self.stats._charge[category](cycles)
-        if self.lifetime is not None:
-            self.lifetime.on_charge(self, cycles, category)
 
     # -- IPI delivery (Section 3.4) -----------------------------------------
 
@@ -330,10 +303,10 @@ class Processor:
             # Only successful translations are cached, so a faulting pc
             # re-raises (and re-traps) on every execution, like the
             # reference interpreter.
-            self._entries.put(pc, entry)
-            watch = self._code_watch
-            if watch is not None:
-                watch.cover(pc, pc + 4)
+            code = self.translations
+            code.entries.put(pc, entry)
+            if code.watch is not None:
+                code.watch.cover(pc, pc + 4)
         else:
             entries.move_to_end(pc)
 
@@ -443,21 +416,21 @@ class Processor:
         and nothing it computes can be seen from outside before the
         next head, so running the tail early changes only the host
         order; legal only while nothing can reach into this processor
-        between two of its own heads (no IPI sender, no hook).
+        between two of its own heads (no IPI sender, no
+        per-instruction hook).
         :attr:`ahead_tail` says how far past the head the slice ran and
         :meth:`unrun_tail` takes that back.  A pc whose slice is still
         cold runs one :meth:`step` — a slice of one.
 
         Falls back to :meth:`step` — same return convention, cycles
-        consumed — whenever no block applies or any per-instruction
-        hook is attached; only call this with machine-level
-        observability dormant.
+        consumed — whenever no block applies or a per-instruction
+        hook is attached; only call this while
+        ``AlewifeMachine._hooks_dormant``.
         """
         if self.halted:
             return 0
         self.ahead_tail = None
-        if (self.trace_hook is not None or self.profile_hook is not None
-                or self.lifetime is not None):
+        if self.trace_hook is not None or self.profile_hook is not None:
             return self.step()
         frame = self.frames[self.fp]
         if self.ipi_queue and frame.psr.value & ET_BIT:
@@ -561,10 +534,9 @@ class Processor:
             pass
         block = fuses if len(fuses) >= 2 else False
         self._blocks[pc] = block
-        if block is not False:
-            watch = self._code_watch
-            if watch is not None:
-                watch.cover(pc, pc + 4 * len(block))
+        watch = self.translations.watch
+        if block is not False and watch is not None:
+            watch.cover(pc, pc + 4 * len(block))
         return block
 
     # -- JIT tier (see repro.core.jit) ----------------------------------------
@@ -577,12 +549,12 @@ class Processor:
         code watch so self-modifying stores invalidate them.
         """
         jb = compile_block(self, pc, sliced)
-        self._jit.put(~pc if sliced else pc, jb if jb is not None else False)
+        code = self.translations
+        code.jit.put(~pc if sliced else pc, jb if jb is not None else False)
         if jb is not None:
             self.jit_compiles += 1
-            watch = self._code_watch
-            if watch is not None:
-                watch.cover(jb.start, jb.end)
+            if code.watch is not None:
+                code.watch.cover(jb.start, jb.end)
         return jb
 
     def unrun_tail(self, keep):
@@ -613,42 +585,15 @@ class Processor:
         for _ in range(keep):
             self.step()
 
-    def attach_code_watch(self, watch):
-        """Register with a :class:`~repro.mem.memory.CodeWatch`.
-
-        The watch notifies :meth:`invalidate_code` on every store into
-        a word this CPU has translated, keeping all three cache tiers
-        (predecode entries, fused closure blocks, JIT blocks and
-        slices) correct under self-modifying code.
-        """
-        self._code_watch = watch
-        watch.add_listener(self.invalidate_code)
-
-    def invalidate_code(self, address):
-        """Drop every cached translation covering ``address``.
-
-        ``False`` sentinels ("nothing to fuse/compile here") are kept:
-        they never execute stale instructions, only route the pc to a
-        lower tier, so correctness cannot depend on dropping them.
-        """
-        word = address & ~3
-        self._entries.discard(word)
-        jit = self._jit
-        jit_map = jit.data
-        if jit_map:
-            for key in [k for k, jb in jit_map.items()
-                        if jb is not False and jb.start <= word < jb.end]:
-                # A block can never invalidate *itself* mid-run (inline
-                # stores refuse watched words; delegated stores end the
-                # block), so dropping the cache entry is sufficient.
-                jit.discard(key)
-        blocks = self._blocks
-        if blocks:
-            for key in [k for k, blk in blocks.items()
-                        if blk is not False
-                        and k <= word < k + 4 * len(blk)]:
-                del blocks[key]
-                self.block_invalidations += 1
+    def share_translations(self, shared):
+        """Run from ``shared`` tables — a machine gives all its
+        processors one :class:`Translations`.  The hot paths alias the
+        backing dicts, which are never replaced."""
+        self.translations = shared
+        self._entry_map = shared.entries.data
+        self._blocks = shared.blocks
+        self._jit_map = shared.jit.data
+        self._heat = shared.heat
 
     def translation_counters(self):
         """JSON-ready per-tier translation-cache counters.
@@ -658,9 +603,10 @@ class Processor:
         ``stats.snapshot()`` (the lockstep harness pins that
         byte-identical across tiers).
         """
-        jit = self._jit.counters()
+        code = self.translations
+        jit = code.jit.counters()
         jit.update(
-            blocks=sum(1 for jb in self._jit.data.values()
+            blocks=sum(1 for jb in code.jit.data.values()
                        if jb is not False),
             compiles=self.jit_compiles,
             runs=self.jit_runs,
@@ -669,12 +615,12 @@ class Processor:
         )
         return {
             "node": self.node_id,
-            "predecode": self._entries.counters(),
+            "predecode": code.entries.counters(),
             "jit": jit,
             "superblocks": {
-                "size": len(self._blocks),
+                "size": len(code.blocks),
                 "executed": self.superblocks,
-                "invalidations": self.block_invalidations,
+                "invalidations": code.block_invalidations,
             },
         }
 
@@ -847,13 +793,17 @@ class Processor:
     def _execute_frame_op(self, frame, instr, npc):
         op = instr.op
         self.charge(1)
+        if op is Opcode.RDFP:
+            self.write_reg(instr.rd, self.fp, frame)
+            return npc, npc + 4
+        if self.lifetime is not None:
+            # The cycles so far, this one included, ran in this frame.
+            self.lifetime.settle(self)
         count = len(self.frames)
         if op is Opcode.INCFP:
             self.fp = (self.fp + 1) % count
         elif op is Opcode.DECFP:
             self.fp = (self.fp - 1) % count
-        elif op is Opcode.RDFP:
-            self.write_reg(instr.rd, self.fp, frame)
         elif op is Opcode.STFP:
             self.fp = self.read_reg(instr.rs1, frame) % count
         return npc, npc + 4
@@ -921,6 +871,79 @@ class Processor:
         return "Processor(node=%d, fp=%d, cycles=%d, halted=%s)" % (
             self.node_id, self.fp, self.cycles, self.halted,
         )
+
+
+class Translations:
+    """The pc-keyed translation tables of one machine.
+
+    What is cached at a pc depends on the code words there and on the
+    kind of memory port — one per machine — never on which processor
+    asked, so a machine gives all its processors one of these
+    (:meth:`Processor.share_translations`): a pc warmed through any of
+    them is warm for all, and a store into translated code is answered
+    once.  A bare :class:`Processor` has its own.  It points back at no
+    processor, so sharing it closes no reference cycle.
+    """
+
+    def __init__(self):
+        #: pc -> :class:`ExecEntry`, bounded LRU; lets
+        #: :meth:`Processor.step` skip the fetch + word-keyed predecode
+        #: pair on every revisited pc.
+        self.entries = CodeCache(PREDECODE_CACHE_CAPACITY)
+        #: Superblock cache: block-start pc -> list of fuse closures,
+        #: or ``False`` for "no fusible run here".
+        self.blocks = {}
+        #: The JIT tier (see :mod:`repro.core.jit`): pc ->
+        #: :class:`JitBlock` (or ``False`` for "not compilable here"),
+        #: bounded LRU.  The tier's second shape, the sync-headed slice
+        #: compiled at a pc (``step_block(..., True)``), lives here
+        #: under ``~pc``.
+        self.jit = CodeCache(JIT_CACHE_CAPACITY)
+        #: pc (``~pc`` for a slice) -> visit count; promotion to the
+        #: JIT tier at :data:`JIT_THRESHOLD` (bounded by the code
+        #: footprint).
+        self.heat = {}
+        #: Optional :class:`~repro.mem.memory.CodeWatch` the translated
+        #: pc ranges are registered with; see :meth:`attach_code_watch`.
+        self.watch = None
+        self.block_invalidations = 0
+
+    def attach_code_watch(self, watch):
+        """Register with a :class:`~repro.mem.memory.CodeWatch`.
+
+        The watch notifies :meth:`invalidate_code` on every store into
+        a translated word, keeping all three cache tiers
+        (predecode entries, fused closure blocks, JIT blocks and
+        slices) correct under self-modifying code.
+        """
+        self.watch = watch
+        watch.add_listener(self.invalidate_code)
+
+    def invalidate_code(self, address):
+        """Drop every cached translation covering ``address``.
+
+        ``False`` sentinels ("nothing to fuse/compile here") are kept:
+        they never execute stale instructions, only route the pc to a
+        lower tier, so correctness cannot depend on dropping them.
+        """
+        word = address & ~3
+        self.entries.discard(word)
+        jit = self.jit
+        jit_map = jit.data
+        if jit_map:
+            for key in [k for k, jb in jit_map.items()
+                        if jb is not False and jb.start <= word < jb.end]:
+                # A block can never invalidate *itself* mid-run (inline
+                # stores refuse watched words; delegated stores end the
+                # block), so dropping the cache entry is sufficient.
+                jit.discard(key)
+        blocks = self.blocks
+        if blocks:
+            for key in [k for k, blk in blocks.items()
+                        if blk is not False
+                        and k <= word < k + 4 * len(blk)]:
+                del blocks[key]
+                self.block_invalidations += 1
 
 
 class _ReferenceProcessor(Processor):

@@ -17,7 +17,7 @@ Two memory modes (matching the paper's methodology):
 
 import heapq
 
-from repro.core.processor import Processor
+from repro.core.processor import Processor, Translations
 from repro.errors import DeadlockError, SimulationError
 from repro.isa.encoding import DecodeCache
 from repro.machine.config import MachineConfig
@@ -57,7 +57,7 @@ class AlewifeMachine:
     earliest processor, run one instruction or idle poll, re-push;
     every hook observes it, ``april monitor`` drives it by hand, and
     :meth:`run` drives one to completion whenever ``fastpath=False`` or
-    any observability hook is attached.  The **fast form** is
+    something observes single instructions.  The **fast form** is
     :meth:`_run_fast`: the same schedule a slice at a time, for any
     processor count, legal only while :meth:`_hooks_dormant`.  Its
     queue key orders tied processors as the oracle's sequence numbers
@@ -86,8 +86,11 @@ class AlewifeMachine:
     knob, and architecturally invisible (the lockstep harness pins all
     tiers cycle-identical).
 
-    Whatever the tier, every store into a translated pc range
-    invalidates the covering cached translations through a shared
+    The processors share one :class:`~repro.core.processor.
+    Translations`: what is cached at a pc is a function of the code
+    there, so the machine warms once, not once per processor.  Whatever
+    the tier, every store into a translated pc range invalidates the
+    covering cached translations through the machine's
     :class:`~repro.mem.memory.CodeWatch`, so self-modifying code stays
     correct on all paths.
     """
@@ -103,7 +106,7 @@ class AlewifeMachine:
         #: (:meth:`run` drove the oracle) or "stepper" (a caller did).
         self.loop_used = None
         #: Observability slots (see :mod:`repro.obs`): an attached
-        #: ``Observation`` wires these; ``None`` keeps the fast path.
+        #: ``Observation`` wires these; a sampler selects the oracle.
         self.sampler = None
         self.events = None
         #: Optional :class:`repro.obs.flight.Watchdog`; both schedules
@@ -117,9 +120,11 @@ class AlewifeMachine:
         self.jit = jit
         watch = CodeWatch()
         self.memory.code_watch = watch
+        shared = Translations()
+        shared.attach_code_watch(watch)
         for cpu in self.cpus:
             cpu.jit_enabled = jit
-            cpu.attach_code_watch(watch)
+            cpu.share_translations(shared)
         if not fastpath:
             for cpu in self.cpus:
                 cpu.use_reference_interpreter()
@@ -146,35 +151,26 @@ class AlewifeMachine:
     # -- execution ---------------------------------------------------------
 
     def _hooks_dormant(self):
-        """True when no observability hook anywhere can observe steps.
+        """True when nothing attached observes single instructions.
 
-        The dormant-hook contract: the fast form batches instructions
-        into superblocks and slices, which is only legal when nothing
-        samples, traces, profiles, or accounts per instruction/charge —
-        then batching cannot change what an observer would have seen.
-        Any attached hook sends :meth:`run` to the oracle instead.
-
-        One refinement: an event bus marked ``coarse=True`` (the flight
-        recorder's) leaves the fast form eligible.  Every event kind is
-        emitted outside fused superblocks — traps, scheduling, futures,
-        network, memory transactions — and their cycle stamps are
-        identical under both schedules (the lockstep harness proves
-        them equal), so a coarse-only consumer observes the same stream
-        either way.  A default (``coarse=False``) bus still selects the
-        oracle.
+        The fast form batches instructions into superblocks and slices,
+        which only a consumer of single instructions can tell from the
+        oracle: a trace, profile or watch hook, and the interval
+        sampler, which reads the counters mid-run.  Those send
+        :meth:`run` to the oracle.  Everything else rides the fast
+        form and sees what the oracle shows it: every
+        :class:`~repro.obs.events.EventKind` is emitted from a slice
+        head, a trap, the run-time system or the memory system, in the
+        oracle's order with the oracle's stamps, so event buses and the
+        transaction tracer record identical streams, and the lifetime
+        accountant reads the cycle counters by difference at those same
+        boundaries (``TestObserversRideTheFastForm``).
         """
         if self.sampler is not None:
             return False
-        events = self.events
-        if events is not None and not events.coarse:
-            return False
         for cpu in self.cpus:
             if (cpu.trace_hook is not None or cpu.profile_hook is not None
-                    or cpu.txn is not None or cpu.lifetime is not None
                     or cpu.watch_hook is not None):
-                return False
-            events = cpu.events
-            if events is not None and not events.coarse:
                 return False
         return True
 
@@ -452,7 +448,8 @@ class MachineStepper:
     time to it, poll the sampler and the watchdog, enforce the cycle
     limit, run one instruction or one idle poll, and re-push with a
     fresh sequence number.  :meth:`AlewifeMachine.run` drives one to
-    completion for every ``fastpath=False`` or hooked run, so a
+    completion for every ``fastpath=False`` run and every run with a
+    per-instruction hook (:meth:`AlewifeMachine._hooks_dormant`), so a
     caller-driven stepper (``april monitor``) observes exactly the run
     ``machine.run()`` would have given, one step at a time.
 

@@ -12,6 +12,15 @@ with the originating node.  The bus keeps a bounded ring of records —
 oldest dropped first — and offers synchronous subscriptions for
 consumers that must see every event regardless of ring capacity (the
 Perfetto exporter uses the ring; online reductions subscribe).
+
+No event is per-instruction.  Every :class:`EventKind` is emitted from
+the head of a slice, a trap, the run-time system or the memory system —
+never from inside a fused block or a run-ahead tail — so a bus records
+the same stream, in the same order with the same stamps, under both
+machine schedules, and attaching one does not select the oracle
+(``tests/core/test_lockstep.py::TestObserversRideTheFastForm``).  A
+new kind emitted per instruction would break that: give it a hook that
+``AlewifeMachine._hooks_dormant`` names instead.
 """
 
 import enum
@@ -120,21 +129,10 @@ class EventBus:
     Args:
         capacity: ring size; oldest records are dropped past it.
             ``None`` keeps everything (tests, short runs).
-        coarse: declares that every consumer of this bus only needs the
-            coarse event grain (traps, context switches, scheduling,
-            futures, memory transactions — never per-instruction
-            observations).  All :class:`EventKind` emission sites *are*
-            coarse-grained and superblock fusion does not change their
-            cycle stamps, so the machine keeps its fast loop when the
-            only attached bus is a coarse one (the flight recorder's);
-            the default ``False`` preserves the conservative contract
-            that any attached bus pins the per-instruction reference
-            loop.
     """
 
-    def __init__(self, capacity=1_000_000, coarse=False):
+    def __init__(self, capacity=1_000_000):
         self.records = deque(maxlen=capacity)
-        self.coarse = coarse
         self.emitted = 0
         self._dropped = 0
         self._counts = {}

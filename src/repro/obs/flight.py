@@ -5,12 +5,11 @@ every run:
 
 * :class:`FlightRecorder` — a bounded per-node ring of the *coarse*
   event kinds (traps, context switches, scheduling, futures, network
-  deliveries, memory-transaction completions — never per-instruction),
-  subscribed through an :class:`~repro.obs.events.EventBus` marked
-  ``coarse=True`` so the superblock fast loop stays eligible:
-  every one of those emission sites fires outside fused superblocks and
+  deliveries, memory-transaction completions), subscribed through an
+  :class:`~repro.obs.events.EventBus`.  No bus selects the oracle
+  schedule — every emission site fires outside fused superblocks and
   with identical cycle stamps on the fast and reference paths (the
-  lockstep harness pins this).
+  lockstep harness pins this) — so the recorder rides the fast loop.
 
 * :class:`Watchdog` — every ``interval`` cycles it inspects the
   run-time system directly (no per-event cost): *deadlock* is every
@@ -39,9 +38,9 @@ from repro.isa.disassembler import disassemble_around
 from repro.obs.events import EventBus, EventKind
 from repro.runtime.thread import ThreadState
 
-#: The event kinds the flight recorder keeps (everything the simulator
-#: emits is coarse-grained; listed explicitly so a future fine-grained
-#: kind cannot silently join the rings).
+#: The event kinds the flight recorder keeps: listed explicitly so that
+#: cache and directory traffic, and any kind added later, stay out of
+#: the rings unless chosen.
 COARSE_KINDS = (
     EventKind.TRAP_ENTER,
     EventKind.TRAP_EXIT,
@@ -92,11 +91,9 @@ class FlightRecorder:
 
     If the machine already has an event bus (a full
     :class:`~repro.obs.session.Observation` is attached), the recorder
-    simply subscribes to it; otherwise it installs its own
-    ``coarse=True`` bus on every emitting component, which — by the
-    dormant-hook contract extension in
-    :meth:`AlewifeMachine._hooks_dormant` — keeps the superblock fast
-    loop eligible.
+    simply subscribes to it; otherwise it installs its own bus on every
+    emitting component.  Either way the machine keeps its fast loop
+    (see :meth:`AlewifeMachine._hooks_dormant`).
     """
 
     def __init__(self, per_node=64):
@@ -113,8 +110,7 @@ class FlightRecorder:
         self.machine = machine
         bus = machine.events
         if bus is None:
-            bus = EventBus(capacity=self.per_node * len(machine.cpus),
-                           coarse=True)
+            bus = EventBus(capacity=self.per_node * len(machine.cpus))
             self._install_bus(machine, bus)
             self._installed = True
         for kind in COARSE_KINDS:

@@ -5,14 +5,28 @@ same lift for *threads*: every cycle of every virtual thread's life is
 attributed to exactly one bucket, so "why is speedup sublinear" becomes
 a table instead of a guess.  Two exact integer ledgers are kept:
 
-**Node-time ledger** (conserved machine-wide).  A dormant hook in
-:meth:`repro.core.processor.Processor.charge` — the only place a local
-clock ever advances — attributes every charged cycle to the thread in
-the active task frame (or to an *owner* pushed around charges that run
-with an empty frame: thread load/unload, lazy-steal setup, the resolve
-a thread performs after its own retirement).  Cycles charged with no
-thread in context are per-node overhead (idle polling, IPI delivery at
-idle).  The invariant is exact, by construction::
+**Node-time ledger** (conserved machine-wide), kept *by difference*.
+The processor's six category counters (:class:`~repro.core.processor.
+ProcessorStats`) already say what a node spent; what they do not say is
+on whose behalf.  A node's *current owner* is the top of its owner
+stack (pushed around work done with an empty frame: thread load/unload,
+lazy-steal setup, the resolve a thread performs after its own
+retirement), else the thread in the active task frame, else nobody —
+per-node overhead (idle polling, IPI delivery at idle).
+:meth:`LifetimeAccountant.settle` attributes the counters' growth since
+the node's last settle to that owner, and runs *before every owner
+change*: in :meth:`~LifetimeAccountant.push_owner` and
+:meth:`~LifetimeAccountant.pop_owner`; in the scheduler's
+``load_thread``/``unload_thread`` (through the push), ``retire_thread``
+and ``activate_frame`` before ``frame.thread`` or ``cpu.fp`` moves; in
+``INCFP``/``DECFP``/``STFP`` after their own cycle; and for every node
+in :meth:`~LifetimeAccountant.finalize`.  So a thread's unsettled
+cycles exist only on the node where it is the current owner, and every
+load/unload/exit episode closes on exact totals.  Nothing is called per
+instruction or per charge: superblocks, JIT blocks and run-ahead slices
+are accounted with no code of their own, and a tail wound back by
+``Processor.unrun_tail`` is wound back here because the counters are.
+The invariant is exact, by construction::
 
     sum(per-thread on-cpu) + sum(per-node overhead) + sum(end skew)
         == machine.time * num_nodes
@@ -47,15 +61,19 @@ tid counter differs.
 
 import re
 
-#: Processor charge category -> on-cpu accounting class.
+#: Processor charge category -> on-cpu accounting class, in the order
+#: :meth:`LifetimeAccountant.settle` reads the category counters.
 ONCPU_CLASS = {
     "useful": "running",
+    "stall": "blocked_memory",
     "trap": "trap",
     "switch": "switch_spin",
     "spin": "switch_spin",
-    "stall": "blocked_memory",
     "idle": "idle",
 }
+_CATEGORIES = tuple(ONCPU_CLASS)
+_CLASSES = tuple(ONCPU_CLASS.values())
+_UNSPENT = (0,) * len(_CATEGORIES)
 
 #: On-cpu classes in fixed report order.
 ONCPU_KEYS = ("running", "trap", "switch_spin", "blocked_memory", "idle")
@@ -131,10 +149,6 @@ class ThreadLedger:
         self._clock = cycle
         return cycle
 
-    def add_oncpu(self, category, cycles):
-        key = ONCPU_CLASS.get(category, category)
-        self.oncpu[key] = self.oncpu.get(key, 0) + cycles
-
     def wall_total(self):
         return sum(seg.length for seg in self.segments)
 
@@ -144,8 +158,9 @@ class LifetimeAccountant:
 
     Wire it through :class:`repro.obs.session.Observation` with
     ``threads=True``; it subscribes to the event bus synchronously (so
-    ring capacity never truncates its view) and hooks processor charge
-    via the dormant ``cpu.lifetime`` slot.
+    ring capacity never truncates its view), and the scheduler, the
+    run-time system and the frame-pointer instructions call
+    :meth:`settle` through their ``lifetime`` slots.
     """
 
     def __init__(self):
@@ -158,6 +173,7 @@ class LifetimeAccountant:
         self.end_cycle = None
         self.nodes = None
         self._owner = {}          # node -> [tid] override stack
+        self._settled = {}        # node -> category counters at last settle
         self._frame_free = {}     # (node, frame) -> (cycle, tid)
         self._finalized = False
 
@@ -173,21 +189,28 @@ class LifetimeAccountant:
         bus.subscribe(self._on_wake, EventKind.THREAD_WAKE)
         bus.subscribe(self._on_steal, EventKind.THREAD_STEAL)
 
-    # -- node-time ledger (charge hook) ----------------------------------
+    # -- node-time ledger (by difference) --------------------------------
 
     def push_owner(self, cpu, tid):
-        """Attribute subsequent charges on this node to ``tid``."""
+        """Attribute what this node does from here on to ``tid``."""
+        self.settle(cpu)
         self._owner.setdefault(cpu.node_id, []).append(tid)
 
     def pop_owner(self, cpu):
+        self.settle(cpu)
         self._owner[cpu.node_id].pop()
 
-    def on_charge(self, cpu, cycles, category):
-        """The :meth:`Processor.charge` hook — every cycle lands here."""
-        if not cycles:
-            return
+    def settle(self, cpu):
+        """Attribute this node's cycles since its last settle to its
+        current owner.  Call before anything changes who that is."""
         node = cpu.node_id
-        self.node_attr[node] = self.node_attr.get(node, 0) + cycles
+        stats = cpu.stats
+        now = (stats.useful, stats.stall, stats.trap, stats.switch,
+               stats.spin, stats.idle)
+        last = self._settled.get(node, _UNSPENT)
+        if now == last:
+            return
+        self._settled[node] = now
         stack = self._owner.get(node)
         if stack:
             tid = stack[-1]
@@ -195,10 +218,13 @@ class LifetimeAccountant:
             thread = cpu.frames[cpu.fp].thread
             tid = thread.tid if thread is not None else None
         if tid is None:
-            bucket = self.node_overhead.setdefault(node, {})
-            bucket[category] = bucket.get(category, 0) + cycles
-            return
-        self._ledger(tid).add_oncpu(category, cycles)
+            bucket, keys = self.node_overhead.setdefault(node, {}), _CATEGORIES
+        else:
+            bucket, keys = self._ledger(tid).oncpu, _CLASSES
+        for key, after, before in zip(keys, now, last):
+            if after != before:
+                bucket[key] = bucket.get(key, 0) + after - before
+        self.node_attr[node] = sum(now)
 
     # -- wall ledger (event stream) --------------------------------------
 
@@ -322,6 +348,7 @@ class LifetimeAccountant:
         self.end_cycle = machine.time
         self.nodes = len(machine.cpus)
         for cpu in machine.cpus:
+            self.settle(cpu)
             self.node_skew[cpu.node_id] = machine.time - cpu.cycles
             self.node_attr.setdefault(cpu.node_id, 0)
         for tid in self.order:

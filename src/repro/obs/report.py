@@ -28,10 +28,15 @@ def component_counters(machine):
         },
         "sync": (sync.counters() if sync is not None
                  else SyncAllocator.empty_counters()),
-        # Per-CPU translation-cache tiers (predecode entries, fused
-        # superblocks, JIT code cache): sizes, evictions,
-        # invalidations, compiles — the observability surface for the
-        # bounded caches and the self-modifying-code machinery.
+        # Per-CPU view of the translation tiers (predecode entries,
+        # fused superblocks, JIT code cache): sizes, evictions,
+        # invalidations, compiles, runs.  This block describes the
+        # *host* run — it differs with the interpreter tier and the
+        # machine schedule — while everything around it is a function
+        # of the job.  It rides in cached payloads as a diagnostic;
+        # nothing may key on it or compare it, and nothing in src/
+        # reads it back (tests/exp/test_determinism.py removes it, then
+        # requires the rest equal on every way of running a cell).
         "translation": [cpu.translation_counters() for cpu in machine.cpus],
     }
     fabric = machine.fabric

@@ -250,8 +250,10 @@ def for_job(config):
     accountant so the cached result carries a critical-path summary
     (``april speedup`` prints the dominant blocker per cell from it).
     Sequential ideal-mode runs return ``None`` — the plain
-    ``machine_report`` already covers everything observable there, and
-    skipping the Observation keeps every dormant fast path.
+    ``machine_report`` already covers everything observable there.
+    Nothing attached here observes single instructions (no sampler
+    window, no profiler), so every cell runs the machine's fast
+    schedule.
     """
     coherent = getattr(config, "memory_mode", "ideal") == "coherent"
     parallel = getattr(config, "num_processors", 1) > 1

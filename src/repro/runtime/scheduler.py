@@ -33,9 +33,9 @@ class Scheduler:
         self.steals = 0
         #: Optional event bus (see :mod:`repro.obs`); None = no-op hooks.
         self.events = None
-        #: Optional lifetime accountant (see :mod:`repro.obs.lifetime`);
-        #: load/unload costs are charged while no thread is active, so
-        #: the accountant is told which thread owns them.
+        #: Optional lifetime accountant (see :mod:`repro.obs.lifetime`).
+        #: It accounts by difference, so it is told *before* a node's
+        #: owner changes: a frame gains or loses its thread, FP moves.
         self.lifetime = None
 
     def counters(self):
@@ -88,6 +88,11 @@ class Scheduler:
         if frame.occupied:
             raise RuntimeSystemError("loading into occupied frame %d" % frame.index)
         thread.transition(ThreadState.LOADED)
+        lifetime = self.lifetime
+        if lifetime is not None:
+            # Settles what the node ran before this frame had a thread;
+            # the load cost below is the thread's own.
+            lifetime.push_owner(cpu, thread.tid)
         frame.thread = thread
         if thread.saved_state is not None:
             frame.load_state(thread.saved_state)
@@ -100,9 +105,6 @@ class Scheduler:
             frame.thread = thread
             bootstrap(cpu, frame, thread)
         frame.psr.tid = thread.tid & 0xFFFF
-        lifetime = self.lifetime
-        if lifetime is not None:
-            lifetime.push_owner(cpu, thread.tid)
         cpu.charge(self.config.thread_load_cycles, "switch")
         if lifetime is not None:
             lifetime.pop_owner(cpu)
@@ -120,10 +122,10 @@ class Scheduler:
             raise RuntimeSystemError("unloading an empty frame")
         thread.saved_state = frame.save_state()
         thread.transition(new_state)
-        frame.thread = None
         lifetime = self.lifetime
         if lifetime is not None:
             lifetime.push_owner(cpu, thread.tid)
+        frame.thread = None
         cpu.charge(self.config.thread_unload_cycles, "switch")
         if lifetime is not None:
             lifetime.pop_owner(cpu)
@@ -141,12 +143,14 @@ class Scheduler:
                 state=new_state.value, **extra)
         return thread
 
-    def retire_thread(self, frame, cpu=None):
+    def retire_thread(self, frame, cpu):
         """Free the frame of a thread that finished (no state to save)."""
         thread = frame.thread
         thread.transition(ThreadState.DONE)
+        if self.lifetime is not None:
+            self.lifetime.settle(cpu)
         frame.thread = None
-        if self.events is not None and cpu is not None:
+        if self.events is not None:
             self.events.emit(
                 EventKind.THREAD_EXIT, cpu.cycles, cpu.node_id,
                 frame=frame.index, tid=thread.tid, thread=thread.name)
@@ -170,6 +174,8 @@ class Scheduler:
 
     def activate_frame(self, cpu, frame):
         """Point FP at a frame (the context-switch FP change)."""
+        if self.lifetime is not None:
+            self.lifetime.settle(cpu)
         cpu.fp = frame.index
 
     # -- work finding ---------------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.core.jit import (
     CodeCache,
     compile_block,
 )
+from repro.core.processor import Processor
 from repro.core.traps import TrapAction, TrapKind
 from repro.isa.assembler import assemble
 from repro.isa.instructions import STORE_FLAVORS
@@ -38,7 +39,7 @@ def build_jit_cpu(source, **kwargs):
     cpu.jit_threshold = 1
     watch = CodeWatch()
     memory.code_watch = watch
-    cpu.attach_code_watch(watch)
+    cpu.translations.attach_code_watch(watch)
     return cpu, memory, program
 
 
@@ -373,6 +374,45 @@ class TestSharedBlocks:
         assert jb.source.startswith("def _jit(cpu, frame")
 
 
+class TestSharedTranslations:
+    """Two processors over one memory, the way a machine wires them:
+    one :class:`Translations`, one code-watch listener."""
+
+    def _pair(self):
+        first, memory, program = build_jit_cpu(TestSharedBlocks.SOURCE)
+        second = Processor(node_id=1, port=first.port,
+                           decoder=first.decoder)
+        assert second.translations is not first.translations
+        second.share_translations(first.translations)
+        second.frame.pc, second.frame.npc = program.base, program.base + 4
+        return first, second, memory, program
+
+    def test_second_cpu_runs_what_the_first_compiled(self):
+        first, second, _, _ = self._pair()
+        run_jit_to_halt(first)
+        assert first.jit_compiles > 0
+        run_jit_to_halt(second)          # default threshold: no warm-up
+        assert second.jit_runs == first.jit_runs
+        assert second.jit_compiles == 0
+        assert second.cycles == first.cycles
+        assert second.frame.regs == first.frame.regs
+
+    def test_a_patch_invalidates_once_for_both(self):
+        first, second, memory, program = self._pair()
+        run_jit_to_halt(first)
+        tables = first.translations
+        assert len(memory.code_watch._listeners) == 1
+        loop = program.address_of("loop")
+        covering = [key for key, block in tables.jit.data.items()
+                    if block and block.start <= loop < block.end]
+        memory.write_word(loop, memory.read_word(loop))
+        assert tables.jit.invalidations == len(covering) > 0
+        assert not any(key in second._jit_map for key in covering)
+        run_jit_to_halt(second)
+        assert second.jit_compiles > 0   # it retranslated, for both
+        assert second.frame.regs == first.frame.regs
+
+
 class TestSelfModifyingCode:
     def _smc_source(self):
         return """
@@ -400,7 +440,7 @@ class TestSelfModifyingCode:
         body = program.address_of("loop")
         donor = program.address_of("donor")
         memory.write_word(body, memory.read_word(donor))
-        assert cpu._jit.invalidations > 0
+        assert cpu.translations.jit.invalidations > 0
 
         # Re-run from the top: the stale translation must not execute.
         frame = cpu.frame
@@ -457,7 +497,7 @@ class TestSelfModifyingCode:
         assert program.words == assembled
         assert jit_cpu.cycles == ref_cpu.cycles
         assert jit_cpu.stats.snapshot() == ref_cpu.stats.snapshot()
-        assert jit_cpu._jit.invalidations > 0
+        assert jit_cpu.translations.jit.invalidations > 0
 
         # The same on the slice shape, where the patched word is not
         # the head the slice is keyed by but sits in its private tail:
@@ -498,7 +538,7 @@ class TestSelfModifyingCode:
         assert cpu.cycles == ref_cpu.cycles
         assert cpu.stats.snapshot() == ref_cpu.stats.snapshot()
         assert cpu.ahead_instructions > 0
-        assert cpu._jit.invalidations > 0
+        assert cpu.translations.jit.invalidations > 0
         assert cpu._jit_map[~body].key != first.key
 
     def test_deopt_counter_stays_zero(self):
@@ -628,11 +668,12 @@ class TestSyncHeadedSlices:
     def test_slices_live_in_the_bounded_block_cache(self):
         # One LRU for both shapes of the tier: slices sit under ~pc.
         cpu, _, _ = build_jit_cpu(TestSelfModifyingCode()._smc_source())
-        cpu._jit.capacity = 2
+        jit = cpu.translations.jit
+        jit.capacity = 2
         run_slices_to_halt(cpu)
         assert cpu.read_reg(1) == 10
-        assert len(cpu._jit) <= 2 and cpu._jit.evictions > 0
-        assert all(key < 0 for key in cpu._jit_map)
+        assert len(jit) <= 2 and jit.evictions > 0
+        assert all(key < 0 for key in jit.data)
 
     def test_slices_are_shared_under_their_own_key(self):
         source = """

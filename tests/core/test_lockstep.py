@@ -12,9 +12,17 @@ register state, the memory words and their full/empty bits, and
 printed output.
 
 The fallback matrix then checks the dormant-hook contract from the
-other side: attaching any single observability hook must push the
-machine onto the reference loop *without changing a single cycle*.
+other side.  A hook that observes single instructions (trace, profile,
+watch, the sampler) must *pin* the machine to the reference loop;
+everything else (event buses, the transaction tracer, the lifetime
+accountant, the flight recorder, the watchdog) must *ride* the fast
+loop, run-ahead and all — and neither may change a single cycle.
+``TestObserversRideTheFastForm`` then holds the riders to what they
+record: the same event stream, accounting and transactions the oracle
+shows them, byte for byte.
 """
+
+import itertools
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,9 +31,10 @@ from repro import workloads
 from repro.lang.compiler import compile_source
 from repro.machine.alewife import AlewifeMachine
 from repro.machine.config import MachineConfig
-from repro.obs import Observation
+from repro.obs import FlightRecorder, Observation, Watchdog
 from repro.obs.events import EventBus
 from repro.obs.txn import TransactionTracer
+from repro.runtime import thread as thread_module
 from tests.integration.test_differential import future_programs, programs
 
 
@@ -36,14 +45,20 @@ def _build(compiled, config, fastpath, jit=True):
                           jit=jit)
 
 
-def _run_stepper(compiled, config, entry, args):
-    """The same build under a caller-driven :class:`MachineStepper`
-    (the oracle); returns (machine, result)."""
-    machine = _build(compiled, config, True)
-    stepper = machine.stepper(entry=entry, args=args)
+def _step_to_completion(machine, **run_args):
+    """Drive ``machine`` the way a caller drives a
+    :class:`MachineStepper` (the oracle); returns the result."""
+    stepper = machine.stepper(**run_args)
     while stepper.step_machine() is not None:
         pass
-    return machine, stepper.result()
+    return stepper.result()
+
+
+def _run_stepper(compiled, config, entry, args):
+    """The same build under a caller-driven stepper; returns
+    (machine, result)."""
+    machine = _build(compiled, config, True)
+    return machine, _step_to_completion(machine, entry=entry, args=args)
 
 
 def _run_pair(source, mode, config, args):
@@ -295,6 +310,15 @@ def _attach_profile(machine):
         cpu.profile_hook = lambda cpu, pc, instr: None
 
 
+def _attach_watch(machine):
+    for cpu in machine.cpus:
+        cpu.watch_hook = lambda cpu, pc, address, is_load, outcome: None
+
+
+def _attach_sampler(machine):
+    Observation(events=False, window=512).attach(machine)
+
+
 def _attach_events(machine):
     bus = EventBus()
     for cpu in machine.cpus:
@@ -311,39 +335,75 @@ def _attach_machine_events(machine):
     machine.events = EventBus()
 
 
+def _attach_job_observation(machine):
+    """What :func:`repro.obs.session.for_job` attaches to a p > 1 cell."""
+    Observation(events=False, window=0, threads=True).attach(machine)
+
+
+#: Consumers of single instructions: the batching fast loop would show
+#: them something else, so each one alone selects the oracle.
+PINNING = {
+    "trace_hook": _attach_trace,
+    "profile_hook": _attach_profile,
+    "watch_hook": _attach_watch,
+    "sampler": _attach_sampler,
+}
+
+#: Everything else observes slice heads, traps, the run-time system or
+#: the memory system, which the fast loop shows in the oracle's order.
+RIDING = {
+    "cpu_events": _attach_events,
+    "machine_events": _attach_machine_events,
+    "cpu_txn": _attach_txn,
+    "job_observation": _attach_job_observation,
+    "flight_recorder": lambda machine: FlightRecorder().attach(machine),
+    "watchdog": lambda machine: Watchdog().attach(machine),
+}
+
+ATTACHERS = {**PINNING, **RIDING}
+
+
+def _hooked_run(hook, jit=True):
+    """fib(9) on the ideal p = 2 machine with one hook attached, next
+    to the dormant run it must not differ from."""
+    module = workloads.get("fib")
+    compiled = compile_source(module.source(), mode="eager")
+    config = MachineConfig(num_processors=2)
+    dormant_machine, dormant = _dormant_baseline(compiled, config, (9,))
+    assert any(cpu.jit_runs > 0 for cpu in dormant_machine.cpus)
+
+    machine = _build(compiled, config, True, jit=jit)
+    ATTACHERS[hook](machine)
+    result = machine.run(entry=compiled.entry_label("main"), args=(9,))
+    assert result.value == dormant.value
+    assert result.cycles == dormant.cycles
+    for cpu, dormant_row in zip(machine.cpus, dormant.stats.per_cpu):
+        assert cpu.stats.snapshot() == dormant_row
+    return machine
+
+
 class TestFallbackMatrix:
-    """Each hook, attached alone, forces the reference loop — and the
-    reference loop must be cycle-identical to the dormant fast run."""
+    """Each hook, attached alone: a per-instruction consumer forces the
+    reference loop, anything else leaves the run-ahead fast loop in
+    place — and either way the run is cycle-identical to the dormant
+    fast run."""
 
-    ATTACHERS = {
-        "trace_hook": _attach_trace,
-        "profile_hook": _attach_profile,
-        "cpu_events": _attach_events,
-        "cpu_txn": _attach_txn,
-        "machine_events": _attach_machine_events,
-    }
-
-    @pytest.mark.parametrize("hook", sorted(ATTACHERS))
+    @pytest.mark.parametrize("hook", sorted(PINNING))
     def test_single_hook_forces_reference(self, hook):
-        module = workloads.get("fib")
-        compiled = compile_source(module.source(), mode="eager")
-        config = MachineConfig(num_processors=2)
-        _, dormant = _dormant_baseline(compiled, config, (9,))
-
-        machine = _build(compiled, config, True)
-        self.ATTACHERS[hook](machine)
-        result = machine.run(entry=compiled.entry_label("main"), args=(9,))
+        machine = _hooked_run(hook)
         assert machine.loop_used == "reference"
         assert machine.cpus[0].superblocks == 0
         assert not _ran_ahead(machine)
-        assert result.value == dormant.value
-        assert result.cycles == dormant.cycles
-        for cpu, dormant_row in zip(machine.cpus, dormant.stats.per_cpu):
-            assert cpu.stats.snapshot() == dormant_row
+
+    @pytest.mark.parametrize("hook", sorted(RIDING))
+    def test_single_hook_rides_the_fast_form(self, hook):
+        machine = _hooked_run(hook)
+        assert machine.loop_used == "fast"
+        assert _ran_ahead(machine)
 
     def test_lifetime_observation_conserves(self):
-        """PR 4 conservation: a threads=True observation (which wires
-        the lifetime accountant, and therefore the reference loop) must
+        """PR 4 conservation: a threads=True observation with its
+        default sampler window (which selects the reference loop) must
         balance its ledger and agree with the dormant run's clock."""
         module = workloads.get("fib")
         compiled = compile_source(module.source(), mode="eager")
@@ -376,29 +436,29 @@ class TestFallbackMatrix:
 
 
 class TestJitFallbackMatrix:
-    """The fallback matrix again, with the JIT axis explicit: a hooked
-    run (reference loop, JIT never fires) and a closure-tier run
-    (``jit=False``) must both be cycle-identical to the dormant
-    JIT-enabled fast run."""
+    """The fallback matrix again, with the JIT axis explicit: a pinned
+    run (reference loop, JIT never fires), a riding run (fast loop, JIT
+    and run-ahead slices fire) and a closure-tier run (``jit=False``)
+    must all be cycle-identical to the dormant JIT-enabled fast run."""
 
-    @pytest.mark.parametrize("hook", sorted(TestFallbackMatrix.ATTACHERS))
+    @pytest.mark.parametrize("hook", sorted(ATTACHERS))
     def test_hooked_run_matches_dormant_jit(self, hook):
-        module = workloads.get("fib")
-        compiled = compile_source(module.source(), mode="eager")
-        config = MachineConfig(num_processors=2)
-        dormant_machine, dormant = _dormant_baseline(compiled, config, (9,))
-        assert any(cpu.jit_runs > 0 for cpu in dormant_machine.cpus)
+        machine = _hooked_run(hook)
+        if hook in PINNING:
+            assert machine.loop_used == "reference"
+            assert all(not cpu.jit_runs for cpu in machine.cpus)
+            assert not _ran_ahead(machine)
+        else:
+            assert machine.loop_used == "fast"
+            assert any(cpu.jit_runs > 0 for cpu in machine.cpus)
+            assert _ran_ahead(machine)
 
-        machine = _build(compiled, config, True, jit=True)
-        TestFallbackMatrix.ATTACHERS[hook](machine)
-        result = machine.run(entry=compiled.entry_label("main"), args=(9,))
-        assert machine.loop_used == "reference"
+    @pytest.mark.parametrize("hook", sorted(RIDING))
+    def test_riding_hook_without_jit_matches_dormant_jit(self, hook):
+        machine = _hooked_run(hook, jit=False)
+        assert machine.loop_used == "fast"
         assert all(not cpu.jit_runs for cpu in machine.cpus)
         assert not _ran_ahead(machine)
-        assert result.value == dormant.value
-        assert result.cycles == dormant.cycles
-        for cpu, dormant_row in zip(machine.cpus, dormant.stats.per_cpu):
-            assert cpu.stats.snapshot() == dormant_row
 
     def test_jit_disabled_matches_dormant_jit(self):
         module = workloads.get("fib")
@@ -415,3 +475,66 @@ class TestJitFallbackMatrix:
         assert result.cycles == dormant.cycles
         for cpu, dormant_row in zip(machine.cpus, dormant.stats.per_cpu):
             assert cpu.stats.snapshot() == dormant_row
+
+
+# -- what the riders record ----------------------------------------------------
+
+class TestObserversRideTheFastForm:
+    """One ``fastpath=True`` build with everything that rides attached —
+    an unbounded event bus, the lifetime accountant, the transaction
+    tracer on coherent machines — driven once by ``run()`` (the fast
+    loop, run-ahead on ideal memory) and once by a caller-driven
+    :class:`MachineStepper` (the oracle).  Everything they record must
+    be equal: the complete event stream in emission order, the
+    ``april explain`` payload, every finished transaction, and the
+    machine state ``_assert_lockstep`` compares."""
+
+    PROGRAMS = {"fib": (11,), "queens": (5,), "factor": (10007, 10)}
+    MACHINES = ([("eager", p, "ideal") for p in (2, 4, 8, 16)]
+                + [("lazy", p, "ideal") for p in (2, 4, 8)]
+                + [(mode, p, "coherent") for mode in ("eager", "lazy")
+                   for p in (2, 4)])
+
+    @staticmethod
+    def _observed(compiled, config, entry, args, drive, monkeypatch):
+        # Thread ids come from a process-wide counter and appear raw
+        # in event payloads: restart it so both runs draw the same.
+        monkeypatch.setattr(thread_module, "_tid_counter",
+                            itertools.count(1))
+        machine = _build(compiled, config, True)
+        observation = Observation(
+            events=True, capacity=None, window=0, threads=True,
+            txn=config.memory_mode == "coherent", txn_capacity=None)
+        observation.attach(machine)
+        result = drive(machine, entry=entry, args=args)
+        return machine, result, observation
+
+    @pytest.mark.parametrize("mode,processors,memory_mode", MACHINES)
+    @pytest.mark.parametrize("program", sorted(PROGRAMS))
+    def test_recordings_equal_the_oracles(self, program, mode, processors,
+                                          memory_mode, monkeypatch):
+        module = workloads.get(program)
+        compiled = compile_source(module.source(), mode=mode)
+        entry = compiled.entry_label("main")
+        args = module.args(*self.PROGRAMS[program])
+        config = MachineConfig(num_processors=processors,
+                               memory_mode=memory_mode)
+
+        fast_machine, fast, seen = self._observed(
+            compiled, config, entry, args, AlewifeMachine.run, monkeypatch)
+        assert fast.value == module.reference(*self.PROGRAMS[program])
+        assert _ran_ahead(fast_machine) == (memory_mode == "ideal")
+        ref_machine, ref, shown = self._observed(
+            compiled, config, entry, args, _step_to_completion, monkeypatch)
+        _assert_lockstep((fast_machine, fast), (ref_machine, ref),
+                         oracle="stepper")
+
+        assert seen.bus.emitted == shown.bus.emitted > 0
+        assert seen.bus.to_dicts() == shown.bus.to_dicts()
+        assert seen.explain() == shown.explain()
+        assert seen.lifetime.check()["exact"]
+        if seen.txn is not None:
+            assert len(seen.txn.finished) > 0
+            assert ([record.to_dict() for record in seen.txn.finished]
+                    == [record.to_dict() for record in shown.txn.finished])
+            assert seen.txn.summary() == shown.txn.summary()

@@ -26,6 +26,7 @@ from tests.core.test_lockstep import (
     _assert_lockstep,
     _build as _machine,
     _run_stepper,
+    _step_to_completion,
 )
 
 SPIN = """
@@ -240,7 +241,10 @@ class TestRunAheadExit:
     somewhere past the exit's key.  The pads and spin lengths move the
     exit across the offsets of a worker's slice; whatever the offset,
     the run must end exactly where the caller-driven stepper ends it
-    (it does not when ``_run_fast`` skips ``_end_at``)."""
+    (it does not when ``_run_fast`` skips ``_end_at``) — and the
+    lifetime accountant, which reads the cycle counters by difference,
+    must end there with it: winding the counters back *is* winding the
+    ledger back."""
 
     @pytest.mark.parametrize("processors", [2, 3, 4, 8])
     @pytest.mark.parametrize("mode", ["eager", "lazy"])
@@ -262,6 +266,39 @@ class TestRunAheadExit:
             assert stepped[0].time == fast_machine.time
             undone += sum(cpu.ahead_undone for cpu in fast_machine.cpus)
         # Or every exit landed between two slices and nothing was tested.
+        assert undone > 0
+
+
+    @staticmethod
+    def _accounted(compiled, config, drive, **run_args):
+        """One run with the accountant on; returns (machine, tables)."""
+        machine = _machine(compiled, config, True)
+        obs = Observation(events=False, window=0, threads=True)
+        obs.attach(machine)
+        result = drive(machine, **run_args)
+        ledger = obs.lifetime.finalize(machine).check()
+        assert ledger["exact"]
+        assert (ledger["attributed"] == ledger["cycles_x_nodes"]
+                == result.cycles * len(machine.cpus))
+        return machine, obs.thread_accounting()
+
+    @pytest.mark.parametrize("processors", [2, 4])
+    @pytest.mark.parametrize("mode", ["eager", "lazy"])
+    def test_wound_back_tail_leaves_both_ledgers_exact(self, mode,
+                                                       processors):
+        config = MachineConfig(num_processors=processors)
+        undone = 0
+        for pad in range(8):
+            compiled = compile_source(_exit_race_source(pad), mode=mode)
+            run_args = dict(entry=compiled.entry_label("main"),
+                            args=(processors + 1, pad % 3))
+            fast_machine, fast = self._accounted(
+                compiled, config, AlewifeMachine.run, **run_args)
+            assert fast_machine.loop_used == "fast"
+            _, stepped = self._accounted(
+                compiled, config, _step_to_completion, **run_args)
+            assert fast == stepped
+            undone += sum(cpu.ahead_undone for cpu in fast_machine.cpus)
         assert undone > 0
 
 

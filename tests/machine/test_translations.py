@@ -1,0 +1,189 @@
+"""Translation state belongs to the machine, not to its processors.
+
+What is cached at a pc — predecoded entry, fused block, JIT block or
+slice, visit count — is a function of the code there, so a machine's
+processors share one :class:`~repro.core.processor.Translations`: the
+machine warms once, a store into translated code is answered once, and
+the LRU bounds are the machine's.  Two machines share nothing but the
+process-wide :data:`~repro.core.jit.SHARED_BLOCKS`.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro import workloads
+from repro.core import processor
+from repro.core.jit import SHARED_BLOCKS
+from repro.lang.run import build_mult_machine
+from repro.machine.config import MachineConfig
+
+FIB = workloads.get("fib")
+
+
+def _machine(processors=4, **build):
+    return build_mult_machine(FIB.source(), processors=processors, **build)
+
+
+def _run(machine, compiled, n=9):
+    result = machine.run(entry=compiled.entry_label("main"), args=(n,))
+    assert result.value == FIB.reference(n)
+    return result
+
+
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """Every ``compile_block`` call the processors make: (pc, sliced)."""
+    calls = []
+    real = processor.compile_block
+
+    def counting(cpu, pc, sliced=False):
+        calls.append((pc, sliced))
+        return real(cpu, pc, sliced)
+
+    monkeypatch.setattr(processor, "compile_block", counting)
+    return calls
+
+
+class TestOneTablePerMachine:
+    @pytest.mark.parametrize("memory_mode", ["ideal", "coherent"])
+    def test_every_cpu_runs_from_the_same_tables(self, memory_mode):
+        machine, _ = _machine(config=MachineConfig(
+            num_processors=4, memory_mode=memory_mode))
+        first = machine.cpus[0]
+        for cpu in machine.cpus[1:]:
+            assert cpu.translations is first.translations
+            assert cpu._entry_map is first._entry_map
+            assert cpu._jit_map is first._jit_map
+            assert cpu._blocks is first._blocks
+            assert cpu._heat is first._heat
+
+    def test_block_compiled_through_one_cpu_runs_on_another(
+            self, compile_calls):
+        machine, compiled = _machine()
+        cpu0, cpu3 = machine.cpus[0], machine.cpus[3]
+        pc = compiled.program.address_of(compiled.entry_label("main"))
+        block = cpu0._compile_jit(pc)
+        assert block is not None and compile_calls == [(pc, False)]
+        # CPU 3 never visited the pc: no warm-up, no second compile.
+        cpu3.jit_threshold = 1 << 30
+        frame = cpu3.frame
+        frame.pc, frame.npc = pc, pc + 4
+        assert cpu3.step_block(1 << 30) > 0
+        assert cpu3.jit_runs == 1 and cpu3.jit_compiles == 0
+        assert cpu3._jit_map[pc] is block
+        assert compile_calls == [(pc, False)]
+
+    def test_a_run_compiles_each_pc_once_for_all_cpus(self, compile_calls):
+        machine, compiled = _machine()
+        _run(machine, compiled)
+        assert compile_calls
+        assert max(Counter(compile_calls).values()) == 1
+        # ... and the work was really spread over the processors.
+        assert sum(1 for cpu in machine.cpus if cpu.jit_runs) >= 3
+        jit = machine.cpus[0].translations.jit
+        assert jit.evictions == 0 and jit.invalidations == 0
+        assert len(compile_calls) == len(jit)
+        assert sum(cpu.jit_compiles for cpu in machine.cpus) == sum(
+            1 for block in jit.data.values() if block is not False)
+
+    def test_one_cpu_machine_shares_with_nobody(self):
+        machine, _ = _machine(processors=1)
+        bare = processor.Processor()
+        assert machine.cpus[0].translations is not bare.translations
+        assert bare.translations is not processor.Processor().translations
+
+
+class TestInvalidationIsPerMachine:
+    def test_one_listener_and_one_invalidation_per_store(self):
+        machine, compiled = _machine()
+        _run(machine, compiled)
+        memory = machine.memory
+        assert len(memory.code_watch._listeners) == 1
+        tables = machine.cpus[0].translations
+        block = next(b for key, b in tables.jit.data.items()
+                     if b is not False and key >= 0)
+        covering = sum(1 for b in tables.jit.data.values()
+                       if b is not False and b.start <= block.start < b.end)
+        before = (tables.jit.invalidations, tables.entries.invalidations)
+        # Same word back through the watched write path: a store into
+        # translated code, whatever it stores.
+        memory.write_word(block.start, memory.read_word(block.start))
+        assert tables.jit.invalidations == before[0] + covering
+        assert tables.entries.invalidations == before[1] + 1
+        for cpu in machine.cpus:
+            assert block.start not in cpu._entry_map
+            assert not any(b is not False and b.start <= block.start < b.end
+                           for b in cpu._jit_map.values())
+
+    def test_every_cpu_retranslates_after_a_patch(self, compile_calls):
+        machine, compiled = _machine()
+        pc = compiled.program.address_of(compiled.entry_label("main"))
+        stale = machine.cpus[0]._compile_jit(pc)
+        memory = machine.memory
+        memory.write_word(pc, memory.read_word(pc))
+        assert all(pc not in cpu._jit_map for cpu in machine.cpus)
+        fresh = machine.cpus[2]._compile_jit(pc)
+        assert compile_calls == [(pc, False), (pc, False)]
+        # Same words, so the process-wide cache answers with the block.
+        assert fresh is stale
+        assert all(cpu._jit_map[pc] is fresh for cpu in machine.cpus)
+
+
+class TestBoundsAreTheMachines:
+    def test_jit_lru_bound_holds_across_cpus(self):
+        machine, compiled = _machine()
+        jit = machine.cpus[0].translations.jit
+        jit.capacity = 8
+        _run(machine, compiled)
+        assert len(jit) <= 8 and jit.evictions > 0
+        assert sum(1 for cpu in machine.cpus if cpu.jit_runs) >= 3
+
+    def test_predecode_lru_bound_holds_across_cpus(self):
+        machine, compiled = _machine()
+        entries = machine.cpus[0].translations.entries
+        entries.capacity = 16
+        _run(machine, compiled)
+        assert len(entries) <= 16 and entries.evictions > 0
+
+
+class TestTwoMachinesShareOnlyCompiledBlocks:
+    def test_tables_are_disjoint_blocks_are_not(self):
+        one, compiled = _machine()
+        two, _ = _machine()
+        _run(one, compiled)
+        _run(two, compiled)
+        a, b = one.cpus[0].translations, two.cpus[0].translations
+        assert a is not b
+        for name in ("entries", "blocks", "jit", "heat"):
+            assert getattr(a, name) is not getattr(b, name)
+        assert a.watch is not b.watch
+        common = [key for key, block in a.jit.data.items()
+                  if block is not False and b.jit.data.get(key)]
+        assert common
+        for key in common:
+            assert a.jit.data[key] is b.jit.data[key]
+            assert a.jit.data[key].key in SHARED_BLOCKS.data
+
+
+class TestCountersKeepTheirShape:
+    def test_translation_counters_keys(self):
+        machine, compiled = _machine()
+        _run(machine, compiled)
+        cache_keys = {"size", "capacity", "evictions", "invalidations"}
+        for node, cpu in enumerate(machine.cpus):
+            counters = cpu.translation_counters()
+            assert set(counters) == {"node", "predecode", "jit",
+                                     "superblocks"}
+            assert counters["node"] == node
+            assert set(counters["predecode"]) == cache_keys
+            assert set(counters["jit"]) == cache_keys | {
+                "blocks", "compiles", "runs", "deopts", "enabled"}
+            assert set(counters["superblocks"]) == {
+                "size", "executed", "invalidations"}
+            # Run counters stay per processor; table sizes are shared.
+            assert counters["jit"]["runs"] == cpu.jit_runs
+            assert counters["jit"]["compiles"] == cpu.jit_compiles
+        sizes = {cpu.translation_counters()["jit"]["size"]
+                 for cpu in machine.cpus}
+        assert len(sizes) == 1

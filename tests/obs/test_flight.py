@@ -1,6 +1,6 @@
 """Flight recorder + hang watchdog: detection, post-mortems, and the
-fast-path eligibility contract (coarse subscriptions must not pin the
-machine onto the reference loop)."""
+fast-path eligibility contract (an event bus must not pin the machine
+onto the reference loop)."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.isa.assembler import assemble
 from repro.lang.run import build_mult_machine, run_mult
 from repro.machine.alewife import AlewifeMachine
 from repro.machine.config import MachineConfig
-from repro.obs import EventBus, EventKind, FlightRecorder, Watchdog
+from repro.obs import EventKind, FlightRecorder, Watchdog
 from repro.runtime import stubs
 from repro.runtime.sync import SYNC_ASM
 
@@ -135,8 +135,8 @@ class TestLivelockDetection:
 
 class TestFastPathEligibility:
     def test_watchdog_keeps_fast_loop(self):
-        """The flight recorder's coarse bus must not force the
-        reference loop: that is the whole point of EventBus(coarse=True)."""
+        """The flight recorder's bus must not force the reference
+        loop: no event is per-instruction."""
         machine, compiled, _ = _deadlocked_machine()
         with pytest.raises(HangDetected):
             machine.run(entry=compiled.entry_label("main"))
@@ -157,7 +157,8 @@ class TestFastPathEligibility:
     def test_existing_observation_bus_is_reused(self):
         """When an Observation already owns the event bus, the recorder
         subscribes to it instead of installing a second bus — and that
-        fine bus still pins the reference loop as before."""
+        observation's default sampler window still pins the reference
+        loop."""
         from repro.obs import Observation
         machine, compiled = build_mult_machine(FIB, processors=1)
         obs = Observation(events=True)
@@ -200,10 +201,21 @@ class TestFlightRecorder:
         assert flight.rings[0]
 
     def test_coarse_bus_excludes_cache_noise(self):
-        bus = EventBus(coarse=True)
         from repro.obs.flight import COARSE_KINDS
         assert EventKind.CACHE_EVICT not in COARSE_KINDS
         assert EventKind.DIRECTORY_READ not in COARSE_KINDS
         assert EventKind.TRAP_ENTER in COARSE_KINDS
         assert EventKind.CONTEXT_SWITCH in COARSE_KINDS
-        assert bus.coarse
+        # ... and what is not listed never reaches a ring, although the
+        # recorder's own bus carries every kind.
+        machine, compiled = build_mult_machine(
+            FIB, config=MachineConfig(num_processors=2,
+                                      memory_mode="coherent"))
+        flight = FlightRecorder(per_node=1 << 16)
+        flight.attach(machine)
+        machine.run(entry=compiled.entry_label("main"), args=(8,))
+        assert machine.loop_used == "fast"
+        assert machine.events.counts().get("directory_read", 0) > 0
+        kept = {event.kind for ring in flight.rings.values()
+                for event in ring}
+        assert kept and kept <= set(COARSE_KINDS)

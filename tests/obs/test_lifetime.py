@@ -1,12 +1,18 @@
-"""Per-thread lifetime accountant: exact conservation, byte stability."""
+"""Per-thread lifetime accountant: exact conservation, byte stability,
+and — since it accounts by difference — that settling at owner changes
+attributes every cycle to whoever ran it."""
 
+import functools
 import json
+import types
 
 import pytest
 
-from repro.lang.run import run_mult
+from repro.lang.run import build_mult_machine, run_mult
 from repro.machine.config import MachineConfig
-from repro.obs import ConservationError, Observation
+from repro.obs import ConservationError, LifetimeAccountant, Observation
+from repro.obs.lifetime import ONCPU_CLASS
+from tests.helpers import build_cpu, run_to_halt
 from tests.obs.conftest import FIB, observed_run
 
 
@@ -112,6 +118,244 @@ class TestOwnerAttribution:
         total_blocked = sum(l.waits.get("blocked_future", 0)
                             for l in lifetime.threads.values())
         assert sum(sites.values()) <= total_blocked
+
+
+class PerChargeOracle:
+    """The accountant as PR 4 shipped it, kept as the test oracle: every
+    ``Processor.charge`` call is attributed, as it happens, to the
+    node's owner at that moment.  Only the reference interpreter sends
+    every cycle through ``charge``, so machines under it are built with
+    ``fastpath=False``."""
+
+    def __init__(self, machine, lifetime):
+        self.lifetime = lifetime
+        self.threads = {}         # tid -> {class: cycles}
+        self.overhead = {}        # node -> {category: cycles}
+        for cpu in machine.cpus:
+            cpu.charge = functools.partial(self._charge, cpu, cpu.charge)
+
+    def _charge(self, cpu, charge, cycles, category="useful"):
+        charge(cycles, category)
+        if not cycles:
+            return
+        stack = self.lifetime._owner.get(cpu.node_id)
+        thread = cpu.frames[cpu.fp].thread
+        if stack:
+            tid = stack[-1]
+        else:
+            tid = thread.tid if thread is not None else None
+        if tid is None:
+            bucket, key = self.overhead.setdefault(cpu.node_id, {}), category
+        else:
+            bucket = self.threads.setdefault(tid, {})
+            key = ONCPU_CLASS[category]
+        bucket[key] = bucket.get(key, 0) + cycles
+
+
+class CountingAccountant(LifetimeAccountant):
+    """Counts :meth:`settle` calls (all of them, empty ones included)."""
+
+    settles = 0
+
+    def settle(self, cpu):
+        self.settles += 1
+        super().settle(cpu)
+
+
+class TestSettledEqualsCharged:
+    """By difference at owner changes == per charge, cycle for cycle."""
+
+    @pytest.mark.parametrize("processors,coherent,mode", [
+        (2, False, "eager"),
+        (4, False, "eager"),
+        (2, False, "lazy"),
+        (4, False, "lazy"),
+        (2, True, "eager"),
+        (4, True, "lazy"),
+    ])
+    def test_every_thread_and_node_bucket(self, processors, coherent, mode):
+        config = MachineConfig(
+            num_processors=processors,
+            memory_mode="coherent" if coherent else "ideal")
+        machine, compiled = build_mult_machine(FIB, mode=mode, config=config,
+                                               fastpath=False)
+        obs = Observation(events=False, window=0, threads=True)
+        obs.attach(machine)
+        oracle = PerChargeOracle(machine, obs.lifetime)
+        result = machine.run(entry=compiled.entry_label("main"), args=(9,))
+        assert result.value == 34
+        lifetime = obs.lifetime.finalize(machine)
+        assert lifetime.check()["exact"]
+        nonzero = lambda bucket: {k: v for k, v in bucket.items() if v}
+        assert len(oracle.threads) > processors
+        assert {tid: nonzero(ledger.oncpu)
+                for tid, ledger in lifetime.threads.items()
+                if nonzero(ledger.oncpu)} == oracle.threads
+        assert {node: nonzero(bucket)
+                for node, bucket in lifetime.node_overhead.items()
+                if nonzero(bucket)} == oracle.overhead
+        if mode == "lazy":
+            # A steal's set-up and stack copy are the stolen thread's
+            # start-up cost, not the thief's idle time.
+            stolen = [ledger for ledger in lifetime.threads.values()
+                      if ledger.name.startswith("steal-of-")]
+            assert stolen
+            for ledger in stolen:
+                assert ledger.oncpu["trap"] >= config.lazy_steal_cycles
+                assert "idle" not in ledger.oncpu
+
+    def test_settles_scale_with_scheduling_not_instructions(self):
+        machine, compiled = build_mult_machine(FIB, processors=4)
+        obs = Observation(events=False, window=0, threads=True)
+        obs.lifetime = CountingAccountant()
+        obs.attach(machine)
+        result = machine.run(entry=compiled.entry_label("main"), args=(12,))
+        assert result.value == 144 and machine.loop_used == "fast"
+        obs.lifetime.finalize(machine).check()
+        instructions = result.stats.instructions
+        traps = sum(cpu.stats.traps_taken for cpu in machine.cpus)
+        assert 0 < obs.lifetime.settles < instructions / 4
+        # A handful per trap at most: each load, unload, exit or
+        # switch settles a bounded number of times.
+        assert obs.lifetime.settles < 4 * traps
+
+
+FRAME_SWITCHES = """
+    a0:
+        addr r1, 1, r1
+        addr r1, 1, r1
+        incfp                   ; A -> B
+        addr r1, 1, r1          ; A again, after B's decfp
+        rdfp r2                 ; reads FP: no owner change
+        addr r0, 1, r3
+        stfp r3                 ; A -> B
+        halt                    ; A again, after B's stfp
+    b0:
+        addr r1, 1, r1
+        decfp                   ; B -> A
+        addr r1, 1, r1
+        addr r1, 1, r1
+        addr r1, 1, r1
+        stfp r0                 ; B -> A
+"""
+
+
+class TestFramePointerInstructions:
+    """A hand-assembled two-thread context switch through ``INCFP``,
+    ``DECFP`` and ``STFP``: every cycle belongs to the thread in the
+    frame that ran it, on every tier."""
+
+    @staticmethod
+    def _build():
+        cpu, _, program = build_cpu(FRAME_SWITCHES)
+        for index, (tid, label) in enumerate(((11, "a0"), (22, "b0"))):
+            frame = cpu.frames[index]
+            frame.thread = types.SimpleNamespace(tid=tid)
+            frame.pc = program.address_of(label)
+            frame.npc = frame.pc + 4
+        return cpu
+
+    def _expected(self):
+        """Step by step: a step's cycles go to the frame it began in."""
+        cpu = self._build()
+        spent = {}
+        while not cpu.halted:
+            tid, before = cpu.frame.thread.tid, cpu.cycles
+            cpu.step()
+            spent[tid] = spent.get(tid, 0) + cpu.cycles - before
+        assert cpu.read_reg(2, cpu.frames[0]) == 0      # RDFP saw FP = 0
+        assert spent == {11: 8, 22: 6}
+        return spent
+
+    @staticmethod
+    def _drive_reference(cpu):
+        cpu.use_reference_interpreter()
+        run_to_halt(cpu)
+
+    @staticmethod
+    def _drive_jit(cpu):
+        cpu.jit_threshold = 1
+        while not cpu.halted:
+            cpu.step_block(1 << 30)
+        assert cpu.jit_runs > 0
+
+    @pytest.mark.parametrize("tier", ["reference", "closure", "jit"])
+    def test_every_cycle_goes_to_the_frame_that_ran_it(self, tier):
+        cpu = self._build()
+        cpu.lifetime = lifetime = CountingAccountant()
+        {"reference": self._drive_reference, "closure": run_to_halt,
+         "jit": self._drive_jit}[tier](cpu)
+        # INCFP, DECFP and two STFPs settled; RDFP and the rest did not.
+        assert lifetime.settles == 4
+        lifetime.settle(cpu)
+        assert {tid: ledger.oncpu
+                for tid, ledger in lifetime.threads.items()} == {
+            tid: {"running": cycles}
+            for tid, cycles in self._expected().items()}
+        assert lifetime.node_attr == {0: cpu.cycles}
+        assert lifetime.node_overhead == {}
+
+
+class TestOwnerStack:
+    def test_nested_owners_restore_the_outer_one(self):
+        cpu, _, _ = build_cpu("halt")
+        lifetime = LifetimeAccountant()
+        cpu.charge(4, "idle")                   # nobody's: node overhead
+        lifetime.push_owner(cpu, 7)
+        cpu.charge(3, "trap")
+        lifetime.push_owner(cpu, 9)             # e.g. a load inside a steal
+        cpu.charge(5, "switch")
+        lifetime.pop_owner(cpu)
+        cpu.charge(2, "trap")                   # 7 again
+        lifetime.pop_owner(cpu)
+        cpu.frame.thread = types.SimpleNamespace(tid=8)
+        cpu.charge(6)                           # the frame's thread
+        lifetime.settle(cpu)
+        assert lifetime.settle(cpu) is None     # nothing new: a no-op
+        assert lifetime.node_overhead == {0: {"idle": 4}}
+        assert {tid: ledger.oncpu
+                for tid, ledger in lifetime.threads.items()} == {
+            7: {"trap": 5}, 9: {"switch_spin": 5}, 8: {"running": 6}}
+        assert cpu.cycles == 20 and lifetime.node_attr == {0: 20}
+
+    def test_switch_between_two_loaded_frames(self):
+        """No benchmark keeps two threads resident on one node (a node
+        loads only when idle), so the FP move of a context switch is
+        driven by hand: what ran before it is the old frame's."""
+        machine, _ = build_mult_machine(FIB, processors=1)
+        obs = Observation(events=False, window=0, threads=True)
+        obs.attach(machine)
+        runtime, cpu = machine.runtime, machine.cpus[0]
+        scheduler = runtime.scheduler
+        threads = [runtime.new_thread(0, cpu=cpu) for _ in range(2)]
+        frames = [scheduler.load_thread(cpu, thread,
+                                        bootstrap=runtime.bootstrap)
+                  for thread in threads]
+        scheduler.activate_frame(cpu, frames[0])
+        cpu.charge(7)
+        scheduler.activate_frame(cpu, frames[1])
+        cpu.charge(5)
+        obs.lifetime.settle(cpu)
+        load = machine.config.thread_load_cycles
+        assert [obs.lifetime.threads[thread.tid].oncpu
+                for thread in threads] == [
+            {"switch_spin": load, "running": 7},
+            {"switch_spin": load, "running": 5}]
+
+    def test_resolve_after_retire_is_the_exiting_threads(self):
+        """``on_thread_exit`` resolves the thread's future after its
+        frame is empty; the owner push keeps that cost off the node."""
+        _, obs = lifetime_run(processors=2)
+        lifetime = obs.lifetime.finalize(obs.machine)
+        config = obs.machine.config
+        for bucket in lifetime.node_overhead.values():
+            assert "trap" not in bucket
+        children = [ledger for ledger in lifetime.threads.values()
+                    if ledger.parent is not None]
+        assert children
+        for ledger in children:
+            assert ledger.oncpu["trap"] >= (config.thread_exit_cycles
+                                            + config.future_resolve_cycles)
 
 
 class TestByteStability:
