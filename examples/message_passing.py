@@ -14,7 +14,7 @@ from repro.isa import tags
 from repro.isa.assembler import assemble
 from repro.machine.alewife import AlewifeMachine
 from repro.machine.config import MachineConfig
-from repro.machine.trace import Tracer
+from repro.obs import EventKind, FlightRecorder
 from repro.runtime import stubs
 from repro.runtime.ipi import MessagePassing
 
@@ -39,7 +39,7 @@ def main():
     machine = AlewifeMachine(assemble(PROGRAM),
                              MachineConfig(num_processors=nodes))
     mp = MessagePassing(machine)
-    tracer = Tracer(machine, capacity=200)
+    flight = FlightRecorder().attach(machine)
     hops = []
 
     def forward(node):
@@ -77,8 +77,12 @@ def main():
         print("  node %d: %d instructions" % (
             cpu.node_id, cpu.stats.instructions))
     assert len(hops) == nodes * laps
-    print("\nLast few traced instructions on the machine:")
-    print("\n".join("  %r" % r for r in tracer.last(3)))
+    print("\nLast trap entries on each node (flight recorder):")
+    for node in range(nodes):
+        traps = [event for event in flight.rings[node]
+                 if event.kind is EventKind.TRAP_ENTER]
+        for event in traps[-2:]:
+            print("  %r" % event)
 
 
 if __name__ == "__main__":

@@ -23,8 +23,6 @@ Subcommands::
     april report PROGRAM.mult [run options] [--histograms]
                               [--threads] [--critical-path]
                               [--out report.json]
-    april bench [--out BENCH_simulator.json] [--check baseline] [--quick]
-                [--jobs N]
     april asm PROGRAM.s          # assemble + list
     april table3 [--programs fib,factor] [--systems APRIL,Apr-lazy]
                  [--jobs N] [--no-cache] [--force]
@@ -100,9 +98,13 @@ def _build_observation(args, force=False):
     if not (force or profile or events or timeline or txn or histograms
             or threads):
         return None
+    # The sampler pins the run to the per-instruction oracle, so it is
+    # attached only where its windows are read: the timeline, the
+    # Perfetto counter tracks, and profiled runs (pinned anyway).
+    sampled = timeline or events or profile or force
     return Observation(
         events=bool(events) or force,
-        window=args.window,
+        window=args.window if sampled else 0,
         profile=profile or force,
         txn=bool(txn) or histograms or force,
         threads=threads,
@@ -290,28 +292,6 @@ def _print_sweep_trailer(summary, failures):
         print("failed: %s: %s: %s"
               % (outcome.job.label, outcome.kind, outcome.message),
               file=sys.stderr)
-
-
-def _cmd_bench(args):
-    from repro.harness.bench import check_baseline, run_bench, write_bench
-    payload = run_bench(quick=args.quick, pool_size=args.jobs,
-                        fastpath=not args.no_fastpath,
-                        jit=not args.no_jit)
-    path = write_bench(payload, args.out)
-    print("wrote benchmark results to %s" % path, file=sys.stderr)
-    print("cycles/sec: %.0f   overhead: %.2fx   traced: %.2fx"
-          % (payload["cycles_per_sec"], payload["overhead_ratio"],
-             payload["traced_ratio"]), file=sys.stderr)
-    if args.check:
-        problems, notes = check_baseline(payload, args.check)
-        for note in notes:
-            print("note: %s" % note, file=sys.stderr)
-        if problems:
-            for problem in problems:
-                print("FAIL: %s" % problem, file=sys.stderr)
-            return 1
-        print("baseline check passed", file=sys.stderr)
-    return 0
 
 
 def _cmd_monitor(args):
@@ -667,40 +647,6 @@ def build_parser():
                             help="include the causal critical-path section "
                                  "(implies --threads)")
     report_cmd.set_defaults(func=_cmd_report)
-
-    bench_cmd = sub.add_parser(
-        "bench", help="benchmark the simulator itself (BENCH_simulator.json)")
-    bench_cmd.add_argument("--out", metavar="FILE",
-                           default="BENCH_simulator.json",
-                           help="output path (default BENCH_simulator.json)")
-    bench_cmd.add_argument("--check", metavar="BASELINE",
-                           help="compare against a baseline JSON and fail on "
-                                ">25%% cycles/sec regression ('baseline' = "
-                                "the committed benchmarks file)")
-    bench_cmd.add_argument("--quick", action="store_true",
-                           help="smaller workloads (for CI smoke / tests)")
-    bench_cmd.add_argument("--jobs", type=int, default=1, metavar="N",
-                           help="run the suite sections in N worker "
-                                "processes (each section still times "
-                                "itself in its own process)")
-    bench_cmd.add_argument("--no-cache", action="store_true",
-                           help="accepted for uniformity; bench results "
-                                "are never cached (they measure host "
-                                "wall time)")
-    bench_cmd.add_argument("--force", action="store_true",
-                           help="accepted for uniformity; bench always "
-                                "re-executes")
-    bench_cmd.add_argument("--no-fastpath", action="store_true",
-                           help="time the reference interpreter instead of "
-                                "the translation-cache fast path (A/B "
-                                "comparison; the committed baseline is "
-                                "measured with the fast path on)")
-    bench_cmd.add_argument("--no-jit", action="store_true",
-                           help="keep the fast path but disable the "
-                                "superblock JIT tier (A/B comparison; "
-                                "the committed baseline is measured with "
-                                "the JIT on)")
-    bench_cmd.set_defaults(func=_cmd_bench)
 
     asm_cmd = sub.add_parser("asm", help="assemble and list APRIL assembly")
     asm_cmd.add_argument("program")

@@ -179,8 +179,8 @@ class Processor:
         self.halted = False
         self.ipi_queue = deque()
         self.share_translations(Translations())
-        #: Master switch for the JIT tier (the ``april bench --no-jit``
-        #: A/B knob; the machine sets it from its ``jit`` argument).
+        #: Master switch for the JIT tier (the machine sets it from its
+        #: ``jit`` argument).
         self.jit_enabled = True
         self.jit_threshold = JIT_THRESHOLD
         #: Count of fused superblocks executed (diagnostics/tests only;
@@ -204,12 +204,8 @@ class Processor:
         self.jit_deopts = 0
         #: Pipeline-squash cost per trap (4 on custom APRIL silicon).
         self.trap_squash_cycles = TRAP_SQUASH_CYCLES
-        #: Optional per-instruction callback(cpu, pc, instr) for tracing.
-        self.trace_hook = None
         #: Optional per-instruction callback(cpu, pc, instr) for profiling.
         self.profile_hook = None
-        #: Optional per-trap callback(cpu, frame, trap) at trap entry.
-        self.trap_hook = None
         #: Optional data-access callback(cpu, pc, address, is_load,
         #: outcome) fired after every *successful* load/store (both
         #: interpreters).  The monitor's watchpoints attribute memory
@@ -310,8 +306,6 @@ class Processor:
         else:
             entries.move_to_end(pc)
 
-        if self.trace_hook is not None:
-            self.trace_hook(self, pc, entry.instr)
         if self.profile_hook is not None:
             self.profile_hook(self, pc, entry.instr)
         try:
@@ -353,8 +347,6 @@ class Processor:
             self._take_trap(frame, Trap(TrapKind.ILLEGAL, pc=pc, cause=str(exc)))
             return self.cycles - start
 
-        if self.trace_hook is not None:
-            self.trace_hook(self, pc, instr)
         if self.profile_hook is not None:
             self.profile_hook(self, pc, instr)
         npc = frame.npc
@@ -430,7 +422,7 @@ class Processor:
         if self.halted:
             return 0
         self.ahead_tail = None
-        if self.trace_hook is not None or self.profile_hook is not None:
+        if self.profile_hook is not None:
             return self.step()
         frame = self.frames[self.fp]
         if self.ipi_queue and frame.psr.value & ET_BIT:
@@ -644,8 +636,6 @@ class Processor:
         run the handler in the trapping frame, apply its action."""
         self.charge(self.trap_squash_cycles, "trap")
         self.stats.count_trap(trap.kind)
-        if self.trap_hook is not None:
-            self.trap_hook(self, frame, trap)
         if self.events is not None:
             self.events.emit(
                 EventKind.TRAP_ENTER, self.cycles, self.node_id,

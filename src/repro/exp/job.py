@@ -184,11 +184,11 @@ class Job:
 
 
 class CallJob:
-    """A generic named-function job (used by ``april bench --jobs``).
+    """A generic named-function job.
 
     Runs ``module.func(**kwargs)`` in a worker and returns its value.
-    Not cacheable by default: the canonical use is wall-clock
-    benchmarking, whose output is not a function of the inputs.
+    Not cacheable by default: nothing says its output is a function of
+    the inputs.
     """
 
     kind = "call"

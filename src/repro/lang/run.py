@@ -7,7 +7,7 @@ from repro.machine.config import MachineConfig
 
 def build_mult_machine(source, mode="eager", processors=1,
                        software_checks=False, config=None, optimize=False,
-                       fastpath=True, jit=True):
+                       fastpath=True):
     """Compile ``source`` and construct the machine without running it.
 
     Returns ``(machine, compiled)`` — the caller picks the driving loop:
@@ -21,15 +21,13 @@ def build_mult_machine(source, mode="eager", processors=1,
         config = MachineConfig(num_processors=processors)
     if config.lazy_futures != compiled.wants_lazy_scheduling:
         config = config.replace(lazy_futures=compiled.wants_lazy_scheduling)
-    machine = AlewifeMachine(compiled.program, config, fastpath=fastpath,
-                             jit=jit)
+    machine = AlewifeMachine(compiled.program, config, fastpath=fastpath)
     return machine, compiled
 
 
 def run_mult(source, mode="eager", processors=1, software_checks=False,
              config=None, entry="main", args=(), max_cycles=200_000_000,
-             optimize=False, observe=None, fastpath=True, jit=True,
-             watchdog=None):
+             optimize=False, observe=None, fastpath=True, watchdog=None):
     """Compile ``source`` and run its ``entry`` function.
 
     Returns the :class:`~repro.machine.alewife.MachineResult`; its
@@ -37,9 +35,8 @@ def run_mult(source, mode="eager", processors=1, software_checks=False,
     ``cycles`` the simulated run time.  Pass an
     :class:`~repro.obs.Observation` as ``observe`` to capture events,
     utilization timelines, and profiles from the run.
-    ``fastpath=False`` selects the reference interpreter and event loop;
-    ``jit=False`` keeps the fast path but disables the superblock JIT
-    tier (see :class:`~repro.machine.alewife.AlewifeMachine`).  Pass a
+    ``fastpath=False`` selects the reference interpreter and event loop
+    (see :class:`~repro.machine.alewife.AlewifeMachine`).  Pass a
     :class:`~repro.obs.Watchdog` as ``watchdog`` to get hang detection:
     the run raises :class:`~repro.errors.HangDetected` with a post-mortem
     instead of spinning to ``max_cycles``.
@@ -47,7 +44,7 @@ def run_mult(source, mode="eager", processors=1, software_checks=False,
     machine, compiled = build_mult_machine(
         source, mode=mode, processors=processors,
         software_checks=software_checks, config=config, optimize=optimize,
-        fastpath=fastpath, jit=jit)
+        fastpath=fastpath)
     if observe is not None:
         observe.attach(machine)
     if watchdog is not None:

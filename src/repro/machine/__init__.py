@@ -1,10 +1,9 @@
-"""Whole-machine simulation: the ALEWIFE machine driver, configuration,
-statistics, and the execution tracer."""
+"""Whole-machine simulation: the ALEWIFE machine driver, configuration
+and statistics."""
 
 from repro.machine.alewife import AlewifeMachine, MachineResult, run_program
 from repro.machine.config import MachineConfig
 from repro.machine.stats import MachineStats
-from repro.machine.trace import Tracer
 
 __all__ = ["AlewifeMachine", "MachineConfig", "MachineResult",
-           "MachineStats", "Tracer", "run_program"]
+           "MachineStats", "run_program"]

@@ -80,11 +80,11 @@ class AlewifeMachine:
 
     ``jit`` gates the third interpreter tier (:mod:`repro.core.jit`):
     hot superblocks compiled to generated Python functions.  ``False``
-    (CLI ``--no-jit``) caps the fast path at the PR 5 closure tier —
-    the A/B knob for pricing what the generated code is worth.  Same
-    contract as ``fastpath``: a constructor argument, not a config
-    knob, and architecturally invisible (the lockstep harness pins all
-    tiers cycle-identical).
+    caps the fast path at the PR 5 closure tier — the A/B knob for
+    pricing what the generated code is worth (``perf/``'s
+    ``core.ns_per_instr.closure``).  Same contract as ``fastpath``: a
+    constructor argument, not a config knob, and architecturally
+    invisible (the lockstep harness pins all tiers cycle-identical).
 
     The processors share one :class:`~repro.core.processor.
     Translations`: what is cached at a pc is a function of the code
@@ -155,8 +155,8 @@ class AlewifeMachine:
 
         The fast form batches instructions into superblocks and slices,
         which only a consumer of single instructions can tell from the
-        oracle: a trace, profile or watch hook, and the interval
-        sampler, which reads the counters mid-run.  Those send
+        oracle: a profile or watch hook, and the interval sampler,
+        which reads the counters mid-run.  Those send
         :meth:`run` to the oracle.  Everything else rides the fast
         form and sees what the oracle shows it: every
         :class:`~repro.obs.events.EventKind` is emitted from a slice
@@ -169,8 +169,7 @@ class AlewifeMachine:
         if self.sampler is not None:
             return False
         for cpu in self.cpus:
-            if (cpu.trace_hook is not None or cpu.profile_hook is not None
-                    or cpu.watch_hook is not None):
+            if cpu.profile_hook is not None or cpu.watch_hook is not None:
                 return False
         return True
 

@@ -300,11 +300,6 @@ def _dormant_baseline(compiled, config, args):
     return machine, result
 
 
-def _attach_trace(machine):
-    for cpu in machine.cpus:
-        cpu.trace_hook = lambda cpu, pc, instr: None
-
-
 def _attach_profile(machine):
     for cpu in machine.cpus:
         cpu.profile_hook = lambda cpu, pc, instr: None
@@ -343,7 +338,6 @@ def _attach_job_observation(machine):
 #: Consumers of single instructions: the batching fast loop would show
 #: them something else, so each one alone selects the oracle.
 PINNING = {
-    "trace_hook": _attach_trace,
     "profile_hook": _attach_profile,
     "watch_hook": _attach_watch,
     "sampler": _attach_sampler,

@@ -63,7 +63,7 @@ def _build(program, mode):
                              fastpath=fastpath)
     if hooked:
         for cpu in machine.cpus:
-            cpu.trace_hook = lambda cpu, pc, instr: None
+            cpu.profile_hook = lambda cpu, pc, instr: None
     return machine
 
 

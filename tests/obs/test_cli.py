@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro import cli
 from repro.cli import main
 
 
@@ -58,6 +61,56 @@ class TestTxnOption:
                                 "anomalies"}
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """Every Observation the CLI builds, in order."""
+    seen = []
+    build = cli._build_observation
+
+    def spy(args, force=False):
+        seen.append(build(args, force=force))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "_build_observation", spy)
+    return seen
+
+
+class TestSamplerOnlyWhenRead:
+    """The sampler selects the per-instruction oracle, so the CLI
+    attaches it only for a flag that reads its windows."""
+
+    RUN = ["-p", "4", "--coherent", "--args", "6"]
+
+    @pytest.mark.parametrize("extra", ([], ["--json"]), ids=("text", "json"))
+    def test_txn_alone_rides_the_fast_loop(self, fib_program, capsys,
+                                           tmp_path, built, extra):
+        sampled = tmp_path / "sampled.json"
+        assert main(["run", fib_program, *self.RUN, "--txn", str(sampled),
+                     "--window", "4096", "--timeline"]) == 0
+        assert built[-1].machine.loop_used == "reference"
+        capsys.readouterr()
+
+        alone = tmp_path / "alone.json"
+        assert main(["run", fib_program, *self.RUN, "--txn", str(alone),
+                     *extra]) == 0
+        assert built[-1].machine.loop_used == "fast"
+        assert alone.read_bytes() == sampled.read_bytes()
+        if extra:
+            payload = json.loads(capsys.readouterr().out)
+            assert "transactions" in payload
+            assert "timeline" not in payload
+
+    @pytest.mark.parametrize("flag", ("--timeline", "--profile", "--events"))
+    def test_flags_that_read_the_sampler_keep_it(self, fib_program, capsys,
+                                                 tmp_path, built, flag):
+        argv = ["run", fib_program, *self.RUN, "--json", flag]
+        if flag == "--events":
+            argv.append(str(tmp_path / "trace.json"))
+        assert main(argv) == 0
+        assert built[-1].machine.loop_used == "reference"
+        assert json.loads(capsys.readouterr().out)["timeline"]["windows"]
+
+
 class TestReportCommand:
     def test_report_stdout(self, fib_program, capsys):
         assert main(["report", fib_program, "-p", "2", "--args", "7"]) == 0
@@ -84,64 +137,6 @@ class TestReportCommand:
             assert set(summary) >= {"count", "p50", "p90", "p99",
                                     "buckets"}
         assert report["components"]["sync"]["locks"] == 0
-
-
-class TestBenchCommand:
-    def test_bench_writes_payload(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_simulator.json"
-        assert main(["bench", "--quick", "--out", str(out)]) == 0
-        err = capsys.readouterr().err
-        assert "cycles/sec" in err
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == "april-bench/1"
-        assert payload["quick"] is True
-        assert payload["cycles_per_sec"] > 0
-        assert payload["instr_per_sec"] > 0
-        assert set(payload["runs"]) == {"sequential", "eager", "coherent"}
-        assert payload["histograms"], "bench recorded no latency histograms"
-
-    def test_bench_check_against_itself_passes(self, capsys, tmp_path):
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--quick", "--out", str(out)]) == 0
-        capsys.readouterr()
-        # A payload is always within tolerance of a baseline with the
-        # same numbers, modulo run-to-run noise; self-check by reusing
-        # the file we just wrote as the baseline.
-        again = tmp_path / "bench2.json"
-        assert main(["bench", "--quick", "--out", str(again),
-                     "--check", str(out)]) == 0
-        assert "baseline check" in capsys.readouterr().err
-
-    def test_bench_check_fails_on_regression(self, capsys, tmp_path):
-        from repro.harness.bench import check_baseline
-        baseline = tmp_path / "base.json"
-        baseline.write_text(json.dumps({"cycles_per_sec": 1e12}))
-        problems, _ = check_baseline({"cycles_per_sec": 1000.0,
-                                      "traced_ratio": 1.0}, str(baseline))
-        assert problems and "regressed" in problems[0]
-
-    def test_bench_check_missing_baseline(self, tmp_path):
-        from repro.harness.bench import check_baseline
-        problems, _ = check_baseline({"cycles_per_sec": 1.0},
-                                     str(tmp_path / "nope.json"))
-        assert problems and "cannot read" in problems[0]
-
-    def test_bench_check_skips_incomparable_payloads(self, tmp_path):
-        """quick or --no-fastpath payloads measure different workloads:
-        the rate gate must note the mismatch, not cry regression."""
-        from repro.harness.bench import check_baseline
-        baseline = tmp_path / "base.json"
-        baseline.write_text(json.dumps(
-            {"cycles_per_sec": 1e12, "quick": False, "fastpath": True}))
-        for payload in (
-            {"cycles_per_sec": 1000.0, "traced_ratio": 1.0, "quick": True,
-             "fastpath": True},
-            {"cycles_per_sec": 1000.0, "traced_ratio": 1.0, "quick": False,
-             "fastpath": False},
-        ):
-            problems, notes = check_baseline(payload, str(baseline))
-            assert not problems
-            assert notes and "not comparable" in notes[0]
 
 
 class TestExplainCommand:

@@ -29,7 +29,6 @@ class TestDormantHooks:
         for cpu in machine.cpus:
             assert cpu.events is None
             assert cpu.profile_hook is None
-            assert cpu.trap_hook is None
         fabric = machine.fabric
         assert fabric.network.events is None
         for component in (fabric.caches + fabric.controllers

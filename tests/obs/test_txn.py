@@ -2,6 +2,12 @@
 
 import json
 
+import pytest
+
+from repro import workloads
+from repro.lang.run import build_mult_machine
+from repro.machine.config import MachineConfig
+from repro.obs import Observation
 from repro.obs.txn import TransactionTracer
 
 from tests.obs.conftest import observed_run
@@ -76,6 +82,52 @@ class TestTracedRun:
         total = sum(h.count for h in txn.histograms.by_kind.values())
         assert total == txn.emitted
         assert sum(txn.by_kind.values()) == txn.emitted
+
+
+class TestLatencyGolden:
+    """fib(10), eager, four coherent nodes.  The latency table is a
+    property of the simulated machine, not of the host or the schedule:
+    changing a coherence latency fails here."""
+
+    CYCLES = 26_992
+    RECORDED = 619
+    #: kind -> (count, p50, p90, p99)
+    TABLE = {
+        "local_read": (10, 10, 10, 10),
+        "local_write": (70, 10, 10, 10),
+        "remote_read": (263, 31, 31, 49),
+        "remote_write": (222, 31, 31, 45),
+        "upgrade": (54, 31, 31, 56),
+    }
+
+    @pytest.mark.parametrize("loop, observe", [
+        ("fast", dict(events=False, window=0)),
+        ("stepper", dict(events=False, window=0)),
+        ("reference", dict(events=True, window=4096, profile=True)),
+    ], ids=("fast", "stepper", "reference"))
+    def test_histograms(self, loop, observe):
+        fib = workloads.get("fib")
+        machine, compiled = build_mult_machine(
+            fib.source(), mode="eager",
+            config=MachineConfig(num_processors=4, memory_mode="coherent"))
+        obs = Observation(txn=True, **observe)
+        obs.attach(machine)
+        entry = compiled.entry_label("main")
+        if loop == "stepper":
+            stepper = machine.stepper(entry=entry, args=(10,))
+            while stepper.step_machine() is not None:
+                pass
+            result = stepper.result()
+        else:
+            result = machine.run(entry=entry, args=(10,))
+        assert machine.loop_used == loop
+        assert result.value == fib.reference(10)
+        assert result.cycles == self.CYCLES
+        assert obs.txn.summary()["recorded"] == self.RECORDED
+        assert {kind: (h.count, h.percentile(50), h.percentile(90),
+                       h.percentile(99))
+                for kind, h in obs.txn.histograms.by_kind.items()
+                } == self.TABLE
 
 
 class TestDeterminism:
