@@ -1,5 +1,5 @@
-"""Comparison systems of Table 3: the Encore Multimax configuration and
-the sequential (T-compiled) baselines."""
+"""Comparison systems of Table 3: the Encore Multimax configuration
+(the sequential baselines are ``mode="sequential"`` compiles)."""
 
 from repro.baselines.encore import encore_config
 

@@ -65,7 +65,7 @@ import argparse
 import json
 import sys
 
-from repro.errors import HangDetected
+from repro.errors import HangDetected, ReproError
 from repro.harness.figure5 import render_report
 from repro.harness.table3 import SYSTEMS, render_table3, run_table3
 from repro.isa.assembler import assemble
@@ -136,14 +136,9 @@ def _report_hang(exc, args):
     print(exc.render())
     out = getattr(args, "postmortem", None)
     if out:
-        try:
-            with open(out, "w") as handle:
-                json.dump(exc.postmortem, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        except OSError as err:
-            print("error: cannot write %s: %s" % (out, err.strerror),
-                  file=sys.stderr)
-            return 1
+        with open(out, "w") as handle:
+            json.dump(exc.postmortem, handle, indent=2, sort_keys=True)
+            handle.write("\n")
         print("wrote post-mortem JSON to %s" % out, file=sys.stderr)
     return 3
 
@@ -178,39 +173,24 @@ def _cmd_run(args):
             print()
             print(obs.sampler.render())
 
-    return _write_trace(obs, args) or _write_txn(obs, args)
+    _write_outputs(obs, args)
+    return 0
 
 
-def _write_trace(obs, args):
-    """Write the Perfetto trace if requested; clean error, not a traceback."""
-    if obs is None or not args.events:
-        return 0
-    try:
+def _write_outputs(obs, args):
+    """Write the Perfetto trace and the coherence-transaction JSON, as
+    requested."""
+    if obs is None:
+        return
+    if args.events:
         path = obs.write_perfetto(args.events)
-    except OSError as exc:
-        print("error: cannot write %s: %s" % (args.events, exc.strerror),
+        print("wrote Perfetto trace to %s (open in ui.perfetto.dev)" % path,
               file=sys.stderr)
-        return 1
-    print("wrote Perfetto trace to %s (open in ui.perfetto.dev)" % path,
-          file=sys.stderr)
-    return 0
-
-
-def _write_txn(obs, args):
-    """Write the coherence-transaction JSON if requested."""
     txn = getattr(args, "txn", None)
-    if obs is None or not txn:
-        return 0
-    try:
+    if txn:
         path = obs.write_txn(txn)
-    except OSError as exc:
-        print("error: cannot write %s: %s" % (txn, exc.strerror),
-              file=sys.stderr)
-        return 1
-    summary = obs.txn.summary()
-    print("wrote %d coherence transactions to %s"
-          % (summary["recorded"], path), file=sys.stderr)
-    return 0
+        print("wrote %d coherence transactions to %s"
+              % (obs.txn.summary()["recorded"], path), file=sys.stderr)
 
 
 def _cmd_explain(args):
@@ -242,7 +222,8 @@ def _cmd_explain(args):
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
         print(obs.explain_render(top=args.top))
-    return _write_trace(obs, args) or _write_txn(obs, args)
+    _write_outputs(obs, args)
+    return 0
 
 
 def _cmd_report(args):
@@ -255,17 +236,13 @@ def _cmd_report(args):
             top=args.top, why_top=args.top)["critical_path"]
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(text + "\n")
-        except OSError as exc:
-            print("error: cannot write %s: %s" % (args.out, exc.strerror),
-                  file=sys.stderr)
-            return 1
+        with open(args.out, "w") as handle:
+            handle.write(text + "\n")
         print("wrote report to %s" % args.out, file=sys.stderr)
     else:
         print(text)
-    return _write_trace(obs, args) or _write_txn(obs, args)
+    _write_outputs(obs, args)
+    return 0
 
 
 def _build_cache(args):
@@ -282,6 +259,17 @@ def _split_names(values):
     for value in values or ():
         names.extend(part for part in value.split(",") if part)
     return names
+
+
+def _unknown_name(kind, names, known):
+    """Print ``error:`` for the first of ``names`` not in ``known``;
+    true when there is one."""
+    for name in names or ():
+        if name not in known:
+            print("error: unknown %s %r (have: %s)"
+                  % (kind, name, ", ".join(known)), file=sys.stderr)
+            return True
+    return False
 
 
 def _print_sweep_trailer(summary, failures):
@@ -328,16 +316,9 @@ def _cmd_table3(args):
     from repro import workloads
     programs = _split_names(args.programs) or None
     systems = tuple(_split_names(args.systems)) or SYSTEMS
-    for name in programs or ():
-        if name not in workloads.BY_NAME:
-            print("error: unknown program %r (have: %s)"
-                  % (name, ", ".join(workloads.BY_NAME)), file=sys.stderr)
-            return 2
-    for system in systems:
-        if system not in SYSTEMS:
-            print("error: unknown system %r (have: %s)"
-                  % (system, ", ".join(SYSTEMS)), file=sys.stderr)
-            return 2
+    if (_unknown_name("program", programs, workloads.BY_NAME)
+            or _unknown_name("system", systems, SYSTEMS)):
+        return 2
     result = run_table3(program_names=programs, systems=systems,
                         pool_size=args.jobs, cache=_build_cache(args),
                         force=args.force, timeout_s=args.timeout)
@@ -347,8 +328,11 @@ def _cmd_table3(args):
 
 
 def _cmd_speedup(args):
+    from repro import workloads
     from repro.harness.speedup import render_speedup, run_speedup
     programs = _split_names(args.programs) or None
+    if _unknown_name("program", programs, workloads.BY_NAME):
+        return 2
     curves, sweep = run_speedup(program_names=programs, system=args.system,
                                 cpus=tuple(args.cpus), pool_size=args.jobs,
                                 cache=_build_cache(args), force=args.force,
@@ -359,28 +343,18 @@ def _cmd_speedup(args):
 
 
 def _cmd_sweep(args):
-    from repro.errors import SweepSpecError
     from repro.exp.runner import run_jobs
     from repro.exp.spec import (
         expand_spec, load_spec, merged_output, render_output,
     )
-    try:
-        spec = load_spec(args.spec)
-        jobs = expand_spec(spec)
-    except SweepSpecError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    spec = load_spec(args.spec)
+    jobs = expand_spec(spec)
     sweep = run_jobs(jobs, pool_size=args.jobs, cache=_build_cache(args),
                      force=args.force, timeout_s=args.timeout)
     text = render_output(merged_output(spec, sweep))
     if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print("error: cannot write %s: %s" % (args.out, exc.strerror),
-                  file=sys.stderr)
-            return 1
+        with open(args.out, "w") as handle:
+            handle.write(text)
         print("wrote sweep results to %s" % args.out, file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -398,15 +372,10 @@ def _cmd_serve(args):
     import asyncio
     import signal
 
-    from repro.errors import ServeError
     from repro.serve.server import build_server
 
     async def _main():
-        try:
-            server = build_server(args)
-        except ServeError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
+        server = build_server(args)
         await server.start()
         where = []
         if args.socket:
@@ -431,27 +400,16 @@ def _cmd_serve(args):
                 print("note: --trace-perfetto ignored (tracing disabled)",
                       file=sys.stderr)
             else:
-                try:
-                    with open(args.trace_perfetto, "w") as handle:
-                        json.dump(trace, handle, sort_keys=True)
-                        handle.write("\n")
-                except OSError as exc:
-                    print("error: cannot write %s: %s"
-                          % (args.trace_perfetto, exc.strerror),
-                          file=sys.stderr)
-                    return 1
+                with open(args.trace_perfetto, "w") as handle:
+                    json.dump(trace, handle, sort_keys=True)
+                    handle.write("\n")
                 print("wrote server timeline to %s (open in "
                       "ui.perfetto.dev)" % args.trace_perfetto,
                       file=sys.stderr)
         if args.metrics_out:
-            try:
-                with open(args.metrics_out, "w") as handle:
-                    json.dump(snapshot, handle, indent=2, sort_keys=True)
-                    handle.write("\n")
-            except OSError as exc:
-                print("error: cannot write %s: %s"
-                      % (args.metrics_out, exc.strerror), file=sys.stderr)
-                return 1
+            with open(args.metrics_out, "w") as handle:
+                json.dump(snapshot, handle, indent=2, sort_keys=True)
+                handle.write("\n")
             print("wrote final metrics to %s" % args.metrics_out,
                   file=sys.stderr)
         counters = snapshot["counters"]
@@ -497,13 +455,8 @@ def _cmd_loadgen(args):
 
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(text + "\n")
-        except OSError as exc:
-            print("error: cannot write %s: %s" % (args.out, exc.strerror),
-                  file=sys.stderr)
-            return 1
+        with open(args.out, "w") as handle:
+            handle.write(text + "\n")
         print("wrote loadgen report to %s" % args.out, file=sys.stderr)
     if args.json and not args.out:
         print(text)
@@ -541,6 +494,14 @@ def _cmd_top(args):
     return 0 if frames else 1
 
 
+def _window(text):
+    """argparse type of ``--window``: a cycle count, 0 for no sampler."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be 0 or more cycles")
+    return value
+
+
 def _add_machine_options(cmd):
     cmd.add_argument("program")
     cmd.add_argument("-p", "--processors", type=int, default=1)
@@ -557,8 +518,9 @@ def _add_machine_options(cmd):
     cmd.add_argument("--txn", metavar="FILE",
                      help="write every coherence transaction (spans, "
                           "latency histograms, anomalies) as JSON")
-    cmd.add_argument("--window", type=int, default=4096,
-                     help="utilization sampler window in cycles")
+    cmd.add_argument("--window", type=_window, default=4096,
+                     help="utilization sampler window in cycles "
+                          "(0 = no sampler)")
     cmd.add_argument("--top", type=int, default=20,
                      help="profile entries to show/emit")
 
@@ -807,9 +769,19 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; returns the exit code.
+
+    What the package itself raises (:class:`ReproError`: a bad program,
+    configuration, spec, listener) and a file that cannot be read or
+    written is one ``error:`` line and exit 2 — never a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, OSError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ Cycle accounting contract: handlers charge "useful" cycles inline
 categories go through ``cpu.charge``.  Nothing observes a charge — the
 lifetime accountant reads the counters by difference — but the three
 instructions that move FP change who the next cycles belong to, so they
-let it settle first (``cpu.lifetime.settle``, after their own cycle).
+let it settle first (``cpu.events.lifetime``, after their own cycle).
 """
 
 from repro.core.psr import C_BIT, FE_BIT, N_BIT, V_BIT, Z_BIT
@@ -531,9 +531,10 @@ def _factory_frame(instr):
                 else:
                     cpu.globals[gd] = cpu.fp
             return npc, npc + 4
-        if cpu.lifetime is not None:
+        lifetime = cpu.events.lifetime
+        if lifetime is not None:
             # The cycles so far, this one included, ran in this frame.
-            cpu.lifetime.settle(cpu)
+            lifetime.settle(cpu)
         count = len(cpu.frames)
         if op is Opcode.INCFP:
             cpu.fp = (cpu.fp + 1) % count

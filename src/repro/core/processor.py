@@ -45,7 +45,7 @@ from repro.isa.instructions import (
     Opcode,
 )
 from repro.isa.tags import WORD_MASK
-from repro.obs.events import EventKind
+from repro.obs.events import EventBus, EventKind
 
 #: Cycle-cost categories tracked by :attr:`Processor.stats`.
 CATEGORIES = ("useful", "stall", "trap", "switch", "spin", "idle")
@@ -162,10 +162,12 @@ class Processor:
         port: a :class:`repro.core.memport.MemoryPort`.
         num_frames: hardware task frames (4 in the SPARC implementation).
         decoder: optionally shared :class:`DecodeCache`.
+        events: the machine's :class:`~repro.obs.events.EventBus` (a
+            bare processor makes a dormant one of its own).
     """
 
     def __init__(self, node_id=0, port=None, num_frames=registers.NUM_TASK_FRAMES,
-                 decoder=None):
+                 decoder=None, events=None):
         self.node_id = node_id
         self.port = port
         self.frames = [TaskFrame(i) for i in range(num_frames)]
@@ -211,14 +213,10 @@ class Processor:
         #: interpreters).  The monitor's watchpoints attribute memory
         #: and full/empty-bit transitions to the storing pc through it.
         self.watch_hook = None
-        #: Optional :class:`repro.obs.events.EventBus` (None = no-op hooks).
-        self.events = None
-        #: Optional transaction tracer (see :mod:`repro.obs.txn`).
-        self.txn = None
-        #: Optional lifetime accountant (see :mod:`repro.obs.lifetime`);
-        #: it reads :attr:`stats` by difference, so only the
-        #: instructions that move FP tell it anything.
-        self.lifetime = None
+        #: The machine's observer surface (:mod:`repro.obs.events`).  Its
+        #: ``lifetime`` accountant reads :attr:`stats` by difference, so
+        #: only the instructions that move FP tell it anything.
+        self.events = events if events is not None else EventBus()
 
     # -- register file ----------------------------------------------------
 
@@ -636,22 +634,22 @@ class Processor:
         run the handler in the trapping frame, apply its action."""
         self.charge(self.trap_squash_cycles, "trap")
         self.stats.count_trap(trap.kind)
-        if self.events is not None:
-            self.events.emit(
-                EventKind.TRAP_ENTER, self.cycles, self.node_id,
-                trap=trap.kind.name, pc=trap.pc, frame=frame.index)
+        bus = self.events
+        if bus.active:
+            bus.emit(EventKind.TRAP_ENTER, self.cycles, self.node_id,
+                     trap=trap.kind.name, pc=trap.pc, frame=frame.index)
         frame.enter_trap()
         handler = self.trap_table.lookup(trap)
         action = handler(self, frame, trap)
         if action is None:
             raise ProcessorError("trap handler returned no action for %r" % trap)
-        if self.events is not None:
-            self.events.emit(
-                EventKind.TRAP_EXIT, self.cycles, self.node_id,
-                trap=trap.kind.name, action=action.name, frame=self.fp)
-        if self.txn is not None:
-            self.txn.trap_action(self.node_id, trap.kind.name, action.name,
-                                 self.cycles, self.fp)
+        if bus.active:
+            bus.emit(EventKind.TRAP_EXIT, self.cycles, self.node_id,
+                     trap=trap.kind.name, action=action.name, frame=self.fp)
+        txn = bus.txn
+        if txn is not None:
+            txn.trap_action(self.node_id, trap.kind.name, action.name,
+                            self.cycles, self.fp)
         if action is TrapAction.RETRY or action is TrapAction.SWITCHED:
             # PC chain untouched: the trapping instruction re-executes
             # when this frame next runs.
@@ -786,9 +784,10 @@ class Processor:
         if op is Opcode.RDFP:
             self.write_reg(instr.rd, self.fp, frame)
             return npc, npc + 4
-        if self.lifetime is not None:
+        lifetime = self.events.lifetime
+        if lifetime is not None:
             # The cycles so far, this one included, ran in this frame.
-            self.lifetime.settle(self)
+            lifetime.settle(self)
         count = len(self.frames)
         if op is Opcode.INCFP:
             self.fp = (self.fp + 1) % count

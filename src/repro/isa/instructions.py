@@ -291,19 +291,6 @@ class Instruction:
                 regs.append(self.rd)
         return regs
 
-    def destination_register(self):
-        """Encoded register this instruction writes, or ``None``."""
-        cat = self.category
-        if cat in (Category.COMPUTE, Category.LOGIC):
-            if self.op is Opcode.CMP:
-                return None
-            return self.rd
-        if cat is Category.LOAD or self.op in (
-            Opcode.JMPL, Opcode.RDFP, Opcode.RDPSR, Opcode.LDIO
-        ):
-            return self.rd
-        return None
-
 
 def render_operand(value):
     """Format an immediate for disassembly."""

@@ -105,8 +105,3 @@ def register_name(number):
     if GLOBAL_BASE <= number < NUM_REGISTER_NAMES:
         return "g%d" % (number - GLOBAL_BASE)
     raise ValueError("invalid register number: %d" % number)
-
-
-def is_global(number):
-    """True if an encoded register number names a global register."""
-    return number >= GLOBAL_BASE

@@ -24,6 +24,7 @@ from repro.machine.config import MachineConfig
 from repro.machine.stats import MachineStats
 from repro.mem.ideal import IdealMemoryPort
 from repro.mem.memory import CodeWatch, Memory
+from repro.obs.events import EventBus
 from repro.runtime.rts import RuntimeSystem
 
 #: How long the fast form lets a processor run when no other is queued,
@@ -105,10 +106,11 @@ class AlewifeMachine:
         #: Which schedule drove the run, for tests: "fast", "reference"
         #: (:meth:`run` drove the oracle) or "stepper" (a caller did).
         self.loop_used = None
-        #: Observability slots (see :mod:`repro.obs`): an attached
-        #: ``Observation`` wires these; a sampler selects the oracle.
+        #: The one observer surface (:mod:`repro.obs.events`): emitting
+        #: components are built with it, observers subscribe to it.
+        self.events = EventBus()
+        #: Optional interval sampler; attached, it selects the oracle.
         self.sampler = None
-        self.events = None
         #: Optional :class:`repro.obs.flight.Watchdog`; both schedules
         #: poll its ``next_check_at`` and turn the run-time system's
         #: deadlock abort into its typed ``HangDetected``.
@@ -129,7 +131,7 @@ class AlewifeMachine:
             for cpu in self.cpus:
                 cpu.use_reference_interpreter()
         self.runtime = RuntimeSystem(
-            self.config, self.memory, self.cpus, program)
+            self.config, self.memory, self.cpus, program, self.events)
 
     def _build_memory_system(self, decoder):
         config = self.config
@@ -138,14 +140,15 @@ class AlewifeMachine:
             for node in range(config.num_processors):
                 cpu = Processor(node_id=node, port=port,
                                 num_frames=config.num_task_frames,
-                                decoder=decoder)
+                                decoder=decoder, events=self.events)
                 cpu.trap_squash_cycles = config.trap_squash_cycles
                 self.cpus.append(cpu)
             self.fabric = None
         else:
             # Full cache + directory + network system.
             from repro.mem.system import CoherentMemorySystem
-            self.fabric = CoherentMemorySystem(config, self.memory, decoder)
+            self.fabric = CoherentMemorySystem(
+                config, self.memory, decoder, self.events)
             self.cpus = self.fabric.cpus
 
     # -- execution ---------------------------------------------------------
@@ -161,7 +164,7 @@ class AlewifeMachine:
         form and sees what the oracle shows it: every
         :class:`~repro.obs.events.EventKind` is emitted from a slice
         head, a trap, the run-time system or the memory system, in the
-        oracle's order with the oracle's stamps, so event buses and the
+        oracle's order with the oracle's stamps, so subscribers and the
         transaction tracer record identical streams, and the lifetime
         accountant reads the cycle counters by difference at those same
         boundaries (``TestObserversRideTheFastForm``).

@@ -136,14 +136,6 @@ class MachineConfig:
         """
         return self._fields()
 
-    def fingerprint(self):
-        """Stable hex digest of every knob (part of sweep cache keys)."""
-        import hashlib
-        import json
-        text = json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
     def _fields(self):
         return dict(
             num_processors=self.num_processors,

@@ -18,7 +18,7 @@ Also implements the Section 3.4 mechanisms that live cache-side:
 import enum
 
 from repro.errors import ConfigError
-from repro.obs.events import EventKind
+from repro.obs.events import EventBus, EventKind
 
 
 class LineState(enum.Enum):
@@ -67,7 +67,7 @@ class Cache:
     """State/tag array of one node's cache."""
 
     def __init__(self, size_bytes=64 * 1024, block_bytes=16, assoc=4,
-                 node_id=0):
+                 node_id=0, events=None):
         if size_bytes % (block_bytes * assoc):
             raise ConfigError("cache geometry does not divide evenly")
         if block_bytes & (block_bytes - 1):
@@ -80,10 +80,8 @@ class Cache:
                       for _ in range(self.num_sets)]
         self._clock = 0
         self.stats = CacheStats()
-        #: Optional event bus (see :mod:`repro.obs`); None = no-op hooks.
-        self.events = None
-        #: Optional transaction tracer (see :mod:`repro.obs.txn`).
-        self.txn = None
+        #: The machine's observer surface (:mod:`repro.obs.events`).
+        self.events = events if events is not None else EventBus()
         # Fence counters, one per hardware context (Section 3.4).
         self.fence_counters = {}
 
@@ -130,10 +128,10 @@ class Cache:
         if victim.state is not LineState.INVALID and victim.tag != block:
             displaced = (victim.tag, victim.state)
             self.stats.evictions += 1
-            if self.events is not None:
-                self.events.emit(
-                    EventKind.CACHE_EVICT, now, self.node_id,
-                    block=victim.tag, state=victim.state.value)
+            bus = self.events
+            if bus.active:
+                bus.emit(EventKind.CACHE_EVICT, now, self.node_id,
+                         block=victim.tag, state=victim.state.value)
         victim.tag = block
         victim.state = state
         victim.last_used = self._clock
@@ -147,12 +145,13 @@ class Cache:
         old = line.state
         line.state = LineState.INVALID
         self.stats.invalidations_received += 1
-        if self.events is not None:
-            self.events.emit(
-                EventKind.CACHE_INVALIDATE, now, self.node_id,
-                block=line.tag, state=old.value)
-        if self.txn is not None:
-            self.txn.inv_leg(self.node_id, line.tag, old.value, now)
+        bus = self.events
+        if bus.active:
+            bus.emit(EventKind.CACHE_INVALIDATE, now, self.node_id,
+                     block=line.tag, state=old.value)
+        txn = bus.txn
+        if txn is not None:
+            txn.inv_leg(self.node_id, line.tag, old.value, now)
         return old
 
     def downgrade(self, address):

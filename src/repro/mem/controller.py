@@ -24,7 +24,7 @@ from repro.core.memport import MemOutcome, MemoryPort
 from repro.core.traps import TrapKind
 from repro.errors import SimulationError
 from repro.mem.cache import LineState
-from repro.obs.events import EventKind
+from repro.obs.events import EventBus, EventKind
 
 #: Memory-mapped I/O register offsets (LDIO/STIO space).
 IO_BASE = 0xFFFF0000
@@ -66,17 +66,15 @@ class ControllerStats:
 class CacheController(MemoryPort):
     """One node's cache + directory controller."""
 
-    def __init__(self, node_id, memory, cache, system):
+    def __init__(self, node_id, memory, cache, system, events=None):
         self.node_id = node_id
         self.memory = memory
         self.cache = cache
         self.system = system          # Interconnect (peers, net)
         self.pending = {}             # block -> completion time
         self.stats = ControllerStats()
-        #: Optional event bus (see :mod:`repro.obs`); None = no-op hooks.
-        self.events = None
-        #: Optional transaction tracer (see :mod:`repro.obs.txn`).
-        self.txn = None
+        #: The machine's observer surface (:mod:`repro.obs.events`).
+        self.events = events if events is not None else EventBus()
         self._fence_acks = []         # (ack time, context id)
         self._ipi_target = 0
         self._bt_src = 0
@@ -108,13 +106,14 @@ class CacheController(MemoryPort):
         if outcome is not None:
             return outcome
         value, was_full, trap_kind = self.memory.sync_load(address, flavor)
+        txn = self.events.txn
         if trap_kind is not None:
-            if self.txn is not None:
-                self.txn.fe_fault(self.node_id, address, trap_kind.name,
-                                  self._now(context), cpu=context)
+            if txn is not None:
+                txn.fe_fault(self.node_id, address, trap_kind.name,
+                             self._now(context), cpu=context)
             return MemOutcome.trap(trap_kind, cycles=1, fe_full=was_full)
-        if self.txn is not None:
-            self.txn.fe_sync(self.node_id, address, self._now(context))
+        if txn is not None:
+            txn.fe_sync(self.node_id, address, self._now(context))
         return MemOutcome.hit(value=value, cycles=self._last_cycles,
                               fe_full=was_full)
 
@@ -124,13 +123,14 @@ class CacheController(MemoryPort):
         if outcome is not None:
             return outcome
         was_full, trap_kind = self.memory.sync_store(address, value, flavor)
+        txn = self.events.txn
         if trap_kind is not None:
-            if self.txn is not None:
-                self.txn.fe_fault(self.node_id, address, trap_kind.name,
-                                  self._now(context), cpu=context)
+            if txn is not None:
+                txn.fe_fault(self.node_id, address, trap_kind.name,
+                             self._now(context), cpu=context)
             return MemOutcome.trap(trap_kind, cycles=1, fe_full=was_full)
-        if self.txn is not None:
-            self.txn.fe_sync(self.node_id, address, self._now(context))
+        if txn is not None:
+            txn.fe_sync(self.node_id, address, self._now(context))
         return MemOutcome.hit(cycles=self._last_cycles, fe_full=was_full)
 
     # -- the coherence walk ------------------------------------------------------
@@ -157,9 +157,10 @@ class CacheController(MemoryPort):
         if block not in self.pending:
             self.cache.stats.misses += 1
 
+        bus = self.events
+        txn = bus.txn
         completion = self.pending.get(block)
         if completion is None:
-            txn = self.txn
             if txn is not None:
                 txn.begin(self.node_id, block, self._home(block), is_write,
                           now, cpu=context, upgrade=line is not None)
@@ -178,18 +179,17 @@ class CacheController(MemoryPort):
                 return None
             self.stats.remote_misses += 1
             self.pending[block] = completion
-            if self.events is not None:
-                self.events.emit(
-                    EventKind.REMOTE_MISS, now, self.node_id,
-                    block=block, home=self._home(block), write=is_write,
-                    ready_at=completion)
+            if bus.active:
+                bus.emit(EventKind.REMOTE_MISS, now, self.node_id, block=block,
+                         home=self._home(block), write=is_write,
+                         ready_at=completion)
 
         if now >= completion:
             del self.pending[block]
             self._fill(block, is_write, now)
             self._last_cycles = 1
-            if self.txn is not None:
-                self.txn.complete(self.node_id, block, now)
+            if txn is not None:
+                txn.complete(self.node_id, block, now)
             return None
 
         if wait:
@@ -198,14 +198,14 @@ class CacheController(MemoryPort):
             self._fill(block, is_write, now)
             self.stats.holds += 1
             self._last_cycles = max(completion - now, 1)
-            if self.txn is not None:
-                self.txn.complete(self.node_id, block, completion)
+            if txn is not None:
+                txn.complete(self.node_id, block, completion)
             return None
 
         # Trap the processor (MEXC): it will switch-spin and retry.
         self.stats.traps += 1
-        if self.txn is not None:
-            self.txn.trap_retry(self.node_id, block, now, cpu=context)
+        if txn is not None:
+            txn.trap_retry(self.node_id, block, now, cpu=context)
         return MemOutcome.trap(TrapKind.CACHE_MISS, cycles=1,
                                detail="block %#x ready at %d" % (
                                    block, completion))
@@ -255,9 +255,9 @@ class CacheController(MemoryPort):
                 remote_legs = True
 
         done = network.send(home, self.node_id, data_flits, coherence_done)
-        if self.txn is not None:
-            self.txn.mark_phases(now, arrive, service_done, coherence_done,
-                                 done)
+        txn = self.events.txn
+        if txn is not None:
+            txn.mark_phases(now, arrive, service_done, coherence_done, done)
         return done, not remote_legs
 
     def _fill(self, block, is_write, now=0):
@@ -284,7 +284,7 @@ class CacheController(MemoryPort):
         self.system.directories[home].handle_eviction(
             block, self.node_id, dirty)
         if dirty:
-            txn = self.txn
+            txn = self.events.txn
             if txn is not None:
                 txn.begin(self.node_id, block, home, True, now, cpu=context,
                           kind="writeback")

@@ -19,7 +19,7 @@ charges the network for each leg.
 import enum
 
 from repro.errors import SimulationError
-from repro.obs.events import EventKind
+from repro.obs.events import EventBus, EventKind
 
 
 class DirState(enum.Enum):
@@ -40,17 +40,15 @@ class DirectoryEntry:
 class Directory:
     """The directory slice owned by one home node."""
 
-    def __init__(self, node_id):
+    def __init__(self, node_id, events=None):
         self.node_id = node_id
         self._entries = {}       # block address -> DirectoryEntry
         self.read_requests = 0
         self.write_requests = 0
         self.invalidations_sent = 0
         self.owner_fetches = 0
-        #: Optional event bus (see :mod:`repro.obs`); None = no-op hooks.
-        self.events = None
-        #: Optional transaction tracer (see :mod:`repro.obs.txn`).
-        self.txn = None
+        #: The machine's observer surface (:mod:`repro.obs.events`).
+        self.events = events if events is not None else EventBus()
 
     def counters(self):
         """Counter snapshot for reports."""
@@ -79,13 +77,13 @@ class Directory:
         """
         self.read_requests += 1
         item = self.entry(block)
-        if self.events is not None:
-            self.events.emit(
-                EventKind.DIRECTORY_READ, now, self.node_id,
-                block=block, requester=requester, state=item.state.value)
-        if self.txn is not None:
-            self.txn.dir_leg(self.node_id, block, "read", item.state.value,
-                             0, now)
+        bus = self.events
+        if bus.active:
+            bus.emit(EventKind.DIRECTORY_READ, now, self.node_id, block=block,
+                     requester=requester, state=item.state.value)
+        txn = bus.txn
+        if txn is not None:
+            txn.dir_leg(self.node_id, block, "read", item.state.value, 0, now)
         fetch_from = None
         if item.state is DirState.MODIFIED and item.owner != requester:
             fetch_from = item.owner
@@ -122,14 +120,14 @@ class Directory:
         elif item.state is DirState.SHARED:
             invalidees = item.sharers - {requester}
         self.invalidations_sent += len(invalidees)
-        if self.events is not None:
-            self.events.emit(
-                EventKind.DIRECTORY_WRITE, now, self.node_id,
-                block=block, requester=requester,
-                invalidations=len(invalidees))
-        if self.txn is not None:
-            self.txn.dir_leg(self.node_id, block, "write", item.state.value,
-                             len(invalidees), now)
+        bus = self.events
+        if bus.active:
+            bus.emit(EventKind.DIRECTORY_WRITE, now, self.node_id, block=block,
+                     requester=requester, invalidations=len(invalidees))
+        txn = bus.txn
+        if txn is not None:
+            txn.dir_leg(self.node_id, block, "write", item.state.value,
+                        len(invalidees), now)
         item.state = DirState.MODIFIED
         item.owner = requester
         item.sharers = set()

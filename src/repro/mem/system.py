@@ -25,12 +25,12 @@ class Interconnect:
     than by a later cycle-collector pass.
     """
 
-    def __init__(self, config):
+    def __init__(self, config, events):
         self.memory_latency = config.coherent_memory_latency
         self.block_bytes = config.cache_block_bytes
         self.network = Network(
             KAryNCube.fitting(config.num_processors, dim=config.network_dim),
-            hop_cycles=config.network_hop_cycles)
+            hop_cycles=config.network_hop_cycles, events=events)
         self.caches = []
         self.directories = []
         #: Each processor's ``ipi_queue``, by node: posting an IPI is
@@ -45,8 +45,8 @@ class Interconnect:
 class CoherentMemorySystem:
     """Builds and owns the per-node memory hierarchy."""
 
-    def __init__(self, config, memory, decoder):
-        peers = Interconnect(config)
+    def __init__(self, config, memory, decoder, events):
+        peers = Interconnect(config, events)
         self.network = peers.network
         self.caches = peers.caches
         self.directories = peers.directories
@@ -58,14 +58,14 @@ class CoherentMemorySystem:
             cache = Cache(size_bytes=config.cache_bytes,
                           block_bytes=config.cache_block_bytes,
                           assoc=config.cache_assoc,
-                          node_id=node)
-            controller = CacheController(node, memory, cache, peers)
+                          node_id=node, events=events)
+            controller = CacheController(node, memory, cache, peers, events)
             cpu = Processor(node_id=node, port=controller,
                             num_frames=config.num_task_frames,
-                            decoder=decoder)
+                            decoder=decoder, events=events)
             cpu.trap_squash_cycles = config.trap_squash_cycles
             self.caches.append(cache)
-            self.directories.append(Directory(node))
+            self.directories.append(Directory(node, events))
             peers.ipi_queues.append(cpu.ipi_queue)
             self.controllers.append(controller)
             self.cpus.append(cpu)

@@ -11,7 +11,7 @@ order, which is all the experiments use).
 """
 
 from repro.net.topology import KAryNCube
-from repro.obs.events import EventKind
+from repro.obs.events import EventBus, EventKind
 
 
 class NetworkStats:
@@ -42,15 +42,13 @@ class NetworkStats:
 class Network:
     """Mesh interconnect with per-link occupancy-based contention."""
 
-    def __init__(self, topology, hop_cycles=1):
+    def __init__(self, topology, hop_cycles=1, events=None):
         self.topology = topology
         self.hop_cycles = hop_cycles
         self._link_free = {}     # (node, axis, dir) -> next free cycle
         self.stats = NetworkStats()
-        #: Optional event bus (see :mod:`repro.obs`); None = no-op hooks.
-        self.events = None
-        #: Optional transaction tracer (see :mod:`repro.obs.txn`).
-        self.txn = None
+        #: The machine's observer surface (:mod:`repro.obs.events`).
+        self.events = events if events is not None else EventBus()
 
     def send(self, src, dst, size_flits, now):
         """Deliver a message; returns its arrival time.
@@ -77,15 +75,16 @@ class Network:
         self.stats.flit_hops += len(links) * size_flits
         self.stats.total_latency += time - now
         self.stats.contention_cycles += contention
-        if self.events is not None:
-            self.events.emit(
-                EventKind.NET_SEND, now, src, dst=dst, flits=size_flits,
-                hops=len(links), contention=contention)
-            self.events.emit(
+        bus = self.events
+        if bus.active:
+            bus.emit(EventKind.NET_SEND, now, src, dst=dst, flits=size_flits,
+                     hops=len(links), contention=contention)
+            bus.emit(
                 EventKind.NET_DELIVER, time, dst, src=src, flits=size_flits)
-        if self.txn is not None:
-            self.txn.net_leg(src, dst, size_flits, len(links), now, time,
-                             contention)
+        txn = bus.txn
+        if txn is not None:
+            txn.net_leg(src, dst, size_flits, len(links), now, time,
+                        contention)
         return time
 
     def round_trip(self, src, dst, request_flits, reply_flits, now,

@@ -1,11 +1,12 @@
 """Observability: the telemetry spine of the simulator.
 
-The simulator's components carry *dormant* instrumentation hooks — a
-single ``events is not None`` test on each hot path — that wake up when
-an :class:`Observation` is attached to a machine.  Three consumers are
-built in:
+Every machine is built with one :class:`~repro.obs.events.EventBus`
+(``machine.events``); its components' instrumentation sites stay
+*dormant* — a single ``bus.active`` test on each hot path — until an
+observer subscribes, which is what attaching an :class:`Observation`
+does.  The consumers built in:
 
-* the :class:`~repro.obs.events.EventBus` — a bounded ring of typed,
+* the :class:`~repro.obs.events.EventLog` — a bounded ring of typed,
   structured events (context switches, traps, remote misses, directory
   transactions, network messages, future and thread lifecycle);
 * the :class:`~repro.obs.sampler.IntervalSampler` — per-node
@@ -52,7 +53,7 @@ From the shell: ``april run prog.mult --profile --events out.json
 """
 
 from repro.obs.critpath import CriticalPath
-from repro.obs.events import Event, EventBus, EventKind, Subscription
+from repro.obs.events import Event, EventBus, EventKind, EventLog, Subscription
 from repro.obs.flight import FlightRecorder, Watchdog, render_postmortem
 from repro.obs.hist import LatencyHistograms, Log2Histogram
 from repro.obs.lifetime import ConservationError, LifetimeAccountant
@@ -70,6 +71,7 @@ __all__ = [
     "Event",
     "EventBus",
     "EventKind",
+    "EventLog",
     "FlightRecorder",
     "HotPathProfiler",
     "IntervalSampler",

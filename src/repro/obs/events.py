@@ -1,23 +1,28 @@
-"""The structured event bus.
+"""The event bus: a machine's one observer surface.
 
-Components never construct events when nobody listens: every
-instrumentation site is guarded by a single ``events is not None``
-attribute test (the component's ``events`` slot is ``None`` until an
-:class:`~repro.obs.session.Observation` wires a bus in), so the
-disabled path costs one pointer comparison.
+Every machine owns one :class:`EventBus` (``AlewifeMachine.events``),
+built with it, never ``None`` and never replaced, and hands it to each
+emitting component's constructor, so observers *subscribe* to one object
+instead of being installed on every component.  The bus is dispatch
+only: a site tests ``bus.active`` — true iff anybody is subscribed —
+before it builds an ``emit`` call, so the dormant path costs one
+attribute test.  The two consumers that are called directly rather than
+sent events ride on it as plain attributes, ``bus.txn`` and
+``bus.lifetime``, ``None`` when absent.
 
 Events are *typed* (:class:`EventKind`) and *structured* (a payload
 dict of plain ints/strings), timestamped in simulated cycles and tagged
-with the originating node.  The bus keeps a bounded ring of records —
-oldest dropped first — and offers synchronous subscriptions for
-consumers that must see every event regardless of ring capacity (the
-Perfetto exporter uses the ring; online reductions subscribe).
+with the originating node.  What keeps them is a subscriber:
+:class:`EventLog` is the bounded ring — oldest dropped first — an
+:class:`~repro.obs.session.Observation` subscribes for all kinds (the
+Perfetto exporter reads it); online reductions subscribe to the kinds
+they want and see every event regardless of any ring's capacity.
 
 No event is per-instruction.  Every :class:`EventKind` is emitted from
 the head of a slice, a trap, the run-time system or the memory system —
-never from inside a fused block or a run-ahead tail — so a bus records
-the same stream, in the same order with the same stamps, under both
-machine schedules, and attaching one does not select the oracle
+never from inside a fused block or a run-ahead tail — so a subscriber
+sees the same stream, in the same order with the same stamps, under both
+machine schedules, and subscribing does not select the oracle
 (``tests/core/test_lockstep.py::TestObserversRideTheFastForm``).  A
 new kind emitted per instruction would break that: give it a hook that
 ``AlewifeMachine._hooks_dormant`` names instead.
@@ -26,6 +31,8 @@ new kind emitted per instruction would break that: give it a hook that
 import enum
 from collections import deque
 
+from repro.errors import ConfigError
+
 
 class EventKind(enum.Enum):
     """Every event type the simulator can emit."""
@@ -33,7 +40,7 @@ class EventKind(enum.Enum):
     # Members are singletons and compare by identity, so the identity
     # hash is correct — and it is C-speed, unlike Enum's default
     # Python-level ``__hash__``, which shows up in profiles because the
-    # bus keys its per-kind dicts by member on every emit.
+    # bus and the log key their per-kind dicts by member on every emit.
     __hash__ = object.__hash__
 
     # Processor / trap machinery.
@@ -106,14 +113,12 @@ class Subscription:
         if not self.active:
             return
         self.active = False
-        if self._kind is None:
-            self._bus._subscribers.remove(self._callback)
-        else:
-            callbacks = self._bus._kind_subscribers.get(self._kind)
-            if callbacks is not None:
-                callbacks.remove(self._callback)
-                if not callbacks:
-                    del self._bus._kind_subscribers[self._kind]
+        bus = self._bus
+        callbacks = bus._subscribers[self._kind]
+        callbacks.remove(self._callback)
+        if not callbacks:
+            del bus._subscribers[self._kind]
+            bus.active = bool(bus._subscribers)
 
     def __enter__(self):
         return self
@@ -124,53 +129,41 @@ class Subscription:
 
 
 class EventBus:
-    """Bounded ring of :class:`Event` records plus live subscribers.
+    """Subscriptions and dispatch for one machine.
 
-    Args:
-        capacity: ring size; oldest records are dropped past it.
-            ``None`` keeps everything (tests, short runs).
+    ``active`` is true iff anybody is subscribed; ``txn`` and
+    ``lifetime`` hold the machine's one tracer and one accountant.
     """
 
-    def __init__(self, capacity=1_000_000):
-        self.records = deque(maxlen=capacity)
-        self.emitted = 0
-        self._dropped = 0
-        self._counts = {}
-        self._subscribers = []          # called for every event
-        self._kind_subscribers = {}     # EventKind -> [callables]
+    __slots__ = ("active", "txn", "lifetime", "_subscribers")
 
-    @property
-    def capacity(self):
-        return self.records.maxlen
+    def __init__(self):
+        self.active = False
+        self.txn = None
+        self.lifetime = None
+        self._subscribers = {}      # EventKind, or None for all -> [callables]
 
-    @property
-    def dropped(self):
-        """Events pushed out of the ring by capacity.
-
-        Counted explicitly at each overflowing append — not derived
-        from ``emitted - len(records)``, which silently drifts if the
-        ring is ever consumed or resized out-of-band.
-        """
-        return self._dropped
+    def __setattr__(self, name, value):
+        # A second tracer or accountant must not silently take the
+        # sites away from the first.
+        if name in ("txn", "lifetime") and value is not None:
+            held = getattr(self, name)
+            if held is not None and held is not value:
+                raise ConfigError("machine already has a %s attached" % name)
+        object.__setattr__(self, name, value)
 
     def emit(self, kind, cycle, node, **data):
-        """Record an event and notify subscribers."""
+        """Send an event to the subscribers of all kinds, then of its
+        own; builds no :class:`Event` when there are neither."""
+        subscribers = self._subscribers
+        to_all, to_kind = subscribers.get(None), subscribers.get(kind)
+        if to_all is None and to_kind is None:
+            return
         event = Event(kind, cycle, node, data)
-        records = self.records
-        # ``len == None`` is False, so an unbounded ring skips the
-        # dropped-counter bump without a separate maxlen test.
-        if len(records) == records.maxlen:
-            self._dropped += 1
-        records.append(event)
-        self.emitted += 1
-        counts = self._counts
-        counts[kind] = counts.get(kind, 0) + 1
-        for callback in self._subscribers:
+        for callback in to_all or ():
             callback(event)
-        subscribers = self._kind_subscribers.get(kind)
-        if subscribers is not None:
-            for callback in subscribers:
-                callback(event)
+        for callback in to_kind or ():
+            callback(event)
 
     def subscribe(self, callback, kind=None):
         """Call ``callback(event)`` on every event (or one kind only).
@@ -180,11 +173,43 @@ class EventBus:
         If the same callback is subscribed twice, each cancel removes
         one registration.
         """
-        if kind is None:
-            self._subscribers.append(callback)
-        else:
-            self._kind_subscribers.setdefault(kind, []).append(callback)
+        self._subscribers.setdefault(kind, []).append(callback)
+        self.active = True
         return Subscription(self, callback, kind)
+
+
+class EventLog:
+    """Bounded ring of :class:`Event` records; subscribe :meth:`record`.
+
+    Args:
+        capacity: ring size; oldest records are dropped past it.
+            ``None`` keeps everything (tests, short runs).
+    """
+
+    def __init__(self, capacity=1_000_000):
+        self.records = deque(maxlen=capacity)
+        self.emitted = 0
+        #: Events pushed out of the ring by capacity: counted at each
+        #: overflowing append, not derived from ``emitted - len``, which
+        #: drifts if the ring is ever consumed or resized out-of-band.
+        self.dropped = 0
+        self._counts = {}
+
+    @property
+    def capacity(self):
+        return self.records.maxlen
+
+    def record(self, event):
+        """Keep one event."""
+        records = self.records
+        # ``len == None`` is False, so an unbounded ring skips the
+        # dropped-counter bump without a separate maxlen test.
+        if len(records) == records.maxlen:
+            self.dropped += 1
+        records.append(event)
+        self.emitted += 1
+        counts = self._counts
+        counts[event.kind] = counts.get(event.kind, 0) + 1
 
     # -- queries -----------------------------------------------------------
 

@@ -5,11 +5,11 @@ every run:
 
 * :class:`FlightRecorder` — a bounded per-node ring of the *coarse*
   event kinds (traps, context switches, scheduling, futures, network
-  deliveries, memory-transaction completions), subscribed through an
-  :class:`~repro.obs.events.EventBus`.  No bus selects the oracle
-  schedule — every emission site fires outside fused superblocks and
-  with identical cycle stamps on the fast and reference paths (the
-  lockstep harness pins this) — so the recorder rides the fast loop.
+  deliveries, memory-transaction completions), subscribed kind by kind
+  to the machine's :class:`~repro.obs.events.EventBus`.  No subscriber
+  selects the oracle schedule — every emission site fires outside fused
+  superblocks, with identical cycle stamps on the fast and reference
+  paths (the lockstep harness pins this) — so it rides the fast loop.
 
 * :class:`Watchdog` — every ``interval`` cycles it inspects the
   run-time system directly (no per-event cost): *deadlock* is every
@@ -35,7 +35,7 @@ from collections import deque
 from repro.errors import HangDetected
 from repro.isa import registers, tags
 from repro.isa.disassembler import disassemble_around
-from repro.obs.events import EventBus, EventKind
+from repro.obs.events import EventKind
 from repro.runtime.thread import ThreadState
 
 #: The event kinds the flight recorder keeps: listed explicitly so that
@@ -89,61 +89,31 @@ class FlightRecorder:
     Args:
         per_node: ring capacity per node.
 
-    If the machine already has an event bus (a full
-    :class:`~repro.obs.session.Observation` is attached), the recorder
-    simply subscribes to it; otherwise it installs its own bus on every
-    emitting component.  Either way the machine keeps its fast loop
+    It subscribes its :data:`COARSE_KINDS` to ``machine.events`` and
+    to nothing else, so it neither disturbs nor depends on whatever
+    else observes the machine, and the machine keeps its fast loop
     (see :meth:`AlewifeMachine._hooks_dormant`).
     """
 
     def __init__(self, per_node=64):
         self.per_node = per_node
         self.rings = {}           # node -> deque of Event
-        self.machine = None
         self._subscriptions = []
-        self._installed = False   # we own machine.events
 
     # -- wiring ------------------------------------------------------------
 
     def attach(self, machine):
-        """Subscribe to the machine's bus, installing one if absent."""
-        self.machine = machine
+        """Subscribe the coarse kinds to the machine's bus."""
         bus = machine.events
-        if bus is None:
-            bus = EventBus(capacity=self.per_node * len(machine.cpus))
-            self._install_bus(machine, bus)
-            self._installed = True
         for kind in COARSE_KINDS:
             self._subscriptions.append(bus.subscribe(self._record, kind))
         return self
 
     def detach(self):
-        """Cancel subscriptions; remove the bus if we installed it."""
+        """Cancel the subscriptions."""
         for subscription in self._subscriptions:
             subscription.cancel()
         self._subscriptions = []
-        machine = self.machine
-        if machine is not None and self._installed:
-            self._install_bus(machine, None)
-            self._installed = False
-        self.machine = None
-
-    @staticmethod
-    def _install_bus(machine, bus):
-        """Point every emitting component's ``events`` slot at ``bus``."""
-        machine.events = bus
-        runtime = machine.runtime
-        runtime.events = bus
-        runtime.scheduler.events = bus
-        runtime.futures.events = bus
-        for cpu in machine.cpus:
-            cpu.events = bus
-        fabric = machine.fabric
-        if fabric is not None:
-            fabric.network.events = bus
-            for component in (fabric.caches + fabric.controllers
-                              + fabric.directories):
-                component.events = bus
 
     def _record(self, event):
         ring = self.rings.get(event.node)

@@ -157,10 +157,10 @@ class LifetimeAccountant:
     """The per-thread lifetime accountant (see module docstring).
 
     Wire it through :class:`repro.obs.session.Observation` with
-    ``threads=True``; it subscribes to the event bus synchronously (so
-    ring capacity never truncates its view), and the scheduler, the
-    run-time system and the frame-pointer instructions call
-    :meth:`settle` through their ``lifetime`` slots.
+    ``threads=True``; it subscribes to the machine's event bus
+    synchronously (so no ring capacity truncates its view), and the
+    scheduler, the run-time system and the frame-pointer instructions
+    call :meth:`settle` through that bus's ``lifetime`` attribute.
     """
 
     def __init__(self):
@@ -180,14 +180,16 @@ class LifetimeAccountant:
     # -- wiring ----------------------------------------------------------
 
     def subscribe(self, bus):
-        """Attach the event-stream half to a bus (synchronous)."""
+        """Attach the event-stream half to a bus (synchronous); returns
+        the six :class:`~repro.obs.events.Subscription` handles."""
         from repro.obs.events import EventKind
-        bus.subscribe(self._on_spawn, EventKind.THREAD_SPAWN)
-        bus.subscribe(self._on_load, EventKind.THREAD_LOAD)
-        bus.subscribe(self._on_unload, EventKind.THREAD_UNLOAD)
-        bus.subscribe(self._on_exit, EventKind.THREAD_EXIT)
-        bus.subscribe(self._on_wake, EventKind.THREAD_WAKE)
-        bus.subscribe(self._on_steal, EventKind.THREAD_STEAL)
+        return [bus.subscribe(callback, kind) for callback, kind in (
+            (self._on_spawn, EventKind.THREAD_SPAWN),
+            (self._on_load, EventKind.THREAD_LOAD),
+            (self._on_unload, EventKind.THREAD_UNLOAD),
+            (self._on_exit, EventKind.THREAD_EXIT),
+            (self._on_wake, EventKind.THREAD_WAKE),
+            (self._on_steal, EventKind.THREAD_STEAL))]
 
     # -- node-time ledger (by difference) --------------------------------
 

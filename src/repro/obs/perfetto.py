@@ -1,6 +1,6 @@
 """Chrome/Perfetto trace export.
 
-Converts an :class:`~repro.obs.events.EventBus` stream into the Chrome
+Converts an :class:`~repro.obs.events.EventLog` stream into the Chrome
 Trace Event JSON format (the legacy format Perfetto still ingests):
 open the written file in ``ui.perfetto.dev`` or ``chrome://tracing``.
 
@@ -167,7 +167,7 @@ def perfetto_trace(bus, num_nodes, end_cycle, sampler=None,
     """Build the Chrome trace dict for an event stream.
 
     Args:
-        bus: the :class:`EventBus` (its ring is consumed read-only).
+        bus: the :class:`EventLog` (its ring is consumed read-only).
         num_nodes: machine size, for the process metadata.
         end_cycle: run end; closes slices still open at the end.
         sampler: optional :class:`IntervalSampler` for counter tracks.

@@ -78,19 +78,8 @@ def machine_report(machine, result=None, observation=None, top=40):
         }
     if observation is not None:
         report.update(observation.to_dict(top=top))
-    # Even without an Observation object, a machine may carry an attached
-    # bus/sampler: surface drop counts and the window config so consumers
-    # can detect truncated event streams instead of silently
-    # under-attributing.
-    bus = getattr(machine, "events", None)
-    if bus is not None and "events" not in report:
-        report["events"] = {
-            "emitted": bus.emitted,
-            "recorded": len(bus),
-            "dropped": bus.dropped,
-            "capacity": bus.capacity,
-            "counts": bus.counts(),
-        }
+    # A sampler attached without an Observation still has its window
+    # config surfaced (event counts are the subscribed log's, above).
     sampler = getattr(machine, "sampler", None)
     if sampler is not None and "timeline" not in report:
         report["timeline"] = {"window": sampler.window,

@@ -1,18 +1,19 @@
-"""The :class:`Observation` session: wire consumers into a machine.
+"""The :class:`Observation` session: subscribe consumers to a machine.
 
-One object gathers the event bus, the interval sampler, the hot-path
-profiler, and the coherence-transaction tracer, and knows how to thread
-them through every instrumented component of an
-:class:`AlewifeMachine`.  Components whose ``events``/``txn`` slots stay
-``None`` keep their no-op fast path; attaching is what turns the
-dormant hooks on.
+One object gathers the event log, the interval sampler, the hot-path
+profiler, the coherence-transaction tracer and the lifetime accountant.
+What listens to events, or is called by the instrumented sites, goes
+through the machine's one bus (``machine.events``): attaching adds to
+it and detaching removes exactly what was added, so other observers of
+the machine (a flight recorder, a watchdog) record the same whatever
+the order.
 """
 
 import json
 
 from repro.obs.critpath import analyze as _critpath_analyze
 from repro.obs.critpath import summarize as _critpath_summarize
-from repro.obs.events import EventBus
+from repro.obs.events import EventLog
 from repro.obs.lifetime import LifetimeAccountant
 from repro.obs.perfetto import perfetto_trace
 from repro.obs.profiler import HotPathProfiler
@@ -32,20 +33,22 @@ class Observation:
         txn: enable the coherence-transaction tracer (+ histograms).
         txn_capacity: finished-transaction ring size (None = unbounded).
         threads: enable the per-thread lifetime accountant (and the
-            critical-path analyzer on top of it).  Forces an event bus —
-            the accountant subscribes synchronously, so ring capacity
-            never truncates its view.
+            critical-path analyzer on top of it).  Forces an event log —
+            :attr:`bus`, an :class:`~repro.obs.events.EventLog` — though
+            the accountant subscribes to the machine's bus itself, so
+            ring capacity never truncates its view.
     """
 
     def __init__(self, events=True, capacity=1_000_000, window=4096,
                  profile=False, txn=False, txn_capacity=200_000,
                  threads=False):
-        self.bus = EventBus(capacity) if (events or threads) else None
+        self.bus = EventLog(capacity) if (events or threads) else None
         self.sampler = IntervalSampler(window) if window else None
         self.profiler = HotPathProfiler() if profile else None
         self.txn = TransactionTracer(txn_capacity) if txn else None
         self.lifetime = LifetimeAccountant() if threads else None
         self.machine = None
+        self._subscriptions = []
 
     @property
     def hist(self):
@@ -55,76 +58,40 @@ class Observation:
     # -- wiring ------------------------------------------------------------
 
     def attach(self, machine):
-        """Install every enabled consumer on a machine (before ``run``)."""
+        """Install every enabled consumer on a machine (before ``run``);
+        a second tracer or accountant on one machine is an error."""
         self.machine = machine
         if self.sampler is not None:
             self.sampler.attach(machine.cpus)
             machine.sampler = self.sampler
         if self.profiler is not None:
             self.profiler.attach(machine)
-        bus = self.bus
-        if bus is not None:
-            machine.events = bus
-            runtime = machine.runtime
-            runtime.events = bus
-            runtime.scheduler.events = bus
-            runtime.futures.events = bus
-            for cpu in machine.cpus:
-                cpu.events = bus
-            fabric = machine.fabric
-            if fabric is not None:
-                fabric.network.events = bus
-                for cache in fabric.caches:
-                    cache.events = bus
-                for controller in fabric.controllers:
-                    controller.events = bus
-                for directory in fabric.directories:
-                    directory.events = bus
-        lifetime = self.lifetime
-        if lifetime is not None:
-            lifetime.subscribe(bus)
-            machine.runtime.lifetime = lifetime
-            machine.runtime.scheduler.lifetime = lifetime
-            for cpu in machine.cpus:
-                cpu.lifetime = lifetime
-        tracer = self.txn
-        if tracer is not None:
-            for cpu in machine.cpus:
-                cpu.txn = tracer
-            fabric = machine.fabric
-            if fabric is not None:
-                fabric.network.txn = tracer
-                for component in (fabric.caches + fabric.controllers
-                                  + fabric.directories):
-                    component.txn = tracer
+        bus = machine.events
+        if self.txn is not None:
+            bus.txn = self.txn
+        if self.lifetime is not None:
+            bus.lifetime = self.lifetime
+            self._subscriptions += self.lifetime.subscribe(bus)
+        if self.bus is not None:
+            self._subscriptions.append(bus.subscribe(self.bus.record))
 
     def detach(self):
         """Remove every hook installed by :meth:`attach`."""
         machine = self.machine
         if machine is None:
             return
-        machine.sampler = None
-        machine.events = None
-        runtime = machine.runtime
-        runtime.events = None
-        runtime.scheduler.events = None
-        runtime.futures.events = None
-        runtime.lifetime = None
-        runtime.scheduler.lifetime = None
-        for cpu in machine.cpus:
-            cpu.events = None
-            cpu.txn = None
-            cpu.lifetime = None
+        if machine.sampler is self.sampler:
+            machine.sampler = None
         if self.profiler is not None:
             self.profiler.detach(machine)
-        fabric = machine.fabric
-        if fabric is not None:
-            fabric.network.events = None
-            fabric.network.txn = None
-            for component in (fabric.caches + fabric.controllers
-                              + fabric.directories):
-                component.events = None
-                component.txn = None
+        for subscription in self._subscriptions:
+            subscription.cancel()
+        self._subscriptions = []
+        bus = machine.events
+        if bus.txn is self.txn:
+            bus.txn = None
+        if bus.lifetime is self.lifetime:
+            bus.lifetime = None
 
     # -- exports -----------------------------------------------------------
 

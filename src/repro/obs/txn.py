@@ -12,9 +12,10 @@ pending until the data is actually consumed, linking every switch-spin
 re-trap (and the trap handler's context switch) to the transaction that
 caused it.
 
-Every hook site in the simulator stays dormant behind one
-``txn is not None`` attribute test, exactly like the PR-1 ``events``
-hooks, so untraced runs pay one pointer comparison per site.
+Every hook site in the simulator reads the tracer off the machine's
+event bus (``txn = bus.txn``) and stays dormant behind one
+``txn is not None`` test, so untraced runs pay one pointer comparison
+per site.
 
 Phases tile the transaction exactly: ``request`` (issue to home
 arrival), ``service`` (directory/memory), ``coherence`` (the max of the

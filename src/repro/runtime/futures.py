@@ -10,28 +10,29 @@ them back to a ready queue.
 
 from repro.isa import tags
 from repro.errors import RuntimeSystemError
-from repro.obs.events import EventKind
+from repro.obs.events import EventBus, EventKind
 
 
 class FutureTable:
     """Maps unresolved future cells to their blocked waiters."""
 
-    def __init__(self):
+    def __init__(self, events=None):
         self._waiters = {}     # cell byte address -> [Thread]
         self.created = 0       # eager + stolen-lazy futures
         self.resolved = 0
         self.touches_resolved = 0    # touch traps that found a value
         self.touches_unresolved = 0  # touch traps that had to wait
-        #: Optional event bus (see :mod:`repro.obs`); None = no-op hooks.
-        self.events = None
+        #: The machine's observer surface (:mod:`repro.obs.events`).
+        self.events = events if events is not None else EventBus()
 
     # -- counter/event bookkeeping (single choke points) -----------------
 
     def note_created(self, cycle=0, node=0, cell=None):
         """A future cell was created (eager create or lazy steal)."""
         self.created += 1
-        if self.events is not None:
-            self.events.emit(EventKind.FUTURE_CREATE, cycle, node, cell=cell)
+        bus = self.events
+        if bus.active:
+            bus.emit(EventKind.FUTURE_CREATE, cycle, node, cell=cell)
 
     def note_touch(self, resolved, cycle=0, node=0, cell=None):
         """A touch trap ran; ``resolved`` = the value was already there."""
@@ -39,16 +40,18 @@ class FutureTable:
             self.touches_resolved += 1
         else:
             self.touches_unresolved += 1
-        if self.events is not None:
-            self.events.emit(EventKind.FUTURE_TOUCH, cycle, node,
-                             cell=cell, resolved=resolved)
+        bus = self.events
+        if bus.active:
+            bus.emit(EventKind.FUTURE_TOUCH, cycle, node,
+                     cell=cell, resolved=resolved)
 
     def note_resolved(self, cycle=0, node=0, cell=None, waiters=0):
         """A future cell was resolved, waking ``waiters`` threads."""
         self.resolved += 1
-        if self.events is not None:
-            self.events.emit(EventKind.FUTURE_RESOLVE, cycle, node,
-                             cell=cell, waiters=waiters)
+        bus = self.events
+        if bus.active:
+            bus.emit(EventKind.FUTURE_RESOLVE, cycle, node,
+                     cell=cell, waiters=waiters)
 
     def note_woken(self, cycle=0, node=0, cell=None, tid=None, waker=None):
         """One blocked waiter was moved back to a ready queue.
@@ -56,9 +59,10 @@ class FutureTable:
         ``waker`` is the tid of the thread that resolved the future —
         the producer→consumer edge the critical-path analyzer follows.
         """
-        if self.events is not None:
-            self.events.emit(EventKind.THREAD_WAKE, cycle, node,
-                             cell=cell, tid=tid, waker=waker)
+        bus = self.events
+        if bus.active:
+            bus.emit(EventKind.THREAD_WAKE, cycle, node,
+                     cell=cell, tid=tid, waker=waker)
 
     def counters(self):
         """Counter snapshot for reports."""

@@ -73,10 +73,10 @@ class TrapHandlers:
         next_frame = self.rts.scheduler.next_occupied_frame(cpu)
         if next_frame is not None and next_frame is not frame:
             self.rts.scheduler.activate_frame(cpu, next_frame)
-        if cpu.events is not None:
-            cpu.events.emit(
-                EventKind.CONTEXT_SWITCH, cpu.cycles, cpu.node_id,
-                from_frame=frame.index, to_frame=cpu.fp)
+        bus = cpu.events
+        if bus.active:
+            bus.emit(EventKind.CONTEXT_SWITCH, cpu.cycles, cpu.node_id,
+                     from_frame=frame.index, to_frame=cpu.fp)
         return TrapAction.SWITCHED
 
     def on_cache_miss(self, cpu, frame, trap):
@@ -243,7 +243,7 @@ class TrapHandlers:
         if thread.future is not None:
             # The frame is already empty: tell the accountant the resolve
             # cost still belongs to the exiting thread.
-            lifetime = self.rts.lifetime
+            lifetime = self.rts.events.lifetime
             if lifetime is not None:
                 lifetime.push_owner(cpu, thread.tid)
             self.rts.resolve_future(cpu, thread.future, result,

@@ -14,7 +14,7 @@ handler execution, which subsumes those locks (see DESIGN.md).
 from repro.core.psr import ET_BIT
 from repro.errors import DeadlockError, RuntimeSystemError
 from repro.isa import registers, tags
-from repro.obs.events import EventKind
+from repro.obs.events import EventBus, EventKind
 from repro.runtime.futures import FutureTable
 from repro.runtime.handlers import TrapHandlers
 from repro.runtime.heap import Arena, Heap
@@ -37,17 +37,21 @@ class RuntimeSystem:
         cpus: the machine's processors.
         program: the loaded :class:`~repro.isa.assembler.Program`; must
             define the ``__thread_start`` stub label.
+        events: the machine's :class:`~repro.obs.events.EventBus`, handed
+            on to the scheduler and the future table.
     """
 
-    def __init__(self, config, memory, cpus, program):
+    def __init__(self, config, memory, cpus, program, events=None):
         self.config = config
         self.memory = memory
         self.cpus = cpus
         self.program = program
         self.thread_start_pc = program.address_of(THREAD_START_LABEL)
 
-        self.scheduler = Scheduler(cpus, config)
-        self.futures = FutureTable()
+        #: The machine's observer surface (:mod:`repro.obs.events`).
+        self.events = events if events is not None else EventBus()
+        self.scheduler = Scheduler(cpus, config, self.events)
+        self.futures = FutureTable(self.events)
         self.lazy_queues = [LazyQueue(i) for i in range(len(cpus))]
         self.lazy_pushed = 0
         self.lazy_stolen = 0
@@ -61,10 +65,6 @@ class RuntimeSystem:
         self.threads = []
         self._stack_free_lists = [[] for _ in cpus]
         self._ipi_receiver = None
-        #: Optional event bus (see :mod:`repro.obs`); None = no-op hooks.
-        self.events = None
-        #: Optional lifetime accountant (see :mod:`repro.obs.lifetime`).
-        self.lifetime = None
 
         self._layout_heaps()
         self._make_singletons()
@@ -162,16 +162,16 @@ class RuntimeSystem:
             name=name,
         )
         self.threads.append(thread)
-        if self.events is not None:
+        bus = self.events
+        if bus.active:
             if parent is None and cpu is not None:
                 active = cpu.frames[cpu.fp].thread
                 parent = active.tid if active is not None else None
-            self.events.emit(
-                EventKind.THREAD_SPAWN,
-                cpu.cycles if cpu is not None else 0,
-                cpu.node_id if cpu is not None else home_node,
-                tid=thread.tid, thread=thread.name, home=home_node,
-                parent=parent)
+            bus.emit(EventKind.THREAD_SPAWN,
+                     cpu.cycles if cpu is not None else 0,
+                     cpu.node_id if cpu is not None else home_node,
+                     tid=thread.tid, thread=thread.name, home=home_node,
+                     parent=parent)
         return thread
 
     def bootstrap(self, cpu, frame, thread):
@@ -366,7 +366,7 @@ class RuntimeSystem:
             "npc": marker.resume_pc + 4,
             "psr": ET_BIT,
         }
-        lifetime = self.lifetime
+        lifetime = self.events.lifetime
         if lifetime is not None:
             # The steal cost is the stolen thread's startup, not idle time.
             lifetime.push_owner(thief_cpu, thread.tid)

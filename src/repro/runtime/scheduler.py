@@ -15,14 +15,14 @@ from collections import deque
 
 from repro.errors import RuntimeSystemError
 from repro.isa import registers, tags
-from repro.obs.events import EventKind
+from repro.obs.events import EventBus, EventKind
 from repro.runtime.thread import ThreadState
 
 
 class Scheduler:
     """Ready queues + task-frame management for all nodes."""
 
-    def __init__(self, cpus, config):
+    def __init__(self, cpus, config, events=None):
         self.cpus = cpus
         self.config = config
         self.ready = [deque() for _ in cpus]
@@ -31,12 +31,11 @@ class Scheduler:
         self.loads = 0
         self.unloads = 0
         self.steals = 0
-        #: Optional event bus (see :mod:`repro.obs`); None = no-op hooks.
-        self.events = None
-        #: Optional lifetime accountant (see :mod:`repro.obs.lifetime`).
-        #: It accounts by difference, so it is told *before* a node's
-        #: owner changes: a frame gains or loses its thread, FP moves.
-        self.lifetime = None
+        #: The machine's observer surface (:mod:`repro.obs.events`).
+        #: Its ``lifetime`` accountant works by difference, so it is
+        #: told *before* a node's owner changes: a frame gains or loses
+        #: its thread, FP moves.
+        self.events = events if events is not None else EventBus()
 
     def counters(self):
         """Counter snapshot for reports."""
@@ -88,7 +87,8 @@ class Scheduler:
         if frame.occupied:
             raise RuntimeSystemError("loading into occupied frame %d" % frame.index)
         thread.transition(ThreadState.LOADED)
-        lifetime = self.lifetime
+        bus = self.events
+        lifetime = bus.lifetime
         if lifetime is not None:
             # Settles what the node ran before this frame had a thread;
             # the load cost below is the thread's own.
@@ -109,10 +109,9 @@ class Scheduler:
         if lifetime is not None:
             lifetime.pop_owner(cpu)
         self.loads += 1
-        if self.events is not None:
-            self.events.emit(
-                EventKind.THREAD_LOAD, cpu.cycles, cpu.node_id,
-                frame=frame.index, tid=thread.tid, thread=thread.name)
+        if bus.active:
+            bus.emit(EventKind.THREAD_LOAD, cpu.cycles, cpu.node_id,
+                     frame=frame.index, tid=thread.tid, thread=thread.name)
         return frame
 
     def unload_thread(self, cpu, frame, new_state):
@@ -122,7 +121,8 @@ class Scheduler:
             raise RuntimeSystemError("unloading an empty frame")
         thread.saved_state = frame.save_state()
         thread.transition(new_state)
-        lifetime = self.lifetime
+        bus = self.events
+        lifetime = bus.lifetime
         if lifetime is not None:
             lifetime.push_owner(cpu, thread.tid)
         frame.thread = None
@@ -130,30 +130,30 @@ class Scheduler:
         if lifetime is not None:
             lifetime.pop_owner(cpu)
         self.unloads += 1
-        if self.events is not None:
+        if bus.active:
             extra = {}
             if (new_state is ThreadState.BLOCKED
                     and thread.blocked_on is not None):
                 extra["cell"] = tags.pointer_address(thread.blocked_on)
                 if thread.block_pc is not None:
                     extra["pc"] = thread.block_pc
-            self.events.emit(
-                EventKind.THREAD_UNLOAD, cpu.cycles, cpu.node_id,
-                frame=frame.index, tid=thread.tid, thread=thread.name,
-                state=new_state.value, **extra)
+            bus.emit(EventKind.THREAD_UNLOAD, cpu.cycles, cpu.node_id,
+                     frame=frame.index, tid=thread.tid, thread=thread.name,
+                     state=new_state.value, **extra)
         return thread
 
     def retire_thread(self, frame, cpu):
         """Free the frame of a thread that finished (no state to save)."""
         thread = frame.thread
         thread.transition(ThreadState.DONE)
-        if self.lifetime is not None:
-            self.lifetime.settle(cpu)
+        bus = self.events
+        lifetime = bus.lifetime
+        if lifetime is not None:
+            lifetime.settle(cpu)
         frame.thread = None
-        if self.events is not None:
-            self.events.emit(
-                EventKind.THREAD_EXIT, cpu.cycles, cpu.node_id,
-                frame=frame.index, tid=thread.tid, thread=thread.name)
+        if bus.active:
+            bus.emit(EventKind.THREAD_EXIT, cpu.cycles, cpu.node_id,
+                     frame=frame.index, tid=thread.tid, thread=thread.name)
         return thread
 
     # -- frame selection ----------------------------------------------------------
@@ -174,8 +174,9 @@ class Scheduler:
 
     def activate_frame(self, cpu, frame):
         """Point FP at a frame (the context-switch FP change)."""
-        if self.lifetime is not None:
-            self.lifetime.settle(cpu)
+        lifetime = self.events.lifetime
+        if lifetime is not None:
+            lifetime.settle(cpu)
         cpu.fp = frame.index
 
     # -- work finding ---------------------------------------------------------------
@@ -200,10 +201,10 @@ class Scheduler:
             if queue:
                 self.steals += 1
                 thread = queue.popleft()
-                if self.events is not None:
-                    self.events.emit(
-                        EventKind.THREAD_STEAL, self.cpus[node].cycles,
-                        node, victim=victim, tid=thread.tid,
-                        thread=thread.name)
+                bus = self.events
+                if bus.active:
+                    bus.emit(EventKind.THREAD_STEAL, self.cpus[node].cycles,
+                             node, victim=victim, tid=thread.tid,
+                             thread=thread.name)
                 return thread
         return None

@@ -32,7 +32,7 @@ from repro.lang.compiler import compile_source
 from repro.machine.alewife import AlewifeMachine
 from repro.machine.config import MachineConfig
 from repro.obs import FlightRecorder, Observation, Watchdog
-from repro.obs.events import EventBus
+from repro.obs.events import EventKind, EventLog
 from repro.obs.txn import TransactionTracer
 from repro.runtime import thread as thread_module
 from tests.integration.test_differential import future_programs, programs
@@ -315,19 +315,16 @@ def _attach_sampler(machine):
 
 
 def _attach_events(machine):
-    bus = EventBus()
-    for cpu in machine.cpus:
-        cpu.events = bus
+    machine.events.subscribe(EventLog().record)
 
 
 def _attach_txn(machine):
-    tracer = TransactionTracer()
-    for cpu in machine.cpus:
-        cpu.txn = tracer
+    machine.events.txn = TransactionTracer()
 
 
 def _attach_machine_events(machine):
-    machine.events = EventBus()
+    """One kind only: the dispatcher's other subscription table."""
+    machine.events.subscribe(EventLog().record, EventKind.TRAP_ENTER)
 
 
 def _attach_job_observation(machine):

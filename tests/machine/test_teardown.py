@@ -18,7 +18,7 @@ from repro.machine import alewife
 from repro.machine.alewife import AlewifeMachine, run_program
 from repro.machine.config import MachineConfig
 from repro.mem.memory import Memory
-from repro.obs import Observation
+from repro.obs import FlightRecorder, Observation
 from repro import workloads
 
 FIB = workloads.get("fib").source()
@@ -89,6 +89,20 @@ def test_observed_machine_is_freed_with_its_observation(no_collector):
     assert bank() is not None           # the observation holds the machine
     del observation
     assert bank() is None
+
+
+def test_flight_recorder_does_not_keep_its_machine(no_collector):
+    """A subscriber is held by the machine's bus, not the other way
+    round: a recorder that was never detached is no reference cycle."""
+    compiled = compile_source(FIB, mode="eager")
+    machine = AlewifeMachine(compiled.program,
+                             MachineConfig(num_processors=2))
+    flight = FlightRecorder().attach(machine)
+    machine.run(entry=compiled.entry_label("main"), args=(6,))
+    bank = weakref.ref(machine.memory)
+    del machine
+    assert bank() is None
+    assert any(flight.rings.values())
 
 
 def test_result_outlives_its_machine(no_collector, banks):

@@ -249,3 +249,32 @@ class TestMonitorCommand:
         second = capsys.readouterr().out
         assert first == second
         assert "program finished: result 8" in first
+
+
+class TestUsageErrors:
+    """What the command line got wrong is one ``error:`` line and exit
+    2 — a usage error, never a traceback."""
+
+    @pytest.mark.parametrize("argv,complaint", [
+        (["run", "{missing}"], "No such file"),
+        (["run", "{fib}", "-p", "0"], "at least one processor"),
+        (["run", "{fib}", "--timeline", "--window", "-5"], "--window"),
+        (["asm", "{fib}"], "unknown mnemonic"),
+        (["speedup", "--programs", "nope"], "unknown program 'nope'"),
+    ], ids=["missing-file", "no-processors", "negative-window",
+            "asm-of-mult", "unknown-workload"])
+    def test_one_error_line_exit_2(self, argv, complaint, fib_program,
+                                   tmp_path, capsys):
+        argv = [arg.format(fib=fib_program, missing=tmp_path / "nope.mult")
+                for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse rejects --window itself
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and complaint in errors[0]
+        assert "Traceback" not in captured.err

@@ -1,51 +1,100 @@
-"""EventBus unit tests plus the determinism contract of the stream."""
+"""EventBus and EventLog unit tests plus the determinism contract of
+the stream."""
 
-from repro.obs import EventBus, EventKind
+import pytest
+
+from repro.errors import ConfigError
+from repro.obs import EventBus, EventKind, EventLog
+from repro.obs import events as events_module
 
 from tests.obs.conftest import observed_run
 
 
+def logged_bus(capacity=1_000_000):
+    """A dispatcher with a log subscribed for all kinds, as
+    ``Observation.attach`` leaves a machine's: ``(bus, log)``."""
+    bus, log = EventBus(), EventLog(capacity)
+    bus.subscribe(log.record)
+    return bus, log
+
+
 class TestEventBus:
+    def test_dormant_until_subscribed(self, monkeypatch):
+        """`active` iff somebody listens, and no Event is allocated for
+        a kind nobody listens to."""
+        built = []
+
+        class CountedEvent(events_module.Event):
+            def __init__(self, kind, *rest):
+                built.append(kind)
+                super().__init__(kind, *rest)
+
+        monkeypatch.setattr(events_module, "Event", CountedEvent)
+        bus = EventBus()
+        assert not bus.active
+        assert bus.txn is None and bus.lifetime is None
+        bus.emit(EventKind.NET_SEND, 1, 0, dst=1)
+        seen = []
+        with bus.subscribe(seen.append, kind=EventKind.TRAP_ENTER):
+            assert bus.active
+            bus.emit(EventKind.NET_SEND, 2, 0, dst=1)
+            assert built == []
+            bus.emit(EventKind.TRAP_ENTER, 3, 0)
+        assert built == [EventKind.TRAP_ENTER] and len(seen) == 1
+        assert not bus.active
+
+    def test_second_direct_consumer_raises(self):
+        bus = EventBus()
+        first, second = object(), object()
+        for slot in ("txn", "lifetime"):
+            setattr(bus, slot, first)
+            setattr(bus, slot, first)           # the holder may re-set
+            with pytest.raises(ConfigError):
+                setattr(bus, slot, second)
+            assert getattr(bus, slot) is first
+            setattr(bus, slot, None)
+            setattr(bus, slot, second)          # free again
+
     def test_ring_capacity(self):
-        bus = EventBus(capacity=10)
+        bus, log = logged_bus(capacity=10)
         for cycle in range(25):
             bus.emit(EventKind.NET_SEND, cycle, 0, dst=1)
-        assert len(bus) == 10
-        assert bus.emitted == 25
-        assert bus.dropped == 15
+        assert len(log) == 10
+        assert log.emitted == 25
+        assert log.dropped == 15
         # Oldest records fell off the front; the counts survive.
-        assert [e.cycle for e in bus] == list(range(15, 25))
-        assert bus.counts() == {"net_send": 25}
+        assert [e.cycle for e in log] == list(range(15, 25))
+        assert log.counts() == {"net_send": 25}
 
     def test_dropped_exact_after_wraparound(self):
         """`dropped` counts overflow appends explicitly: it stays exact
         even when the ring is consumed out-of-band, and `counts()` still
         reflects every event ever emitted."""
-        bus = EventBus(capacity=4)
+        bus, log = logged_bus(capacity=4)
         for cycle in range(4):
             bus.emit(EventKind.NET_SEND, cycle, 0)
-        assert bus.dropped == 0
+        assert log.dropped == 0
         for cycle in range(4, 10):
             bus.emit(EventKind.TRAP_ENTER, cycle, 0)
-        assert bus.dropped == 6
+        assert log.dropped == 6
         # Out-of-band consumption must not inflate the drop count.
-        bus.records.popleft()
-        bus.records.popleft()
+        log.records.popleft()
+        log.records.popleft()
         bus.emit(EventKind.NET_SEND, 10, 0)
-        assert bus.dropped == 6          # ring had room again
+        assert log.dropped == 6          # ring had room again
         bus.emit(EventKind.NET_SEND, 11, 0)
         bus.emit(EventKind.NET_SEND, 12, 0)
-        assert bus.dropped == 7          # exactly one more overflow
-        assert bus.emitted == 13
-        assert bus.counts() == {"net_send": 7, "trap_enter": 6}
-        assert sum(bus.counts().values()) == bus.emitted
+        assert log.dropped == 7          # exactly one more overflow
+        assert log.emitted == 13
+        assert log.counts() == {"net_send": 7, "trap_enter": 6}
+        assert sum(log.counts().values()) == log.emitted
 
     def test_unbounded_when_capacity_none(self):
-        bus = EventBus(capacity=None)
+        bus, log = logged_bus(capacity=None)
         for cycle in range(1000):
             bus.emit(EventKind.TRAP_ENTER, cycle, 0)
-        assert len(bus) == 1000
-        assert bus.dropped == 0
+        assert len(log) == 1000
+        assert log.dropped == 0
 
     def test_subscribe_all_and_by_kind(self):
         bus = EventBus()
@@ -59,17 +108,17 @@ class TestEventBus:
         assert seen_traps[0].data["trap"] == "FUTURE_TOUCH"
 
     def test_select_filters_by_kind(self):
-        bus = EventBus()
+        bus, log = logged_bus()
         bus.emit(EventKind.THREAD_LOAD, 5, 0, tid=1)
         bus.emit(EventKind.THREAD_UNLOAD, 9, 0, tid=1)
         bus.emit(EventKind.THREAD_LOAD, 12, 1, tid=2)
-        loads = bus.select(EventKind.THREAD_LOAD)
+        loads = log.select(EventKind.THREAD_LOAD)
         assert [e.cycle for e in loads] == [5, 12]
 
     def test_to_dicts_round_trip(self):
-        bus = EventBus()
+        bus, log = logged_bus()
         bus.emit(EventKind.REMOTE_MISS, 42, 3, block=7, home=1, write=False)
-        (record,) = bus.to_dicts()
+        (record,) = log.to_dicts()
         assert record == {"kind": "remote_miss", "cycle": 42, "node": 3,
                           "block": 7, "home": 1, "write": False}
 
@@ -132,7 +181,7 @@ class TestSubscription:
         sub.cancel()
         bus.emit(EventKind.TRAP_ENTER, 2, 0)
         assert [e.cycle for e in seen] == [1]
-        assert not sub.active
+        assert not sub.active and not bus.active
         sub.cancel()                        # idempotent
         bus.emit(EventKind.TRAP_ENTER, 3, 0)
         assert len(seen) == 1
@@ -161,5 +210,6 @@ class TestSubscription:
         bus.subscribe(keep.append, kind=EventKind.TRAP_ENTER)
         sub = bus.subscribe(drop.append, kind=EventKind.TRAP_ENTER)
         sub.cancel()
+        assert bus.active                   # somebody is still listening
         bus.emit(EventKind.TRAP_ENTER, 1, 0)
         assert len(keep) == 1 and not drop

@@ -282,7 +282,7 @@ class TestFramePointerInstructions:
     @pytest.mark.parametrize("tier", ["reference", "closure", "jit"])
     def test_every_cycle_goes_to_the_frame_that_ran_it(self, tier):
         cpu = self._build()
-        cpu.lifetime = lifetime = CountingAccountant()
+        cpu.events.lifetime = lifetime = CountingAccountant()
         {"reference": self._drive_reference, "closure": run_to_halt,
          "jit": self._drive_jit}[tier](cpu)
         # INCFP, DECFP and two STFPs settled; RDFP and the rest did not.

@@ -125,26 +125,26 @@ class TestOpenSliceLeftovers:
     """Threads still resident at run end get dur = end_cycle - start."""
 
     def test_leftover_slice_spans_to_run_end(self):
-        from repro.obs.events import EventBus, EventKind
+        from repro.obs.events import Event, EventKind, EventLog
         from repro.obs.perfetto import perfetto_trace
-        bus = EventBus()
-        bus.emit(EventKind.THREAD_LOAD, 40, 0, frame=1, tid=7,
-                 thread="thread-7")
-        trace = perfetto_trace(bus, 1, 100)
+        log = EventLog()
+        log.record(Event(EventKind.THREAD_LOAD, 40, 0,
+                         {"frame": 1, "tid": 7, "thread": "thread-7"}))
+        trace = perfetto_trace(log, 1, 100)
         (slice_,) = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         assert slice_["ts"] == 40
         assert slice_["dur"] == 60
         assert slice_["name"] == "thread-7"
 
     def test_leftovers_close_in_deterministic_order(self):
-        from repro.obs.events import EventBus, EventKind
+        from repro.obs.events import Event, EventKind, EventLog
         from repro.obs.perfetto import perfetto_trace
-        bus = EventBus()
-        # Emit loads out of (node, frame) order; never unload them.
+        log = EventLog()
+        # Record loads out of (node, frame) order; never unload them.
         for node, frame in ((1, 3), (0, 2), (1, 0), (0, 1)):
-            bus.emit(EventKind.THREAD_LOAD, 10, node, frame=frame,
-                     thread="t-%d-%d" % (node, frame))
-        trace = perfetto_trace(bus, 2, 50)
+            log.record(Event(EventKind.THREAD_LOAD, 10, node, {
+                "frame": frame, "thread": "t-%d-%d" % (node, frame)}))
+        trace = perfetto_trace(log, 2, 50)
         slices = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         keys = [(e["pid"], e["tid"]) for e in slices]
         assert keys == sorted(keys)

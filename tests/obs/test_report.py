@@ -3,7 +3,7 @@
 from repro.lang.run import run_mult
 from repro.machine.alewife import AlewifeMachine
 from repro.machine.config import MachineConfig
-from repro.obs import EventBus, IntervalSampler, machine_report
+from repro.obs import EventLog, IntervalSampler, machine_report
 from repro.lang.compiler import compile_source
 from tests.obs.conftest import FIB, observed_run
 
@@ -24,7 +24,8 @@ class TestObservationSections:
 
 
 class TestFallbackSections:
-    """A bus/sampler wired without an Observation still gets surfaced."""
+    """A sampler wired without an Observation still gets surfaced; a log
+    subscribed by hand answers for its own drops."""
 
     def _bare_machine(self):
         compiled = compile_source(FIB)
@@ -32,19 +33,17 @@ class TestFallbackSections:
                                  MachineConfig(num_processors=2))
         return compiled, machine
 
-    def test_attached_bus_without_observation(self):
+    def test_subscribed_log_without_observation(self):
         compiled, machine = self._bare_machine()
-        bus = EventBus(capacity=32)
-        machine.events = bus
-        machine.runtime.events = bus
-        machine.runtime.scheduler.events = bus
+        log = EventLog(capacity=32)
+        machine.events.subscribe(log.record)
         machine.run(entry=compiled.entry_label("main"), args=(6,))
-        report = machine_report(machine)
-        events = report["events"]
-        assert events["emitted"] > 0
-        assert events["capacity"] == 32
-        assert events["dropped"] == events["emitted"] - events["recorded"]
-        assert events["counts"]
+        assert log.emitted > 32 == log.capacity == len(log)
+        assert log.dropped == log.emitted - len(log)
+        assert sum(log.counts().values()) == log.emitted
+        # The machine's bus keeps nothing, so the report has no section
+        # to truncate silently: the log's owner reads the log.
+        assert "events" not in machine_report(machine)
 
     def test_attached_sampler_without_observation(self):
         compiled, machine = self._bare_machine()

@@ -1,11 +1,17 @@
-"""Observation wiring: dormant hooks, attach/detach, report shape."""
+"""Observation wiring: the one observer surface, attach/detach in any
+order, report shape."""
+
+import itertools
+from collections import deque
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.lang.compiler import compile_source
 from repro.machine.alewife import AlewifeMachine
 from repro.machine.config import MachineConfig
-from repro.obs import Observation
+from repro.obs import EventBus, FlightRecorder, Observation, Watchdog
+from repro.runtime import thread as thread_module
 
 from tests.obs.conftest import FIB, observed_run
 
@@ -18,35 +24,65 @@ def build_machine(processors=2, coherent=False):
     return compiled, AlewifeMachine(compiled.program, config)
 
 
+def bus_holders(root):
+    """``(holder, bus)`` for every attribute holding an EventBus on any
+    ``repro`` object reachable from ``root`` through attributes and
+    plain containers — found by walking, not by listing components."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            children = list(obj.values())
+        elif isinstance(obj, (list, tuple, set, deque)):
+            children = list(obj)
+        elif type(obj).__module__.startswith("repro."):
+            children = list(getattr(obj, "__dict__", {}).values())
+            found.extend((obj, child) for child in children
+                         if isinstance(child, EventBus))
+        else:                       # a bound method reaches its object
+            children = [getattr(obj, "__self__", None)]
+        stack.extend(child for child in children
+                     if child is not None and not isinstance(child, EventBus))
+    return found
+
+
 class TestDormantHooks:
     def test_everything_disabled_by_default(self):
         _, machine = build_machine(coherent=True)
-        assert machine.events is None
+        bus = machine.events
+        assert not bus.active
+        assert bus.txn is None and bus.lifetime is None
         assert machine.sampler is None
-        assert machine.runtime.events is None
-        assert machine.runtime.scheduler.events is None
-        assert machine.runtime.futures.events is None
         for cpu in machine.cpus:
-            assert cpu.events is None
             assert cpu.profile_hook is None
-        fabric = machine.fabric
-        assert fabric.network.events is None
-        for component in (fabric.caches + fabric.controllers
-                          + fabric.directories):
-            assert component.events is None
-        # The transaction-tracer slots are just as dormant.
-        assert fabric.network.txn is None
-        for cpu in machine.cpus:
-            assert cpu.txn is None
-        for component in (fabric.caches + fabric.controllers
-                          + fabric.directories):
-            assert component.txn is None
 
-    def test_unobserved_run_emits_nothing(self):
-        compiled, machine = build_machine()
+    def test_every_emitting_component_holds_the_machines_bus(self):
+        """What replaced the per-component enumerations: there is one
+        bus, and whatever emits was built with it."""
+        _, machine = build_machine(processors=4, coherent=True)
+        holders = bus_holders(machine)
+        assert all(bus is machine.events for _, bus in holders)
+        counts = {}
+        for holder, _ in holders:
+            name = type(holder).__name__
+            counts[name] = counts.get(name, 0) + 1
+        assert counts == {
+            "AlewifeMachine": 1, "RuntimeSystem": 1, "Scheduler": 1,
+            "FutureTable": 1, "Network": 1, "Processor": 4, "Cache": 4,
+            "CacheController": 4, "Directory": 4}
+
+    def test_unobserved_run_emits_nothing(self, monkeypatch):
+        """Dormant means no site even calls ``emit``."""
+        calls = []
+        monkeypatch.setattr(EventBus, "emit",
+                            lambda self, *args, **data: calls.append(args))
+        compiled, machine = build_machine(coherent=True)
         result = machine.run(entry=compiled.entry_label(), args=(8,))
         assert result.value == 21
-        assert machine.events is None
+        assert not machine.events.active and not calls
 
     def test_observed_and_unobserved_runs_agree(self):
         compiled, machine = build_machine()
@@ -63,20 +99,19 @@ class TestAttachDetach:
         _, machine = build_machine(coherent=True)
         obs = Observation(profile=True)
         obs.attach(machine)
-        bus = obs.bus
-        assert machine.events is bus
+        assert machine.events.active
         assert machine.sampler is obs.sampler
-        assert machine.runtime.events is bus
-        assert machine.runtime.scheduler.events is bus
-        assert machine.runtime.futures.events is bus
-        fabric = machine.fabric
-        assert fabric.network.events is bus
         for cpu in machine.cpus:
-            assert cpu.events is bus
             assert cpu.profile_hook is not None
-        for component in (fabric.caches + fabric.controllers
-                          + fabric.directories):
-            assert component.events is bus
+        # One subscription reaches every component: each kind a coherent
+        # machine emits lands in the observation's log.
+        compiled = compile_source(FIB, mode="eager")
+        machine.run(entry=compiled.entry_label(), args=(7,))
+        assert set(obs.bus.counts()) >= {
+            "trap_enter", "context_switch", "thread_spawn", "thread_load",
+            "future_create", "future_resolve", "remote_miss",
+            "cache_invalidate", "directory_read", "directory_write",
+            "net_send", "net_deliver"}
 
     def test_attach_wires_transaction_tracer(self):
         _, machine = build_machine(coherent=True)
@@ -85,30 +120,19 @@ class TestAttachDetach:
         tracer = obs.txn
         assert tracer is not None
         assert obs.hist is tracer.histograms
-        fabric = machine.fabric
-        assert fabric.network.txn is tracer
-        for cpu in machine.cpus:
-            assert cpu.txn is tracer
-        for component in (fabric.caches + fabric.controllers
-                          + fabric.directories):
-            assert component.txn is tracer
+        assert machine.events.txn is tracer
 
     def test_detach_restores_dormancy(self):
         _, machine = build_machine(coherent=True)
-        obs = Observation(profile=True, txn=True)
+        obs = Observation(profile=True, txn=True, threads=True)
         obs.attach(machine)
         obs.detach()
-        assert machine.events is None
+        bus = machine.events
+        assert not bus.active
+        assert bus.txn is None and bus.lifetime is None
         assert machine.sampler is None
         for cpu in machine.cpus:
-            assert cpu.events is None
             assert cpu.profile_hook is None
-            assert cpu.txn is None
-        assert machine.fabric.network.events is None
-        assert machine.fabric.network.txn is None
-        for component in (machine.fabric.caches + machine.fabric.controllers
-                          + machine.fabric.directories):
-            assert component.txn is None
 
     def test_txn_disabled_by_default(self):
         obs = Observation()
@@ -121,6 +145,129 @@ class TestAttachDetach:
         obs = Observation(events=False, window=0, profile=True)
         with pytest.raises(ValueError):
             obs.perfetto()
+
+
+MACHINES = {"ideal-p2": (2, False), "coherent-p4": (4, True)}
+#: The order ``run_mult`` attaches in: the reference recording.
+RUN_MULT_ORDER = ("observation", "flight", "watchdog")
+OTHER_ORDERS = [order for order in itertools.permutations(RUN_MULT_ORDER)
+                if order != RUN_MULT_ORDER]
+
+
+def _rings(flight):
+    return {node: [event.to_dict() for event in ring]
+            for node, ring in flight.rings.items()}
+
+
+#: What each observer recorded, as comparable plain data.
+RECORDED = {
+    "observation": lambda observation: {
+        "log": observation.bus.to_dicts(),
+        "transactions": [record.to_dict()
+                         for record in observation.txn.finished],
+        "explain": observation.explain()},
+    "flight": _rings,
+    "watchdog": lambda watchdog: _rings(watchdog.flight),
+}
+
+
+class TestAttachOrder:
+    """Observers share one surface, so the order they attach in — and
+    whether one of them leaves mid-run — cannot change what the others
+    record.  (With per-component slots, a recorder attached before an
+    Observation ended the run with empty rings, and so did one whose
+    Observation detached.)"""
+
+    def _run(self, name, order, monkeypatch, leaver=None):
+        """fib(8) with the three observers attached in ``order``; a
+        ``leaver`` detaches partway through.  Returns the machine, the
+        observers and what each recorded (the leaver: at its detach)."""
+        # Raw thread ids appear in event payloads: restart the counter.
+        monkeypatch.setattr(thread_module, "_tid_counter",
+                            itertools.count(1))
+        processors, coherent = MACHINES[name]
+        compiled, machine = build_machine(processors, coherent)
+        observers = {
+            "observation": Observation(events=True, capacity=None, window=0,
+                                       txn=True, txn_capacity=None,
+                                       threads=True),
+            "flight": FlightRecorder(per_node=1 << 16),
+            "watchdog": Watchdog(per_node=1 << 16),
+        }
+        for key in order:
+            observers[key].attach(machine)
+        recorded = {}
+        stepper = machine.stepper(entry=compiled.entry_label(), args=(8,))
+        while stepper.step_machine() is not None:
+            if leaver is not None and machine.time >= 2000:
+                observers[leaver].detach()
+                assert machine.events.active        # the others stay
+                if leaver != "observation":         # explain() needs the end
+                    recorded[leaver] = RECORDED[leaver](observers[leaver])
+                leaver = None
+        assert stepper.result().value == 21
+        for key in observers:
+            recorded.setdefault(key, RECORDED[key](observers[key]))
+        return machine, observers, recorded
+
+    @pytest.fixture
+    def baseline(self, request, monkeypatch):
+        _, _, recorded = self._run(request.param, RUN_MULT_ORDER, monkeypatch)
+        assert len(recorded["observation"]["log"]) > 1000
+        coherent = MACHINES[request.param][1]
+        assert bool(recorded["observation"]["transactions"]) == coherent
+        assert all(recorded["flight"].values())
+        assert recorded["flight"] == recorded["watchdog"]
+        return request.param, recorded
+
+    @pytest.mark.parametrize("baseline", sorted(MACHINES), indirect=True)
+    @pytest.mark.parametrize("order", OTHER_ORDERS, ids="-".join)
+    def test_every_order_records_the_same(self, baseline, order,
+                                          monkeypatch):
+        name, expected = baseline
+        _, _, recorded = self._run(name, order, monkeypatch)
+        assert recorded == expected
+
+    @pytest.mark.parametrize("baseline", sorted(MACHINES), indirect=True)
+    @pytest.mark.parametrize("leaver", RUN_MULT_ORDER)
+    def test_one_detaching_leaves_the_others_recording(self, baseline,
+                                                       leaver, monkeypatch):
+        name, expected = baseline
+        machine, observers, recorded = self._run(
+            name, RUN_MULT_ORDER, monkeypatch, leaver=leaver)
+        for key in RUN_MULT_ORDER:
+            if key != leaver:
+                assert recorded[key] == expected[key]
+        # The one that left holds a proper prefix of what it would have.
+        if leaver == "observation":
+            left, full = recorded[leaver]["log"], expected[leaver]["log"]
+            assert 0 < len(left) < len(full) and left == full[:len(left)]
+        else:
+            for node, ring in recorded[leaver].items():
+                full = expected[leaver][node]
+                assert 0 < len(ring) < len(full) and ring == full[:len(ring)]
+        assert machine.watchdog is (None if leaver == "watchdog"
+                                    else observers["watchdog"])
+        for observer in observers.values():
+            observer.detach()
+        bus = machine.events
+        assert not bus.active
+        assert bus.txn is None and bus.lifetime is None
+
+    def test_second_tracer_or_accountant_raises(self):
+        _, machine = build_machine(coherent=True)
+        first = Observation(window=0, txn=True, threads=True)
+        first.attach(machine)
+        for kwargs in ({"txn": True}, {"threads": True}):
+            second = Observation(events=False, window=0, **kwargs)
+            with pytest.raises(ConfigError):
+                second.attach(machine)
+            second.detach()         # undoing the failed attach is safe
+            assert machine.events.txn is first.txn
+            assert machine.events.lifetime is first.lifetime
+        first.detach()
+        assert not machine.events.active
+        Observation(window=0, txn=True, threads=True).attach(machine)
 
 
 class TestReport:
