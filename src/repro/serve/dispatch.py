@@ -15,12 +15,19 @@ this process — the simulator is pure Python with no shared mutable
 globals across runs, so thread mode is exact, and it is what the test
 suite uses to keep end-to-end server tests cheap.
 
-The dispatcher also owns the pool-side guardrails: a per-job timeout
-enforced twice (``SIGALRM`` inside the worker *and*
-``asyncio.wait_for`` here, so a wedged worker cannot wedge the
-service), broken-pool recovery (the pool is rebuilt lazily; the job
-reports a typed ``crash``), and exact busy-time accounting for the
-worker-utilization metric.
+The dispatcher also owns the pool-side guardrails.  A per-job timeout
+has two enforcers, and which one answers depends on the pool
+(``tests/serve/test_dispatch.py``): a pool *process* runs the job on
+its main thread, so the worker's own ``SIGALRM`` fires at ``timeout_s``
+and the job comes back as a typed ``timeout`` failure with
+``timeouts`` untouched; a pool *thread* cannot take a signal, so the
+only enforcer is ``asyncio.wait_for`` here, ``TIMEOUT_GRACE_S`` later
+(message ``... (pool-side)``, ``timeouts`` + 1 — the thread itself runs
+on to the end of its job).  In process mode the pool side is the
+backstop for a worker the alarm cannot reach, so a wedged worker cannot
+wedge the service.  Beside that: broken-pool recovery (the pool is
+rebuilt lazily; the job reports a typed ``crash``), and exact busy-time
+accounting for the worker-utilization metric.
 """
 
 import asyncio

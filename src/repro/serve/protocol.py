@@ -76,7 +76,8 @@ from repro.exp.job import Job, canonical_json
 #: Protocol tag echoed by ``ping`` and ``metrics`` responses.
 PROTOCOL = "april-serve/1"
 
-#: Longest accepted request line (also the asyncio stream limit).
+#: Longest accepted request line, its newline not counted; a longer one
+#: gets a typed ``error`` and the connection is closed.
 MAX_LINE_BYTES = 1 << 20
 
 #: Request types the server understands.

@@ -25,15 +25,39 @@ a fast ``rate-limited`` rejection, and when the number of in-flight
 reaches ``queue_limit``, new work is fast-failed ``overloaded``
 instead of buffered into unbounded latency.
 
+The front end is one :class:`_Connection` per client, an
+:class:`asyncio.BufferedProtocol`: the event loop reads straight into
+one ``READ_BUFFER``-byte bytearray the connection owns for life, and
+every complete line in it is served *inside the read callback*
+(:meth:`SweepServer._serve_line`).  What cannot block — a hot or disk
+hit, a rejection, a malformed line, ``ping``/``metrics``/``trace`` — is
+answered there and written to the transport at once: no ``Task``, no
+lock, no future.  Only a request that has to wait for an execution (a
+would-be leader or follower of a flight) becomes a task, held in the
+connection's ``tasks`` until it has answered.  So responses that
+cannot block leave in arrival order and overtake flights; flights
+answer when they land.  Responses carry the client's ``id``, which is
+how a pipelining client matches them.
+
+Back-pressure is the transport's own flow control.  When a client
+reads slower than it asks, the transport's write buffer passes its
+high-water mark and calls ``pause_writing``: the connection stops
+serving lines and stops *reading* (requests wait in the kernel, then
+in the client), and a landed flight waits at the same point before it
+writes.  ``resume_writing`` serves what was already read, then reads
+again.  A connection therefore holds at most its read buffer, the
+transport's high-water mark plus one response, and its open flights —
+however much the client pipelines.
+
 Clients that disconnect abandon their outstanding requests: each
-pending request task is cancelled, and an in-flight execution is
-cancelled as soon as its last waiter is gone.  Requests may be
-pipelined; responses carry the client's ``id`` and may complete out of
-order.  A client must keep its connection open until it has read every
+pending flight task is cancelled (its trace recorded as ``cancelled``),
+and an in-flight execution is cancelled as soon as its last waiter is
+gone.  A client must keep its connection open until it has read every
 response it cares about.
 """
 
 import asyncio
+import functools
 import itertools
 import os
 import time
@@ -50,6 +74,12 @@ from repro.serve.flight import SingleFlight
 from repro.serve.metrics import ServerMetrics
 from repro.serve.ratelimit import TokenBucket
 from repro.serve.trace import SlowLog, TraceStore
+
+
+#: Bytes of the one read buffer a connection owns for life.  A request
+#: line is ~100 bytes, so one read takes in hundreds; a longer line
+#: spills (up to ``protocol.MAX_LINE_BYTES``).
+READ_BUFFER = 64 * 1024
 
 
 def _no_mark(name):
@@ -107,43 +137,144 @@ class SpecIndex:
         return entry
 
 
-class _Connection:
-    """One client connection: its writer lock, bucket, histogram."""
+class _Connection(asyncio.BufferedProtocol):
+    """One client connection: its read buffer, bucket, histogram and
+    the flights it is waiting on.
+
+    The loop fills ``buffer`` through :meth:`get_buffer`;
+    :meth:`buffer_updated` serves every complete line and keeps a
+    partial one at the head of the buffer for the next read.  A line
+    longer than the buffer spills into ``_spill`` until its newline
+    arrives or it passes ``protocol.MAX_LINE_BYTES``.
+    """
 
     _ids = itertools.count(1)
 
-    def __init__(self, reader, writer, bucket):
+    def __init__(self, server):
         self.id = next(self._ids)
-        self.reader = reader
-        self.writer = writer
-        self.bucket = bucket
+        self.server = server
+        self.bucket = (TokenBucket(server.rate, server.burst,
+                                   clock=server._clock)
+                       if server.rate and server.rate > 0 else None)
         self.hist = Log2Histogram()
-        self.tasks = set()
-        self.lock = asyncio.Lock()
+        self.tasks = {}                 # flight task -> its trace (or None)
+        self.transport = None
         self.closed = False
+        self.buffer = bytearray(READ_BUFFER)
+        self._view = memoryview(self.buffer)
+        self._end = 0                   # buffer[:_end] is unserved input
+        self._scanned = 0               # buffer[:_scanned] has no newline
+        self._spill = bytearray()
+        self._writable = asyncio.Event()
+        self._writable.set()
 
-    async def send(self, response, result=None):
-        """Write one response line; ``result`` is the already-encoded
-        result of an ``ok`` job response (see ``_handle_job``)."""
-        data = (protocol.encode(response) if result is None
-                else protocol.encode_ok(response, result))
-        async with self.lock:
-            if self.closed:
-                return
-            try:
-                self.writer.write(data)
-                await self.writer.drain()
-            except (ConnectionResetError, BrokenPipeError, RuntimeError):
-                self.closed = True
+    # -- transport callbacks -----------------------------------------------
+
+    def connection_made(self, transport):
+        self.transport = transport
+        self.server._connections.add(self)
+        self.server.metrics.bump("connections")
+
+    def get_buffer(self, sizehint):
+        return self._view[self._end:]
+
+    def buffer_updated(self, nbytes):
+        self._end += nbytes
+        self._serve_lines()
+
+    def eof_received(self):
+        # A half-sent line dies with its sender; so do open flights.
+        self.close()
+
+    def connection_lost(self, exc):
+        self.close()
+
+    def pause_writing(self):
+        """The client reads slower than it asks: stop serving it."""
+        self._writable.clear()
+        self.transport.pause_reading()
+
+    def resume_writing(self):
+        self._writable.set()
+        self._serve_lines()             # what was read before the pause
+        if self._writable.is_set():
+            self.transport.resume_reading()
+
+    # -- framing -----------------------------------------------------------
+
+    def _serve_lines(self):
+        """Serve the complete lines in the buffer, in order, until they
+        run out or the transport stops taking responses; what is left
+        moves to the head of the buffer."""
+        buffer, view = self.buffer, self._view
+        serve = self.server._serve_line
+        writable = self._writable.is_set
+        start, scan, end = 0, self._scanned, self._end
+        while writable() and not self.closed:
+            newline = buffer.find(b"\n", scan, end)
+            if newline < 0:
+                scan = end
+                break
+            line = view[start:newline + 1].tobytes()
+            start = scan = newline + 1
+            if self._spill:
+                line = bytes(self._spill) + line
+                del self._spill[:]
+                if len(line) - 1 > protocol.MAX_LINE_BYTES:
+                    return self._refuse_oversized()
+            if not line.isspace():
+                serve(self, line)
+        if start:
+            if start < end:
+                buffer[:end - start] = buffer[start:end]
+            scan -= start
+            end -= start
+        if end == READ_BUFFER and scan == end:
+            # One line fills the buffer and is not over yet.
+            self._spill += buffer
+            scan = end = 0
+            if len(self._spill) > protocol.MAX_LINE_BYTES:
+                return self._refuse_oversized()
+        self._scanned, self._end = scan, end
+
+    def _refuse_oversized(self):
+        self.server.metrics.bump("bad_requests")
+        self.write(protocol.encode(protocol.error_response(
+            None, ServeRequestError("request line exceeds %d bytes"
+                                    % protocol.MAX_LINE_BYTES))))
+        self.close()
+
+    # -- responses ---------------------------------------------------------
+
+    def write(self, data):
+        """Hand one encoded response line to the transport."""
+        if not self.closed:
+            self.transport.write(data)
+
+    async def writable(self):
+        """Wait until the transport takes responses again — the one
+        point where a landed flight meets a slow reader."""
+        while not self._writable.is_set():
+            await self._writable.wait()
 
     def close(self):
+        """Abandon the connection: cancel its flights, fold its
+        histogram and traces into the server's, close the transport
+        (which still flushes what it was already handed)."""
+        if self.closed:
+            return
         self.closed = True
-        for task in list(self.tasks):
-            task.cancel()
-        try:
-            self.writer.close()
-        except RuntimeError:
-            pass
+        server = self.server
+        for task, trace in self.tasks.items():
+            if task.cancel() and trace is not None:
+                # A no-op for a response that was ready but not sent.
+                trace.finish("cancelled")
+                server.traces.record(trace)
+        self.transport.close()
+        server._connections.discard(self)
+        server.metrics.retire_connection(self.hist)
+        if server.traces is not None:
+            server.traces.retire_conn(self.id)
 
 
 class SweepServer:
@@ -183,16 +314,16 @@ class SweepServer:
 
     async def start(self):
         """Bind the listeners; returns self (usable as a handle)."""
+        loop = asyncio.get_running_loop()
+        connection = functools.partial(_Connection, self)
         if self.socket_path:
             if os.path.exists(self.socket_path):
                 os.unlink(self.socket_path)      # stale socket from a crash
-            self._servers.append(await asyncio.start_unix_server(
-                self._on_connect, path=self.socket_path,
-                limit=protocol.MAX_LINE_BYTES))
+            self._servers.append(await loop.create_unix_server(
+                connection, path=self.socket_path))
         if self.port is not None:
-            self._servers.append(await asyncio.start_server(
-                self._on_connect, self.host or "127.0.0.1", self.port,
-                limit=protocol.MAX_LINE_BYTES))
+            self._servers.append(await loop.create_server(
+                connection, self.host or "127.0.0.1", self.port))
         return self
 
     def begin_drain(self):
@@ -222,47 +353,11 @@ class SweepServer:
                 pass
         return leftover
 
-    # -- connection handling -----------------------------------------------
+    # -- request handling --------------------------------------------------
 
-    async def _on_connect(self, reader, writer):
-        bucket = (TokenBucket(self.rate, self.burst, clock=self._clock)
-                  if self.rate and self.rate > 0 else None)
-        conn = _Connection(reader, writer, bucket)
-        self._connections.add(conn)
-        self.metrics.bump("connections")
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    self.metrics.bump("bad_requests")
-                    await conn.send(protocol.error_response(
-                        None, ServeRequestError(
-                            "request line exceeds %d bytes"
-                            % protocol.MAX_LINE_BYTES)))
-                    break
-                except (ConnectionResetError, BrokenPipeError):
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                task = asyncio.ensure_future(
-                    self._serve_request(conn, line))
-                conn.tasks.add(task)
-                task.add_done_callback(conn.tasks.discard)
-        finally:
-            self._connections.discard(conn)
-            conn.close()
-            self.metrics.retire_connection(conn.hist)
-            if self.traces is not None:
-                self.traces.retire_conn(conn.id)
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _serve_request(self, conn, line):
+    def _serve_line(self, conn, line):
+        """One request line, served inside the read callback: answered
+        here unless it has to wait for an execution."""
         # Trace id is assigned at line-parse time: even a request that
         # turns out malformed (or a ping) briefly owns one.
         start = self._clock()
@@ -273,7 +368,7 @@ class SweepServer:
             if trace is not None:
                 self.traces.discard(trace)
             self.metrics.bump("bad_requests")
-            await conn.send(protocol.error_response(None, exc))
+            conn.write(protocol.encode(protocol.error_response(None, exc)))
             return
         self.metrics.bump("requests")
         op = request.get("op", "job")
@@ -283,31 +378,34 @@ class SweepServer:
             # `april top` must not wash real requests out of the rings.
             if trace is not None:
                 self.traces.discard(trace)
-        if op == "ping":
-            await conn.send({"id": request_id, "status": "ok",
-                             "op": "ping", "protocol": protocol.PROTOCOL})
-            return
-        if op == "metrics":
-            await conn.send({"id": request_id, "status": "ok",
-                             "op": "metrics",
-                             "metrics": self.metrics_snapshot()})
-            return
-        if op == "trace":
-            await conn.send(self._trace_response(request))
+            if op == "ping":
+                response = {"id": request_id, "status": "ok", "op": "ping",
+                            "protocol": protocol.PROTOCOL}
+            elif op == "metrics":
+                response = {"id": request_id, "status": "ok",
+                            "op": "metrics",
+                            "metrics": self.metrics_snapshot()}
+            else:
+                response = self._trace_response(request)
+            conn.write(protocol.encode(response))
             return
         if trace is not None:
             trace.request_id = request_id
             trace.mark("parse")
-        try:
-            response, result = await self._handle_job(conn, request, trace)
-        except asyncio.CancelledError:
-            # Client disconnect mid-request: freeze what we have so the
-            # flight recorder shows the abandoned request, then let the
-            # cancellation unwind.
-            if trace is not None and not trace.frozen:
-                trace.finish("cancelled")
-                self.traces.record(trace)
-            raise
+        response, result, flight = self._handle_job(conn, request, trace)
+        if flight is None:
+            self._send(conn, response, result, trace,
+                       self._seal(conn, response, trace, start))
+            return
+        task = asyncio.ensure_future(
+            self._fly(conn, request_id, trace, start, *flight))
+        conn.tasks[task] = trace
+        task.add_done_callback(conn.tasks.pop)
+
+    def _seal(self, conn, response, trace, start):
+        """Close a job request's books: the trace frozen, its latency
+        observed and stamped on the response.  Returns the clock at
+        which the response became ready — where ``flush_us`` starts."""
         axis = self._served_axis(response)
         if trace is not None:
             trace.finish(response["status"], served=axis)
@@ -317,12 +415,18 @@ class SweepServer:
             latency_us = int((self._clock() - start) * 1_000_000)
         self.metrics.observe(axis, latency_us, conn.hist)
         response["latency_us"] = latency_us
-        flush_start = self._clock()
-        await conn.send(response, result)
+        return self._clock()
+
+    def _send(self, conn, response, result, trace, ready):
+        """Encode a sealed job response and hand it to the transport;
+        ``result`` is the already-encoded result of an ``ok`` response
+        (see ``_handle_job``)."""
+        conn.write(protocol.encode(response) if result is None
+                   else protocol.encode_ok(response, result))
         if trace is not None:
             # Socket-write time is the client's read speed, not service
             # latency: recorded beside the spans, never inside them.
-            trace.flush_us = int((self._clock() - flush_start) * 1_000_000)
+            trace.flush_us = int((self._clock() - ready) * 1_000_000)
             self.traces.record(trace)
             if self.slow is not None:
                 self.slow.maybe_log(trace)
@@ -336,11 +440,14 @@ class SweepServer:
 
     # -- the job ladder ----------------------------------------------------
 
-    async def _handle_job(self, conn, request, trace=None):
-        """One job request down the ladder.  Returns ``(response,
-        result)``: for an ``ok`` response ``result`` is the canonical
-        result bytes and the envelope's own ``result`` is ``None``;
-        every other response is complete and ``result`` is ``None``."""
+    def _handle_job(self, conn, request, trace=None):
+        """One job request down the rungs that cannot block.  Returns
+        ``(response, result, None)`` for a request answered here — for
+        an ``ok`` response ``result`` is the canonical result bytes and
+        the envelope's own ``result`` is ``None``; every other response
+        is complete and ``result`` is ``None`` — or ``(None, None,
+        (content_hash, payload, cacheable))`` for one that needs a
+        flight (see ``_fly``)."""
         request_id = request.get("id")
         mark = trace.mark if trace is not None else _no_mark
         self.metrics.bump("jobs")
@@ -349,13 +456,13 @@ class SweepServer:
             self.metrics.bump("rejected_draining")
             return protocol.rejected_response(
                 request_id, "draining",
-                "server is draining for shutdown"), None
+                "server is draining for shutdown"), None, None
         if conn.bucket is not None and not conn.bucket.try_acquire():
             mark("admit")
             self.metrics.bump("rejected_ratelimit")
             return protocol.rejected_response(
                 request_id, "rate-limited",
-                "connection exceeds %g requests/s" % self.rate), None
+                "connection exceeds %g requests/s" % self.rate), None, None
         mark("admit")
         try:
             content_hash, payload, cacheable = self.specs.resolve(
@@ -363,7 +470,7 @@ class SweepServer:
         except ServeRequestError as exc:
             mark("validate")
             self.metrics.bump("bad_requests")
-            return protocol.error_response(request_id, exc), None
+            return protocol.error_response(request_id, exc), None, None
         mark("validate")
 
         # Level 1+2: already computed, by anyone, ever.
@@ -382,38 +489,59 @@ class SweepServer:
                 self.metrics.bump("hit_disk")
         if encoded is not None:
             return protocol.ok_response(request_id, content_hash, None,
-                                        served="hit"), encoded
+                                        served="hit"), encoded, None
+        shed = self._shed(request_id, content_hash)
+        if shed is not None:
+            return shed, None, None
+        return None, None, (content_hash, payload, cacheable)
 
-        # Level 3+4: join the open flight, or become its leader —
-        # backpressure applies only to new work (followers ride free).
-        leading = self.flights.leading(content_hash)
-        if leading and len(self.flights) >= self.queue_limit:
+    def _shed(self, request_id, content_hash):
+        """The ``overloaded`` rejection if this request would open a
+        flight past ``queue_limit``, else ``None`` — backpressure
+        applies only to new work (followers ride free)."""
+        if (self.flights.leading(content_hash)
+                and len(self.flights) >= self.queue_limit):
             self.metrics.bump("rejected_overload")
             return protocol.rejected_response(
                 request_id, "overloaded",
                 "admission queue full (%d executions in flight)"
-                % len(self.flights)), None
-        # No awaits between the leading() check and flights.run, so a
-        # follower reliably reads its leader's trace id off the flight.
-        leader_trace = (None if leading
-                        else self.flights.flight_meta(content_hash))
-        (encoded, failure), leader = await self.flights.run(
-            content_hash,
-            lambda: self._execute_and_store(content_hash, payload,
-                                            cacheable, trace),
-            meta=trace.id if trace is not None else None)
-        if trace is not None and not leader:
-            # The follower's whole wait is one span, linked to the
-            # leader's trace where the queue/execute detail lives.
-            trace.link_to(leader_trace)
-            trace.mark("flight")
-        served = "executed" if leader else "deduped"
-        if failure is None:
-            return protocol.ok_response(request_id, content_hash, None,
-                                        served=served), encoded
-        self.metrics.bump("failed")
-        return protocol.failed_response(request_id, content_hash, failure,
-                                        served=served), None
+                % len(self.flights))
+        return None
+
+    async def _fly(self, conn, request_id, trace, start, content_hash,
+                   payload, cacheable):
+        """Level 3+4, the one task a request can cost: join the open
+        flight or become its leader, then answer.  Cancelled by
+        ``conn.close()``, which also records the trace."""
+        # Asked again: the lines served by one read callback all saw
+        # the flight table as it was before any of their tasks ran.
+        response = self._shed(request_id, content_hash)
+        result = None
+        if response is None:
+            # No awaits between here and flights.run, so a follower
+            # reliably reads its leader's trace id off the flight.
+            leader_trace = self.flights.flight_meta(content_hash)
+            (result, failure), leader = await self.flights.run(
+                content_hash,
+                lambda: self._execute_and_store(content_hash, payload,
+                                                cacheable, trace),
+                meta=trace.id if trace is not None else None)
+            if trace is not None and not leader:
+                # The follower's whole wait is one span, linked to the
+                # leader's trace where the queue/execute detail lives.
+                trace.link_to(leader_trace)
+                trace.mark("flight")
+            served = "executed" if leader else "deduped"
+            if failure is None:
+                response = protocol.ok_response(request_id, content_hash,
+                                                None, served=served)
+            else:
+                self.metrics.bump("failed")
+                response = protocol.failed_response(
+                    request_id, content_hash, failure, served=served)
+        ready = self._seal(conn, response, trace, start)
+        await conn.writable()
+        self._send(conn, response, result, trace, ready)
 
     async def _execute_and_store(self, content_hash, payload, cacheable,
                                  trace=None):

@@ -11,8 +11,10 @@ wants.
 """
 
 import asyncio
+import collections
 import json
 import socket
+import time
 
 from repro.serve.dispatch import Dispatcher
 
@@ -45,6 +47,14 @@ class GatedDispatcher(Dispatcher):
         self.calls += 1
         await self.gate.wait()
         return await super().execute(payload, spans=spans)
+
+
+def make_server(socket_path, **overrides):
+    """A cacheless thread-mode server, unless ``overrides`` say more."""
+    from repro.serve.server import SweepServer
+    overrides.setdefault("cache", None)
+    overrides.setdefault("dispatcher", Dispatcher(workers=2, mode="thread"))
+    return SweepServer(socket_path=socket_path, **overrides)
 
 
 async def serving(server, scenario):
@@ -109,3 +119,39 @@ def cold_source_spec(tag):
     """A source-form job spec whose content hash is unique per tag."""
     return {"source": "(define (main) (+ 40 %d))" % tag,
             "processors": 1}
+
+
+def job_line(request_id, spec):
+    """One ``job`` request as its wire bytes."""
+    return (json.dumps({"op": "job", "id": request_id, "job": spec})
+            + "\n").encode()
+
+
+def accounted_jobs(server):
+    """The right-hand side of the service's conservation law: every
+    admitted job request was answered from a cache, answered by a
+    flight (as its leader or a follower), rejected, refused for its
+    spec, or abandoned by a disconnecting client — and nothing else.
+    Read off the existing counters and the trace store (so only for
+    tests small enough that no trace ring has wrapped)::
+
+        jobs == accounted_jobs(server)
+    """
+    counts = server.metrics.counts
+    traces = collections.Counter(
+        trace.served if trace.status in ("ok", "failed") else trace.status
+        for trace in server.traces.completed())
+    return (counts["hit_hot"] + counts["hit_disk"]
+            + traces["executed"] + traces["deduped"]
+            + counts["rejected_draining"] + counts["rejected_ratelimit"]
+            + counts["rejected_overload"]
+            + traces["error"] + traces["cancelled"])
+
+
+def spin(seconds):
+    """A ``call`` job that outlives any timeout under test, in slices
+    short enough for a worker's ``SIGALRM`` to land between them."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        time.sleep(0.01)
+    return seconds

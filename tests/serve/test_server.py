@@ -9,6 +9,7 @@ guardrails, and the lifecycle are all exercised from the wire in.
 import asyncio
 import json
 import os
+import socket
 
 from repro.exp.cache import ResultCache
 from repro.serve import protocol
@@ -573,3 +574,74 @@ class TestLifecycle:
                 lambda: harness.one_shot(socket_path, {"op": "ping"}))
 
         assert harness.run(scenario())["status"] == "ok"
+
+
+class TestBackPressure:
+    def test_pipelining_without_reading_is_bounded(self, tmp_path):
+        """A client that pipelines and does not read is held by the
+        transport's flow control — it used to park one task, and one
+        response, in the server for every line it sent."""
+        socket_path = str(tmp_path / "april.sock")
+        spec = harness.cold_source_spec(50)
+        count = 5000
+
+        async def scenario():
+            server = make_server(socket_path)
+
+            async def client():
+                loop = asyncio.get_running_loop()
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.setblocking(False)
+                received = bytearray()
+
+                async def read_lines(n):
+                    while received.count(b"\n") < n:
+                        chunk = await loop.sock_recv(sock, 65536)
+                        assert chunk, "server hung up"
+                        received.extend(chunk)
+                        bounded()
+
+                def bounded():
+                    high = conn.transport.get_write_buffer_limits()[1]
+                    assert len(conn.tasks) == 0
+                    assert (conn.transport.get_write_buffer_size()
+                            < high + line_bytes)
+
+                try:
+                    await loop.sock_connect(sock, socket_path)
+                    await loop.sock_sendall(
+                        sock, harness.job_line("prime", spec))
+                    while b"\n" not in received:
+                        received.extend(await loop.sock_recv(sock, 65536))
+                    conn, = server._connections
+                    line_bytes = len(received) + 16     # ids, trace ids
+                    del received[:]
+                    sender = asyncio.ensure_future(loop.sock_sendall(
+                        sock, b"".join(harness.job_line(index, spec)
+                                       for index in range(count))))
+                    # Read nothing: the server fills the socket, then
+                    # its write buffer, then stops serving and reading.
+                    assert await harness.eventually(
+                        lambda: not conn.transport.is_reading())
+                    for _ in range(100):
+                        await asyncio.sleep(0)
+                        bounded()
+                    assert not conn.transport.is_reading()
+                    assert not sender.done()    # held in the client
+                    await read_lines(count)
+                    await sender
+                finally:
+                    sock.close()
+                return bytes(received), server
+
+            return await harness.serving(server, client)
+
+        received, server = harness.run(scenario())
+        responses = [json.loads(line) for line in received.splitlines()]
+        assert [r["id"] for r in responses] == list(range(count))
+        assert {(r["status"], r["served"]) for r in responses} == {
+            ("ok", "hit")}
+        counts = server.metrics.counts
+        assert counts["requests"] == counts["jobs"] == count + 1
+        assert counts["hit_hot"] == count
