@@ -64,15 +64,34 @@ through its closure after the prefix commits, ending the block.
 The same scan and emitter produce a second shape, the *sync-headed
 slice* (``compile_block(..., sliced=True)``), for the machine loop's
 run-ahead: the instruction at the pc — inlined as above, whatever it
-is — followed only by *private* instructions (straight ops, branches,
-``CALL``/``JMPL``: one cycle, this processor's registers, condition
-codes and PC chain, nothing else), stopping before the next memory or
-delegated instruction.  Past the head a tripped guard parks the chain
-and returns instead of raising, and every exit records how many
-private instructions ran and their post-head register values, so
+is — followed only by *private* instructions.  Private means: one
+cycle, no trap, and nothing touched that another processor can see or
+change before this one's next head.  Straight ops, branches and
+``CALL``/``JMPL`` are (this processor's registers, condition codes and
+PC chain, nothing else); so is an inlined load or store off the stack
+pointer *whose address falls, at run time, inside the executing
+frame's stack window* (``frame.window``: the loaded thread's
+``[stolen_base, stack_limit)`` on a machine that runs ahead, empty
+anywhere else) — the machine keeps every other processor out of that
+window or winds this one back (``AlewifeMachine._wind_back``).  The
+scan stops before any other memory or delegated instruction.  Past the
+head nothing raises or delegates: a tripped guard, a stack access
+outside the window, any slow-path condition *parks* the chain at the
+instruction and returns, to be taken when it heads a later slice.
+Every exit records how many private instructions ran, their post-head
+register values and — the store log — the old word and full/empty bit
+of everything they changed in memory, so
 :meth:`repro.core.processor.Processor.unrun_tail` can take them back.
 Slices share :data:`SHARED_BLOCKS` (own key suffix), the promotion
 threshold, the per-CPU LRU bound and code-watch invalidation.
+
+On a bank with stack windows (``_port_spec``'s third field) every
+inlined access that is *not* a tail access — a head, or anywhere in a
+plain block — is slow too when it lands in a page holding some thread
+stack outside the executing frame's own window: the closure's access
+then passes ``Memory._index``, where the window's owner is wound back
+first.  Machines without windows (one processor, coherent memory)
+compile byte for byte what they compiled before there were any.
 
 Self-modifying code: each compiled block records the byte range
 ``[start, end)`` it was translated from and a hash of the translated
@@ -114,6 +133,7 @@ from repro.isa.instructions import (
 )
 from repro.isa.tags import WORD_MASK
 from repro.mem.ideal import IdealMemoryPort
+from repro.mem.memory import WINDOW_PAGE_SHIFT
 
 _GLOBAL_BASE = registers.GLOBAL_BASE
 _CC_MASK = N_BIT | Z_BIT | V_BIT | C_BIT
@@ -232,6 +252,11 @@ class CodeCache:
 SHARED_BLOCKS = CodeCache(1 << 12)
 
 
+def _has_windows(spec):
+    """Whether ``spec`` (see :func:`_port_spec`) is a windowed bank's."""
+    return spec is not None and len(spec) > 2
+
+
 def _port_spec(cpu):
     """Inline-memory specialization key for this CPU's port.
 
@@ -240,10 +265,18 @@ def _port_spec(cpu):
     full/empty-bit flavor logic, all compile-time known.  The spec
     carries the bank geometry because it is baked into the generated
     bounds checks.  ``None`` means "delegate every memory access".
+
+    A bank with :class:`~repro.mem.memory.StackWindows` installed — a
+    machine that runs ahead — adds a third field: every inlined access
+    that is not a tail access then carries the foreign-window test.
+    Everybody else's key, and so their generated source, is what it
+    was without one.
     """
     port = cpu.port
     if type(port) is IdealMemoryPort and port.latency == 1:
         memory = port.memory
+        if memory.windows is not None:
+            return (memory.base, memory.size_words, "windows")
         return (memory.base, memory.size_words)
     return None
 
@@ -286,9 +319,10 @@ class _Emitter:
     """Accumulates generated source plus the register-local bookkeeping.
 
     ``sliced`` selects the sync-headed slice shape (see
-    :func:`compile_block`): guards past the head park instead of
-    raising, and every exit that ran a private tail leaves the undo
-    record :meth:`Processor.unrun_tail` restores from.
+    :func:`compile_block`): guards and stack accesses past the head
+    park instead of raising or delegating, and every exit that ran a
+    private tail leaves the undo record (register snapshot, store log)
+    :meth:`Processor.unrun_tail` restores from.
     """
 
     def __init__(self, sliced=False):
@@ -308,6 +342,12 @@ class _Emitter:
         self.needs_regs = False
         self.needs_glob = False
         self.needs_mem = False
+        self.needs_window = False    # reads frame.window
+        #: Window-tested loads / stores emitted so far behind the head,
+        #: and whether any of them changes memory (needs the store log).
+        self.tail_loads = 0
+        self.tail_stores = 0
+        self.logs = False
         self.delegates = []          # closure default-arg values
         self.instrs = []             # Instruction constants (trap payloads)
 
@@ -386,9 +426,14 @@ class _Emitter:
         self.line(indent, "_st.instructions += %d" % count)
         if self.sliced and count > 1:
             self.undoable = True
-            self.line(indent, "cpu.ahead_tail = (%d, _u)" % (count - 1))
+            self.line(indent, "cpu.ahead_tail = (%d, _u, %s)" % (
+                count - 1, "_sl" if self.logs else "None"))
             self.line(indent, "cpu.ahead_slices += 1")
             self.line(indent, "cpu.ahead_instructions += %d" % (count - 1))
+            if self.tail_loads:
+                self.line(indent, "cpu.ahead_loads += %d" % self.tail_loads)
+            if self.tail_stores:
+                self.line(indent, "cpu.ahead_stores += %d" % self.tail_stores)
 
     def mark_head(self, pc_expr, npc_expr):
         """The slice head's own effects end here (first call only)."""
@@ -401,7 +446,9 @@ class _Emitter:
         ``_u = (pc, npc, psr, numbers, *values)``: the PC chain the
         tail starts from and the post-head value of everything the
         tail may dirty — they are already locals, so one tuple build
-        records them.
+        records them.  A tail that changes memory starts its store log
+        ``_sl`` here: ``(index, old word, old full/empty bit)`` per
+        change, oldest first.
         """
         at, pc_expr, npc_expr = self.head
         names = list(self.dirty)
@@ -409,6 +456,20 @@ class _Emitter:
                   "psr" if self.psr_dirty else "None",
                   repr(tuple(self._numbers[name] for name in names))]
         self.body.insert(at, "    _u = (%s)" % ", ".join(fields + names))
+        if self.logs:
+            self.body.insert(at, "    _sl = []")
+
+
+def _emit_park(emitter, pending, pc_k, npc_expr):
+    """Past the head of a slice: stop *before* the instruction at
+    ``pc_k`` — write back, commit what ran, leave the chain there so it
+    heads a later slice at its own key."""
+    emitter.writeback(2, dirty_names=list(emitter.dirty),
+                      psr_dirty=emitter.psr_dirty)
+    emitter.commit(2, pending)
+    emitter.line(2, "frame.pc = %d" % pc_k)
+    emitter.line(2, "frame.npc = %s" % npc_expr)
+    emitter.line(2, "return")
 
 
 def _emit_guard(emitter, guard_expr, value_expr, instr, pending, pc_k,
@@ -429,6 +490,11 @@ def _emit_guard(emitter, guard_expr, value_expr, instr, pending, pc_k,
     taken when the instruction heads a later slice, at its own key.
     """
     emitter.line(1, "if %s:" % guard_expr)
+    if npc_expr is None:
+        npc_expr = "%d" % (pc_k + 4)
+    if emitter.sliced and pending:
+        _emit_park(emitter, pending, pc_k, npc_expr)
+        return
     # Snapshot of dirt *so far* — later instructions' write-backs must
     # not leak into an earlier bail.
     emitter.writeback(2, dirty_names=list(emitter.dirty),
@@ -436,11 +502,7 @@ def _emit_guard(emitter, guard_expr, value_expr, instr, pending, pc_k,
     if pending:
         emitter.commit(2, pending)
     emitter.line(2, "frame.pc = %d" % pc_k)
-    emitter.line(2, "frame.npc = %s" % (
-        npc_expr if npc_expr is not None else "%d" % (pc_k + 4)))
-    if emitter.sliced and pending:
-        emitter.line(2, "return")
-        return
+    emitter.line(2, "frame.npc = %s" % npc_expr)
     name = emitter.add_instr(instr)
     emitter.line(2, "raise _TS(_T(_FC, instr=%s, pc=%d, value=%s,"
                  " cause=%r))" % (name, pc_k, value_expr, instr.op.name))
@@ -579,7 +641,7 @@ def _emit_mem_delegate(emitter, instr, run, pending, pc_i, npc_expr,
 
 
 def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
-                     install):
+                     install, tail=False):
     """Emit an inlined ideal-port load/store at ``pc_i``.
 
     The successful single-cycle access runs on the block's locals and
@@ -589,12 +651,25 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
     ``watch_hook`` — takes the slow branch, which delegates to the
     closure and ends the block (the inline test mutated nothing, so
     the closure redoes the access from scratch, bit-identically).
+
+    On a bank with stack windows (``spec`` has the third field) one
+    more case is slow: an address in a page that holds some thread
+    stack, unless it is in the executing frame's own window — the
+    closure's access goes through ``Memory._index``, which has whoever
+    ran ahead over that word wound back first.
+
+    ``tail`` emits the access behind a slice's head instead (``run``
+    is not used): it happens only inside the executing frame's own
+    window (which is inside the bank), any other case *parks* the
+    chain at the instruction like a tripped guard, and whatever it
+    changes in memory — the word, the full/empty bit — is logged
+    first so :meth:`Processor.unrun_tail` can put it back.
     """
     emitter.needs_mem = True
     op = instr.op
     is_load = op in _MEM_LOADS
     flavor = LOAD_FLAVORS[op] if is_load else STORE_FLAVORS[op]
-    base, size_words = spec
+    base, size_words = spec[:2]
     line = emitter.line
 
     b = emitter.use_reg(instr.rs1)
@@ -604,13 +679,26 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
     else:
         line(1, "_x = _a >> 2")
     slow = []
-    if not flavor.raw:
-        slow.append("%s & 1" % b)
-    slow.append("_a & 3")
-    if base:
-        slow.append("_x < 0")
-    slow.append("_x >= %d" % size_words)
-    slow.append("cpu.watch_hook is not None")
+    if tail:
+        # The window is inside the bank, and a slice reads the hook
+        # once: nothing it runs can attach one.
+        emitter.needs_window = True
+        if not flavor.raw and not instr.imm & 3:
+            slow.append("%s & 3" % b)    # future bit and alignment
+        else:
+            if not flavor.raw:
+                slow.append("%s & 1" % b)
+            slow.append("_a & 3")
+        slow.append("not _lo <= _a < _hi")
+        slow.append("_wh")
+    else:
+        if not flavor.raw:
+            slow.append("%s & 1" % b)
+        slow.append("_a & 3")
+        if base:
+            slow.append("_x < 0")
+        slow.append("_x >= %d" % size_words)
+        slow.append("cpu.watch_hook is not None")
     if is_load:
         if flavor.trap_on_empty:
             slow.append("not _fe[_x]")
@@ -618,14 +706,35 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
         slow.append("_x in _ww")
         if flavor.trap_on_full:
             slow.append("_fe[_x]")
+    if not tail and _has_windows(spec):
+        emitter.needs_window = True
+        foreign = ["not _lo <= _a < _hi",
+                   "_a >> %d in _ow" % WINDOW_PAGE_SHIFT]
+        if instr.rs1 != registers.SP:
+            # Not the stack pointer: probably no stack at all, so ask
+            # the page table first.
+            foreign.reverse()
+        slow.append("(%s)" % " and ".join(foreign))
     line(1, "if %s:" % " or ".join(slow))
-    _emit_mem_delegate(emitter, instr, run, pending, pc_i, npc_expr,
-                       install, indent=2)
+    if tail:
+        _emit_park(emitter, pending, pc_i, npc_expr)
+    else:
+        _emit_mem_delegate(emitter, instr, run, pending, pc_i, npc_expr,
+                           install, indent=2)
 
     # Fast path: the flavor's semantics inline.  The PSR full/empty
     # condition bit reflects the state *before* the access.
     emitter.def_psr()
     line(1, "psr = psr | %d if _fe[_x] else psr & %d" % (FE_BIT, ~FE_BIT))
+    changes = flavor.set_empty if is_load else True
+    if tail:
+        if is_load:
+            emitter.tail_loads += 1
+        else:
+            emitter.tail_stores += 1
+        if changes:
+            emitter.logs = True
+            line(1, "_sl.append((_x, _mw[_x], _fe[_x]))")
     if is_load:
         if instr.rd:
             name = emitter.def_reg(instr.rd)
@@ -664,6 +773,16 @@ def _classify_delay(decoder, fetch, address):
     return None
 
 
+def _rides_tail(instr, spec):
+    """Whether a slice may carry ``instr`` behind its head: an inlined
+    load or store off the stack pointer.  Only a guess at what will
+    pass the window test at run time — that test alone decides, for
+    any program — so that a heap access does not drag a tail it always
+    parks."""
+    return (spec is not None and instr.op in _MEM
+            and instr.rs1 == registers.SP)
+
+
 def _scan_block(cpu, pc, spec, sliced=False):
     """Scan the superblock at ``pc`` into a translation plan.
 
@@ -679,15 +798,19 @@ def _scan_block(cpu, pc, spec, sliced=False):
 
     ``sliced`` scans the second shape, a *sync-headed slice*: whatever
     stands at ``pc``, then only *private* instructions — one cycle,
-    touching nothing but this CPU's registers, condition codes and PC
-    chain, unable to trap (a strict op's guard parks instead).  The
-    scan stops *before* the next load/store or delegated instruction,
-    and a memory delay slot is left unfused, so the head is the only
-    instruction in the plan another processor could observe.
+    unable to trap (a strict op's guard parks instead), touching
+    nothing but this CPU's registers, condition codes and PC chain,
+    or (:func:`_rides_tail`) a word of the executing frame's stack
+    window, tested at run time.  The scan stops *before* any other
+    load/store or delegated instruction, and a memory delay slot is
+    fused only if it rides, so the head is the only instruction in the
+    plan another processor could observe.
 
     Plan items:
         ``("s", instr, pc)`` — inlined straight-line op;
         ``("mi", instr, run, pc)`` — inlined ideal-port load/store;
+        ``("mt", instr, pc)`` — the same behind a slice's head:
+        inside the frame's stack window, or the chain parks;
         ``("md", instr, run, pc)`` — delegated memory terminator;
         ``("cb", instr, pc)`` — bare conditional exit;
         ``("c", instr, pc, delay)`` — fused conditional (continues);
@@ -721,8 +844,14 @@ def _scan_block(cpu, pc, spec, sliced=False):
 
         redirect = op in _UNCOND_EXITS or op in _COND
         if sliced and plan and not redirect:
-            # Not private: it may only ever be the head of a slice.
-            break
+            if not _rides_tail(instr, spec):
+                # Not private: it may only ever be the head of a slice.
+                break
+            plan.append(("mt", instr, scan))
+            words.append(word)
+            total += 1
+            scan += 4
+            continue
 
         if op in _MEM:
             try:
@@ -744,11 +873,12 @@ def _scan_block(cpu, pc, spec, sliced=False):
         if redirect:
             delay = _classify_delay(decoder, fetch, scan + 4)
             if delay is not None and delay[0] == "m" and (
-                    spec is None or sliced):
+                    spec is None
+                    or sliced and not _rides_tail(delay[1], spec)):
                 # A delegated delay slot ends the block anyway; fusing
                 # it buys nothing over the bare exit, so keep the exit
-                # simple on non-ideal ports.  In a slice it would be a
-                # second memory access.
+                # simple on non-ideal ports.  A slice fuses only what
+                # may ride its tail.
                 delay = None
             if op in _COND:
                 if delay is None:
@@ -798,11 +928,12 @@ def compile_block(cpu, pc, sliced=False):
     ``compile()`` run only on a cache miss.
 
     ``sliced`` compiles the sync-headed slice at ``pc`` instead (see
-    :func:`_scan_block`): the same emitter, except that a guard past
-    the head parks the chain there and returns without raising, and
-    every exit past the head sets ``cpu.ahead_tail`` to the number of
-    private instructions it ran and their undo snapshot.  A head that
-    is delegated ends the slice like any block: it has no tail.
+    :func:`_scan_block`): the same emitter, except that past the head
+    a tripped guard or a stack access that cannot ride parks the chain
+    there and returns without raising, and every exit past the head
+    sets ``cpu.ahead_tail`` to the number of private instructions it
+    ran, their undo snapshot and their store log.  A head that is
+    delegated ends the slice like any block: it has no tail.
     """
     spec = _port_spec(cpu)
     plan, words, total, end = _scan_block(cpu, pc, spec, sliced)
@@ -836,6 +967,12 @@ def compile_block(cpu, pc, sliced=False):
                              "%d" % (pc_i + 4), spec, install=False)
             pending += 1
             emitter.mark_head(pc_i + 4, pc_i + 8)
+        elif kind == "mt":
+            _, instr, pc_i = item
+            _emit_mem_inline(emitter, instr, None, pending, pc_i,
+                             "%d" % (pc_i + 4), spec, install=False,
+                             tail=True)
+            pending += 1
         elif kind == "md":
             _, instr, run, pc_i = item
             _emit_mem_delegate(emitter, instr, run, pending, pc_i,
@@ -869,7 +1006,8 @@ def compile_block(cpu, pc, sliced=False):
                                npc_expr="_nn")
             else:
                 _emit_mem_inline(emitter, dinstr, drun, pending,
-                                 pc_i + 4, "_nn", spec, install=True)
+                                 pc_i + 4, "_nn", spec, install=True,
+                                 tail=emitter.sliced)
             pending += 1
             line(1, "if _tk:")
             emitter.writeback(2, dirty_names=list(emitter.dirty),
@@ -913,7 +1051,7 @@ def compile_block(cpu, pc, sliced=False):
                 else:
                     _emit_mem_inline(emitter, dinstr, drun, pending,
                                      pc_i + 4, target_expr, spec,
-                                     install=True)
+                                     install=True, tail=emitter.sliced)
                 pending += 1
                 emitter.writeback(1)
                 emitter.commit(1, pending)
@@ -965,12 +1103,19 @@ def compile_block(cpu, pc, sliced=False):
     if emitter.psr_used:
         prologue.append("    _psr = frame.psr")
         prologue.append("    psr = _psr.value")
-    if emitter.needs_mem:
+    if emitter.needs_mem and _has_windows(spec):
+        prologue.append(
+            "    _mw, _fe, _ww, _ow = cpu.port.memory.windows.view")
+    elif emitter.needs_mem:
         prologue.append("    _mem = cpu.port.memory")
         prologue.append("    _mw = _mem._words")
         prologue.append("    _fe = _mem._full")
         prologue.append("    _cw = _mem.code_watch")
         prologue.append("    _ww = _cw.words if _cw is not None else ()")
+    if emitter.needs_window:
+        prologue.append("    _lo, _hi = frame.window")
+    if emitter.tail_loads or emitter.tail_stores:
+        prologue.append("    _wh = cpu.watch_hook is not None")
     prologue.extend("    " + load for load in emitter.refs.values())
     source = "\n".join(header + prologue + emitter.body) + "\n"
 

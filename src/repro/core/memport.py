@@ -59,6 +59,13 @@ class MemoryPort:
     subclasses override when they model the mechanism.
     """
 
+    #: Whether something can reach *into another processor* through
+    #: this port — post an interrupt, stall it — at a time of the
+    #: sender's choosing.  A machine runs its processors ahead of one
+    #: another only when no port says so; a port that does not know
+    #: says yes.
+    reaches_processors = True
+
     def fetch(self, address):
         """Instruction fetch: return the raw 32-bit word at ``address``.
 

@@ -66,6 +66,12 @@ PREDECODE_CACHE_CAPACITY = 1 << 16
 #: Bound on a machine's JIT block cache (LRU).
 JIT_CACHE_CAPACITY = 2048
 
+#: Why a run-ahead tail was taken back (:attr:`Processor.ahead_undone_by`):
+#: the run ended under it, another processor (or a trap handler)
+#: touched the stack window it had loaded or stored in, or a lazy steal
+#: carried part of that window off.
+UNDO_CAUSES = ("run_end", "foreign", "steal")
+
 
 class ProcessorStats:
     """Per-processor cycle and event counters.
@@ -190,15 +196,22 @@ class Processor:
         self.superblocks = 0
         #: Run-ahead diagnostics (same contract, and not part of
         #: :meth:`translation_counters` either): slices that ran a
-        #: private tail, the instructions in those tails, and the ones
-        #: :meth:`unrun_tail` took back when the run ended under them.
+        #: private tail, the instructions in those tails — of which
+        #: loads and stores inside the thread's own stack window — and
+        #: the ones :meth:`unrun_tail` took back, in all and by cause
+        #: (:data:`UNDO_CAUSES`).
         self.ahead_slices = 0
         self.ahead_instructions = 0
-        self.ahead_undone = 0
-        #: ``(count, undo)`` while the last thing this processor ran
-        #: was a slice with ``count`` private instructions behind its
-        #: head, else ``None``; ``undo`` is the generated code's
-        #: snapshot ``(pc, npc, psr, numbers, *values)``.
+        self.ahead_loads = 0
+        self.ahead_stores = 0
+        self.ahead_undone_by = dict.fromkeys(UNDO_CAUSES, 0)
+        #: ``(count, undo, stores)`` while the last thing this
+        #: processor ran was a slice with ``count`` private
+        #: instructions behind its head, else ``None``; ``undo`` is the
+        #: generated code's snapshot ``(pc, npc, psr, numbers,
+        #: *values)`` and ``stores`` its log of what the tail changed
+        #: in memory — ``(index, old word, old full/empty bit)``,
+        #: oldest first — or ``None``.
         self.ahead_tail = None
         #: JIT tier diagnostics (same non-snapshot contract).
         self.jit_compiles = 0
@@ -217,6 +230,11 @@ class Processor:
         #: ``lifetime`` accountant reads :attr:`stats` by difference, so
         #: only the instructions that move FP tell it anything.
         self.events = events if events is not None else EventBus()
+
+    @property
+    def ahead_undone(self):
+        """Run-ahead instructions taken back, whatever the cause."""
+        return sum(self.ahead_undone_by.values())
 
     # -- register file ----------------------------------------------------
 
@@ -396,17 +414,22 @@ class Processor:
         overrun by a *sync-headed slice* instead: the instruction at
         the pc — the caller vouches that it is next in the machine's
         schedule — and then, in the same generated function, every
-        following *private* instruction (one cycle; reads and writes
-        only this processor's registers, condition codes and PC chain;
-        cannot trap), stopping before the next load/store, frame,
-        system or I/O instruction, before a tripped future guard (chain
-        parked there, trap not taken) and at
+        following *private* instruction: one cycle, cannot trap, and
+        reads and writes only this processor's registers, condition
+        codes and PC chain — or, a load or store off the stack
+        pointer, a word inside ``frame.window``, the running thread's
+        own stack (tested at run time; its old contents logged).  The
+        slice stops before any other load/store, before a frame,
+        system or I/O instruction, before a tripped future guard or a
+        stack access that misses the window or would trap (chain
+        parked there, nothing taken) and at
         :data:`~repro.core.jit.MAX_JIT_BLOCK`.  Nothing another
-        processor does can change what a private instruction computes
-        and nothing it computes can be seen from outside before the
-        next head, so running the tail early changes only the host
-        order; legal only while nothing can reach into this processor
-        between two of its own heads (no IPI sender, no
+        processor does changes what a private instruction computes and
+        nothing it computes is seen from outside before the next head
+        — the machine sees to the window part (``AlewifeMachine.
+        _wind_back``) — so running the tail early changes only the
+        host order; legal only while nothing can reach into this
+        processor between two of its own heads (no IPI sender, no
         per-instruction hook).
         :attr:`ahead_tail` says how far past the head the slice ran and
         :meth:`unrun_tail` takes that back.  A pc whose slice is still
@@ -547,18 +570,29 @@ class Processor:
                 code.watch.cover(jb.start, jb.end)
         return jb
 
-    def unrun_tail(self, keep):
+    def unrun_tail(self, keep, cause="run_end"):
         """Take back the private tail of the slice just run, then
         re-execute its first ``keep`` instructions.
 
         The tail wrote only the registers in the snapshot, the
-        condition codes, the PC chain and four counters, each by
-        exactly one per instruction, so restoring the first three and
-        subtracting from the rest is the state right after the head;
-        :meth:`step` replays what the run's end still covers.
+        condition codes, the PC chain, four counters — each by exactly
+        one per instruction — and the words of its own stack window in
+        the store log, so restoring the first three, putting the old
+        words and full/empty bits back newest-first and subtracting
+        from the counters is the state right after the head;
+        :meth:`step` replays what the caller's place in the schedule
+        still covers (nobody else touched the window since, or the
+        tail would have been taken back then).
         """
-        count, (pc, npc, psr, numbers, *values) = self.ahead_tail
+        count, (pc, npc, psr, numbers, *values), stores = self.ahead_tail
         self.ahead_tail = None
+        if stores:
+            memory = self.port.memory
+            words = memory._words
+            full = memory._full
+            for index, word, bit in reversed(stores):
+                words[index] = word
+                full[index] = bit
         frame = self.frames[self.fp]
         frame.pc = pc
         frame.npc = npc
@@ -571,7 +605,7 @@ class Processor:
         stats.useful -= count
         stats._total -= count
         stats.instructions -= count
-        self.ahead_undone += count - keep
+        self.ahead_undone_by[cause] += count - keep
         for _ in range(keep):
             self.step()
 

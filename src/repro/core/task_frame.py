@@ -23,7 +23,7 @@ class TaskFrame:
     __slots__ = (
         "index", "regs", "pc", "npc", "psr",
         "trap_saved_pc", "trap_saved_npc", "trap_saved_psr",
-        "thread",
+        "thread", "window",
     )
 
     def __init__(self, index):
@@ -38,6 +38,11 @@ class TaskFrame:
         self.trap_saved_psr = 0
         #: The run-time Thread currently loaded here (None = free frame).
         self.thread = None
+        #: ``(lo, hi)`` byte bounds of the loaded thread's own stack,
+        #: the addresses a run-ahead tail may load and store (see
+        #: :class:`repro.mem.memory.StackWindows`, which keeps it);
+        #: empty unless the machine runs ahead.  Not thread state.
+        self.window = (0, 0)
 
     @property
     def occupied(self):

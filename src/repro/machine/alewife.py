@@ -16,6 +16,9 @@ Two memory modes (matching the paper's methodology):
 """
 
 import heapq
+# By name: `heapq` here may be stood in for by an object that only
+# pushes and pops (perf/spans.py counts slices that way).
+from heapq import heapify
 
 from repro.core.processor import Processor, Translations
 from repro.errors import DeadlockError, SimulationError
@@ -23,7 +26,7 @@ from repro.isa.encoding import DecodeCache
 from repro.machine.config import MachineConfig
 from repro.machine.stats import MachineStats
 from repro.mem.ideal import IdealMemoryPort
-from repro.mem.memory import CodeWatch, Memory
+from repro.mem.memory import CodeWatch, Memory, StackWindows
 from repro.obs.events import EventBus
 from repro.runtime.rts import RuntimeSystem
 
@@ -64,12 +67,19 @@ class AlewifeMachine:
     queue key orders tied processors as the oracle's sequence numbers
     do without changing on a one-cycle step, so where nothing can reach
     into a running processor (:meth:`_runs_ahead`: ideal memory, no IPI
-    sender) a slice carries that processor's private instructions —
-    registers, condition codes, PC chain — past a tied clock; they
-    commute with whatever the others do, every load, store, trap and
-    idle poll still happens in the oracle's order, and a run that ends
-    under such a tail is wound back to where the oracle stops
-    (:meth:`_end_at`).
+    sender) a slice carries that processor's *private* instructions
+    past a tied clock.  Private is what commutes with whatever the
+    others do: registers, condition codes, the PC chain — and loads
+    and stores that fall, at run time, inside the stack window of the
+    thread the slice runs (``[stolen_base, stack_limit)``, which no
+    other processor touches in compiled code).  The window is private
+    only until somebody does touch it, so that is checked, for any
+    program: every access that is not such a tail access asks the
+    bank's :class:`~repro.mem.memory.StackWindows` first, and the
+    owner's tail is wound back to the asker's place in the schedule
+    (:meth:`_wind_back`).  Every other load, store, trap and idle poll
+    still happens in the oracle's order, and a run that ends under a
+    tail is wound back to where the oracle stops (:meth:`_end_at`).
 
     ``fastpath=True`` (the default) pairs the fast form with predecoded
     dispatch and superblocks; ``False`` pins every processor to the
@@ -111,6 +121,9 @@ class AlewifeMachine:
         self.events = EventBus()
         #: Optional interval sampler; attached, it selects the oracle.
         self.sampler = None
+        #: While :meth:`_run_fast` runs: whose step it is and the event
+        #: queue, for :meth:`_wind_back`.
+        self._turn = self._queue = None
         #: Optional :class:`repro.obs.flight.Watchdog`; both schedules
         #: poll its ``next_check_at`` and turn the run-time system's
         #: deadlock abort into its typed ``HangDetected``.
@@ -183,7 +196,12 @@ class AlewifeMachine:
         """
         if self.fastpath and self._hooks_dormant():
             self.loop_used = "fast"
-            self._run_fast(self._start(entry, args), max_cycles)
+            try:
+                self._run_fast(self._start(entry, args), max_cycles)
+            finally:
+                # Over: what is left of any tail stands, and no later
+                # look at memory may wind anything back.
+                self._turn = None
             return self._finish()
         stepper = self.stepper(entry, args, max_cycles)
         self.loop_used = "reference"
@@ -230,23 +248,25 @@ class AlewifeMachine:
     def _runs_ahead(self):
         """Whether the fast form may run processors ahead of a tie.
 
-        Derived, never configured: a private tail is exact only while
+        Derived, never configured.  One processor has nobody to run
+        ahead of.  With more, a private tail is exact only while
         nothing can reach into a processor between two of its own
         heads.  On this machine that is an IPI landing in its queue —
-        so the port must be the ideal one with no I/O hook to post one
-        and no run-time receiver to post more — and every trap must
-        cost more than a cycle (the squash alone does), which is how
-        the loop tells one from retired instructions.  Coherent
-        machines are out: a ``STIO`` lands at the receiver's clock with
-        zero lookahead.  Slices are a JIT shape, so ``jit=False`` runs
-        none.
+        so no port may say that something can get at another processor
+        through it (:attr:`~repro.core.memport.MemoryPort.
+        reaches_processors`: the ideal port with no I/O hook to post
+        one cannot) and there is no run-time receiver to post more —
+        and every trap must cost more than a cycle (the squash alone
+        does), which is how the loop tells one from retired
+        instructions.  Coherent machines are out: a ``STIO`` lands at
+        the receiver's clock with zero lookahead.  Slices are a JIT
+        shape, so ``jit=False`` runs none.
         """
-        return (self.jit and self.fabric is None
+        return (self.jit and len(self.cpus) > 1
                 and self.config.trap_squash_cycles > 1
                 and self.runtime._ipi_receiver is None
-                and all(cpu.port.io_read_hook is None
-                        and cpu.port.io_write_hook is None
-                        for cpu in self.cpus))
+                and not any(cpu.port.reaches_processors
+                            for cpu in self.cpus))
 
     def _run_fast(self, queue, max_cycles):
         """The fast form: an event queue of *slices* instead of steps.
@@ -281,15 +301,30 @@ class AlewifeMachine:
         instruction at its pc, which holds the minimum key and may be
         anything, and then its *private* successors, which read and
         write only that processor's registers, condition codes and PC
-        chain.  Those commute with everything any other processor
-        does, so executing them early changes the host order of
-        instructions and nothing else; every load, store, trap and
-        idle poll is still the head of a slice, and heads are popped
-        in key order — the oracle's.
+        chain, and the words of its running thread's own stack window.
+        Those commute with everything any other processor does, so
+        executing them early changes the host order of instructions
+        and nothing else; every other load and store, every trap and
+        idle poll is still the head of a slice (or inside a block run
+        strictly below everybody's clock), and heads are popped in key
+        order — the oracle's.
+
+        **Whose window.**  A thread owns ``[stolen_base, stack_limit)``
+        while it is loaded (``Scheduler.load_thread`` to ``unload`` /
+        ``retire_thread``; a lazy steal moves ``stolen_base`` up).
+        Nothing in compiled Mul-T but the steal reaches into another
+        thread's stack — which is why it pays — but a program may, so
+        the bank carries a :class:`~repro.mem.memory.StackWindows` for
+        the run: a tail access tests the executing frame's bounds and
+        otherwise parks the chain to become a head; every *other*
+        access — inlined in generated code, or through any ``Memory``
+        method: closures, trap handlers, the steal's copy loop —
+        that lands in a loaded window calls :meth:`_wind_back` first.
 
         **How a run ends.**  When the root's exit sets ``done`` at key
         K the oracle stops, and a parked processor may have run its
-        tail past K: :meth:`_end_at` takes those instructions back.
+        tail past K: :meth:`_end_at` takes those instructions back,
+        and what they stored.
 
         A processor popped off an empty queue — the only one, or the
         last not halted — has nobody to yield to: its blocks run
@@ -308,6 +343,18 @@ class AlewifeMachine:
         ahead = self._runs_ahead()
         queue = [(clock, 0, seq, index) for clock, seq, index in queue]
         seq = len(queue)
+        #: Whose step is running and where it stands in the schedule,
+        #: for :meth:`_wind_back`: ``[cpu index, -origin, oseq, clock
+        #: minus instructions retired]`` — the last is constant over a
+        #: run of one-cycle instructions, so the running step began at
+        #: it plus the instruction count of the moment.
+        turn = self._turn = [0, 0, 0, 0]
+        self._queue = queue
+        if ahead and self.memory.windows is None:
+            # Before the first stack is carved (threads get theirs at
+            # their first load): the bank and the scheduler share it.
+            self.memory.windows = runtime.scheduler.windows = (
+                StackWindows(self.memory, self._wind_back))
 
         idle_streak = 0
         while True:
@@ -334,15 +381,27 @@ class AlewifeMachine:
             step_block = step_blocks[index]
             step = steps[index]
             stats = cpu.stats
+            if ahead:
+                turn[:3] = index, behind, oseq
             while True:
                 if has_work(cpu):
                     budget = _NO_BUDGET if solo else horizon - cpu.cycles
-                    if ahead or budget >= 4:
-                        # `lead` one-cycle instructions retire, then at
-                        # most one gap (a trap, a stall), which ends
-                        # whatever block or slice ran.
+                    # `lead` one-cycle instructions retire, then at
+                    # most one gap (a trap, a stall), which ends
+                    # whatever block or slice ran.
+                    if ahead:
                         lead = stats.instructions
-                        spent = step_block(budget, ahead)
+                        turn[3] = cpu.cycles - lead
+                        spent = step_block(budget, True)
+                        lead = stats.instructions - lead
+                        gap = spent != lead
+                        if not solo:
+                            # It may have wound somebody back below
+                            # the horizon (re-keyed: `_wind_back`).
+                            horizon = queue[0][0]
+                    elif budget >= 4:
+                        lead = stats.instructions
+                        spent = step_block(budget)
                         lead = stats.instructions - lead
                         gap = spent != lead
                     else:
@@ -359,9 +418,13 @@ class AlewifeMachine:
                         return
                 else:
                     before = cpu.cycles
+                    if ahead:
+                        turn[3] = before - stats.instructions
                     found = on_idle(cpu)
                     spent = cpu.cycles - before
                     gap = spent != 1
+                    if ahead and not solo:
+                        horizon = queue[0][0]    # a steal winds back too
                     if found:
                         idle_streak = 0
                     else:
@@ -374,6 +437,8 @@ class AlewifeMachine:
                     behind = -cpu.cycles if spent else 1
                     oseq = seq
                     seq += 1
+                    if ahead:
+                        turn[1:3] = behind, oseq
                 # A failed idle poll (the only thing that leaves the
                 # streak non-zero) and a zero-cost step go back through
                 # the queue.
@@ -384,28 +449,63 @@ class AlewifeMachine:
             if not cpu.halted:
                 heappush(queue, (cpu.cycles, behind, oseq, index))
 
-    def _end_at(self, key, queue):
-        """End a run-ahead run where the oracle ends it.
+    def _end_at(self, key, queue, cause="run_end", only=None):
+        """Take back what queued processors ran ahead of ``key``.
 
-        ``key`` is the ``(clock, -origin, oseq)`` at which the step
-        that set ``done`` began; the oracle ran exactly the steps with
-        a smaller key.  Every head in ``queue`` is at a larger one, but
-        the private tail a queued processor ran behind its last head
-        shares that head's origin and ``oseq`` and counts its clock up
-        by one per instruction, so its suffix from the first key not
-        below ``key`` was never run by the oracle and is taken back.
+        ``key`` is the ``(clock, -origin, oseq)`` at which a step
+        began; the oracle ran exactly the steps with a smaller key
+        before it.  Every head in ``queue`` is at a larger one, but the
+        tail a queued processor ran behind its last head shares that
+        head's origin and ``oseq`` and counts its clock up by one per
+        instruction, so its suffix from the first key not below ``key``
+        had not happened yet when the oracle began that step, and is
+        taken back — registers, PC chain, counters, and the words and
+        full/empty bits its loads and stores changed.
+
+        Two callers.  The step that set ``done`` ends the run there:
+        every processor (``only`` is ``None``), the queue no longer
+        matters.  :meth:`_wind_back` does it mid-run to the one
+        processor ``only`` whose stack window the running step is
+        about to touch; that processor's clock moved, so its queue
+        entry is re-keyed — same origin and ``oseq``, they describe
+        the head, which stands.
         """
         clock, behind, oseq = key
-        for _, its_behind, its_oseq, index in queue:
+        for slot, (_, its_behind, its_oseq, index) in enumerate(queue):
+            if only is not None and index != only:
+                continue
             cpu = self.cpus[index]
             if cpu.ahead_tail is None:
                 continue
-            count, _ = cpu.ahead_tail
+            count = cpu.ahead_tail[0]
             keep = clock - (cpu.cycles - count)
             if (its_behind, its_oseq) < (behind, oseq):
                 keep += 1
             if keep < count:
-                cpu.unrun_tail(max(keep, 0))
+                cpu.unrun_tail(max(keep, 0), cause)
+                if only is not None:
+                    queue[slot] = (cpu.cycles, its_behind, its_oseq, index)
+                    heapify(queue)
+                    return
+
+    def _wind_back(self, node, frame, cause):
+        """Something that is not a tail is about to access a word in
+        the stack window of the thread loaded in ``frame`` of ``node``
+        (:meth:`repro.mem.memory.StackWindows.touch`).
+
+        If that processor is parked behind a tail that ran in that
+        frame — the only window a tail loads or stores in — the access
+        and the tail do not commute: the tail goes back to the key of
+        the step now running, which :meth:`_run_fast` keeps in
+        ``_turn``.  The processor running that step holds no tail
+        itself.
+        """
+        cpu = self.cpus[node]
+        if (cpu.ahead_tail is not None and self._turn is not None
+                and cpu.frames[cpu.fp] is frame):
+            index, behind, oseq, skew = self._turn
+            clock = skew + self.cpus[index].stats.instructions
+            self._end_at((clock, behind, oseq), self._queue, cause, node)
 
     def stats(self):
         """Current :class:`MachineStats` snapshot."""

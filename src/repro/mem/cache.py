@@ -76,8 +76,11 @@ class Cache:
         self.block_bytes = block_bytes
         self.assoc = assoc
         self.num_sets = size_bytes // (block_bytes * assoc)
-        self._sets = [[CacheLine() for _ in range(assoc)]
-                      for _ in range(self.num_sets)]
+        #: One list of ``assoc`` lines per set, built by the first
+        #: :meth:`install` into the set (``None`` until then: a set
+        #: nothing was ever filled into holds only invalid lines, and
+        #: most of a 4096-line cache is never touched by a short run).
+        self._sets = [None] * self.num_sets
         self._clock = 0
         self.stats = CacheStats()
         #: The machine's observer surface (:mod:`repro.obs.events`).
@@ -89,10 +92,18 @@ class Cache:
         """The block-aligned address containing a byte address."""
         return address & ~(self.block_bytes - 1)
 
-    def _locate(self, address):
+    def _locate(self, address, build=False):
+        """``(lines of the address's set, block address)``; an unbuilt
+        set reads as empty unless ``build`` asks for its lines."""
         block = self.block_address(address)
         set_index = (block // self.block_bytes) % self.num_sets
-        return self._sets[set_index], block
+        lines = self._sets[set_index]
+        if lines is None:
+            if not build:
+                return (), block
+            lines = self._sets[set_index] = [
+                CacheLine() for _ in range(self.assoc)]
+        return lines, block
 
     def lookup(self, address):
         """The line holding this address if present and valid."""
@@ -115,7 +126,7 @@ class Cache:
     def install(self, address, state, now=0):
         """Fill a line (evicting LRU if needed); returns the victim's
         ``(tag, state)`` when a valid line was displaced, else None."""
-        lines, block = self._locate(address)
+        lines, block = self._locate(address, build=True)
         self._clock += 1
         victim = None
         for line in lines:
@@ -191,7 +202,7 @@ class Cache:
         """All valid (block, state) pairs — for invariant checking."""
         result = {}
         for lines in self._sets:
-            for line in lines:
+            for line in lines or ():
                 if line.state is not LineState.INVALID:
                     result[line.tag] = line.state
         return result

@@ -30,6 +30,13 @@ class IdealMemoryPort(MemoryPort):
         self.io_read_hook = None
         self.io_write_hook = None
 
+    @property
+    def reaches_processors(self):
+        """Shared memory alone reaches no processor; an installed I/O
+        hook may (the IPI mechanism posts interrupts from one)."""
+        return (self.io_read_hook is not None
+                or self.io_write_hook is not None)
+
     def fetch(self, address):
         return self.memory.read_word(address)
 

@@ -27,6 +27,12 @@ The :meth:`Memory.sync_load` / :meth:`Memory.sync_store` helpers apply
 the Table 2 flavor semantics; both the ideal memory port and the full
 cache/directory controller are built on them so the synchronization
 behavior is identical in every machine mode.
+
+Every word and synchronizing method resolves its address through
+:meth:`Memory._index`, which is therefore the one gate a machine that
+runs processors ahead (:class:`StackWindows`) needs: an access that is
+not a run-ahead tail's own and lands in a loaded thread's stack asks
+first that whoever ran ahead over it be wound back.
 """
 
 import weakref
@@ -82,6 +88,95 @@ class CodeWatch:
                 callback(address)
 
 
+#: log2 of the bytes in one :class:`StackWindows` page (256 words).
+WINDOW_PAGE_SHIFT = 10
+
+
+class StackWindows:
+    """Which loaded thread owns which stretch of stack.
+
+    The bookkeeping behind memory-op run-ahead (see
+    :meth:`repro.machine.alewife.AlewifeMachine._run_fast`).  A loaded
+    thread's *window* is ``[stolen_base, stack_limit)``; the frame it
+    is loaded in carries the bounds (``frame.window``), and generated
+    code lets a load or store inside the executing frame's window ride
+    a slice's private tail.  What makes that exact is this registry.
+    :attr:`owners` maps every :data:`WINDOW_PAGE_SHIFT` page that a
+    stack region was ever carved over to the regions' base addresses —
+    a page-granular "may be somebody's stack" — and :attr:`loaded`
+    maps the base of a stack whose thread is loaded to ``(node,
+    frame)``.  Every access that is *not* a tail access —
+    :meth:`Memory._index`, and the inlined head and plain-block
+    accesses of generated code, which test ``owners`` themselves and
+    fall to the former — calls :meth:`touch` before it reads or
+    writes, so the machine can take an owner's tail back to the
+    toucher's place in the schedule first.
+
+    Regions are registered once, as ``RuntimeSystem.allocate_stack``
+    carves them (freed stacks are reused, never returned).  Windows
+    appear, shrink and disappear only through :meth:`open`
+    (``Scheduler.load_thread``), :meth:`moved`
+    (``RuntimeSystem.steal_lazy_task`` moving ``stolen_base`` up) and
+    :meth:`close` (``unload_thread`` / ``retire_thread``) — a
+    dictionary entry each; distinct threads' stacks are disjoint, so
+    windows are.  The size is that of the stacks, never the bank's.
+    ``wind_back(node, frame, cause)`` is the machine's bound method,
+    held weakly: the registry hangs off the bank the machine owns.
+
+    :attr:`view` is what generated code on such a bank reads in one
+    go: the word and full/empty arrays, the code-watched word set and
+    :attr:`owners` — four objects that live as long as the bank.
+    """
+
+    __slots__ = ("owners", "loaded", "view", "_wind_back")
+
+    def __init__(self, memory, wind_back):
+        #: page -> bases of the stack regions overlapping it.
+        self.owners = {}
+        #: stack base of a loaded thread -> ``(node, frame)``.
+        self.loaded = {}
+        watch = memory.code_watch
+        self.view = (memory._words, memory._full,
+                     watch.words if watch is not None else (), self.owners)
+        self._wind_back = weakref.WeakMethod(wind_back)
+
+    def carve(self, base, limit):
+        """``[base, limit)`` is a thread stack from now on."""
+        owners = self.owners
+        for page in range(base >> WINDOW_PAGE_SHIFT,
+                          ((limit - 1) >> WINDOW_PAGE_SHIFT) + 1):
+            owners.setdefault(page, []).append(base)
+
+    def open(self, node, frame, thread):
+        """``thread`` was loaded into ``frame`` of ``node``."""
+        frame.window = (thread.stolen_base, thread.stack_limit)
+        self.loaded[thread.stack_base] = (node, frame)
+
+    def close(self, thread):
+        """``thread`` left its frame (unloaded or retired)."""
+        _, frame = self.loaded.pop(thread.stack_base)
+        frame.window = (0, 0)
+
+    def moved(self, thread):
+        """``thread.stolen_base`` changed; a no-op unless it is loaded."""
+        entry = self.loaded.get(thread.stack_base)
+        if entry is not None:
+            self.open(*entry, thread)
+
+    def touch(self, address, cause="foreign"):
+        """Something other than a tail is about to access ``address``."""
+        for base in self.owners.get(address >> WINDOW_PAGE_SHIFT, ()):
+            entry = self.loaded.get(base)
+            if entry is not None:
+                node, frame = entry
+                lo, hi = frame.window
+                if lo <= address < hi:
+                    wind_back = self._wind_back()
+                    if wind_back is not None:
+                        wind_back(node, frame, cause)
+                    return
+
+
 class Memory:
     """A bank of 32-bit words, each with a full/empty bit.
 
@@ -103,6 +198,9 @@ class Memory:
         #: Optional :class:`CodeWatch` (the machine attaches one per
         #: bank); None keeps both write paths check-free.
         self.code_watch = None
+        #: Optional :class:`StackWindows` (a machine installs one for a
+        #: run that runs ahead); None keeps :meth:`_index` check-free.
+        self.windows = None
 
     @property
     def limit(self):
@@ -117,6 +215,10 @@ class Memory:
             raise MemoryError_(
                 "address %#x outside bank [%#x, %#x)" % (address, self.base, self.limit)
             )
+        windows = self.windows
+        if (windows is not None
+                and address >> WINDOW_PAGE_SHIFT in windows.owners):
+            windows.touch(address)
         return index
 
     def contains(self, address):

@@ -130,7 +130,11 @@ class RuntimeSystem:
         free = self._stack_free_lists[node]
         if free:
             return free.pop()
-        return self._kernel_heaps[node].arena.allocate(self.config.stack_words)
+        words = self.config.stack_words
+        base = self._kernel_heaps[node].arena.allocate(words)
+        if self.scheduler.windows is not None:
+            self.scheduler.windows.carve(base, base + 4 * words)
+        return base
 
     def free_stack(self, thread):
         """Return a finished thread's stack to its node's free list."""
@@ -335,6 +339,11 @@ class RuntimeSystem:
         thread.stack_base = self.allocate_stack(thief_cpu.node_id)
         thread.stolen_base = thread.stack_base
         copied_words = (hi - lo) // 4
+        windows = self.scheduler.windows
+        if windows is not None and copied_words:
+            # The region leaves the victim's window: whatever its
+            # processor ran ahead of this steal comes back first.
+            windows.touch(lo, "steal")
         for i in range(copied_words):
             self.memory.write_word(
                 thread.stack_base + 4 * i, self.memory.read_word(lo + 4 * i))
@@ -356,6 +365,8 @@ class RuntimeSystem:
             thread.is_root = victim.is_root
             victim.is_root = False
         victim.stolen_base = hi
+        if windows is not None:
+            windows.moved(victim)
 
         regs = [0] * registers.NUM_FRAME_REGISTERS
         regs[registers.SP] = new_sp

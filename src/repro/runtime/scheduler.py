@@ -36,6 +36,12 @@ class Scheduler:
         #: told *before* a node's owner changes: a frame gains or loses
         #: its thread, FP moves.
         self.events = events if events is not None else EventBus()
+        #: The :class:`~repro.mem.memory.StackWindows` of a machine that
+        #: runs ahead (it installs one), else ``None``.  A thread owns
+        #: its stack window exactly while it is loaded: opened in
+        #: :meth:`load_thread`, closed in :meth:`unload_thread` and
+        #: :meth:`retire_thread`.
+        self.windows = None
 
     def counters(self):
         """Counter snapshot for reports."""
@@ -105,6 +111,8 @@ class Scheduler:
             frame.thread = thread
             bootstrap(cpu, frame, thread)
         frame.psr.tid = thread.tid & 0xFFFF
+        if self.windows is not None:
+            self.windows.open(cpu.node_id, frame, thread)
         cpu.charge(self.config.thread_load_cycles, "switch")
         if lifetime is not None:
             lifetime.pop_owner(cpu)
@@ -126,6 +134,8 @@ class Scheduler:
         if lifetime is not None:
             lifetime.push_owner(cpu, thread.tid)
         frame.thread = None
+        if self.windows is not None:
+            self.windows.close(thread)
         cpu.charge(self.config.thread_unload_cycles, "switch")
         if lifetime is not None:
             lifetime.pop_owner(cpu)
@@ -151,6 +161,8 @@ class Scheduler:
         if lifetime is not None:
             lifetime.settle(cpu)
         frame.thread = None
+        if self.windows is not None:
+            self.windows.close(thread)
         if bus.active:
             bus.emit(EventKind.THREAD_EXIT, cpu.cycles, cpu.node_id,
                      frame=frame.index, tid=thread.tid, thread=thread.name)

@@ -7,6 +7,8 @@ future-guard trap payloads, the bounded code cache, process-wide block
 sharing, and self-modifying-code invalidation.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 from repro import workloads
 from repro.core.jit import (
     _COND,
+    _MEM,
+    _MEM_STORES,
     _STRAIGHT,
     _UNCOND_EXITS,
     MAX_JIT_BLOCK,
@@ -22,14 +26,22 @@ from repro.core.jit import (
     compile_block,
 )
 from repro.core.processor import Processor
+from repro.core.psr import FE_BIT
 from repro.core.traps import TrapAction, TrapKind
+from repro.isa import registers
 from repro.isa.assembler import assemble
 from repro.isa.instructions import STORE_FLAVORS
 from repro.isa.tags import WORD_MASK, make_fixnum
 from repro.lang.compiler import compile_source
-from repro.mem.memory import CodeWatch
+from repro.mem.ideal import IdealMemoryPort
+from repro.mem.memory import CodeWatch, StackWindows
 
 from tests.helpers import build_cpu, run_to_halt
+
+
+#: How generated code asks whether an address is in the executing
+#: frame's own stack window.
+WINDOW_TEST = "not _lo <= _a < _hi"
 
 
 def build_jit_cpu(source, **kwargs):
@@ -559,13 +571,16 @@ class TestSyncHeadedSlices:
     @pytest.mark.parametrize("mode", ["eager", "lazy"])
     @pytest.mark.parametrize("program", ["fib", "queens", "factor"])
     def test_only_the_head_can_be_seen_from_outside(self, program, mode):
+        # Behind the head: private instructions, and loads and stores
+        # that happen only inside the executing frame's stack window —
+        # each one window-tested at run time, each store logged first.
         compiled = compile_source(workloads.get(program).source(), mode=mode)
         words = compiled.program.words
         base = compiled.program.base
         cpu, _, _ = build_jit_cpu("halt")
         cpu.port.memory.load_program(compiled.program)
         private = _STRAIGHT | _UNCOND_EXITS | set(_COND)
-        slices = tails = 0
+        slices = tails = memory_tails = 0
         for pc in range(base, base + 4 * len(words), 4):
             jb = compile_block(cpu, pc, sliced=True)
             if jb is None:
@@ -573,24 +588,47 @@ class TestSyncHeadedSlices:
             slices += 1
             assert jb.start == pc and jb.count <= MAX_JIT_BLOCK
             assert (jb.end - jb.start) >> 2 == jb.count
+            loads = stores = 0
             for address in range(pc + 4, jb.end, 4):
                 tails += 1
-                op = cpu.decoder.decode(words[(address - base) >> 2]).op
-                assert op in private, (hex(pc), hex(address), op)
-        assert slices > 50 and tails > slices
+                instr = cpu.decoder.decode(words[(address - base) >> 2])
+                if instr.op in private:
+                    continue
+                assert instr.op in _MEM, (hex(pc), hex(address), instr.op)
+                assert instr.rs1 == registers.SP
+                if instr.op in _MEM_STORES:
+                    stores += 1
+                else:
+                    loads += 1
+            assert jb.source.count(WINDOW_TEST) == loads + stores
+            assert jb.source.count("_sl.append(") == stores
+            # A windowless bank: nothing tests for foreign windows.
+            assert "_ow" not in jb.source
+            memory_tails += loads + stores
+        assert slices > 50 and tails > slices and memory_tails > 20
 
     def test_slices_match_step(self):
         # Loads, stores, calls and taken/untaken branches, each leg
-        # entered as a slice head and run through as a tail.
+        # entered as a slice head and run through as a tail.  The
+        # SP-relative accesses are tail candidates: ``frame`` is in the
+        # frame's stack window and rides, ``frame + 8`` is outside it
+        # and parks the chain every time, to head the next slice.
         source = """
                 set 0, r1
                 set 0, r2
                 set buffer, r3
+                set frame, sp
             loop:
                 str r2, [r3+0]
                 addr r2, 3, r2
                 ldr [r3+0], r4
                 addr r1, r4, r1
+                st r1, [sp+0]
+                stfnt r2, [sp+4]
+                ld [sp+0], r5
+                st r5, [sp+8]
+                ldent [sp+4], r6
+                addr r1, r6, r1
                 call bump
                 cmpr r2, 30
                 bl loop
@@ -600,17 +638,93 @@ class TestSyncHeadedSlices:
                 ret
             buffer:
                 .word 0
+            frame:
+                .word 0
+                .word 0
+                .word 0
         """
-        ref_cpu, _, _ = build_cpu(source)
+        ref_cpu, ref_memory, _ = build_cpu(source)
         run_to_halt(ref_cpu)
-        cpu, _, _ = build_jit_cpu(source)
+        cpu, memory, program = build_jit_cpu(source)
+        frame = program.address_of("frame")
+        cpu.frame.window = (frame, frame + 8)
         run_slices_to_halt(cpu)
         assert cpu.cycles == ref_cpu.cycles
         assert cpu.stats.snapshot() == ref_cpu.stats.snapshot()
         assert cpu.frame.regs == ref_cpu.frame.regs
         assert cpu.frame.psr.value == ref_cpu.frame.psr.value
+        assert memory._words == ref_memory._words
+        assert memory._full == ref_memory._full
         assert cpu.ahead_slices > 0
         assert cpu.ahead_instructions >= cpu.ahead_slices
+        # Ten trips: the two in-window loads and stores ride a tail
+        # most times; the out-of-window store (the loop's eighth
+        # instruction) never does — it heads a slice of its own.
+        assert 10 < cpu.ahead_loads <= 20 and 10 < cpu.ahead_stores <= 20
+        outside = program.address_of("loop") + 28
+        assert ~outside in cpu.translations.jit.data
+
+    def test_without_a_window_every_access_parks(self):
+        # A frame that owns no window (any machine that does not run
+        # ahead): the candidates all park, the slices are today's.
+        source = """
+                set frame, sp
+                st r0, [sp+0]
+                addr r0, 5, r1
+                st r1, [sp+4]
+                ld [sp+4], r2
+                halt
+            frame:
+                .word 0
+                .word 0
+        """
+        ref_cpu, _, _ = build_cpu(source)
+        run_to_halt(ref_cpu)
+        cpu, _, _ = build_jit_cpu(source)
+        run_slices_to_halt(cpu)
+        assert cpu.frame.regs == ref_cpu.frame.regs
+        assert cpu.cycles == ref_cpu.cycles
+        assert cpu.ahead_loads == cpu.ahead_stores == 0
+
+    @pytest.mark.parametrize("keep", [0, 1, 2, 3])
+    def test_unrun_tail_puts_words_and_full_empty_bits_back(self, keep):
+        source = """
+                set frame, sp
+                st r0, [sp+0]
+                addr r0, 20, r1
+                stfnt r1, [sp+4]
+                ldent [sp+4], r2
+                st r2, [sp+0]
+                halt
+            frame:
+                .word 0
+                .word 0
+        """
+        def build():
+            cpu, memory, program = build_jit_cpu(source)
+            frame = program.address_of("frame")
+            cpu.frame.window = (frame, frame + 8)
+            memory.set_full(frame + 4, False)
+            for _ in range(2):                 # `set` is two words
+                cpu.step()
+            return cpu, memory
+
+        cpu, memory = build()
+        spent = cpu.step_block(0, True)
+        count, _, stores = cpu.ahead_tail
+        assert count == spent - 1 == 4 and len(stores) == 3
+        cpu.unrun_tail(keep)
+        ref_cpu, ref_memory = build()
+        for _ in range(1 + keep):
+            ref_cpu.step()
+        assert cpu.frame.regs == ref_cpu.frame.regs
+        assert cpu.frame.psr.value == ref_cpu.frame.psr.value
+        assert (cpu.frame.pc, cpu.cycles) == (ref_cpu.frame.pc,
+                                              ref_cpu.cycles)
+        assert memory._words == ref_memory._words
+        assert memory._full == ref_memory._full
+        assert cpu.ahead_undone_by == {
+            "run_end": count - keep, "foreign": 0, "steal": 0}
 
     def _guarded(self):
         source = """
@@ -688,3 +802,69 @@ class TestSyncHeadedSlices:
         assert sliced is compile_block(second, program.base, sliced=True)
         assert sliced is not block
         assert sliced.key[0] == block.key[0] and sliced.key[-1] == "slice"
+
+
+class TestWhoPaysForWindows:
+    """Memory-op run-ahead is keyed on ``_port_spec``: a bank with
+    :class:`StackWindows` installed (an ideal machine that runs ahead)
+    gets the foreign-window test in its plain blocks; every other
+    machine — one processor, coherent memory — compiles exactly the
+    source it compiled before there were windows."""
+
+    class _OtherPort(IdealMemoryPort):
+        """Not the plain ideal port: every access is delegated, as on
+        the coherent machine."""
+
+    #: sha256 over the plain-block source at every pc of fib, queens
+    #: and factor in all three modes, as generated by the commit before
+    #: memory-op run-ahead (PR 22).  A change that means to alter what
+    #: these machines compile re-pins it; this PR must not.
+    PINNED = {
+        "ideal": (5483, "54314e4f62fb773b65133377424235d2"
+                        "39df842e3276f78cfbbc06e268e07326"),
+        "delegating": (3485, "5570299d690d220cbcdd7997c2afa146"
+                             "96fa7d7ac6dfc54c327b4d0aa3df0656"),
+    }
+
+    @staticmethod
+    def _sources(prepare):
+        for program in ("fib", "queens", "factor"):
+            for mode in ("sequential", "eager", "lazy"):
+                compiled = compile_source(workloads.get(program).source(),
+                                          mode=mode)
+                cpu, memory, _ = build_cpu("halt")
+                prepare(cpu, memory)
+                memory.load_program(compiled.program)
+                base = compiled.program.base
+                for pc in range(base, base + 4 * len(compiled.program.words),
+                                4):
+                    jb = compile_block(cpu, pc)
+                    if jb is not None:
+                        yield jb
+
+    @pytest.mark.parametrize("port", sorted(PINNED))
+    def test_windowless_source_is_byte_identical_to_the_parents(self, port):
+        def prepare(cpu, memory):
+            if port == "delegating":
+                cpu.port = self._OtherPort(memory)
+
+        digest = hashlib.sha256()
+        blocks = 0
+        for jb in self._sources(prepare):
+            blocks += 1
+            digest.update(jb.source.encode())
+            assert "_ow" not in jb.source and WINDOW_TEST not in jb.source
+        assert (blocks, digest.hexdigest()) == self.PINNED[port]
+
+    def test_windowed_bank_tests_every_inlined_access(self):
+        def prepare(cpu, memory):
+            memory.windows = StackWindows(memory, cpu.step)
+
+        tested = 0
+        for jb in self._sources(prepare):
+            assert jb.key[2] == (0, jb.key[2][1], "windows")
+            inlined = jb.source.count("psr = psr | %d if _fe[_x]" % FE_BIT)
+            assert jb.source.count(WINDOW_TEST) == inlined
+            assert jb.source.count("in _ow") == inlined
+            tested += inlined
+        assert tested > 1000

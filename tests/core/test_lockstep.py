@@ -28,14 +28,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import workloads
+from repro.isa.assembler import assemble
 from repro.lang.compiler import compile_source
 from repro.machine.alewife import AlewifeMachine
 from repro.machine.config import MachineConfig
 from repro.obs import FlightRecorder, Observation, Watchdog
 from repro.obs.events import EventKind, EventLog
 from repro.obs.txn import TransactionTracer
+from repro.runtime import stubs
 from repro.runtime import thread as thread_module
 from tests.integration.test_differential import future_programs, programs
+from tests.runtime.test_rts_asm import make_thunk
 
 
 def _build(compiled, config, fastpath, jit=True):
@@ -285,9 +288,12 @@ class TestRandomizedLockstep:
 # -- the fallback matrix -----------------------------------------------------
 
 def _ran_ahead(machine):
-    """Any processor ran a private tail past a tied clock."""
+    """Any processor ran a private tail past a tied clock — by any of
+    the run-ahead diagnostics, which must all stay zero where the
+    machine does not run ahead."""
     return any(cpu.ahead_slices or cpu.ahead_instructions
-               or cpu.ahead_undone for cpu in machine.cpus)
+               or cpu.ahead_loads or cpu.ahead_stores or cpu.ahead_undone
+               for cpu in machine.cpus)
 
 
 def _dormant_baseline(compiled, config, args):
@@ -529,3 +535,208 @@ class TestObserversRideTheFastForm:
             assert ([record.to_dict() for record in seen.txn.finished]
                     == [record.to_dict() for record in shown.txn.finished])
             assert seen.txn.summary() == shown.txn.summary()
+
+
+# -- stacks that are not private after all -----------------------------------
+
+def _spawn_on(node, label):
+    """``future-on``: a thread running ``label``, pinned to ``node``;
+    its future is left in ``a0``."""
+    return make_thunk(label) + """
+    set %d, a1
+    trap %d
+""" % (4 * node, stubs.V_FUTURE_ON)
+
+
+def _asm_pair(body, processors, args=()):
+    """One hand-written program, ``run()`` against a caller-driven
+    stepper, in full lockstep; returns the fast machine."""
+    program = assemble(stubs.thread_start_stub() + body)
+    config = MachineConfig(num_processors=processors)
+    fast_machine = AlewifeMachine(program, config)
+    fast = fast_machine.run(args=args)
+    step_machine = AlewifeMachine(program, config)
+    stepped = _step_to_completion(step_machine, args=args)
+    _assert_lockstep((fast_machine, fast), (step_machine, stepped),
+                     oracle="stepper")
+    assert step_machine.time == fast_machine.time
+    return fast_machine
+
+
+def _undone(machine, cause):
+    return sum(cpu.ahead_undone_by[cause] for cpu in machine.cpus)
+
+
+class TestForeignStackAccess:
+    """Memory-op run-ahead rests on a thread's stack being its own.
+    Compiled Mul-T keeps to that; these programs do not.  Whatever a
+    program does with an address, the fast loop must leave what the
+    stepper leaves: registers, memory words, full/empty bits."""
+
+    #: The root keeps a counter in its own frame, SP-relative — loads
+    #: and stores that ride its tails — publishes the frame's address
+    #: in ``cell``, and the workers bump the same word through it.
+    LEAKED = """
+    main:
+        mov a0, s0                  ; iterations
+        addr sp, 8, sp
+        st r0, [sp+0]
+        set 0, s1                   ; futures of the workers, summed
+    %(spawns)s
+        set cell, t0
+        st sp, [t0+0]               ; the leak
+    mine:
+        ld [sp+0], t3
+        addr t3, 4, t3
+        st t3, [sp+0]
+        ld [sp+4], t4
+        st t4, [sp+4]
+        subr s0, 1, s0
+        cmpr s0, 0
+        bg mine
+        add s1, 0, s1               ; touch: wait for the last worker
+        ld [sp+0], a0
+        ret
+    %(workers)s
+    cell:
+        .word 0
+    """
+
+    #: A worker that loads and stores the leaked word through a plain
+    #: pointer — a slice head, every time.
+    THROUGH_A_POINTER = """
+    worker%(k)d:
+        set cell, t0
+    wait%(k)d:
+        ld [t0+0], t1
+        cmpr t1, 0
+        be wait%(k)d
+        set %(rounds)d, t2
+    theirs%(k)d:
+        ld [t1+0], t3
+        addr t3, %(step)d, t3
+        st t3, [t1+0]
+        subr t2, 1, t2
+        cmpr t2, 0
+        bg theirs%(k)d
+        set 0, a0
+        ret
+    """
+
+    #: A worker that *moves its stack pointer* into the root's frame:
+    #: the same accesses, now SP-relative — tail candidates, window-
+    #: tested at run time, in somebody else's window.
+    THROUGH_A_FORGED_SP = """
+    worker%(k)d:
+        set cell, t0
+    wait%(k)d:
+        ld [t0+0], t1
+        cmpr t1, 0
+        be wait%(k)d
+        mov sp, s2
+        mov t1, sp                  ; forged
+        set %(rounds)d, t2
+    theirs%(k)d:
+        ld [sp+0], t3
+        addr t3, %(step)d, t3
+        st t3, [sp+0]
+        stfnt t3, [sp+4]
+        subr t2, 1, t2
+        cmpr t2, 0
+        bg theirs%(k)d
+        mov s2, sp
+        set 0, a0
+        ret
+    """
+
+    #: A worker that makes a *future* of the leaked address and touches
+    #: it: the trap handler reads the word, five squash cycles into a
+    #: step that began before them — the root's tail goes back to
+    #: where the step began, not to where the handler is.
+    THROUGH_A_FORGED_FUTURE = """
+    worker%(k)d:
+        set cell, t0
+    wait%(k)d:
+        ld [t0+0], t1
+        cmpr t1, 0
+        be wait%(k)d
+        set %(rounds)d, t2
+        set 0, s3
+    theirs%(k)d:
+        or t1, 5, t4                ; forged: future-tagged
+        add t4, 0, t3               ; touched: the word's value
+        addr s3, t3, s3
+        subr t2, 1, t2
+        cmpr t2, 0
+        bg theirs%(k)d
+        mov s3, a0
+        ret
+    """
+
+    def _leaked(self, worker, processors):
+        spawns = "".join(
+            _spawn_on(k, "worker%d" % k) + "    mov a0, s1\n"
+            for k in range(1, processors))
+        workers = "".join(
+            worker % dict(k=k, rounds=15 + 2 * k, step=40 * k)
+            for k in range(1, processors))
+        body = self.LEAKED % dict(spawns=spawns, workers=workers)
+        return _asm_pair(body, processors, args=(60,))
+
+    @pytest.mark.parametrize("processors", [2, 4, 8])
+    def test_leaked_pointer_into_a_running_stack(self, processors):
+        machine = self._leaked(self.THROUGH_A_POINTER, processors)
+        root = machine.cpus[0]
+        assert root.ahead_loads and root.ahead_stores
+        assert _undone(machine, "foreign") > 0
+
+    @pytest.mark.parametrize("processors", [2, 4, 8])
+    def test_forged_stack_pointer_in_a_neighbours_window(self, processors):
+        machine = self._leaked(self.THROUGH_A_FORGED_SP, processors)
+        assert machine.cpus[0].ahead_stores
+        assert _undone(machine, "foreign") > 0
+
+    @pytest.mark.parametrize("processors", [2, 4, 8])
+    def test_forged_future_read_by_a_trap_handler(self, processors):
+        machine = self._leaked(self.THROUGH_A_FORGED_FUTURE, processors)
+        assert _undone(machine, "foreign") > 0
+        assert sum(cpu.stats.traps_taken for cpu in machine.cpus[1:]) > 10
+
+    #: The worker flips the full/empty bit of a word of its own frame
+    #: for ever, SP-relative; the root returns ``pad`` cycles later,
+    #: so the run ends somewhere inside one of the worker's tails.
+    FLIPPING = """
+    main:
+    %(spawn)s
+        set %(pad)d, t0
+    dawdle:
+        subr t0, 1, t0
+        cmpr t0, 0
+        bg dawdle
+        set 0, a0
+        ret
+    worker:
+        addr sp, 8, sp
+        set 4, t1
+    flip:
+        stfnt t1, [sp+0]            ; fills
+        addr t1, 4, t1
+        ldent [sp+0], t2            ; empties
+        stnt t2, [sp+4]
+        ldent [sp+4], t3
+        ba flip
+    """
+
+    @pytest.mark.parametrize("processors", [2, 4, 8])
+    def test_run_ends_under_a_tail_that_flips_full_empty_bits(
+            self, processors):
+        undone = 0
+        for pad in range(150, 162):
+            body = self.FLIPPING % dict(
+                pad=pad, spawn=_spawn_on(processors - 1, "worker"))
+            machine = _asm_pair(body, processors)
+            # (An idle neighbour may steal the pinned thread first.)
+            assert sum(cpu.ahead_stores for cpu in machine.cpus)
+            assert sum(cpu.ahead_loads for cpu in machine.cpus)
+            undone += _undone(machine, "run_end")
+        assert undone > 0

@@ -195,6 +195,89 @@ def _origin_key_order(costs):
     return order
 
 
+def _oracle_touches(programs):
+    """The oracle on programs with tails and touches.
+
+    ``programs[cpu]`` is a list of instructions: ``("p",)`` private,
+    one cycle; ``("h", cost)`` a head of any cost; ``("t", victim)`` a
+    one-cycle head that *touches* ``victim`` — and sees how many
+    instructions the victim has executed by then, which is everything
+    a load or store through its stack window could tell.  One
+    instruction per pop, a fresh sequence number per push.  Returns
+    the touch observations in order."""
+    queue = [(0, cpu, cpu) for cpu in range(len(programs))]
+    seq = len(queue)
+    done = [0] * len(programs)
+    seen = []
+    while queue:
+        clock, _, cpu = heapq.heappop(queue)
+        if done[cpu] == len(programs[cpu]):
+            continue
+        instr = programs[cpu][done[cpu]]
+        if instr[0] == "t":
+            seen.append((clock, cpu, instr[1], done[instr[1]]))
+        done[cpu] += 1
+        cost = instr[1] if instr[0] == "h" else 1
+        heapq.heappush(queue, (clock + cost, seq, cpu))
+        seq += 1
+    return seen
+
+
+def _run_ahead_touches(programs):
+    """The same programs on the origin-keyed queue, run ahead: a pop
+    executes the instruction at the key and then the private ones
+    behind it, early; a touch first winds its victim's tail back to
+    the toucher's key — ``_end_at``'s arithmetic — and re-keys the
+    victim's queue entry (clock moved, origin and ``oseq`` stay)."""
+    queue = [(0, 0, cpu, cpu) for cpu in range(len(programs))]
+    seq = len(queue)
+    done = [0] * len(programs)
+    clocks = [0] * len(programs)
+    tails = [0] * len(programs)
+    seen = []
+    while queue:
+        clock, behind, oseq, cpu = heapq.heappop(queue)
+        assert clock == clocks[cpu]
+        tails[cpu] = 0
+        program = programs[cpu]
+        if done[cpu] == len(program):
+            continue
+        instr = program[done[cpu]]
+        if instr[0] == "t":
+            victim = instr[1]
+            if tails[victim]:
+                slot, entry = next(
+                    (slot, entry) for slot, entry in enumerate(queue)
+                    if entry[3] == victim)
+                keep = clock - (clocks[victim] - tails[victim])
+                if entry[1:3] < (behind, oseq):
+                    keep += 1
+                if keep < tails[victim]:
+                    undo = tails[victim] - max(keep, 0)
+                    done[victim] -= undo
+                    clocks[victim] -= undo
+                    tails[victim] = 0
+                    queue[slot] = (clocks[victim],) + entry[1:]
+                    heapq.heapify(queue)
+            seen.append((clock, cpu, victim, done[victim]))
+        done[cpu] += 1
+        cost = instr[1] if instr[0] == "h" else 1
+        clock += cost
+        if cost != 1:
+            behind = -clock if cost else 1
+            oseq = seq
+            seq += 1
+        else:
+            while (done[cpu] < len(program) and program[done[cpu]][0] == "p"
+                   and tails[cpu] < 6):
+                done[cpu] += 1
+                clock += 1
+                tails[cpu] += 1
+        clocks[cpu] = clock
+        heapq.heappush(queue, (clock, behind, oseq, cpu))
+    return seen
+
+
 class TestOriginKey:
     """The queue key alone, on a pure model (no machine): which CPU is
     popped next must not depend on whether one-cycle steps draw a
@@ -207,6 +290,19 @@ class TestOriginKey:
         min_size=1, max_size=6))
     def test_pop_order_equals_the_oracles(self, costs):
         assert _origin_key_order(costs) == _oracle_order(costs)
+
+    _INSTRUCTION = st.one_of(
+        st.just(("p",)), st.just(("p",)), st.just(("p",)),
+        st.tuples(st.just("h"), st.sampled_from([0, 1, 1, 2, 3, 7])),
+        st.tuples(st.just("t"), st.integers(0, 3)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.lists(_INSTRUCTION, max_size=30),
+                    min_size=4, max_size=4))
+    def test_a_touch_sees_its_victim_where_the_oracle_has_it(self, programs):
+        # Mid-run wind-back + re-key: however far a victim ran ahead,
+        # a touch finds it exactly as far along as the oracle would.
+        assert _run_ahead_touches(programs) == _oracle_touches(programs)
 
     def test_zero_cost_step_goes_behind_its_clock(self):
         # CPU 0 takes a zero-cost step at clock 0: CPU 1, tied there,
@@ -302,6 +398,36 @@ class TestRunAheadExit:
         assert undone > 0
 
 
+class TestStealUnderAMemoryTail:
+    """Compiled Mul-T has one foreign accessor of a running stack, the
+    lazy steal: the thief copies the victim's oldest continuation
+    frames and moves its ``stolen_base`` up past them.  The victim is
+    usually parked behind a tail that loaded and stored in that very
+    window; it is wound back to the thief's key first (cause
+    ``steal``), and the run still ends where the stepper ends it."""
+
+    @pytest.mark.parametrize("processors", [2, 4, 8])
+    @pytest.mark.parametrize("program,args", [("fib", (11,)),
+                                              ("queens", (4,))])
+    def test_steal_winds_the_victim_back(self, program, args, processors):
+        module = workloads.get(program)
+        compiled = compile_source(module.source(), mode="lazy")
+        entry = compiled.entry_label("main")
+        config = MachineConfig(num_processors=processors)
+        run_args = module.args(*args)
+        fast_machine = _machine(compiled, config, True)
+        fast = fast_machine.run(entry=entry, args=run_args)
+        assert fast.value == module.reference(*args)
+        cpus = fast_machine.cpus
+        assert fast_machine.runtime.lazy_stolen > 0
+        assert sum(cpu.ahead_loads for cpu in cpus) > 100
+        assert sum(cpu.ahead_stores for cpu in cpus) > 100
+        assert sum(cpu.ahead_undone_by["steal"] for cpu in cpus) > 0
+        _assert_lockstep((fast_machine, fast),
+                         _run_stepper(compiled, config, entry, run_args),
+                         oracle="stepper")
+
+
 class TestWhoRunsAhead:
     """Run-ahead is derived from what the machine is: on when nothing
     can reach into a running processor, off otherwise — and off must
@@ -334,8 +460,29 @@ class TestWhoRunsAhead:
         machine.cpus[0].port.io_write_hook = (
             lambda address, value, context: 1)
 
+    @pytest.mark.parametrize("knobs", [
+        dict(num_processors=1),
+        dict(num_processors=4, memory_mode="coherent")])
+    def test_who_does_not_run_ahead_compiles_no_window_tests(self, knobs):
+        # Memory-op run-ahead costs a machine that never runs ahead
+        # nothing: no stack windows on its bank, so its generated code
+        # is keyed — and reads — as it did before there were any.
+        machine, ahead = self._run(MachineConfig(**knobs))
+        assert not machine._runs_ahead()
+        assert machine.memory.windows is None
+        assert machine.runtime.scheduler.windows is None
+        blocks = [jb for jb in machine.cpus[0].translations.jit.data.values()
+                  if jb]
+        assert len(blocks) > 10
+        for jb in blocks:
+            spec = jb.key[2]
+            assert spec is None or len(spec) == 2
+            assert "_ow" not in jb.source and "_lo" not in jb.source
+        assert all(cpu.frames[0].window == (0, 0) for cpu in machine.cpus)
+
     #: case -> (config knobs, machine arguments, prepare(machine))
     MUST_NOT = {
+        "one-processor": (dict(num_processors=1), {}, None),
         "coherent": (dict(memory_mode="coherent"), {}, None),
         "free-traps": (dict(trap_squash_cycles=0), {}, None),
         "no-jit": ({}, dict(jit=False), None),
@@ -344,12 +491,27 @@ class TestWhoRunsAhead:
         "io-hook": ({}, {}, "_install_io_hook"),
     }
 
+    def test_the_port_says_whether_it_reaches_processors(self):
+        # `_runs_ahead` asks every port the same question; no term of
+        # it depends on another having been asked first.
+        program = compile_source(FIB.source(), mode="eager").program
+        ideal = AlewifeMachine(program, MachineConfig(num_processors=2))
+        assert not any(cpu.port.reaches_processors for cpu in ideal.cpus)
+        assert ideal._runs_ahead()
+        self._install_io_hook(ideal)
+        assert ideal.cpus[0].port.reaches_processors
+        assert not ideal._runs_ahead()
+        coherent = AlewifeMachine(program, MachineConfig(
+            num_processors=2, memory_mode="coherent"))
+        assert all(cpu.port.reaches_processors for cpu in coherent.cpus)
+        assert not coherent._runs_ahead()
+
     @pytest.mark.parametrize("case", sorted(MUST_NOT))
     def test_machines_that_must_not_do_not(self, case):
         knobs, build, prepare = self.MUST_NOT[case]
         machine, ahead = self._run(
-            MachineConfig(num_processors=4, **knobs),
+            MachineConfig(**{"num_processors": 4, **knobs}),
             getattr(self, prepare) if prepare else None, **build)
         assert machine.loop_used == (
             "reference" if case == "no-fastpath" else "fast")
-        assert ahead == [(0, 0, 0)] * 4
+        assert ahead == [(0, 0, 0)] * len(machine.cpus)

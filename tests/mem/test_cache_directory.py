@@ -39,6 +39,26 @@ class TestCache:
         assert cache.lookup(0x0) is not None
         assert cache.lookup(stride) is None
 
+    def test_sets_are_built_by_their_first_install(self):
+        cache = self.make(assoc=4, size_bytes=4096)
+        assert cache._sets == [None] * cache.num_sets
+        # Reading builds nothing: an unbuilt set only ever misses.
+        assert cache.lookup(0x100) is None and cache.probe(0x100) is None
+        assert cache.invalidate(0x100) is LineState.INVALID
+        assert not cache.flush(0x100) and not cache.downgrade(0x100)
+        assert cache._sets == [None] * cache.num_sets
+        stride = 16 * cache.num_sets
+        for way in range(4):
+            cache.install(0x100 + way * stride, LineState.SHARED)
+        built = [lines for lines in cache._sets if lines is not None]
+        assert len(built) == 1
+        # Filled in way order, so the victim choice is what it was.
+        assert [line.tag for line in built[0]] == [
+            0x100 + way * stride for way in range(4)]
+        assert cache.install(0x100 + 4 * stride, LineState.SHARED) == (
+            0x100, LineState.SHARED)
+        assert len(cache.contents()) == 4
+
     def test_invalidate(self):
         cache = self.make()
         cache.install(0x40, LineState.MODIFIED)
