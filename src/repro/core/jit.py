@@ -13,7 +13,9 @@ function* via ``compile()`` + ``exec``:
 * the per-instruction cycle/useful/instruction accounting collapses
   into batched adds at segment boundaries;
 * branch exits assign the next PC chain directly (taken target and
-  fall-through both precomputed at compile time).
+  fall-through both precomputed at compile time);
+* PSR bits are computed when somebody reads them (below), not by the
+  instruction that sets them.
 
 A superblock is more than a straight-line run.  The former extends
 through three kinds of joints that would otherwise terminate a block
@@ -93,6 +95,27 @@ then passes ``Memory._index``, where the window's owner is wound back
 first.  Machines without windows (one processor, coherent memory)
 compile byte for byte what they compiled before there were any.
 
+Every compute instruction sets N/Z/V/C and every load or store the
+full/empty bit, and the next producer overwrites nearly all of it
+unread.  So an inlined instruction emits its *result* only and the
+emitter remembers the *pending producers* — the last compute
+instruction's kind and operand locals, and that ``_fb`` holds the last
+access's full/empty bit (:meth:`_Emitter.produce`).  One method,
+:meth:`_Emitter.materialize`, emits the bit arithmetic, and only the
+places that read or publish the PSR call it: the write-back every exit
+starts with (a guard's bail, a park, a slow-path delegate, a taken
+branch, a terminator — inside an ``if`` arm the producers stay pending
+for the path that falls through), a slice's head (its undo snapshot
+holds the PSR), and a conditional branch whose question the pending
+producer's locals cannot answer directly (:meth:`_Emitter.
+branch_test`: ``res == 0``, the sign of ``res``, the carry out of
+``_t``, a signed compare of a subtract's operands).  An operand local
+redefined while its producer is pending is recovered from ``_t`` and
+the other operand; it is copied aside only when that is impossible
+(:meth:`_Emitter.def_reg`).  Two operands off the hard-wired zero fold
+to a literal result and literal bits.  The closure and reference tiers
+keep computing the bits per instruction.
+
 Self-modifying code: each compiled block records the byte range
 ``[start, end)`` it was translated from and a hash of the translated
 words; the machine's :class:`~repro.mem.memory.CodeWatch` notifies
@@ -111,16 +134,20 @@ workers in-process, A/B observation runs) reuses the code objects and
 pays no ``compile()`` cost; self-modifying code changes the words and
 therefore the key.
 
-Determinism contract: generated code performs *identical architectural
-semantics* to the reference ``_execute`` if-chain — same results, same
-CC bits, same trap conditions in the same order, same per-category
-cycle accounting, same event-loop interleaving — which the
-differential lockstep harness (``tests/core/test_lockstep.py``)
-enforces per instruction, per tier.
+Determinism contract: *at every exit* of a generated function —
+normal, trap, park, wind-back — registers, PSR, PC chain, memory and
+counters are bit-identical to the reference ``_execute`` if-chain run
+over the same instructions: same results, same trap conditions in the
+same order, same per-category cycle accounting, same event-loop
+interleaving.  Nothing observes a processor between two exits, which
+is what makes late PSR bits legal.  The differential lockstep harness
+(``tests/core/test_lockstep.py``) enforces it per tier, and
+``tests/core/test_jit.py::TestFlagsAtEveryExit`` per kind of exit.
 """
 
 from collections import OrderedDict
 
+from repro.core.alu import execute as alu_execute
 from repro.core.psr import C_BIT, FE_BIT, N_BIT, V_BIT, Z_BIT
 from repro.core.traps import Trap, TrapKind, TrapSignal
 from repro.isa import registers
@@ -184,6 +211,46 @@ _COND = {
     Opcode.JFULL: "psr & %d" % FE_BIT,
     Opcode.JEMPTY: "not psr & %d" % FE_BIT,
 }
+
+#: The same conditions asked of a pending producer's locals instead
+#: (``_Emitter.branch_test``): what ``res`` answers for any kind, what
+#: ``_t`` answers for the carry of an add or a subtract, and the
+#: comparison of the operands that N != V is after a subtract.
+_NEGATIVE = "res & %d" % _SIGN
+_ON_RESULT = {
+    Opcode.BE: "res == 0",
+    Opcode.BNE: "res != 0",
+    Opcode.BNEG: _NEGATIVE,
+    Opcode.BPOS: "not " + _NEGATIVE,
+}
+_ON_CARRY = {
+    ("add", Opcode.BCS): "_t > %d" % WORD_MASK,
+    ("add", Opcode.BCC): "_t <= %d" % WORD_MASK,
+    ("sub", Opcode.BCS): "_t < 0",
+    ("sub", Opcode.BCC): "_t >= 0",
+}
+_ON_OPERANDS = {Opcode.BL: "<", Opcode.BLE: "<=",
+                Opcode.BG: ">", Opcode.BGE: ">="}
+
+
+def _operands(kind, a, b):
+    """Operand expressions of a pending add/subtract.  ``None`` is an
+    operand whose local has been redefined since: ``_t`` is the exact
+    sum (difference) of two words, so the other operand gives it back.
+    """
+    if a is None:
+        a = "(_t - %s)" % b if kind == "add" else "(_t + %s)" % b
+    elif b is None:
+        b = "(_t - %s)" % a if kind == "add" else "(%s - _t)" % a
+    return a, b
+
+
+def _biased(operand):
+    """``operand`` with the sign bit flipped: unsigned order of the
+    biased words is signed order of the words."""
+    if operand.isdigit():
+        return "%d" % (int(operand) ^ _SIGN)
+    return "%s ^ %d" % (operand, _SIGN)
 
 
 class CodeCache:
@@ -339,6 +406,12 @@ class _Emitter:
         self._numbers = {}           # name -> encoded register number
         self.psr_used = False
         self.psr_dirty = False
+        #: The pending producers — what the PSR *would* hold had the
+        #: bits been computed: ``(kind, a, b)`` of the last compute
+        #: instruction (see :meth:`produce`), and whether the local
+        #: ``_fb`` is the full/empty bit of the last inlined access.
+        self.cc = None
+        self.fe = False
         self.needs_regs = False
         self.needs_glob = False
         self.needs_mem = False
@@ -378,18 +451,116 @@ class _Emitter:
         return name
 
     def def_reg(self, number):
-        """Local name for writing register ``number`` (marked dirty)."""
+        """Local name for writing register ``number`` (marked dirty).
+
+        Call it *before* emitting the assignment: a pending add or
+        subtract that names the local as an operand loses it here.  One
+        lost operand costs nothing — ``_t`` and the other one give it
+        back (:func:`_operands`); only when that is gone too (``add r1,
+        r1, r1``, or the second operand redefined later) is the local
+        copied aside first.
+        """
         name = self.use_reg(number)
         if name not in self.dirty:
             self.dirty[name] = self._stores[name]
+        cc = self.cc
+        if cc is not None and name in cc[1:] and cc[0] in ("add", "sub"):
+            kind, a, b = cc
+            kept = None
+            if a == b or a is None or b is None:
+                kept = "_c"
+                self.line(1, "_c = %s" % name)
+            self.cc = (kind, kept if a == name else a,
+                       kept if b == name else b)
         return name
 
-    def use_psr(self):
-        self.psr_used = True
+    # -- the PSR: computed when somebody reads it ----------------------------
 
-    def def_psr(self):
+    def produce(self, kind, a=None, b=None):
+        """The instruction just emitted set all four condition codes;
+        nothing is emitted for them.  ``kind`` says what is left in the
+        locals to compute them from, should anybody ask:
+
+        * ``"add"`` / ``"sub"`` — ``_t`` (the unmasked sum/difference),
+          ``res`` and the operand expressions ``a``, ``b`` (a local, a
+          literal, or ``None``: lost, see :meth:`def_reg`);
+        * ``"mul"`` — ``_t`` (the unmasked product) and ``res``;
+        * ``"logic"`` — ``res``;
+        * ``"const"`` — nothing: ``a`` is the four bits, folded at
+          compile time.
+        """
+        self.cc = (kind, a, b)
+        self.psr_used = self.psr_dirty = True
+
+    def produce_fe(self):
+        """The access just emitted left its word's full/empty bit, as
+        it was *before* the access, in ``_fb``."""
+        self.fe = True
+        self.psr_used = self.psr_dirty = True
+
+    def materialize(self, indent):
+        """Emit the PSR bits of the pending producers into ``psr``.
+
+        Called by whoever reads or publishes the PSR.  At block level
+        that settles them; inside an ``if`` arm (a bail, a taken exit)
+        they stay pending for the path that falls through.
+        """
+        line = self.line
+        if self.cc is not None:
+            kind, a, b = self.cc
+            if kind == "const":
+                line(indent, "psr = psr & %d | %d" % (_NOT_CC, a))
+            else:
+                overflow = carry = None
+                if kind == "add":
+                    a, b = _operands(kind, a, b)
+                    overflow = "(%s ^ res) & (%s ^ res) & %d" % (a, b, _SIGN)
+                    carry = "_t > %d" % WORD_MASK
+                elif kind == "sub":
+                    a, b = _operands(kind, a, b)
+                    overflow = "(%s ^ %s) & (%s ^ res) & %d" % (a, b, a, _SIGN)
+                    carry = "_t < 0"
+                elif kind == "mul":
+                    overflow = "not %d <= _t < %d" % (-(1 << 31), 1 << 31)
+                line(indent, "_cc = %d if res == 0 else (%d if %s else 0)"
+                     % (Z_BIT, N_BIT, _NEGATIVE))
+                for test, bit in ((overflow, V_BIT), (carry, C_BIT)):
+                    if test is not None:
+                        line(indent, "if %s:" % test)
+                        line(indent + 1, "_cc |= %d" % bit)
+                line(indent, "psr = psr & %d | _cc" % _NOT_CC)
+        if self.fe:
+            line(indent, "psr = psr | %d if _fb else psr & %d" % (
+                FE_BIT, ~FE_BIT))
+        if indent == 1:
+            self.cc = None
+            self.fe = False
+
+    def branch_test(self, op):
+        """Source of conditional ``op``'s taken test.
+
+        A pending producer answers from the result it already has —
+        the PSR is then built only on the exit that publishes it; any
+        other pairing settles the PSR and tests its bits
+        (:data:`_COND`), as does a branch with nothing pending.
+        """
+        if op is Opcode.JFULL or op is Opcode.JEMPTY:
+            if self.fe:
+                return "_fb" if op is Opcode.JFULL else "not _fb"
+        elif self.cc is not None:
+            kind, a, b = self.cc
+            test = None
+            if kind != "const":
+                test = _ON_RESULT.get(op) or _ON_CARRY.get((kind, op))
+            if test is None and kind == "sub" and op in _ON_OPERANDS:
+                # N != V after a subtraction: signed a < signed b.
+                a, b = _operands(kind, a, b)
+                test = "%s %s %s" % (_biased(a), _ON_OPERANDS[op], _biased(b))
+            if test is not None:
+                return test
+            self.materialize(1)
         self.psr_used = True
-        self.psr_dirty = True
+        return _COND[op]
 
     def add_delegate(self, run):
         """Bind a closure as a default argument; returns its local name."""
@@ -405,12 +576,13 @@ class _Emitter:
 
     # -- common fragments --------------------------------------------------
 
-    def writeback(self, indent, dirty_names=None, psr_dirty=None):
-        """Emit register + PSR write-back for the given dirty snapshot."""
-        names = self.dirty if dirty_names is None else dirty_names
-        for name in names:
+    def writeback(self, indent):
+        """Emit the write-back of everything dirtied so far — every
+        exit starts with it, so this is where a pending PSR is built."""
+        for name in self.dirty:
             self.line(indent, self._stores[name])
-        if self.psr_dirty if psr_dirty is None else psr_dirty:
+        self.materialize(indent)
+        if self.psr_dirty:
             self.line(indent, "_psr.value = psr")
 
     def commit(self, indent, count):
@@ -436,8 +608,11 @@ class _Emitter:
                 self.line(indent, "cpu.ahead_stores += %d" % self.tail_stores)
 
     def mark_head(self, pc_expr, npc_expr):
-        """The slice head's own effects end here (first call only)."""
+        """The slice head's own effects end here (first call only):
+        the undo snapshot taken at this point holds the PSR, so the
+        head's bits are settled first."""
         if self.sliced and self.head is None:
+            self.materialize(1)
             self.head = (len(self.body), pc_expr, npc_expr)
 
     def snapshot_head(self):
@@ -464,8 +639,7 @@ def _emit_park(emitter, pending, pc_k, npc_expr):
     """Past the head of a slice: stop *before* the instruction at
     ``pc_k`` — write back, commit what ran, leave the chain there so it
     heads a later slice at its own key."""
-    emitter.writeback(2, dirty_names=list(emitter.dirty),
-                      psr_dirty=emitter.psr_dirty)
+    emitter.writeback(2)
     emitter.commit(2, pending)
     emitter.line(2, "frame.pc = %d" % pc_k)
     emitter.line(2, "frame.npc = %s" % npc_expr)
@@ -495,10 +669,7 @@ def _emit_guard(emitter, guard_expr, value_expr, instr, pending, pc_k,
     if emitter.sliced and pending:
         _emit_park(emitter, pending, pc_k, npc_expr)
         return
-    # Snapshot of dirt *so far* — later instructions' write-backs must
-    # not leak into an earlier bail.
-    emitter.writeback(2, dirty_names=list(emitter.dirty),
-                      psr_dirty=emitter.psr_dirty)
+    emitter.writeback(2)
     if pending:
         emitter.commit(2, pending)
     emitter.line(2, "frame.pc = %d" % pc_k)
@@ -537,9 +708,22 @@ def _emit_straight(emitter, instr, pending, pc_i, npc_expr=None):
         b_const = imm_w
     else:
         b = emitter.use_reg(instr.rs2)
-        b_const = None
+        b_const = 0 if instr.rs2 == 0 else None
+    strict = op in STRICT_COMPUTE
+    line = emitter.line
+    rd = 0 if op is Opcode.CMP else instr.rd
 
-    if op in STRICT_COMPUTE:
+    if instr.rs1 == 0 and b_const is not None and not (strict and b_const & 1):
+        # Both operands are literals (how codegen loads every small
+        # constant): the reference ALU runs now, not in the block.
+        result, (n, z, v, c) = alu_execute(op, 0, b_const)
+        emitter.produce("const", n * N_BIT | z * Z_BIT | v * V_BIT | c * C_BIT)
+        if rd:
+            name = emitter.def_reg(rd)
+            line(1, "%s = %d" % (name, result))
+        return
+
+    if strict:
         if b_const is not None and not b_const & 1:
             guard = "%s & 1" % a
             value = a
@@ -551,39 +735,27 @@ def _emit_straight(emitter, instr, pending, pc_i, npc_expr=None):
             value = "%s if %s & 1 else %s" % (a, a, b)
         _emit_guard(emitter, guard, value, instr, pending, pc_i, npc_expr)
 
-    line = emitter.line
+    # The result only: the condition codes wait for a reader.
     if op is Opcode.ADD or op is Opcode.ADDR:
         line(1, "_t = %s + %s" % (a, b))
         line(1, "res = _t & %d" % WORD_MASK)
-        line(1, "_cc = %d if res == 0 else (%d if res & %d else 0)" % (
-            Z_BIT, N_BIT, _SIGN))
-        line(1, "if (%s ^ res) & (%s ^ res) & %d:" % (a, b, _SIGN))
-        line(2, "_cc |= %d" % V_BIT)
-        line(1, "if _t > %d:" % WORD_MASK)
-        line(2, "_cc |= %d" % C_BIT)
+        emitter.produce("add", a, b)
     elif op is Opcode.SUB or op is Opcode.SUBR or op is Opcode.CMP:
         line(1, "_t = %s - %s" % (a, b))
         line(1, "res = _t & %d" % WORD_MASK)
-        line(1, "_cc = %d if res == 0 else (%d if res & %d else 0)" % (
-            Z_BIT, N_BIT, _SIGN))
-        line(1, "if (%s ^ %s) & (%s ^ res) & %d:" % (a, b, a, _SIGN))
-        line(2, "_cc |= %d" % V_BIT)
-        line(1, "if _t < 0:")
-        line(2, "_cc |= %d" % C_BIT)
+        emitter.produce("sub", a, b)
     elif op is Opcode.MUL:
         line(1, "_sa = %s - %d if %s & %d else %s" % (a, 1 << 32, a, _SIGN, a))
         line(1, "_sb = %s - %d if %s & %d else %s" % (b, 1 << 32, b, _SIGN, b))
         line(1, "_t = (_sa >> 2) * _sb")
         line(1, "res = _t & %d" % WORD_MASK)
-        line(1, "_cc = %d if res == 0 else (%d if res & %d else 0)" % (
-            Z_BIT, N_BIT, _SIGN))
-        line(1, "if not %d <= _t < %d:" % (-(1 << 31), 1 << 31))
-        line(2, "_cc |= %d" % V_BIT)
+        emitter.produce("mul")
     else:
         if op is Opcode.AND:
             expr = "%s & %s" % (a, b)
         elif op is Opcode.OR:
-            expr = "%s | %s" % (a, b)
+            # ``mov`` is ``or rs, r0, rd``.
+            expr = a if b == "0" else b if a == "0" else "%s | %s" % (a, b)
         elif op is Opcode.XOR:
             expr = "(%s ^ %s) & %d" % (a, b, WORD_MASK)
         elif op is Opcode.ANDN:
@@ -596,12 +768,9 @@ def _emit_straight(emitter, instr, pending, pc_i, npc_expr=None):
             expr = "((%s - %d if %s & %d else %s) >> (%s & 31)) & %d" % (
                 a, 1 << 32, a, _SIGN, a, b, WORD_MASK)
         line(1, "res = %s" % expr)
-        line(1, "_cc = %d if res == 0 else (%d if res & %d else 0)" % (
-            Z_BIT, N_BIT, _SIGN))
-    emitter.def_psr()
-    line(1, "psr = psr & %d | _cc" % _NOT_CC)
-    if instr.rd and op is not Opcode.CMP:
-        name = emitter.def_reg(instr.rd)
+        emitter.produce("logic")
+    if rd:
+        name = emitter.def_reg(rd)
         line(1, "%s = res" % name)
 
 
@@ -619,9 +788,7 @@ def _emit_mem_delegate(emitter, instr, run, pending, pc_i, npc_expr,
     port and for the slow path of an inlined access.
     """
     name = emitter.add_delegate(run)
-    dirty = list(emitter.dirty) if indent > 1 else None
-    psr_dirty = emitter.psr_dirty if indent > 1 else None
-    emitter.writeback(indent, dirty_names=dirty, psr_dirty=psr_dirty)
+    emitter.writeback(indent)
     if pending:
         emitter.commit(indent, pending)
     line = emitter.line
@@ -680,8 +847,7 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
         line(1, "_x = _a >> 2")
     slow = []
     if tail:
-        # The window is inside the bank, and a slice reads the hook
-        # once: nothing it runs can attach one.
+        # The window is inside the bank.
         emitter.needs_window = True
         if not flavor.raw and not instr.imm & 3:
             slow.append("%s & 3" % b)    # future bit and alignment
@@ -690,7 +856,6 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
                 slow.append("%s & 1" % b)
             slow.append("_a & 3")
         slow.append("not _lo <= _a < _hi")
-        slow.append("_wh")
     else:
         if not flavor.raw:
             slow.append("%s & 1" % b)
@@ -698,7 +863,9 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
         if base:
             slow.append("_x < 0")
         slow.append("_x >= %d" % size_words)
-        slow.append("cpu.watch_hook is not None")
+    # Read once per generated function: nothing a block runs can attach
+    # a hook, and a delegate ends the block.
+    slow.append("_wh")
     if is_load:
         if flavor.trap_on_empty:
             slow.append("not _fe[_x]")
@@ -723,9 +890,10 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
                            install, indent=2)
 
     # Fast path: the flavor's semantics inline.  The PSR full/empty
-    # condition bit reflects the state *before* the access.
-    emitter.def_psr()
-    line(1, "psr = psr | %d if _fe[_x] else psr & %d" % (FE_BIT, ~FE_BIT))
+    # condition bit reflects the state *before* the access; ``_fb``
+    # keeps it for whoever reads the PSR next.
+    line(1, "_fb = _fe[_x]")
+    emitter.produce_fe()
     changes = flavor.set_empty if is_load else True
     if tail:
         if is_load:
@@ -734,7 +902,7 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
             emitter.tail_stores += 1
         if changes:
             emitter.logs = True
-            line(1, "_sl.append((_x, _mw[_x], _fe[_x]))")
+            line(1, "_sl.append((_x, _mw[_x], _fb))")
     if is_load:
         if instr.rd:
             name = emitter.def_reg(instr.rd)
@@ -982,21 +1150,22 @@ def compile_block(cpu, pc, sliced=False):
             # Bare conditional exit: branch only, delay slot left to
             # step() (the chain is no longer straight).
             _, instr, pc_i = item
-            emitter.use_psr()
+            # The locals a pending producer's test reads outlive the
+            # write-back that settles it.
+            test = emitter.branch_test(instr.op)
             emitter.writeback(1)
             emitter.commit(1, pending + 1)
             line(1, "frame.pc = %d" % (pc_i + 4))
             line(1, "frame.npc = %d if %s else %d" % (
-                pc_i + 4 * instr.imm, _COND[instr.op], pc_i + 8))
+                pc_i + 4 * instr.imm, test, pc_i + 8))
             line(1, "return")
             term_emitted = True
         elif kind == "c":
             # Fused conditional: decide, run the delay slot, exit on
             # taken, continue the block on fall-through.
             _, instr, pc_i, delay = item
-            emitter.use_psr()
             target = pc_i + 4 * instr.imm
-            line(1, "_tk = %s" % _COND[instr.op])
+            line(1, "_tk = %s" % emitter.branch_test(instr.op))
             line(1, "_nn = %d if _tk else %d" % (target, pc_i + 8))
             pending += 1
             emitter.mark_head(pc_i + 4, "_nn")
@@ -1010,8 +1179,7 @@ def compile_block(cpu, pc, sliced=False):
                                  tail=emitter.sliced)
             pending += 1
             line(1, "if _tk:")
-            emitter.writeback(2, dirty_names=list(emitter.dirty),
-                              psr_dirty=emitter.psr_dirty)
+            emitter.writeback(2)
             emitter.commit(2, pending)
             line(2, "frame.pc = %d" % target)
             line(2, "frame.npc = %d" % (target + 4))
@@ -1114,7 +1282,7 @@ def compile_block(cpu, pc, sliced=False):
         prologue.append("    _ww = _cw.words if _cw is not None else ()")
     if emitter.needs_window:
         prologue.append("    _lo, _hi = frame.window")
-    if emitter.tail_loads or emitter.tail_stores:
+    if emitter.needs_mem:
         prologue.append("    _wh = cpu.watch_hook is not None")
     prologue.extend("    " + load for load in emitter.refs.values())
     source = "\n".join(header + prologue + emitter.body) + "\n"

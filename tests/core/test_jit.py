@@ -26,7 +26,6 @@ from repro.core.jit import (
     compile_block,
 )
 from repro.core.processor import Processor
-from repro.core.psr import FE_BIT
 from repro.core.traps import TrapAction, TrapKind
 from repro.isa import registers
 from repro.isa.assembler import assemble
@@ -816,14 +815,14 @@ class TestWhoPaysForWindows:
         the coherent machine."""
 
     #: sha256 over the plain-block source at every pc of fib, queens
-    #: and factor in all three modes, as generated by the commit before
-    #: memory-op run-ahead (PR 22).  A change that means to alter what
-    #: these machines compile re-pins it; this PR must not.
+    #: and factor in all three modes.  A change that means to alter
+    #: what these machines compile re-pins it (last: PR 24, PSR bits
+    #: computed at the exits); any other must not.
     PINNED = {
-        "ideal": (5483, "54314e4f62fb773b65133377424235d2"
-                        "39df842e3276f78cfbbc06e268e07326"),
-        "delegating": (3485, "5570299d690d220cbcdd7997c2afa146"
-                             "96fa7d7ac6dfc54c327b4d0aa3df0656"),
+        "ideal": (5483, "968fd572b3895a243beab6a2bd80ce3a"
+                        "8eda1a96e7d2c98b6ee5d012c006455c"),
+        "delegating": (3485, "c5dd85fb712ccfe0bc00c52f19ecda14"
+                             "c33a5a0c1577e23cc6ef6024f417e080"),
     }
 
     @staticmethod
@@ -854,6 +853,16 @@ class TestWhoPaysForWindows:
             blocks += 1
             digest.update(jb.source.encode())
             assert "_ow" not in jb.source and WINDOW_TEST not in jb.source
+            # PSR bits are built where the block publishes them: on the
+            # fall-through path nothing produces after the first build.
+            path = [line for line in jb.source.split("\n")
+                    if line.startswith("    ") and line[4] != " "]
+            built = [index for index, line in enumerate(path)
+                     if line.startswith(("    _cc = ", "    psr = psr "))]
+            if built:
+                assert not any(
+                    line.startswith(("    res = ", "    _fb = "))
+                    for line in path[built[0]:])
         assert (blocks, digest.hexdigest()) == self.PINNED[port]
 
     def test_windowed_bank_tests_every_inlined_access(self):
@@ -863,8 +872,276 @@ class TestWhoPaysForWindows:
         tested = 0
         for jb in self._sources(prepare):
             assert jb.key[2] == (0, jb.key[2][1], "windows")
-            inlined = jb.source.count("psr = psr | %d if _fe[_x]" % FE_BIT)
+            inlined = jb.source.count("_fb = _fe[_x]")
             assert jb.source.count(WINDOW_TEST) == inlined
             assert jb.source.count("in _ow") == inlined
             tested += inlined
         assert tested > 1000
+
+
+# -- the PSR at every exit -----------------------------------------------------
+
+#: Instructions that set the PSR, over r1..r6 (any words).  The three
+#: register fields are drawn independently, so the aliased forms (rd ==
+#: rs1, rd == rs2, all three one register) come up by themselves; the
+#: r0 forms are spelled out.  The loads redefine a register a pending
+#: producer may have named as an operand (and set the full/empty bit).
+_FLAG_PRODUCERS = (
+    "add {a}, {b}, {d}", "sub {a}, {b}, {d}", "mul {a}, {b}, {d}",
+    "cmp {a}, {b}", "add {a}, {even}, {d}", "sub {a}, {even}, {d}",
+    "cmp {a}, {even}", "mul {a}, {even}, {d}",
+    "addr {a}, {b}, {d}", "subr {a}, {b}, {d}", "addr {a}, {imm}, {d}",
+    "subr {a}, {imm}, {d}", "cmpr {a}, {b}", "cmpr {a}, {imm}",
+    "and {a}, {b}, {d}", "or {a}, {b}, {d}", "xor {a}, {b}, {d}",
+    "andn {a}, {b}, {d}", "xor {a}, {imm}, {d}",
+    "sll {a}, {sh}, {d}", "srl {a}, {sh}, {d}", "sra {a}, {sh}, {d}",
+    "sll {a}, {b}, {d}", "sra {a}, {b}, {d}",
+    "add r0, {even}, {d}", "sub r0, {even}, {d}", "addr r0, {imm}, {d}",
+    "or r0, r0, {d}", "subr r0, {a}, {d}", "or {a}, r0, {d}",
+    "sub {a}, r0, {d}", "cmp r0, {even}", "xor r0, {imm}, {d}",
+    "ld [r10+{off}], {d}", "ldent [r10+{off}], {d}",
+)
+#: Inside the executing frame's stack window, so they ride a slice's tail.
+_STACK_ACCESSES = ("ld [sp+{off}], {d}", "st {a}, [sp+{off}]",
+                   "stfnt {a}, [sp+{off}]", "ldent [sp+{off}], {d}")
+_DATA_BASE = 0x8000          # r10: eight data words, full or empty
+_STACK_BASE = 0x9000         # sp: eight words, the frame's window
+_FUTURE = TestGuardTrapParity.FUTURE_WORD
+#: Each condition with its negation: one of the two is taken.
+_CONDITIONS = (("be", "bne"), ("bl", "bge"), ("ble", "bg"),
+               ("bneg", "bpos"), ("bcs", "bcc"), ("bvs", "bvc"))
+
+
+@st.composite
+def _producers(draw, pool=_FLAG_PRODUCERS, min_size=1, max_size=8):
+    """A run of PSR producers, as source lines."""
+    reg = st.sampled_from(["r1", "r2", "r3", "r4", "r5", "r6"])
+    lines = []
+    for template in draw(st.lists(st.sampled_from(pool), min_size=min_size,
+                                  max_size=max_size)):
+        lines.append("    " + template.format(
+            a=draw(reg), b=draw(reg), d=draw(reg),
+            imm=draw(st.integers(-1024, 1023)),
+            even=2 * draw(st.integers(-512, 511)),
+            sh=draw(st.integers(0, 31)),
+            off=4 * draw(st.integers(0, 7))))
+    return "\n".join(lines)
+
+
+def _producer_runs(examples=40, **body):
+    """Hypothesis: a run of producers, six register seeds and the eight
+    data words' full/empty bits."""
+    def decorate(test):
+        return settings(max_examples=examples, deadline=None)(given(
+            body=_producers(**body), seeds=st.tuples(*[_words] * 6),
+            full=st.tuples(*[st.booleans()] * 8))(test))
+    return decorate
+
+
+class TestFlagsAtEveryExit:
+    """Generated code computes PSR bits when somebody reads them, so
+    the contract is about exits: whenever a generated function returns
+    or raises — any kind of exit, with any producers pending — PSR,
+    registers, PC chain and memory are ``step_reference``'s."""
+
+    @staticmethod
+    def _build(source, seeds, full, reference=False):
+        """One processor over ``source``: r1..r6 seeded, r7 a future,
+        r10 the data words (full/empty bits from ``full``), r11 the
+        program's ``target`` label, sp a stack the frame owns; every
+        trap fixes or skips what it tripped over and is logged with
+        the PSR it found."""
+        cpu, memory, program = (build_cpu if reference
+                                else build_jit_cpu)(source)
+        if reference:
+            cpu.use_reference_interpreter()
+        for number, value in enumerate(seeds, start=1):
+            cpu.write_reg(number, value)
+        cpu.write_reg(7, _FUTURE)
+        cpu.write_reg(10, _DATA_BASE)
+        cpu.write_reg(11, program.labels.get("target", 0))
+        cpu.write_reg(registers.SP, _STACK_BASE)
+        cpu.frame.window = (_STACK_BASE, _STACK_BASE + 32)
+        for index, bit in enumerate(full):
+            memory.write_word(_DATA_BASE + 4 * index, 0x1234 * (index + 1))
+            memory.set_full(_DATA_BASE + 4 * index, bit)
+        cpu.trap_log = log = []
+
+        def future(cpu, frame, trap):
+            log.append((trap.kind, trap.pc, trap.value, frame.psr.value))
+            instr = trap.instr
+            for number in {instr.rs1} | (set() if instr.use_imm
+                                         else {instr.rs2}):
+                cpu.write_reg(number, cpu.read_reg(number, frame) & ~1, frame)
+            return TrapAction.RETRY
+
+        def skip(cpu, frame, trap):
+            log.append((trap.kind, trap.pc, trap.address, frame.psr.value))
+            return TrapAction.RESUME
+
+        cpu.trap_table.register(TrapKind.FUTURE_COMPUTE, future)
+        for kind in (TrapKind.ALIGNMENT, TrapKind.EMPTY_LOAD,
+                     TrapKind.FULL_STORE, TrapKind.FUTURE_ADDRESS):
+            cpu.trap_table.register(kind, skip)
+        cpu.trap_table.register_software(3, skip)
+        return cpu, memory, program
+
+    @staticmethod
+    def _assert_same(cpu, memory, ref, ref_memory):
+        assert cpu.cycles == ref.cycles
+        assert cpu.frame.psr.value == ref.frame.psr.value
+        assert cpu.frame.regs == ref.frame.regs
+        assert cpu.globals == ref.globals
+        assert (cpu.frame.pc, cpu.frame.npc) == (ref.frame.pc, ref.frame.npc)
+        assert cpu.trap_log == ref.trap_log
+        assert cpu.stats.snapshot() == ref.stats.snapshot()
+        assert memory._words == ref_memory._words
+        assert memory._full == ref_memory._full
+
+    def _lockstep(self, source, seeds, full):
+        """Run ``source`` block by block, the reference catching up
+        after every exit of a generated function."""
+        cpu, memory, _ = self._build(source, seeds, full)
+        ref, ref_memory, _ = self._build(source, seeds, full, reference=True)
+        exits = 0
+        while not cpu.halted:
+            cpu.step_block(1 << 30)
+            while ref.cycles < cpu.cycles and not ref.halted:
+                ref.step()
+            self._assert_same(cpu, memory, ref, ref_memory)
+            exits += 1
+            assert exits < 100
+        assert cpu.jit_runs > 0 and cpu.jit_deopts == 0
+        return cpu
+
+    @_producer_runs()
+    def test_tripped_future_guard(self, body, seeds, full):
+        # r7 holds a future: the guard bails with the producers before
+        # it pending, and the handler reads the PSR they left.
+        cpu = self._lockstep(body + """
+            add r7, 4, r8
+            halt
+        """, seeds, full)
+        assert any(pc_value[2] == _FUTURE for pc_value in cpu.trap_log)
+
+    @pytest.mark.parametrize("access", [
+        "ld [r10+2], r8",             # misaligned
+        "st r8, [r10+2]",
+        "ldtt [r10+{off}], r8",       # traps if the word is empty
+        "sttt r8, [r10+{off}]",       # traps if it is full
+        "ld [r7+0], r8",              # future base address
+        "st r8, [r11+0]",             # a code-watched word: no trap
+    ])
+    @_producer_runs()
+    def test_inlined_access_slow_path(self, access, body, seeds, full):
+        self._lockstep(body + """
+            %s
+            rdpsr r8
+            halt
+        target:
+            nop
+        """ % access.format(off=4 * (seeds[0] & 7)), seeds, full)
+
+    @pytest.mark.parametrize("delay", ["addr r1, 1, r1", "cmp r2, r4",
+                                       "ld [r10+4], r3", "nop", "rdpsr r8"])
+    @pytest.mark.parametrize("pair", _CONDITIONS)
+    @_producer_runs()
+    def test_conditional_branch_taken_and_untaken(self, pair, delay, body,
+                                                  seeds, full):
+        # A fused branch (and, with ``rdpsr`` in the slot, a bare one)
+        # reading whatever producer comes last, with another producer
+        # in its delay slot; ``rdpsr`` publishes the PSR either way.
+        for condition in pair:
+            self._lockstep(body + """
+                %s over
+                @%s
+                subr r5, r6, r5
+                rdpsr r9
+            over:
+                rdpsr r8
+                halt
+            """ % (condition, delay), seeds, full)
+
+    @pytest.mark.parametrize("between", ["", "addr r1, r2, r1", "cmp r1, r1"])
+    @_producer_runs()
+    def test_jfull_jempty_after_a_lazy_full_empty_bit(self, between, body,
+                                                      seeds, full):
+        for branch in ("jfull", "jempty"):
+            self._lockstep(body + """
+                ld [r10+%d], r3
+                %s
+                %s over
+                @ld [r10+8], r4
+                or r0, r0, r5
+            over:
+                rdpsr r8
+                halt
+            """ % (4 * (seeds[1] & 7), between, branch), seeds, full)
+
+    @pytest.mark.parametrize("terminator", ["rdpsr r8", "trap 3",
+                                            "jmpl [r11+0], r8", "call target"])
+    @_producer_runs()
+    def test_delegated_or_inlined_terminator(self, terminator, body, seeds,
+                                             full):
+        self._lockstep(body + """
+            %s
+            rdpsr r9
+        target:
+            halt
+        """ % terminator, seeds, full)
+
+    @pytest.mark.parametrize("stop", [
+        "add r7, 4, r8",              # a tripped guard parks
+        "ld [sp+64], r8",             # so does a stack access off the window
+        "ld [r10+0], r8",             # not private: the scan stops before it
+    ])
+    @_producer_runs(examples=25, min_size=2,
+                    pool=_FLAG_PRODUCERS[:-2] + _STACK_ACCESSES)
+    def test_slice_park_and_unrun_tail(self, stop, body, seeds, full):
+        source = body + "\n    %s\n    halt\n" % stop
+        probe, _, _ = self._build(source, seeds, full)
+        probe.step_block(0, True)
+        if probe.ahead_tail is None:
+            # The head itself trapped, or stands alone: no tail to test.
+            return
+        count = probe.ahead_tail[0]
+        ref, ref_memory, _ = self._build(source, seeds, full, reference=True)
+        for _ in range(1 + count):
+            ref.step()
+        self._assert_same(probe, probe.port.memory, ref, ref_memory)  # parked
+        for keep in range(count + 1):
+            cpu, memory, _ = self._build(source, seeds, full)
+            cpu.step_block(0, True)
+            cpu.unrun_tail(keep)
+            ref, ref_memory, _ = self._build(source, seeds, full,
+                                             reference=True)
+            for _ in range(1 + keep):
+                ref.step()
+            self._assert_same(cpu, memory, ref, ref_memory)
+
+    def test_one_materialisation_per_exit_not_per_producer(self):
+        # Eight back-to-back producers, a guard in the middle: the
+        # condition codes are built in the guard's bail and at the
+        # terminator — twice, not eight times — and the only `_cc` on
+        # the fall-through path is the terminator's.
+        body = "\n".join("    addr r%d, %d, r%d" % (n, n, n + 1)
+                         for n in range(1, 5))
+        source = body + "\n    add r5, 4, r6\n" + body.replace(
+            "addr", "subr") + "\n    halt\n"
+        cpu, _, program = build_jit_cpu(source)
+        jb = compile_block(cpu, program.base)
+        assert jb.count == 10
+        lines = jb.source.split("\n")
+        assert sum(line.lstrip().startswith("_cc = ") for line in lines) == 2
+        assert sum(line.startswith("    _cc = ") for line in lines) == 1
+        assert jb.source.count("_psr.value = psr") == 2
+        assert "_c = " not in jb.source            # nothing copied aside
+        # ... and a loaded constant is a literal, flags and all.
+        cpu, _, program = build_jit_cpu("""
+            add r0, 8, r1
+            or r0, r0, r2
+            halt
+        """)
+        jb = compile_block(cpu, program.base)
+        assert "    r1 = 8\n    r2 = 0\n" in jb.source
+        assert "res" not in jb.source and "_cc" not in jb.source
