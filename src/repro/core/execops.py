@@ -27,23 +27,16 @@ same cycle categories in the same order — which the differential
 lockstep harness (``tests/core/test_lockstep.py``) enforces
 instruction-for-instruction.
 
-Entries for instructions that can neither trap, branch, touch memory,
-nor move the frame pointer (raw logic, ``LUI``/``ORIL``, ``NOP``) also
-carry a ``fuse(cpu, frame)`` closure: the register/PSR effect alone,
-with no cycle charge and no PC-chain math.  The superblock executor
-(:meth:`repro.core.processor.Processor.step_block`) strings those
-together and batches the whole block's accounting into single integer
-adds.
-
-This closure tier is the middle rung of a three-tier ladder.  Cold
-code runs through :meth:`~repro.core.processor.Processor.step`
-dispatching one ``run`` closure per instruction; block-start pcs warm
-through the fused-closure superblocks above; and hot blocks are
-compiled by :mod:`repro.core.jit` into single generated Python
-functions (operands baked as constants, registers flattened to locals,
-accounting batched) with these same ``run`` closures as the delegation
-target for whatever the generated code does not inline.  Every rung is
-held to the same lockstep contract against the reference if-chain.
+These closures are the first of the fast path's two rungs:
+:meth:`~repro.core.processor.Processor.step` dispatches one ``run``
+closure per instruction.  The second, from a block start's first
+visit on, is :mod:`repro.core.jit`: a whole block compiled into one
+generated Python function (operands baked as constants, registers
+flattened to locals, accounting batched) with these same ``run``
+closures as the delegation target for whatever the generated code does
+not inline.  Both rungs are held to the same lockstep contract against
+the reference if-chain; they share their branch conditions
+(:data:`repro.core.psr.BRANCH_CONDITIONS`).
 
 Cycle accounting contract: handlers charge "useful" cycles inline
 (``cpu.cycles``/``stats.useful``/``stats._total``); all other
@@ -53,7 +46,15 @@ instructions that move FP change who the next cycles belong to, so they
 let it settle first (``cpu.events.lifetime``, after their own cycle).
 """
 
-from repro.core.psr import C_BIT, FE_BIT, N_BIT, V_BIT, Z_BIT
+from repro.core.psr import (
+    BRANCH_CONDITIONS,
+    C_BIT,
+    FE_BIT,
+    N_BIT,
+    V_BIT,
+    Z_BIT,
+    condition_source,
+)
 from repro.core.traps import Trap, TrapKind, TrapSignal
 from repro.errors import ProcessorError
 from repro.isa import registers
@@ -80,19 +81,16 @@ class ExecEntry:
         run: ``run(cpu, frame, pc, npc) -> (next_pc, next_npc)``; full
             semantics including cycle charges; raises
             :class:`TrapSignal` exactly like the reference interpreter.
-        fuse: ``fuse(cpu, frame)`` register/PSR effect only, or ``None``
-            when the instruction is not superblock-fusible.
     """
 
-    __slots__ = ("instr", "run", "fuse")
+    __slots__ = ("instr", "run")
 
-    def __init__(self, instr, run, fuse=None):
+    def __init__(self, instr, run):
         self.instr = instr
         self.run = run
-        self.fuse = fuse
 
     def __repr__(self):
-        return "ExecEntry(%r, fusible=%s)" % (self.instr, self.fuse is not None)
+        return "ExecEntry(%r)" % (self.instr,)
 
 
 # -- ALU cores: (a, b) -> (result, cc_bits) ------------------------------------
@@ -165,23 +163,10 @@ _ALU_CORES = {
 
 # -- branch condition tests on the raw PSR word --------------------------------
 
-_BRANCH_TESTS = {
-    Opcode.BE: lambda v: bool(v & Z_BIT),
-    Opcode.BNE: lambda v: not v & Z_BIT,
-    Opcode.BL: lambda v: bool(v & N_BIT) != bool(v & V_BIT),
-    Opcode.BLE: lambda v: bool(v & Z_BIT) or bool(v & N_BIT) != bool(v & V_BIT),
-    Opcode.BG: lambda v: not (
-        bool(v & Z_BIT) or bool(v & N_BIT) != bool(v & V_BIT)),
-    Opcode.BGE: lambda v: bool(v & N_BIT) == bool(v & V_BIT),
-    Opcode.BNEG: lambda v: bool(v & N_BIT),
-    Opcode.BPOS: lambda v: not v & N_BIT,
-    Opcode.BCS: lambda v: bool(v & C_BIT),
-    Opcode.BCC: lambda v: not v & C_BIT,
-    Opcode.BVS: lambda v: bool(v & V_BIT),
-    Opcode.BVC: lambda v: not v & V_BIT,
-    Opcode.JFULL: lambda v: bool(v & FE_BIT),
-    Opcode.JEMPTY: lambda v: not v & FE_BIT,
-}
+#: ``test(psr) -> truthy`` per conditional branch, each built once from
+#: the source generated code inlines.
+_BRANCH_TESTS = {op: eval("lambda psr: " + condition_source(op))
+                 for op in BRANCH_CONDITIONS}
 
 
 # -- factory helpers -----------------------------------------------------------
@@ -195,19 +180,33 @@ def _reg_plan(number):
 
 # -- ALU (COMPUTE / LOGIC) -----------------------------------------------------
 
+def _run_one_cycle(cpu, frame, pc, npc):
+    """``NOP`` and ``BN``: one useful cycle, and on to the next pc."""
+    cpu.cycles += 1
+    stats = cpu.stats
+    stats.useful += 1
+    stats._total += 1
+    return npc, npc + 4
+
+
 def _factory_lui(instr):
     rd = instr.rd
     value = (instr.imm << 14) & WORD_MASK
     rdf, gd = _reg_plan(rd)
 
-    def fuse(cpu, frame):
+    def run(cpu, frame, pc, npc):
         if rd:
             if rdf:
                 frame.regs[rd] = value
             else:
                 cpu.globals[gd] = value
+        cpu.cycles += 1
+        stats = cpu.stats
+        stats.useful += 1
+        stats._total += 1
+        return npc, npc + 4
 
-    return ExecEntry(instr, _charged_straightline(fuse), fuse)
+    return ExecEntry(instr, run)
 
 
 def _factory_oril(instr):
@@ -215,28 +214,19 @@ def _factory_oril(instr):
     imm = instr.imm
     rdf, gd = _reg_plan(rd)
 
-    def fuse(cpu, frame):
+    def run(cpu, frame, pc, npc):
         if rd:
             if rdf:
                 frame.regs[rd] |= imm
             else:
                 cpu.globals[gd] = (cpu.globals[gd] | imm) & WORD_MASK
-
-    return ExecEntry(instr, _charged_straightline(fuse), fuse)
-
-
-def _charged_straightline(fuse):
-    """Wrap a fuse closure as a full run handler: effect + 1 useful cycle."""
-
-    def run(cpu, frame, pc, npc):
-        fuse(cpu, frame)
         cpu.cycles += 1
         stats = cpu.stats
         stats.useful += 1
         stats._total += 1
         return npc, npc + 4
 
-    return run
+    return ExecEntry(instr, run)
 
 
 def _factory_alu(instr):
@@ -294,38 +284,17 @@ def _factory_alu(instr):
         return ExecEntry(instr, run)
 
     core = _ALU_CORES[op]
-    if op in STRICT_COMPUTE:
+    # Raw logic is not strict: it never traps.
+    strict = op in STRICT_COMPUTE
 
-        def run(cpu, frame, pc, npc):
-            regs = frame.regs
-            a = regs[rs1] if rs1f else cpu.globals[g1]
-            b = imm_w if use_imm else (
-                regs[rs2] if rs2f else cpu.globals[g2])
-            if (a | b) & 1:
-                raise TrapSignal(Trap(
-                    TrapKind.FUTURE_COMPUTE, instr=instr, pc=pc,
-                    value=a if a & 1 else b, cause=opname))
-            result, cc = core(a, b)
-            psr = frame.psr
-            psr.value = (psr.value & ~_CC_MASK) | cc
-            if write_rd:
-                if rdf:
-                    regs[rd] = result
-                else:
-                    cpu.globals[gd] = result
-            cpu.cycles += 1
-            stats = cpu.stats
-            stats.useful += 1
-            stats._total += 1
-            return npc, npc + 4
-
-        return ExecEntry(instr, run)
-
-    # Raw logic: no strictness, no traps, no control flow — fusible.
-    def fuse(cpu, frame):
+    def run(cpu, frame, pc, npc):
         regs = frame.regs
         a = regs[rs1] if rs1f else cpu.globals[g1]
         b = imm_w if use_imm else (regs[rs2] if rs2f else cpu.globals[g2])
+        if strict and (a | b) & 1:
+            raise TrapSignal(Trap(
+                TrapKind.FUTURE_COMPUTE, instr=instr, pc=pc,
+                value=a if a & 1 else b, cause=opname))
         result, cc = core(a, b)
         psr = frame.psr
         psr.value = (psr.value & ~_CC_MASK) | cc
@@ -334,8 +303,13 @@ def _factory_alu(instr):
                 regs[rd] = result
             else:
                 cpu.globals[gd] = result
+        cpu.cycles += 1
+        stats = cpu.stats
+        stats.useful += 1
+        stats._total += 1
+        return npc, npc + 4
 
-    return ExecEntry(instr, _charged_straightline(fuse), fuse)
+    return ExecEntry(instr, run)
 
 
 # -- memory --------------------------------------------------------------------
@@ -449,13 +423,7 @@ def _factory_branch(instr):
             return npc, pc + off
 
     elif op is Opcode.BN:
-
-        def run(cpu, frame, pc, npc):
-            cpu.cycles += 1
-            stats = cpu.stats
-            stats.useful += 1
-            stats._total += 1
-            return npc, npc + 4
+        run = _run_one_cycle
 
     else:
         test = _BRANCH_TESTS[op]
@@ -554,11 +522,7 @@ def _factory_system(instr):
     op = instr.op
 
     if op is Opcode.NOP:
-
-        def fuse(cpu, frame):
-            return None
-
-        return ExecEntry(instr, _charged_straightline(fuse), fuse)
+        return ExecEntry(instr, _run_one_cycle)
 
     if op is Opcode.HALT:
 

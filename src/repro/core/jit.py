@@ -1,9 +1,10 @@
 """Superblock JIT: translation-cache entries compiled to Python code.
 
-The third interpreter tier.  :mod:`repro.core.execops` predecodes each
-word into a bound closure (tier 2); this module goes one step further
-and compiles a whole superblock into a *single generated Python
-function* via ``compile()`` + ``exec``:
+The second of the fast path's two rungs.  :mod:`repro.core.execops`
+predecodes each word into a bound closure, which
+``Processor.step`` runs one at a time; this module compiles a whole
+superblock into a *single generated Python function* via ``compile()``
++ ``exec``, the first time ``Processor.step_block`` visits its start:
 
 * operand fields, masks, immediates, and memory-flavor semantics are
   baked into the source as integer literals;
@@ -84,8 +85,8 @@ Every exit records how many private instructions ran, their post-head
 register values and — the store log — the old word and full/empty bit
 of everything they changed in memory, so
 :meth:`repro.core.processor.Processor.unrun_tail` can take them back.
-Slices share :data:`SHARED_BLOCKS` (own key suffix), the promotion
-threshold, the per-CPU LRU bound and code-watch invalidation.
+Slices share :data:`SHARED_BLOCKS` (own key suffix), promotion at the
+first visit, the machine's LRU bound and code-watch invalidation.
 
 On a bank with stack windows (``_port_spec``'s third field) every
 inlined access that is *not* a tail access — a head, or anywhere in a
@@ -120,7 +121,7 @@ Self-modifying code: each compiled block records the byte range
 ``[start, end)`` it was translated from and a hash of the translated
 words; the machine's :class:`~repro.mem.memory.CodeWatch` notifies
 every processor on stores into covered words and the overlapping
-blocks are discarded (see ``Processor.invalidate_code``).  A block can
+blocks are discarded (see ``Translations.invalidate_code``).  A block can
 never invalidate *itself* mid-run: inline stores to watched words are
 exactly the case the inline path refuses, and the delegated store that
 performs them ends the block.
@@ -148,7 +149,15 @@ is what makes late PSR bits legal.  The differential lockstep harness
 from collections import OrderedDict
 
 from repro.core.alu import execute as alu_execute
-from repro.core.psr import C_BIT, FE_BIT, N_BIT, V_BIT, Z_BIT
+from repro.core.psr import (
+    BRANCH_CONDITIONS,
+    C_BIT,
+    FE_BIT,
+    N_BIT,
+    V_BIT,
+    Z_BIT,
+    condition_source,
+)
 from repro.core.traps import Trap, TrapKind, TrapSignal
 from repro.isa import registers
 from repro.isa.instructions import (
@@ -192,25 +201,8 @@ _MEM = _MEM_LOADS | _MEM_STORES
 _UNCOND_EXITS = frozenset({Opcode.BA, Opcode.CALL, Opcode.JMPL})
 
 #: Branch condition source expressions over the local ``psr`` word —
-#: exact transliterations of ``execops._BRANCH_TESTS``.
-_COND = {
-    Opcode.BE: "psr & %d" % Z_BIT,
-    Opcode.BNE: "not psr & %d" % Z_BIT,
-    Opcode.BL: "(psr & %d != 0) != (psr & %d != 0)" % (N_BIT, V_BIT),
-    Opcode.BLE: "psr & %d or (psr & %d != 0) != (psr & %d != 0)" % (
-        Z_BIT, N_BIT, V_BIT),
-    Opcode.BG: "not (psr & %d or (psr & %d != 0) != (psr & %d != 0))" % (
-        Z_BIT, N_BIT, V_BIT),
-    Opcode.BGE: "(psr & %d != 0) == (psr & %d != 0)" % (N_BIT, V_BIT),
-    Opcode.BNEG: "psr & %d" % N_BIT,
-    Opcode.BPOS: "not psr & %d" % N_BIT,
-    Opcode.BCS: "psr & %d" % C_BIT,
-    Opcode.BCC: "not psr & %d" % C_BIT,
-    Opcode.BVS: "psr & %d" % V_BIT,
-    Opcode.BVC: "not psr & %d" % V_BIT,
-    Opcode.JFULL: "psr & %d" % FE_BIT,
-    Opcode.JEMPTY: "not psr & %d" % FE_BIT,
-}
+#: the closure tier's tests are built from the same strings.
+_COND = {op: condition_source(op) for op in BRANCH_CONDITIONS}
 
 #: The same conditions asked of a pending producer's locals instead
 #: (``_Emitter.branch_test``): what ``res`` answers for any kind, what
@@ -961,8 +953,7 @@ def _scan_block(cpu, pc, spec, sliced=False):
     :data:`SHARED_BLOCKS` hit (the common case on every machine after
     the first) pays only this cheap classification walk, not the
     string building.  Scanning uses side-effect-free instruction
-    fetches (the perfect I-cache), exactly like the closure tier's
-    ``_build_block``.
+    fetches (the perfect I-cache).
 
     ``sliced`` scans the second shape, a *sync-headed slice*: whatever
     stands at ``pc``, then only *private* instructions — one cycle,

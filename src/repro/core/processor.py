@@ -50,16 +50,6 @@ from repro.obs.events import EventBus, EventKind
 #: Cycle-cost categories tracked by :attr:`Processor.stats`.
 CATEGORIES = ("useful", "stall", "trap", "switch", "spin", "idle")
 
-#: Longest straight-line run fused into one superblock.
-MAX_SUPERBLOCK = 32
-
-#: Superblock visits at one pc before the JIT tier compiles it.
-#: Low on purpose: compiled blocks are shared process-wide (see
-#: :data:`repro.core.jit.SHARED_BLOCKS`), so compilation is cheap on
-#: every machine after the first, and short benchmark runs spend most
-#: of their cycles warm only if the ladder promotes quickly.
-JIT_THRESHOLD = 4
-
 #: Bound on a machine's pc -> ExecEntry predecode cache (LRU).
 PREDECODE_CACHE_CAPACITY = 1 << 16
 
@@ -80,7 +70,7 @@ class ProcessorStats:
     incrementally, so :attr:`total_cycles` is an attribute read instead
     of a 6-way ``getattr`` sum; everything that bumps a category (the
     ``_add_*`` table, the fast-path handlers in
-    :mod:`repro.core.execops`, the superblock executor) bumps ``_total``
+    :mod:`repro.core.execops`, generated code) bumps ``_total``
     by the same amount.  The invariant is asserted in the test suite.
     """
 
@@ -172,6 +162,12 @@ class Processor:
             bare processor makes a dormant one of its own).
     """
 
+    #: Always 0, as is the ``superblocks`` entry of
+    #: :meth:`translation_counters`: no tier fuses closures, but
+    #: ``perf/simloads.py`` reads both into its ``core.superblocks``
+    #: metric.
+    superblocks = 0
+
     def __init__(self, node_id=0, port=None, num_frames=registers.NUM_TASK_FRAMES,
                  decoder=None, events=None):
         self.node_id = node_id
@@ -187,14 +183,12 @@ class Processor:
         self.halted = False
         self.ipi_queue = deque()
         self.share_translations(Translations())
-        #: Master switch for the JIT tier (the machine sets it from its
-        #: ``jit`` argument).
+        #: Master switch for generated code (the machine sets it from
+        #: its ``jit`` argument); off, :meth:`step_block` is
+        #: :meth:`step`.
         self.jit_enabled = True
-        self.jit_threshold = JIT_THRESHOLD
-        #: Count of fused superblocks executed (diagnostics/tests only;
-        #: deliberately not part of ``stats.snapshot()``).
-        self.superblocks = 0
-        #: Run-ahead diagnostics (same contract, and not part of
+        #: Run-ahead diagnostics (deliberately not part of
+        #: ``stats.snapshot()``, and not part of
         #: :meth:`translation_counters` either): slices that ran a
         #: private tail, the instructions in those tails — of which
         #: loads and stores inside the thread's own stack window — and
@@ -388,20 +382,18 @@ class Processor:
         """
         self.__class__ = _ReferenceProcessor
 
-    # -- superblock executor (fast path only) --------------------------------
+    # -- generated code (fast path only) --------------------------------------
 
     def step_block(self, budget, ahead=False):
-        """Execute one superblock — JIT, fused closures — or :meth:`step`.
+        """Execute one generated block at the pc, or one :meth:`step`.
 
-        The tier ladder at a block-start pc: cold pcs run through the
-        closure tier (or plain :meth:`step`) while a visit counter
-        warms; at :attr:`jit_threshold` the pc is compiled by
-        :mod:`repro.core.jit` into one generated Python function that
-        executes the whole straight-line run *and* its terminating
-        branch/memory instruction with batched accounting.  The closure
-        tier (a cached list of ``fuse`` closures — raw logic,
-        ``LUI``/``ORIL``, ``NOP`` only) remains the warm-up path and
-        the fallback when the compiled block does not fit the slice
+        The fast path has two rungs: :meth:`step` runs one predecoded
+        closure, and this runs generated code.  The first visit to a
+        block-start pc compiles it (:mod:`repro.core.jit`) into one
+        Python function that executes the whole straight-line run *and*
+        its terminating branch/memory instruction with batched
+        accounting; a pc that cannot be compiled is remembered as such
+        and runs :meth:`step`, as does a block that does not fit the
         budget.
 
         ``budget`` bounds the block cost in cycles so the caller's
@@ -432,18 +424,18 @@ class Processor:
         processor between two of its own heads (no IPI sender, no
         per-instruction hook).
         :attr:`ahead_tail` says how far past the head the slice ran and
-        :meth:`unrun_tail` takes that back.  A pc whose slice is still
-        cold runs one :meth:`step` — a slice of one.
+        :meth:`unrun_tail` takes that back.  A pc with no slice runs one
+        :meth:`step` — a slice of one.
 
         Falls back to :meth:`step` — same return convention, cycles
-        consumed — whenever no block applies or a per-instruction
-        hook is attached; only call this while
+        consumed — whenever no block applies, the JIT is off or a
+        per-instruction hook is attached; only call this while
         ``AlewifeMachine._hooks_dormant``.
         """
         if self.halted:
             return 0
         self.ahead_tail = None
-        if self.profile_hook is not None:
+        if self.profile_hook is not None or not self.jit_enabled:
             return self.step()
         frame = self.frames[self.fp]
         if self.ipi_queue and frame.psr.value & ET_BIT:
@@ -458,107 +450,45 @@ class Processor:
             # Nobody to run ahead of: a full-length block, memory
             # accesses and all, beats a slice.
             ahead = False
-        if self.jit_enabled:
-            jit_map = self._jit_map
-            key = ~pc if ahead else pc
-            jb = jit_map.get(key)
-            if jb is not None:
-                jit_map.move_to_end(key)
-            else:
-                heat = self._heat.get(key, 0) + 1
-                if heat >= self.jit_threshold:
-                    self._heat.pop(key, None)
-                    jb = self._compile_jit(pc, ahead)
-                else:
-                    self._heat[key] = heat
-            # Not an uncompilable or still-cold pc (those fall through
-            # to the closure tier / step()), and the block fits.
-            if jb and (ahead or jb.cost <= budget):
-                # The block may stop early — at a tripped future
-                # guard, at the slow path of an inlined memory access,
-                # or at a taken branch — so the cycles consumed are
-                # whatever the generated code banked, not ``jb.cost``.
-                # Traps raised by a guard or a delegated instruction
-                # are taken here exactly as :meth:`step` takes them
-                # (the generated code parked the PC chain at the
-                # instruction and committed the prefix first).
-                start = self.cycles
-                try:
-                    jb.fn(self, frame)
-                except TrapSignal as signal:
-                    self._take_trap(frame, signal.trap)
-                    self.jit_runs += 1
-                    return self.cycles - start
-                spent = self.cycles - start
-                if spent == 0:
-                    # Cannot happen on current codegen (guards raise
-                    # or park after the head, delegates charge); keeps
-                    # a zero-progress block from livelocking the loop.
-                    self.jit_deopts += 1
-                    return self.step()
-                self.jit_runs += 1
-                return spent
-        if ahead:
+        jit_map = self._jit_map
+        key = ~pc if ahead else pc
+        jb = jit_map.get(key)
+        if jb is None:
+            jb = self._compile_jit(pc, ahead)
+        else:
+            jit_map.move_to_end(key)
+        if not jb or (not ahead and jb.cost > budget):
+            # Uncompilable here, or the block does not fit.
             return self.step()
-
-        block = self._blocks.get(pc)
-        if block is None:
-            block = self._build_block(pc)
-        if block is False:
-            return self.step()
-        n = len(block)
-        if n > budget:
-            return self.step()
-        for fuse in block:
-            fuse(self, frame)
-        self.cycles += n
-        stats = self.stats
-        stats.useful += n
-        stats._total += n
-        stats.instructions += n
-        self.superblocks += 1
-        next_pc = pc + 4 * n
-        frame.pc = next_pc
-        frame.npc = next_pc + 4
-        return n
-
-    def _build_block(self, pc):
-        """Scan forward from ``pc`` collecting fusible handlers.
-
-        Caches the result (or ``False`` when the run is too short to be
-        worth fusing) under the block-start pc.  Scanning uses
-        side-effect-free instruction fetches (perfect I-cache).
-        """
-        predecode = self.decoder.predecode
-        fetch = self.port.fetch
-        fuses = []
-        scan = pc
+        # The block may stop early — at a tripped future guard, at the
+        # slow path of an inlined memory access, or at a taken branch —
+        # so the cycles consumed are whatever the generated code
+        # banked, not ``jb.cost``.  Traps raised by a guard or a
+        # delegated instruction are taken here exactly as :meth:`step`
+        # takes them (the generated code parked the PC chain at the
+        # instruction and committed the prefix first).
+        start = self.cycles
         try:
-            while len(fuses) < MAX_SUPERBLOCK:
-                fuse = predecode(fetch(scan)).fuse
-                if fuse is None:
-                    break
-                fuses.append(fuse)
-                scan += 4
-        except Exception:
-            # Unfetchable/undecodable word ends the block; the slow
-            # path will turn it into the proper ILLEGAL trap if the
-            # program actually executes into it.
-            pass
-        block = fuses if len(fuses) >= 2 else False
-        self._blocks[pc] = block
-        watch = self.translations.watch
-        if block is not False and watch is not None:
-            watch.cover(pc, pc + 4 * len(block))
-        return block
-
-    # -- JIT tier (see repro.core.jit) ----------------------------------------
+            jb.fn(self, frame)
+        except TrapSignal as signal:
+            self._take_trap(frame, signal.trap)
+            self.jit_runs += 1
+            return self.cycles - start
+        spent = self.cycles - start
+        if spent == 0:
+            # Cannot happen on current codegen (guards raise or park
+            # after the head, delegates charge); keeps a zero-progress
+            # block from livelocking the loop.
+            self.jit_deopts += 1
+            return self.step()
+        self.jit_runs += 1
+        return spent
 
     def _compile_jit(self, pc, sliced=False):
-        """Compile the superblock (or slice) at ``pc``; caches the result.
+        """Compile the block (or slice) at ``pc``; caches the result.
 
-        Uncompilable pcs cache ``False`` so the hotness counter is paid
-        only once per pc; real blocks register their pc range with the
+        Uncompilable pcs cache ``False`` so :func:`compile_block` is
+        asked once per pc; real blocks register their pc range with the
         code watch so self-modifying stores invalidate them.
         """
         jb = compile_block(self, pc, sliced)
@@ -615,9 +545,7 @@ class Processor:
         backing dicts, which are never replaced."""
         self.translations = shared
         self._entry_map = shared.entries.data
-        self._blocks = shared.blocks
         self._jit_map = shared.jit.data
-        self._heat = shared.heat
 
     def translation_counters(self):
         """JSON-ready per-tier translation-cache counters.
@@ -641,11 +569,9 @@ class Processor:
             "node": self.node_id,
             "predecode": code.entries.counters(),
             "jit": jit,
-            "superblocks": {
-                "size": len(code.blocks),
-                "executed": self.superblocks,
-                "invalidations": code.block_invalidations,
-            },
+            # Zeros for perf/simloads.py (see ``superblocks``), in the
+            # shape reports already have.
+            "superblocks": {"size": 0, "executed": 0, "invalidations": 0},
         }
 
     def run(self, max_cycles=None, max_instructions=None):
@@ -913,31 +839,22 @@ class Translations:
         #: :meth:`Processor.step` skip the fetch + word-keyed predecode
         #: pair on every revisited pc.
         self.entries = CodeCache(PREDECODE_CACHE_CAPACITY)
-        #: Superblock cache: block-start pc -> list of fuse closures,
-        #: or ``False`` for "no fusible run here".
-        self.blocks = {}
-        #: The JIT tier (see :mod:`repro.core.jit`): pc ->
+        #: Generated code (see :mod:`repro.core.jit`): pc ->
         #: :class:`JitBlock` (or ``False`` for "not compilable here"),
-        #: bounded LRU.  The tier's second shape, the sync-headed slice
-        #: compiled at a pc (``step_block(..., True)``), lives here
-        #: under ``~pc``.
+        #: bounded LRU, filled at a pc's first visit.  Its second
+        #: shape, the sync-headed slice compiled at a pc
+        #: (``step_block(..., True)``), lives here under ``~pc``.
         self.jit = CodeCache(JIT_CACHE_CAPACITY)
-        #: pc (``~pc`` for a slice) -> visit count; promotion to the
-        #: JIT tier at :data:`JIT_THRESHOLD` (bounded by the code
-        #: footprint).
-        self.heat = {}
         #: Optional :class:`~repro.mem.memory.CodeWatch` the translated
         #: pc ranges are registered with; see :meth:`attach_code_watch`.
         self.watch = None
-        self.block_invalidations = 0
 
     def attach_code_watch(self, watch):
         """Register with a :class:`~repro.mem.memory.CodeWatch`.
 
         The watch notifies :meth:`invalidate_code` on every store into
-        a translated word, keeping all three cache tiers
-        (predecode entries, fused closure blocks, JIT blocks and
-        slices) correct under self-modifying code.
+        a translated word, keeping both tables (predecode entries, JIT
+        blocks and slices) correct under self-modifying code.
         """
         self.watch = watch
         watch.add_listener(self.invalidate_code)
@@ -945,9 +862,10 @@ class Translations:
     def invalidate_code(self, address):
         """Drop every cached translation covering ``address``.
 
-        ``False`` sentinels ("nothing to fuse/compile here") are kept:
-        they never execute stale instructions, only route the pc to a
-        lower tier, so correctness cannot depend on dropping them.
+        ``False`` sentinels ("nothing to compile here") are kept: they
+        never execute stale instructions, only route the pc to
+        :meth:`Processor.step`, so correctness cannot depend on
+        dropping them.
         """
         word = address & ~3
         self.entries.discard(word)
@@ -960,13 +878,6 @@ class Translations:
                 # stores refuse watched words; delegated stores end the
                 # block), so dropping the cache entry is sufficient.
                 jit.discard(key)
-        blocks = self.blocks
-        if blocks:
-            for key in [k for k, blk in blocks.items()
-                        if blk is not False
-                        and k <= word < k + 4 * len(blk)]:
-                del blocks[key]
-                self.block_invalidations += 1
 
 
 class _ReferenceProcessor(Processor):

@@ -21,6 +21,8 @@ Bits   Field
 ====== ==============================================
 """
 
+from repro.isa.instructions import Opcode
+
 N_BIT = 1 << 23
 Z_BIT = 1 << 22
 V_BIT = 1 << 21
@@ -28,6 +30,36 @@ C_BIT = 1 << 20
 FE_BIT = 1 << 19
 ET_BIT = 1 << 18
 TID_MASK = 0xFFFF
+
+#: Each conditional branch's taken test as Python source over a PSR
+#: word named ``psr``, the bits written ``{N}`` ``{Z}`` ``{V}`` ``{C}``
+#: ``{FE}``: the one statement of them both fast rungs use
+#: (:func:`condition_source`) — generated code inlines it,
+#: :mod:`repro.core.execops` builds a test function from it.  The
+#: reference interpreter keeps its own, :func:`repro.core.alu.
+#: branch_taken`.
+BRANCH_CONDITIONS = {
+    Opcode.BE: "psr & {Z}",
+    Opcode.BNE: "not psr & {Z}",
+    Opcode.BL: "(psr & {N} != 0) != (psr & {V} != 0)",
+    Opcode.BLE: "psr & {Z} or (psr & {N} != 0) != (psr & {V} != 0)",
+    Opcode.BG: "not (psr & {Z} or (psr & {N} != 0) != (psr & {V} != 0))",
+    Opcode.BGE: "(psr & {N} != 0) == (psr & {V} != 0)",
+    Opcode.BNEG: "psr & {N}",
+    Opcode.BPOS: "not psr & {N}",
+    Opcode.BCS: "psr & {C}",
+    Opcode.BCC: "not psr & {C}",
+    Opcode.BVS: "psr & {V}",
+    Opcode.BVC: "not psr & {V}",
+    Opcode.JFULL: "psr & {FE}",
+    Opcode.JEMPTY: "not psr & {FE}",
+}
+
+
+def condition_source(op):
+    """Branch ``op``'s taken test with the bits as integer literals."""
+    return BRANCH_CONDITIONS[op].format(
+        N=N_BIT, Z=Z_BIT, V=V_BIT, C=C_BIT, FE=FE_BIT)
 
 
 class PSR:

@@ -81,21 +81,22 @@ class AlewifeMachine:
     still happens in the oracle's order, and a run that ends under a
     tail is wound back to where the oracle stops (:meth:`_end_at`).
 
-    ``fastpath=True`` (the default) pairs the fast form with predecoded
-    dispatch and superblocks; ``False`` pins every processor to the
-    original decode + if-chain interpreter under the oracle, which is
-    the reference side of the differential lockstep harness.  It is
-    deliberately a constructor argument and *not* a
-    :class:`MachineConfig` knob, so experiment cache fingerprints are
-    unaffected.
+    ``fastpath=True`` (the default) pairs the fast form with the fast
+    path's two rungs, predecoded dispatch and generated code; ``False``
+    pins every processor to the original decode + if-chain interpreter
+    under the oracle, which is the reference side of the differential
+    lockstep harness.  It is deliberately a constructor argument and
+    *not* a :class:`MachineConfig` knob, so experiment cache
+    fingerprints are unaffected.
 
-    ``jit`` gates the third interpreter tier (:mod:`repro.core.jit`):
-    hot superblocks compiled to generated Python functions.  ``False``
-    caps the fast path at the PR 5 closure tier — the A/B knob for
-    pricing what the generated code is worth (``perf/``'s
-    ``core.ns_per_instr.closure``).  Same contract as ``fastpath``: a
-    constructor argument, not a config knob, and architecturally
-    invisible (the lockstep harness pins all tiers cycle-identical).
+    ``jit`` gates the second rung (:mod:`repro.core.jit`): every block
+    start compiled, at its first visit, to a generated Python function.
+    ``False`` sends every instruction through the predecoded closures
+    of ``Processor.step`` — the A/B knob for pricing what the generated
+    code is worth (``perf/``'s ``core.ns_per_instr.closure``).  Same
+    contract as ``fastpath``: a constructor argument, not a config
+    knob, and architecturally invisible (the lockstep harness pins all
+    tiers cycle-identical).
 
     The processors share one :class:`~repro.core.processor.
     Translations`: what is cached at a pc is a function of the code
@@ -169,8 +170,9 @@ class AlewifeMachine:
     def _hooks_dormant(self):
         """True when nothing attached observes single instructions.
 
-        The fast form batches instructions into superblocks and slices,
-        which only a consumer of single instructions can tell from the
+        The fast form batches instructions into generated blocks and
+        slices, which only a consumer of single instructions can tell
+        from the
         oracle: a profile or watch hook, and the interval sampler,
         which reads the counters mid-run.  Those send
         :meth:`run` to the oracle.  Everything else rides the fast
@@ -289,7 +291,7 @@ class AlewifeMachine:
         **Budget-bound slices.**  A popped processor runs while its
         clock stays strictly below the next entry's (at equality the
         key decides, so it is pushed back).  ``step_block(budget)``
-        never overshoots: fused instructions cost a cycle each and a
+        never overshoots: block instructions cost a cycle each and a
         gap (trap, stall) ends the block.  Cross-processor
         interactions (shared memory is serialized by the host; IPIs are
         stamped by the receiver's clock at delivery) therefore happen
@@ -405,7 +407,8 @@ class AlewifeMachine:
                         lead = stats.instructions - lead
                         gap = spent != lead
                     else:
-                        # Too tight for a superblock worth fusing.
+                        # Too tight for any block: skip step_block's
+                        # checks.
                         lead = 0
                         spent = step()
                         gap = spent != 1

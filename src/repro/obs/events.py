@@ -20,7 +20,7 @@ they want and see every event regardless of any ring's capacity.
 
 No event is per-instruction.  Every :class:`EventKind` is emitted from
 the head of a slice, a trap, the run-time system or the memory system —
-never from inside a fused block or a run-ahead tail — so a subscriber
+never from inside a generated block or a run-ahead tail — so a subscriber
 sees the same stream, in the same order with the same stamps, under both
 machine schedules, and subscribing does not select the oracle
 (``tests/core/test_lockstep.py::TestObserversRideTheFastForm``).  A

@@ -7,8 +7,8 @@ every run:
   event kinds (traps, context switches, scheduling, futures, network
   deliveries, memory-transaction completions), subscribed kind by kind
   to the machine's :class:`~repro.obs.events.EventBus`.  No subscriber
-  selects the oracle schedule — every emission site fires outside fused
-  superblocks, with identical cycle stamps on the fast and reference
+  selects the oracle schedule — every emission site fires outside
+  generated blocks, with identical cycle stamps on the fast and reference
   paths (the lockstep harness pins this) — so it rides the fast loop.
 
 * :class:`Watchdog` — every ``interval`` cycles it inspects the

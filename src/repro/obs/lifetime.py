@@ -23,8 +23,8 @@ and ``activate_frame`` before ``frame.thread`` or ``cpu.fp`` moves; in
 in :meth:`~LifetimeAccountant.finalize`.  So a thread's unsettled
 cycles exist only on the node where it is the current owner, and every
 load/unload/exit episode closes on exact totals.  Nothing is called per
-instruction or per charge: superblocks, JIT blocks and run-ahead slices
-are accounted with no code of their own, and a tail wound back by
+instruction or per charge: generated blocks and run-ahead slices are
+accounted with no code of their own, and a tail wound back by
 ``Processor.unrun_tail`` is wound back here because the counters are.
 The invariant is exact, by construction::
 

@@ -28,9 +28,9 @@ def component_counters(machine):
         },
         "sync": (sync.counters() if sync is not None
                  else SyncAllocator.empty_counters()),
-        # Per-CPU view of the translation tiers (predecode entries,
-        # fused superblocks, JIT code cache): sizes, evictions,
-        # invalidations, compiles, runs.  This block describes the
+        # Per-CPU view of the translation tables (predecode entries,
+        # JIT code cache): sizes, evictions, invalidations, compiles,
+        # runs.  This block describes the
         # *host* run — it differs with the interpreter tier and the
         # machine schedule — while everything around it is a function
         # of the job.  It rides in cached payloads as a diagnostic;

@@ -44,10 +44,9 @@ WINDOW_TEST = "not _lo <= _a < _hi"
 
 
 def build_jit_cpu(source, **kwargs):
-    """A :func:`build_cpu` whose JIT promotes on the first visit and
-    whose memory carries a code watch (as the machine attaches one)."""
+    """A :func:`build_cpu` whose memory carries a code watch (as the
+    machine attaches one)."""
     cpu, memory, program = build_cpu(source, **kwargs)
-    cpu.jit_threshold = 1
     watch = CodeWatch()
     memory.code_watch = watch
     cpu.translations.attach_code_watch(watch)
@@ -402,7 +401,7 @@ class TestSharedTranslations:
         first, second, _, _ = self._pair()
         run_jit_to_halt(first)
         assert first.jit_compiles > 0
-        run_jit_to_halt(second)          # default threshold: no warm-up
+        run_jit_to_halt(second)          # every block already compiled
         assert second.jit_runs == first.jit_runs
         assert second.jit_compiles == 0
         assert second.cycles == first.cycles

@@ -1,10 +1,11 @@
 """Differential lockstep harness: fast path vs. reference interpreter.
 
-Every scenario runs three times from one compile — the superblock
-JIT (``fastpath=True, jit=True``: generated code objects), the closure
-tier (``fastpath=True, jit=False``: predecoded dispatch and superblock
-fusion), and the reference (``fastpath=False``: the original decode +
-if-chain interpreter on the per-instruction heapq loop) — and all runs
+Every scenario runs three times from one compile — generated code
+(``fastpath=True, jit=True``: every block start compiled at its first
+visit), the closure tier (``fastpath=True, jit=False``: every
+instruction through one predecoded closure), and the reference
+(``fastpath=False``: the original decode + if-chain interpreter on the
+per-instruction heapq loop) — and all runs
 must agree on everything a program or an observer could see: the
 result value, the final machine clock, every per-CPU cycle-category
 counter (byte-identical ``snapshot()`` dicts), the architectural
@@ -175,14 +176,14 @@ class TestBenchmarkLockstep:
         _assert_triple(*runs)
 
     def test_fast_sequential_actually_fuses(self):
-        """The fast run must exercise the superblock executor, or this
-        whole file proves nothing about it."""
+        """The fast run must exercise generated code, or this whole
+        file proves nothing about it."""
         module = workloads.get("fib")
         compiled = compile_source(module.source(), mode="sequential")
         machine = _build(compiled, MachineConfig(num_processors=1), True)
         machine.run(entry=compiled.entry_label("main"), args=(10,))
         assert machine.loop_used == "fast"
-        assert machine.cpus[0].superblocks > 0
+        assert machine.cpus[0].jit_runs > 0
 
 
 class TestScheduleLockstep:
@@ -389,7 +390,7 @@ class TestFallbackMatrix:
     def test_single_hook_forces_reference(self, hook):
         machine = _hooked_run(hook)
         assert machine.loop_used == "reference"
-        assert machine.cpus[0].superblocks == 0
+        assert all(cpu.jit_runs == 0 for cpu in machine.cpus)
         assert not _ran_ahead(machine)
 
     @pytest.mark.parametrize("hook", sorted(RIDING))

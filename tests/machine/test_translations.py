@@ -1,10 +1,12 @@
 """Translation state belongs to the machine, not to its processors.
 
-What is cached at a pc — predecoded entry, fused block, JIT block or
-slice, visit count — is a function of the code there, so a machine's
-processors share one :class:`~repro.core.processor.Translations`: the
-machine warms once, a store into translated code is answered once, and
-the LRU bounds are the machine's.  Two machines share nothing but the
+What is cached at a pc — predecoded entry, JIT block or slice, or the
+fact that nothing compiles there — is a function of the code there, so
+a machine's processors share one
+:class:`~repro.core.processor.Translations`: each block start is
+compiled once, at its first visit by any of them, a store into
+translated code is answered once, and the LRU bounds are the
+machine's.  Two machines share nothing but the
 process-wide :data:`~repro.core.jit.SHARED_BLOCKS`.
 """
 
@@ -15,7 +17,9 @@ import pytest
 from repro import workloads
 from repro.core import processor
 from repro.core.jit import SHARED_BLOCKS
+from repro.isa.instructions import Opcode
 from repro.lang.run import build_mult_machine
+from repro.machine.alewife import AlewifeMachine
 from repro.machine.config import MachineConfig
 
 FIB = workloads.get("fib")
@@ -23,6 +27,14 @@ FIB = workloads.get("fib")
 
 def _machine(processors=4, **build):
     return build_mult_machine(FIB.source(), processors=processors, **build)
+
+
+def _closure_machine(processors=4):
+    """The same machine with ``jit=False``: every instruction goes
+    through ``step()`` and its predecode table."""
+    machine, compiled = _machine(processors)
+    return AlewifeMachine(compiled.program, machine.config,
+                          jit=False), compiled
 
 
 def _run(machine, compiled, n=9):
@@ -55,8 +67,6 @@ class TestOneTablePerMachine:
             assert cpu.translations is first.translations
             assert cpu._entry_map is first._entry_map
             assert cpu._jit_map is first._jit_map
-            assert cpu._blocks is first._blocks
-            assert cpu._heat is first._heat
 
     def test_block_compiled_through_one_cpu_runs_on_another(
             self, compile_calls):
@@ -65,8 +75,7 @@ class TestOneTablePerMachine:
         pc = compiled.program.address_of(compiled.entry_label("main"))
         block = cpu0._compile_jit(pc)
         assert block is not None and compile_calls == [(pc, False)]
-        # CPU 3 never visited the pc: no warm-up, no second compile.
-        cpu3.jit_threshold = 1 << 30
+        # CPU 3 never visited the pc: no second compile.
         frame = cpu3.frame
         frame.pc, frame.npc = pc, pc + 4
         assert cpu3.step_block(1 << 30) > 0
@@ -94,6 +103,38 @@ class TestOneTablePerMachine:
         assert bare.translations is not processor.Processor().translations
 
 
+class TestFirstVisitRunsGeneratedCode:
+    """No warm-up: a block start is compiled the first time any of the
+    machine's processors reaches it, and a pc that does not compile is
+    asked about once."""
+
+    def test_first_step_block_at_a_block_start_runs_generated_code(self):
+        machine, compiled = _machine()
+        cpu = machine.cpus[0]
+        pc = compiled.program.address_of(compiled.entry_label("main"))
+        frame = cpu.frame
+        frame.pc, frame.npc = pc, pc + 4
+        assert cpu.step_block(1 << 30) > 0
+        assert cpu.jit_runs == 1 and cpu.jit_compiles == 1
+
+    def test_an_uncompilable_pc_reaches_compile_block_once(
+            self, compile_calls):
+        machine, compiled = _machine()
+        # A lone HALT is one delegated instruction: nothing to compile.
+        program = compiled.program
+        decode = machine.cpus[0].decoder.decode
+        pc = next(program.base + 4 * index
+                  for index, word in enumerate(program.words)
+                  if decode(word).op is Opcode.HALT)
+        for cpu in machine.cpus[:2]:
+            frame = cpu.frame
+            frame.pc, frame.npc = pc, pc + 4
+            assert cpu.step_block(1 << 30) == 1
+            assert cpu.halted and cpu.jit_runs == 0
+        assert compile_calls == [(pc, False)]
+        assert machine.cpus[0]._jit_map[pc] is False
+
+
 class TestInvalidationIsPerMachine:
     def test_one_listener_and_one_invalidation_per_store(self):
         machine, compiled = _machine()
@@ -105,16 +146,26 @@ class TestInvalidationIsPerMachine:
                      if b is not False and key >= 0)
         covering = sum(1 for b in tables.jit.data.values()
                        if b is not False and b.start <= block.start < b.end)
-        before = (tables.jit.invalidations, tables.entries.invalidations)
+        before = tables.jit.invalidations
         # Same word back through the watched write path: a store into
         # translated code, whatever it stores.
         memory.write_word(block.start, memory.read_word(block.start))
-        assert tables.jit.invalidations == before[0] + covering
-        assert tables.entries.invalidations == before[1] + 1
+        assert tables.jit.invalidations == before + covering
         for cpu in machine.cpus:
-            assert block.start not in cpu._entry_map
             assert not any(b is not False and b.start <= block.start < b.end
                            for b in cpu._jit_map.values())
+
+    def test_a_store_drops_a_predecoded_entry_once_for_all(self):
+        # Without generated code every instruction is predecoded.
+        machine, compiled = _closure_machine()
+        _run(machine, compiled)
+        memory = machine.memory
+        entries = machine.cpus[0].translations.entries
+        pc = next(iter(entries.data))
+        before = entries.invalidations
+        memory.write_word(pc, memory.read_word(pc))
+        assert entries.invalidations == before + 1
+        assert all(pc not in cpu._entry_map for cpu in machine.cpus)
 
     def test_every_cpu_retranslates_after_a_patch(self, compile_calls):
         machine, compiled = _machine()
@@ -140,11 +191,13 @@ class TestBoundsAreTheMachines:
         assert sum(1 for cpu in machine.cpus if cpu.jit_runs) >= 3
 
     def test_predecode_lru_bound_holds_across_cpus(self):
-        machine, compiled = _machine()
+        machine, compiled = _closure_machine()
         entries = machine.cpus[0].translations.entries
         entries.capacity = 16
         _run(machine, compiled)
         assert len(entries) <= 16 and entries.evictions > 0
+        assert sum(1 for cpu in machine.cpus
+                   if cpu.stats.instructions) >= 3
 
 
 class TestTwoMachinesShareOnlyCompiledBlocks:
@@ -155,7 +208,7 @@ class TestTwoMachinesShareOnlyCompiledBlocks:
         _run(two, compiled)
         a, b = one.cpus[0].translations, two.cpus[0].translations
         assert a is not b
-        for name in ("entries", "blocks", "jit", "heat"):
+        for name in ("entries", "jit"):
             assert getattr(a, name) is not getattr(b, name)
         assert a.watch is not b.watch
         common = [key for key, block in a.jit.data.items()
@@ -179,8 +232,7 @@ class TestCountersKeepTheirShape:
             assert set(counters["predecode"]) == cache_keys
             assert set(counters["jit"]) == cache_keys | {
                 "blocks", "compiles", "runs", "deopts", "enabled"}
-            assert set(counters["superblocks"]) == {
-                "size", "executed", "invalidations"}
+            assert not any(counters["superblocks"].values())
             # Run counters stay per processor; table sizes are shared.
             assert counters["jit"]["runs"] == cpu.jit_runs
             assert counters["jit"]["compiles"] == cpu.jit_compiles

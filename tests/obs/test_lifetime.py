@@ -274,7 +274,6 @@ class TestFramePointerInstructions:
 
     @staticmethod
     def _drive_jit(cpu):
-        cpu.jit_threshold = 1
         while not cpu.halted:
             cpu.step_block(1 << 30)
         assert cpu.jit_runs > 0
