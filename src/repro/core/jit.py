@@ -36,11 +36,20 @@ instructions and the per-call overhead eats the win):
   parked at the instruction, and the block *ends there*: the closure
   redoes the access from scratch (the inline test mutated nothing), so
   trap payloads, stall charging, watch notifications, and hook calls
-  stay exactly the closure tier's.  On a non-ideal port (the cache /
-  directory machine) every memory instruction is such a delegated
-  block terminator.  Because delegation always ends the block, a
-  compiled block never runs on past a stall or a self-invalidating
-  store — the multi-CPU slice interleaving stays reference-identical;
+  stay exactly the closure tier's.  On a coherent node (the cache /
+  directory machine) the inlined access is a *cache hit*, the case the
+  paper's controller answers in the processor's one cycle: a probe of
+  the node's ``Cache.valid`` map (the line the controller's set walk
+  would find) must find a valid line for a load and a modified one for
+  a store; the generated code then stamps the line, advances the
+  cache's LRU clock and counts the hit as ``CacheController._access``
+  does, and performs the ideal port's access.  A miss, an upgrade and
+  an attached transaction tracer (read once per function, like the
+  watch hook) are slow too.  On any other port every memory
+  instruction is a delegated block terminator.  Because delegation
+  always ends the block, a compiled block never runs on past a stall
+  or a self-invalidating store — the multi-CPU slice interleaving
+  stays reference-identical;
 * **branch delay slots** are fused into the exit: the delay
   instruction executes on the block's locals after the branch
   decision, then the taken/untaken chain is installed — without this
@@ -74,10 +83,12 @@ change before this one's next head.  Straight ops, branches and
 PC chain, nothing else); so is an inlined load or store off the stack
 pointer *whose address falls, at run time, inside the executing
 frame's stack window* (``frame.window``: the loaded thread's
-``[stolen_base, stack_limit)`` on a machine that runs ahead, empty
-anywhere else) — the machine keeps every other processor out of that
-window or winds this one back (``AlewifeMachine._wind_back``).  The
-scan stops before any other memory or delegated instruction.  Past the
+``[stolen_base, stack_limit)`` on an ideal machine that runs ahead,
+empty anywhere else) — the machine keeps every other processor out of
+that window or winds this one back (``AlewifeMachine._wind_back``).
+On a coherent node no load or store rides: its tails are registers,
+condition codes and PC chain only.  The scan stops before any other
+memory or delegated instruction.  Past the
 head nothing raises or delegates: a tripped guard, a stack access
 outside the window, any slow-path condition *parks* the chain at the
 instruction and returns, to be taken when it heads a later slice.
@@ -94,7 +105,7 @@ plain block — is slow too when it lands in a page holding some thread
 stack outside the executing frame's own window: the closure's access
 then passes ``Memory._index``, where the window's owner is wound back
 first.  Machines without windows (one processor, coherent memory)
-compile byte for byte what they compiled before there were any.
+carry no such test.
 
 Every compute instruction sets N/Z/V/C and every load or store the
 full/empty bit, and the next producer overwrites nearly all of it
@@ -168,6 +179,8 @@ from repro.isa.instructions import (
     Opcode,
 )
 from repro.isa.tags import WORD_MASK
+from repro.mem.cache import LineState
+from repro.mem.controller import CacheController
 from repro.mem.ideal import IdealMemoryPort
 from repro.mem.memory import WINDOW_PAGE_SHIFT
 
@@ -311,25 +324,35 @@ class CodeCache:
 SHARED_BLOCKS = CodeCache(1 << 12)
 
 
+def _spec_tag(spec):
+    """The third field of ``spec`` (see :func:`_port_spec`), if any."""
+    return spec[2] if spec is not None and len(spec) > 2 else None
+
+
 def _has_windows(spec):
-    """Whether ``spec`` (see :func:`_port_spec`) is a windowed bank's."""
-    return spec is not None and len(spec) > 2
+    """Whether ``spec`` is a windowed bank's."""
+    return _spec_tag(spec) == "windows"
 
 
 def _port_spec(cpu):
     """Inline-memory specialization key for this CPU's port.
 
-    Only the plain ideal port with unit latency is inlined — its
-    successful loads and stores are pure array reads/writes plus
-    full/empty-bit flavor logic, all compile-time known.  The spec
-    carries the bank geometry because it is baked into the generated
-    bounds checks.  ``None`` means "delegate every memory access".
+    Two ports are inlined.  The plain ideal port with unit latency:
+    its successful loads and stores are pure array reads/writes plus
+    full/empty-bit flavor logic, all compile-time known.  And a node's
+    :class:`~repro.mem.controller.CacheController`, for the accesses
+    its cache answers in the processor's one cycle (a valid line for a
+    load, a modified one for a store), which are then the ideal port's
+    access (``"coherent"`` and the block size, for the cache probe).
+    The spec carries the bank geometry because it is baked into the
+    generated bounds checks.  ``None`` means "delegate every memory
+    access".
 
-    A bank with :class:`~repro.mem.memory.StackWindows` installed — a
-    machine that runs ahead — adds a third field: every inlined access
-    that is not a tail access then carries the foreign-window test.
-    Everybody else's key, and so their generated source, is what it
-    was without one.
+    A bank with :class:`~repro.mem.memory.StackWindows` installed — an
+    ideal machine that runs ahead — adds a third field: every inlined
+    access that is not a tail access then carries the foreign-window
+    test.  Everybody else's key, and so their generated source, is what
+    it was without one.
     """
     port = cpu.port
     if type(port) is IdealMemoryPort and port.latency == 1:
@@ -337,6 +360,10 @@ def _port_spec(cpu):
         if memory.windows is not None:
             return (memory.base, memory.size_words, "windows")
         return (memory.base, memory.size_words)
+    if type(port) is CacheController:
+        memory = port.memory
+        return (memory.base, memory.size_words, "coherent",
+                port.cache.block_bytes)
     return None
 
 
@@ -776,8 +803,8 @@ def _emit_mem_delegate(emitter, instr, run, pending, pc_i, npc_expr,
     chain, bumps the retired counter, and returns.  When ``install``
     the chain comes from the closure's return value (delay-slot use,
     where the next pc is dynamic); otherwise it is the static
-    fall-through.  Used both for every memory access on a non-ideal
-    port and for the slow path of an inlined access.
+    fall-through.  Used both for every memory access on a port nothing
+    is inlined for and for the slow path of an inlined access.
     """
     name = emitter.add_delegate(run)
     emitter.writeback(indent)
@@ -801,7 +828,7 @@ def _emit_mem_delegate(emitter, instr, run, pending, pc_i, npc_expr,
 
 def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
                      install, tail=False):
-    """Emit an inlined ideal-port load/store at ``pc_i``.
+    """Emit an inlined load/store at ``pc_i``.
 
     The successful single-cycle access runs on the block's locals and
     memory arrays and joins the pending batch; every other case — the
@@ -817,6 +844,12 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
     closure's access goes through ``Memory._index``, which has whoever
     ran ahead over that word wound back first.
 
+    On a coherent node (``spec`` tagged ``"coherent"``) the access
+    must also hit its cache: the line ``Cache.valid`` maps the block
+    to, valid for a load and modified for a store, or it is slow.  A
+    hit advances the cache's LRU clock, stamps the line and counts
+    itself before the ideal port's access.
+
     ``tail`` emits the access behind a slice's head instead (``run``
     is not used): it happens only inside the executing frame's own
     window (which is inside the bank), any other case *parks* the
@@ -829,6 +862,7 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
     is_load = op in _MEM_LOADS
     flavor = LOAD_FLAVORS[op] if is_load else STORE_FLAVORS[op]
     base, size_words = spec[:2]
+    coherent = _spec_tag(spec) == "coherent"
     line = emitter.line
 
     b = emitter.use_reg(instr.rs1)
@@ -858,6 +892,11 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
     # Read once per generated function: nothing a block runs can attach
     # a hook, and a delegate ends the block.
     slow.append("_wh")
+    if coherent:
+        # Before anything changes: the line the set walk would find.
+        line(1, "_l = _cl.get(_a & %d)" % (WORD_MASK & ~(spec[3] - 1)))
+        slow.append("_l is None" if is_load
+                    else "_l is None or _l.state is not _M")
     if is_load:
         if flavor.trap_on_empty:
             slow.append("not _fe[_x]")
@@ -881,6 +920,11 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
         _emit_mem_delegate(emitter, instr, run, pending, pc_i, npc_expr,
                            install, indent=2)
 
+    if coherent:
+        # A hit, counted and stamped exactly as `CacheController._access`
+        # and `Cache.lookup` do.
+        line(1, "_ca._clock = _l.last_used = _ca._clock + 1")
+        line(1, "_cs.hits += 1")
     # Fast path: the flavor's semantics inline.  The PSR full/empty
     # condition bit reflects the state *before* the access; ``_fb``
     # keeps it for whoever reads the PSR next.
@@ -935,12 +979,13 @@ def _classify_delay(decoder, fetch, address):
 
 def _rides_tail(instr, spec):
     """Whether a slice may carry ``instr`` behind its head: an inlined
-    load or store off the stack pointer.  Only a guess at what will
-    pass the window test at run time — that test alone decides, for
-    any program — so that a heap access does not drag a tail it always
-    parks."""
-    return (spec is not None and instr.op in _MEM
-            and instr.rs1 == registers.SP)
+    load or store off the stack pointer, on an ideal port.  Only a
+    guess at what will pass the window test at run time — that test
+    alone decides, for any program — so that a heap access does not
+    drag a tail it always parks.  A coherent node's tails touch no
+    memory, so nothing there needs winding back but its registers."""
+    return (spec is not None and _spec_tag(spec) != "coherent"
+            and instr.op in _MEM and instr.rs1 == registers.SP)
 
 
 def _scan_block(cpu, pc, spec, sliced=False):
@@ -967,7 +1012,8 @@ def _scan_block(cpu, pc, spec, sliced=False):
 
     Plan items:
         ``("s", instr, pc)`` — inlined straight-line op;
-        ``("mi", instr, run, pc)`` — inlined ideal-port load/store;
+        ``("mi", instr, run, pc)`` — inlined load/store (ideal port,
+        or a coherent cache hit);
         ``("mt", instr, pc)`` — the same behind a slice's head:
         inside the frame's stack window, or the chain parks;
         ``("md", instr, run, pc)`` — delegated memory terminator;
@@ -1023,7 +1069,7 @@ def _scan_block(cpu, pc, spec, sliced=False):
                 total += 1
                 scan += 4
                 continue
-            # Non-ideal port: a delegated terminator.
+            # A port nothing is inlined for: a delegated terminator.
             plan.append(("md", instr, run, scan))
             total += 1
             scan += 4
@@ -1036,7 +1082,7 @@ def _scan_block(cpu, pc, spec, sliced=False):
                     or sliced and not _rides_tail(delay[1], spec)):
                 # A delegated delay slot ends the block anyway; fusing
                 # it buys nothing over the bare exit, so keep the exit
-                # simple on non-ideal ports.  A slice fuses only what
+                # simple where nothing is inlined.  A slice fuses only what
                 # may ride its tail.
                 delay = None
             if op in _COND:
@@ -1262,29 +1308,45 @@ def compile_block(cpu, pc, sliced=False):
     if emitter.psr_used:
         prologue.append("    _psr = frame.psr")
         prologue.append("    psr = _psr.value")
-    if emitter.needs_mem and _has_windows(spec):
+    tag = _spec_tag(spec)
+    if emitter.needs_mem and tag == "windows":
         prologue.append(
             "    _mw, _fe, _ww, _ow = cpu.port.memory.windows.view")
     elif emitter.needs_mem:
-        prologue.append("    _mem = cpu.port.memory")
+        port = "cpu.port"
+        if tag == "coherent":
+            prologue.append("    _po = cpu.port")
+            port = "_po"
+        prologue.append("    _mem = %s.memory" % port)
         prologue.append("    _mw = _mem._words")
         prologue.append("    _fe = _mem._full")
         prologue.append("    _cw = _mem.code_watch")
         prologue.append("    _ww = _cw.words if _cw is not None else ()")
+        if tag == "coherent":
+            prologue.append("    _ca = _po.cache")
+            prologue.append("    _cl = _ca.valid")
+            prologue.append("    _cs = _ca.stats")
     if emitter.needs_window:
         prologue.append("    _lo, _hi = frame.window")
     if emitter.needs_mem:
-        prologue.append("    _wh = cpu.watch_hook is not None")
+        hooked = "cpu.watch_hook is not None"
+        if tag == "coherent":
+            # The transaction tracer records every access the controller
+            # serves (`fe_sync`): with one attached, it serves them all.
+            hooked += " or _po.events.txn is not None"
+        prologue.append("    _wh = " + hooked)
     prologue.extend("    " + load for load in emitter.refs.values())
     source = "\n".join(header + prologue + emitter.body) + "\n"
 
     # Trap machinery and Instruction payloads resolve through the
     # generated function's globals — cold path, so dict lookups are
-    # fine there (the hot path only touches locals and default args).
+    # fine there (the hot path only touches locals and default args,
+    # and a coherent store the MODIFIED state ``_M``).
     namespace = {
         "_TS": TrapSignal,
         "_T": Trap,
         "_FC": TrapKind.FUTURE_COMPUTE,
+        "_M": LineState.MODIFIED,
     }
     for index, instr_const in enumerate(emitter.instrs):
         namespace["_i%d" % index] = instr_const

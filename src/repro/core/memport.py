@@ -61,9 +61,10 @@ class MemoryPort:
 
     #: Whether something can reach *into another processor* through
     #: this port — post an interrupt, stall it — at a time of the
-    #: sender's choosing.  A machine runs its processors ahead of one
-    #: another only when no port says so; a port that does not know
-    #: says yes.
+    #: sender's choosing, without telling the machine first (a coherent
+    #: node's controller does tell it: ``Interconnect.reach`` before an
+    #: IPI).  A machine runs its processors ahead of one another only
+    #: when no port says so; a port that does not know says yes.
     reaches_processors = True
 
     def fetch(self, address):

@@ -58,9 +58,10 @@ JIT_CACHE_CAPACITY = 2048
 
 #: Why a run-ahead tail was taken back (:attr:`Processor.ahead_undone_by`):
 #: the run ended under it, another processor (or a trap handler)
-#: touched the stack window it had loaded or stored in, or a lazy steal
-#: carried part of that window off.
-UNDO_CAUSES = ("run_end", "foreign", "steal")
+#: touched the stack window it had loaded or stored in, a lazy steal
+#: carried part of that window off, or another node sent this one an
+#: IPI (coherent machines).
+UNDO_CAUSES = ("run_end", "foreign", "steal", "ipi")
 
 
 class ProcessorStats:
@@ -421,8 +422,9 @@ class Processor:
         — the machine sees to the window part (``AlewifeMachine.
         _wind_back``) — so running the tail early changes only the
         host order; legal only while nothing can reach into this
-        processor between two of its own heads (no IPI sender, no
-        per-instruction hook).
+        processor between two of its own heads unannounced (no IPI
+        sender the machine does not hear of first, no per-instruction
+        hook).
         :attr:`ahead_tail` says how far past the head the slice ran and
         :meth:`unrun_tail` takes that back.  A pc with no slice runs one
         :meth:`step` — a slice of one.

@@ -16,6 +16,7 @@ Two memory modes (matching the paper's methodology):
 """
 
 import heapq
+import weakref
 # By name: `heapq` here may be stood in for by an object that only
 # pushes and pops (perf/spans.py counts slices that way).
 from heapq import heapify
@@ -66,18 +67,22 @@ class AlewifeMachine:
     processor count, legal only while :meth:`_hooks_dormant`.  Its
     queue key orders tied processors as the oracle's sequence numbers
     do without changing on a one-cycle step, so where nothing can reach
-    into a running processor (:meth:`_runs_ahead`: ideal memory, no IPI
-    sender) a slice carries that processor's *private* instructions
-    past a tied clock.  Private is what commutes with whatever the
-    others do: registers, condition codes, the PC chain — and loads
-    and stores that fall, at run time, inside the stack window of the
-    thread the slice runs (``[stolen_base, stack_limit)``, which no
+    into a running processor unannounced (:meth:`_runs_ahead`: no port
+    or run-time receiver that posts IPIs behind the machine's back) a
+    slice carries that processor's *private* instructions past a tied
+    clock.  Private is what commutes with whatever the others do:
+    registers, condition codes, the PC chain — and, on ideal memory,
+    loads and stores that fall, at run time, inside the stack window of
+    the thread the slice runs (``[stolen_base, stack_limit)``, which no
     other processor touches in compiled code).  The window is private
     only until somebody does touch it, so that is checked, for any
     program: every access that is not such a tail access asks the
     bank's :class:`~repro.mem.memory.StackWindows` first, and the
     owner's tail is wound back to the asker's place in the schedule
-    (:meth:`_wind_back`).  Every other load, store, trap and idle poll
+    (:meth:`_wind_back`).  A coherent machine's tails touch no memory;
+    what reaches into one of its processors is an IPI, and the
+    sender's controller has the receiver wound back the same way
+    before it posts one.  Every other load, store, trap and idle poll
     still happens in the oracle's order, and a run that ends under a
     tail is wound back to where the oracle stops (:meth:`_end_at`).
 
@@ -163,6 +168,8 @@ class AlewifeMachine:
             from repro.mem.system import CoherentMemorySystem
             self.fabric = CoherentMemorySystem(
                 config, self.memory, decoder, self.events)
+            self.fabric.interconnect.wind_back = weakref.WeakMethod(
+                self._wind_back)
             self.cpus = self.fabric.cpus
 
     # -- execution ---------------------------------------------------------
@@ -253,16 +260,17 @@ class AlewifeMachine:
         Derived, never configured.  One processor has nobody to run
         ahead of.  With more, a private tail is exact only while
         nothing can reach into a processor between two of its own
-        heads.  On this machine that is an IPI landing in its queue —
-        so no port may say that something can get at another processor
-        through it (:attr:`~repro.core.memport.MemoryPort.
-        reaches_processors`: the ideal port with no I/O hook to post
-        one cannot) and there is no run-time receiver to post more —
-        and every trap must cost more than a cycle (the squash alone
-        does), which is how the loop tells one from retired
-        instructions.  Coherent machines are out: a ``STIO`` lands at
-        the receiver's clock with zero lookahead.  Slices are a JIT
-        shape, so ``jit=False`` runs none.
+        heads without the machine hearing of it first.  On this
+        machine that is an IPI landing in its queue — so no port may
+        say that something can get at another processor through it
+        behind the machine's back (:attr:`~repro.core.memport.
+        MemoryPort.reaches_processors`: the ideal port with no I/O hook
+        to post one cannot, and a coherent node's controller winds its
+        IPI's receiver back first) and there is no run-time receiver to
+        post more — and every trap must cost more than a cycle (the
+        squash alone does), which is how the loop tells one from
+        retired instructions.  Slices are a JIT shape, so ``jit=False``
+        runs none.
         """
         return (self.jit and len(self.cpus) > 1
                 and self.config.trap_squash_cycles > 1
@@ -303,7 +311,8 @@ class AlewifeMachine:
         instruction at its pc, which holds the minimum key and may be
         anything, and then its *private* successors, which read and
         write only that processor's registers, condition codes and PC
-        chain, and the words of its running thread's own stack window.
+        chain, and (ideal memory) the words of its running thread's own
+        stack window.
         Those commute with everything any other processor does, so
         executing them early changes the host order of instructions
         and nothing else; every other load and store, every trap and
@@ -311,17 +320,26 @@ class AlewifeMachine:
         strictly below everybody's clock), and heads are popped in key
         order — the oracle's.
 
-        **Whose window.**  A thread owns ``[stolen_base, stack_limit)``
-        while it is loaded (``Scheduler.load_thread`` to ``unload`` /
-        ``retire_thread``; a lazy steal moves ``stolen_base`` up).
-        Nothing in compiled Mul-T but the steal reaches into another
-        thread's stack — which is why it pays — but a program may, so
-        the bank carries a :class:`~repro.mem.memory.StackWindows` for
-        the run: a tail access tests the executing frame's bounds and
-        otherwise parks the chain to become a head; every *other*
-        access — inlined in generated code, or through any ``Memory``
-        method: closures, trap handlers, the steal's copy loop —
-        that lands in a loaded window calls :meth:`_wind_back` first.
+        **Whose window** (ideal memory; a coherent machine's tails
+        touch no memory, and its bank carries no windows).  A thread
+        owns ``[stolen_base, stack_limit)`` while it is loaded
+        (``Scheduler.load_thread`` to ``unload`` / ``retire_thread``; a
+        lazy steal moves ``stolen_base`` up).  Nothing in compiled
+        Mul-T but the steal reaches into another thread's stack — which
+        is why it pays — but a program may, so the bank carries a
+        :class:`~repro.mem.memory.StackWindows` for the run: a tail
+        access tests the executing frame's bounds and otherwise parks
+        the chain to become a head; every *other* access — inlined in
+        generated code, or through any ``Memory`` method: closures,
+        trap handlers, the steal's copy loop — that lands in a loaded
+        window calls :meth:`_wind_back` first.
+
+        **Whose IPI** (coherent memory).  A ``STIO`` to
+        ``IO_IPI_SEND`` lands in the receiver's queue at the sender's
+        clock, and the oracle has the receiver take it at its next
+        step.  The sender's controller calls :meth:`_wind_back` first,
+        so a receiver parked behind a tail past that key is taken back
+        to it and takes the IPI there.
 
         **How a run ends.**  When the root's exit sets ``done`` at key
         K the oracle stops, and a parked processor may have run its
@@ -352,9 +370,10 @@ class AlewifeMachine:
         #: it plus the instruction count of the moment.
         turn = self._turn = [0, 0, 0, 0]
         self._queue = queue
-        if ahead and self.memory.windows is None:
+        if ahead and self.fabric is None and self.memory.windows is None:
             # Before the first stack is carved (threads get theirs at
             # their first load): the bank and the scheduler share it.
+            # (A coherent machine's tails touch no memory at all.)
             self.memory.windows = runtime.scheduler.windows = (
                 StackWindows(self.memory, self._wind_back))
 
@@ -491,21 +510,23 @@ class AlewifeMachine:
                     heapify(queue)
                     return
 
-    def _wind_back(self, node, frame, cause):
-        """Something that is not a tail is about to access a word in
-        the stack window of the thread loaded in ``frame`` of ``node``
-        (:meth:`repro.mem.memory.StackWindows.touch`).
+    def _wind_back(self, node, frame=None, cause="foreign"):
+        """Something that is not a tail is about to reach into ``node``:
+        access a word in the stack window of the thread loaded in its
+        ``frame`` (:meth:`repro.mem.memory.StackWindows.touch`), or,
+        with no ``frame``, post it an IPI (:meth:`repro.mem.system.
+        Interconnect.reach`, cause ``"ipi"``).
 
-        If that processor is parked behind a tail that ran in that
-        frame — the only window a tail loads or stores in — the access
-        and the tail do not commute: the tail goes back to the key of
-        the step now running, which :meth:`_run_fast` keeps in
-        ``_turn``.  The processor running that step holds no tail
-        itself.
+        If that processor is parked behind a tail — for a window, one
+        that ran in that frame, the only window a tail loads or stores
+        in — the reach and the tail do not commute: the tail goes back
+        to the key of the step now running, which :meth:`_run_fast`
+        keeps in ``_turn``.  The processor running that step holds no
+        tail itself.
         """
         cpu = self.cpus[node]
         if (cpu.ahead_tail is not None and self._turn is not None
-                and cpu.frames[cpu.fp] is frame):
+                and (frame is None or cpu.frames[cpu.fp] is frame)):
             index, behind, oseq, skew = self._turn
             clock = skew + self.cpus[index].stats.instructions
             self._end_at((clock, behind, oseq), self._queue, cause, node)

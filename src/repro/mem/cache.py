@@ -17,7 +17,7 @@ Also implements the Section 3.4 mechanisms that live cache-side:
 
 import enum
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.obs.events import EventBus, EventKind
 
 
@@ -81,6 +81,12 @@ class Cache:
         #: nothing was ever filled into holds only invalid lines, and
         #: most of a 4096-line cache is never touched by a short run).
         self._sets = [None] * self.num_sets
+        #: block -> the line :meth:`lookup` finds for it, for every
+        #: block some line holds validly: generated code asks it whether
+        #: an access hits (:mod:`repro.core.jit`), the oracle walks the
+        #: set.  Kept by :meth:`install`, :meth:`invalidate` and
+        #: :meth:`flush`; :meth:`downgrade` leaves the line valid.
+        self.valid = {}
         self._clock = 0
         self.stats = CacheStats()
         #: The machine's observer surface (:mod:`repro.obs.events`).
@@ -123,6 +129,31 @@ class Cache:
                 return line
         return None
 
+    def _relink(self, block):
+        """``block`` just lost a line: point :attr:`valid` at the one
+        the set walk finds now, or drop it.  Usually there is none, but
+        an upgrade may install the block into an invalid line ahead of
+        its old shared copy, which stays valid behind it."""
+        line = self.probe(block)
+        if line is None:
+            self.valid.pop(block, None)
+        else:
+            self.valid[block] = line
+
+    def check_valid(self):
+        """Raise unless :attr:`valid` is exactly what the set walk
+        finds: every valid block, mapped to its first valid line."""
+        walk = {}
+        for lines in self._sets:
+            for line in lines or ():
+                if line.state is not LineState.INVALID:
+                    walk.setdefault(line.tag, line)
+        if walk.keys() != self.valid.keys() or any(
+                self.valid[block] is not line for block, line in walk.items()):
+            raise SimulationError(
+                "cache %d: valid-line map disagrees with its sets"
+                % self.node_id)
+
     def install(self, address, state, now=0):
         """Fill a line (evicting LRU if needed); returns the victim's
         ``(tag, state)`` when a valid line was displaced, else None."""
@@ -146,6 +177,11 @@ class Cache:
         victim.tag = block
         victim.state = state
         victim.last_used = self._clock
+        # Every line ahead of the victim is valid and holds another
+        # block, so the walk finds the block here.
+        self.valid[block] = victim
+        if displaced is not None:
+            self._relink(displaced[0])
         return displaced
 
     def invalidate(self, address, now=0):
@@ -155,6 +191,7 @@ class Cache:
             return LineState.INVALID
         old = line.state
         line.state = LineState.INVALID
+        self._relink(line.tag)
         self.stats.invalidations_received += 1
         bus = self.events
         if bus.active:
@@ -183,6 +220,7 @@ class Cache:
             return False
         dirty = line.state is LineState.MODIFIED
         line.state = LineState.INVALID
+        self._relink(line.tag)
         if dirty:
             self.fence_counters[context] = (
                 self.fence_counters.get(context, 0) + 1)

@@ -66,6 +66,13 @@ class ControllerStats:
 class CacheController(MemoryPort):
     """One node's cache + directory controller."""
 
+    #: Its one reach into another processor is an IPI, and
+    #: :meth:`stio` tells the machine before it posts one
+    #: (:meth:`~repro.mem.system.Interconnect.reach`).  Invalidations
+    #: and downgrades change another node's cache, which nothing a
+    #: processor runs ahead reads.
+    reaches_processors = False
+
     def __init__(self, node_id, memory, cache, system, events=None):
         self.node_id = node_id
         self.memory = memory
@@ -314,6 +321,7 @@ class CacheController(MemoryPort):
         if address == IO_IPI_SEND:
             latency = self.system.network.send(
                 self.node_id, self._ipi_target, REQUEST_FLITS, now) - now
+            self.system.reach(self._ipi_target)
             self.system.ipi_queues[self._ipi_target].append(value)
             self.stats.ipis_sent += 1
             return MemOutcome.hit(cycles=max(latency // 4, 1))

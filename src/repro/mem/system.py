@@ -20,9 +20,9 @@ class Interconnect:
     IPI queues.
 
     It holds no controller and no processor — they point here, not the
-    other way round — so the memory system has no reference cycle and
-    a finished machine's memory bank is freed with the machine rather
-    than by a later cycle-collector pass.
+    other way round — and the machine only weakly, so the memory system
+    has no reference cycle and a finished machine's memory bank is
+    freed with the machine rather than by a later cycle-collector pass.
     """
 
     def __init__(self, config, events):
@@ -36,6 +36,17 @@ class Interconnect:
         #: Each processor's ``ipi_queue``, by node: posting an IPI is
         #: an append here (see :meth:`Processor.post_ipi`).
         self.ipi_queues = []
+        #: The machine's ``_wind_back``, as a :class:`weakref.WeakMethod`
+        #: (set by the machine; None for a bare memory system).
+        self.wind_back = None
+
+    def reach(self, node):
+        """Something is about to land in ``node``'s processor (an IPI):
+        the machine first takes back what that processor ran ahead of
+        the sender's step."""
+        wind_back = self.wind_back() if self.wind_back is not None else None
+        if wind_back is not None:
+            wind_back(node, cause="ipi")
 
     def home_of(self, block_address):
         """The home node of a block (block-interleaved)."""
@@ -46,7 +57,7 @@ class CoherentMemorySystem:
     """Builds and owns the per-node memory hierarchy."""
 
     def __init__(self, config, memory, decoder, events):
-        peers = Interconnect(config, events)
+        peers = self.interconnect = Interconnect(config, events)
         self.network = peers.network
         self.caches = peers.caches
         self.directories = peers.directories
@@ -71,9 +82,12 @@ class CoherentMemorySystem:
             self.cpus.append(cpu)
 
     def check_coherence_invariants(self):
-        """Machine-wide single-writer check (tests and debugging)."""
+        """Machine-wide single-writer check (tests and debugging), and
+        each cache's valid-line map against its sets."""
         for directory in self.directories:
             directory.check_invariants(self.caches)
+        for cache in self.caches:
+            cache.check_valid()
 
     def aggregate_miss_rate(self):
         """Data-access miss rate across all caches."""

@@ -29,13 +29,23 @@ from repro.core.processor import Processor
 from repro.core.traps import TrapAction, TrapKind
 from repro.isa import registers
 from repro.isa.assembler import assemble
+from repro.isa.encoding import DecodeCache
 from repro.isa.instructions import STORE_FLAVORS
 from repro.isa.tags import WORD_MASK, make_fixnum
 from repro.lang.compiler import compile_source
+from repro.machine.config import MachineConfig
 from repro.mem.ideal import IdealMemoryPort
-from repro.mem.memory import CodeWatch, StackWindows
+from repro.mem.memory import CodeWatch, Memory, StackWindows
+from repro.mem.system import CoherentMemorySystem
+from repro.obs.events import EventBus
+from repro.obs.txn import TransactionTracer
 
-from tests.helpers import build_cpu, run_to_halt
+from tests.helpers import (
+    DEFAULT_MEMORY_WORDS,
+    build_cpu,
+    ignore_trap_handler,
+    run_to_halt,
+)
 
 
 #: How generated code asks whether an address is in the executing
@@ -51,6 +61,29 @@ def build_jit_cpu(source, **kwargs):
     memory.code_watch = watch
     cpu.translations.attach_code_watch(watch)
     return cpu, memory, program
+
+
+def coherent_system(memory):
+    """A one-node coherent memory system over ``memory``: every miss is
+    local, and the controller holds the processor."""
+    config = MachineConfig(num_processors=1, memory_mode="coherent")
+    return CoherentMemorySystem(config, memory, DecodeCache(), EventBus())
+
+
+def build_coherent_cpu(source):
+    """Node 0 of a one-node :func:`coherent_system` running ``source``,
+    its bank under a code watch; returns (cpu, fabric, program)."""
+    program = assemble(source)
+    memory = Memory(DEFAULT_MEMORY_WORDS)
+    memory.load_program(program)
+    watch = CodeWatch()
+    memory.code_watch = watch
+    fabric = coherent_system(memory)
+    cpu = fabric.cpus[0]
+    cpu.translations.attach_code_watch(watch)
+    cpu.frame.pc = program.base
+    cpu.frame.npc = program.base + 4
+    return cpu, fabric, program
 
 
 def run_jit_to_halt(cpu, max_blocks=200000):
@@ -722,7 +755,7 @@ class TestSyncHeadedSlices:
         assert memory._words == ref_memory._words
         assert memory._full == ref_memory._full
         assert cpu.ahead_undone_by == {
-            "run_end": count - keep, "foreign": 0, "steal": 0}
+            "run_end": count - keep, "foreign": 0, "steal": 0, "ipi": 0}
 
     def _guarded(self):
         source = """
@@ -806,22 +839,25 @@ class TestWhoPaysForWindows:
     """Memory-op run-ahead is keyed on ``_port_spec``: a bank with
     :class:`StackWindows` installed (an ideal machine that runs ahead)
     gets the foreign-window test in its plain blocks; every other
-    machine — one processor, coherent memory — compiles exactly the
-    source it compiled before there were windows."""
+    machine — one processor, coherent memory, whose tails touch no
+    memory — compiles no window test at all."""
 
     class _OtherPort(IdealMemoryPort):
-        """Not the plain ideal port: every access is delegated, as on
-        the coherent machine."""
+        """Not a port generated code inlines: every access is
+        delegated."""
 
     #: sha256 over the plain-block source at every pc of fib, queens
     #: and factor in all three modes.  A change that means to alter
     #: what these machines compile re-pins it (last: PR 24, PSR bits
-    #: computed at the exits); any other must not.
+    #: computed at the exits; the coherent row since cache hits are
+    #: inlined); any other must not.
     PINNED = {
         "ideal": (5483, "968fd572b3895a243beab6a2bd80ce3a"
                         "8eda1a96e7d2c98b6ee5d012c006455c"),
         "delegating": (3485, "c5dd85fb712ccfe0bc00c52f19ecda14"
                              "c33a5a0c1577e23cc6ef6024f417e080"),
+        "coherent": (5483, "139d374718b74e2f71fa770f680e67bb"
+                           "cf8151a5a2191da93cf8424139b643f1"),
     }
 
     @staticmethod
@@ -845,6 +881,8 @@ class TestWhoPaysForWindows:
         def prepare(cpu, memory):
             if port == "delegating":
                 cpu.port = self._OtherPort(memory)
+            elif port == "coherent":
+                cpu.port = coherent_system(memory).controllers[0]
 
         digest = hashlib.sha256()
         blocks = 0
@@ -876,6 +914,178 @@ class TestWhoPaysForWindows:
             assert jb.source.count("in _ow") == inlined
             tested += inlined
         assert tested > 1000
+
+
+class TestCoherentHits:
+    """On a coherent node, generated code answers an access its cache
+    hits — a valid line for a load, a modified one for a store — in
+    one cycle itself, stamping the line and counting the hit as the
+    controller would; everything else is the controller's, through the
+    closure.  Per case below, a loop whose later passes hit inline and
+    whose case-access delegates, run by ``step_block`` and by
+    ``step()`` (the ``jit=False`` tier): counters, registers, memory,
+    every cache line, the LRU clock and whatever an attached observer
+    records must be equal, and the accesses the controller served in
+    the generated-code run must be exactly the case's."""
+
+    LOOP = """
+            set 0x4000, r1
+            set 6, r9
+        loop:
+        %s
+            subr r9, 1, r9
+            cmpr r9, 0
+            bg loop
+            halt
+    """
+
+    #: case -> (loop body, prepare(cpu, memory), expected controller
+    #: calls of the generated-code run as ``{(kind, address): count}``;
+    #: ``None`` is every access).
+    CASES = {
+        # First pass: two misses.  Then hits.
+        "miss": ("""
+            ldnt [r1+0], r2
+            ldnt [r1+16], r3        ; the next block
+            addr r2, r3, r4
+        """, None, {("load", 0x4000): 1, ("load", 0x4010): 1}),
+        # First pass: the load brings the block in shared, the store
+        # upgrades it.  Then both hit the modified line.
+        "store-to-shared": ("""
+            ldnt [r1+0], r2
+            addr r2, 1, r2
+            stnt r2, [r1+0]
+        """, None, {("load", 0x4000): 1, ("store", 0x4000): 1}),
+        # The block hits, but a flavor that traps on the word's
+        # full/empty bit goes to the controller every pass.
+        "full-empty-trap": ("""
+            ldnt [r1+0], r2
+            ldtt [r1+4], r3         ; empty: traps
+            stnt r2, [r1+12]
+            sttt r2, [r1+8]         ; full: traps
+        """, "_empty_word", {("load", 0x4000): 1, ("load", 0x4004): 6,
+                             ("store", 0x400C): 1, ("store", 0x4008): 6}),
+        # A transaction tracer finishes a full/empty record at the
+        # next access that succeeds: with one attached, every access
+        # is the controller's.
+        "txn": ("""
+            ldtt [r1+4], r3         ; empty: faults
+            stfnt r9, [r1+4]        ; fills it: the fault's record ends
+            ldent [r1+4], r4        ; empties it again
+        """, "_traced", None),
+        "watch-hook": ("""
+            ldnt [r1+0], r2
+            addr r2, 1, r2
+            stnt r2, [r1+0]
+        """, "_watched", None),
+    }
+
+    @staticmethod
+    def _empty_word(cpu, memory):
+        memory.set_full(0x4004, False)
+        for kind in (TrapKind.EMPTY_LOAD, TrapKind.FULL_STORE):
+            cpu.trap_table.register(
+                kind, ignore_trap_handler(TrapAction.RESUME, cycles=2))
+
+    def _traced(self, cpu, memory):
+        self._empty_word(cpu, memory)
+        tracer = cpu.events.txn = TransactionTracer()
+        return lambda: ([record.to_dict() for record in tracer.finished],
+                        tracer.summary())
+
+    @staticmethod
+    def _watched(cpu, memory):
+        seen = []
+        cpu.watch_hook = lambda cpu, pc, address, is_load, outcome: (
+            seen.append((pc, address, is_load, outcome.value,
+                         outcome.fe_full, cpu.cycles)))
+        return lambda: seen
+
+    @staticmethod
+    def _served(controller):
+        """Count the accesses ``controller`` serves, by (kind, address)."""
+        served = {}
+        for kind in ("load", "store"):
+            serve = getattr(controller, kind)
+
+            def counted(address, *args, _serve=serve, _kind=kind, **kwargs):
+                key = (_kind, address)
+                served[key] = served.get(key, 0) + 1
+                return _serve(address, *args, **kwargs)
+            setattr(controller, kind, counted)
+        return served
+
+    def _run(self, source, prepare, drive):
+        cpu, fabric, program = build_coherent_cpu(source)
+        recorded = None
+        if prepare is not None:
+            recorded = getattr(self, prepare)(cpu, cpu.port.memory)
+        served = self._served(cpu.port)
+        drive(cpu)
+        cache = fabric.caches[0]
+        fabric.check_coherence_invariants()
+        state = dict(
+            cycles=cpu.cycles, stats=cpu.stats.snapshot(),
+            traps=cpu.stats.trap_counts, regs=cpu.frame.regs,
+            psr=cpu.frame.psr.value, words=cpu.port.memory._words,
+            full=cpu.port.memory._full,
+            lines=[(line.tag, line.state, line.last_used)
+                   for lines in cache._sets for line in lines or ()],
+            clock=cache._clock, cache=cache.stats.to_dict(),
+            controller=cpu.port.stats.to_dict(),
+            recorded=recorded() if recorded is not None else None)
+        return cpu, state, served
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_generated_code_serves_hits_and_delegates_the_rest(self, case):
+        body, prepare, expected = self.CASES[case]
+        source = self.LOOP % body
+        _, stepped, every = self._run(source, prepare, run_to_halt)
+        cpu, state, served = self._run(source, prepare, run_jit_to_halt)
+        assert state == stepped
+        assert cpu.jit_runs > 0
+        # The rest hit, inline.
+        assert served == (every if expected is None else expected)
+
+    def test_a_code_watched_word_is_the_controllers(self):
+        # The loop patches the loop after it with one of two donor
+        # words in turn: from the second pass the patch is a store to a
+        # modified line, yet each must reach the code watch, or a stale
+        # translation runs.
+        source = """
+                set 0, r1
+                set donor, r3
+                set other, r6
+                set target, r5
+                set 6, r9
+            again:
+                ldnt [r3+0], r4
+                stnt r4, [r5+0]
+                mov r3, r8
+                mov r6, r3
+                mov r8, r6
+                set 0, r2
+            target:
+                addr r1, 1, r1          ; patched every pass
+                addr r2, 1, r2
+                cmpr r2, 3
+                bl target
+                subr r9, 1, r9
+                cmpr r9, 0
+                bg again
+                halt
+            donor:
+                addr r1, 5, r1
+            other:
+                addr r1, 7, r1
+        """
+        _, stepped, _ = self._run(source, None, run_to_halt)
+        cpu, state, served = self._run(source, None, run_jit_to_halt)
+        assert state == stepped
+        assert cpu.read_reg(1) == 3 * (3 * 5 + 3 * 7)
+        target = assemble(source).address_of("target")
+        assert served[("store", target)] == 6
+        assert cpu.translations.jit.invalidations >= 6
 
 
 # -- the PSR at every exit -----------------------------------------------------

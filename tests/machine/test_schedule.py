@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from repro import workloads
 from repro.core.jit import MAX_JIT_BLOCK
-from repro.errors import HangDetected, SimulationError
+from repro.core.psr import ET_BIT
+from repro.errors import HangDetected, RuntimeSystemError, SimulationError
 from repro.isa.assembler import assemble
 from repro.lang.compiler import compile_source
 from repro.lang.run import build_mult_machine
@@ -26,6 +27,7 @@ from tests.core.test_lockstep import (
     _assert_lockstep,
     _build as _machine,
     _run_stepper,
+    _spawn_on,
     _step_to_completion,
 )
 
@@ -428,6 +430,100 @@ class TestStealUnderAMemoryTail:
                          oracle="stepper")
 
 
+class TestIpiUnderARegisterTail:
+    """A coherent node reaches into another processor only by an IPI
+    (``STIO`` to ``IO_IPI_SEND``), and its receiver is usually parked
+    behind a register-only tail that ran past the send.  The controller
+    has the machine wind that tail back to the sender's key first
+    (cause ``ipi``), so the IPI lands where the stepper has it.  No
+    receiver is installed, so a busy node's IPI trap is the run-time
+    system's "no receiver" error — at the stepper's pc and cycle — and
+    a node that masked interrupts (ET off) while it spun takes the IPI
+    once it is idle, with the stepper's idle charge."""
+
+    PROGRAM = """
+    main:
+    %(spawn)s
+        mov a0, s1
+        set %(pad)d, t0
+    dawdle:
+        subr t0, 1, t0
+        cmpr t0, 0
+        bg dawdle
+    %(skew)s
+        set 0xFFFF, t2
+        sll t2, 16, t2              ; IO_BASE
+        set 1, t3
+        stio t3, [t2+8]             ; IO_IPI_TARGET: node 1
+        stio t3, [t2+12]            ; IO_IPI_SEND
+        add s1, 0, a0               ; touch: wait for the worker
+        ret
+    worker:
+    %(mask)s
+        set 400, t0
+    spin:
+        subr t0, 1, t0
+        cmpr t0, 0
+        bg spin
+        set 0, a0
+        ret
+    """
+
+    #: Clears ET in the worker's PSR: IPIs wait until it is idle.
+    MASK = """
+        set %d, t6
+        rdpsr t5
+        andn t5, t6, t5
+        wrpsr t5
+        set 0, t5                   ; the PSR holds the (run-unique) tid
+    """ % ET_BIT
+
+    def _machines(self, pad, masked):
+        # The dawdle and spin loops have one period: the nops move the
+        # send across the phases of the receiver's slices.
+        body = self.PROGRAM % dict(spawn=_spawn_on(1, "worker"), pad=pad,
+                                   skew="    nop\n" * (pad % 4),
+                                   mask=self.MASK if masked else "")
+        program = assemble(stubs.thread_start_stub() + body)
+        config = MachineConfig(num_processors=2, memory_mode="coherent")
+        return AlewifeMachine(program, config), AlewifeMachine(program, config)
+
+    def test_busy_receiver_fails_where_the_stepper_does(self):
+        undone = 0
+        for pad in range(100, 112):
+            fast_machine, step_machine = self._machines(pad, masked=False)
+            with pytest.raises(RuntimeSystemError, match="no receiver"):
+                fast_machine.run()
+            assert fast_machine.loop_used == "fast"
+            with pytest.raises(RuntimeSystemError, match="no receiver"):
+                _step_to_completion(step_machine)
+            # The receiver trapped at the same instruction and cycle,
+            # with the same state; the sender may be past it on a tail.
+            fast, stepped = fast_machine.cpus[1], step_machine.cpus[1]
+            assert fast.stats.trap_counts == stepped.stats.trap_counts
+            assert fast.stats.snapshot() == stepped.stats.snapshot()
+            assert fast.cycles == stepped.cycles
+            assert fast.frame.trap_saved_pc == stepped.frame.trap_saved_pc
+            assert fast.frame.regs == stepped.frame.regs
+            undone += fast.ahead_undone_by["ipi"]
+        assert undone > 0
+
+    def test_masked_receiver_takes_it_idle_where_the_stepper_does(self):
+        undone = 0
+        for pad in range(100, 112):
+            fast_machine, step_machine = self._machines(pad, masked=True)
+            fast = fast_machine.run()
+            stepped = _step_to_completion(step_machine)
+            assert fast.value == 0
+            _assert_lockstep((fast_machine, fast), (step_machine, stepped),
+                             oracle="stepper")
+            receiver = fast_machine.cpus[1]
+            assert not receiver.ipi_queue
+            assert receiver.stats.idle > 0
+            undone += receiver.ahead_undone_by["ipi"]
+        assert undone > 0
+
+
 class TestWhoRunsAhead:
     """Run-ahead is derived from what the machine is: on when nothing
     can reach into a running processor, off otherwise — and off must
@@ -460,15 +556,10 @@ class TestWhoRunsAhead:
         machine.cpus[0].port.io_write_hook = (
             lambda address, value, context: 1)
 
-    @pytest.mark.parametrize("knobs", [
-        dict(num_processors=1),
-        dict(num_processors=4, memory_mode="coherent")])
-    def test_who_does_not_run_ahead_compiles_no_window_tests(self, knobs):
-        # Memory-op run-ahead costs a machine that never runs ahead
-        # nothing: no stack windows on its bank, so its generated code
-        # is keyed — and reads — as it did before there were any.
-        machine, ahead = self._run(MachineConfig(**knobs))
-        assert not machine._runs_ahead()
+    @staticmethod
+    def _assert_windowless(machine):
+        """No stack windows on the bank, and generated code that
+        neither tests nor reads one."""
         assert machine.memory.windows is None
         assert machine.runtime.scheduler.windows is None
         blocks = [jb for jb in machine.cpus[0].translations.jit.data.values()
@@ -476,14 +567,39 @@ class TestWhoRunsAhead:
         assert len(blocks) > 10
         for jb in blocks:
             spec = jb.key[2]
-            assert spec is None or len(spec) == 2
+            assert spec is None or "windows" not in spec
             assert "_ow" not in jb.source and "_lo" not in jb.source
         assert all(cpu.frames[0].window == (0, 0) for cpu in machine.cpus)
+        return blocks
+
+    @pytest.mark.parametrize("knobs", [dict(num_processors=1)])
+    def test_who_does_not_run_ahead_compiles_no_window_tests(self, knobs):
+        # Memory-op run-ahead costs a machine that never runs ahead
+        # nothing: no stack windows on its bank, so its generated code
+        # is keyed — and reads — as it did before there were any.
+        machine, ahead = self._run(MachineConfig(**knobs))
+        assert not machine._runs_ahead()
+        for jb in self._assert_windowless(machine):
+            assert len(jb.key[2]) == 2
+
+    def test_coherent_machine_runs_ahead_on_registers_only(self):
+        # Nothing reaches into a coherent node but an IPI, which winds
+        # its receiver back first: its tails run, but touch no memory —
+        # so its bank carries no windows and its slices test none.
+        machine, ahead = self._run(MachineConfig(num_processors=4,
+                                                 memory_mode="coherent"))
+        assert machine._runs_ahead()
+        assert all(slices > 0 and instructions >= slices
+                   for slices, instructions, _ in ahead)
+        assert not any(cpu.ahead_loads or cpu.ahead_stores
+                       for cpu in machine.cpus)
+        blocks = self._assert_windowless(machine)
+        assert any(jb.key[-1] == "slice" for jb in blocks)
+        assert {jb.key[2][2] for jb in blocks} == {"coherent"}
 
     #: case -> (config knobs, machine arguments, prepare(machine))
     MUST_NOT = {
         "one-processor": (dict(num_processors=1), {}, None),
-        "coherent": (dict(memory_mode="coherent"), {}, None),
         "free-traps": (dict(trap_squash_cycles=0), {}, None),
         "no-jit": ({}, dict(jit=False), None),
         "no-fastpath": ({}, dict(fastpath=False), None),
@@ -501,10 +617,12 @@ class TestWhoRunsAhead:
         self._install_io_hook(ideal)
         assert ideal.cpus[0].port.reaches_processors
         assert not ideal._runs_ahead()
+        # A coherent node's controller reaches another processor only
+        # by an IPI, and it tells the machine first.
         coherent = AlewifeMachine(program, MachineConfig(
             num_processors=2, memory_mode="coherent"))
-        assert all(cpu.port.reaches_processors for cpu in coherent.cpus)
-        assert not coherent._runs_ahead()
+        assert not any(cpu.port.reaches_processors for cpu in coherent.cpus)
+        assert coherent._runs_ahead()
 
     @pytest.mark.parametrize("case", sorted(MUST_NOT))
     def test_machines_that_must_not_do_not(self, case):

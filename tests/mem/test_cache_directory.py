@@ -1,10 +1,10 @@
 """Cache array and directory protocol unit tests."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.mem.cache import Cache, LineState
 from repro.mem.directory import Directory, DirState
 
@@ -104,6 +104,48 @@ class TestCache:
         assert cache.lookup(blocks[-1] * 16) is not None
         # Capacity is respected.
         assert len(cache.contents()) <= 4096 // 16
+
+    _OPERATIONS = st.lists(st.tuples(
+        st.sampled_from(["install-s", "install-m", "invalidate", "flush",
+                         "downgrade", "lookup"]),
+        st.integers(min_value=0, max_value=5)), max_size=120)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_OPERATIONS)
+    @example([("install-s", 0), ("install-s", 2), ("invalidate", 0),
+              ("install-m", 2), ("invalidate", 2)])
+    def test_valid_map_is_the_set_walk(self, operations):
+        # Two sets of two ways and six blocks: evictions, re-installs of
+        # a resident block and upgrades into an invalid way ahead of an
+        # old shared copy (the example: block 2 is then in both ways,
+        # and losing the first copy leaves the second) all come up.
+        # After every operation the map generated code probes must be
+        # what `lookup` walks to.
+        cache = self.make(size_bytes=64, assoc=2)
+        for operation, block in operations:
+            address = block * 16
+            if operation == "install-s":
+                cache.install(address, LineState.SHARED)
+            elif operation == "install-m":
+                cache.install(address, LineState.MODIFIED)
+            elif operation == "invalidate":
+                cache.invalidate(address)
+            elif operation == "flush":
+                cache.flush(address)
+            elif operation == "downgrade":
+                cache.downgrade(address)
+            else:
+                assert cache.valid.get(address) is cache.lookup(address)
+            cache.check_valid()
+            for known in range(6):
+                assert cache.valid.get(known * 16) is cache.probe(known * 16)
+
+    def test_check_valid_catches_a_stale_entry(self):
+        cache = self.make()
+        cache.install(0x40, LineState.SHARED)
+        cache.valid.pop(0x40)
+        with pytest.raises(SimulationError, match="valid-line map"):
+            cache.check_valid()
 
 
 class TestDirectory:
