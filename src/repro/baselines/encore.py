@@ -46,8 +46,3 @@ def encore_config(processors=1, **overrides):
     )
     defaults.update(overrides)
     return MachineConfig(**defaults)
-
-
-#: Compile-time flag paired with this machine: the Encore has no tag
-#: hardware, so Mul-T code carries software future checks.
-ENCORE_SOFTWARE_CHECKS = True

@@ -172,7 +172,6 @@ from repro.core.psr import (
 from repro.core.traps import Trap, TrapKind, TrapSignal
 from repro.isa import registers
 from repro.isa.instructions import (
-    BRANCHES,
     LOAD_FLAVORS,
     STORE_FLAVORS,
     STRICT_COMPUTE,

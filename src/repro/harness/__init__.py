@@ -1,5 +1,5 @@
 """Drivers that regenerate the paper's tables and figures; used by the
-``benchmarks/`` suite and the ``april`` CLI.
+``april`` CLI and the tests that hold the paper's claims.
 
 The grid-shaped drivers (Table 3, the speedup curves) submit their
 cells through the :mod:`repro.exp` experiment engine: parallel workers,

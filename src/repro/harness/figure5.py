@@ -4,16 +4,10 @@ from repro.model import figure5
 from repro.model.params import ModelParams
 
 
-def run_figure5(params=None, max_threads=8, context_switch=None):
-    """Compute Figure 5's points with the Table 4 defaults."""
-    return figure5.compute(params or ModelParams(), max_threads=max_threads,
-                           context_switch=context_switch)
-
-
 def render_report(params=None, max_threads=8):
     """Table 4 + the Figure 5 series + the ASCII plot, as one report."""
     params = params or ModelParams()
-    points = run_figure5(params, max_threads=max_threads)
+    points = figure5.compute(params, max_threads=max_threads)
     sections = [
         "Table 4: Default system parameters",
         "-" * 40,

@@ -1,28 +1,4 @@
-"""Shared reporting helpers for the benchmark harness."""
-
-import os
-
-
-def results_dir():
-    """Directory where benches drop their regenerated tables/figures."""
-    path = os.environ.get("REPRO_RESULTS_DIR", "results")
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def save_report(name, text):
-    """Write a regenerated artifact (e.g. ``table3.txt``) and return
-    the path; also useful so CI diffs show drift."""
-    path = os.path.join(results_dir(), name)
-    with open(path, "w") as handle:
-        handle.write(text.rstrip() + "\n")
-    return path
-
-
-def banner(title):
-    """A section banner for bench stdout."""
-    bar = "=" * max(len(title), 20)
-    return "\n%s\n%s\n%s" % (bar, title, bar)
+"""The sweep trailer the grid commands print."""
 
 
 def sweep_summary_line(summary):

@@ -230,37 +230,6 @@ class Table3Result:
 # -- public drivers --------------------------------------------------------
 
 
-def run_program_row(module, system, cpus=None, args=None,
-                    max_cycles=DEFAULT_MAX_CYCLES, check_result=True):
-    """Compute one Table 3 row (serial, uncached).
-
-    Args:
-        module: a workload module from :mod:`repro.workloads`.
-        system: "Encore", "APRIL", or "Apr-lazy".
-        cpus: processor counts (defaults per system, as in the paper).
-        args: workload arguments (defaults to the module's Table 3 size).
-
-    Raises the cell's typed error — :class:`~repro.errors.
-    WorkloadCheckError` on a self-check mismatch — instead of returning
-    a partial row.
-    """
-    jobs = row_jobs(module, system, cpus=cpus, args=args,
-                    max_cycles=max_cycles)
-    sweep = run_jobs(jobs)
-    rows, failures = rows_from_sweep(sweep, check_result=check_result)
-    if failures:
-        first = failures[0]
-        if first.kind == "WorkloadCheckError":
-            context = first.context or {}
-            error = WorkloadCheckError(first.message)
-            error.program = context.get("program")
-            error.system = context.get("system")
-            error.processors = context.get("processors")
-            raise error
-        raise_outcome(first)
-    return rows[0]
-
-
 def run_table3(program_names=None, systems=SYSTEMS, args_by_program=None,
                cpus_by_system=None, pool_size=1, cache=None, force=False,
                timeout_s=None, check_result=True):

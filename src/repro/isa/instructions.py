@@ -191,16 +191,6 @@ STRICT_COMPUTE = frozenset(
     {Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.REM, Opcode.CMP}
 )
 
-RAW_LOGIC = frozenset(
-    {
-        Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.ANDN,
-        Opcode.SLL, Opcode.SRL, Opcode.SRA,
-        Opcode.ADDR, Opcode.SUBR, Opcode.LUI, Opcode.ORIL,
-    }
-)
-
-BRANCHES = frozenset(op for op in Opcode if 0x40 <= op.value <= 0x4F)
-
 _CATEGORY_RANGES = (
     (0x01, 0x06, Category.COMPUTE),
     (0x10, 0x1A, Category.LOGIC),

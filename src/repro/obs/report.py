@@ -3,7 +3,7 @@
 One JSON-ready dict for a whole machine: the ``MachineStats`` roll-up
 plus every per-component counter (caches, controllers, directories,
 network, scheduler, futures) — what ``april report`` and ``april run
---json`` emit, and what benchmarks/CI consume instead of parsing the
+--json`` emit, and what tests/CI consume instead of parsing the
 human ``render()`` text.
 """
 

@@ -14,7 +14,7 @@ costs to the processor doing the work.
 from collections import deque
 
 from repro.errors import RuntimeSystemError
-from repro.isa import registers, tags
+from repro.isa import tags
 from repro.obs.events import EventBus, EventKind
 from repro.runtime.thread import ThreadState
 

@@ -12,7 +12,6 @@ gives both parallel slack and logarithmic stack depth.
 NAME = "factor"
 DEFAULT_LO = 10000
 DEFAULT_COUNT = 24
-TABLE3_COUNT = 24
 
 SOURCE = """
 (define (lpf-loop n d)

@@ -11,7 +11,6 @@ the Encore (Table 3), and the showcase for lazy task creation (~1.5x).
 
 NAME = "fib"
 DEFAULT_N = 10        # paper runs were larger; n=10 keeps simulation fast
-TABLE3_N = 10
 
 SOURCE = """
 (define (fib n)

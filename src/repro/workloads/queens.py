@@ -12,7 +12,6 @@ does not depend on the board size.
 
 NAME = "queens"
 DEFAULT_N = 5
-TABLE3_N = 5
 
 SOURCE = """
 (define (safe? col placed dist)

@@ -20,8 +20,6 @@ they do arithmetic on them.
 NAME = "speech"
 DEFAULT_LAYERS = 5
 DEFAULT_WIDTH = 10
-TABLE3_LAYERS = 5
-TABLE3_WIDTH = 10
 
 #: LCG parameters: small enough that (x * MUL + INC) stays a fixnum.
 _MUL = 1103

@@ -1,47 +1,52 @@
-"""Harness tests: Table 3 rows on tiny instances, Figure 5 report,
-reporting helpers, the sweep-engine wiring, and the CLI."""
+"""Harness tests: Table 3 rows on tiny instances and at the paper's
+size, the Figure 5 report, the sweep-engine wiring, and the CLI."""
 
 import json
-import os
+import pathlib
 
 import pytest
 
-from repro.errors import WorkloadCheckError
-from repro.harness import reporting
 from repro.harness.figure5 import headline_numbers, render_report
 from repro.harness.table3 import (
-    Table3Row, render_table3, row_jobs, rows_from_sweep, run_program_row,
-    run_table3,
+    Table3Row, render_table3, row_jobs, rows_from_sweep, run_table3,
 )
 from repro import workloads
 
 TINY = dict(cpus_by_system={"APRIL": (1, 2)}, args_by_program={"fib": (7,)})
 
+RESULTS = pathlib.Path(__file__).parents[2] / "results"
+
+
+def table3_row(program, system, cpus, args):
+    """One Table 3 row through ``run_table3``; no cell may fail."""
+    result = run_table3(program_names=[program], systems=(system,),
+                        cpus_by_system={system: cpus},
+                        args_by_program={program: args})
+    assert result.failures == []
+    (row,) = result.rows
+    return row
+
 
 class TestTable3Harness:
     def test_april_row_tiny_fib(self):
-        row = run_program_row(workloads.get("fib"), "APRIL",
-                              cpus=(1, 2), args=(7,))
+        row = table3_row("fib", "APRIL", cpus=(1, 2), args=(7,))
         assert row.t_seq == 1.0
         assert row.mult_seq == pytest.approx(1.0, abs=0.01)
         assert row.parallel[1] > 1.0       # eager overhead
         assert row.parallel[2] < row.parallel[1]
 
     def test_encore_row_has_check_overhead(self):
-        row = run_program_row(workloads.get("fib"), "Encore",
-                              cpus=(1,), args=(7,))
+        row = table3_row("fib", "Encore", cpus=(1,), args=(7,))
         assert row.mult_seq > 1.3          # software future detection
 
     def test_lazy_row_is_cheap(self):
-        row = run_program_row(workloads.get("fib"), "Apr-lazy",
-                              cpus=(1,), args=(8,))
+        row = table3_row("fib", "Apr-lazy", cpus=(1,), args=(8,))
         assert row.parallel[1] < 2.0
 
     def test_result_checked(self):
-        # Row computation verifies that every configuration returns the
-        # same value; a broken machine raises instead of mis-reporting.
-        row = run_program_row(workloads.get("factor"), "APRIL",
-                              cpus=(1,), args=(2, 9))
+        # Every configuration must return the sequential baseline's
+        # value; a mismatch is a failed cell, never a reported number.
+        row = table3_row("factor", "APRIL", cpus=(1,), args=(2, 9))
         assert row.program == "factor"
 
     def test_render(self):
@@ -54,6 +59,32 @@ class TestTable3Harness:
         row = Table3Row("fib", "APRIL", 1.0, 1.0, {1: 13.0})
         data = row.as_dict()
         assert data["T seq"] == 1.0 and data["1"] == 13.0
+
+    def test_fib_rows_match_paper_and_golden(self):
+        """Table 3's fib rows at the table's size (Section 7).
+
+        fib is the finest grain of the four programs, so its rows carry
+        the paper's three fib claims: software future detection costs
+        the Encore about 2x with no future created ("Mul-T seq"), eager
+        futures cost about 14x on APRIL and about twice that on the
+        Encore, and lazy task creation cuts the overhead to about 1.5x.
+        ``april table3`` prints the whole table; CI compares it with
+        ``results/table3.txt`` byte for byte.
+        """
+        rows = {row.system: row for row in run_table3(program_names=["fib"])}
+        encore, april, lazy = rows["Encore"], rows["APRIL"], rows["Apr-lazy"]
+        for row in rows.values():
+            assert row.t_seq == 1.0
+            assert row.mult_seq >= 0.99
+            times = [row.parallel[n] for n in sorted(row.parallel)]
+            assert times == sorted(times, reverse=True), row.system
+        assert 1.3 < encore.mult_seq < 2.5
+        assert april.mult_seq == 1.0           # tag hardware: no checks
+        assert 10 < april.parallel[1] < 18
+        assert 1.5 < encore.parallel[1] / april.parallel[1] < 2.5
+        assert lazy.parallel[1] < 2.0
+        golden = (RESULTS / "table3.txt").read_text().splitlines()
+        assert render_table3(rows.values()).splitlines() == golden[:5]
 
 
 class _FakeOutcome:
@@ -152,28 +183,6 @@ class TestTable3Engine:
         assert jobs[0].software_checks is False
         assert jobs[1].software_checks is True
 
-    def test_program_row_raises_typed_check_error(self, monkeypatch):
-        # Force a value mismatch by lying about the expected result:
-        # patch rows_from_sweep's comparison via a fake outcome set is
-        # covered above; here exercise the run_program_row path end to
-        # end with a job whose expect is wrong.
-        from repro.exp import runner as runner_mod
-        real = runner_mod.run_jobs
-
-        def tampered(jobs, **kwargs):
-            sweep = real(jobs, **kwargs)
-            for outcome in sweep.outcomes:
-                if outcome.ok and outcome.key[-2] == "parallel":
-                    outcome.payload = dict(outcome.payload, value=999)
-            return sweep
-        monkeypatch.setattr("repro.harness.table3.run_jobs", tampered)
-        with pytest.raises(WorkloadCheckError) as excinfo:
-            run_program_row(workloads.get("fib"), "APRIL", cpus=(1,),
-                            args=(7,))
-        assert excinfo.value.program == "fib"
-        assert excinfo.value.system == "APRIL"
-        assert "999" in str(excinfo.value)
-
 
 class TestFigure5Harness:
     def test_report_sections(self):
@@ -208,17 +217,10 @@ class TestFigure5Harness:
         assert numbers["U_max"] == numbers["U(3)"]    # the plateau peak
         assert numbers["plateau_at"] == 3
 
-
-class TestReporting:
-    def test_save_report(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "out"))
-        path = reporting.save_report("thing.txt", "hello")
-        assert os.path.exists(path)
-        with open(path) as handle:
-            assert handle.read() == "hello\n"
-
-    def test_banner(self):
-        assert "title" in reporting.banner("title")
+    def test_report_golden(self):
+        """``april figure5`` prints exactly ``results/figure5.txt``."""
+        golden = (RESULTS / "figure5.txt").read_text()
+        assert render_report() + "\n" == golden
 
 
 class TestCLI:

@@ -7,6 +7,9 @@
   of the same program produce bit-identical results and cycle counts,
   across every mode and processor count (this is what makes the
   cycle-count experiments meaningful).
+* **Ablations**: removing one APRIL mechanism (tag hardware, lazy task
+  creation, task frames, switch-spinning, delay-slot filling) costs
+  what the paper says it does.
 """
 
 import pytest
@@ -20,6 +23,8 @@ from repro.isa.instructions import (
     Category, Instruction, Opcode, category_of, render,
 )
 from repro.lang.run import run_mult
+from repro.machine.config import MachineConfig
+from repro import workloads
 
 _REG = st.integers(min_value=0, max_value=39)
 _ALU = [op for op in Opcode
@@ -88,7 +93,6 @@ class TestDeterminism:
         assert first.stats.context_switches == second.stats.context_switches
 
     def test_coherent_mode_deterministic(self):
-        from repro.machine.config import MachineConfig
         config = MachineConfig(num_processors=2, memory_mode="coherent")
         runs = [run_mult(FIB, mode="eager", args=(8,), config=config)
                 for config in (config, config.replace())]
@@ -101,3 +105,58 @@ class TestDeterminism:
         a = utilization_curve(ModelParams(), max_threads=8)
         b = utilization_curve(ModelParams(), max_threads=8)
         assert a == b
+
+
+def _cycles(source, mode, args, **config):
+    """Simulated cycles of one run on ``MachineConfig(**config)``."""
+    return run_mult(source, mode=mode, args=args,
+                    config=MachineConfig(**config)).cycles
+
+
+class TestAblations:
+    """Remove one APRIL mechanism and measure what it was worth."""
+
+    def test_tag_hardware(self):
+        # Software future detection: "close to a factor of two loss in
+        # performance" with no future ever created (Table 3, Mul-T seq).
+        plain = run_mult(FIB, mode="sequential", args=(10,))
+        checked = run_mult(FIB, mode="sequential", args=(10,),
+                           software_checks=True)
+        assert 1.3 < checked.cycles / plain.cycles < 2.5
+
+    def test_lazy_task_creation(self):
+        # Table 3's fib on one processor: eager 14.2x, lazy 1.5x.
+        eager = run_mult(FIB, mode="eager", args=(10,))
+        lazy = run_mult(FIB, mode="lazy", args=(10,))
+        assert eager.cycles / lazy.cycles > 4
+
+    def test_task_frames(self):
+        # One hardware context unloads a thread on every blocked touch.
+        factor = workloads.get("factor")
+        one, four = (_cycles(factor.source(), "eager", factor.args(),
+                             num_processors=2, num_task_frames=frames)
+                     for frames in (1, 4))
+        assert four <= one
+
+    def test_switch_spinning(self):
+        # Blocking at once (spin limit 0) pays two thread moves per
+        # short wait; a bounded switch-spin is never much worse.
+        block, spin = (_cycles(FIB, "eager", (9,), num_processors=4,
+                               touch_spin_limit=limit)
+                       for limit in (0, 2))
+        assert spin < block * 1.5
+
+    def test_delay_slot_filling(self):
+        # Section 2.1: postpass filling recovers the cycles that the
+        # conservative assembler spends on delay-slot nops.
+        plain = run_mult(FIB, mode="sequential", args=(10,))
+        filled = run_mult(FIB, mode="sequential", args=(10,), optimize=True)
+        assert filled.value == plain.value
+        assert filled.cycles < plain.cycles
+
+    @pytest.mark.parametrize("placement", ["round_robin", "local"])
+    def test_placement(self, placement):
+        # Round-robin spreads eager tasks; local placement leaves them
+        # to idle processors' steals.  Either computes the same fib.
+        config = MachineConfig(num_processors=4, placement=placement)
+        assert run_mult(FIB, mode="eager", args=(9,), config=config).value == 34

@@ -7,7 +7,7 @@ from repro.isa import registers
 from repro.isa.assembler import assemble
 from repro.isa.disassembler import disassemble, disassemble_word
 from repro.isa.encoding import decode
-from repro.isa.instructions import Opcode
+from repro.isa.instructions import LOAD_FLAVORS, Opcode, STORE_FLAVORS
 from repro.isa.tags import make_fixnum
 
 
@@ -73,14 +73,19 @@ class TestMemoryOperands:
         assert (instr.rd, instr.rs1, instr.imm) == (3, 2, 4)
 
     def test_all_load_flavors_assemble(self):
-        for name in ("ldtt", "ldett", "ldnt", "ldent",
-                     "ldnw", "ldenw", "ldtw", "ldetw", "ldr"):
+        names = ("ldtt", "ldett", "ldnt", "ldent",
+                 "ldnw", "ldenw", "ldtw", "ldetw", "ldr")
+        # Table 2's eight flavors plus the raw load, and nothing else.
+        assert sorted(op.name.lower() for op in LOAD_FLAVORS) == sorted(names)
+        for name in names:
             instr = decoded(assemble("%s [r1+0], r2" % name))[0]
             assert instr.op.name.lower() == name
 
     def test_all_store_flavors_assemble(self):
-        for name in ("sttt", "stftt", "stnt", "stfnt",
-                     "stnw", "stfnw", "sttw", "stftw", "str"):
+        names = ("sttt", "stftt", "stnt", "stfnt",
+                 "stnw", "stfnw", "sttw", "stftw", "str")
+        assert sorted(op.name.lower() for op in STORE_FLAVORS) == sorted(names)
+        for name in names:
             instr = decoded(assemble("%s r2, [r1+0]" % name))[0]
             assert instr.op.name.lower() == name
 

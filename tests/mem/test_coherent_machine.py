@@ -117,3 +117,18 @@ class TestMultithreadingHidesLatency:
                                   num_task_frames=frames)
             results[frames] = result.stats.utilization
         assert results[4] >= results[1]
+
+    def test_more_contexts_no_fewer_misses(self):
+        """Section 8's m(p): the cache term has a component that grows
+        with the contexts sharing a cache."""
+        from repro.lang.compiler import compile_source
+        from repro.machine.alewife import AlewifeMachine
+        module = workloads.get("speech")
+        compiled = compile_source(module.source(), mode="eager")
+        rates = {}
+        for frames in (1, 4):
+            machine = AlewifeMachine(compiled.program, coherent_config(
+                2, num_task_frames=frames, cache_bytes=512))
+            machine.run(entry=compiled.entry_label(), args=(4, 8))
+            rates[frames] = machine.fabric.aggregate_miss_rate()
+        assert rates[4] >= rates[1]

@@ -108,6 +108,17 @@ class TestNetwork:
         assert net.stats.average_latency > 0
         assert net.stats.flit_hops == net.stats.total_hops * 4
 
+    def test_offered_load_raises_latency(self):
+        # Section 8's T(p) has a term linear in the traffic: the same
+        # 200 messages injected closer together wait longer on average.
+        latency = {}
+        for gap in (40, 2):          # cycles between injections
+            net = Network(KAryNCube(2, 4))
+            for i in range(200):
+                net.send(i % 16, (i * 7 + 3) % 16, 5, i * gap)
+            latency[gap] = net.stats.average_latency
+        assert latency[2] > latency[40]
+
     def test_link_frees_over_time(self):
         net = Network(KAryNCube(1, 4))
         net.send(0, 1, 4, 0)

@@ -207,6 +207,83 @@ class TestErrors:
             machine.run(max_cycles=10_000)
 
 
+class TestSection6Costs:
+    """The paper's measured trap costs, read off the run's counters."""
+
+    #: main touches the future of a child that counts down from %d, so
+    #: node 0 switch-spins on the touch until node 1 resolves it.
+    SPIN_BODY = """
+    main:
+        %s
+        trap %d          ; a0 = future for (child)
+        add a0, 0, a0    ; touch: switch-spins until resolved
+        ret
+    child:
+        set %%d, t1
+    cloop:
+        cmpr t1, 0
+        ble cdone
+        ba cloop
+        @subr t1, 1, t1
+    cdone:
+        set 84, a0       ; fixnum(21)
+        ret
+    """ % (make_thunk("child"), stubs.V_FUTURE)
+
+    #: A strict add on a pointer to a resolved future cell: tag 5 makes
+    #: it a future (the add traps), tag 4 an even word (no trap).
+    TOUCH_BODY = """
+    main:
+        set cell, t0
+        or t0, %d, t1
+        add t1, 4, a0
+        ret
+    .align 8
+    cell:
+        .fixnum 10
+        .fixnum 1
+    """
+
+    def _spin(self, countdown, **config):
+        machine = build_machine(self.SPIN_BODY % countdown, num_processors=2,
+                                touch_spin_limit=10 ** 6, **config)
+        result = machine.run()
+        assert result.value == 21
+        return result.cycles, machine.cpus[0].stats.context_switches
+
+    def _cycles_per_switch(self, **config):
+        """A longer countdown only adds switch-spins on node 0, so the
+        extra run time over the extra switches is one switch's cost."""
+        short_cycles, short_switches = self._spin(100, **config)
+        long_cycles, long_switches = self._spin(300, **config)
+        switches = long_switches - short_switches
+        assert switches > 10
+        assert (long_cycles - short_cycles) % switches == 0
+        return (long_cycles - short_cycles) // switches
+
+    def test_sparc_switch_is_11_cycles(self):
+        # Section 6.1: a 5-cycle trap squash plus a 6-cycle handler.
+        assert self._cycles_per_switch() == 11
+
+    def test_custom_april_switch_is_4_cycles(self):
+        assert self._cycles_per_switch(custom_april_switch=True) == 4
+
+    def test_switch_cost_scales_run_time(self):
+        cheap, _ = self._spin(2000, custom_april_switch=True)
+        costly, _ = self._spin(2000, switch_handler_cycles=45)
+        assert costly > cheap
+
+    def test_resolved_touch_is_23_cycles_plus_squash(self):
+        # Section 6.2: "Our future touch trap handler takes 23 cycles to
+        # execute if the future is resolved", after the 5-cycle squash.
+        touched = build_machine(self.TOUCH_BODY % 5)
+        touched_result = touched.run()
+        plain_result = build_machine(self.TOUCH_BODY % 4).run()
+        assert touched_result.value == 11
+        assert touched.runtime.futures.touches_resolved == 1
+        assert touched_result.cycles - plain_result.cycles == 28
+
+
 class TestSchedulingStats:
     def test_context_switches_counted(self):
         machine = build_machine(self.__class__.__dict__.get(
