@@ -8,7 +8,8 @@ the APRIL simulator.
 
 :func:`build_entry` compiles one decoded
 :class:`~repro.isa.instructions.Instruction` into an :class:`ExecEntry`
-via :data:`DISPATCH`, an opcode-indexed table of handler factories.
+via :data:`DISPATCH`, an opcode-indexed table of handler factories, one
+per fast-path shape of the opcode's :mod:`repro.isa.optable` row.
 Each factory unpacks the operand fields into Python locals at
 *predecode* time:
 
@@ -18,7 +19,11 @@ Each factory unpacks the operand fields into Python locals at
 * immediates are masked/scaled once (``imm & WORD_MASK``, branch
   offsets pre-multiplied by 4);
 * condition-code updates write the PSR bits directly instead of going
-  through four property setters.
+  through four property setters: an ALU op's result and bits come from
+  one core per opcode, compiled once from its table row — the
+  statements generated code inlines, then the bit arithmetic generated
+  code emits where somebody reads the PSR
+  (:func:`repro.core.psr.cc_source`).
 
 The resulting ``run(cpu, frame, pc, npc)`` closure has *identical
 architectural semantics* to the reference ``Processor._execute``
@@ -35,8 +40,9 @@ generated Python function (operands baked as constants, registers
 flattened to locals, accounting batched) with these same ``run``
 closures as the delegation target for whatever the generated code does
 not inline.  Both rungs are held to the same lockstep contract against
-the reference if-chain; they share their branch conditions
-(:data:`repro.core.psr.BRANCH_CONDITIONS`).
+the reference if-chain, and both read their per-opcode facts — ALU
+statements, strictness, branch conditions, shapes — from the one
+table.
 
 Cycle accounting contract: handlers charge "useful" cycles inline
 (``cpu.cycles``/``stats.useful``/``stats._total``); all other
@@ -47,30 +53,33 @@ let it settle first (``cpu.events.lifetime``, after their own cycle).
 """
 
 from repro.core.psr import (
-    BRANCH_CONDITIONS,
     C_BIT,
     FE_BIT,
     N_BIT,
     V_BIT,
     Z_BIT,
+    cc_source,
     condition_source,
 )
 from repro.core.traps import Trap, TrapKind, TrapSignal
 from repro.errors import ProcessorError
 from repro.isa import registers
-from repro.isa.instructions import (
-    LOAD_FLAVORS,
-    STORE_FLAVORS,
-    STRICT_COMPUTE,
-    Category,
-    Opcode,
-    category_of,
+from repro.isa.instructions import LOAD_FLAVORS, STORE_FLAVORS, Opcode
+from repro.isa.optable import (
+    CONDITIONAL,
+    DELEGATED,
+    FP,
+    LOAD,
+    REDIRECT,
+    ROWS,
+    STORE,
+    STRAIGHT,
+    TABLE,
 )
 from repro.isa.tags import WORD_MASK
 
 _GLOBAL_BASE = registers.GLOBAL_BASE
 _CC_MASK = N_BIT | Z_BIT | V_BIT | C_BIT
-_SIGN_BIT = 0x80000000
 
 
 class ExecEntry:
@@ -93,80 +102,29 @@ class ExecEntry:
         return "ExecEntry(%r)" % (self.instr,)
 
 
-# -- ALU cores: (a, b) -> (result, cc_bits) ------------------------------------
-#
-# Bit-for-bit the formulas of :mod:`repro.core.alu`, but returning the
-# condition codes pre-packed as PSR bits so handlers can splice them in
-# with one mask-and-or instead of four property writes.
+# -- built once from the table -------------------------------------------------
 
-def _cc(result):
-    if result == 0:
-        return Z_BIT
-    if result & _SIGN_BIT:
-        return N_BIT
-    return 0
-
-
-def _core_add(a, b):
-    total = a + b
-    result = total & WORD_MASK
-    cc = _cc(result)
-    if (a ^ result) & (b ^ result) & _SIGN_BIT:
-        cc |= V_BIT
-    if total > WORD_MASK:
-        cc |= C_BIT
-    return result, cc
+def _core(row):
+    """``core(a, b) -> (result, cc_bits)`` for an ALU row: its
+    statements, then its N/Z/V/C pre-packed as PSR bits so a handler
+    splices them in with one mask-and-or."""
+    source = ["def core(a, b):"]
+    source += ["    " + statement.format(a="a", b="b")
+               for statement in row.alu]
+    source += ["    " * (1 + depth) + text
+               for depth, text in cc_source(row.kind, "a", "b")]
+    source.append("    return res, _cc")
+    namespace = {}
+    exec("\n".join(source), namespace)
+    return namespace["core"]
 
 
-def _core_sub(a, b):
-    total = a - b
-    result = total & WORD_MASK
-    cc = _cc(result)
-    if (a ^ b) & (a ^ result) & _SIGN_BIT:
-        cc |= V_BIT
-    if total < 0:
-        cc |= C_BIT
-    return result, cc
-
-
-def _core_mul(a, b):
-    sa = a - 0x100000000 if a & _SIGN_BIT else a
-    sb = b - 0x100000000 if b & _SIGN_BIT else b
-    product = (sa >> 2) * sb
-    result = product & WORD_MASK
-    cc = _cc(result)
-    if not -(1 << 31) <= product < (1 << 31):
-        cc |= V_BIT
-    return result, cc
-
-
-_ALU_CORES = {
-    Opcode.ADD: _core_add,
-    Opcode.SUB: _core_sub,
-    Opcode.CMP: _core_sub,
-    Opcode.ADDR: _core_add,
-    Opcode.SUBR: _core_sub,
-    Opcode.MUL: _core_mul,
-    Opcode.AND: lambda a, b: ((a & b), _cc(a & b)),
-    Opcode.OR: lambda a, b: ((a | b), _cc(a | b)),
-    Opcode.XOR: lambda a, b: (((a ^ b) & WORD_MASK), _cc((a ^ b) & WORD_MASK)),
-    Opcode.ANDN: lambda a, b: ((a & ~b & WORD_MASK), _cc(a & ~b & WORD_MASK)),
-    Opcode.SLL: lambda a, b: (
-        ((a << (b & 31)) & WORD_MASK), _cc((a << (b & 31)) & WORD_MASK)),
-    Opcode.SRL: lambda a, b: (
-        ((a & WORD_MASK) >> (b & 31)), _cc((a & WORD_MASK) >> (b & 31))),
-    Opcode.SRA: lambda a, b: (
-        (((a - 0x100000000 if a & _SIGN_BIT else a) >> (b & 31)) & WORD_MASK),
-        _cc(((a - 0x100000000 if a & _SIGN_BIT else a) >> (b & 31)) & WORD_MASK)),
-}
-
-
-# -- branch condition tests on the raw PSR word --------------------------------
+_CORES = {row.op: _core(row) for row in TABLE if row.alu is not None}
 
 #: ``test(psr) -> truthy`` per conditional branch, each built once from
 #: the source generated code inlines.
-_BRANCH_TESTS = {op: eval("lambda psr: " + condition_source(op))
-                 for op in BRANCH_CONDITIONS}
+_BRANCH_TESTS = {row.op: eval("lambda psr: " + condition_source(row.op))
+                 for row in TABLE if row.condition is not None}
 
 
 # -- factory helpers -----------------------------------------------------------
@@ -178,7 +136,7 @@ def _reg_plan(number):
     return False, number - _GLOBAL_BASE
 
 
-# -- ALU (COMPUTE / LOGIC) -----------------------------------------------------
+# -- straight: ALU, lui/oril, nop/bn -------------------------------------------
 
 def _run_one_cycle(cpu, frame, pc, npc):
     """``NOP`` and ``BN``: one useful cycle, and on to the next pc."""
@@ -187,6 +145,17 @@ def _run_one_cycle(cpu, frame, pc, npc):
     stats.useful += 1
     stats._total += 1
     return npc, npc + 4
+
+
+def _factory_straight(instr):
+    op = instr.op
+    if op is Opcode.LUI:
+        return _factory_lui(instr)
+    if op is Opcode.ORIL:
+        return _factory_oril(instr)
+    if ROWS[op].alu is None:
+        return ExecEntry(instr, _run_one_cycle)
+    return _factory_alu(instr)
 
 
 def _factory_lui(instr):
@@ -230,62 +199,20 @@ def _factory_oril(instr):
 
 
 def _factory_alu(instr):
+    """Every row with ALU statements, ``div``/``rem`` included."""
     op = instr.op
-    if op is Opcode.LUI:
-        return _factory_lui(instr)
-    if op is Opcode.ORIL:
-        return _factory_oril(instr)
-
+    row = ROWS[op]
     rd, rs1, rs2 = instr.rd, instr.rs1, instr.rs2
     use_imm = instr.use_imm
     imm_w = instr.imm & WORD_MASK
     rs1f, g1 = _reg_plan(rs1)
     rs2f, g2 = _reg_plan(rs2)
     rdf, gd = _reg_plan(rd)
-    write_rd = bool(rd) and op is not Opcode.CMP
+    write_rd = bool(rd) and "rd" in row.writes
+    core = _CORES[op]
+    strict = row.strict
+    divides = op is Opcode.DIV or op is Opcode.REM
     opname = op.name
-
-    if op is Opcode.DIV or op is Opcode.REM:
-        is_div = op is Opcode.DIV
-
-        def run(cpu, frame, pc, npc):
-            regs = frame.regs
-            a = regs[rs1] if rs1f else cpu.globals[g1]
-            b = imm_w if use_imm else (
-                regs[rs2] if rs2f else cpu.globals[g2])
-            if (a | b) & 1:
-                raise TrapSignal(Trap(
-                    TrapKind.FUTURE_COMPUTE, instr=instr, pc=pc,
-                    value=a if a & 1 else b, cause=opname))
-            if b == 0:
-                raise TrapSignal(Trap(
-                    TrapKind.ILLEGAL, instr=instr, pc=pc,
-                    cause="divide by zero"))
-            x = (a - 0x100000000 if a & _SIGN_BIT else a) >> 2
-            y = (b - 0x100000000 if b & _SIGN_BIT else b) >> 2
-            quotient = int(x / y) if y else 0
-            if is_div:
-                result = (quotient << 2) & WORD_MASK
-            else:
-                result = ((x - quotient * y) << 2) & WORD_MASK
-            psr = frame.psr
-            psr.value = (psr.value & ~_CC_MASK) | _cc(result)
-            if write_rd:
-                if rdf:
-                    regs[rd] = result
-                else:
-                    cpu.globals[gd] = result
-            cpu.cycles += 1
-            stats = cpu.stats
-            stats.useful += 1
-            stats._total += 1
-            return npc, npc + 4
-
-        return ExecEntry(instr, run)
-
-    core = _ALU_CORES[op]
-    # Raw logic is not strict: it never traps.
-    strict = op in STRICT_COMPUTE
 
     def run(cpu, frame, pc, npc):
         regs = frame.regs
@@ -295,6 +222,10 @@ def _factory_alu(instr):
             raise TrapSignal(Trap(
                 TrapKind.FUTURE_COMPUTE, instr=instr, pc=pc,
                 value=a if a & 1 else b, cause=opname))
+        if divides and b == 0:
+            raise TrapSignal(Trap(
+                TrapKind.ILLEGAL, instr=instr, pc=pc,
+                cause="divide by zero"))
         result, cc = core(a, b)
         psr = frame.psr
         psr.value = (psr.value & ~_CC_MASK) | cc
@@ -409,11 +340,41 @@ def _factory_store(instr):
 
 # -- control flow --------------------------------------------------------------
 
-def _factory_branch(instr):
+def _factory_conditional(instr):
+    off = 4 * instr.imm
+    test = _BRANCH_TESTS[instr.op]
+
+    def run(cpu, frame, pc, npc):
+        cpu.cycles += 1
+        stats = cpu.stats
+        stats.useful += 1
+        stats._total += 1
+        if test(frame.psr.value):
+            return npc, pc + off
+        return npc, npc + 4
+
+    return ExecEntry(instr, run)
+
+
+def _factory_redirect(instr):
+    """``ba``, ``call`` and ``jmpl``."""
     op = instr.op
+    if op is Opcode.JMPL:
+        return _factory_jmpl(instr)
     off = 4 * instr.imm
 
-    if op is Opcode.BA:
+    if op is Opcode.CALL:
+        ra = registers.RA
+
+        def run(cpu, frame, pc, npc):
+            cpu.cycles += 1
+            stats = cpu.stats
+            stats.useful += 1
+            stats._total += 1
+            frame.regs[ra] = (pc + 8) & WORD_MASK
+            return npc, pc + off
+
+    else:  # BA
 
         def run(cpu, frame, pc, npc):
             cpu.cycles += 1
@@ -421,36 +382,6 @@ def _factory_branch(instr):
             stats.useful += 1
             stats._total += 1
             return npc, pc + off
-
-    elif op is Opcode.BN:
-        run = _run_one_cycle
-
-    else:
-        test = _BRANCH_TESTS[op]
-
-        def run(cpu, frame, pc, npc):
-            cpu.cycles += 1
-            stats = cpu.stats
-            stats.useful += 1
-            stats._total += 1
-            if test(frame.psr.value):
-                return npc, pc + off
-            return npc, npc + 4
-
-    return ExecEntry(instr, run)
-
-
-def _factory_call(instr):
-    off = 4 * instr.imm
-    ra = registers.RA
-
-    def run(cpu, frame, pc, npc):
-        cpu.cycles += 1
-        stats = cpu.stats
-        stats.useful += 1
-        stats._total += 1
-        frame.regs[ra] = (pc + 8) & WORD_MASK
-        return npc, pc + off
 
     return ExecEntry(instr, run)
 
@@ -479,7 +410,18 @@ def _factory_jmpl(instr):
     return ExecEntry(instr, run)
 
 
-# -- frame pointer -------------------------------------------------------------
+# -- delegated: what generated code hands to these closures --------------------
+
+def _factory_delegated(instr):
+    """``div``/``rem``, the frame-pointer ops, and the system and
+    out-of-band ops."""
+    row = ROWS[instr.op]
+    if row.alu is not None:
+        return _factory_alu(instr)
+    if FP in row.reads or FP in row.writes:
+        return _factory_frame(instr)
+    return _factory_system(instr)
+
 
 def _factory_frame(instr):
     op = instr.op
@@ -516,13 +458,13 @@ def _factory_frame(instr):
     return ExecEntry(instr, run)
 
 
-# -- system --------------------------------------------------------------------
-
 def _factory_system(instr):
+    """``halt``, ``trap``, ``rdpsr``, ``wrpsr``, ``rett``, and the
+    out-of-band ``flush``, ``ldio``, ``stio``."""
     op = instr.op
-
-    if op is Opcode.NOP:
-        return ExecEntry(instr, _run_one_cycle)
+    rd, rs1, imm = instr.rd, instr.rs1, instr.imm
+    rs1f, g1 = _reg_plan(rs1)
+    rdf, gd = _reg_plan(rd)
 
     if op is Opcode.HALT:
 
@@ -534,10 +476,7 @@ def _factory_system(instr):
             cpu.halted = True
             return pc, npc  # PC frozen at the halt
 
-        return ExecEntry(instr, run)
-
-    if op is Opcode.TRAP:
-        vector = instr.imm
+    elif op is Opcode.TRAP:
 
         def run(cpu, frame, pc, npc):
             cpu.cycles += 1
@@ -545,13 +484,9 @@ def _factory_system(instr):
             stats.useful += 1
             stats._total += 1
             raise TrapSignal(Trap(
-                TrapKind.SOFTWARE, vector=vector, instr=instr, pc=pc))
+                TrapKind.SOFTWARE, vector=imm, instr=instr, pc=pc))
 
-        return ExecEntry(instr, run)
-
-    if op is Opcode.RDPSR:
-        rd = instr.rd
-        rdf, gd = _reg_plan(rd)
+    elif op is Opcode.RDPSR:
 
         def run(cpu, frame, pc, npc):
             cpu.cycles += 1
@@ -566,11 +501,7 @@ def _factory_system(instr):
                     cpu.globals[gd] = value
             return npc, npc + 4
 
-        return ExecEntry(instr, run)
-
-    if op is Opcode.WRPSR:
-        rs1 = instr.rs1
-        rs1f, g1 = _reg_plan(rs1)
+    elif op is Opcode.WRPSR:
 
         def run(cpu, frame, pc, npc):
             cpu.cycles += 1
@@ -581,9 +512,7 @@ def _factory_system(instr):
                 frame.regs[rs1] if rs1f else cpu.globals[g1])
             return npc, npc + 4
 
-        return ExecEntry(instr, run)
-
-    if op is Opcode.RETT:
+    elif op is Opcode.RETT:
 
         def run(cpu, frame, pc, npc):
             cpu.cycles += 1
@@ -593,20 +522,7 @@ def _factory_system(instr):
             frame.return_from_trap(retry=True)
             return frame.pc, frame.npc
 
-        return ExecEntry(instr, run)
-
-    raise ProcessorError("unimplemented system op %r" % (instr,))
-
-
-# -- out-of-band ---------------------------------------------------------------
-
-def _factory_oob(instr):
-    op = instr.op
-    rd, rs1, imm = instr.rd, instr.rs1, instr.imm
-    rs1f, g1 = _reg_plan(rs1)
-    rdf, gd = _reg_plan(rd)
-
-    if op is Opcode.FLUSH:
+    elif op is Opcode.FLUSH:
 
         def run(cpu, frame, pc, npc):
             base = frame.regs[rs1] if rs1f else cpu.globals[g1]
@@ -630,7 +546,7 @@ def _factory_oob(instr):
                     cpu.globals[gd] = value
             return npc, npc + 4
 
-    else:  # STIO
+    elif op is Opcode.STIO:
 
         def run(cpu, frame, pc, npc):
             base = frame.regs[rs1] if rs1f else cpu.globals[g1]
@@ -640,34 +556,31 @@ def _factory_oob(instr):
             cpu.charge(outcome.cycles)
             return npc, npc + 4
 
+    else:
+        raise ProcessorError("unimplemented system op %r" % (instr,))
+
     return ExecEntry(instr, run)
 
 
 # -- the opcode-indexed dispatch table -----------------------------------------
 
-_CATEGORY_FACTORIES = {
-    Category.COMPUTE: _factory_alu,
-    Category.LOGIC: _factory_alu,
-    Category.LOAD: _factory_load,
-    Category.STORE: _factory_store,
-    Category.BRANCH: _factory_branch,
-    Category.FRAME: _factory_frame,
-    Category.SYSTEM: _factory_system,
-    Category.OOB: _factory_oob,
+_SHAPE_FACTORIES = {
+    STRAIGHT: _factory_straight,
+    LOAD: _factory_load,
+    STORE: _factory_store,
+    CONDITIONAL: _factory_conditional,
+    REDIRECT: _factory_redirect,
+    DELEGATED: _factory_delegated,
 }
 
 #: Opcode-indexed handler-factory table (the dispatch table that
-#: replaces the ``_execute`` if-chain).  ``DISPATCH[int(op)]`` maps a
-#: decoded instruction to its :class:`ExecEntry`.
+#: replaces the ``_execute`` if-chain), picked by each opcode's table
+#: row's shape.  ``DISPATCH[int(op)]`` maps a decoded instruction to
+#: its :class:`ExecEntry`.
 DISPATCH = [None] * 256
-for _op in Opcode:
-    if _op is Opcode.CALL:
-        DISPATCH[int(_op)] = _factory_call
-    elif _op is Opcode.JMPL:
-        DISPATCH[int(_op)] = _factory_jmpl
-    else:
-        DISPATCH[int(_op)] = _CATEGORY_FACTORIES[category_of(_op)]
-del _op
+for _row in TABLE:
+    DISPATCH[_row.op] = _SHAPE_FACTORIES[_row.shape]
+del _row
 
 
 def build_entry(instr):

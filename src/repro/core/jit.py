@@ -73,6 +73,18 @@ A block's final terminator is either *inlined* (``BA``, ``CALL``,
 decodable instruction (frame ops, system ops, ``DIV``/``REM``) runs
 through its closure after the prefix commits, ending the block.
 
+What is inlined, how, and what may ride a slice are read from each
+opcode's :mod:`repro.isa.optable` row: its shape (straight, load,
+store, conditional, redirect or delegated), its ALU statements, its
+producer kind (whose overflow and carry tests
+:meth:`_Emitter.materialize` emits, through
+:func:`repro.core.psr.cc_source`) and its branch condition.  The
+emitter states only what a row does not: the ``mov`` form of ``or``,
+two literal operands folded through :func:`repro.core.alu.execute`,
+and ``lui``/``oril``.  The generated source is the same text it was
+before the table existed, block for block
+(``tests/core/test_jit.py::TestWhoPaysForWindows``).
+
 The same scan and emitter produce a second shape, the *sync-headed
 slice* (``compile_block(..., sliced=True)``), for the machine loop's
 run-ahead: the instruction at the pc — inlined as above, whatever it
@@ -161,21 +173,25 @@ from collections import OrderedDict
 
 from repro.core.alu import execute as alu_execute
 from repro.core.psr import (
-    BRANCH_CONDITIONS,
     C_BIT,
     FE_BIT,
     N_BIT,
     V_BIT,
     Z_BIT,
+    cc_source,
     condition_source,
 )
 from repro.core.traps import Trap, TrapKind, TrapSignal
 from repro.isa import registers
-from repro.isa.instructions import (
-    LOAD_FLAVORS,
-    STORE_FLAVORS,
-    STRICT_COMPUTE,
-    Opcode,
+from repro.isa.instructions import LOAD_FLAVORS, STORE_FLAVORS, Opcode
+from repro.isa.optable import (
+    CONDITIONAL,
+    LOAD,
+    PRODUCERS,
+    REDIRECT,
+    ROWS,
+    STORE,
+    STRAIGHT,
 )
 from repro.isa.tags import WORD_MASK
 from repro.mem.cache import LineState
@@ -192,34 +208,15 @@ _SIGN = 0x80000000
 #: pass (the slice-budget admission cost); also the scan bound.
 MAX_JIT_BLOCK = 32
 
-#: Straight-line ops inlined into the generated body (everything here
-#: costs exactly one "useful" cycle; strict ops get an inline guard).
-#: ``BN`` (branch never) belongs here: it charges one cycle and always
-#: falls through, so its delay slot is just the next instruction.
-_STRAIGHT = frozenset({
-    Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.CMP,
-    Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.ANDN,
-    Opcode.SLL, Opcode.SRL, Opcode.SRA,
-    Opcode.ADDR, Opcode.SUBR, Opcode.LUI, Opcode.ORIL,
-    Opcode.NOP, Opcode.BN,
-})
+#: Memory shapes: inlined over a port generated code understands,
+#: delegated otherwise.
+_MEMORY = (LOAD, STORE)
 
-#: Memory ops (inlined over the ideal port, delegated otherwise).
-_MEM_LOADS = frozenset(LOAD_FLAVORS)
-_MEM_STORES = frozenset(STORE_FLAVORS)
-_MEM = _MEM_LOADS | _MEM_STORES
-
-#: Unconditional redirects compiled to inline PC-chain math.
-_UNCOND_EXITS = frozenset({Opcode.BA, Opcode.CALL, Opcode.JMPL})
-
-#: Branch condition source expressions over the local ``psr`` word —
-#: the closure tier's tests are built from the same strings.
-_COND = {op: condition_source(op) for op in BRANCH_CONDITIONS}
-
-#: The same conditions asked of a pending producer's locals instead
-#: (``_Emitter.branch_test``): what ``res`` answers for any kind, what
-#: ``_t`` answers for the carry of an add or a subtract, and the
-#: comparison of the operands that N != V is after a subtract.
+#: Branch conditions asked of a pending producer's locals instead of
+#: the PSR (``_Emitter.branch_test``): what ``res`` answers for any
+#: kind, what ``_t`` answers for the carry of an add or a subtract (the
+#: table's carry tests), and the comparison of the operands that N != V
+#: is after a subtract.
 _NEGATIVE = "res & %d" % _SIGN
 _ON_RESULT = {
     Opcode.BE: "res == 0",
@@ -227,12 +224,9 @@ _ON_RESULT = {
     Opcode.BNEG: _NEGATIVE,
     Opcode.BPOS: "not " + _NEGATIVE,
 }
-_ON_CARRY = {
-    ("add", Opcode.BCS): "_t > %d" % WORD_MASK,
-    ("add", Opcode.BCC): "_t <= %d" % WORD_MASK,
-    ("sub", Opcode.BCS): "_t < 0",
-    ("sub", Opcode.BCC): "_t >= 0",
-}
+_ON_CARRY = {(kind, op): PRODUCERS[kind][index]
+             for kind in ("add", "sub")
+             for op, index in ((Opcode.BCS, 1), (Opcode.BCC, 2))}
 _ON_OPERANDS = {Opcode.BL: "<", Opcode.BLE: "<=",
                 Opcode.BG: ">", Opcode.BGE: ">="}
 
@@ -373,9 +367,8 @@ class JitBlock:
         fn: the generated ``fn(cpu, frame)`` — executes the whole
             block including accounting and the PC-chain exit; raises
             :class:`TrapSignal` from a guard or a delegated closure.
-        count: instructions the block executes on a full pass.
-        cost: worst-case 1-cycle instructions the block issues (equal
-            to ``count``) — the slice-budget admission test.
+        count: instructions the block executes on a full pass, each
+            one cycle — the slice-budget admission test.
         start/end: byte range of code words the block was compiled
             from (invalidation granularity).
         key: the :data:`SHARED_BLOCKS` key — ``(start, words, spec)``;
@@ -384,20 +377,18 @@ class JitBlock:
         source: the generated Python source (debugging / tests).
     """
 
-    __slots__ = ("fn", "count", "cost", "start", "end", "key", "source")
+    __slots__ = ("fn", "count", "start", "end", "key", "source")
 
-    def __init__(self, fn, count, cost, start, end, key, source):
+    def __init__(self, fn, count, start, end, key, source):
         self.fn = fn
         self.count = count
-        self.cost = cost
         self.start = start
         self.end = end
         self.key = key
         self.source = source
 
     def __repr__(self):
-        return "JitBlock(start=%#x, count=%d, cost=%d)" % (
-            self.start, self.count, self.cost)
+        return "JitBlock(start=%#x, count=%d)" % (self.start, self.count)
 
 
 class _Emitter:
@@ -529,23 +520,10 @@ class _Emitter:
             if kind == "const":
                 line(indent, "psr = psr & %d | %d" % (_NOT_CC, a))
             else:
-                overflow = carry = None
-                if kind == "add":
+                if kind == "add" or kind == "sub":
                     a, b = _operands(kind, a, b)
-                    overflow = "(%s ^ res) & (%s ^ res) & %d" % (a, b, _SIGN)
-                    carry = "_t > %d" % WORD_MASK
-                elif kind == "sub":
-                    a, b = _operands(kind, a, b)
-                    overflow = "(%s ^ %s) & (%s ^ res) & %d" % (a, b, a, _SIGN)
-                    carry = "_t < 0"
-                elif kind == "mul":
-                    overflow = "not %d <= _t < %d" % (-(1 << 31), 1 << 31)
-                line(indent, "_cc = %d if res == 0 else (%d if %s else 0)"
-                     % (Z_BIT, N_BIT, _NEGATIVE))
-                for test, bit in ((overflow, V_BIT), (carry, C_BIT)):
-                    if test is not None:
-                        line(indent, "if %s:" % test)
-                        line(indent + 1, "_cc |= %d" % bit)
+                for depth, text in cc_source(kind, a, b):
+                    line(indent + depth, text)
                 line(indent, "psr = psr & %d | _cc" % _NOT_CC)
         if self.fe:
             line(indent, "psr = psr | %d if _fb else psr & %d" % (
@@ -560,7 +538,8 @@ class _Emitter:
         A pending producer answers from the result it already has —
         the PSR is then built only on the exit that publishes it; any
         other pairing settles the PSR and tests its bits
-        (:data:`_COND`), as does a branch with nothing pending.
+        (:func:`~repro.core.psr.condition_source`), as does a branch
+        with nothing pending.
         """
         if op is Opcode.JFULL or op is Opcode.JEMPTY:
             if self.fe:
@@ -578,7 +557,7 @@ class _Emitter:
                 return test
             self.materialize(1)
         self.psr_used = True
-        return _COND[op]
+        return condition_source(op)
 
     def add_delegate(self, run):
         """Bind a closure as a default argument; returns its local name."""
@@ -698,10 +677,10 @@ def _emit_guard(emitter, guard_expr, value_expr, instr, pending, pc_k,
 
 
 def _emit_straight(emitter, instr, pending, pc_i, npc_expr=None):
-    """Emit one inlined straight-line instruction at ``pc_i``."""
+    """Emit one inlined straight-line instruction at ``pc_i``: its table
+    row's statements, or one of the forms a row does not state —
+    ``lui``/``oril``, two literal operands, and ``mov``."""
     op = instr.op
-    if op is Opcode.NOP or op is Opcode.BN:
-        return
     if op is Opcode.LUI:
         if instr.rd:
             name = emitter.def_reg(instr.rd)
@@ -718,6 +697,9 @@ def _emit_straight(emitter, instr, pending, pc_i, npc_expr=None):
                 emitter.line(1, "%s = (%s | %d) & %d" % (
                     name, name, instr.imm, WORD_MASK))
         return
+    row = ROWS[op]
+    if row.alu is None:
+        return      # NOP, BN: a cycle and nothing else
 
     a = emitter.use_reg(instr.rs1)
     if instr.use_imm:
@@ -727,9 +709,9 @@ def _emit_straight(emitter, instr, pending, pc_i, npc_expr=None):
     else:
         b = emitter.use_reg(instr.rs2)
         b_const = 0 if instr.rs2 == 0 else None
-    strict = op in STRICT_COMPUTE
+    strict = row.strict
     line = emitter.line
-    rd = 0 if op is Opcode.CMP else instr.rd
+    rd = instr.rd if "rd" in row.writes else 0
 
     if instr.rs1 == 0 and b_const is not None and not (strict and b_const & 1):
         # Both operands are literals (how codegen loads every small
@@ -754,39 +736,13 @@ def _emit_straight(emitter, instr, pending, pc_i, npc_expr=None):
         _emit_guard(emitter, guard, value, instr, pending, pc_i, npc_expr)
 
     # The result only: the condition codes wait for a reader.
-    if op is Opcode.ADD or op is Opcode.ADDR:
-        line(1, "_t = %s + %s" % (a, b))
-        line(1, "res = _t & %d" % WORD_MASK)
-        emitter.produce("add", a, b)
-    elif op is Opcode.SUB or op is Opcode.SUBR or op is Opcode.CMP:
-        line(1, "_t = %s - %s" % (a, b))
-        line(1, "res = _t & %d" % WORD_MASK)
-        emitter.produce("sub", a, b)
-    elif op is Opcode.MUL:
-        line(1, "_sa = %s - %d if %s & %d else %s" % (a, 1 << 32, a, _SIGN, a))
-        line(1, "_sb = %s - %d if %s & %d else %s" % (b, 1 << 32, b, _SIGN, b))
-        line(1, "_t = (_sa >> 2) * _sb")
-        line(1, "res = _t & %d" % WORD_MASK)
-        emitter.produce("mul")
+    if op is Opcode.OR and "0" in (a, b):
+        # ``mov`` is ``or rs, r0, rd``.
+        line(1, "res = %s" % (a if b == "0" else b))
     else:
-        if op is Opcode.AND:
-            expr = "%s & %s" % (a, b)
-        elif op is Opcode.OR:
-            # ``mov`` is ``or rs, r0, rd``.
-            expr = a if b == "0" else b if a == "0" else "%s | %s" % (a, b)
-        elif op is Opcode.XOR:
-            expr = "(%s ^ %s) & %d" % (a, b, WORD_MASK)
-        elif op is Opcode.ANDN:
-            expr = "%s & ~%s & %d" % (a, b, WORD_MASK)
-        elif op is Opcode.SLL:
-            expr = "(%s << (%s & 31)) & %d" % (a, b, WORD_MASK)
-        elif op is Opcode.SRL:
-            expr = "(%s & %d) >> (%s & 31)" % (a, WORD_MASK, b)
-        else:  # SRA
-            expr = "((%s - %d if %s & %d else %s) >> (%s & 31)) & %d" % (
-                a, 1 << 32, a, _SIGN, a, b, WORD_MASK)
-        line(1, "res = %s" % expr)
-        emitter.produce("logic")
+        for statement in row.alu:
+            line(1, statement.format(a=a, b=b))
+    emitter.produce(row.kind, a, b)
     if rd:
         name = emitter.def_reg(rd)
         line(1, "%s = res" % name)
@@ -858,7 +814,7 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
     """
     emitter.needs_mem = True
     op = instr.op
-    is_load = op in _MEM_LOADS
+    is_load = ROWS[op].shape == LOAD
     flavor = LOAD_FLAVORS[op] if is_load else STORE_FLAVORS[op]
     base, size_words = spec[:2]
     coherent = _spec_tag(spec) == "coherent"
@@ -965,9 +921,10 @@ def _classify_delay(decoder, fetch, address):
         instr = decoder.decode(word)
     except Exception:
         return None
-    if instr.op in _STRAIGHT:
+    shape = ROWS[instr.op].shape
+    if shape == STRAIGHT:
         return ("s", instr, None, word)
-    if instr.op in _MEM:
+    if shape in _MEMORY:
         try:
             run = decoder.predecode(word).run
         except Exception:
@@ -984,7 +941,8 @@ def _rides_tail(instr, spec):
     drag a tail it always parks.  A coherent node's tails touch no
     memory, so nothing there needs winding back but its registers."""
     return (spec is not None and _spec_tag(spec) != "coherent"
-            and instr.op in _MEM and instr.rs1 == registers.SP)
+            and ROWS[instr.op].shape in _MEMORY
+            and instr.rs1 == registers.SP)
 
 
 def _scan_block(cpu, pc, spec, sliced=False):
@@ -1037,16 +995,16 @@ def _scan_block(cpu, pc, spec, sliced=False):
             # Unfetchable/undecodable word ends the block; executing
             # into it falls to step(), which raises the ILLEGAL trap.
             break
-        op = instr.op
+        shape = ROWS[instr.op].shape
 
-        if op in _STRAIGHT:
+        if shape == STRAIGHT:
             plan.append(("s", instr, scan))
             words.append(word)
             total += 1
             scan += 4
             continue
 
-        redirect = op in _UNCOND_EXITS or op in _COND
+        redirect = shape == REDIRECT or shape == CONDITIONAL
         if sliced and plan and not redirect:
             if not _rides_tail(instr, spec):
                 # Not private: it may only ever be the head of a slice.
@@ -1057,7 +1015,7 @@ def _scan_block(cpu, pc, spec, sliced=False):
             scan += 4
             continue
 
-        if op in _MEM:
+        if shape in _MEMORY:
             try:
                 run = predecode(word).run
             except Exception:
@@ -1084,7 +1042,7 @@ def _scan_block(cpu, pc, spec, sliced=False):
                 # simple where nothing is inlined.  A slice fuses only what
                 # may ride its tail.
                 delay = None
-            if op in _COND:
+            if shape == CONDITIONAL:
                 if delay is None:
                     plan.append(("cb", instr, scan))
                     words.append(word)
@@ -1355,6 +1313,6 @@ def compile_block(cpu, pc, sliced=False):
     exec(code, namespace)
     fn = namespace["_jit"]
 
-    jb = JitBlock(fn, total, total, pc, scan, key, source)
+    jb = JitBlock(fn, total, pc, scan, key, source)
     SHARED_BLOCKS.put(key, jb)
     return jb

@@ -397,9 +397,10 @@ class Processor:
         and runs :meth:`step`, as does a block that does not fit the
         budget.
 
-        ``budget`` bounds the block cost in cycles so the caller's
-        event-loop slice is never overshot (every block instruction
-        costs exactly one cycle; a delegated memory terminator may
+        ``budget`` bounds the block's cost in cycles — its ``count``,
+        every block instruction costing exactly one cycle — so the
+        caller's event-loop slice is never overshot (a delegated memory
+        terminator may
         stall past the horizon, but so would the same instruction under
         :meth:`step` — the reference loop has the same property).
 
@@ -459,13 +460,13 @@ class Processor:
             jb = self._compile_jit(pc, ahead)
         else:
             jit_map.move_to_end(key)
-        if not jb or (not ahead and jb.cost > budget):
+        if not jb or (not ahead and jb.count > budget):
             # Uncompilable here, or the block does not fit.
             return self.step()
         # The block may stop early — at a tripped future guard, at the
         # slow path of an inlined memory access, or at a taken branch —
         # so the cycles consumed are whatever the generated code
-        # banked, not ``jb.cost``.  Traps raised by a guard or a
+        # banked, not ``jb.count``.  Traps raised by a guard or a
         # delegated instruction are taken here exactly as :meth:`step`
         # takes them (the generated code parked the PC chain at the
         # instruction and committed the prefix first).

@@ -19,9 +19,17 @@ Bits   Field
 18     ET — traps enabled
 15..0  TID — run-time thread-id tag
 ====== ==============================================
+
+Where the fast rungs need these bits as Python source, this module
+fills them into the :mod:`repro.isa.optable` templates:
+:func:`condition_source` (a conditional branch's taken test) and
+:func:`cc_source` (a producer's N/Z/V/C).  Generated code inlines both;
+:mod:`repro.core.execops` compiles its branch tests and ALU cores from
+the same text.  The reference interpreter keeps its own statements
+(:mod:`repro.core.alu`).
 """
 
-from repro.isa.instructions import Opcode
+from repro.isa.optable import PRODUCERS, ROWS
 
 N_BIT = 1 << 23
 Z_BIT = 1 << 22
@@ -31,35 +39,26 @@ FE_BIT = 1 << 19
 ET_BIT = 1 << 18
 TID_MASK = 0xFFFF
 
-#: Each conditional branch's taken test as Python source over a PSR
-#: word named ``psr``, the bits written ``{N}`` ``{Z}`` ``{V}`` ``{C}``
-#: ``{FE}``: the one statement of them both fast rungs use
-#: (:func:`condition_source`) — generated code inlines it,
-#: :mod:`repro.core.execops` builds a test function from it.  The
-#: reference interpreter keeps its own, :func:`repro.core.alu.
-#: branch_taken`.
-BRANCH_CONDITIONS = {
-    Opcode.BE: "psr & {Z}",
-    Opcode.BNE: "not psr & {Z}",
-    Opcode.BL: "(psr & {N} != 0) != (psr & {V} != 0)",
-    Opcode.BLE: "psr & {Z} or (psr & {N} != 0) != (psr & {V} != 0)",
-    Opcode.BG: "not (psr & {Z} or (psr & {N} != 0) != (psr & {V} != 0))",
-    Opcode.BGE: "(psr & {N} != 0) == (psr & {V} != 0)",
-    Opcode.BNEG: "psr & {N}",
-    Opcode.BPOS: "not psr & {N}",
-    Opcode.BCS: "psr & {C}",
-    Opcode.BCC: "not psr & {C}",
-    Opcode.BVS: "psr & {V}",
-    Opcode.BVC: "not psr & {V}",
-    Opcode.JFULL: "psr & {FE}",
-    Opcode.JEMPTY: "not psr & {FE}",
-}
-
 
 def condition_source(op):
-    """Branch ``op``'s taken test with the bits as integer literals."""
-    return BRANCH_CONDITIONS[op].format(
+    """Branch ``op``'s taken test over ``psr`` (its table row's
+    ``condition``) with the bits as integer literals."""
+    return ROWS[op].condition.format(
         N=N_BIT, Z=Z_BIT, V=V_BIT, C=C_BIT, FE=FE_BIT)
+
+
+def cc_source(kind, a, b):
+    """Statements leaving producer ``kind``'s N/Z/V/C, as PSR bits, in
+    ``_cc``: ``(depth, text)`` pairs over ``res``, ``_t`` and the
+    operand expressions ``a`` and ``b``."""
+    overflow, carry = PRODUCERS[kind][:2]
+    lines = [(0, "_cc = %d if res == 0 else (%d if res & %d else 0)"
+              % (Z_BIT, N_BIT, 0x80000000))]
+    for test, bit in ((overflow, V_BIT), (carry, C_BIT)):
+        if test is not None:
+            lines.append((0, "if %s:" % test.format(a=a, b=b)))
+            lines.append((1, "_cc |= %d" % bit))
+    return lines
 
 
 class PSR:

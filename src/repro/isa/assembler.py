@@ -41,12 +41,7 @@ from repro.errors import AssemblerError
 from repro.isa import registers, tags
 from repro.isa.encoding import IMM11_MAX, IMM11_MIN, encode
 from repro.isa.instructions import Category, Instruction, Opcode, category_of
-
-#: Opcodes followed by an architectural delay slot.
-DELAYED_OPS = frozenset(
-    op for op in Opcode
-    if category_of(op) in (Category.BRANCH, Category.JUMP)
-)
+from repro.isa.optable import ROWS
 
 _OPCODES_BY_NAME = {op.name.lower(): op for op in Opcode}
 
@@ -221,7 +216,7 @@ class Assembler:
         op = _OPCODES_BY_NAME.get(mnemonic) or _ALIAS_OPS.get(mnemonic)
         if mnemonic == "ret":
             return True
-        return op in DELAYED_OPS if op is not None else False
+        return op is not None and ROWS[op].delayed
 
     def _fill_previous_slot(self, statements, lineno):
         """Move this just-appended instruction into the preceding nop slot."""

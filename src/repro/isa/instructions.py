@@ -186,11 +186,6 @@ STORE_FLAVORS = {
     Opcode.STR: StoreFlavor(True, False, True, raw=True),
 }
 
-#: Strict ALU opcodes: trap when an operand has its LSB set (a future).
-STRICT_COMPUTE = frozenset(
-    {Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.REM, Opcode.CMP}
-)
-
 _CATEGORY_RANGES = (
     (0x01, 0x06, Category.COMPUTE),
     (0x10, 0x1A, Category.LOGIC),
@@ -257,29 +252,10 @@ class Instruction:
         return category_of(self.op)
 
     def source_registers(self):
-        """Encoded register numbers this instruction reads."""
-        cat = self.category
-        regs = []
-        if cat in (Category.COMPUTE, Category.LOGIC):
-            if self.op not in (Opcode.LUI, Opcode.ORIL):
-                regs.append(self.rs1)
-                if not self.use_imm:
-                    regs.append(self.rs2)
-            if self.op is Opcode.ORIL:
-                regs.append(self.rd)
-        elif cat is Category.LOAD:
-            regs.append(self.rs1)
-        elif cat is Category.STORE:
-            regs.extend((self.rs1, self.rd))
-        elif cat is Category.JUMP:
-            regs.append(self.rs1)
-        elif self.op in (Opcode.STFP, Opcode.WRPSR):
-            regs.append(self.rs1)
-        elif cat is Category.OOB:
-            regs.append(self.rs1)
-            if self.op is Opcode.STIO:
-                regs.append(self.rd)
-        return regs
+        """Encoded register numbers this instruction reads: its
+        :mod:`~repro.isa.optable` row's ``reads``."""
+        row = optable.ROWS[self.op]
+        return row.registers(self, row.reads)
 
 
 def render_operand(value):
@@ -323,3 +299,7 @@ def render(instr):
     if op is Opcode.FLUSH:
         return "flush [%s%+d]" % (rn(instr.rs1), instr.imm)
     raise ValueError("cannot render %r" % (instr,))
+
+
+# Last: the table's rows are keyed by the opcodes defined above.
+from repro.isa import optable  # noqa: E402

@@ -125,6 +125,28 @@ class TestFilling:
         assembler.assemble(source)
         assert assembler.slots_filled == 0
 
+    @pytest.mark.parametrize("source, moved, branch", [
+        # Every task frame has its own PSR: in the slot, `bne` would
+        # test the old frame's condition codes.
+        ("start: cmp r1, 0\n incfp\n bne start\n halt",
+         Opcode.INCFP, Opcode.BNE),
+        # The link would go to the old frame's `ra`.
+        ("set 0, r1\n incfp\n call target\n target: halt",
+         Opcode.INCFP, Opcode.CALL),
+        # `jmpl` would read the old frame's `ra`.
+        ("stfp r1\n jmpl [ra+0], r0\n halt", Opcode.STFP, Opcode.JMPL),
+        # `jfull` would test the full/empty bit before `wrpsr` sets it.
+        ("start: addr r0, 1, r1\n wrpsr r2\n jfull start\n halt",
+         Opcode.WRPSR, Opcode.JFULL),
+    ], ids=["incfp-bne", "incfp-call", "stfp-jmpl", "wrpsr-jfull"])
+    def test_what_the_branch_reads_stays_before_it(self, source, moved,
+                                                   branch):
+        assembler = OptimizingAssembler()
+        program = assembler.assemble(source)
+        assert assembler.slots_filled == 0
+        ops = [decode(w).op for w in program.words]
+        assert ops.index(moved) == ops.index(branch) - 1
+
 
 class TestSemanticPreservation:
     LOOP = """
