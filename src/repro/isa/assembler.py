@@ -40,7 +40,7 @@ default trapping flavors ``ldnt``/``stnt``), ``neg s, d``, ``not s, d``,
 from repro.errors import AssemblerError
 from repro.isa import registers, tags
 from repro.isa.encoding import IMM11_MAX, IMM11_MIN, encode
-from repro.isa.instructions import Category, Instruction, Opcode, category_of
+from repro.isa.instructions import Instruction, Opcode
 from repro.isa.optable import ROWS
 
 _OPCODES_BY_NAME = {op.name.lower(): op for op in Opcode}
@@ -48,7 +48,6 @@ _OPCODES_BY_NAME = {op.name.lower(): op for op in Opcode}
 _ALIAS_OPS = {
     "ld": Opcode.LDNT,
     "st": Opcode.STNT,
-    "b": Opcode.BA,
 }
 
 
@@ -91,19 +90,28 @@ class Program:
 
 
 class _Statement:
-    """One parsed source statement awaiting label resolution."""
+    """One parsed source statement awaiting label resolution.
+
+    An instruction's ``instr`` has its opcode and registers from pass 0;
+    ``value`` is its immediate operand still to resolve in pass 2,
+    ``(how, text)`` with ``how`` one of ``"+"``, ``"-"`` (a value or
+    its negation), ``"hilo"`` or ``"target"`` — or ``None``.
+    """
 
     __slots__ = ("kind", "line", "mnemonic", "operands", "address", "size",
-                 "is_slot")
+                 "is_slot", "instr", "value")
 
-    def __init__(self, kind, line, mnemonic=None, operands=(), is_slot=False):
+    def __init__(self, kind, line, mnemonic=None, operands=(), instr=None,
+                 value=None):
         self.kind = kind          # 'instr' | 'word' | 'fixnum' | 'space'
         self.line = line
         self.mnemonic = mnemonic
         self.operands = operands
         self.address = None
         self.size = 1
-        self.is_slot = is_slot    # auto-inserted branch delay slot nop
+        self.is_slot = False      # auto-inserted branch delay slot nop
+        self.instr = instr
+        self.value = value
 
 
 def _tokenize_operands(text):
@@ -136,8 +144,7 @@ class Assembler:
     def assemble(self, source):
         """Assemble APRIL assembly source text into a :class:`Program`."""
         statements, labels_at, equs = self._parse(source)
-        labels = self._layout(statements, labels_at)
-        labels.update(equs)
+        labels = self._layout(statements, labels_at, equs)
         return self._emit(statements, labels)
 
     # -- pass 0: parse ---------------------------------------------------
@@ -171,8 +178,13 @@ class Assembler:
             if mnemonic == ".equ":
                 if len(operands) != 2:
                     raise AssemblerError(".equ needs name, value", lineno)
-                equs[operands[0]] = self._parse_int(operands[1], lineno)
+                name = operands[0]
+                if name in equs:
+                    raise AssemblerError("duplicate symbol %r" % name, lineno)
+                equs[name] = (self._parse_int(operands[1], lineno), lineno)
                 continue
+            if mnemonic in (".org", ".space", ".align"):
+                self._arity(operands, 1, lineno)
             if mnemonic == ".org":
                 pending_org = self._parse_int(operands[0], lineno)
                 statements.append(_Statement("org", lineno, operands=(pending_org,)))
@@ -188,6 +200,8 @@ class Assembler:
             if mnemonic == ".space":
                 stmt = _Statement("space", lineno)
                 stmt.size = self._parse_int(operands[0], lineno)
+                if stmt.size < 0:
+                    raise AssemblerError(".space count is negative", lineno)
                 statements.append(stmt)
                 continue
             if mnemonic == ".align":
@@ -202,21 +216,14 @@ class Assembler:
                 raise AssemblerError("unknown directive %s" % mnemonic, lineno)
 
             for expanded in self._expand(mnemonic, operands, lineno):
-                stmt = _Statement("instr", lineno, expanded[0], expanded[1])
-                statements.append(stmt)
+                statements.append(self._build(*expanded, lineno))
             if fill_slot:
                 self._fill_previous_slot(statements, lineno)
-            elif self._needs_delay_slot(mnemonic):
-                statements.append(
-                    _Statement("instr", lineno, "nop", (), is_slot=True)
-                )
+            elif ROWS[statements[-1].instr.op].delayed:
+                slot = self._build("nop", (), lineno)
+                slot.is_slot = True
+                statements.append(slot)
         return statements, labels_at, equs
-
-    def _needs_delay_slot(self, mnemonic):
-        op = _OPCODES_BY_NAME.get(mnemonic) or _ALIAS_OPS.get(mnemonic)
-        if mnemonic == "ret":
-            return True
-        return op is not None and ROWS[op].delayed
 
     def _fill_previous_slot(self, statements, lineno):
         """Move this just-appended instruction into the preceding nop slot."""
@@ -224,7 +231,7 @@ class Assembler:
             raise AssemblerError("@-slot with no preceding branch", lineno)
         filler = statements.pop()
         prev = statements[-1]
-        if prev.kind != "instr" or not prev.is_slot:
+        if not prev.is_slot:
             raise AssemblerError(
                 "@-slot must directly follow a branch/call/jmpl", lineno
             )
@@ -283,7 +290,9 @@ class Assembler:
 
     # -- pass 1: layout ----------------------------------------------------
 
-    def _layout(self, statements, labels_at):
+    def _layout(self, statements, labels_at, equs):
+        """Addresses for every statement; returns the symbol table:
+        labels, then the ``.equ`` constants."""
         labels = {}
         address = self.base
         addresses = []
@@ -321,6 +330,10 @@ class Assembler:
                 labels[label] = statements[j].address if j < len(statements) else address
             else:
                 labels[label] = address
+        for name, (value, lineno) in equs.items():
+            if name in labels:
+                raise AssemblerError("duplicate symbol %r" % name, lineno)
+            labels[name] = value
         return labels
 
     # -- pass 2: emit --------------------------------------------------------
@@ -346,7 +359,9 @@ class Assembler:
                     value = self._resolve_value(operand, labels, stmt.line)
                     words[offset + k] = tags.make_fixnum(value)
             else:
-                instr = self._build(stmt, labels)
+                instr = stmt.instr
+                if stmt.value is not None:
+                    instr.imm = self._immediate(stmt, labels)
                 try:
                     words[offset] = encode(instr)
                 except Exception as exc:
@@ -355,94 +370,57 @@ class Assembler:
                     stmt.mnemonic, ", ".join(stmt.operands)))
         return Program(self.base, words, labels, source_map)
 
-    def _build(self, stmt, labels):
-        mnemonic, operands, lineno = stmt.mnemonic, stmt.operands, stmt.line
+    def _build(self, mnemonic, operands, lineno):
+        """Pass 0: an instruction statement, read by its opcode's
+        format — registers now, the immediate operand left in ``value``
+        for pass 2."""
         op = _ALIAS_OPS.get(mnemonic) or _OPCODES_BY_NAME.get(mnemonic)
         if op is None:
             raise AssemblerError("unknown mnemonic %r" % mnemonic, lineno)
-        cat = category_of(op)
-
-        if op in (Opcode.LUI, Opcode.ORIL):
-            self._arity(operands, 2, lineno)
-            rd = self._reg(operands[0], lineno)
-            imm = self._resolve_hilo(operands[1], labels, lineno)
-            return Instruction(op, rd=rd, imm=imm, use_imm=True)
-
-        if cat in (Category.COMPUTE, Category.LOGIC):
-            if op is Opcode.CMP:
-                self._arity(operands, 2, lineno)
-                rs1 = self._reg(operands[0], lineno)
-                rhs = operands[1]
-                rd = 0
+        kinds = ROWS[op].format.operands
+        self._arity(operands, len(kinds), lineno)
+        instr = Instruction(op)
+        value = None
+        for kind, text in zip(kinds, operands):
+            if kind == "rd" or kind == "rs1":
+                setattr(instr, kind, self._reg(text, lineno))
+                continue
+            if kind == "rhs":
+                number = registers.register_number(text)
+                if number is not None:
+                    instr.rs2 = number
+                    continue
+            instr.use_imm = True
+            if kind == "address":
+                instr.rs1, value = self._address(text, lineno)
+            elif kind in ("hilo", "target"):
+                value = (kind, text)
             else:
-                self._arity(operands, 3, lineno)
-                rs1 = self._reg(operands[0], lineno)
-                rhs = operands[1]
-                rd = self._reg(operands[2], lineno)
-            reg = registers.register_number(rhs)
-            if reg is not None:
-                return Instruction(op, rd=rd, rs1=rs1, rs2=reg)
-            imm = self._resolve_value(rhs, labels, lineno)
-            return Instruction(op, rd=rd, rs1=rs1, imm=imm, use_imm=True)
+                value = ("+", text)
+        return _Statement("instr", lineno, mnemonic, operands, instr, value)
 
-        if cat is Category.LOAD or op is Opcode.LDIO:
-            self._arity(operands, 2, lineno)
-            rs1, imm = self._mem_operand(operands[0], labels, lineno)
-            rd = self._reg(operands[1], lineno)
-            return Instruction(op, rd=rd, rs1=rs1, imm=imm, use_imm=True)
+    def _immediate(self, stmt, labels):
+        """Pass 2: the value of ``stmt``'s immediate operand."""
+        how, text = stmt.value
+        if how == "hilo":
+            return self._resolve_hilo(text, labels, stmt.line)
+        if how == "target":
+            return self._branch_offset(text, stmt, labels)
+        value = self._resolve_value(text, labels, stmt.line)
+        return -value if how == "-" else value
 
-        if cat is Category.STORE or op is Opcode.STIO:
-            self._arity(operands, 2, lineno)
-            rd = self._reg(operands[0], lineno)
-            rs1, imm = self._mem_operand(operands[1], labels, lineno)
-            return Instruction(op, rd=rd, rs1=rs1, imm=imm, use_imm=True)
-
-        if cat is Category.BRANCH or op is Opcode.CALL:
-            self._arity(operands, 1, lineno)
-            target = operands[0]
-            literal = self._try_int(target)
-            if literal is not None:
-                offset = literal  # explicit offsets are in instructions
-            else:
-                if target not in labels:
-                    raise AssemblerError("unknown label %r" % target, lineno)
-                delta = labels[target] - stmt.address
-                if delta % 4:
-                    raise AssemblerError(
-                        "branch target %r not word aligned" % target, lineno
-                    )
-                offset = delta >> 2
-            return Instruction(op, imm=offset, use_imm=True)
-
-        if op is Opcode.JMPL:
-            self._arity(operands, 2, lineno)
-            rs1, imm = self._mem_operand(operands[0], labels, lineno)
-            rd = self._reg(operands[1], lineno)
-            return Instruction(op, rd=rd, rs1=rs1, imm=imm, use_imm=True)
-
-        if op is Opcode.TRAP:
-            self._arity(operands, 1, lineno)
-            return Instruction(
-                op, imm=self._resolve_value(operands[0], labels, lineno),
-                use_imm=True,
-            )
-
-        if op is Opcode.FLUSH:
-            self._arity(operands, 1, lineno)
-            rs1, imm = self._mem_operand(operands[0], labels, lineno)
-            return Instruction(op, rs1=rs1, imm=imm, use_imm=True)
-
-        if op in (Opcode.RDFP, Opcode.RDPSR):
-            self._arity(operands, 1, lineno)
-            return Instruction(op, rd=self._reg(operands[0], lineno))
-
-        if op in (Opcode.STFP, Opcode.WRPSR):
-            self._arity(operands, 1, lineno)
-            return Instruction(op, rs1=self._reg(operands[0], lineno))
-
-        if operands:
-            raise AssemblerError("%s takes no operands" % mnemonic, lineno)
-        return Instruction(op)
+    def _branch_offset(self, target, stmt, labels):
+        """A branch target: a literal offset in instructions, or a label."""
+        literal = self._try_int(target)
+        if literal is not None:
+            return literal
+        if target not in labels:
+            raise AssemblerError("unknown label %r" % target, stmt.line)
+        delta = labels[target] - stmt.address
+        if delta % 4:
+            raise AssemblerError(
+                "branch target %r not word aligned" % target, stmt.line)
+        return delta >> 2
 
     # -- operand helpers -----------------------------------------------------
 
@@ -452,8 +430,9 @@ class Assembler:
             raise AssemblerError("expected register, got %r" % text, lineno)
         return number
 
-    def _mem_operand(self, text, labels, lineno):
-        """Parse ``[reg+offset]`` / ``[reg-offset]`` / ``[reg]``."""
+    def _address(self, text, lineno):
+        """``[reg+offset]`` / ``[reg-offset]`` / ``[reg]``: the base
+        register and the offset still to resolve (``None``: 0)."""
         text = text.strip()
         if not (text.startswith("[") and text.endswith("]")):
             raise AssemblerError("expected [base+offset], got %r" % text, lineno)
@@ -461,10 +440,9 @@ class Assembler:
         for sep in ("+", "-"):
             if sep in inner:
                 base_text, _, offset_text = inner.partition(sep)
-                base = self._reg(base_text.strip(), lineno)
-                offset = self._resolve_value(offset_text.strip(), labels, lineno)
-                return base, (offset if sep == "+" else -offset)
-        return self._reg(inner, lineno), 0
+                return (self._reg(base_text.strip(), lineno),
+                        (sep, offset_text.strip()))
+        return self._reg(inner, lineno), None
 
     @staticmethod
     def _try_int(text):

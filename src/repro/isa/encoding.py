@@ -5,159 +5,113 @@ clean fixed-width encoding so the simulator can keep programs in
 simulated memory as genuine 32-bit words (and so the assembler and
 disassembler have a real round-trip to honor).
 
-All formats start with an 8-bit opcode in bits 31..24.
+Bits 31..24 hold the opcode; the rest is the opcode's operand format
+(:data:`~repro.isa.optable.FORMATS`), a sequence of the bit fields of
+:data:`~repro.isa.optable.FIELDS`.  Bits no field covers encode as 0
+and decode as ignored.
 
-=========== ===========================================================
-Format      Layout (bit 31 .. bit 0)
-=========== ===========================================================
-R (ALU)     op:8 | rd:6 | rs1:6 | i=0:1 | pad:5 | rs2:6
-I (ALU)     op:8 | rd:6 | rs1:6 | i=1:1 | imm:11 (signed)
-M (memory)  op:8 | rd:6 | rs1:6 | imm:12 (signed)
-U (lui/oril) op:8 | rd:6 | imm:18 (unsigned)
-B (branch)  op:8 | offset:24 (signed, in words)
-T (trap)    op:8 | pad:16 | vector:8
-Z (no-arg)  op:8 | pad:24
-=========== ===========================================================
+======= ======= ====================================================
+Field   Bits    Holds
+======= ======= ====================================================
+rd      23..18  a register
+rs1     17..12  a register
+rhs     11..11  the i-bit: ``rs2`` when clear, ``imm11`` when set
+rs2     5..0    a register
+imm11   10..0   a signed immediate (``use_imm``)
+imm12   11..0   a signed immediate
+imm18   17..0   an unsigned immediate
+off24   23..0   a signed branch offset, in words
+vector8 7..0    a trap vector
+======= ======= ====================================================
+
+======= =============== ============================================
+Format  Fields          Opcodes
+======= =============== ============================================
+alu     rd rs1 rhs      compute and logic, bar the three below
+cmp     rd rs1 rhs      ``cmp`` (``rd`` is never printed: 0)
+wide    rd imm18        ``lui``, ``oril``
+load    rd rs1 imm12    loads, ``ldio``, ``jmpl``
+store   rd rs1 imm12    stores, ``stio``
+flush   rd rs1 imm12    ``flush`` (``rd`` is never printed: 0)
+branch  off24           branches, ``call``
+trap    vector8         ``trap``
+none                    ``incfp``, ``decfp``, ``rett``, ``nop``, ``halt``
+read    rd              ``rdfp``, ``rdpsr``
+write   rs1             ``stfp``, ``wrpsr``
+======= =============== ============================================
 
 ``SET rd, imm32`` is a pseudo-instruction the assembler expands into
 ``LUI rd, imm >> 14`` followed by ``ORIL rd, imm & 0x3FFF``.
 """
 
 from repro.errors import EncodingError
-from repro.isa.instructions import Category, Instruction, Opcode, category_of
+from repro.isa.instructions import Instruction, Opcode
+from repro.isa.optable import FIELDS, I_BIT, TABLE
 
 IMM11_MIN, IMM11_MAX = -(1 << 10), (1 << 10) - 1
 IMM12_MIN, IMM12_MAX = -(1 << 11), (1 << 11) - 1
 IMM18_MAX = (1 << 18) - 1
 OFF24_MIN, OFF24_MAX = -(1 << 23), (1 << 23) - 1
 
-_U_OPS = (Opcode.LUI, Opcode.ORIL)
-_M_OPS_EXTRA = (Opcode.JMPL, Opcode.FLUSH, Opcode.LDIO, Opcode.STIO)
-_Z_OPS = (
-    Opcode.INCFP, Opcode.DECFP, Opcode.RETT, Opcode.NOP, Opcode.HALT,
-)
-_ONE_REG_D = (Opcode.RDFP, Opcode.RDPSR)
-_ONE_REG_S = (Opcode.STFP, Opcode.WRPSR)
-
 _OPCODES_BY_VALUE = {int(op): op for op in Opcode}
 
 
-def _check_reg(value, what):
-    if not 0 <= value < 64:
-        raise EncodingError("%s out of range: %d" % (what, value))
+def _field(name):
+    """``(attribute, lowest bit, mask, min, max, what)`` of a field."""
+    attr, low, width, signed, what = FIELDS[name]
+    least = -(1 << (width - 1)) if signed else 0
+    return attr, low, (1 << width) - 1, least, least + (1 << width) - 1, what
 
 
-def _signed(value, bits):
-    mask = (1 << bits) - 1
-    value &= mask
-    if value >= 1 << (bits - 1):
-        value -= 1 << bits
-    return value
+_RS2, _IMM11 = _field("rs2"), _field("imm11")
+
+#: Per opcode, its format's fields; ``None`` is ``rhs``.
+_LAYOUTS = {
+    row.op: tuple(None if name == "rhs" else _field(name)
+                  for name in row.format.fields)
+    for row in TABLE}
 
 
 def encode(instr):
     """Encode an :class:`Instruction` into a 32-bit integer word."""
-    op = instr.op
-    word = int(op) << 24
-    cat = category_of(op)
-
-    if op in _U_OPS:
-        _check_reg(instr.rd, "rd")
-        if not 0 <= instr.imm <= IMM18_MAX:
-            raise EncodingError("imm18 out of range: %d" % instr.imm)
-        return word | (instr.rd << 18) | instr.imm
-
-    if cat in (Category.COMPUTE, Category.LOGIC):
-        _check_reg(instr.rd, "rd")
-        _check_reg(instr.rs1, "rs1")
-        word |= (instr.rd << 18) | (instr.rs1 << 12)
-        if instr.use_imm:
-            if not IMM11_MIN <= instr.imm <= IMM11_MAX:
-                raise EncodingError("imm11 out of range: %d" % instr.imm)
-            return word | (1 << 11) | (instr.imm & 0x7FF)
-        _check_reg(instr.rs2, "rs2")
-        return word | instr.rs2
-
-    if cat in (Category.LOAD, Category.STORE) or op in _M_OPS_EXTRA:
-        _check_reg(instr.rd, "rd")
-        _check_reg(instr.rs1, "rs1")
-        if not IMM12_MIN <= instr.imm <= IMM12_MAX:
-            raise EncodingError("imm12 out of range: %d" % instr.imm)
-        return word | (instr.rd << 18) | (instr.rs1 << 12) | (instr.imm & 0xFFF)
-
-    if cat is Category.BRANCH or op is Opcode.CALL:
-        if not OFF24_MIN <= instr.imm <= OFF24_MAX:
-            raise EncodingError("branch offset out of range: %d" % instr.imm)
-        return word | (instr.imm & 0xFFFFFF)
-
-    if op is Opcode.TRAP:
-        if not 0 <= instr.imm < 256:
-            raise EncodingError("trap vector out of range: %d" % instr.imm)
-        return word | instr.imm
-
-    if op in _Z_OPS:
-        return word
-
-    if op in _ONE_REG_D:
-        _check_reg(instr.rd, "rd")
-        return word | (instr.rd << 18)
-
-    if op in _ONE_REG_S:
-        _check_reg(instr.rs1, "rs1")
-        return word | (instr.rs1 << 12)
-
-    raise EncodingError("cannot encode opcode %r" % op)
+    word = int(instr.op) << 24
+    for field in _LAYOUTS[instr.op]:
+        if field is None:
+            if instr.use_imm:
+                word |= I_BIT
+                field = _IMM11
+            else:
+                field = _RS2
+        attr, low, mask, least, most, what = field
+        value = getattr(instr, attr)
+        if not least <= value <= most:
+            raise EncodingError("%s out of range: %d" % (what, value))
+        word |= (value & mask) << low
+    return word
 
 
 def decode(word):
     """Decode a 32-bit word into an :class:`Instruction`.
 
     Raises :class:`EncodingError` for unknown opcodes, so executing data
-    as code fails loudly.
+    as code fails loudly.  An immediate field sets ``use_imm``.
     """
     opval = (word >> 24) & 0xFF
     op = _OPCODES_BY_VALUE.get(opval)
     if op is None:
         raise EncodingError("unknown opcode byte %#04x in word %#010x" % (opval, word))
-    cat = category_of(op)
-
-    if op in _U_OPS:
-        return Instruction(op, rd=(word >> 18) & 0x3F, imm=word & IMM18_MAX,
-                           use_imm=True)
-
-    if cat in (Category.COMPUTE, Category.LOGIC):
-        rd = (word >> 18) & 0x3F
-        rs1 = (word >> 12) & 0x3F
-        if word & (1 << 11):
-            return Instruction(op, rd=rd, rs1=rs1, imm=_signed(word, 11),
-                               use_imm=True)
-        return Instruction(op, rd=rd, rs1=rs1, rs2=word & 0x3F)
-
-    if cat in (Category.LOAD, Category.STORE) or op in _M_OPS_EXTRA:
-        return Instruction(
-            op,
-            rd=(word >> 18) & 0x3F,
-            rs1=(word >> 12) & 0x3F,
-            imm=_signed(word, 12),
-            use_imm=True,
-        )
-
-    if cat is Category.BRANCH or op is Opcode.CALL:
-        return Instruction(op, imm=_signed(word, 24), use_imm=True)
-
-    if op is Opcode.TRAP:
-        return Instruction(op, imm=word & 0xFF, use_imm=True)
-
-    if op in _Z_OPS:
-        return Instruction(op)
-
-    if op in _ONE_REG_D:
-        return Instruction(op, rd=(word >> 18) & 0x3F)
-
-    if op in _ONE_REG_S:
-        return Instruction(op, rs1=(word >> 12) & 0x3F)
-
-    raise EncodingError("cannot decode opcode %r" % op)
+    instr = Instruction(op)
+    for field in _LAYOUTS[op]:
+        if field is None:
+            field = _IMM11 if word & I_BIT else _RS2
+        attr, low, mask, _least, most, _what = field
+        value = (word >> low) & mask
+        if value > most:
+            value -= mask + 1
+        setattr(instr, attr, value)
+        if attr == "imm":
+            instr.use_imm = True
+    return instr
 
 
 class DecodeCache:

@@ -265,40 +265,28 @@ def render_operand(value):
     return hex(value)
 
 
+_rn = registers.register_name
+
+#: Per operand kind of a :class:`~repro.isa.optable.Format`: its text.
+_OPERAND_TEXT = {
+    "rd": lambda instr: _rn(instr.rd),
+    "rs1": lambda instr: _rn(instr.rs1),
+    "rhs": lambda instr: (render_operand(instr.imm) if instr.use_imm
+                          else _rn(instr.rs2)),
+    "address": lambda instr: "[%s%+d]" % (_rn(instr.rs1), instr.imm),
+    "hilo": lambda instr: render_operand(instr.imm),
+    "target": lambda instr: render_operand(instr.imm),
+    "vector": lambda instr: "%d" % instr.imm,
+}
+
+
 def render(instr):
-    """Disassemble one :class:`Instruction` to canonical assembly text."""
-    op = instr.op
-    name = op.name.lower()
-    cat = category_of(op)
-    rn = registers.register_name
-    if cat in (Category.COMPUTE, Category.LOGIC):
-        if op in (Opcode.LUI, Opcode.ORIL):
-            return "%s %s, %s" % (name, rn(instr.rd), render_operand(instr.imm))
-        rhs = render_operand(instr.imm) if instr.use_imm else rn(instr.rs2)
-        if op is Opcode.CMP:
-            return "%s %s, %s" % (name, rn(instr.rs1), rhs)
-        return "%s %s, %s, %s" % (name, rn(instr.rs1), rhs, rn(instr.rd))
-    if cat is Category.LOAD or op is Opcode.LDIO:
-        return "%s [%s%+d], %s" % (name, rn(instr.rs1), instr.imm, rn(instr.rd))
-    if cat is Category.STORE or op is Opcode.STIO:
-        return "%s %s, [%s%+d]" % (name, rn(instr.rd), rn(instr.rs1), instr.imm)
-    if cat is Category.BRANCH:
-        return "%s %s" % (name, render_operand(instr.imm))
-    if op is Opcode.JMPL:
-        return "jmpl [%s%+d], %s" % (rn(instr.rs1), instr.imm, rn(instr.rd))
-    if op is Opcode.CALL:
-        return "call %s" % render_operand(instr.imm)
-    if op in (Opcode.INCFP, Opcode.DECFP, Opcode.RETT, Opcode.NOP, Opcode.HALT):
-        return name
-    if op in (Opcode.RDFP, Opcode.RDPSR):
-        return "%s %s" % (name, rn(instr.rd))
-    if op in (Opcode.STFP, Opcode.WRPSR):
-        return "%s %s" % (name, rn(instr.rs1))
-    if op is Opcode.TRAP:
-        return "trap %d" % instr.imm
-    if op is Opcode.FLUSH:
-        return "flush [%s%+d]" % (rn(instr.rs1), instr.imm)
-    raise ValueError("cannot render %r" % (instr,))
+    """Disassemble one :class:`Instruction` to canonical assembly text:
+    its mnemonic, then its format's operands."""
+    name = instr.op.name.lower()
+    operands = [_OPERAND_TEXT[kind](instr)
+                for kind in optable.ROWS[instr.op].format.operands]
+    return "%s %s" % (name, ", ".join(operands)) if operands else name
 
 
 # Last: the table's rows are keyed by the opcodes defined above.

@@ -15,7 +15,8 @@ it from :data:`ROWS`:
   ``reads``;
 * the delay-slot filler (:mod:`repro.isa.optimizer`) moves an
   instruction by ``reads`` and ``writes``, and the assembler puts a
-  slot after every ``delayed`` op.
+  slot after every ``delayed`` op;
+* the encoder, decoder, disassembler and assembler read ``format``.
 
 A row gives:
 
@@ -49,9 +50,17 @@ A row gives:
     ``call``, ``jmpl``: PC-chain math) or :data:`DELEGATED` (generated
     code calls the closure).  :attr:`Row.private` follows from it.
 
-Bit layouts (:mod:`repro.isa.encoding`, :mod:`repro.core.psr`) and
-assembler operand syntax are not here, and this module imports nothing
-from :mod:`repro.core`.
+``format``
+    The operand format, a :data:`FORMATS` entry: the bit fields of
+    :data:`FIELDS` its word holds, and its assembler operands in order.
+    :func:`~repro.isa.encoding.encode`,
+    :func:`~repro.isa.encoding.decode`,
+    :func:`~repro.isa.instructions.render` and the assembler's parser
+    each loop over it; the delay-slot filler reads the registers the
+    parser filled in.
+
+The PSR's bit positions (:mod:`repro.core.psr`) are not here, and this
+module imports nothing from :mod:`repro.core`.
 """
 
 from repro.isa import registers
@@ -73,6 +82,66 @@ DELEGATED = "delegated"
 
 #: The entries of ``reads``/``writes`` that name registers.
 REGISTER_FIELDS = ("rs1", "rs2", "rd", "ra")
+
+#: A word's bit fields below the opcode (bits 31..24): name ->
+#: (``Instruction`` attribute, lowest bit, width, signed, what a range
+#: error calls it).
+FIELDS = {
+    "rd": ("rd", 18, 6, False, "rd"),
+    "rs1": ("rs1", 12, 6, False, "rs1"),
+    "rs2": ("rs2", 0, 6, False, "rs2"),
+    "imm11": ("imm", 0, 11, True, "imm11"),
+    "imm12": ("imm", 0, 12, True, "imm12"),
+    "imm18": ("imm", 0, 18, False, "imm18"),
+    "off24": ("imm", 0, 24, True, "branch offset"),
+    "vector8": ("imm", 0, 8, False, "trap vector"),
+}
+
+#: The ``rhs`` field is this bit and what it selects: clear, ``rs2``;
+#: set, ``imm11`` (the immediate form, ``use_imm``).
+I_BIT = 1 << 11
+
+
+class Format:
+    """One operand format.
+
+    ``fields`` are the bit fields the word holds (:data:`FIELDS`, or
+    ``"rhs"``); ``operands`` the assembler operands in order:
+    ``"rd"``/``"rs1"`` (a register), ``"rhs"`` (a register, ``rs2``, or
+    an ``imm11`` value), ``"address"`` (``[rs1+imm]``), ``"hilo"`` (a
+    ``%hi:``/``%lo:`` half of a ``set`` or a value), ``"target"`` (a
+    label or a branch offset in words) and ``"vector"`` (a trap vector).
+    A field no operand names (``cmp``'s and ``flush``'s ``rd``) is still
+    encoded and decoded, but never printed or parsed: it stays 0.
+    """
+
+    __slots__ = ("name", "fields", "operands")
+
+    def __init__(self, name, fields, operands):
+        self.name = name
+        self.fields = fields
+        self.operands = operands
+
+    def __repr__(self):
+        return "Format(%s)" % self.name
+
+
+_MEMORY = ("rd", "rs1", "imm12")
+
+#: Every operand format, by name.
+FORMATS = {fmt.name: fmt for fmt in (
+    Format("alu", ("rd", "rs1", "rhs"), ("rs1", "rhs", "rd")),
+    Format("cmp", ("rd", "rs1", "rhs"), ("rs1", "rhs")),
+    Format("wide", ("rd", "imm18"), ("rd", "hilo")),
+    Format("load", _MEMORY, ("address", "rd")),
+    Format("store", _MEMORY, ("rd", "address")),
+    Format("flush", _MEMORY, ("address",)),
+    Format("branch", ("off24",), ("target",)),
+    Format("trap", ("vector8",), ("vector",)),
+    Format("none", (), ()),
+    Format("read", ("rd",), ("rd",)),
+    Format("write", ("rs1",), ("rs1",)),
+)}
 
 _SIGN = 0x80000000
 
@@ -107,12 +176,13 @@ PRODUCERS = {
 class Row:
     """One opcode's facts (see the module docstring)."""
 
-    __slots__ = ("op", "shape", "reads", "writes", "alu", "kind", "strict",
-                 "delayed", "condition")
+    __slots__ = ("op", "format", "shape", "reads", "writes", "alu", "kind",
+                 "strict", "delayed", "condition")
 
-    def __init__(self, op, shape, reads=(), writes=(), alu=None, kind=None,
-                 strict=False, delayed=False, condition=None):
+    def __init__(self, op, fmt, shape, reads=(), writes=(), alu=None,
+                 kind=None, strict=False, delayed=False, condition=None):
         self.op = op
+        self.format = FORMATS[fmt]
         self.shape = shape
         self.reads = _whole(reads)
         self.writes = _whole(writes)
@@ -153,94 +223,91 @@ def _whole(state):
 
 _RS = ("rs1", "rs2")
 _SETS = ("rd", CC)
-_ON_CC = (CC, FP)
 _JUMPS = (PC,)
+
+
+def _branch(op, condition, reads=(CC, FP)):
+    """A conditional branch's row."""
+    return Row(op, "branch", CONDITIONAL, reads, _JUMPS, delayed=True,
+               condition=condition)
+
+
+_LESS = "(psr & {N} != 0) != (psr & {V} != 0)"
 
 #: Every opcode's row, in opcode order.
 TABLE = (
     # -- strict compute: future-detecting, sets N/Z/V/C ------------------
-    Row(Opcode.ADD, STRAIGHT, _RS, _SETS, _ADD, "add", strict=True),
-    Row(Opcode.SUB, STRAIGHT, _RS, _SETS, _SUB, "sub", strict=True),
-    Row(Opcode.MUL, STRAIGHT, _RS, _SETS, _MUL, "mul", strict=True),
-    Row(Opcode.DIV, DELEGATED, _RS, _SETS,
+    Row(Opcode.ADD, "alu", STRAIGHT, _RS, _SETS, _ADD, "add", strict=True),
+    Row(Opcode.SUB, "alu", STRAIGHT, _RS, _SETS, _SUB, "sub", strict=True),
+    Row(Opcode.MUL, "alu", STRAIGHT, _RS, _SETS, _MUL, "mul", strict=True),
+    Row(Opcode.DIV, "alu", DELEGATED, _RS, _SETS,
         _QUOTIENT + ("res = (_q << 2) & %d" % WORD_MASK,), "logic",
         strict=True),
-    Row(Opcode.REM, DELEGATED, _RS, _SETS,
+    Row(Opcode.REM, "alu", DELEGATED, _RS, _SETS,
         _QUOTIENT + ("res = ((_x - _q * _y) << 2) & %d" % WORD_MASK,),
         "logic", strict=True),
-    Row(Opcode.CMP, STRAIGHT, _RS, (CC,), _SUB, "sub", strict=True),
+    Row(Opcode.CMP, "cmp", STRAIGHT, _RS, (CC,), _SUB, "sub", strict=True),
     # -- raw logic: never traps, sets N/Z/V/C ----------------------------
-    Row(Opcode.AND, STRAIGHT, _RS, _SETS, ("res = {a} & {b}",), "logic"),
-    Row(Opcode.OR, STRAIGHT, _RS, _SETS, ("res = {a} | {b}",), "logic"),
-    Row(Opcode.XOR, STRAIGHT, _RS, _SETS,
+    Row(Opcode.AND, "alu", STRAIGHT, _RS, _SETS, ("res = {a} & {b}",),
+        "logic"),
+    Row(Opcode.OR, "alu", STRAIGHT, _RS, _SETS, ("res = {a} | {b}",),
+        "logic"),
+    Row(Opcode.XOR, "alu", STRAIGHT, _RS, _SETS,
         ("res = ({a} ^ {b}) & %d" % WORD_MASK,), "logic"),
-    Row(Opcode.ANDN, STRAIGHT, _RS, _SETS,
+    Row(Opcode.ANDN, "alu", STRAIGHT, _RS, _SETS,
         ("res = {a} & ~{b} & %d" % WORD_MASK,), "logic"),
-    Row(Opcode.SLL, STRAIGHT, _RS, _SETS,
+    Row(Opcode.SLL, "alu", STRAIGHT, _RS, _SETS,
         ("res = ({a} << ({b} & 31)) & %d" % WORD_MASK,), "logic"),
-    Row(Opcode.SRL, STRAIGHT, _RS, _SETS,
+    Row(Opcode.SRL, "alu", STRAIGHT, _RS, _SETS,
         ("res = ({a} & %d) >> ({b} & 31)" % WORD_MASK,), "logic"),
-    Row(Opcode.SRA, STRAIGHT, _RS, _SETS,
+    Row(Opcode.SRA, "alu", STRAIGHT, _RS, _SETS,
         ("res = ((%s) >> ({b} & 31)) & %d" % (_signed("{a}"), WORD_MASK),),
         "logic"),
-    Row(Opcode.ADDR, STRAIGHT, _RS, _SETS, _ADD, "add"),
-    Row(Opcode.SUBR, STRAIGHT, _RS, _SETS, _SUB, "sub"),
+    Row(Opcode.ADDR, "alu", STRAIGHT, _RS, _SETS, _ADD, "add"),
+    Row(Opcode.SUBR, "alu", STRAIGHT, _RS, _SETS, _SUB, "sub"),
     # ``lui``/``oril`` build a constant and leave the PSR alone.
-    Row(Opcode.LUI, STRAIGHT, (), ("rd",)),
-    Row(Opcode.ORIL, STRAIGHT, ("rd",), ("rd",)),
+    Row(Opcode.LUI, "wide", STRAIGHT, (), ("rd",)),
+    Row(Opcode.ORIL, "wide", STRAIGHT, ("rd",), ("rd",)),
     # -- memory (Table 2): every flavor sets the full/empty bit ----------
-    *(Row(op, LOAD, ("rs1",), ("rd", FE)) for op in LOAD_FLAVORS),
-    *(Row(op, STORE, ("rs1", "rd"), (FE,)) for op in STORE_FLAVORS),
+    *(Row(op, "load", LOAD, ("rs1",), ("rd", FE)) for op in LOAD_FLAVORS),
+    *(Row(op, "store", STORE, ("rs1", "rd"), (FE,)) for op in STORE_FLAVORS),
     # -- branches ----------------------------------------------------------
-    Row(Opcode.BA, REDIRECT, (FP,), _JUMPS, delayed=True),
-    Row(Opcode.BN, STRAIGHT, (FP,), _JUMPS, delayed=True),
-    Row(Opcode.BE, CONDITIONAL, _ON_CC, _JUMPS, delayed=True,
-        condition="psr & {Z}"),
-    Row(Opcode.BNE, CONDITIONAL, _ON_CC, _JUMPS, delayed=True,
-        condition="not psr & {Z}"),
-    Row(Opcode.BL, CONDITIONAL, _ON_CC, _JUMPS, delayed=True,
-        condition="(psr & {N} != 0) != (psr & {V} != 0)"),
-    Row(Opcode.BLE, CONDITIONAL, _ON_CC, _JUMPS, delayed=True,
-        condition="psr & {Z} or (psr & {N} != 0) != (psr & {V} != 0)"),
-    Row(Opcode.BG, CONDITIONAL, _ON_CC, _JUMPS, delayed=True,
-        condition="not (psr & {Z} or (psr & {N} != 0) != (psr & {V} != 0))"),
-    Row(Opcode.BGE, CONDITIONAL, _ON_CC, _JUMPS, delayed=True,
-        condition="(psr & {N} != 0) == (psr & {V} != 0)"),
-    Row(Opcode.BNEG, CONDITIONAL, _ON_CC, _JUMPS, delayed=True,
-        condition="psr & {N}"),
-    Row(Opcode.BPOS, CONDITIONAL, _ON_CC, _JUMPS, delayed=True,
-        condition="not psr & {N}"),
-    Row(Opcode.BCS, CONDITIONAL, _ON_CC, _JUMPS, delayed=True,
-        condition="psr & {C}"),
-    Row(Opcode.BCC, CONDITIONAL, _ON_CC, _JUMPS, delayed=True,
-        condition="not psr & {C}"),
-    Row(Opcode.BVS, CONDITIONAL, _ON_CC, _JUMPS, delayed=True,
-        condition="psr & {V}"),
-    Row(Opcode.BVC, CONDITIONAL, _ON_CC, _JUMPS, delayed=True,
-        condition="not psr & {V}"),
-    Row(Opcode.JFULL, CONDITIONAL, (FE, FP), _JUMPS, delayed=True,
-        condition="psr & {FE}"),
-    Row(Opcode.JEMPTY, CONDITIONAL, (FE, FP), _JUMPS, delayed=True,
-        condition="not psr & {FE}"),
+    Row(Opcode.BA, "branch", REDIRECT, (FP,), _JUMPS, delayed=True),
+    Row(Opcode.BN, "branch", STRAIGHT, (FP,), _JUMPS, delayed=True),
+    _branch(Opcode.BE, "psr & {Z}"),
+    _branch(Opcode.BNE, "not psr & {Z}"),
+    _branch(Opcode.BL, _LESS),
+    _branch(Opcode.BLE, "psr & {Z} or " + _LESS),
+    _branch(Opcode.BG, "not (psr & {Z} or %s)" % _LESS),
+    _branch(Opcode.BGE, "(psr & {N} != 0) == (psr & {V} != 0)"),
+    _branch(Opcode.BNEG, "psr & {N}"),
+    _branch(Opcode.BPOS, "not psr & {N}"),
+    _branch(Opcode.BCS, "psr & {C}"),
+    _branch(Opcode.BCC, "not psr & {C}"),
+    _branch(Opcode.BVS, "psr & {V}"),
+    _branch(Opcode.BVC, "not psr & {V}"),
+    _branch(Opcode.JFULL, "psr & {FE}", (FE, FP)),
+    _branch(Opcode.JEMPTY, "not psr & {FE}", (FE, FP)),
     # -- jumps: the link is written before the delay slot runs -----------
-    Row(Opcode.JMPL, REDIRECT, ("rs1", FP), ("rd", PC), delayed=True),
-    Row(Opcode.CALL, REDIRECT, (FP,), ("ra", PC), delayed=True),
+    Row(Opcode.JMPL, "load", REDIRECT, ("rs1", FP), ("rd", PC),
+        delayed=True),
+    Row(Opcode.CALL, "branch", REDIRECT, (FP,), ("ra", PC), delayed=True),
     # -- frame pointer (Section 4) ----------------------------------------
-    Row(Opcode.INCFP, DELEGATED, (FP,), (FP,)),
-    Row(Opcode.DECFP, DELEGATED, (FP,), (FP,)),
-    Row(Opcode.RDFP, DELEGATED, (FP,), ("rd",)),
-    Row(Opcode.STFP, DELEGATED, ("rs1",), (FP,)),
+    Row(Opcode.INCFP, "none", DELEGATED, (FP,), (FP,)),
+    Row(Opcode.DECFP, "none", DELEGATED, (FP,), (FP,)),
+    Row(Opcode.RDFP, "read", DELEGATED, (FP,), ("rd",)),
+    Row(Opcode.STFP, "write", DELEGATED, ("rs1",), (FP,)),
     # -- system: a trap, ``rett`` and ``halt`` leave the PC chain ---------
-    Row(Opcode.TRAP, DELEGATED, (), (PC,)),
-    Row(Opcode.RDPSR, DELEGATED, (PSR,), ("rd",)),
-    Row(Opcode.WRPSR, DELEGATED, ("rs1",), (PSR,)),
-    Row(Opcode.RETT, DELEGATED, (), (PSR, PC)),
-    Row(Opcode.NOP, STRAIGHT),
-    Row(Opcode.HALT, DELEGATED, (), (PC,)),
+    Row(Opcode.TRAP, "trap", DELEGATED, (), (PC,)),
+    Row(Opcode.RDPSR, "read", DELEGATED, (PSR,), ("rd",)),
+    Row(Opcode.WRPSR, "write", DELEGATED, ("rs1",), (PSR,)),
+    Row(Opcode.RETT, "none", DELEGATED, (), (PSR, PC)),
+    Row(Opcode.NOP, "none", STRAIGHT),
+    Row(Opcode.HALT, "none", DELEGATED, (), (PC,)),
     # -- out-of-band (Section 3.4) ----------------------------------------
-    Row(Opcode.FLUSH, DELEGATED, ("rs1",)),
-    Row(Opcode.LDIO, DELEGATED, ("rs1",), ("rd",)),
-    Row(Opcode.STIO, DELEGATED, ("rs1", "rd")),
+    Row(Opcode.FLUSH, "flush", DELEGATED, ("rs1",)),
+    Row(Opcode.LDIO, "load", DELEGATED, ("rs1",), ("rd",)),
+    Row(Opcode.STIO, "store", DELEGATED, ("rs1", "rd")),
 )
 
 #: :data:`TABLE` by opcode.

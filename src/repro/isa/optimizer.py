@@ -30,38 +30,16 @@ original pre-branch position — no liveness analysis beyond the above is
 needed.
 """
 
-from repro.errors import AssemblerError
-from repro.isa.assembler import Assembler, _Statement
+from repro.isa.assembler import Assembler
 from repro.isa.optable import REGISTER_FIELDS, ROWS
-
-
-class _AnySymbol(dict):
-    """Resolves every symbol, to 0: the pass reads an instruction's
-    opcode and registers, never an address or a constant."""
-
-    def __contains__(self, name):
-        return True
-
-    def __missing__(self, name):
-        return 0
-
-
-_BUILDER = Assembler()
-_ANY_SYMBOL = _AnySymbol()
 
 
 def _effects_of(stmt):
     """``(reads, writes)`` of an instruction statement — the register
-    numbers it names, bar the hard-wired zero, and its row's processor
-    state — or ``None`` when it is not an instruction the assembler
-    builds."""
-    if stmt.kind != "instr":
-        return None
-    probe = _Statement("instr", stmt.line, stmt.mnemonic, stmt.operands)
-    probe.address = 0
-    try:
-        instr = _BUILDER._build(probe, _ANY_SYMBOL)
-    except AssemblerError:
+    numbers its parsed instruction names, bar the hard-wired zero, and
+    its row's processor state — or ``None`` for a data statement."""
+    instr = stmt.instr
+    if instr is None:
         return None
     row = ROWS[instr.op]
     return tuple(
@@ -76,10 +54,6 @@ class DelaySlotFiller:
     def __init__(self):
         self.filled = 0
         self.total_slots = 0
-        #: ``(kind, mnemonic, operands) -> _effects_of``: compiled code
-        #: repeats its statements (``ret``, stack pops), so one build
-        #: each.
-        self._known = {}
 
     def run(self, statements, labeled_ids):
         """Fill slots; returns the new statement list.
@@ -95,7 +69,7 @@ class DelaySlotFiller:
         i = 2
         while i < len(result):
             slot = result[i]
-            if not (slot.kind == "instr" and getattr(slot, "is_slot", False)):
+            if not slot.is_slot:
                 i += 1
                 continue
             self.total_slots += 1
@@ -117,20 +91,13 @@ class DelaySlotFiller:
             return False     # jump targets cannot move or absorb code
         if candidate.is_slot:
             return False
-        moved = self._effects(candidate)
-        fixed = self._effects(branch)
+        moved = _effects_of(candidate)
+        fixed = _effects_of(branch)
         if moved is None or fixed is None:
             return False
         reads, writes = moved
         branch_reads, branch_writes = fixed
         return not (writes & branch_reads or (reads | writes) & branch_writes)
-
-    def _effects(self, stmt):
-        key = (stmt.kind, stmt.mnemonic, stmt.operands)
-        known = self._known
-        if key not in known:
-            known[key] = _effects_of(stmt)
-        return known[key]
 
 
 class OptimizingAssembler(Assembler):
@@ -167,8 +134,7 @@ class OptimizingAssembler(Assembler):
              org)
             for label, stmt, org in anchors
         ]
-        labels = self._layout(statements, labels_at)
-        labels.update(equs)
+        labels = self._layout(statements, labels_at, equs)
         return self._emit(statements, labels)
 
 

@@ -247,6 +247,11 @@ class TestDirectives:
         with pytest.raises(AssemblerError):
             assemble("nop\nnop\n.org 0\nnop")
 
+    def test_space_zero_is_legal(self):
+        program = assemble("a: nop\n.space 0\nb: nop")
+        assert program.address_of("b") == 4
+        assert len(program.words) == 2
+
 
 class TestErrors:
     def test_unknown_mnemonic(self):
@@ -264,6 +269,29 @@ class TestErrors:
     def test_slot_fill_without_branch(self):
         with pytest.raises(AssemblerError):
             assemble("nop\n@add r1, 1, r1")
+
+    @pytest.mark.parametrize("directive", [".space", ".org", ".align"])
+    def test_bare_directive_names_its_line(self, directive):
+        with pytest.raises(AssemblerError) as caught:
+            assemble("nop\n    %s\n" % directive)
+        assert caught.value.line == 2
+
+    def test_negative_space_raises(self):
+        # It used to move the location counter back: `b` at byte -4.
+        with pytest.raises(AssemblerError) as caught:
+            assemble("a: nop\n.space -2\nb: nop\nhalt")
+        assert caught.value.line == 2
+
+    def test_equ_may_not_replace_a_label(self):
+        # `labels["x"]` used to become 8, sending `ba x` to its own slot.
+        with pytest.raises(AssemblerError, match="duplicate symbol 'x'"):
+            assemble("x: nop\n.equ x, 8\nba x")
+
+    def test_equ_may_not_replace_an_equ(self):
+        with pytest.raises(AssemblerError,
+                           match="duplicate symbol 'k'") as caught:
+            assemble(".equ k, 1\n.equ k, 2\nadd r1, k, r2")
+        assert caught.value.line == 2
 
 
 class TestDisassembler:

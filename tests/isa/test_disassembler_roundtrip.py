@@ -17,52 +17,52 @@ from hypothesis import strategies as st
 
 from repro.isa.assembler import assemble
 from repro.isa.disassembler import disassemble_around, disassemble_word
-from repro.isa.encoding import (
-    IMM11_MAX, IMM11_MIN, IMM12_MAX, IMM12_MIN, IMM18_MAX, OFF24_MAX,
-    OFF24_MIN, _M_OPS_EXTRA, _ONE_REG_D, _ONE_REG_S, _U_OPS, _Z_OPS,
-    decode, encode,
-)
-from repro.isa.instructions import Category, Instruction, Opcode, category_of
+from repro.isa.encoding import decode, encode
+from repro.isa.instructions import Instruction, Opcode
+from repro.isa.optable import FIELDS, ROWS
 
 # Register fields that have a canonical printable name (r0..r31, g0..g7).
 REG = st.integers(0, 39)
 
 
+def field_values(name):
+    """Every value a field of :data:`FIELDS` holds."""
+    attr, _low, width, signed, _what = FIELDS[name]
+    if attr != "imm":
+        return REG
+    least = -(1 << (width - 1)) if signed else 0
+    return st.integers(least, least + (1 << width) - 1)
+
+
+def printed(fmt):
+    """The register fields ``fmt``'s operands show."""
+    return set(fmt.operands) | ({"rs1"} if "address" in fmt.operands
+                                else set())
+
+
 def instruction_strategy(op):
-    """Canonical (renderable) instructions of one opcode."""
-    cat = category_of(op)
-    if op in _U_OPS:
-        return st.builds(lambda rd, imm: Instruction(
-            op, rd=rd, imm=imm, use_imm=True),
-            REG, st.integers(0, IMM18_MAX))
-    if cat in (Category.COMPUTE, Category.LOGIC):
-        # CMP renders without rd (the assembler always emits rd=0).
-        rd = st.just(0) if op is Opcode.CMP else REG
-        imm_form = st.builds(lambda d, s1, imm: Instruction(
-            op, rd=d, rs1=s1, imm=imm, use_imm=True),
-            rd, REG, st.integers(IMM11_MIN, IMM11_MAX))
-        reg_form = st.builds(lambda d, s1, s2: Instruction(
-            op, rd=d, rs1=s1, rs2=s2), rd, REG, REG)
-        return st.one_of(imm_form, reg_form)
-    if cat in (Category.LOAD, Category.STORE) or op in _M_OPS_EXTRA:
-        # FLUSH renders without rd, like CMP.
-        rd = st.just(0) if op is Opcode.FLUSH else REG
-        return st.builds(lambda d, s1, imm: Instruction(
-            op, rd=d, rs1=s1, imm=imm, use_imm=True),
-            rd, REG, st.integers(IMM12_MIN, IMM12_MAX))
-    if cat is Category.BRANCH or op is Opcode.CALL:
-        return st.builds(lambda imm: Instruction(op, imm=imm, use_imm=True),
-                         st.integers(OFF24_MIN, OFF24_MAX))
-    if op is Opcode.TRAP:
-        return st.builds(lambda imm: Instruction(op, imm=imm, use_imm=True),
-                         st.integers(0, 255))
-    if op in _Z_OPS:
-        return st.just(Instruction(op))
-    if op in _ONE_REG_D:
-        return st.builds(lambda rd: Instruction(op, rd=rd), REG)
-    if op in _ONE_REG_S:
-        return st.builds(lambda rs1: Instruction(op, rs1=rs1), REG)
-    raise AssertionError("no strategy for %r — new opcode?" % op)
+    """Canonical (renderable) instructions of one opcode, built from its
+    row's format: a register field no operand prints (``cmp``'s and
+    ``flush``'s ``rd``) stays 0, as the assembler leaves it."""
+    fmt = ROWS[op].format
+    fields = {}
+    for name in fmt.fields:
+        if name == "rhs":
+            fields["rhs"] = st.one_of(
+                st.tuples(st.just("rs2"), field_values("rs2")),
+                st.tuples(st.just("imm"), field_values("imm11")))
+        elif name in ("rd", "rs1") and name not in printed(fmt):
+            fields[name] = st.just(0)
+        else:
+            fields[FIELDS[name][0]] = field_values(name)
+
+    def build(values):
+        attr, value = values.pop("rhs", (None, None))
+        if attr is not None:
+            values[attr] = value
+        return Instruction(op, use_imm="imm" in values, **values)
+
+    return st.fixed_dictionaries(fields).map(build)
 
 
 def reassemble_line(text):

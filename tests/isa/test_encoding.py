@@ -1,10 +1,13 @@
 """Encode/decode round-trip tests for every instruction format."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import EncodingError
+from repro.isa import encoding
 from repro.isa.encoding import (
     IMM11_MAX, IMM11_MIN, IMM12_MAX, IMM12_MIN, IMM18_MAX,
     OFF24_MAX, OFF24_MIN, DecodeCache, decode, encode,
@@ -12,6 +15,23 @@ from repro.isa.encoding import (
 from repro.isa.instructions import (
     Category, Instruction, Opcode, category_of,
 )
+from repro.isa.optable import FIELDS, FORMATS, I_BIT
+
+
+class TestLayoutTable:
+    """The module docstring's tables are the formats and fields."""
+
+    def test_every_field_and_its_bits(self):
+        for name, (_attr, low, width, _signed, _what) in FIELDS.items():
+            assert re.search(r"^%s +%d\.\.%d " % (name, low + width - 1, low),
+                             encoding.__doc__, re.M), name
+        assert re.search(r"^rhs +%d\.\.%d " % ((I_BIT.bit_length() - 1,) * 2),
+                         encoding.__doc__, re.M)
+
+    def test_every_format_and_its_fields(self):
+        for fmt in FORMATS.values():
+            assert re.search(r"^%s +%s" % (fmt.name, " ".join(fmt.fields)),
+                             encoding.__doc__, re.M), fmt.name
 
 
 def roundtrip(instr):

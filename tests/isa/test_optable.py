@@ -16,12 +16,14 @@ from repro.core.jit import compile_block
 from repro.core.psr import C_BIT, ET_BIT, N_BIT, V_BIT, Z_BIT
 from repro.core.traps import TrapSignal
 from repro.isa import registers
-from repro.isa.encoding import encode
-from repro.isa.instructions import Instruction, Opcode
-from repro.isa.optable import REGISTER_FIELDS, ROWS, TABLE
+from repro.isa.assembler import Assembler, _tokenize_operands, assemble
+from repro.isa.encoding import decode, encode
+from repro.isa.instructions import Instruction, Opcode, render
+from repro.isa.optable import FORMATS, REGISTER_FIELDS, ROWS, TABLE
 from repro.isa.tags import WORD_MASK
 
 from tests.helpers import build_cpu
+from tests.isa.test_disassembler_roundtrip import printed
 
 _CC = N_BIT | Z_BIT | V_BIT | C_BIT
 #: Odd words are futures: a strict row must trap on them.
@@ -49,6 +51,27 @@ class TestOneRowPerOpcode:
                     if name in REGISTER_FIELDS
                     and not (name == "rs2" and use_imm)]
         assert instr.source_registers() == expected
+
+    @pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.name)
+    def test_format_is_read_by_encode_render_and_build(self, op):
+        """An opcode whose row has no format, or one a reader does not
+        know, fails here by name."""
+        fmt = ROWS[op].format
+        assert FORMATS[fmt.name] is fmt
+        shown = printed(fmt)
+        fields = {"rd": 3 * ("rd" in shown), "rs1": 5 * ("rs1" in shown)}
+        imm = bool(set(fmt.fields) - {"rd", "rs1"})
+        instr = Instruction(op, imm=9 * imm, use_imm=imm,
+                            **{name: fields[name] for name in fmt.fields
+                               if name in fields})
+        word = encode(instr)
+        assert decode(word) == instr
+        text = render(instr)
+        mnemonic, _, rest = text.partition(" ")
+        stmt = Assembler()._build(mnemonic, _tokenize_operands(rest), 1)
+        assert (stmt.instr.rd, stmt.instr.rs1, stmt.instr.use_imm) == (
+            instr.rd, instr.rs1, instr.use_imm)
+        assert assemble(text).words[0] == word
 
     def test_isa_imports_nothing_from_core(self):
         # The package's own __init__ re-exports the whole simulator, so

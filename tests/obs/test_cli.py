@@ -278,3 +278,12 @@ class TestUsageErrors:
                   if "error:" in line]
         assert len(errors) == 1 and complaint in errors[0]
         assert "Traceback" not in captured.err
+
+    def test_asm_of_a_bare_directive(self, tmp_path, capsys):
+        source = tmp_path / "bare.s"
+        source.write_text("    .space\n")
+        assert main(["asm", str(source)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: line 1: expected 1 operands, got 0"]
