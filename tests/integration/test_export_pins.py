@@ -1,0 +1,79 @@
+"""Byte-identity pins for what a run exports about its threads.
+
+Two sha256 digests, taken before thread ids became per-machine and the
+exporters stopped renumbering them:
+
+* **Cell payloads.** The canonical bytes of every job in
+  :data:`tests.exp.test_determinism.JOBS` (the host-run translation
+  block removed), in order: what the result cache stores, lifetime and
+  critical-path summaries included.
+* **Explain.** ``Observation.explain()`` for fib(12) on four CPUs,
+  eager and lazy: the per-thread accounting rows (tids, names, parents)
+  and the critical path.
+
+The compiled words of every workload are pinned beside the ISA tools
+(``tests/isa/test_word_digests.py``).  A change that means to alter
+any of these re-pins the digest and says why; a failure here otherwise
+means a run's exported identity drifted.
+"""
+
+import hashlib
+
+import pytest
+
+from repro import workloads
+from repro.exp.job import canonical_json
+from repro.lang import compiler
+from repro.lang.run import run_mult
+from repro.machine import alewife
+from repro.machine.config import MachineConfig
+from repro.obs import Observation
+from tests.exp.test_determinism import JOBS, _stored
+
+CELL_PAYLOADS_SHA256 = (
+    "fe9e6af1e216fc2961b49b734552489b716fcad142ee81b435ef421166c95ebd")
+EXPLAIN_SHA256 = (
+    "e4251e9cc7d57e867716f4a47d28ab0b604460c4bcb5294fb3a93632541296dd")
+
+
+def cell_payloads_digest():
+    digest = hashlib.sha256()
+    for job in JOBS:
+        digest.update(repr(job.key).encode() + b"\n")
+        digest.update(
+            (_stored(alewife.execute_payload(job.payload())) + "\n").encode())
+    return digest.hexdigest()
+
+
+def explain_digest():
+    fib = workloads.get("fib")
+    digest = hashlib.sha256()
+    for mode in ("eager", "lazy"):
+        obs = Observation(events=False, window=0, threads=True)
+        result = run_mult(fib.source(), mode=mode, args=fib.args(12),
+                          config=MachineConfig(num_processors=4),
+                          observe=obs)
+        assert result.value == 144
+        digest.update(mode.encode() + b"\n")
+        digest.update((canonical_json(obs.explain()) + "\n").encode())
+    return digest.hexdigest()
+
+
+@pytest.fixture(autouse=True)
+def own_compile_cache(monkeypatch):
+    # A cache of its own, so the process-wide one's hit and miss counts
+    # stay what the compile-cache tests expect.
+    monkeypatch.setattr(compiler, "COMPILE_CACHE", compiler.CompileCache(64))
+
+
+class TestExportPins:
+    def test_cell_payloads(self):
+        assert cell_payloads_digest() == CELL_PAYLOADS_SHA256
+
+    def test_explain(self):
+        assert explain_digest() == EXPLAIN_SHA256
+
+
+if __name__ == "__main__":
+    print("CELL_PAYLOADS_SHA256 =", cell_payloads_digest())
+    print("EXPLAIN_SHA256 =", explain_digest())
