@@ -133,10 +133,8 @@ class Job:
         if self._hash is None:
             compiled = self.compiled()
             program = compiled.program
-            # Hash the entry's *address*, not its label: gensym counters
-            # make label names depend on what compiled earlier in this
-            # process, while the assembled words and addresses are
-            # deterministic.
+            # Hash the entry's *address*, not its label: the words and
+            # addresses are what runs, and a label's name is not.
             entry_label = compiled.entry_label(self.entry)
             self._hash = _digest({
                 "schema": SCHEMA_VERSION,

@@ -32,18 +32,6 @@ PRIMITIVES = {
 
 MAX_ARGS = 4
 
-_label_counter = itertools.count(1)
-
-
-def reset_labels():
-    """Restart the label gensym (compile_source calls this so a given
-    source always produces the same label names — recompiling in one
-    process must not shift every ``fn_*_N`` suffix, or monitor scripts
-    and saved breakpoints would dangle)."""
-    global _label_counter
-    _label_counter = itertools.count(1)
-
-
 def _mangle(name):
     """Turn a Mul-T identifier into an assembler-safe label chunk."""
     out = []
@@ -104,6 +92,10 @@ class Analyzer:
         self.globals = {}          # name -> Definition
         self.lambdas = []
         self._declared_functions = set()
+        # Label suffixes count per analyzer, so a given source always
+        # gets the same ``fn_*_N`` names (monitor scripts and saved
+        # breakpoints name them).
+        self._labels = itertools.count(1)
 
     # -- top level ----------------------------------------------------------
 
@@ -176,7 +168,7 @@ class Analyzer:
         if len(params) > MAX_ARGS:
             raise CompilerError(
                 "%s: at most %d parameters are supported" % (name, MAX_ARGS))
-        label = "fn_%s_%d" % (_mangle(name), next(_label_counter))
+        label = "fn_%s_%d" % (_mangle(name), next(self._labels))
         scope = _FunctionScope(parent, name, params, label)
         body = self._analyze_body(body_forms, scope, tail=True)
         lam = ast.Lambda(

@@ -121,8 +121,9 @@ class CompileCache:
 #: each.
 COMPILE_CACHE = CompileCache(64)
 
-# One compile at a time: the label gensyms below are module state, and
-# serve's thread dispatch mode compiles from several threads.
+# One compile at a time: a key compiles once even when serve's thread
+# dispatch mode asks for it from several threads, and the lock guards
+# the cache's LRU order and counters.
 _COMPILE_LOCK = threading.Lock()
 
 
@@ -149,13 +150,6 @@ def compile_source(source, mode="eager", software_checks=False, base=0,
 
 
 def _compile(source, mode, software_checks, base, include_prelude, optimize):
-    # Deterministic label names: the same source always compiles to the
-    # same labels, even on recompilation within one process (monitor
-    # breakpoint scripts and post-mortem listings depend on this).
-    from repro.lang import analyzer as _analyzer_mod
-    from repro.lang import codegen as _codegen_mod
-    _analyzer_mod.reset_labels()
-    _codegen_mod.reset_labels()
     full_source = (PRELUDE + source) if include_prelude else source
     analyzer = Analyzer(strip_futures=(mode == "sequential"),
                         lazy_futures=(mode == "lazy"))

@@ -104,10 +104,8 @@ class CriticalPath:
         return entries[:top] if top is not None else entries
 
     def to_dict(self, source_map=None, top=None):
-        dense = self.accountant.dense_ids()
         return {
-            "anchor": {"tid": dense.get(self.anchor_tid, self.anchor_tid),
-                       "cycle": self.anchor_cycle},
+            "anchor": {"tid": self.anchor_tid, "cycle": self.anchor_cycle},
             "length": self.length,
             "machine_cycles": self.accountant.end_cycle,
             "nodes": self.accountant.nodes,

@@ -22,13 +22,10 @@ every run:
   wait-for graph over future cells (cycles named), each node's last
   events, registers/PSR, and disassembly around every blocked pc.
 
-Thread ids in everything exported here are *dense* (renumbered in spawn
-order, names rewritten to match) because raw tids come from a process-
-global counter — the same byte-stability discipline as
-:mod:`repro.obs.lifetime`.
+Threads appear under their own ids and names (a tid is the thread's
+spawn index in its run, main = 0), so two identical runs export equal
+records.
 """
-
-import re
 
 from collections import deque
 
@@ -58,29 +55,6 @@ COARSE_KINDS = (
     EventKind.THREAD_EXIT,
     EventKind.THREAD_WAKE,
 )
-
-#: Event payload keys holding raw thread ids (densified on export).
-_TID_KEYS = ("tid", "waker", "parent", "victim_tid")
-
-_THREAD_NAME = re.compile(r"thread-(\d+)")
-
-
-def dense_tids(runtime):
-    """Map raw tid -> dense tid (1-based, spawn order).
-
-    ``runtime.threads`` is append-only in spawn order, so the dense
-    numbering is stable for a given program run regardless of how many
-    machines the hosting process created before this one.
-    """
-    return {thread.tid: index
-            for index, thread in enumerate(runtime.threads, 1)}
-
-
-def display_name(name, tid_map):
-    """Rewrite every ``thread-<raw>`` in a thread name to its dense tid."""
-    return _THREAD_NAME.sub(
-        lambda m: "thread-%d" % tid_map.get(int(m.group(1)),
-                                            int(m.group(1))), name)
 
 
 class FlightRecorder:
@@ -123,24 +97,9 @@ class FlightRecorder:
 
     # -- export ------------------------------------------------------------
 
-    def tail(self, node, tid_map=None):
-        """The node's last events as JSON-ready dicts, dense tids."""
-        ring = self.rings.get(node)
-        if not ring:
-            return []
-        tid_map = tid_map or {}
-        out = []
-        for event in ring:
-            record = event.to_dict()
-            for key in _TID_KEYS:
-                raw = record.get(key)
-                if raw in tid_map:
-                    record[key] = tid_map[raw]
-            name = record.get("thread")
-            if name is not None:
-                record["thread"] = display_name(name, tid_map)
-            out.append(record)
-        return out
+    def tail(self, node):
+        """The node's last events as JSON-ready dicts."""
+        return [event.to_dict() for event in self.rings.get(node, ())]
 
 
 class Watchdog:
@@ -280,15 +239,14 @@ class Watchdog:
 def build_postmortem(machine, kind, cycle, reason, flight=None):
     """Assemble the JSON-ready post-mortem dict for a hung machine."""
     runtime = machine.runtime
-    tid_map = dense_tids(runtime)
     threads = []
     producers = {}     # future cell byte address -> producing thread
     for thread in runtime.threads:
         if thread.future is not None and thread.state is not ThreadState.DONE:
             producers[tags.pointer_address(thread.future)] = thread
         entry = {
-            "tid": tid_map[thread.tid],
-            "name": display_name(thread.name, tid_map),
+            "tid": thread.tid,
+            "name": thread.name,
             "state": thread.state.value,
             "home": thread.home_node,
         }
@@ -301,9 +259,9 @@ def build_postmortem(machine, kind, cycle, reason, flight=None):
             entry["spin_count"] = thread.spin_count
         threads.append(entry)
 
-    edges, cycles = _wait_for(runtime, producers, tid_map)
-    nodes = _node_sections(machine, flight, tid_map)
-    disas = _blocked_disassembly(machine, producers, tid_map)
+    edges, cycles = _wait_for(runtime, producers)
+    nodes = _node_sections(machine, flight)
+    disas = _blocked_disassembly(machine)
     return {
         "kind": kind,
         "cycle": cycle,
@@ -315,11 +273,11 @@ def build_postmortem(machine, kind, cycle, reason, flight=None):
     }
 
 
-def _wait_for(runtime, producers, tid_map):
+def _wait_for(runtime, producers):
     """Edges waiter -> producer over future cells, plus named cycles."""
     edges = []
-    successor = {}     # waiter raw tid -> producer raw tid
-    names = {t.tid: display_name(t.name, tid_map) for t in runtime.threads}
+    successor = {}     # waiter tid -> producer tid
+    names = {t.tid: t.name for t in runtime.threads}
     for thread in runtime.threads:
         if thread.state is not ThreadState.BLOCKED or thread.blocked_on is None:
             continue
@@ -348,9 +306,9 @@ def _wait_for(runtime, producers, tid_map):
             tid = successor[tid]
         if tid in index:
             loop = path[index[tid]:]
-            # Canonicalize: rotate the smallest dense tid to the front
-            # so each cycle is reported once.
-            pivot = min(range(len(loop)), key=lambda i: tid_map[loop[i]])
+            # Canonicalize: rotate the smallest tid to the front so
+            # each cycle is reported once.
+            pivot = loop.index(min(loop))
             loop = loop[pivot:] + loop[:pivot]
             key = tuple(loop)
             if key not in seen_cycles:
@@ -359,7 +317,7 @@ def _wait_for(runtime, producers, tid_map):
     return edges, cycles
 
 
-def _node_sections(machine, flight, tid_map):
+def _node_sections(machine, flight):
     sections = []
     for cpu in machine.cpus:
         frames = []
@@ -372,8 +330,8 @@ def _node_sections(machine, flight, tid_map):
                 "npc": "%#x" % frame.npc,
             }
             if thread is not None:
-                entry["tid"] = tid_map.get(thread.tid, thread.tid)
-                entry["thread"] = display_name(thread.name, tid_map)
+                entry["tid"] = thread.tid
+                entry["thread"] = thread.name
             frames.append(entry)
         active = cpu.frames[cpu.fp]
         regs = {}
@@ -381,35 +339,22 @@ def _node_sections(machine, flight, tid_map):
             value = active.regs[number]
             if value:
                 regs[registers.register_name(number)] = "%#x" % value
-        psr = active.psr
         section = {
             "node": cpu.node_id,
             "cycles": cpu.cycles,
             "halted": cpu.halted,
             "fp": cpu.fp,
-            "psr": _psr_text(psr, tid_map),
+            "psr": repr(active.psr),
             "frames": frames,
             "registers": regs,
         }
         if flight is not None:
-            section["last_events"] = flight.tail(cpu.node_id, tid_map)
+            section["last_events"] = flight.tail(cpu.node_id)
         sections.append(section)
     return sections
 
 
-def _psr_text(psr, tid_map):
-    """The PSR repr with its tid field densified."""
-    flags = "".join(
-        name if flag else name.lower()
-        for name, flag in (
-            ("N", psr.n), ("Z", psr.z), ("V", psr.v), ("C", psr.c),
-            ("F", psr.fe), ("E", psr.traps_enabled),
-        )
-    )
-    return "PSR(%s tid=%d)" % (flags, tid_map.get(psr.tid, psr.tid))
-
-
-def _blocked_disassembly(machine, producers, tid_map):
+def _blocked_disassembly(machine):
     """Listings around every blocked pc and every loaded frame's pc."""
     labels = getattr(machine.program, "labels", None)
     read_word = machine.memory.read_word
@@ -428,14 +373,12 @@ def _blocked_disassembly(machine, producers, tid_map):
 
     for thread in machine.runtime.threads:
         if thread.state is ThreadState.BLOCKED:
-            add("thread %s blocked" % display_name(thread.name, tid_map),
-                thread.block_pc)
+            add("thread %s blocked" % thread.name, thread.block_pc)
     for cpu in machine.cpus:
         for frame in cpu.frames:
             if frame.thread is not None:
                 add("node %d frame %d (%s)"
-                    % (cpu.node_id, frame.index,
-                       display_name(frame.thread.name, tid_map)),
+                    % (cpu.node_id, frame.index, frame.thread.name),
                     frame.pc)
     return listings
 

@@ -53,13 +53,10 @@ clock trails the blocker's).  Timestamps are clamped monotonically
 per thread; the total clamped slack is reported as ``clock_slip`` so
 the approximation is visible, and it never breaks either invariant.
 
-Everything exported is byte-stable: tids are renumbered densely in
-first-spawn order and thread names are rewritten to match, so two runs
-of the same program produce identical JSON even though the process-wide
-tid counter differs.
+Everything exported is byte-stable: a thread appears under its own tid
+(its spawn index in the run) and name, so two runs of the same program
+produce identical JSON.
 """
-
-import re
 
 #: Processor charge category -> on-cpu accounting class, in the order
 #: :meth:`LifetimeAccountant.settle` reads the category counters.
@@ -81,8 +78,6 @@ ONCPU_KEYS = ("running", "trap", "switch_spin", "blocked_memory", "idle")
 #: Wall-clock wait classes in fixed report order.
 WAIT_KEYS = ("queue_wait", "runnable_unloaded", "blocked_future",
              "loaded_wait")
-
-_THREAD_NAME = re.compile(r"thread-(\d+)")
 
 
 class ConservationError(Exception):
@@ -164,12 +159,12 @@ class LifetimeAccountant:
     """
 
     def __init__(self):
-        self.threads = {}         # raw tid -> ThreadLedger
-        self.order = []           # raw tids in first-seen order
+        self.threads = {}         # tid -> ThreadLedger
+        self.order = []           # tids in first-seen order
         self.node_attr = {}       # node -> cycles attributed on that node
         self.node_overhead = {}   # node -> {category: cycles} (no thread)
         self.node_skew = {}       # node -> machine.time - cpu.cycles
-        self.last_exit = None     # (cycle, raw tid) of the latest THREAD_EXIT
+        self.last_exit = None     # (cycle, tid) of the latest THREAD_EXIT
         self.end_cycle = None
         self.nodes = None
         self._owner = {}          # node -> [tid] override stack
@@ -413,18 +408,8 @@ class LifetimeAccountant:
 
     # -- byte-stable export ----------------------------------------------
 
-    def dense_ids(self):
-        """Raw tid -> dense id in first-spawn order (run-stable)."""
-        return {tid: index for index, tid in enumerate(self.order)}
-
-    def _norm_name(self, name, dense):
-        return _THREAD_NAME.sub(
-            lambda m: "thread-%d" % dense.get(int(m.group(1)),
-                                              int(m.group(1))), name)
-
     def to_dict(self, source_map=None, top=None):
         """JSON-ready accounting tables (run-stable byte-for-byte)."""
-        dense = self.dense_ids()
         rows = []
         for tid in self.order:
             ledger = self.threads[tid]
@@ -438,10 +423,9 @@ class LifetimeAccountant:
                     site["text"] = text
                 sites.append(site)
             rows.append({
-                "tid": dense[tid],
-                "name": self._norm_name(ledger.name, dense),
-                "parent": (dense.get(ledger.parent)
-                           if ledger.parent is not None else None),
+                "tid": tid,
+                "name": ledger.name,
+                "parent": ledger.parent,
                 "home": ledger.home,
                 "spawn": ledger.spawn_cycle,
                 "end": ledger.end_cycle,

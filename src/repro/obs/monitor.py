@@ -10,9 +10,9 @@ grown onto APRIL's multithreaded hardware.
 
 Scriptable: feed :meth:`Monitor.repl` an iterable of command lines
 (``april monitor --script FILE``) and every command is echoed with its
-output, producing a deterministic transcript — thread ids are shown
-*dense* (spawn order), so the transcript is byte-identical across runs
-even though raw tids come from a process-global counter.
+output, producing a deterministic transcript: a thread's id is its spawn
+index in the run and compiler labels are numbered per compile, so the
+transcript is byte-identical across runs.
 
 Commands (see ``help``)::
 
@@ -31,7 +31,6 @@ from repro.isa import registers
 from repro.isa.disassembler import disassemble_around, disassemble_word
 from repro.isa.encoding import decode
 from repro.isa.instructions import Opcode
-from repro.obs.flight import dense_tids, display_name
 from repro.runtime.thread import ThreadState
 
 _HELP = """\
@@ -47,7 +46,7 @@ commands:
   regs [NODE]           active-frame + global registers
   psr [NODE]            processor state register
   frames [NODE]         hardware task frames
-  threads               virtual thread table (dense tids)
+  threads               virtual thread table (tid = spawn index)
   mem ADDR [N]          dump N words with full/empty state
   disas [ADDR] [N]      disassemble around an address (default: pc)
   poke reg NAME VALUE   write a register on the focused node
@@ -115,9 +114,6 @@ class Monitor:
             return int(token, 0)
         except ValueError:
             raise ValueError("not a label or address: %r" % token)
-
-    def _tid_map(self):
-        return dense_tids(self.machine.runtime)
 
     def _on_access(self, cpu, pc, address, is_load, outcome):
         if address in self._watch_state:
@@ -191,10 +187,8 @@ class Monitor:
             return ("node %d  cycle %d  <idle>%s"
                     % (cpu.node_id, cpu.cycles,
                        "  HALTED" if cpu.halted else ""))
-        tid_map = self._tid_map()
         return ("node %d  cycle %d  frame %d  %s  pc %#06x: %s"
-                % (cpu.node_id, cpu.cycles, cpu.fp,
-                   display_name(thread.name, tid_map), frame.pc,
+                % (cpu.node_id, cpu.cycles, cpu.fp, thread.name, frame.pc,
                    self._instruction_at(frame.pc)))
 
     def _report_finish(self):
@@ -427,20 +421,16 @@ class Monitor:
             self._print("  (all registers zero)")
 
     def cmd_psr(self, argv):
-        from repro.obs.flight import _psr_text
         cpu = self._cpu(argv[0] if argv else None)
-        self._print("  " + _psr_text(cpu.frames[cpu.fp].psr,
-                                     self._tid_map()))
+        self._print("  %r" % cpu.frames[cpu.fp].psr)
 
     def cmd_frames(self, argv):
         cpu = self._cpu(argv[0] if argv else None)
-        tid_map = self._tid_map()
         for frame in cpu.frames:
             owner = "<free>"
             if frame.thread is not None:
-                owner = "%s (%s)" % (
-                    display_name(frame.thread.name, tid_map),
-                    frame.thread.state.value)
+                owner = "%s (%s)" % (frame.thread.name,
+                                     frame.thread.state.value)
             self._print("  frame %d%s pc=%#06x npc=%#06x  %s"
                         % (frame.index,
                            "*" if frame.index == cpu.fp else " ",
@@ -448,7 +438,6 @@ class Monitor:
 
     def cmd_threads(self, argv):
         runtime = self.machine.runtime
-        tid_map = self._tid_map()
         loaded_at = {}
         for cpu in self.machine.cpus:
             for frame in cpu.frames:
@@ -471,9 +460,8 @@ class Monitor:
             else:
                 where = "done"
             self._print("  %4d  %-20s %-8s %4d  %s"
-                        % (tid_map[thread.tid],
-                           display_name(thread.name, tid_map),
-                           thread.state.value, thread.home_node, where))
+                        % (thread.tid, thread.name, thread.state.value,
+                           thread.home_node, where))
 
     def cmd_mem(self, argv):
         address = self._resolve(argv[0])

@@ -128,7 +128,6 @@ def _lifetime_flows(lifetime):
         return best
 
     trace_events = []
-    dense = lifetime.dense_ids()
     serial = 0
     for tid in lifetime.order:
         ledger = lifetime.threads[tid]
@@ -144,14 +143,13 @@ def _lifetime_flows(lifetime):
             if src is None or dst is None:
                 continue
             serial += 1
-            ident = "block-%d-%d" % (dense.get(tid, tid), serial)
+            ident = "block-%d-%d" % (tid, serial)
             name = "future-wake"
             trace_events.append({
                 "ph": "s", "cat": "block-flow", "id": ident,
                 "pid": src.node, "tid": src.frame or 0, "ts": seg.end,
                 "name": name,
-                "args": {"waiter": dense.get(tid, tid),
-                         "waker": dense.get(seg.waker, seg.waker),
+                "args": {"waiter": tid, "waker": seg.waker,
                          "blocked_cycles": seg.length},
             })
             trace_events.append({

@@ -171,7 +171,9 @@ class Observation:
     def explain(self, top=None, why_top=None):
         """The full ``april explain`` payload: accounting + critical path.
 
-        Byte-stable across identical runs (dense tids, no wall-clock).
+        Byte-stable across identical runs: threads appear under their
+        own tids (spawn index, main = 0) and names, and nothing in it
+        reads the wall clock.
         """
         source_map = self._source_map()
         lifetime = self._finalized_lifetime()

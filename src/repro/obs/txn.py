@@ -29,9 +29,9 @@ Completed records feed :class:`~repro.obs.hist.LatencyHistograms`
 report sections (``april report --histograms``), and Perfetto
 async/flow events (see :mod:`repro.obs.perfetto`).
 
-Thread ids in exports are renumbered densely by first appearance, so
-two identical runs in one process (which share the module-global tid
-counter) produce byte-identical transaction JSON.
+A record's ``thread`` is the running thread's own tid (its spawn index
+in the run), so two identical runs produce byte-identical transaction
+JSON.
 """
 
 import json
@@ -363,8 +363,8 @@ class TransactionTracer:
         }
 
     def to_payload(self):
-        """The full JSON-ready document (thread ids normalized)."""
-        payload = {
+        """The full JSON-ready document."""
+        return {
             "transactions": [r.to_dict() for r in self.finished],
             "open": [r.to_dict() for r in self.open_records()],
             "emitted": self.emitted,
@@ -373,38 +373,13 @@ class TransactionTracer:
             "histograms": self.histograms.to_dict(),
             "anomalies": self.anomalies(),
         }
-        _normalize_threads(payload)
-        return payload
 
     def to_json(self):
         """Deterministic serialization: identical runs give identical
-        bytes (per-tracer ids, normalized tids, sorted keys)."""
+        bytes (per-tracer ids, per-run tids, sorted keys)."""
         return json.dumps(self.to_payload(), indent=2, sort_keys=True)
 
     def write(self, path):
         with open(path, "w") as handle:
             handle.write(self.to_json() + "\n")
         return path
-
-
-def _normalize_threads(payload):
-    """Renumber thread ids densely by first appearance, in place.
-
-    Virtual-thread ids come from a process-global counter, so two runs
-    in one process see different raw tids; the export must not.
-    """
-    mapping = {}
-
-    def remap(tid):
-        if tid is None:
-            return None
-        if tid not in mapping:
-            mapping[tid] = len(mapping)
-        return mapping[tid]
-
-    for record in payload["transactions"] + payload["open"]:
-        record["thread"] = remap(record["thread"])
-        for trap in record["traps"]:
-            trap["thread"] = remap(trap["thread"])
-    for storm in payload["anomalies"]["switch_spin_storms"]:
-        storm["thread"] = remap(storm["thread"])

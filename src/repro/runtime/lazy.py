@@ -33,22 +33,18 @@ fine-grain locking provided by the full/empty bits" — in this simulator
 the event loop serializes handler execution, which subsumes that lock.
 """
 
-import itertools
 from collections import deque
 
 from repro.errors import RuntimeSystemError
-
-_marker_ids = itertools.count(1)
 
 
 class LazyMarker:
     """One 'a task could have been created here' marker."""
 
-    __slots__ = ("mid", "thread", "sp", "resume_pc", "node",
+    __slots__ = ("thread", "sp", "resume_pc", "node",
                  "stolen", "future", "active")
 
     def __init__(self, thread, sp, resume_pc, node):
-        self.mid = next(_marker_ids)
         self.thread = thread
         self.sp = sp                # stack pointer at push time
         self.resume_pc = resume_pc  # continuation entry (after the finish trap)
@@ -59,7 +55,7 @@ class LazyMarker:
 
     def __repr__(self):
         state = "stolen" if self.stolen else ("active" if self.active else "dead")
-        return "LazyMarker(%d, %s, sp=%#x)" % (self.mid, state, self.sp)
+        return "LazyMarker(%s, sp=%#x)" % (state, self.sp)
 
 
 class LazyQueue:

@@ -148,14 +148,17 @@ class RuntimeSystem:
                    args=(), is_root=False, name=None, cpu=None, parent=None):
         """Create a fresh (unloaded, stack-less) virtual thread.
 
-        The stack is assigned lazily at first load, so deep eager-future
-        trees don't hold stacks for queued-but-never-started threads.
+        Its tid is its index in :attr:`threads` (spawn order, main = 0),
+        so identical runs number their threads alike.  The stack is
+        assigned lazily at first load, so deep eager-future trees don't
+        hold stacks for queued-but-never-started threads.
         ``cpu`` is the creating processor, used only to timestamp the
         spawn event when observability is attached.  ``parent`` is the
         spawning thread's tid (the spawn edge of the causal DAG); when
         omitted it is taken from the creating processor's active frame.
         """
         thread = Thread(
+            tid=len(self.threads),
             stack_base=None,
             stack_words=self.config.stack_words,
             home_node=home_node,

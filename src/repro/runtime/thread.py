@@ -13,11 +13,8 @@ region, the future cell it is computing (if it was spawned by
 """
 
 import enum
-import itertools
 
 from repro.errors import RuntimeSystemError
-
-_tid_counter = itertools.count(1)
 
 
 class ThreadState(enum.Enum):
@@ -33,6 +30,9 @@ class Thread:
     """One virtual thread.
 
     Args:
+        tid: the thread's id, given by its creator; the run-time system
+            uses its spawn index (main is 0), which the scheduler writes
+            into the PSR's TID field when the thread loads.
         stack_base: byte address of the thread's stack (grows upward).
         stack_words: stack capacity.
         home_node: node whose ready queue this thread prefers.
@@ -40,9 +40,9 @@ class Thread:
             or ``None`` for plain threads (the main thread).
     """
 
-    def __init__(self, stack_base, stack_words, home_node=0, future=None,
+    def __init__(self, tid, stack_base, stack_words, home_node=0, future=None,
                  name=None, entry_closure=None, args=(), is_root=False):
-        self.tid = next(_tid_counter)
+        self.tid = tid
         self.name = name or ("thread-%d" % self.tid)
         self.state = ThreadState.READY
         self.stack_base = stack_base

@@ -148,10 +148,8 @@ class _Connection(asyncio.BufferedProtocol):
     arrives or it passes ``protocol.MAX_LINE_BYTES``.
     """
 
-    _ids = itertools.count(1)
-
     def __init__(self, server):
-        self.id = next(self._ids)
+        self.id = next(server._conn_ids)
         self.server = server
         self.bucket = (TokenBucket(server.rate, server.burst,
                                    clock=server._clock)
@@ -308,6 +306,7 @@ class SweepServer:
         self.draining = False
         self._clock = clock
         self._connections = set()
+        self._conn_ids = itertools.count(1)     # trace `conn` ids
         self._servers = []
 
     # -- lifecycle ---------------------------------------------------------

@@ -475,7 +475,6 @@ class TestIpiUnderARegisterTail:
         rdpsr t5
         andn t5, t6, t5
         wrpsr t5
-        set 0, t5                   ; the PSR holds the (run-unique) tid
     """ % ET_BIT
 
     def _machines(self, pad, masked):

@@ -123,39 +123,14 @@ class TestEventBus:
                           "block": 7, "home": 1, "write": False}
 
 
-def _normalized(bus):
-    """Event dicts with process-global thread ids renamed by first use.
-
-    Thread ids come from a module-global counter, so two runs in one
-    process see different raw tids; everything else must match exactly.
-    """
-    mapping = {}
-    out = []
-    for record in bus.to_dicts():
-        record = dict(record)
-        tid = record.get("tid")
-        if tid is not None:
-            mapping.setdefault(tid, len(mapping))
-            record["tid"] = mapping[tid]
-            if record.get("thread") == "thread-%d" % tid:
-                record["thread"] = "thread-#%d" % mapping[tid]
-        # parent/waker are tid-valued too (spawn and wake events).
-        for field in ("parent", "waker"):
-            raw = record.get(field)
-            if raw is not None:
-                mapping.setdefault(raw, len(mapping))
-                record[field] = mapping[raw]
-        out.append(record)
-    return out
-
-
 class TestDeterminism:
     def test_identical_runs_identical_streams(self):
         result_a, obs_a = observed_run(n=8, processors=2)
         result_b, obs_b = observed_run(n=8, processors=2)
         assert result_a.value == result_b.value == 21
         assert result_a.cycles == result_b.cycles
-        stream_a, stream_b = _normalized(obs_a.bus), _normalized(obs_b.bus)
+        # Raw records, tids and all: a tid is a spawn index in its run.
+        stream_a, stream_b = obs_a.bus.to_dicts(), obs_b.bus.to_dicts()
         assert len(stream_a) > 100
         assert stream_a == stream_b
 
@@ -166,7 +141,7 @@ class TestDeterminism:
         counts = obs_a.bus.counts()
         assert counts.get("remote_miss", 0) > 0
         assert counts.get("net_send", 0) > 0
-        assert _normalized(obs_a.bus) == _normalized(obs_b.bus)
+        assert obs_a.bus.to_dicts() == obs_b.bus.to_dicts()
 
 
 class TestSubscription:

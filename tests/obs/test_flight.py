@@ -89,9 +89,8 @@ class TestDeadlockDetection:
         assert all(node["last_events"] for node in pm["nodes"])
 
     def test_render_is_deterministic_across_runs(self):
-        """Raw tids differ between in-process runs (process-global
-        counter); the rendered post-mortem densifies them, so two
-        identical runs produce byte-identical text."""
+        """A tid is the thread's spawn index in its run, so two
+        identical runs in one process render byte-identical text."""
         machine_a, compiled, _ = _deadlocked_machine()
         machine_b = AlewifeMachine(compiled.program,
                                    MachineConfig(num_processors=2))
@@ -103,7 +102,9 @@ class TestDeadlockDetection:
             texts.append(info.value.render())
         assert texts[0] == texts[1]
         assert "== HANG DETECTED: deadlock" in texts[0]
-        assert "wait-for cycle:" in texts[0]
+        # The two workers are spawn indices 1 and 2 (main is 0); the
+        # cycle starts at its smallest tid.
+        assert "wait-for cycle: thread-1 -> thread-2 -> thread-1" in texts[0]
 
     def test_run_mult_watchdog_parameter(self):
         with pytest.raises(HangDetected):

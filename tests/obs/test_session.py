@@ -11,7 +11,6 @@ from repro.lang.compiler import compile_source
 from repro.machine.alewife import AlewifeMachine
 from repro.machine.config import MachineConfig
 from repro.obs import EventBus, FlightRecorder, Observation, Watchdog
-from repro.runtime import thread as thread_module
 
 from tests.obs.conftest import FIB, observed_run
 
@@ -178,13 +177,10 @@ class TestAttachOrder:
     Observation ended the run with empty rings, and so did one whose
     Observation detached.)"""
 
-    def _run(self, name, order, monkeypatch, leaver=None):
+    def _run(self, name, order, leaver=None):
         """fib(8) with the three observers attached in ``order``; a
         ``leaver`` detaches partway through.  Returns the machine, the
         observers and what each recorded (the leaver: at its detach)."""
-        # Raw thread ids appear in event payloads: restart the counter.
-        monkeypatch.setattr(thread_module, "_tid_counter",
-                            itertools.count(1))
         processors, coherent = MACHINES[name]
         compiled, machine = build_machine(processors, coherent)
         observers = {
@@ -211,8 +207,8 @@ class TestAttachOrder:
         return machine, observers, recorded
 
     @pytest.fixture
-    def baseline(self, request, monkeypatch):
-        _, _, recorded = self._run(request.param, RUN_MULT_ORDER, monkeypatch)
+    def baseline(self, request):
+        _, _, recorded = self._run(request.param, RUN_MULT_ORDER)
         assert len(recorded["observation"]["log"]) > 1000
         coherent = MACHINES[request.param][1]
         assert bool(recorded["observation"]["transactions"]) == coherent
@@ -222,19 +218,18 @@ class TestAttachOrder:
 
     @pytest.mark.parametrize("baseline", sorted(MACHINES), indirect=True)
     @pytest.mark.parametrize("order", OTHER_ORDERS, ids="-".join)
-    def test_every_order_records_the_same(self, baseline, order,
-                                          monkeypatch):
+    def test_every_order_records_the_same(self, baseline, order):
         name, expected = baseline
-        _, _, recorded = self._run(name, order, monkeypatch)
+        _, _, recorded = self._run(name, order)
         assert recorded == expected
 
     @pytest.mark.parametrize("baseline", sorted(MACHINES), indirect=True)
     @pytest.mark.parametrize("leaver", RUN_MULT_ORDER)
     def test_one_detaching_leaves_the_others_recording(self, baseline,
-                                                       leaver, monkeypatch):
+                                                       leaver):
         name, expected = baseline
         machine, observers, recorded = self._run(
-            name, RUN_MULT_ORDER, monkeypatch, leaver=leaver)
+            name, RUN_MULT_ORDER, leaver=leaver)
         for key in RUN_MULT_ORDER:
             if key != leaver:
                 assert recorded[key] == expected[key]

@@ -4,16 +4,18 @@ import pytest
 
 from repro.core.processor import Processor
 from repro.errors import RuntimeSystemError
+from repro.lang.run import build_mult_machine
 from repro.machine.config import MachineConfig
 from repro.mem.ideal import IdealMemoryPort
 from repro.mem.memory import Memory
 from repro.runtime.lazy import LazyMarker, LazyQueue
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.thread import Thread, ThreadState
+from tests.obs.conftest import FIB
 
 
 def make_thread(**kwargs):
-    defaults = dict(stack_base=0x1000, stack_words=64, home_node=0)
+    defaults = dict(tid=0, stack_base=0x1000, stack_words=64, home_node=0)
     defaults.update(kwargs)
     return Thread(**defaults)
 
@@ -50,7 +52,16 @@ class TestThreadStates:
             thread.transition(ThreadState.READY)
 
     def test_unique_tids(self):
-        assert make_thread().tid != make_thread().tid
+        # A thread's id is its index in its run's thread list (spawn
+        # order, main first), whatever other machines the process built.
+        for _ in range(2):
+            machine, compiled = build_mult_machine(FIB, processors=2)
+            assert machine.run(entry=compiled.entry_label(),
+                               args=(6,)).value == 8
+            threads = machine.runtime.threads
+            assert len(threads) > 1
+            assert [t.tid for t in threads] == list(range(len(threads)))
+            assert threads[0].name == "main"
 
     def test_stack_limit(self):
         thread = make_thread(stack_base=0x1000, stack_words=64)

@@ -311,6 +311,15 @@ class TestAnySplitIsOneStream:
 # -- the mechanism -----------------------------------------------------------
 
 
+class TestConnectionIds:
+    def test_each_server_numbers_its_connections_from_one(self):
+        # The ids name a connection in traces and Perfetto lanes, so a
+        # server's first client is conn 1 whatever ran in the process.
+        for _ in range(2):
+            server, _ = hot_server()
+            assert [_Connection(server).id for _ in range(2)] == [1, 2]
+
+
 class TestOneBufferPerConnection:
     def test_connection_is_a_buffered_protocol(self):
         assert issubclass(_Connection, asyncio.BufferedProtocol)
