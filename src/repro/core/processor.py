@@ -598,7 +598,7 @@ class Processor:
         self.charge(self.trap_squash_cycles, "trap")
         self.stats.count_trap(trap.kind)
         bus = self.events
-        if bus.active:
+        if bus.active and EventKind.TRAP_ENTER in bus.active:
             bus.emit(EventKind.TRAP_ENTER, self.cycles, self.node_id,
                      trap=trap.kind.name, pc=trap.pc, frame=frame.index)
         frame.enter_trap()
@@ -606,7 +606,7 @@ class Processor:
         action = handler(self, frame, trap)
         if action is None:
             raise ProcessorError("trap handler returned no action for %r" % trap)
-        if bus.active:
+        if bus.active and EventKind.TRAP_EXIT in bus.active:
             bus.emit(EventKind.TRAP_EXIT, self.cycles, self.node_id,
                      trap=trap.kind.name, action=action.name, frame=self.fp)
         txn = bus.txn

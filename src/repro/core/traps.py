@@ -37,6 +37,11 @@ FUTURE_TOUCH_RESOLVED_CYCLES = 23
 class TrapKind(enum.Enum):
     """Synchronous and asynchronous trap causes."""
 
+    # Identity hash, as on ``repro.obs.events.EventKind``: members are
+    # singletons, and Enum's default ``__hash__`` is a Python-level
+    # call each time ``ProcessorStats.count_trap`` keys a trap by kind.
+    __hash__ = object.__hash__
+
     # Synchronous data exceptions (Section 4, "Memory Instructions").
     CACHE_MISS = "cache_miss"            # remote miss: controller trapped us
     EMPTY_LOAD = "empty_load"            # f/e exception: load of empty word

@@ -23,7 +23,9 @@ from repro.machine.config import MachineConfig
 #: Bump when the engine's result payload layout changes: every cached
 #: result keyed under an older schema becomes a clean cache miss.
 #: 2: multiprocessor cells carry a ``critpath`` critical-path summary.
-SCHEMA_VERSION = 2
+#: 3: no cell carries ``report.events`` (the job observation keeps no
+#: event log).
+SCHEMA_VERSION = 3
 
 
 def canonical_json(data):

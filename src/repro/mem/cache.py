@@ -171,7 +171,7 @@ class Cache:
             displaced = (victim.tag, victim.state)
             self.stats.evictions += 1
             bus = self.events
-            if bus.active:
+            if bus.active and EventKind.CACHE_EVICT in bus.active:
                 bus.emit(EventKind.CACHE_EVICT, now, self.node_id,
                          block=victim.tag, state=victim.state.value)
         victim.tag = block
@@ -194,7 +194,7 @@ class Cache:
         self._relink(line.tag)
         self.stats.invalidations_received += 1
         bus = self.events
-        if bus.active:
+        if bus.active and EventKind.CACHE_INVALIDATE in bus.active:
             bus.emit(EventKind.CACHE_INVALIDATE, now, self.node_id,
                      block=line.tag, state=old.value)
         txn = bus.txn

@@ -186,7 +186,7 @@ class CacheController(MemoryPort):
                 return None
             self.stats.remote_misses += 1
             self.pending[block] = completion
-            if bus.active:
+            if bus.active and EventKind.REMOTE_MISS in bus.active:
                 bus.emit(EventKind.REMOTE_MISS, now, self.node_id, block=block,
                          home=self._home(block), write=is_write,
                          ready_at=completion)

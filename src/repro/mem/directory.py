@@ -78,7 +78,7 @@ class Directory:
         self.read_requests += 1
         item = self.entry(block)
         bus = self.events
-        if bus.active:
+        if bus.active and EventKind.DIRECTORY_READ in bus.active:
             bus.emit(EventKind.DIRECTORY_READ, now, self.node_id, block=block,
                      requester=requester, state=item.state.value)
         txn = bus.txn
@@ -121,7 +121,7 @@ class Directory:
             invalidees = item.sharers - {requester}
         self.invalidations_sent += len(invalidees)
         bus = self.events
-        if bus.active:
+        if bus.active and EventKind.DIRECTORY_WRITE in bus.active:
             bus.emit(EventKind.DIRECTORY_WRITE, now, self.node_id, block=block,
                      requester=requester, invalidations=len(invalidees))
         txn = bus.txn

@@ -77,10 +77,13 @@ class Network:
         self.stats.contention_cycles += contention
         bus = self.events
         if bus.active:
-            bus.emit(EventKind.NET_SEND, now, src, dst=dst, flits=size_flits,
-                     hops=len(links), contention=contention)
-            bus.emit(
-                EventKind.NET_DELIVER, time, dst, src=src, flits=size_flits)
+            if EventKind.NET_SEND in bus.active:
+                bus.emit(EventKind.NET_SEND, now, src, dst=dst,
+                         flits=size_flits, hops=len(links),
+                         contention=contention)
+            if EventKind.NET_DELIVER in bus.active:
+                bus.emit(EventKind.NET_DELIVER, time, dst, src=src,
+                         flits=size_flits)
         txn = bus.txn
         if txn is not None:
             txn.net_leg(src, dst, size_flits, len(links), now, time,

@@ -3,8 +3,8 @@
 Every machine is built with one :class:`~repro.obs.events.EventBus`
 (``machine.events``); its components' instrumentation sites stay
 *dormant* — a single ``bus.active`` test on each hot path — until an
-observer subscribes, which is what attaching an :class:`Observation`
-does.  The consumers built in:
+observer subscribes to the site's kind, which is what attaching an
+:class:`Observation` does.  The consumers built in:
 
 * the :class:`~repro.obs.events.EventLog` — a bounded ring of typed,
   structured events (context switches, traps, remote misses, directory

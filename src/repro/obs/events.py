@@ -4,11 +4,22 @@ Every machine owns one :class:`EventBus` (``AlewifeMachine.events``),
 built with it, never ``None`` and never replaced, and hands it to each
 emitting component's constructor, so observers *subscribe* to one object
 instead of being installed on every component.  The bus is dispatch
-only: a site tests ``bus.active`` — true iff anybody is subscribed —
-before it builds an ``emit`` call, so the dormant path costs one
-attribute test.  The two consumers that are called directly rather than
-sent events ride on it as plain attributes, ``bus.txn`` and
-``bus.lifetime``, ``None`` when absent.
+only.  ``bus.active`` is the frozenset of kinds somebody wants — every
+kind once anybody subscribes to all of them, empty (falsy) when nobody
+listens — and a site builds its payload only for a wanted kind::
+
+    if bus.active and EventKind.THREAD_LOAD in bus.active:
+        bus.emit(EventKind.THREAD_LOAD, ...)
+
+The leading truth test keeps the dormant path one attribute test
+(reading an ``EventKind`` member off its class goes through the enum
+metaclass, which costs more than the test itself), and the membership
+test keeps a run whose observers want a few kinds from building the
+payloads of all the others.  ``tests/integration/test_emit_gates.py``
+holds every ``bus.emit`` in the package to a test naming its own kind.
+The two consumers that are called directly rather than sent events ride
+on the bus as plain attributes, ``bus.txn`` and ``bus.lifetime``,
+``None`` when absent.
 
 Events are *typed* (:class:`EventKind`) and *structured* (a payload
 dict of plain ints/strings), timestamped in simulated cycles and tagged
@@ -118,7 +129,7 @@ class Subscription:
         callbacks.remove(self._callback)
         if not callbacks:
             del bus._subscribers[self._kind]
-            bus.active = bool(bus._subscribers)
+            bus._want()
 
     def __enter__(self):
         return self
@@ -131,14 +142,15 @@ class Subscription:
 class EventBus:
     """Subscriptions and dispatch for one machine.
 
-    ``active`` is true iff anybody is subscribed; ``txn`` and
+    ``active`` is the frozenset of kinds with a subscriber (all of
+    them while anybody subscribes to every kind); ``txn`` and
     ``lifetime`` hold the machine's one tracer and one accountant.
     """
 
     __slots__ = ("active", "txn", "lifetime", "_subscribers")
 
     def __init__(self):
-        self.active = False
+        self.active = frozenset()
         self.txn = None
         self.lifetime = None
         self._subscribers = {}      # EventKind, or None for all -> [callables]
@@ -174,8 +186,14 @@ class EventBus:
         one registration.
         """
         self._subscribers.setdefault(kind, []).append(callback)
-        self.active = True
+        self._want()
         return Subscription(self, callback, kind)
+
+    def _want(self):
+        """Recompute :attr:`active` from the subscription table."""
+        subscribers = self._subscribers
+        self.active = frozenset(EventKind if None in subscribers
+                                else subscribers)
 
 
 class EventLog:

@@ -169,6 +169,7 @@ class LifetimeAccountant:
         self.nodes = None
         self._owner = {}          # node -> [tid] override stack
         self._settled = {}        # node -> category counters at last settle
+        self._settled_total = {}  # node -> their sum (``stats._total``)
         self._frame_free = {}     # (node, frame) -> (cycle, tid)
         self._finalized = False
 
@@ -202,11 +203,17 @@ class LifetimeAccountant:
         current owner.  Call before anything changes who that is."""
         node = cpu.node_id
         stats = cpu.stats
+        total = stats._total
+        # Only ``Processor.unrun_tail`` lowers a counter, and a node
+        # holding a tail neither runs nor settles until it is taken
+        # back: no counter falls below its settled value, so an
+        # unmoved sum means unmoved counters.
+        if total == self._settled_total.get(node, 0):
+            return
+        self._settled_total[node] = total
         now = (stats.useful, stats.stall, stats.trap, stats.switch,
                stats.spin, stats.idle)
         last = self._settled.get(node, _UNSPENT)
-        if now == last:
-            return
         self._settled[node] = now
         stack = self._owner.get(node)
         if stack:
@@ -221,7 +228,7 @@ class LifetimeAccountant:
         for key, after, before in zip(keys, now, last):
             if after != before:
                 bucket[key] = bucket.get(key, 0) + after - before
-        self.node_attr[node] = sum(now)
+        self.node_attr[node] = total
 
     # -- wall ledger (event stream) --------------------------------------
 
@@ -409,9 +416,22 @@ class LifetimeAccountant:
     # -- byte-stable export ----------------------------------------------
 
     def to_dict(self, source_map=None, top=None):
-        """JSON-ready accounting tables (run-stable byte-for-byte)."""
+        """JSON-ready accounting tables (run-stable byte-for-byte).
+
+        With ``top``, only the ``top`` threads with the most cycles
+        (on-cpu plus waits; the earlier-seen first among equals) get a
+        row, in first-seen order.
+        """
+        order = self.order
+        if top is not None and len(order) > top:
+            def spent(tid):
+                ledger = self.threads[tid]
+                return (sum(ledger.oncpu.values())
+                        + sum(ledger.waits.values()))
+            kept = set(sorted(order, key=lambda tid: -spent(tid))[:top])
+            order = [tid for tid in order if tid in kept]
         rows = []
-        for tid in self.order:
+        for tid in order:
             ledger = self.threads[tid]
             sites = []
             for pc, cycles in sorted(ledger.block_sites.items(),
@@ -446,11 +466,6 @@ class LifetimeAccountant:
                 totals_on[key] = totals_on.get(key, 0) + value
             for key, value in ledger.waits.items():
                 totals_wait[key] = totals_wait.get(key, 0) + value
-        if top is not None and len(rows) > top:
-            keep = sorted(rows, key=lambda r: -(sum(r["oncpu"].values())
-                                                + sum(r["waits"].values())))
-            kept = {row["tid"] for row in keep[:top]}
-            rows = [row for row in rows if row["tid"] in kept]
         return {
             "conservation": self.conservation(),
             "node_overhead": {

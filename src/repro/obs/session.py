@@ -33,16 +33,16 @@ class Observation:
         txn: enable the coherence-transaction tracer (+ histograms).
         txn_capacity: finished-transaction ring size (None = unbounded).
         threads: enable the per-thread lifetime accountant (and the
-            critical-path analyzer on top of it).  Forces an event log —
-            :attr:`bus`, an :class:`~repro.obs.events.EventLog` — though
-            the accountant subscribes to the machine's bus itself, so
-            ring capacity never truncates its view.
+            critical-path analyzer on top of it).  The accountant
+            subscribes to the six thread kinds on the machine's bus
+            itself, so it needs no event log (:attr:`bus` is one only
+            with ``events``) and no ring capacity truncates its view.
     """
 
     def __init__(self, events=True, capacity=1_000_000, window=4096,
                  profile=False, txn=False, txn_capacity=200_000,
                  threads=False):
-        self.bus = EventLog(capacity) if (events or threads) else None
+        self.bus = EventLog(capacity) if events else None
         self.sampler = IntervalSampler(window) if window else None
         self.profiler = HotPathProfiler() if profile else None
         self.txn = TransactionTracer(txn_capacity) if txn else None
@@ -222,11 +222,12 @@ def for_job(config):
     ``machine_report`` already covers everything observable there.
     Nothing attached here observes single instructions (no sampler
     window, no profiler), so every cell runs the machine's fast
-    schedule.
+    schedule, and nothing keeps an event log: the accountant's six
+    thread kinds are the only events a cell's sites build.
     """
     coherent = getattr(config, "memory_mode", "ideal") == "coherent"
     parallel = getattr(config, "num_processors", 1) > 1
     if not coherent and not parallel:
         return None
-    return Observation(events=False, capacity=4096, window=0, profile=False,
-                       txn=coherent, threads=parallel)
+    return Observation(events=False, window=0, txn=coherent,
+                       threads=parallel)

@@ -31,7 +31,7 @@ class FutureTable:
         """A future cell was created (eager create or lazy steal)."""
         self.created += 1
         bus = self.events
-        if bus.active:
+        if bus.active and EventKind.FUTURE_CREATE in bus.active:
             bus.emit(EventKind.FUTURE_CREATE, cycle, node, cell=cell)
 
     def note_touch(self, resolved, cycle=0, node=0, cell=None):
@@ -41,7 +41,7 @@ class FutureTable:
         else:
             self.touches_unresolved += 1
         bus = self.events
-        if bus.active:
+        if bus.active and EventKind.FUTURE_TOUCH in bus.active:
             bus.emit(EventKind.FUTURE_TOUCH, cycle, node,
                      cell=cell, resolved=resolved)
 
@@ -49,7 +49,7 @@ class FutureTable:
         """A future cell was resolved, waking ``waiters`` threads."""
         self.resolved += 1
         bus = self.events
-        if bus.active:
+        if bus.active and EventKind.FUTURE_RESOLVE in bus.active:
             bus.emit(EventKind.FUTURE_RESOLVE, cycle, node,
                      cell=cell, waiters=waiters)
 
@@ -60,7 +60,7 @@ class FutureTable:
         the producer→consumer edge the critical-path analyzer follows.
         """
         bus = self.events
-        if bus.active:
+        if bus.active and EventKind.THREAD_WAKE in bus.active:
             bus.emit(EventKind.THREAD_WAKE, cycle, node,
                      cell=cell, tid=tid, waker=waker)
 

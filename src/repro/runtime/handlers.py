@@ -74,7 +74,7 @@ class TrapHandlers:
         if next_frame is not None and next_frame is not frame:
             self.rts.scheduler.activate_frame(cpu, next_frame)
         bus = cpu.events
-        if bus.active:
+        if bus.active and EventKind.CONTEXT_SWITCH in bus.active:
             bus.emit(EventKind.CONTEXT_SWITCH, cpu.cycles, cpu.node_id,
                      from_frame=frame.index, to_frame=cpu.fp)
         return TrapAction.SWITCHED

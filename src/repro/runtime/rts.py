@@ -170,7 +170,7 @@ class RuntimeSystem:
         )
         self.threads.append(thread)
         bus = self.events
-        if bus.active:
+        if bus.active and EventKind.THREAD_SPAWN in bus.active:
             if parent is None and cpu is not None:
                 active = cpu.frames[cpu.fp].thread
                 parent = active.tid if active is not None else None

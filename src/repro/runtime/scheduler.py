@@ -117,7 +117,7 @@ class Scheduler:
         if lifetime is not None:
             lifetime.pop_owner(cpu)
         self.loads += 1
-        if bus.active:
+        if bus.active and EventKind.THREAD_LOAD in bus.active:
             bus.emit(EventKind.THREAD_LOAD, cpu.cycles, cpu.node_id,
                      frame=frame.index, tid=thread.tid, thread=thread.name)
         return frame
@@ -140,7 +140,7 @@ class Scheduler:
         if lifetime is not None:
             lifetime.pop_owner(cpu)
         self.unloads += 1
-        if bus.active:
+        if bus.active and EventKind.THREAD_UNLOAD in bus.active:
             extra = {}
             if (new_state is ThreadState.BLOCKED
                     and thread.blocked_on is not None):
@@ -163,7 +163,7 @@ class Scheduler:
         frame.thread = None
         if self.windows is not None:
             self.windows.close(thread)
-        if bus.active:
+        if bus.active and EventKind.THREAD_EXIT in bus.active:
             bus.emit(EventKind.THREAD_EXIT, cpu.cycles, cpu.node_id,
                      frame=frame.index, tid=thread.tid, thread=thread.name)
         return thread
@@ -214,7 +214,7 @@ class Scheduler:
                 self.steals += 1
                 thread = queue.popleft()
                 bus = self.events
-                if bus.active:
+                if bus.active and EventKind.THREAD_STEAL in bus.active:
                     bus.emit(EventKind.THREAD_STEAL, self.cpus[node].cycles,
                              node, victim=victim, tid=thread.tid,
                              thread=thread.name)

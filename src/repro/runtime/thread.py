@@ -20,10 +20,26 @@ from repro.errors import RuntimeSystemError
 class ThreadState(enum.Enum):
     """Life cycle of a virtual thread."""
 
+    # Identity hash, as on ``repro.obs.events.EventKind``: members are
+    # singletons, and Enum's default ``__hash__`` is a Python-level call
+    # on every lookup in :data:`TRANSITIONS`.
+    __hash__ = object.__hash__
+
     READY = "ready"          # runnable, waiting on a ready queue
     LOADED = "loaded"        # resident in a hardware task frame
     BLOCKED = "blocked"      # unloaded, waiting on an unresolved future
     DONE = "done"            # finished; descriptor kept for inspection
+
+
+#: The legal successors of each state (the scheduler's transitions).
+TRANSITIONS = {
+    ThreadState.READY: (ThreadState.LOADED,),
+    ThreadState.LOADED: (
+        ThreadState.READY, ThreadState.BLOCKED, ThreadState.DONE,
+    ),
+    ThreadState.BLOCKED: (ThreadState.READY,),
+    ThreadState.DONE: (),
+}
 
 
 class Thread:
@@ -81,15 +97,7 @@ class Thread:
 
     def check_transition(self, new_state):
         """Validate a state transition; the scheduler calls this."""
-        valid = {
-            ThreadState.READY: (ThreadState.LOADED,),
-            ThreadState.LOADED: (
-                ThreadState.READY, ThreadState.BLOCKED, ThreadState.DONE,
-            ),
-            ThreadState.BLOCKED: (ThreadState.READY,),
-            ThreadState.DONE: (),
-        }
-        if new_state not in valid[self.state]:
+        if new_state not in TRANSITIONS[self.state]:
             raise RuntimeSystemError(
                 "%s: illegal transition %s -> %s"
                 % (self.name, self.state.value, new_state.value)

@@ -4,10 +4,14 @@ the stream."""
 import pytest
 
 from repro.errors import ConfigError
+from repro.lang.compiler import compile_source
+from repro.machine.alewife import AlewifeMachine
+from repro.machine.config import MachineConfig
 from repro.obs import EventBus, EventKind, EventLog
 from repro.obs import events as events_module
+from repro.obs.txn import TransactionTracer
 
-from tests.obs.conftest import observed_run
+from tests.obs.conftest import FIB, observed_run
 
 
 def logged_bus(capacity=1_000_000):
@@ -188,3 +192,104 @@ class TestSubscription:
         assert bus.active                   # somebody is still listening
         bus.emit(EventKind.TRAP_ENTER, 1, 0)
         assert len(keep) == 1 and not drop
+
+
+class TestWantedKinds:
+    """``bus.active`` is the set of kinds somebody wants."""
+
+    def test_active_tracks_the_subscribed_kinds(self):
+        bus = EventBus()
+        assert bus.active == frozenset()
+        trap = bus.subscribe(list().append, kind=EventKind.TRAP_ENTER)
+        wake = bus.subscribe(list().append, kind=EventKind.THREAD_WAKE)
+        assert bus.active == {EventKind.TRAP_ENTER, EventKind.THREAD_WAKE}
+        catch_all = bus.subscribe(list().append)
+        assert bus.active == frozenset(EventKind)   # every kind counts
+        catch_all.cancel()
+        assert bus.active == {EventKind.TRAP_ENTER, EventKind.THREAD_WAKE}
+        trap.cancel()
+        assert bus.active == {EventKind.THREAD_WAKE}
+        wake.cancel()
+        assert not bus.active and bus.active == frozenset()
+
+
+#: (mode, memory mode, fib argument): an eager and a lazy ideal run and
+#: a coherent one; between them every kind but none is emitted.
+GATED_RUNS = (("eager", "ideal", 8), ("lazy", "ideal", 8),
+              ("eager", "coherent", 6))
+
+
+def _gated_run(mode, memory, n, attach):
+    """fib(n) on four CPUs with ``attach(bus)`` called before the run
+    (the coherent run with a transaction tracer too); returns
+    ``(cycles, bus)``."""
+    compiled = compile_source(FIB, mode=mode)
+    config = MachineConfig(num_processors=4, memory_mode=memory,
+                           lazy_futures=compiled.wants_lazy_scheduling)
+    machine = AlewifeMachine(compiled.program, config)
+    if memory == "coherent":
+        machine.events.txn = TransactionTracer()
+    attach(machine.events)
+    result = machine.run(entry=compiled.entry_label(), args=(n,))
+    assert result.value == {6: 8, 8: 21}[n]
+    return result.cycles, machine.events
+
+
+def _reference(mode, memory, n):
+    """The all-kinds stream of a run: ``(cycles, [event dicts])``."""
+    log = EventLog(capacity=None)
+    cycles, _ = _gated_run(mode, memory, n,
+                           lambda bus: bus.subscribe(log.record))
+    return cycles, log.to_dicts()
+
+
+class TestPerKindGates:
+    """A site builds its payload only for a wanted kind; a subscriber of
+    one kind must still see exactly what an all-kinds log would."""
+
+    def test_the_runs_cover_every_kind(self):
+        seen = set()
+        for run in GATED_RUNS:
+            seen.update(record["kind"] for record in _reference(*run)[1])
+        assert seen == {kind.value for kind in EventKind}
+
+    @pytest.mark.parametrize("run", GATED_RUNS,
+                             ids=["-".join(map(str, r)) for r in GATED_RUNS])
+    def test_one_kind_alone_sees_the_filtered_stream(self, run):
+        cycles, reference = _reference(*run)
+        for kind in EventKind:
+            seen = []
+            alone, bus = _gated_run(
+                *run, lambda bus: bus.subscribe(seen.append, kind))
+            assert alone == cycles, kind
+            assert bus.active == {kind}
+            assert [event.to_dict() for event in seen] == [
+                record for record in reference
+                if record["kind"] == kind.value], kind
+
+    def test_catch_all_mixed_with_per_kind_subscribers(self):
+        run = GATED_RUNS[2]
+        cycles, reference = _reference(*run)
+        log = EventLog(capacity=None)
+        kinds = (EventKind.TRAP_ENTER, EventKind.THREAD_LOAD,
+                 EventKind.NET_DELIVER)
+        seen = {kind: [] for kind in kinds}
+        handles = []
+
+        def attach(bus):
+            handles.extend(bus.subscribe(seen[kind].append, kind)
+                           for kind in kinds)
+            handles.append(bus.subscribe(log.record))
+
+        mixed, bus = _gated_run(*run, attach)
+        assert mixed == cycles
+        assert log.to_dicts() == reference
+        for kind in kinds:
+            assert [event.to_dict() for event in seen[kind]] == [
+                record for record in reference
+                if record["kind"] == kind.value], kind
+        handles.pop().cancel()                   # the catch-all
+        assert bus.active == set(kinds)
+        for handle in handles:
+            handle.cancel()
+        assert not bus.active
