@@ -19,7 +19,7 @@ superblock into a *single generated Python function* via ``compile()``
   instruction that sets them.
 
 A superblock is more than a straight-line run.  The former extends
-through three kinds of joints that would otherwise terminate a block
+through four kinds of joints that would otherwise terminate a block
 after a handful of instructions (RISC code has a branch or memory
 access every ~3 words, so plain straight-line blocks average under 3
 instructions and the per-call overhead eats the win):
@@ -56,7 +56,13 @@ instructions and the per-call overhead eats the win):
   every taken branch costs a full ``step()``;
 * **untaken conditional branches** continue the block: the taken path
   writes back, commits, and returns; the fall-through path keeps
-  accumulating in locals, so a forward if-then costs one test.
+  accumulating in locals, so a forward if-then costs one test;
+* **CALL and BA are followed**: their targets are known at compile
+  time, so when the delay slot fuses and the redirect, its slot and one
+  more instruction fit in :data:`MAX_JIT_BLOCK`, the scan goes on at
+  the target (``CALL`` sets ``ra`` as a local, the slot runs with the
+  target as its next pc).  A block therefore covers several separate
+  runs of words, and a loop closed by ``BA`` unrolls up to the bound.
 
 Strict compute ops (``ADD``/``SUB``/``MUL``/``CMP``) are inlined with
 their future-detection guard.  A tripped guard writes back the
@@ -68,10 +74,24 @@ instr, pc, value, and cause — which the runner
 ``step()`` does.  ``DIV``/``REM`` (divide-by-zero on top of
 strictness) are never inlined.
 
-A block's final terminator is either *inlined* (``BA``, ``CALL``,
-``JMPL`` — pure PC-chain math on the locals) or *delegated*: any other
-decodable instruction (frame ops, system ops, ``DIV``/``REM``) runs
-through its closure after the prefix commits, ending the block.
+What ends a block: an inlined ``JMPL`` (its target is a register's),
+a ``BA`` or ``CALL`` that is not followed (its slot does not fuse, or
+the bound is near), a conditional branch whose slot does not fuse, a
+*delegated* terminator — any other decodable instruction (frame ops,
+system ops, ``DIV``/``REM``, memory on a port nothing is inlined for)
+runs through its closure after the prefix commits — or the bound.
+
+Exits come in two forms.  *Hot* exits — the terminator and a fused
+conditional's taken arm — state everything inline: the write-back, the
+PSR bits, the batched accounting and the PC chain.  *Slow* exits — a
+memory slow path, a tripped guard, a tail park — are rare, and a
+block has one per inlined access or guard, so their source is cut to
+the register write-back, the PSR through one ``_psr_<kind>`` helper
+per producer kind (built at import from the same
+:func:`repro.core.psr.cc_source` text) and one call, ``_park``,
+``_tail``, ``_trap`` or ``_delegate``, that commits the counts and then
+parks, delegates or raises.  That is what keeps cold compiles from
+growing with the followed code.
 
 What is inlined, how, and what may ride a slice are read from each
 opcode's :mod:`repro.isa.optable` row: its shape (straight, load,
@@ -81,9 +101,8 @@ producer kind (whose overflow and carry tests
 :func:`repro.core.psr.cc_source`) and its branch condition.  The
 emitter states only what a row does not: the ``mov`` form of ``or``,
 two literal operands folded through :func:`repro.core.alu.execute`,
-and ``lui``/``oril``.  The generated source is the same text it was
-before the table existed, block for block
-(``tests/core/test_jit.py::TestWhoPaysForWindows``).
+and ``lui``/``oril``.  Digests of the generated source, block for
+block, are pinned (``tests/core/test_jit.py::TestWhoPaysForWindows``).
 
 The same scan and emitter produce a second shape, the *sync-headed
 slice* (``compile_block(..., sliced=True)``), for the machine loop's
@@ -126,10 +145,11 @@ emitter remembers the *pending producers* — the last compute
 instruction's kind and operand locals, and that ``_fb`` holds the last
 access's full/empty bit (:meth:`_Emitter.produce`).  One method,
 :meth:`_Emitter.materialize`, emits the bit arithmetic, and only the
-places that read or publish the PSR call it: the write-back every exit
-starts with (a guard's bail, a park, a slow-path delegate, a taken
-branch, a terminator — inside an ``if`` arm the producers stay pending
-for the path that falls through), a slice's head (its undo snapshot
+places that read or publish the PSR call it: the write-back every hot
+exit starts with (a taken branch, a terminator — inside an ``if`` arm
+the producers stay pending for the path that falls through; a slow
+exit's bail asks :meth:`_Emitter.settled` for the helper calls
+instead), a slice's head (its undo snapshot
 holds the PSR), and a conditional branch whose question the pending
 producer's locals cannot answer directly (:meth:`_Emitter.
 branch_test`: ``res == 0``, the sign of ``res``, the carry out of
@@ -140,11 +160,14 @@ the other operand; it is copied aside only when that is impossible
 to a literal result and literal bits.  The closure and reference tiers
 keep computing the bits per instruction.
 
-Self-modifying code: each compiled block records the byte range
-``[start, end)`` it was translated from and a hash of the translated
-words; the machine's :class:`~repro.mem.memory.CodeWatch` notifies
-every processor on stores into covered words and the overlapping
-blocks are discarded (see ``Translations.invalidate_code``).  A block can
+Self-modifying code: each compiled block records the runs of words
+``[lo, hi)`` it was translated from (``JitBlock.runs``: one, plus one
+per followed target) and the translated words themselves in its key;
+the machine's :class:`~repro.mem.memory.CodeWatch` watches exactly
+those words, notifies every processor on stores into them and the
+blocks with a run over the word are discarded (see
+``Translations.invalidate_code``).  A word between two runs — data
+between a caller and its callee — is not covered.  A block can
 never invalidate *itself* mid-run: inline stores to watched words are
 exactly the case the inline path refuses, and the delegated store that
 performs them ends the block.
@@ -249,6 +272,83 @@ def _biased(operand):
     if operand.isdigit():
         return "%d" % (int(operand) ^ _SIGN)
     return "%s ^ %d" % (operand, _SIGN)
+
+
+# -- what a slow exit calls -------------------------------------------------
+#
+# A slow exit (a memory slow path, a tripped guard, a tail park) is
+# rare, so its source is kept short: the register write-back, the PSR
+# through one of the ``_psr_*`` helpers, and one call that commits the
+# counts and then parks, delegates or raises.  Hot exits (terminators,
+# a fused conditional's taken arm) state all of it inline.
+
+def _psr_helper(kind):
+    """``psr`` with producer ``kind``'s N/Z/V/C: :func:`cc_source`'s
+    statements as a function, and how many of ``_t, a, b`` it reads."""
+    text = ["def _psr(psr, res, _t=0, a=0, b=0):"]
+    text.extend("    " * (depth + 1) + statement
+                for depth, statement in cc_source(kind, "a", "b"))
+    text.append("    return psr & %d | _cc" % _NOT_CC)
+    namespace = {}
+    exec("\n".join(text), namespace)
+    tests = " ".join(test for test in PRODUCERS[kind][:2] if test)
+    reads = 3 if "{a}" in tests else 1 if "_t" in tests else 0
+    return namespace["_psr"], reads
+
+
+_PSR_HELPERS = {kind: _psr_helper(kind) for kind in PRODUCERS}
+
+
+def _psr_fe(psr, fb):
+    """``psr`` with the full/empty condition bit ``fb``."""
+    return psr | FE_BIT if fb else psr & ~FE_BIT
+
+
+def _park(cpu, frame, count, pc, npc):
+    """Commit ``count`` one-cycle instructions; leave the chain at
+    ``pc``/``npc``."""
+    cpu.cycles += count
+    stats = cpu.stats
+    stats.useful += count
+    stats._total += count
+    stats.instructions += count
+    frame.pc = pc
+    frame.npc = npc
+
+
+def _tail(cpu, frame, count, pc, npc, undo, log, loads, stores):
+    """:func:`_park` behind a slice's head: the last ``count - 1``
+    instructions were its private tail, so leave the record
+    :meth:`Processor.unrun_tail` takes them back with."""
+    _park(cpu, frame, count, pc, npc)
+    cpu.ahead_tail = (count - 1, undo, log)
+    cpu.ahead_slices += 1
+    cpu.ahead_instructions += count - 1
+    cpu.ahead_loads += loads
+    cpu.ahead_stores += stores
+
+
+def _trap(cpu, frame, count, pc, npc, instr, value):
+    """A tripped future guard: :func:`_park` at the guarded
+    instruction, then the closure tier's identical trap."""
+    _park(cpu, frame, count, pc, npc)
+    raise TrapSignal(Trap(TrapKind.FUTURE_COMPUTE, instr=instr, pc=pc,
+                          value=value, cause=instr.op.name))
+
+
+def _delegate(cpu, frame, count, run, pc, npc):
+    """An access the inline path cannot complete: :func:`_park` at it,
+    then its closure redoes it from scratch and moves the chain on."""
+    _park(cpu, frame, count, pc, npc)
+    frame.pc, frame.npc = run(cpu, frame, pc, npc)
+    cpu.stats.instructions += 1
+
+
+#: What every generated function's globals start from.
+_GLOBALS = {"_psr_" + kind: helper
+            for kind, (helper, _) in _PSR_HELPERS.items()}
+_GLOBALS.update(_psr_fe=_psr_fe, _park=_park, _tail=_tail, _trap=_trap,
+                _delegate=_delegate, _M=LineState.MODIFIED)
 
 
 class CodeCache:
@@ -369,26 +469,48 @@ class JitBlock:
             :class:`TrapSignal` from a guard or a delegated closure.
         count: instructions the block executes on a full pass, each
             one cycle — the slice-budget admission test.
-        start/end: byte range of code words the block was compiled
-            from (invalidation granularity).
+        start: the pc the block is entered at.
+        runs: the byte ranges ``[lo, hi)`` of the code words it was
+            compiled from, in address order and disjoint — one, plus
+            one per followed ``CALL``/``BA`` target that does not
+            adjoin another (invalidation granularity).
         key: the :data:`SHARED_BLOCKS` key — ``(start, words, spec)``;
             a recompile after self-modifying code yields a different
             key.
         source: the generated Python source (debugging / tests).
     """
 
-    __slots__ = ("fn", "count", "start", "end", "key", "source")
+    __slots__ = ("fn", "count", "start", "runs", "key", "source")
 
-    def __init__(self, fn, count, start, end, key, source):
+    def __init__(self, fn, count, start, runs, key, source):
         self.fn = fn
         self.count = count
         self.start = start
-        self.end = end
+        self.runs = runs
         self.key = key
         self.source = source
 
+    def covers(self, address):
+        """Whether the block was compiled from the word at ``address``."""
+        return any(lo <= address < hi for lo, hi in self.runs)
+
     def __repr__(self):
         return "JitBlock(start=%#x, count=%d)" % (self.start, self.count)
+
+
+def _merged(runs):
+    """``runs`` sorted, with empty ones dropped and overlapping or
+    adjoining ones joined."""
+    merged = []
+    for lo, hi in sorted(runs):
+        if lo == hi:
+            continue
+        if merged and lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
 
 
 class _Emitter:
@@ -430,7 +552,7 @@ class _Emitter:
         self.tail_loads = 0
         self.tail_stores = 0
         self.logs = False
-        self.delegates = []          # closure default-arg values
+        self.delegates = []          # closures (namespace constants)
         self.instrs = []             # Instruction constants (trap payloads)
 
     def line(self, indent, text):
@@ -560,8 +682,8 @@ class _Emitter:
         return condition_source(op)
 
     def add_delegate(self, run):
-        """Bind a closure as a default argument; returns its local name."""
-        name = "_d%d" % len(self.delegates)
+        """Bake a closure as a namespace constant; returns its name."""
+        name = "_D%d" % len(self.delegates)
         self.delegates.append(run)
         return name
 
@@ -574,7 +696,7 @@ class _Emitter:
     # -- common fragments --------------------------------------------------
 
     def writeback(self, indent):
-        """Emit the write-back of everything dirtied so far — every
+        """Emit the write-back of everything dirtied so far — every hot
         exit starts with it, so this is where a pending PSR is built."""
         for name in self.dirty:
             self.line(indent, self._stores[name])
@@ -582,8 +704,52 @@ class _Emitter:
         if self.psr_dirty:
             self.line(indent, "_psr.value = psr")
 
+    def settled(self):
+        """Expression of the PSR with the pending producers' bits, built
+        by the ``_psr_*`` helpers (a slow exit's :meth:`materialize`)."""
+        value = "psr"
+        if self.cc is not None:
+            kind, a, b = self.cc
+            if kind == "const":
+                value = "psr & %d | %d" % (_NOT_CC, a)
+            else:
+                if kind == "add" or kind == "sub":
+                    a, b = _operands(kind, a, b)
+                reads = ["_t", a, b][:_PSR_HELPERS[kind][1]]
+                value = "_psr_%s(%s)" % (kind, ", ".join(
+                    ["psr", "res"] + reads))
+        if self.fe:
+            value = "_psr_fe(%s, _fb)" % value
+        return value
+
+    def bail(self, helper, *args):
+        """Emit a slow exit in an ``if`` arm: the write-back, the PSR
+        through :meth:`settled`, and one call of ``helper(cpu, frame,
+        *args)``, which commits the counts, then parks, delegates or
+        raises (the producers stay pending for the path that falls
+        through)."""
+        for name in self.dirty:
+            self.line(2, self._stores[name])
+        if self.psr_dirty:
+            self.line(2, "_psr.value = %s" % self.settled())
+        self.line(2, "return %s(%s)" % (helper, ", ".join(
+            ["cpu", "frame"] + [str(arg) for arg in args])))
+
+    def park(self, count, pc, npc):
+        """A slow exit that stops *before* the instruction at ``pc``,
+        ``count`` instructions having run: behind a slice's head, with
+        the record that can take the tail back."""
+        if self.sliced and count > 1:
+            self.undoable = True
+            self.bail("_tail", count, pc, npc, "_u",
+                      "_sl" if self.logs else "None",
+                      self.tail_loads, self.tail_stores)
+        else:
+            self.bail("_park", count, pc, npc)
+
     def commit(self, indent, count):
-        """Emit the batched cycle/useful/instruction accounting.
+        """Emit a hot exit's batched cycle/useful/instruction
+        accounting.
 
         A slice that ran ``count - 1`` private instructions past its
         head also leaves the record that can take them back.
@@ -632,17 +798,6 @@ class _Emitter:
             self.body.insert(at, "    _sl = []")
 
 
-def _emit_park(emitter, pending, pc_k, npc_expr):
-    """Past the head of a slice: stop *before* the instruction at
-    ``pc_k`` — write back, commit what ran, leave the chain there so it
-    heads a later slice at its own key."""
-    emitter.writeback(2)
-    emitter.commit(2, pending)
-    emitter.line(2, "frame.pc = %d" % pc_k)
-    emitter.line(2, "frame.npc = %s" % npc_expr)
-    emitter.line(2, "return")
-
-
 def _emit_guard(emitter, guard_expr, value_expr, instr, pending, pc_k,
                 npc_expr=None):
     """Inline future-detection guard: write back, commit, raise.
@@ -664,16 +819,10 @@ def _emit_guard(emitter, guard_expr, value_expr, instr, pending, pc_k,
     if npc_expr is None:
         npc_expr = "%d" % (pc_k + 4)
     if emitter.sliced and pending:
-        _emit_park(emitter, pending, pc_k, npc_expr)
+        emitter.park(pending, pc_k, npc_expr)
         return
-    emitter.writeback(2)
-    if pending:
-        emitter.commit(2, pending)
-    emitter.line(2, "frame.pc = %d" % pc_k)
-    emitter.line(2, "frame.npc = %s" % npc_expr)
-    name = emitter.add_instr(instr)
-    emitter.line(2, "raise _TS(_T(_FC, instr=%s, pc=%d, value=%s,"
-                 " cause=%r))" % (name, pc_k, value_expr, instr.op.name))
+    emitter.bail("_trap", pending, pc_k, npc_expr, emitter.add_instr(instr),
+                 value_expr)
 
 
 def _emit_straight(emitter, instr, pending, pc_i, npc_expr=None):
@@ -748,41 +897,8 @@ def _emit_straight(emitter, instr, pending, pc_i, npc_expr=None):
         line(1, "%s = res" % name)
 
 
-def _emit_mem_delegate(emitter, instr, run, pending, pc_i, npc_expr,
-                       install, indent=1):
-    """Emit a delegated load/store at ``pc_i``, ending the block.
-
-    Writes back and commits the pending segment, parks the PC chain at
-    the instruction (so a raised trap banks exactly the state
-    ``step()`` would have), calls the closure, installs the next
-    chain, bumps the retired counter, and returns.  When ``install``
-    the chain comes from the closure's return value (delay-slot use,
-    where the next pc is dynamic); otherwise it is the static
-    fall-through.  Used both for every memory access on a port nothing
-    is inlined for and for the slow path of an inlined access.
-    """
-    name = emitter.add_delegate(run)
-    emitter.writeback(indent)
-    if pending:
-        emitter.commit(indent, pending)
-    line = emitter.line
-    line(indent, "frame.pc = %d" % pc_i)
-    line(indent, "frame.npc = %s" % npc_expr)
-    call = "%s(cpu, frame, %d, %s)" % (name, pc_i, npc_expr)
-    if install:
-        line(indent, "_p, _n = %s" % call)
-        line(indent, "frame.pc = _p")
-        line(indent, "frame.npc = _n")
-    else:
-        line(indent, "%s" % call)
-        line(indent, "frame.pc = %d" % (pc_i + 4))
-        line(indent, "frame.npc = %d" % (pc_i + 8))
-    line(indent, "cpu.stats.instructions += 1")
-    line(indent, "return")
-
-
 def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
-                     install, tail=False):
+                     tail=False):
     """Emit an inlined load/store at ``pc_i``.
 
     The successful single-cycle access runs on the block's locals and
@@ -791,7 +907,9 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
     out-of-bank address, a store into a code-watched word, an attached
     ``watch_hook`` — takes the slow branch, which delegates to the
     closure and ends the block (the inline test mutated nothing, so
-    the closure redoes the access from scratch, bit-identically).
+    the closure redoes the access from scratch, bit-identically, and
+    its return value is the next chain: ``npc_expr`` may be a branch
+    target).
 
     On a bank with stack windows (``spec`` has the third field) one
     more case is slow: an address in a page that holds some thread
@@ -870,10 +988,10 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
         slow.append("(%s)" % " and ".join(foreign))
     line(1, "if %s:" % " or ".join(slow))
     if tail:
-        _emit_park(emitter, pending, pc_i, npc_expr)
+        emitter.park(pending, pc_i, npc_expr)
     else:
-        _emit_mem_delegate(emitter, instr, run, pending, pc_i, npc_expr,
-                           install, indent=2)
+        emitter.bail("_delegate", pending, emitter.add_delegate(run), pc_i,
+                     npc_expr)
 
     if coherent:
         # A hit, counted and stamped exactly as `CacheController._access`
@@ -905,6 +1023,19 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
         line(1, "_mw[_x] = %s" % value)
         if flavor.set_full:
             line(1, "_fe[_x] = 1")
+
+
+def _emit_delay(emitter, delay, pending, pc_i, npc_expr, spec):
+    """Emit the fused delay slot of the branch at ``pc_i``, its next pc
+    ``npc_expr``; returns ``pending`` with it counted.  Behind a slice's
+    head a memory slot rides the tail."""
+    dkind, dinstr, drun, _dword = delay
+    if dkind == "s":
+        _emit_straight(emitter, dinstr, pending, pc_i + 4, npc_expr=npc_expr)
+    else:
+        _emit_mem_inline(emitter, dinstr, drun, pending, pc_i + 4, npc_expr,
+                         spec, tail=emitter.sliced)
+    return pending + 1
 
 
 def _classify_delay(decoder, fetch, address):
@@ -948,14 +1079,21 @@ def _rides_tail(instr, spec):
 def _scan_block(cpu, pc, spec, sliced=False):
     """Scan the superblock at ``pc`` into a translation plan.
 
-    Returns ``(plan, words, total, end)`` — the classified
-    instructions, the code words covered, the instruction count on a
-    full pass, and the first byte past the block — without generating
-    any source.  The split from emission exists so a
-    :data:`SHARED_BLOCKS` hit (the common case on every machine after
-    the first) pays only this cheap classification walk, not the
-    string building.  Scanning uses side-effect-free instruction
-    fetches (the perfect I-cache).
+    Returns ``(plan, words, total, runs)`` — the classified
+    instructions, the code words covered in scan order, the instruction
+    count on a full pass, and the byte ranges ``[lo, hi)`` the words
+    came from in scan order (the last one's ``hi`` is where a block
+    that runs off the scan bound parks) — without generating any
+    source.  The split from emission exists so a :data:`SHARED_BLOCKS`
+    hit (the common case on every machine after the first) pays only
+    this cheap classification walk, not the string building.  Scanning
+    uses side-effect-free instruction fetches (the perfect I-cache).
+
+    An unconditional ``CALL`` or ``BA`` whose delay slot fuses is
+    *followed*: the scan goes on at its static target, a new run, while
+    the redirect, its slot and one more instruction fit in
+    :data:`MAX_JIT_BLOCK` (so a loop closed by ``BA`` unrolls up to the
+    bound).  ``JMPL`` ends the block: its target is a register's.
 
     ``sliced`` scans the second shape, a *sync-headed slice*: whatever
     stands at ``pc``, then only *private* instructions — one cycle,
@@ -965,7 +1103,9 @@ def _scan_block(cpu, pc, spec, sliced=False):
     window, tested at run time.  The scan stops *before* any other
     load/store or delegated instruction, and a memory delay slot is
     fused only if it rides, so the head is the only instruction in the
-    plan another processor could observe.
+    plan another processor could observe.  A followed callee's
+    instructions are held to the same test: a ``CALL`` is private, and
+    so is what it reaches, or the scan stops there.
 
     Plan items:
         ``("s", instr, pc)`` — inlined straight-line op;
@@ -973,18 +1113,20 @@ def _scan_block(cpu, pc, spec, sliced=False):
         or a coherent cache hit);
         ``("mt", instr, pc)`` — the same behind a slice's head:
         inside the frame's stack window, or the chain parks;
-        ``("md", instr, run, pc)`` — delegated memory terminator;
         ``("cb", instr, pc)`` — bare conditional exit;
         ``("c", instr, pc, delay)`` — fused conditional (continues);
-        ``("u", instr, pc, delay_or_None)`` — BA/CALL/JMPL exit;
-        ``("d", instr, run, pc)`` — delegated terminator.
+        ``("u", instr, pc, delay_or_None, followed)`` — BA/CALL/JMPL,
+        an exit unless ``followed``;
+        ``("d", instr, run, pc)`` — delegated terminator (any memory
+        access on a port nothing is inlined for, too).
     """
     decoder = cpu.decoder
     fetch = cpu.port.fetch
     predecode = decoder.predecode
     plan = []
     words = []
-    scan = pc
+    runs = []
+    start = scan = pc
     total = 0
 
     while total < MAX_JIT_BLOCK:
@@ -1015,22 +1157,16 @@ def _scan_block(cpu, pc, spec, sliced=False):
             scan += 4
             continue
 
-        if shape in _MEMORY:
+        if shape in _MEMORY and spec is not None:
             try:
                 run = predecode(word).run
             except Exception:
                 break
+            plan.append(("mi", instr, run, scan))
             words.append(word)
-            if spec is not None:
-                plan.append(("mi", instr, run, scan))
-                total += 1
-                scan += 4
-                continue
-            # A port nothing is inlined for: a delegated terminator.
-            plan.append(("md", instr, run, scan))
             total += 1
             scan += 4
-            break
+            continue
 
         if redirect:
             delay = _classify_delay(decoder, fetch, scan + 4)
@@ -1042,6 +1178,10 @@ def _scan_block(cpu, pc, spec, sliced=False):
                 # simple where nothing is inlined.  A slice fuses only what
                 # may ride its tail.
                 delay = None
+            if delay is not None and total + 2 > MAX_JIT_BLOCK:
+                # The branch and its slot do not both fit: the next
+                # block starts at the branch.
+                break
             if shape == CONDITIONAL:
                 if delay is None:
                     plan.append(("cb", instr, scan))
@@ -1055,18 +1195,24 @@ def _scan_block(cpu, pc, spec, sliced=False):
                 total += 2
                 scan += 8
                 continue
-            plan.append(("u", instr, scan, delay))
+            followed = (delay is not None and instr.op is not Opcode.JMPL
+                        and total + 3 <= MAX_JIT_BLOCK)
+            plan.append(("u", instr, scan, delay, followed))
             words.append(word)
             total += 1
-            scan += 4
             if delay is not None:
                 words.append(delay[3])
                 total += 1
-                scan += 4
-            break
+            if not followed:
+                scan += 8 if delay is not None else 4
+                break
+            runs.append((start, scan + 8))
+            start = scan = scan + 4 * instr.imm
+            continue
 
-        # Anything else decodable (frame ops, system ops, DIV/REM, IO):
-        # a delegated terminator ending the block.
+        # Anything else decodable (frame ops, system ops, DIV/REM, IO,
+        # memory on a port nothing is inlined for): a delegated
+        # terminator ending the block.
         try:
             run = predecode(word).run
         except Exception:
@@ -1077,7 +1223,8 @@ def _scan_block(cpu, pc, spec, sliced=False):
         scan += 4
         break
 
-    return plan, words, total, scan
+    runs.append((start, scan))
+    return plan, words, total, runs
 
 
 def compile_block(cpu, pc, sliced=False):
@@ -1098,7 +1245,7 @@ def compile_block(cpu, pc, sliced=False):
     delegated ends the slice like any block: it has no tail.
     """
     spec = _port_spec(cpu)
-    plan, words, total, end = _scan_block(cpu, pc, spec, sliced)
+    plan, words, total, runs = _scan_block(cpu, pc, spec, sliced)
     if total < (1 if sliced else 2):
         # A slice of one still beats step(): an inlined head skips the
         # closure tier's port call, a delegated one its dispatch.
@@ -1126,20 +1273,14 @@ def compile_block(cpu, pc, sliced=False):
         elif kind == "mi":
             _, instr, run, pc_i = item
             _emit_mem_inline(emitter, instr, run, pending, pc_i,
-                             "%d" % (pc_i + 4), spec, install=False)
+                             "%d" % (pc_i + 4), spec)
             pending += 1
             emitter.mark_head(pc_i + 4, pc_i + 8)
         elif kind == "mt":
             _, instr, pc_i = item
             _emit_mem_inline(emitter, instr, None, pending, pc_i,
-                             "%d" % (pc_i + 4), spec, install=False,
-                             tail=True)
+                             "%d" % (pc_i + 4), spec, tail=True)
             pending += 1
-        elif kind == "md":
-            _, instr, run, pc_i = item
-            _emit_mem_delegate(emitter, instr, run, pending, pc_i,
-                               "%d" % (pc_i + 4), install=False)
-            term_emitted = True
         elif kind == "cb":
             # Bare conditional exit: branch only, delay slot left to
             # step() (the chain is no longer straight).
@@ -1163,15 +1304,7 @@ def compile_block(cpu, pc, sliced=False):
             line(1, "_nn = %d if _tk else %d" % (target, pc_i + 8))
             pending += 1
             emitter.mark_head(pc_i + 4, "_nn")
-            dkind, dinstr, drun, _dword = delay
-            if dkind == "s":
-                _emit_straight(emitter, dinstr, pending, pc_i + 4,
-                               npc_expr="_nn")
-            else:
-                _emit_mem_inline(emitter, dinstr, drun, pending,
-                                 pc_i + 4, "_nn", spec, install=True,
-                                 tail=emitter.sliced)
-            pending += 1
+            pending = _emit_delay(emitter, delay, pending, pc_i, "_nn", spec)
             line(1, "if _tk:")
             emitter.writeback(2)
             emitter.commit(2, pending)
@@ -1180,15 +1313,11 @@ def compile_block(cpu, pc, sliced=False):
             line(2, "return")
         elif kind == "u":
             # Unconditional redirect: BA/CALL/JMPL, delay slot fused
-            # when possible.
-            _, instr, pc_i, delay = item
+            # when possible; a followed one goes on at its target.
+            _, instr, pc_i, delay, followed = item
             op = instr.op
             pending += 1
-            if op is Opcode.CALL:
-                name = emitter.def_reg(registers.RA)
-                line(1, "%s = %d" % (name, (pc_i + 8) & WORD_MASK))
-                target_expr = "%d" % (pc_i + 4 * instr.imm)
-            elif op is Opcode.JMPL:
+            if op is Opcode.JMPL:
                 base = emitter.use_reg(instr.rs1)
                 line(1, "_nn = (%s + %d) & %d" % (
                     base, instr.imm, WORD_MASK))
@@ -1196,7 +1325,10 @@ def compile_block(cpu, pc, sliced=False):
                     name = emitter.def_reg(instr.rd)
                     line(1, "%s = %d" % (name, (pc_i + 8) & WORD_MASK))
                 target_expr = "_nn"
-            else:  # BA
+            else:
+                if op is Opcode.CALL:
+                    name = emitter.def_reg(registers.RA)
+                    line(1, "%s = %d" % (name, (pc_i + 8) & WORD_MASK))
                 target_expr = "%d" % (pc_i + 4 * instr.imm)
             emitter.mark_head(pc_i + 4, target_expr)
             if delay is None:
@@ -1205,24 +1337,20 @@ def compile_block(cpu, pc, sliced=False):
                 line(1, "frame.pc = %d" % (pc_i + 4))
                 line(1, "frame.npc = %s" % target_expr)
                 line(1, "return")
+                term_emitted = True
+                continue
+            pending = _emit_delay(emitter, delay, pending, pc_i, target_expr,
+                                  spec)
+            if followed:
+                continue
+            emitter.writeback(1)
+            emitter.commit(1, pending)
+            line(1, "frame.pc = %s" % target_expr)
+            if target_expr == "_nn":
+                line(1, "frame.npc = _nn + 4")
             else:
-                dkind, dinstr, drun, _dword = delay
-                if dkind == "s":
-                    _emit_straight(emitter, dinstr, pending, pc_i + 4,
-                                   npc_expr=target_expr)
-                else:
-                    _emit_mem_inline(emitter, dinstr, drun, pending,
-                                     pc_i + 4, target_expr, spec,
-                                     install=True, tail=emitter.sliced)
-                pending += 1
-                emitter.writeback(1)
-                emitter.commit(1, pending)
-                line(1, "frame.pc = %s" % target_expr)
-                if target_expr == "_nn":
-                    line(1, "frame.npc = _nn + 4")
-                else:
-                    line(1, "frame.npc = %d" % (int(target_expr) + 4))
-                line(1, "return")
+                line(1, "frame.npc = %d" % (int(target_expr) + 4))
+            line(1, "return")
             term_emitted = True
         else:  # "d": delegated terminator
             _, instr, run, pc_i = item
@@ -1240,7 +1368,7 @@ def compile_block(cpu, pc, sliced=False):
             line(1, "return")
             term_emitted = True
 
-    scan = end
+    scan = runs[-1][1]
     if not term_emitted:
         # Ran off the scan bound (or into an undecodable word): park
         # the chain at the first untranslated pc.
@@ -1253,10 +1381,7 @@ def compile_block(cpu, pc, sliced=False):
     if emitter.undoable:
         emitter.snapshot_head()
 
-    params = ["cpu", "frame"]
-    for index in range(len(emitter.delegates)):
-        params.append("_d%d=_D%d" % (index, index))
-    header = ["def _jit(%s):" % ", ".join(params)]
+    header = ["def _jit(cpu, frame):"]
     prologue = []
     if emitter.needs_regs:
         prologue.append("    regs = frame.regs")
@@ -1295,16 +1420,10 @@ def compile_block(cpu, pc, sliced=False):
     prologue.extend("    " + load for load in emitter.refs.values())
     source = "\n".join(header + prologue + emitter.body) + "\n"
 
-    # Trap machinery and Instruction payloads resolve through the
-    # generated function's globals — cold path, so dict lookups are
-    # fine there (the hot path only touches locals and default args,
-    # and a coherent store the MODIFIED state ``_M``).
-    namespace = {
-        "_TS": TrapSignal,
-        "_T": Trap,
-        "_FC": TrapKind.FUTURE_COMPUTE,
-        "_M": LineState.MODIFIED,
-    }
+    # The slow exits' helpers, the closures and the Instruction
+    # payloads resolve through the generated function's globals: once
+    # per exit at most (and a coherent store's MODIFIED state ``_M``).
+    namespace = dict(_GLOBALS)
     for index, instr_const in enumerate(emitter.instrs):
         namespace["_i%d" % index] = instr_const
     for index, run in enumerate(emitter.delegates):
@@ -1313,6 +1432,6 @@ def compile_block(cpu, pc, sliced=False):
     exec(code, namespace)
     fn = namespace["_jit"]
 
-    jb = JitBlock(fn, total, pc, scan, key, source)
+    jb = JitBlock(fn, total, pc, _merged(runs), key, source)
     SHARED_BLOCKS.put(key, jb)
     return jb

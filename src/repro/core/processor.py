@@ -491,8 +491,9 @@ class Processor:
         """Compile the block (or slice) at ``pc``; caches the result.
 
         Uncompilable pcs cache ``False`` so :func:`compile_block` is
-        asked once per pc; real blocks register their pc range with the
-        code watch so self-modifying stores invalidate them.
+        asked once per pc; real blocks register each run of words they
+        were compiled from with the code watch so self-modifying stores
+        invalidate them.
         """
         jb = compile_block(self, pc, sliced)
         code = self.translations
@@ -500,7 +501,8 @@ class Processor:
         if jb is not None:
             self.jit_compiles += 1
             if code.watch is not None:
-                code.watch.cover(jb.start, jb.end)
+                for lo, hi in jb.runs:
+                    code.watch.cover(lo, hi)
         return jb
 
     def unrun_tail(self, keep, cause="run_end"):
@@ -876,7 +878,7 @@ class Translations:
         jit_map = jit.data
         if jit_map:
             for key in [k for k, jb in jit_map.items()
-                        if jb is not False and jb.start <= word < jb.end]:
+                        if jb is not False and jb.covers(word)]:
                 # A block can never invalidate *itself* mid-run (inline
                 # stores refuse watched words; delegated stores end the
                 # block), so dropping the cache entry is sufficient.

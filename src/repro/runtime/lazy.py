@@ -65,7 +65,9 @@ class LazyQueue:
     stack); thieves steal from the front (the oldest, coarsest-grain
     work) — the classic lazy-task-queue discipline.  Entries are
     invalidated in place (``active``/``stolen`` flags) and skipped
-    during steals, avoiding O(n) removals.
+    during steals, avoiding O(n) removals.  ``live`` counts the entries
+    still stealable — +1 per push, -1 per discard and per steal, the
+    only ways a queued marker stops being active and unstolen.
     """
 
     def __init__(self, node):
@@ -75,6 +77,7 @@ class LazyQueue:
         self.steals = 0
         self.discards = 0
         self.peak_depth = 0
+        self.live = 0
 
     def counters(self):
         """Counter snapshot for reports."""
@@ -83,20 +86,21 @@ class LazyQueue:
             "steals": self.steals,
             "discards": self.discards,
             "peak_depth": self.peak_depth,
-            "live": len(self),
+            "live": self.live,
         }
 
     def push(self, marker):
         self._markers.append(marker)
         self.pushes += 1
-        depth = len(self)
-        if depth > self.peak_depth:
-            self.peak_depth = depth
+        self.live += 1
+        if self.live > self.peak_depth:
+            self.peak_depth = self.live
 
     def discard(self, marker):
         """Owner finished the marker unstolen; drop it lazily."""
         marker.active = False
         self.discards += 1
+        self.live -= 1
         while self._markers and not self._markers[-1].active:
             self._markers.pop()
 
@@ -122,11 +126,12 @@ class LazyQueue:
             self._markers.popleft()
             marker.stolen = True
             self.steals += 1
+            self.live -= 1
             return marker
         return None
 
     def __len__(self):
-        return sum(1 for m in self._markers if m.active and not m.stolen)
+        return self.live
 
 
 def _oldest_active(thread):

@@ -29,6 +29,7 @@ from repro.isa.instructions import STORE_FLAVORS
 from repro.isa.optable import (
     CONDITIONAL,
     LOAD,
+    PRODUCERS,
     REDIRECT,
     STORE,
     STRAIGHT,
@@ -450,7 +451,7 @@ class TestSharedTranslations:
         assert len(memory.code_watch._listeners) == 1
         loop = program.address_of("loop")
         covering = [key for key, block in tables.jit.data.items()
-                    if block and block.start <= loop < block.end]
+                    if block and block.covers(loop)]
         memory.write_word(loop, memory.read_word(loop))
         assert tables.jit.invalidations == len(covering) > 0
         assert not any(key in second._jit_map for key in covering)
@@ -578,7 +579,7 @@ class TestSelfModifyingCode:
         cpu, _, program = build_jit_cpu(source)
         body, target = program.address_of("body"), program.address_of("target")
         first = compile_block(cpu, body, sliced=True)
-        assert first.start == body < target < first.end
+        assert first.start == body < target and first.covers(target)
         run_slices_to_halt(cpu)
         assert cpu.read_reg(1) == ref_cpu.read_reg(1) == 8 + 8 * 5
         assert cpu.cycles == ref_cpu.cycles
@@ -586,6 +587,90 @@ class TestSelfModifyingCode:
         assert cpu.ahead_instructions > 0
         assert cpu.translations.jit.invalidations > 0
         assert cpu._jit_map[~body].key != first.key
+
+    #: The caller's translations follow ``call callee`` into the callee,
+    #: which the program then patches; ``between`` is a data word
+    #: between the two that nothing runs.
+    FOLLOWED = """
+            set 0, r1
+            set 0, r7
+            set donor, r3
+        caller:
+            addr r2, 1, r2
+            call callee
+            @nop
+            cmpr r7, 0
+            bne done
+            @nop
+            addr r7, 1, r7
+            ldr [r3+0], r4
+            set target, r5
+            str r4, [r5+0]       ; patch the callee
+            ba caller
+            @nop
+        done:
+            halt
+        between:
+            .word 0
+        callee:
+        target:
+            addr r1, 1, r1       ; becomes "addr r1, 5, r1"
+            jmpl [ra+0], r0
+            @nop
+        donor:
+            addr r1, 5, r1
+    """
+
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_a_store_into_a_followed_callee(self, sliced):
+        cpu, memory, program = build_jit_cpu(self.FOLLOWED)
+        caller, target, between = (program.address_of(label) for label in
+                                   ("caller", "target", "between"))
+        first = {key: cpu._compile_jit(caller, key < 0)
+                 for key in (caller, ~caller)}
+        for jb in first.values():
+            assert len(jb.runs) == 2 and jb.covers(target)
+            assert jb.runs[0][0] == caller < between < jb.runs[1][0]
+            assert not jb.covers(between)
+
+        # Lockstep against the reference interpreter, one generated
+        # block or slice at a time.
+        ref, ref_memory, _ = build_jit_cpu(self.FOLLOWED)
+        ref.use_reference_interpreter()
+        end = program.base + 4 * len(program.words)
+        while not cpu.halted:
+            cpu.step_block(0 if sliced else 1 << 30, sliced)
+            while ref.stats.instructions < cpu.stats.instructions:
+                ref.step()
+            assert (cpu.frame.pc, cpu.frame.npc) == (ref.frame.pc,
+                                                     ref.frame.npc)
+            assert cpu.cycles == ref.cycles
+            assert cpu.stats.snapshot() == ref.stats.snapshot()
+            assert cpu.frame.regs == ref.frame.regs
+            assert cpu.frame.psr.value == ref.frame.psr.value
+            assert all(memory.read_word(a) == ref_memory.read_word(a)
+                       for a in range(program.base, end, 4))
+        assert ref.halted and cpu.read_reg(1) == 1 + 5
+
+        # The patch dropped both translations that followed the call,
+        # and whatever is left was compiled from the words now there.
+        assert all(cpu._jit_map.get(key) is not jb
+                   for key, jb in first.items())
+        counters = cpu.translation_counters()["jit"]
+        assert counters["invalidations"] > 0
+        for jb in cpu._jit_map.values():
+            if jb:
+                covered = {memory.read_word(address)
+                           for lo, hi in jb.runs
+                           for address in range(lo, hi, 4)}
+                assert covered == set(jb.key[1])
+
+        # Coverage is the runs, not their hull: a store between the
+        # caller and the callee drops nothing.
+        kept = dict(cpu._jit_map)
+        memory.write_word(between, 7)
+        assert cpu.translation_counters()["jit"] == counters
+        assert cpu._jit_map == kept
 
     def test_deopt_counter_stays_zero(self):
         # Current codegen never returns without progress (guards raise,
@@ -617,21 +702,30 @@ class TestSyncHeadedSlices:
                    if row.shape in (STRAIGHT, REDIRECT, CONDITIONAL)}
         memory = {row.op for row in TABLE if row.shape in (LOAD, STORE)}
         stores = {row.op for row in TABLE if row.shape == STORE}
-        slices = tails = memory_tails = 0
+        slices = tails = memory_tails = followed = 0
         for pc in range(base, base + 4 * len(words), 4):
             jb = compile_block(cpu, pc, sliced=True)
             if jb is None:
                 continue
             slices += 1
-            assert jb.start == pc and jb.count <= MAX_JIT_BLOCK
-            assert (jb.end - jb.start) >> 2 == jb.count
+            assert jb.start == pc and jb.covers(pc)
+            # One word per instruction run, in the order they run: the
+            # slice follows CALL and BA into their targets, so its words
+            # need not be one range, but it covers exactly the words it
+            # was compiled from.
+            code = jb.key[1]
+            assert len(code) == jb.count <= MAX_JIT_BLOCK
+            covered = {words[(address - base) >> 2]
+                       for lo, hi in jb.runs for address in range(lo, hi, 4)}
+            assert covered == set(code)
+            followed += len(jb.runs) > 1
             loaded = stored = 0
-            for address in range(pc + 4, jb.end, 4):
+            for word in code[1:]:
                 tails += 1
-                instr = cpu.decoder.decode(words[(address - base) >> 2])
+                instr = cpu.decoder.decode(word)
                 if instr.op in private:
                     continue
-                assert instr.op in memory, (hex(pc), hex(address), instr.op)
+                assert instr.op in memory, (hex(pc), instr.op)
                 assert instr.rs1 == registers.SP
                 if instr.op in stores:
                     stored += 1
@@ -643,6 +737,7 @@ class TestSyncHeadedSlices:
             assert "_ow" not in jb.source
             memory_tails += loaded + stored
         assert slices > 50 and tails > slices and memory_tails > 20
+        assert followed > 0
 
     def test_slices_match_step(self):
         # Loads, stores, calls and taken/untaken branches, each leg
@@ -854,16 +949,16 @@ class TestWhoPaysForWindows:
 
     #: sha256 over the plain-block source at every pc of fib, queens
     #: and factor in all three modes.  A change that means to alter
-    #: what these machines compile re-pins it (last: PR 24, PSR bits
-    #: computed at the exits; the coherent row since cache hits are
-    #: inlined); any other must not.
+    #: what these machines compile re-pins it (last: blocks follow
+    #: CALL and BA into their targets, and slow exits call helpers);
+    #: any other must not.
     PINNED = {
-        "ideal": (5483, "968fd572b3895a243beab6a2bd80ce3a"
-                        "8eda1a96e7d2c98b6ee5d012c006455c"),
-        "delegating": (3485, "c5dd85fb712ccfe0bc00c52f19ecda14"
-                             "c33a5a0c1577e23cc6ef6024f417e080"),
-        "coherent": (5483, "139d374718b74e2f71fa770f680e67bb"
-                           "cf8151a5a2191da93cf8424139b643f1"),
+        "ideal": (5483, "bcacbc592fa2af2cc02884e964404882"
+                        "f6d1d6680ffc3714ff3cd9ca697dc25a"),
+        "delegating": (3485, "5f7f3fc51e338083587c110763829384"
+                             "4f4b1f2944d031ce5e4d9e831a09f7f2"),
+        "coherent": (5483, "10b6a1b61c36f4b4ee758f5eed476d37"
+                           "e24f05d992ae596fc18c6f014db3aa16"),
     }
 
     #: The same over the slice source (``compile_block(..., sliced=True)``)
@@ -872,10 +967,10 @@ class TestWhoPaysForWindows:
     #: on a coherent node (register-only tails).  Same rule as
     #: :data:`PINNED`.
     SLICES = {
-        "coherent": (5558, "d805348bcac891ed1d9737a233f89c57"
-                           "ebf4d60c6b6923ea3b00e3886e00c182"),
-        "windows": (5558, "cd1e157cd8a99ca3e10547bcfd5f2984"
-                          "7d542c4eb191b57c51a7ba821c7cd4d0"),
+        "coherent": (5558, "6a8209de9a698085d25766cab64a3010"
+                           "a84f35e1bc6f7be6903a96e74043ca50"),
+        "windows": (5558, "ed0f4a7a099fc666677142cd37affb7f"
+                          "abadfa8273d5ec67421960d319b01422"),
     }
 
     @staticmethod
@@ -1364,8 +1459,9 @@ class TestFlagsAtEveryExit:
     def test_one_materialisation_per_exit_not_per_producer(self):
         # Eight back-to-back producers, a guard in the middle: the
         # condition codes are built in the guard's bail and at the
-        # terminator — twice, not eight times — and the only `_cc` on
-        # the fall-through path is the terminator's.
+        # terminator — twice, not eight times.  The terminator builds
+        # them inline, the only `_cc` on the fall-through path; the
+        # bail, a slow exit, through one `_psr_<kind>` helper call.
         body = "\n".join("    addr r%d, %d, r%d" % (n, n, n + 1)
                          for n in range(1, 5))
         source = body + "\n    add r5, 4, r6\n" + body.replace(
@@ -1374,9 +1470,11 @@ class TestFlagsAtEveryExit:
         jb = compile_block(cpu, program.base)
         assert jb.count == 10
         lines = jb.source.split("\n")
-        assert sum(line.lstrip().startswith("_cc = ") for line in lines) == 2
+        assert sum(line.lstrip().startswith("_cc = ") for line in lines) == 1
         assert sum(line.startswith("    _cc = ") for line in lines) == 1
-        assert jb.source.count("_psr.value = psr") == 2
+        assert sum(jb.source.count("_psr_%s(" % kind)
+                   for kind in PRODUCERS) == 1
+        assert jb.source.count("_psr.value = ") == 2
         assert "_c = " not in jb.source            # nothing copied aside
         # ... and a loaded constant is a literal, flags and all.
         cpu, _, program = build_jit_cpu("""

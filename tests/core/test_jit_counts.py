@@ -1,0 +1,53 @@
+"""What generated code costs the host, counted rather than timed.
+
+Three legs of the repo benchmark at its ``--quick`` sizes — sequential
+fib, and eager and lazy fib on four processors — each run once on a
+fresh machine.  How many generated functions the run called, how many
+instructions it retired, how many blocks and slices it compiled, and
+how many characters of source those translations are: exact,
+host-independent figures for what a wall-clock ratio can only
+estimate.  A scan that stops at every ``CALL`` and ``BA`` again moves
+the calls and the compiles; slow exits that state their commit and PSR
+bits inline again move the characters.  A change that means to move a
+count re-pins it here and says why; any other must not move one.
+"""
+
+import pytest
+
+from repro import workloads
+from repro.lang.compiler import compile_source
+from repro.machine.alewife import AlewifeMachine
+from repro.machine.config import MachineConfig
+
+#: ``(mode, fib's n, processors)`` -> the run's counts.
+PINNED = {
+    ("sequential", 12, 1): {"jit_runs": 1020, "instructions": 17672,
+                            "jit_compiles": 8, "source_chars": 27141},
+    ("eager", 8, 4): {"jit_runs": 792, "instructions": 4396,
+                      "jit_compiles": 41, "source_chars": 100642},
+    ("lazy", 9, 4): {"jit_runs": 595, "instructions": 4360,
+                     "jit_compiles": 27, "source_chars": 63506},
+}
+
+
+def _counts(mode, n, processors):
+    fib = workloads.get("fib")
+    compiled = compile_source(fib.source(), mode=mode)
+    config = MachineConfig(num_processors=processors,
+                           lazy_futures=compiled.wants_lazy_scheduling)
+    machine = AlewifeMachine(compiled.program, config)
+    result = machine.run(entry=compiled.entry_label("main"),
+                         args=fib.args(n))
+    assert result.value == fib.reference(n)
+    cpus = machine.cpus
+    # One translation table per machine, whichever processor compiled.
+    blocks = [jb for jb in cpus[0].translations.jit.data.values() if jb]
+    return {"jit_runs": sum(cpu.jit_runs for cpu in cpus),
+            "instructions": result.stats.instructions,
+            "jit_compiles": sum(cpu.jit_compiles for cpu in cpus),
+            "source_chars": sum(len(jb.source) for jb in blocks)}
+
+
+@pytest.mark.parametrize("leg", sorted(PINNED))
+def test_generated_code_counts_are_pinned(leg):
+    assert _counts(*leg) == PINNED[leg]

@@ -145,14 +145,14 @@ class TestInvalidationIsPerMachine:
         block = next(b for key, b in tables.jit.data.items()
                      if b is not False and key >= 0)
         covering = sum(1 for b in tables.jit.data.values()
-                       if b is not False and b.start <= block.start < b.end)
+                       if b is not False and b.covers(block.start))
         before = tables.jit.invalidations
         # Same word back through the watched write path: a store into
         # translated code, whatever it stores.
         memory.write_word(block.start, memory.read_word(block.start))
         assert tables.jit.invalidations == before + covering
         for cpu in machine.cpus:
-            assert not any(b is not False and b.start <= block.start < b.end
+            assert not any(b is not False and b.covers(block.start)
                            for b in cpu._jit_map.values())
 
     def test_a_store_drops_a_predecoded_entry_once_for_all(self):

@@ -1,5 +1,11 @@
 """LazyQueue unit behavior: steal discipline and counter snapshots."""
 
+import pytest
+
+from repro import workloads
+from repro.lang.compiler import compile_source
+from repro.machine.alewife import AlewifeMachine
+from repro.machine.config import MachineConfig
 from repro.runtime.lazy import LazyMarker, LazyQueue
 
 
@@ -51,3 +57,59 @@ class TestCounters:
         assert queue.counters()["steals"] == 1
         assert queue.steal() is None
         assert queue.counters()["steals"] == 1
+
+
+def _scan(queue):
+    """What ``len(queue)`` was before the running count: the queued
+    markers still active and unstolen."""
+    return sum(1 for m in queue._markers if m.active and not m.stolen)
+
+
+class TestLiveCountIsTheScan:
+    """``live`` moves by one at each push, discard and steal.  Over
+    whole eager and lazy runs it must equal the scan of the deque after
+    every one of them, and ``peak_depth`` the scan's high-water mark."""
+
+    @pytest.mark.parametrize("mode, program, n", [
+        ("eager", "fib", 8),
+        ("lazy", "fib", 9),
+        ("lazy", "queens", 4),
+    ])
+    def test_running_count_equals_the_scan(self, monkeypatch, mode, program,
+                                           n):
+        peaks = {}
+        operations = []
+
+        def checked(method):
+            def run(queue, *args):
+                result = method(queue, *args)
+                depth = _scan(queue)
+                assert queue.live == len(queue) == depth
+                peaks[queue.node] = max(peaks.get(queue.node, 0), depth)
+                operations.append(method.__name__)
+                return result
+            return run
+
+        for name in ("push", "discard", "steal"):
+            monkeypatch.setattr(LazyQueue, name,
+                                checked(getattr(LazyQueue, name)))
+        workload = workloads.get(program)
+        compiled = compile_source(workload.source(), mode=mode)
+        config = MachineConfig(
+            num_processors=4,
+            lazy_futures=compiled.wants_lazy_scheduling)
+        machine = AlewifeMachine(compiled.program, config)
+        result = machine.run(entry=compiled.entry_label("main"),
+                             args=workload.args(n))
+        assert result.value == workload.reference(n)
+        for queue in machine.runtime.lazy_queues:
+            counters = queue.counters()
+            assert counters["live"] == _scan(queue) == 0
+            assert counters["peak_depth"] == peaks.get(queue.node, 0)
+            assert counters["pushes"] == (counters["steals"]
+                                          + counters["discards"])
+        if mode == "lazy":
+            assert {"push", "discard"} <= set(operations)
+            assert sum(q.steals for q in machine.runtime.lazy_queues) > 0
+        else:
+            assert not operations
