@@ -114,29 +114,33 @@ change before this one's next head.  Straight ops, branches and
 PC chain, nothing else); so is an inlined load or store off the stack
 pointer *whose address falls, at run time, inside the executing
 frame's stack window* (``frame.window``: the loaded thread's
-``[stolen_base, stack_limit)`` on an ideal machine that runs ahead,
-empty anywhere else) — the machine keeps every other processor out of
-that window or winds this one back (``AlewifeMachine._wind_back``).
-On a coherent node no load or store rides: its tails are registers,
-condition codes and PC chain only.  The scan stops before any other
+``[stolen_base, stack_limit)`` on a machine that runs ahead, empty
+anywhere else) — the machine keeps every other processor out of that
+window or winds this one back (``AlewifeMachine._wind_back``).  On a
+coherent node such an access rides as the cache hit a plain block
+inlines, and only when its whole cache block lies inside the window:
+another node's access to a word of the block outside it would change
+the line and wind nothing back.  The scan stops before any other
 memory or delegated instruction.  Past the
 head nothing raises or delegates: a tripped guard, a stack access
-outside the window, any slow-path condition *parks* the chain at the
-instruction and returns, to be taken when it heads a later slice.
-Every exit records how many private instructions ran, their post-head
-register values and — the store log — the old word and full/empty bit
-of everything they changed in memory, so
-:meth:`repro.core.processor.Processor.unrun_tail` can take them back.
+outside the window, any slow-path condition (a coherent miss too)
+*parks* the chain at the instruction and returns, to be taken when it
+heads a later slice.  Every exit records how many private instructions
+ran, their post-head register values, the old word and full/empty bit
+of everything they changed in memory (the store log) and, on a
+coherent node, the old LRU stamp of every line they hit (the hit
+log), so :meth:`repro.core.processor.Processor.unrun_tail` can take
+them back.
 Slices share :data:`SHARED_BLOCKS` (own key suffix), promotion at the
 first visit, the machine's LRU bound and code-watch invalidation.
 
-On a bank with stack windows (``_port_spec``'s third field) every
+On a bank with stack windows (``_port_spec``'s last field) every
 inlined access that is *not* a tail access — a head, or anywhere in a
 plain block — is slow too when it lands in a page holding some thread
 stack outside the executing frame's own window: the closure's access
-then passes ``Memory._index``, where the window's owner is wound back
-first.  Machines without windows (one processor, coherent memory)
-carry no such test.
+then passes ``Memory._index`` (on a coherent node, first the
+controller), where the window's owner is wound back first.  Machines
+without windows (one processor) carry no such test.
 
 Every compute instruction sets N/Z/V/C and every load or store the
 full/empty bit, and the next producer overwrites nearly all of it
@@ -316,12 +320,13 @@ def _park(cpu, frame, count, pc, npc):
     frame.npc = npc
 
 
-def _tail(cpu, frame, count, pc, npc, undo, log, loads, stores):
+def _tail(cpu, frame, count, pc, npc, undo, log, loads, stores, *hits):
     """:func:`_park` behind a slice's head: the last ``count - 1``
     instructions were its private tail, so leave the record
-    :meth:`Processor.unrun_tail` takes them back with."""
+    :meth:`Processor.unrun_tail` takes them back with (``hits``: a
+    coherent tail's log of the lines it stamped)."""
     _park(cpu, frame, count, pc, npc)
-    cpu.ahead_tail = (count - 1, undo, log)
+    cpu.ahead_tail = (count - 1, undo, log, *hits)
     cpu.ahead_slices += 1
     cpu.ahead_instructions += count - 1
     cpu.ahead_loads += loads
@@ -424,7 +429,7 @@ def _spec_tag(spec):
 
 def _has_windows(spec):
     """Whether ``spec`` is a windowed bank's."""
-    return _spec_tag(spec) == "windows"
+    return spec is not None and spec[-1] == "windows"
 
 
 def _port_spec(cpu):
@@ -441,11 +446,11 @@ def _port_spec(cpu):
     generated bounds checks.  ``None`` means "delegate every memory
     access".
 
-    A bank with :class:`~repro.mem.memory.StackWindows` installed — an
-    ideal machine that runs ahead — adds a third field: every inlined
-    access that is not a tail access then carries the foreign-window
-    test.  Everybody else's key, and so their generated source, is what
-    it was without one.
+    A bank with :class:`~repro.mem.memory.StackWindows` installed — a
+    machine that runs ahead, ideal or coherent — ends the spec with
+    ``"windows"``: every inlined access that is not a tail access then
+    carries the foreign-window test.  Everybody else's key, and so
+    their generated source, is what it was without one.
     """
     port = cpu.port
     if type(port) is IdealMemoryPort and port.latency == 1:
@@ -455,8 +460,11 @@ def _port_spec(cpu):
         return (memory.base, memory.size_words)
     if type(port) is CacheController:
         memory = port.memory
-        return (memory.base, memory.size_words, "coherent",
+        spec = (memory.base, memory.size_words, "coherent",
                 port.cache.block_bytes)
+        if memory.windows is not None:
+            spec += ("windows",)
+        return spec
     return None
 
 
@@ -552,6 +560,9 @@ class _Emitter:
         self.tail_loads = 0
         self.tail_stores = 0
         self.logs = False
+        #: Some tail access hit a coherent cache (needs the hit log).
+        self.stamps = False
+        self.needs_owners = False    # reads the bank's window pages
         self.delegates = []          # closures (namespace constants)
         self.instrs = []             # Instruction constants (trap payloads)
 
@@ -743,7 +754,8 @@ class _Emitter:
             self.undoable = True
             self.bail("_tail", count, pc, npc, "_u",
                       "_sl" if self.logs else "None",
-                      self.tail_loads, self.tail_stores)
+                      self.tail_loads, self.tail_stores,
+                      *["_hl"] if self.stamps else [])
         else:
             self.bail("_park", count, pc, npc)
 
@@ -761,8 +773,9 @@ class _Emitter:
         self.line(indent, "_st.instructions += %d" % count)
         if self.sliced and count > 1:
             self.undoable = True
-            self.line(indent, "cpu.ahead_tail = (%d, _u, %s)" % (
-                count - 1, "_sl" if self.logs else "None"))
+            self.line(indent, "cpu.ahead_tail = (%d, _u, %s%s)" % (
+                count - 1, "_sl" if self.logs else "None",
+                ", _hl" if self.stamps else ""))
             self.line(indent, "cpu.ahead_slices += 1")
             self.line(indent, "cpu.ahead_instructions += %d" % (count - 1))
             if self.tail_loads:
@@ -786,7 +799,8 @@ class _Emitter:
         tail may dirty — they are already locals, so one tuple build
         records them.  A tail that changes memory starts its store log
         ``_sl`` here: ``(index, old word, old full/empty bit)`` per
-        change, oldest first.
+        change, oldest first; one that hits a coherent cache its hit
+        log ``_hl``: ``(line, old LRU stamp)`` per hit, oldest first.
         """
         at, pc_expr, npc_expr = self.head
         names = list(self.dirty)
@@ -796,6 +810,8 @@ class _Emitter:
         self.body.insert(at, "    _u = (%s)" % ", ".join(fields + names))
         if self.logs:
             self.body.insert(at, "    _sl = []")
+        if self.stamps:
+            self.body.insert(at, "    _hl = []")
 
 
 def _emit_guard(emitter, guard_expr, value_expr, instr, pending, pc_k,
@@ -911,11 +927,12 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
     its return value is the next chain: ``npc_expr`` may be a branch
     target).
 
-    On a bank with stack windows (``spec`` has the third field) one
+    On a bank with stack windows (``spec`` ends ``"windows"``) one
     more case is slow: an address in a page that holds some thread
     stack, unless it is in the executing frame's own window — the
-    closure's access goes through ``Memory._index``, which has whoever
-    ran ahead over that word wound back first.
+    closure's access goes through ``Memory._index`` (on a coherent
+    node, the controller's ``load``/``store`` before that), which has
+    whoever ran ahead over that word wound back first.
 
     On a coherent node (``spec`` tagged ``"coherent"``) the access
     must also hit its cache: the line ``Cache.valid`` maps the block
@@ -925,10 +942,12 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
 
     ``tail`` emits the access behind a slice's head instead (``run``
     is not used): it happens only inside the executing frame's own
-    window (which is inside the bank), any other case *parks* the
-    chain at the instruction like a tripped guard, and whatever it
-    changes in memory — the word, the full/empty bit — is logged
-    first so :meth:`Processor.unrun_tail` can put it back.
+    window (which is inside the bank; on a coherent node its whole
+    cache block must be), any other case *parks* the chain at the
+    instruction like a tripped guard, and whatever it changes in
+    memory — the word, the full/empty bit — and in a coherent cache —
+    the line's LRU stamp — is logged first so
+    :meth:`Processor.unrun_tail` can put it back.
     """
     emitter.needs_mem = True
     op = instr.op
@@ -954,7 +973,14 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
             if not flavor.raw:
                 slow.append("%s & 1" % b)
             slow.append("_a & 3")
-        slow.append("not _lo <= _a < _hi")
+        if coherent:
+            # The whole block: another node's access to a word of it
+            # outside the window would change this line and wind
+            # nothing back.
+            slow.append("not _lo <= _a & %d <= _hi - %d" % (
+                WORD_MASK & ~(spec[3] - 1), spec[3]))
+        else:
+            slow.append("not _lo <= _a < _hi")
     else:
         if not flavor.raw:
             slow.append("%s & 1" % b)
@@ -978,7 +1004,7 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
         if flavor.trap_on_full:
             slow.append("_fe[_x]")
     if not tail and _has_windows(spec):
-        emitter.needs_window = True
+        emitter.needs_window = emitter.needs_owners = True
         foreign = ["not _lo <= _a < _hi",
                    "_a >> %d in _ow" % WINDOW_PAGE_SHIFT]
         if instr.rs1 != registers.SP:
@@ -995,7 +1021,10 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
 
     if coherent:
         # A hit, counted and stamped exactly as `CacheController._access`
-        # and `Cache.lookup` do.
+        # and `Cache.lookup` do; behind a head, the old stamp logged.
+        if tail:
+            emitter.stamps = True
+            line(1, "_hl.append((_l, _l.last_used))")
         line(1, "_ca._clock = _l.last_used = _ca._clock + 1")
         line(1, "_cs.hits += 1")
     # Fast path: the flavor's semantics inline.  The PSR full/empty
@@ -1066,13 +1095,12 @@ def _classify_delay(decoder, fetch, address):
 
 def _rides_tail(instr, spec):
     """Whether a slice may carry ``instr`` behind its head: an inlined
-    load or store off the stack pointer, on an ideal port.  Only a
+    load or store off the stack pointer, on a port generated code
+    inlines (on a coherent node, what its cache answers).  Only a
     guess at what will pass the window test at run time — that test
     alone decides, for any program — so that a heap access does not
-    drag a tail it always parks.  A coherent node's tails touch no
-    memory, so nothing there needs winding back but its registers."""
-    return (spec is not None and _spec_tag(spec) != "coherent"
-            and ROWS[instr.op].shape in _MEMORY
+    drag a tail it always parks."""
+    return (spec is not None and ROWS[instr.op].shape in _MEMORY
             and instr.rs1 == registers.SP)
 
 
@@ -1408,6 +1436,8 @@ def compile_block(cpu, pc, sliced=False):
             prologue.append("    _ca = _po.cache")
             prologue.append("    _cl = _ca.valid")
             prologue.append("    _cs = _ca.stats")
+        if emitter.needs_owners:
+            prologue.append("    _ow = _mem.windows.owners")
     if emitter.needs_window:
         prologue.append("    _lo, _hi = frame.window")
     if emitter.needs_mem:

@@ -206,7 +206,9 @@ class Processor:
         #: generated code's snapshot ``(pc, npc, psr, numbers,
         #: *values)`` and ``stores`` its log of what the tail changed
         #: in memory — ``(index, old word, old full/empty bit)``,
-        #: oldest first — or ``None``.
+        #: oldest first — or ``None``.  A coherent node's tail that
+        #: accessed its cache adds a fourth field, the hit log:
+        #: ``(line, old LRU stamp)`` per hit, oldest first.
         self.ahead_tail = None
         #: JIT tier diagnostics (same non-snapshot contract).
         self.jit_compiles = 0
@@ -412,7 +414,8 @@ class Processor:
         reads and writes only this processor's registers, condition
         codes and PC chain — or, a load or store off the stack
         pointer, a word inside ``frame.window``, the running thread's
-        own stack (tested at run time; its old contents logged).  The
+        own stack (tested at run time; its old contents logged; on a
+        coherent node, a cache hit on a block wholly inside it).  The
         slice stops before any other load/store, before a frame,
         system or I/O instruction, before a tripped future guard or a
         stack access that misses the window or would trap (chain
@@ -511,15 +514,20 @@ class Processor:
 
         The tail wrote only the registers in the snapshot, the
         condition codes, the PC chain, four counters — each by exactly
-        one per instruction — and the words of its own stack window in
-        the store log, so restoring the first three, putting the old
-        words and full/empty bits back newest-first and subtracting
-        from the counters is the state right after the head;
-        :meth:`step` replays what the caller's place in the schedule
-        still covers (nobody else touched the window since, or the
-        tail would have been taken back then).
+        one per instruction — the words of its own stack window in
+        the store log and, on a coherent node, the LRU stamps of the
+        lines its accesses hit in the hit log, its cache's clock and
+        hit count — each by exactly one per hit, and only this node's
+        own accesses move them.  So restoring the first three, putting
+        the old words, full/empty bits and stamps back newest-first and
+        subtracting from the counters is the state right after the
+        head; :meth:`step` replays what the caller's place in the
+        schedule still covers (nobody else touched the window since,
+        or the tail would have been taken back then — before the
+        touch could change a line the tail hit).
         """
-        count, (pc, npc, psr, numbers, *values), stores = self.ahead_tail
+        count, (pc, npc, psr, numbers, *values), stores, *hit_log = (
+            self.ahead_tail)
         self.ahead_tail = None
         if stores:
             memory = self.port.memory
@@ -528,6 +536,13 @@ class Processor:
             for index, word, bit in reversed(stores):
                 words[index] = word
                 full[index] = bit
+        if hit_log:
+            hits, = hit_log
+            cache = self.port.cache
+            for line, stamp in reversed(hits):
+                line.last_used = stamp
+            cache._clock -= len(hits)
+            cache.stats.hits -= len(hits)
         frame = self.frames[self.fp]
         frame.pc = pc
         frame.npc = npc

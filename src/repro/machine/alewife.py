@@ -71,17 +71,19 @@ class AlewifeMachine:
     or run-time receiver that posts IPIs behind the machine's back) a
     slice carries that processor's *private* instructions past a tied
     clock.  Private is what commutes with whatever the others do:
-    registers, condition codes, the PC chain — and, on ideal memory,
-    loads and stores that fall, at run time, inside the stack window of
-    the thread the slice runs (``[stolen_base, stack_limit)``, which no
-    other processor touches in compiled code).  The window is private
-    only until somebody does touch it, so that is checked, for any
-    program: every access that is not such a tail access asks the
-    bank's :class:`~repro.mem.memory.StackWindows` first, and the
-    owner's tail is wound back to the asker's place in the schedule
-    (:meth:`_wind_back`).  A coherent machine's tails touch no memory;
-    what reaches into one of its processors is an IPI, and the
-    sender's controller has the receiver wound back the same way
+    registers, condition codes, the PC chain — and loads and stores
+    that fall, at run time, inside the stack window of the thread the
+    slice runs (``[stolen_base, stack_limit)``, which no other
+    processor touches in compiled code; on coherent memory, only those
+    its own cache hits in a block wholly inside the window).  The
+    window is private only until somebody does touch it, so that is
+    checked, for any program: every access that is not such a tail
+    access asks the bank's :class:`~repro.mem.memory.StackWindows`
+    first — on coherent memory before the controller's protocol walk
+    changes any cache — and the owner's tail is wound back to the
+    asker's place in the schedule (:meth:`_wind_back`).  The other
+    thing that reaches into a coherent node's processor is an IPI, and
+    the sender's controller has the receiver wound back the same way
     before it posts one.  Every other load, store, trap and idle poll
     still happens in the oracle's order, and a run that ends under a
     tail is wound back to where the oracle stops (:meth:`_end_at`).
@@ -311,8 +313,8 @@ class AlewifeMachine:
         instruction at its pc, which holds the minimum key and may be
         anything, and then its *private* successors, which read and
         write only that processor's registers, condition codes and PC
-        chain, and (ideal memory) the words of its running thread's own
-        stack window.
+        chain, and the words of its running thread's own stack window
+        (on coherent memory, through hits in its own cache).
         Those commute with everything any other processor does, so
         executing them early changes the host order of instructions
         and nothing else; every other load and store, every trap and
@@ -320,11 +322,10 @@ class AlewifeMachine:
         strictly below everybody's clock), and heads are popped in key
         order — the oracle's.
 
-        **Whose window** (ideal memory; a coherent machine's tails
-        touch no memory, and its bank carries no windows).  A thread
-        owns ``[stolen_base, stack_limit)`` while it is loaded
-        (``Scheduler.load_thread`` to ``unload`` / ``retire_thread``; a
-        lazy steal moves ``stolen_base`` up).  Nothing in compiled
+        **Whose window.**  A thread owns ``[stolen_base,
+        stack_limit)`` while it is loaded (``Scheduler.load_thread`` to
+        ``unload`` / ``retire_thread``; a lazy steal moves
+        ``stolen_base`` up).  Nothing in compiled
         Mul-T but the steal reaches into another thread's stack — which
         is why it pays — but a program may, so the bank carries a
         :class:`~repro.mem.memory.StackWindows` for the run: a tail
@@ -332,7 +333,13 @@ class AlewifeMachine:
         the chain to become a head; every *other* access — inlined in
         generated code, or through any ``Memory`` method: closures,
         trap handlers, the steal's copy loop — that lands in a loaded
-        window calls :meth:`_wind_back` first.
+        window calls :meth:`_wind_back` first.  On coherent memory a
+        tail access rides only as a hit of its own cache on a block
+        wholly inside the window, and the controller asks the registry
+        before its protocol walk, so a node whose access would
+        invalidate or downgrade such a line winds the owner back while
+        the line is still what its tail saw; the tail's hit log puts
+        the LRU stamps back.
 
         **Whose IPI** (coherent memory).  A ``STIO`` to
         ``IO_IPI_SEND`` lands in the receiver's queue at the sender's
@@ -370,10 +377,9 @@ class AlewifeMachine:
         #: it plus the instruction count of the moment.
         turn = self._turn = [0, 0, 0, 0]
         self._queue = queue
-        if ahead and self.fabric is None and self.memory.windows is None:
+        if ahead and self.memory.windows is None:
             # Before the first stack is carved (threads get theirs at
             # their first load): the bank and the scheduler share it.
-            # (A coherent machine's tails touch no memory at all.)
             self.memory.windows = runtime.scheduler.windows = (
                 StackWindows(self.memory, self._wind_back))
 

@@ -24,6 +24,7 @@ from repro.core.memport import MemOutcome, MemoryPort
 from repro.core.traps import TrapKind
 from repro.errors import SimulationError
 from repro.mem.cache import LineState
+from repro.mem.memory import WINDOW_PAGE_SHIFT
 from repro.obs.events import EventBus, EventKind
 
 #: Memory-mapped I/O register offsets (LDIO/STIO space).
@@ -107,7 +108,24 @@ class CacheController(MemoryPort):
         # Perfect instruction cache (see DESIGN.md).
         return self.memory.read_word(address)
 
+    def _reach(self, windows, address, context):
+        """``address`` is in a page some thread stack overlaps: before
+        the protocol walk changes any cache, the owner of a loaded
+        window over it has its tail wound back
+        (:meth:`~repro.mem.memory.StackWindows.touch`), while the lines
+        that tail hit are still what it saw.  Windows are disjoint, so
+        an address in the accessing frame's own window asks nobody."""
+        if context is not None:
+            lo, hi = context.frames[context.fp].window
+            if lo <= address < hi:
+                return
+        windows.touch(address)
+
     def load(self, address, flavor, context=None):
+        windows = self.memory.windows
+        if (windows is not None
+                and address >> WINDOW_PAGE_SHIFT in windows.owners):
+            self._reach(windows, address, context)
         outcome = self._access(address, context, is_write=False,
                                wait=flavor.wait_on_miss or flavor.raw)
         if outcome is not None:
@@ -125,6 +143,10 @@ class CacheController(MemoryPort):
                               fe_full=was_full)
 
     def store(self, address, value, flavor, context=None):
+        windows = self.memory.windows
+        if (windows is not None
+                and address >> WINDOW_PAGE_SHIFT in windows.owners):
+            self._reach(windows, address, context)
         outcome = self._access(address, context, is_write=True,
                                wait=flavor.wait_on_miss or flavor.raw)
         if outcome is not None:

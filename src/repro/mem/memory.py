@@ -96,21 +96,24 @@ class StackWindows:
     """Which loaded thread owns which stretch of stack.
 
     The bookkeeping behind memory-op run-ahead (see
-    :meth:`repro.machine.alewife.AlewifeMachine._run_fast`).  A loaded
-    thread's *window* is ``[stolen_base, stack_limit)``; the frame it
-    is loaded in carries the bounds (``frame.window``), and generated
-    code lets a load or store inside the executing frame's window ride
-    a slice's private tail.  What makes that exact is this registry.
+    :meth:`repro.machine.alewife.AlewifeMachine._run_fast`), on ideal
+    and coherent banks alike.  A loaded thread's *window* is
+    ``[stolen_base, stack_limit)``; the frame it is loaded in carries
+    the bounds (``frame.window``), and generated code lets a load or
+    store inside the executing frame's window ride a slice's private
+    tail (on a coherent node: a hit of its own cache on a block wholly
+    inside the window).  What makes that exact is this registry.
     :attr:`owners` maps every :data:`WINDOW_PAGE_SHIFT` page that a
     stack region was ever carved over to the regions' base addresses —
     a page-granular "may be somebody's stack" — and :attr:`loaded`
     maps the base of a stack whose thread is loaded to ``(node,
     frame)``.  Every access that is *not* a tail access —
-    :meth:`Memory._index`, and the inlined head and plain-block
-    accesses of generated code, which test ``owners`` themselves and
-    fall to the former — calls :meth:`touch` before it reads or
-    writes, so the machine can take an owner's tail back to the
-    toucher's place in the schedule first.
+    :meth:`Memory._index`, the cache controller's ``load`` and
+    ``store`` (before their protocol walk), and the inlined head and
+    plain-block accesses of generated code, which test ``owners``
+    themselves and fall to the former — calls :meth:`touch` before it
+    reads or writes, so the machine can take an owner's tail back to
+    the toucher's place in the schedule first.
 
     Regions are registered once, as ``RuntimeSystem.allocate_stack``
     carves them (freed stacks are reused, never returned).  Windows

@@ -46,6 +46,9 @@ class Network:
         self.topology = topology
         self.hop_cycles = hop_cycles
         self._link_free = {}     # (node, axis, dir) -> next free cycle
+        #: (src, dst) -> ``topology.route(src, dst)`` as a tuple, built
+        #: at the pair's first message (e-cube routes never change).
+        self._routes = {}
         self.stats = NetworkStats()
         #: The machine's observer surface (:mod:`repro.obs.events`).
         self.events = events if events is not None else EventBus()
@@ -59,7 +62,10 @@ class Network:
         """
         if src == dst:
             return now
-        links = self.topology.route(src, dst)
+        links = self._routes.get((src, dst))
+        if links is None:
+            links = self._routes[src, dst] = tuple(
+                self.topology.route(src, dst))
         time = now
         contention = 0
         for link in links:

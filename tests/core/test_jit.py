@@ -938,10 +938,10 @@ class TestSyncHeadedSlices:
 
 class TestWhoPaysForWindows:
     """Memory-op run-ahead is keyed on ``_port_spec``: a bank with
-    :class:`StackWindows` installed (an ideal machine that runs ahead)
-    gets the foreign-window test in its plain blocks; every other
-    machine — one processor, coherent memory, whose tails touch no
-    memory — compiles no window test at all."""
+    :class:`StackWindows` installed (a machine that runs ahead, ideal
+    or coherent) gets the foreign-window test in its plain blocks and
+    slice heads; every other machine — one processor, say — compiles
+    no window test at all."""
 
     class _OtherPort(IdealMemoryPort):
         """Not a port generated code inlines: every access is
@@ -962,13 +962,14 @@ class TestWhoPaysForWindows:
     }
 
     #: The same over the slice source (``compile_block(..., sliced=True)``)
-    #: at every pc of the same corpus: on an ideal bank with
-    #: :class:`StackWindows` installed (tails carry stack accesses) and
-    #: on a coherent node (register-only tails).  Same rule as
+    #: at every pc of the same corpus, on a bank with
+    #: :class:`StackWindows` installed: an ideal one (tails carry stack
+    #: accesses) and a coherent node's (tails carry the stack accesses
+    #: its cache hits; last re-pinned when they began to).  Same rule as
     #: :data:`PINNED`.
     SLICES = {
-        "coherent": (5558, "6a8209de9a698085d25766cab64a3010"
-                           "a84f35e1bc6f7be6903a96e74043ca50"),
+        "coherent": (5558, "d9bf57b8bc72c7316573190386b819c7"
+                           "2eafa79c217954f3641168a7e41723e1"),
         "windows": (5558, "ed0f4a7a099fc666677142cd37affb7f"
                           "abadfa8273d5ec67421960d319b01422"),
     }
@@ -1018,9 +1019,8 @@ class TestWhoPaysForWindows:
     @pytest.mark.parametrize("port", sorted(SLICES))
     def test_slice_source_is_byte_identical_to_the_parents(self, port):
         def prepare(cpu, memory):
-            if port == "windows":
-                memory.windows = StackWindows(memory, cpu.step)
-            else:
+            memory.windows = StackWindows(memory, cpu.step)
+            if port == "coherent":
                 cpu.port = coherent_system(memory).controllers[0]
 
         digest = hashlib.sha256()
@@ -1214,6 +1214,88 @@ class TestCoherentHits:
         target = assemble(source).address_of("target")
         assert served[("store", target)] == 6
         assert cpu.translations.jit.invalidations >= 6
+
+
+class TestCoherentTails:
+    """Behind a slice's head on a coherent node, a load or store off
+    ``sp`` rides when its node's cache hits a block wholly inside the
+    executing frame's stack window.  The hit stamps its line, advances
+    the cache's clock and counts itself, so the tail's undo record
+    logs each line's old stamp: :meth:`Processor.unrun_tail` takes the
+    LRU back with the registers and words."""
+
+    #: Warmed by five steps: ``set`` (two words) and three misses that
+    #: bring the frame's three blocks in, two modified and one shared.
+    #: Then the head and five stack accesses, one per block kind.
+    SOURCE = """
+            set frame, sp
+            st r0, [sp+0]
+            st r0, [sp+20]
+            ld [sp+32], r3
+            addr r0, 20, r1         ; the head
+            st r1, [sp+4]
+        second:
+            ld [sp+16], r2
+            ld [sp+36], r4
+            st r2, [sp+24]
+            ld [sp+4], r5
+            halt
+            .align 16
+        frame:
+            .space 12
+    """
+
+    def _warm(self, window_bytes):
+        cpu, fabric, program = build_coherent_cpu(self.SOURCE)
+        frame = program.address_of("frame")
+        cpu.frame.window = (frame, frame + window_bytes)
+        for _ in range(5):
+            cpu.step()
+        return cpu, fabric.caches[0], program
+
+    @staticmethod
+    def _state(cpu, cache):
+        memory = cpu.port.memory
+        return dict(
+            lines=[(line.tag, line.state, line.last_used)
+                   for lines in cache._sets for line in lines or ()],
+            clock=cache._clock, cache=cache.stats.to_dict(),
+            words=memory._words.tobytes(), full=bytes(memory._full))
+
+    @pytest.mark.parametrize("keep", [0, 2, 5])
+    def test_unrun_tail_puts_stamps_clock_and_hits_back(self, keep):
+        cpu, cache, _ = self._warm(48)
+        before = self._state(cpu, cache)
+        spent = cpu.step_block(0, True)
+        count, _, stores, hits = cpu.ahead_tail
+        assert count == spent - 1 == 5
+        assert len(hits) == 5 and len(stores) == 2
+        assert (cpu.ahead_loads, cpu.ahead_stores) == (3, 2)
+        assert cache._clock == before["clock"] + 5
+        cpu.unrun_tail(keep)
+        if keep == 0:
+            # The head touched no memory: the slice left nothing.
+            assert self._state(cpu, cache) == before
+        ref_cpu, ref_cache, _ = self._warm(48)
+        for _ in range(1 + keep):
+            ref_cpu.step()
+        assert self._state(cpu, cache) == self._state(ref_cpu, ref_cache)
+        assert cpu.frame.regs == ref_cpu.frame.regs
+        assert cpu.frame.psr.value == ref_cpu.frame.psr.value
+        assert (cpu.frame.pc, cpu.cycles) == (ref_cpu.frame.pc,
+                                              ref_cpu.cycles)
+        assert cpu.stats.snapshot() == ref_cpu.stats.snapshot()
+
+    def test_a_block_that_straddles_the_window_parks(self):
+        # The window ends four bytes into the frame's second block: its
+        # first word is inside, but another node may write the rest of
+        # the block — and invalidate this line — without touching the
+        # window, so no access to that block rides.
+        cpu, _, program = self._warm(20)
+        cpu.step_block(0, True)
+        assert (cpu.ahead_loads, cpu.ahead_stores) == (0, 1)
+        assert cpu.frame.pc == program.address_of("second")
+        assert cpu.frame.window[1] - cpu.read_reg(registers.SP) == 20
 
 
 # -- the PSR at every exit -----------------------------------------------------

@@ -2,13 +2,15 @@
 
 Three legs of the repo benchmark at its ``--quick`` sizes — sequential
 fib, and eager and lazy fib on four processors — each run once on a
-fresh machine.  How many generated functions the run called, how many
+fresh machine, and eager fib on four coherent nodes.  How many generated functions the run called, how many
 instructions it retired, how many blocks and slices it compiled, and
 how many characters of source those translations are: exact,
 host-independent figures for what a wall-clock ratio can only
 estimate.  A scan that stops at every ``CALL`` and ``BA`` again moves
 the calls and the compiles; slow exits that state their commit and PSR
-bits inline again move the characters.  A change that means to move a
+bits inline again move the characters; coherent tails that stop at
+their first load or store again move the calls and the run-ahead
+accesses.  A change that means to move a
 count re-pins it here and says why; any other must not move one.
 """
 
@@ -30,11 +32,21 @@ PINNED = {
 }
 
 
-def _counts(mode, n, processors):
+#: The same, and the stack accesses run-ahead tails carried, on a
+#: coherent machine.
+COHERENT = {
+    ("eager", 8, 4): {"jit_runs": 1337, "instructions": 4396,
+                      "jit_compiles": 72, "source_chars": 242434,
+                      "ahead_loads": 468, "ahead_stores": 311},
+}
+
+
+def _counts(mode, n, processors, memory_mode="ideal"):
     fib = workloads.get("fib")
     compiled = compile_source(fib.source(), mode=mode)
     config = MachineConfig(num_processors=processors,
-                           lazy_futures=compiled.wants_lazy_scheduling)
+                           lazy_futures=compiled.wants_lazy_scheduling,
+                           memory_mode=memory_mode)
     machine = AlewifeMachine(compiled.program, config)
     result = machine.run(entry=compiled.entry_label("main"),
                          args=fib.args(n))
@@ -42,12 +54,21 @@ def _counts(mode, n, processors):
     cpus = machine.cpus
     # One translation table per machine, whichever processor compiled.
     blocks = [jb for jb in cpus[0].translations.jit.data.values() if jb]
-    return {"jit_runs": sum(cpu.jit_runs for cpu in cpus),
-            "instructions": result.stats.instructions,
-            "jit_compiles": sum(cpu.jit_compiles for cpu in cpus),
-            "source_chars": sum(len(jb.source) for jb in blocks)}
+    counts = {"jit_runs": sum(cpu.jit_runs for cpu in cpus),
+              "instructions": result.stats.instructions,
+              "jit_compiles": sum(cpu.jit_compiles for cpu in cpus),
+              "source_chars": sum(len(jb.source) for jb in blocks)}
+    if memory_mode == "coherent":
+        counts.update(ahead_loads=sum(cpu.ahead_loads for cpu in cpus),
+                      ahead_stores=sum(cpu.ahead_stores for cpu in cpus))
+    return counts
 
 
 @pytest.mark.parametrize("leg", sorted(PINNED))
 def test_generated_code_counts_are_pinned(leg):
     assert _counts(*leg) == PINNED[leg]
+
+
+@pytest.mark.parametrize("leg", sorted(COHERENT))
+def test_coherent_counts_are_pinned(leg):
+    assert _counts(*leg, memory_mode="coherent") == COHERENT[leg]

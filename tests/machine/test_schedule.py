@@ -429,6 +429,37 @@ class TestStealUnderAMemoryTail:
                          _run_stepper(compiled, config, entry, run_args),
                          oracle="stepper")
 
+    def test_steal_winds_a_coherent_victim_back(self):
+        # On the cache/directory machine the victim's tail hit its own
+        # cache in the window the thief copies from: taken back before
+        # the copy, its LRU stamps, cache clock and hit count with it,
+        # the run ends with the oracle's counters and caches, coherent.
+        module = workloads.get("fib")
+        compiled = compile_source(module.source(), mode="lazy")
+        entry = compiled.entry_label("main")
+        config = MachineConfig(num_processors=4, memory_mode="coherent")
+        runs = []
+        for fastpath in (True, False):
+            machine = _machine(compiled, config, fastpath)
+            runs.append((machine, machine.run(entry=entry, args=(11,))))
+        (fast_machine, fast), (ref_machine, ref) = runs
+        assert fast.value == module.reference(11)
+        cpus = fast_machine.cpus
+        assert fast_machine.runtime.lazy_stolen > 0
+        assert sum(cpu.ahead_loads for cpu in cpus) > 100
+        assert sum(cpu.ahead_stores for cpu in cpus) > 100
+        assert sum(cpu.ahead_undone_by["steal"] for cpu in cpus) > 0
+        # Counters, every cache line and clock, controller counters,
+        # and the invariants (single writer, each valid-line map).
+        _assert_lockstep((fast_machine, fast), (ref_machine, ref))
+        fast_fabric, ref_fabric = fast_machine.fabric, ref_machine.fabric
+        assert ([d.counters() for d in fast_fabric.directories]
+                == [d.counters() for d in ref_fabric.directories])
+        assert (fast_fabric.network.stats.to_dict()
+                == ref_fabric.network.stats.to_dict())
+        for cache in fast_fabric.caches:
+            cache.check_valid()
+
 
 class TestIpiUnderARegisterTail:
     """A coherent node reaches into another processor only by an IPI
@@ -581,20 +612,34 @@ class TestWhoRunsAhead:
         for jb in self._assert_windowless(machine):
             assert len(jb.key[2]) == 2
 
-    def test_coherent_machine_runs_ahead_on_registers_only(self):
-        # Nothing reaches into a coherent node but an IPI, which winds
-        # its receiver back first: its tails run, but touch no memory —
-        # so its bank carries no windows and its slices test none.
+    def test_coherent_machine_runs_ahead_on_its_own_stack_hits(self):
+        # A coherent node's tails carry the stack accesses its own cache
+        # hits, so its bank carries stack windows as an ideal one that
+        # runs ahead does, and every inlined access that is not a
+        # tail's — in a plain block or at a slice head — tests for a
+        # foreign window.
         machine, ahead = self._run(MachineConfig(num_processors=4,
                                                  memory_mode="coherent"))
         assert machine._runs_ahead()
+        windows = machine.memory.windows
+        assert windows is not None
+        assert machine.runtime.scheduler.windows is windows
         assert all(slices > 0 and instructions >= slices
                    for slices, instructions, _ in ahead)
-        assert not any(cpu.ahead_loads or cpu.ahead_stores
-                       for cpu in machine.cpus)
-        blocks = self._assert_windowless(machine)
+        assert all(cpu.ahead_loads > 0 and cpu.ahead_stores > 0
+                   for cpu in machine.cpus)
+        blocks = [jb for jb in machine.cpus[0].translations.jit.data.values()
+                  if jb]
         assert any(jb.key[-1] == "slice" for jb in blocks)
-        assert {jb.key[2][2] for jb in blocks} == {"coherent"}
+        assert {jb.key[2][2:] for jb in blocks} == {
+            ("coherent", machine.config.cache_block_bytes, "windows")}
+        tested = 0
+        for jb in blocks:
+            inlined = jb.source.count("_fb = _fe[_x]")
+            tail = jb.source.count("_hl.append(")
+            assert jb.source.count(" in _ow") == inlined - tail
+            tested += inlined - tail
+        assert tested > 10
 
     #: case -> (config knobs, machine arguments, prepare(machine))
     MUST_NOT = {

@@ -126,3 +126,20 @@ class TestNetwork:
         before = net.stats.contention_cycles
         net.send(0, 1, 4, 1000)
         assert net.stats.contention_cycles == before
+
+    def test_routes_are_memoized_exactly(self):
+        # Each (src, dst) pair's e-cube route is built once, at its
+        # first message, and is the topology's route link for link.
+        topology = KAryNCube(2, 4)
+        net = Network(topology)
+        pairs = [(src, dst) for src in range(16) for dst in range(16)
+                 if src != dst]
+        for round_ in range(2):
+            for src, dst in pairs:
+                net.send(src, dst, 2, 1000 * round_)
+        assert sorted(net._routes) == pairs
+        for (src, dst), links in net._routes.items():
+            assert links == tuple(topology.route(src, dst))
+        first = dict(net._routes)
+        net.send(0, 15, 2, 5000)
+        assert net._routes[0, 15] is first[0, 15]
