@@ -67,19 +67,24 @@ instructions and the per-call overhead eats the win):
 Strict compute ops (``ADD``/``SUB``/``MUL``/``CMP``) are inlined with
 their future-detection guard.  A tripped guard writes back the
 registers dirtied so far, commits the cycles already earned, parks the
-PC chain at the guarded instruction, and raises the *identical*
-:class:`TrapSignal` the closure tier's strict op would — same kind,
-instr, pc, value, and cause — which the runner
-(:meth:`repro.core.processor.Processor.step_block`) takes exactly as
-``step()`` does.  ``DIV``/``REM`` (divide-by-zero on top of
-strictness) are never inlined.
+PC chain at the guarded instruction, and *takes* the trap the closure
+tier's strict op would raise — same kind, instr, pc, value, and cause
+— in place: it calls :meth:`repro.core.processor.Processor._take_trap`,
+the one trap sequence, and returns ``True``.  A ``TRAP`` terminator
+does the same with its software trap.  Nothing is raised, so nothing
+unwinds; the runner (:meth:`repro.core.processor.Processor.step_block`)
+reads the ``True`` and accounts the run exactly as it accounts a
+closure's raised trap.  Only a delegated closure still raises.
+``DIV``/``REM`` (divide-by-zero on top of strictness) are never
+inlined.
 
 What ends a block: an inlined ``JMPL`` (its target is a register's),
 a ``BA`` or ``CALL`` that is not followed (its slot does not fuse, or
 the bound is near), a conditional branch whose slot does not fuse, a
 *delegated* terminator — any other decodable instruction (frame ops,
 system ops, ``DIV``/``REM``, memory on a port nothing is inlined for)
-runs through its closure after the prefix commits — or the bound.
+runs through its closure after the prefix commits — a ``TRAP``, which
+takes its software trap in place, or the bound.
 
 Exits come in two forms.  *Hot* exits — the terminator and a fused
 conditional's taken arm — state everything inline: the write-back, the
@@ -90,7 +95,7 @@ the register write-back, the PSR through one ``_psr_<kind>`` helper
 per producer kind (built at import from the same
 :func:`repro.core.psr.cc_source` text) and one call, ``_park``,
 ``_tail``, ``_trap`` or ``_delegate``, that commits the counts and then
-parks, delegates or raises.  That is what keeps cold compiles from
+parks, traps or delegates.  That is what keeps cold compiles from
 growing with the followed code.
 
 What is inlined, how, and what may ride a slice are read from each
@@ -208,7 +213,7 @@ from repro.core.psr import (
     cc_source,
     condition_source,
 )
-from repro.core.traps import Trap, TrapKind, TrapSignal
+from repro.core.traps import Trap, TrapKind
 from repro.isa import registers
 from repro.isa.instructions import LOAD_FLAVORS, STORE_FLAVORS, Opcode
 from repro.isa.optable import (
@@ -230,6 +235,8 @@ _GLOBAL_BASE = registers.GLOBAL_BASE
 _CC_MASK = N_BIT | Z_BIT | V_BIT | C_BIT
 _NOT_CC = ~_CC_MASK
 _SIGN = 0x80000000
+_FUTURE_COMPUTE = TrapKind.FUTURE_COMPUTE
+_SOFTWARE = TrapKind.SOFTWARE
 
 #: Most instructions one generated function may execute on a single
 #: pass (the slice-budget admission cost); also the scan bound.
@@ -283,8 +290,12 @@ def _biased(operand):
 # A slow exit (a memory slow path, a tripped guard, a tail park) is
 # rare, so its source is kept short: the register write-back, the PSR
 # through one of the ``_psr_*`` helpers, and one call that commits the
-# counts and then parks, delegates or raises.  Hot exits (terminators,
+# counts and then parks, traps or delegates.  Hot exits (terminators,
 # a fused conditional's taken arm) state all of it inline.
+#
+# A helper that takes a trap returns ``True``, and the generated code
+# returns what it returns: that is how ``Processor.step_block`` knows a
+# trap was taken in place (every other exit returns ``None``).
 
 def _psr_helper(kind):
     """``psr`` with producer ``kind``'s N/Z/V/C: :func:`cc_source`'s
@@ -333,12 +344,29 @@ def _tail(cpu, frame, count, pc, npc, undo, log, loads, stores, *hits):
     cpu.ahead_stores += stores
 
 
-def _trap(cpu, frame, count, pc, npc, instr, value):
+def _trap(cpu, frame, count, pc, npc, instr, value, cause):
     """A tripped future guard: :func:`_park` at the guarded
-    instruction, then the closure tier's identical trap."""
+    instruction, then take the closure tier's identical trap in place
+    (``cause``, the opcode's name, is baked into the call)."""
     _park(cpu, frame, count, pc, npc)
-    raise TrapSignal(Trap(TrapKind.FUTURE_COMPUTE, instr=instr, pc=pc,
-                          value=value, cause=instr.op.name))
+    cpu._take_trap(frame, Trap(_FUTURE_COMPUTE, 0, instr, pc, None, value,
+                               cause))
+    return True
+
+
+def _swtrap(cpu, frame, count, pc, instr):
+    """A ``TRAP`` terminator after ``count`` committed instructions: its
+    closure's cycle (not an instruction: a trapping one retires
+    nothing), the chain at it, and its software trap taken in place."""
+    cpu.cycles += count + 1
+    stats = cpu.stats
+    stats.useful += count + 1
+    stats._total += count + 1
+    stats.instructions += count
+    frame.pc = pc
+    frame.npc = pc + 4
+    cpu._take_trap(frame, Trap(_SOFTWARE, instr.imm, instr, pc))
+    return True
 
 
 def _delegate(cpu, frame, count, run, pc, npc):
@@ -353,7 +381,7 @@ def _delegate(cpu, frame, count, run, pc, npc):
 _GLOBALS = {"_psr_" + kind: helper
             for kind, (helper, _) in _PSR_HELPERS.items()}
 _GLOBALS.update(_psr_fe=_psr_fe, _park=_park, _tail=_tail, _trap=_trap,
-                _delegate=_delegate, _M=LineState.MODIFIED)
+                _swtrap=_swtrap, _delegate=_delegate, _M=LineState.MODIFIED)
 
 
 class CodeCache:
@@ -473,8 +501,10 @@ class JitBlock:
 
     Attributes:
         fn: the generated ``fn(cpu, frame)`` — executes the whole
-            block including accounting and the PC-chain exit; raises
-            :class:`TrapSignal` from a guard or a delegated closure.
+            block including accounting and the PC-chain exit; returns
+            ``True`` when it took a trap in place (a guard, a ``TRAP``),
+            else ``None``; a delegated closure may raise
+            :class:`~repro.core.traps.TrapSignal`.
         count: instructions the block executes on a full pass, each
             one cycle — the slice-budget admission test.
         start: the pc the block is entered at.
@@ -736,9 +766,9 @@ class _Emitter:
     def bail(self, helper, *args):
         """Emit a slow exit in an ``if`` arm: the write-back, the PSR
         through :meth:`settled`, and one call of ``helper(cpu, frame,
-        *args)``, which commits the counts, then parks, delegates or
-        raises (the producers stay pending for the path that falls
-        through)."""
+        *args)``, which commits the counts, then parks, traps or
+        delegates; the generated code returns what it returns (the
+        producers stay pending for the path that falls through)."""
         for name in self.dirty:
             self.line(2, self._stores[name])
         if self.psr_dirty:
@@ -816,16 +846,16 @@ class _Emitter:
 
 def _emit_guard(emitter, guard_expr, value_expr, instr, pending, pc_k,
                 npc_expr=None):
-    """Inline future-detection guard: write back, commit, raise.
+    """Inline future-detection guard: write back, commit, trap.
 
     ``pending`` is the number of uncommitted instructions already
     executed when the guard trips.  The tripped guard writes back the
     dirt so far, commits the earned cycles, parks the PC chain at the
     guarded instruction (``npc_expr`` overrides the straight ``pc +
     4`` for a delay-slot guard whose next pc is the branch target),
-    and raises the *identical* :class:`TrapSignal` the closure tier's
-    strict op would — same kind, instr, pc, value, and cause — which
-    the runner takes exactly as ``step()`` does.
+    and takes the trap the closure tier's strict op would raise — same
+    kind, instr, pc, value, and cause — in place, exactly as ``step()``
+    takes the raised one.
 
     Past the head of a sync-headed slice the guard only parks: the
     trap reads shared state (is the future resolved yet?), so it is
@@ -838,7 +868,7 @@ def _emit_guard(emitter, guard_expr, value_expr, instr, pending, pc_k,
         emitter.park(pending, pc_k, npc_expr)
         return
     emitter.bail("_trap", pending, pc_k, npc_expr, emitter.add_instr(instr),
-                 value_expr)
+                 value_expr, repr(instr.op.name))
 
 
 def _emit_straight(emitter, instr, pending, pc_i, npc_expr=None):
@@ -1145,6 +1175,7 @@ def _scan_block(cpu, pc, spec, sliced=False):
         ``("c", instr, pc, delay)`` — fused conditional (continues);
         ``("u", instr, pc, delay_or_None, followed)`` — BA/CALL/JMPL,
         an exit unless ``followed``;
+        ``("t", instr, pc)`` — a ``TRAP`` terminator, taken in place;
         ``("d", instr, run, pc)`` — delegated terminator (any memory
         access on a port nothing is inlined for, too).
     """
@@ -1237,6 +1268,13 @@ def _scan_block(cpu, pc, spec, sliced=False):
             runs.append((start, scan + 8))
             start = scan = scan + 4 * instr.imm
             continue
+
+        if instr.op is Opcode.TRAP:
+            plan.append(("t", instr, scan))
+            words.append(word)
+            total += 1
+            scan += 4
+            break
 
         # Anything else decodable (frame ops, system ops, DIV/REM, IO,
         # memory on a port nothing is inlined for): a delegated
@@ -1379,6 +1417,14 @@ def compile_block(cpu, pc, sliced=False):
             else:
                 line(1, "frame.npc = %d" % (int(target_expr) + 4))
             line(1, "return")
+            term_emitted = True
+        elif kind == "t":
+            # A software trap: the chain parks at it and the trap is
+            # taken in place.
+            _, instr, pc_i = item
+            emitter.writeback(1)
+            line(1, "return _swtrap(cpu, frame, %d, %d, %s)" % (
+                pending, pc_i, emitter.add_instr(instr)))
             term_emitted = True
         else:  # "d": delegated terminator
             _, instr, run, pc_i = item

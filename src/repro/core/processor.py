@@ -135,10 +135,6 @@ class ProcessorStats:
         total = self._total
         return self.useful / total if total else 0.0
 
-    def count_trap(self, kind):
-        self.traps_taken += 1
-        self.trap_counts[kind] = self.trap_counts.get(kind, 0) + 1
-
     def snapshot(self):
         """Dict snapshot for reporting."""
         data = {name: getattr(self, name) for name in CATEGORIES}
@@ -469,20 +465,25 @@ class Processor:
         # The block may stop early — at a tripped future guard, at the
         # slow path of an inlined memory access, or at a taken branch —
         # so the cycles consumed are whatever the generated code
-        # banked, not ``jb.count``.  Traps raised by a guard or a
-        # delegated instruction are taken here exactly as :meth:`step`
-        # takes them (the generated code parked the PC chain at the
-        # instruction and committed the prefix first).
+        # banked, not ``jb.count``.  A tripped guard or a ``TRAP``
+        # takes its trap in place (:meth:`_take_trap`, after parking
+        # the PC chain at the instruction and committing the prefix)
+        # and returns True; a delegated instruction's trap is raised
+        # and taken here, exactly as :meth:`step` takes it.  Either
+        # way the run counts and its cycles are the trap's, however
+        # few: a handler charging nothing is no zero-progress block.
         start = self.cycles
         try:
-            jb.fn(self, frame)
+            if jb.fn(self, frame):
+                self.jit_runs += 1
+                return self.cycles - start
         except TrapSignal as signal:
             self._take_trap(frame, signal.trap)
             self.jit_runs += 1
             return self.cycles - start
         spent = self.cycles - start
         if spent == 0:
-            # Cannot happen on current codegen (guards raise or park
+            # Cannot happen on current codegen (guards trap or park
             # after the head, delegates charge); keeps a zero-progress
             # block from livelocking the loop.
             self.jit_deopts += 1
@@ -613,7 +614,10 @@ class Processor:
         """The hardware trap sequence (Section 5): squash, bank state,
         run the handler in the trapping frame, apply its action."""
         self.charge(self.trap_squash_cycles, "trap")
-        self.stats.count_trap(trap.kind)
+        stats = self.stats
+        stats.traps_taken += 1
+        counts = stats.trap_counts
+        counts[trap.kind] = counts.get(trap.kind, 0) + 1
         bus = self.events
         if bus.active and EventKind.TRAP_ENTER in bus.active:
             bus.emit(EventKind.TRAP_ENTER, self.cycles, self.node_id,
@@ -825,14 +829,10 @@ class Processor:
 
     # -- occupancy helpers used by the run-time system ------------------------
 
-    def occupied_frames(self):
-        """Frames currently holding loaded threads."""
-        return [f for f in self.frames if f.occupied]
-
     def free_frame(self):
         """A frame with no loaded thread, or ``None``."""
         for f in self.frames:
-            if not f.occupied:
+            if f.thread is None:
                 return f
         return None
 

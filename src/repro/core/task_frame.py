@@ -16,6 +16,8 @@ PSR of the interrupted thread.
 from repro.isa import registers
 from repro.core.psr import PSR
 
+_ZEROS = (0,) * registers.NUM_FRAME_REGISTERS
+
 
 class TaskFrame:
     """One hardware task frame: 32 registers + PC chain + PSR."""
@@ -51,8 +53,7 @@ class TaskFrame:
 
     def reset(self):
         """Clear the frame for a fresh thread."""
-        for i in range(registers.NUM_FRAME_REGISTERS):
-            self.regs[i] = 0
+        self.regs[:] = _ZEROS
         self.pc = 0
         self.npc = 4
         self.psr = PSR()

@@ -39,7 +39,7 @@ class TrapKind(enum.Enum):
 
     # Identity hash, as on ``repro.obs.events.EventKind``: members are
     # singletons, and Enum's default ``__hash__`` is a Python-level
-    # call each time ``ProcessorStats.count_trap`` keys a trap by kind.
+    # call each time ``Processor._take_trap`` counts a trap by kind.
     __hash__ = object.__hash__
 
     # Synchronous data exceptions (Section 4, "Memory Instructions").
@@ -56,6 +56,9 @@ class TrapKind(enum.Enum):
     # Error traps.
     ALIGNMENT = "alignment"
     ILLEGAL = "illegal"
+
+
+_SOFTWARE = TrapKind.SOFTWARE
 
 
 class TrapAction(enum.Enum):
@@ -89,9 +92,10 @@ class Trap:
 class TrapTable:
     """Dispatch table mapping trap kinds (and software vectors) to handlers.
 
-    A handler is ``callable(cpu, frame, trap) -> (TrapAction, cycles)``.
-    The cycles are the handler-body cost charged on top of the 5-cycle
-    squash, mirroring the measured costs in Sections 6.1-6.2.
+    A handler is ``callable(cpu, frame, trap) -> TrapAction``.  It
+    charges its own body's cycles (``cpu.charge``) on top of the squash
+    the trap sequence charged, mirroring the measured costs in Sections
+    6.1-6.2.
     """
 
     def __init__(self):
@@ -113,7 +117,7 @@ class TrapTable:
         trap on real hardware would wedge the machine, and silently
         ignoring one in a simulator hides bugs.
         """
-        if trap.kind is TrapKind.SOFTWARE:
+        if trap.kind is _SOFTWARE:
             handler = self._by_vector.get(trap.vector)
             if handler is None:
                 raise ProcessorError(
@@ -131,11 +135,14 @@ class TrapTable:
 class TrapSignal(Exception):
     """Internal control-flow signal: an instruction raised a trap.
 
-    Raised inside the execute stage and caught by the processor's step
-    loop, which then runs the trap mechanism.  Never escapes the
-    processor.
+    Raised inside the execute stage of the closure tier and the
+    reference interpreter, which must unwind, and caught by the
+    processor's step loop, which then runs the trap mechanism.  Never
+    escapes the processor.  Generated code takes its traps in place
+    instead (:mod:`repro.core.jit`).
     """
 
     def __init__(self, trap):
-        super().__init__(trap.kind.value)
+        # ``Exception`` keeps ``(trap,)`` as its args: no message is
+        # built per trap.
         self.trap = trap

@@ -216,7 +216,7 @@ class Instruction:
     selects the I-form of three-operand instructions.
     """
 
-    __slots__ = ("op", "rd", "rs1", "rs2", "imm", "use_imm")
+    __slots__ = ("op", "rd", "rs1", "rs2", "imm", "use_imm", "_sources")
 
     def __init__(self, op, rd=0, rs1=0, rs2=0, imm=0, use_imm=False):
         self.op = op
@@ -253,9 +253,15 @@ class Instruction:
 
     def source_registers(self):
         """Encoded register numbers this instruction reads: its
-        :mod:`~repro.isa.optable` row's ``reads``."""
-        row = optable.ROWS[self.op]
-        return row.registers(self, row.reads)
+        :mod:`~repro.isa.optable` row's ``reads``, as a tuple computed
+        at the first call (a decoded instruction is shared and never
+        changes after decode)."""
+        try:
+            return self._sources
+        except AttributeError:
+            row = optable.ROWS[self.op]
+            self._sources = tuple(row.registers(self, row.reads))
+            return self._sources
 
 
 def render_operand(value):

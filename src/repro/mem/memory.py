@@ -32,7 +32,10 @@ Every word and synchronizing method resolves its address through
 :meth:`Memory._index`, which is therefore the one gate a machine that
 runs processors ahead (:class:`StackWindows`) needs: an access that is
 not a run-ahead tail's own and lands in a loaded thread's stack asks
-first that whoever ran ahead over it be wound back.
+first that whoever ran ahead over it be wound back.  The exception is
+a cell the run-time system allocated itself (:meth:`Memory.new_cell`,
+:meth:`Memory.fill_cell`): it is an arena allocation disjoint from
+every stack, so no window can hold it and the gate is skipped.
 """
 
 import weakref
@@ -224,6 +227,12 @@ class Memory:
             windows.touch(address)
         return index
 
+    def peek(self, address):
+        """``(full/empty bit, word)`` at a byte address, through the
+        window gate once."""
+        index = self._index(address)
+        return self._full[index], self._words[index]
+
     def contains(self, address):
         """True if the byte address falls in this bank."""
         return self.base <= address < self.limit and address % 4 == 0
@@ -293,6 +302,56 @@ class Memory:
         if watch is not None and (address >> 2) in watch.words:
             watch.notify(address)
         return was_full, None
+
+    # -- cells the run-time system allocated itself ----------------------------
+    #
+    # A future cell comes from a node's kernel heap, as thread stacks
+    # do, but arena allocations are disjoint, so no stack window ever
+    # holds one and the window gate of :meth:`_index` would find nothing
+    # to wind back: these skip it, with one bounds check straight on the
+    # bank, and keep the code-watch test.  A word a program names — a
+    # future pointer it hands a trap handler, say — could be forged into
+    # a stack, and goes through the gate.
+
+    def _cell_index(self, address, words):
+        index = (address - self.base) >> 2
+        if address & 3 or index < 0 or index + words > self.size_words:
+            raise MemoryError_(
+                "cell %#x outside bank [%#x, %#x)"
+                % (address, self.base, self.limit))
+        return index
+
+    def new_cell(self, address, state):
+        """Set up the two-word future cell the run-time system just
+        allocated at ``address``: its value slot 0 and *empty*, its state
+        word ``state``."""
+        index = self._cell_index(address, 2)
+        words = self._words
+        words[index] = 0
+        self._full[index] = 0
+        words[index + 1] = state & WORD_MASK
+        watch = self.code_watch
+        if watch is not None:
+            word = address >> 2
+            if word in watch.words:
+                watch.notify(address)
+            if word + 1 in watch.words:
+                watch.notify(address + 4)
+
+    def fill_cell(self, address, value):
+        """Store ``value`` into the run-time system's cell at ``address``
+        and set its bit full.  Returns ``False``, changing nothing, when
+        the bit was full already."""
+        index = self._cell_index(address, 1)
+        full = self._full
+        if full[index]:
+            return False
+        self._words[index] = value & WORD_MASK
+        full[index] = 1
+        watch = self.code_watch
+        if watch is not None and (address >> 2) in watch.words:
+            watch.notify(address)
+        return True
 
     # -- program loading --------------------------------------------------------
 

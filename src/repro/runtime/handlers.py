@@ -62,6 +62,15 @@ class TrapHandlers:
 
     # -- context switching -----------------------------------------------
 
+    def _spin_limit(self, cpu):
+        """Switch-spins a faulting thread gets before it is unloaded:
+        the configured limit per loaded frame (at least one)."""
+        loaded = 0
+        for frame in cpu.frames:
+            if frame.thread is not None:
+                loaded += 1
+        return self.config.touch_spin_limit * (loaded or 1)
+
     def _switch_spin(self, cpu, frame):
         """The Section 6.1 switch-spin: FP moves to the next loaded frame.
 
@@ -95,14 +104,12 @@ class TrapHandlers:
         thread = frame.thread
         if thread is None:
             raise RuntimeSystemError("f/e trap in an empty frame")
-        if trap.pc == getattr(thread, "last_fault_pc", None):
+        if trap.pc == thread.last_fault_pc:
             thread.spin_count += 1
         else:
             thread.last_fault_pc = trap.pc
             thread.spin_count = 1
-        limit = self.config.touch_spin_limit * max(
-            1, len(cpu.occupied_frames()))
-        if thread.spin_count <= limit:
+        if thread.spin_count <= self._spin_limit(cpu):
             return self._switch_spin(cpu, frame)
         # Yield: unload and requeue so unloaded producers can run.
         thread.spin_count = 0
@@ -123,12 +130,13 @@ class TrapHandlers:
         limit, freeing the task frame.
         """
         future_word = trap.value
-        if future_word is None or not tags.has_future_lsb(future_word):
+        if future_word is None or not future_word & 1:
             raise RuntimeSystemError("future trap without a future operand")
-        memory = self.rts.memory
         cell = tags.pointer_address(future_word)
-        if memory.is_full(cell):
-            value = memory.read_word(cell)
+        # The pointer is the program's: it goes through the window gate
+        # (once), as a forged one into some stack must.
+        full, value = self.rts.memory.peek(cell)
+        if full:
             for reg in trap.instr.source_registers():
                 if cpu.read_reg(reg, frame) == future_word:
                     cpu.write_reg(reg, value, frame)
@@ -145,9 +153,7 @@ class TrapHandlers:
         if thread is None:
             raise RuntimeSystemError("future touch in an empty frame")
         thread.spin_count += 1
-        limit = self.config.touch_spin_limit * max(
-            1, len(cpu.occupied_frames()))
-        if thread.spin_count <= limit:
+        if thread.spin_count <= self._spin_limit(cpu):
             return self._switch_spin(cpu, frame)
         # Block: unload the thread onto the future's waiter list.
         thread.spin_count = 0
@@ -297,4 +303,4 @@ class _TouchInstr:
     """Fake instruction making ``a0`` the substitution target of a touch."""
 
     def source_registers(self):
-        return [_A0]
+        return (_A0,)

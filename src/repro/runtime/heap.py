@@ -37,6 +37,7 @@ FUTURE_VALUE_SLOT = 0
 FUTURE_STATE_SLOT = 1
 FUTURE_STATE_UNRESOLVED = 0
 FUTURE_STATE_RESOLVED = 1
+_UNRESOLVED = tags.make_fixnum(FUTURE_STATE_UNRESOLVED)
 
 #: Byte displacement that cancels each pointer tag when addressing the
 #: object's base word, e.g. ``ld [consptr + CAR_OFF], rd``.
@@ -147,10 +148,7 @@ class Heap:
         that reaches it before resolution synchronizes on that bit.
         """
         address = self.arena.allocate(2)
-        self.memory.write_word(address, 0)
-        self.memory.set_full(address, False)
-        self.memory.write_word(
-            address + 4, tags.make_fixnum(FUTURE_STATE_UNRESOLVED))
+        self.memory.new_cell(address, _UNRESOLVED)
         return tags.make_future(address)
 
     def singleton(self, code):

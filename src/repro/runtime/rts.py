@@ -218,16 +218,18 @@ class RuntimeSystem:
     def resolve_future(self, cpu, future_word, value, waker=None):
         """Resolve a future cell and wake its blocked waiters.
 
+        The cell is always one this run-time system allocated (an eager
+        create's or a steal's), so it is filled past the window gate
+        (:meth:`~repro.mem.memory.Memory.fill_cell`).
+
         ``waker`` is the tid of the resolving thread; when omitted it is
         taken from the active frame (callers that resolve *after*
         retiring the producer must pass it explicitly — the frame is
         empty by then).
         """
         cell = tags.pointer_address(future_word)
-        if self.memory.is_full(cell):
+        if not self.memory.fill_cell(cell, value):
             raise RuntimeSystemError("future @%#x resolved twice" % cell)
-        self.memory.write_word(cell, value)
-        self.memory.set_full(cell, True)
         cpu.charge(self.config.future_resolve_cycles, "trap")
         waiters = self.futures.take_waiters(future_word)
         self.futures.note_resolved(cpu.cycles, cpu.node_id, cell=cell,

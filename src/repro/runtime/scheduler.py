@@ -90,7 +90,7 @@ class Scheduler:
             frame = cpu.free_frame()
         if frame is None:
             raise RuntimeSystemError("no free task frame on node %d" % cpu.node_id)
-        if frame.occupied:
+        if frame.thread is not None:
             raise RuntimeSystemError("loading into occupied frame %d" % frame.index)
         thread.transition(ThreadState.LOADED)
         bus = self.events
@@ -175,13 +175,16 @@ class Scheduler:
 
         ``exclude`` skips a frame index (e.g. the one being vacated).
         """
-        count = len(cpu.frames)
+        frames = cpu.frames
+        count = len(frames)
+        fp = cpu.fp
         for step in range(1, count + 1):
-            index = (cpu.fp + step) % count
+            index = (fp + step) % count
             if index == exclude:
                 continue
-            if cpu.frames[index].occupied:
-                return cpu.frames[index]
+            frame = frames[index]
+            if frame.thread is not None:
+                return frame
         return None
 
     def activate_frame(self, cpu, frame):

@@ -59,7 +59,9 @@ class Thread:
     def __init__(self, tid, stack_base, stack_words, home_node=0, future=None,
                  name=None, entry_closure=None, args=(), is_root=False):
         self.tid = tid
-        self.name = name or ("thread-%d" % self.tid)
+        #: The name given at spawn; :attr:`name` makes the default one
+        #: when somebody reads it.
+        self._name = name
         self.state = ThreadState.READY
         self.stack_base = stack_base
         self.stack_words = stack_words
@@ -89,6 +91,11 @@ class Thread:
         self.result = None
         #: Lazy-task markers pushed by this thread (innermost last).
         self.lazy_markers = []
+
+    @property
+    def name(self):
+        """The given name, or ``thread-<tid>``."""
+        return self._name or "thread-%d" % self.tid
 
     @property
     def stack_limit(self):

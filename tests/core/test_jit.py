@@ -949,29 +949,29 @@ class TestWhoPaysForWindows:
 
     #: sha256 over the plain-block source at every pc of fib, queens
     #: and factor in all three modes.  A change that means to alter
-    #: what these machines compile re-pins it (last: blocks follow
-    #: CALL and BA into their targets, and slow exits call helpers);
-    #: any other must not.
+    #: what these machines compile re-pins it (last: tripped guards and
+    #: ``TRAP`` take their traps in place, the guard's cause baked into
+    #: its call); any other must not.
     PINNED = {
-        "ideal": (5483, "bcacbc592fa2af2cc02884e964404882"
-                        "f6d1d6680ffc3714ff3cd9ca697dc25a"),
-        "delegating": (3485, "5f7f3fc51e338083587c110763829384"
-                             "4f4b1f2944d031ce5e4d9e831a09f7f2"),
-        "coherent": (5483, "10b6a1b61c36f4b4ee758f5eed476d37"
-                           "e24f05d992ae596fc18c6f014db3aa16"),
+        "ideal": (5483, "9499b4f0437a9ef31cdd6cb900f9049c"
+                        "b831204048060a2236cf7ea6222dbcf6"),
+        "delegating": (3485, "7066b99e29e59b13a144d5c31502ff4d"
+                             "5ca1e3dacf0acdb1cf6a8eca8bbcdf1d"),
+        "coherent": (5483, "43012b3436645d69aa0a38fae6136e66"
+                           "82670eed3acff0cdad043350aa9c3608"),
     }
 
     #: The same over the slice source (``compile_block(..., sliced=True)``)
     #: at every pc of the same corpus, on a bank with
     #: :class:`StackWindows` installed: an ideal one (tails carry stack
     #: accesses) and a coherent node's (tails carry the stack accesses
-    #: its cache hits; last re-pinned when they began to).  Same rule as
-    #: :data:`PINNED`.
+    #: its cache hits; last re-pinned when heads began to take their
+    #: traps in place).  Same rule as :data:`PINNED`.
     SLICES = {
-        "coherent": (5558, "d9bf57b8bc72c7316573190386b819c7"
-                           "2eafa79c217954f3641168a7e41723e1"),
-        "windows": (5558, "ed0f4a7a099fc666677142cd37affb7f"
-                          "abadfa8273d5ec67421960d319b01422"),
+        "coherent": (5558, "c2a3fc604a9dd9b233187a2c7910d282"
+                           "e916f546cacf6bba68f87453e4a7098d"),
+        "windows": (5558, "0d291533130607feb711b0e39e6cfa21"
+                          "8ceef00882ec008a42df525c6911a25d"),
     }
 
     @staticmethod

@@ -10,7 +10,10 @@ estimate.  A scan that stops at every ``CALL`` and ``BA`` again moves
 the calls and the compiles; slow exits that state their commit and PSR
 bits inline again move the characters; coherent tails that stop at
 their first load or store again move the calls and the run-ahead
-accesses.  A change that means to move a
+accesses.  Guards and ``TRAP`` terminators that take their traps in
+place moved the characters last: a guard's call carries its opcode's
+name, and a ``TRAP`` is one helper call instead of a delegated
+closure's exit.  A change that means to move a
 count re-pins it here and says why; any other must not move one.
 """
 
@@ -24,11 +27,11 @@ from repro.machine.config import MachineConfig
 #: ``(mode, fib's n, processors)`` -> the run's counts.
 PINNED = {
     ("sequential", 12, 1): {"jit_runs": 1020, "instructions": 17672,
-                            "jit_compiles": 8, "source_chars": 27141},
+                            "jit_compiles": 8, "source_chars": 27183},
     ("eager", 8, 4): {"jit_runs": 792, "instructions": 4396,
-                      "jit_compiles": 41, "source_chars": 100642},
+                      "jit_compiles": 41, "source_chars": 99016},
     ("lazy", 9, 4): {"jit_runs": 595, "instructions": 4360,
-                     "jit_compiles": 27, "source_chars": 63506},
+                     "jit_compiles": 27, "source_chars": 62743},
 }
 
 
@@ -36,7 +39,7 @@ PINNED = {
 #: coherent machine.
 COHERENT = {
     ("eager", 8, 4): {"jit_runs": 1337, "instructions": 4396,
-                      "jit_compiles": 72, "source_chars": 242434,
+                      "jit_compiles": 72, "source_chars": 240432,
                       "ahead_loads": 468, "ahead_stores": 311},
 }
 

@@ -201,6 +201,20 @@ class TestBenchmarkLockstep:
         assert runs[0][1].value == module.reference(4)
         _assert_triple(*runs)
 
+    def test_zero_cost_traps_are_runs_not_deopts(self):
+        """Traps that cost nothing — no squash, no switch-handler body:
+        a trap generated code takes in place returns to the runner as
+        a run, never as a zero-progress block, and the schedule is the
+        reference's."""
+        module = workloads.get("fib")
+        config = MachineConfig(num_processors=4, trap_squash_cycles=0,
+                               switch_handler_cycles=0)
+        fast, reference = _run_pair(module.source(), "eager", config, (9,))
+        assert fast[1].value == module.reference(9)
+        _assert_lockstep(fast, reference)
+        assert sum(cpu.jit_runs for cpu in fast[0].cpus) > 0
+        assert sum(cpu.jit_deopts for cpu in fast[0].cpus) == 0
+
     def test_fast_sequential_actually_fuses(self):
         """The fast run must exercise generated code, or this whole
         file proves nothing about it."""

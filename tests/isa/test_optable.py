@@ -14,7 +14,7 @@ from repro.core import alu
 from repro.core.execops import build_entry
 from repro.core.jit import compile_block
 from repro.core.psr import C_BIT, ET_BIT, N_BIT, V_BIT, Z_BIT
-from repro.core.traps import TrapSignal
+from repro.core.traps import TrapAction, TrapKind, TrapSignal, TrapTable
 from repro.isa import registers
 from repro.isa.assembler import Assembler, _tokenize_operands, assemble
 from repro.isa.encoding import decode, encode
@@ -47,10 +47,12 @@ class TestOneRowPerOpcode:
     def test_source_registers_are_the_rows_reads(self, op, use_imm):
         instr = Instruction(op, rd=3, rs1=5, rs2=7, imm=9, use_imm=use_imm)
         fields = {"rs1": 5, "rs2": 7, "rd": 3, "ra": registers.RA}
-        expected = [fields[name] for name in ROWS[op].reads
-                    if name in REGISTER_FIELDS
-                    and not (name == "rs2" and use_imm)]
+        expected = tuple(fields[name] for name in ROWS[op].reads
+                         if name in REGISTER_FIELDS
+                         and not (name == "rs2" and use_imm))
         assert instr.source_registers() == expected
+        # Computed once: the second call answers the same object.
+        assert instr.source_registers() is instr.source_registers()
 
     @pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.name)
     def test_format_is_read_by_encode_render_and_build(self, op):
@@ -91,12 +93,34 @@ class TestOneRowPerOpcode:
         assert out.stdout.strip() == "[]"
 
 
-def _outcome(run):
-    """``(result, N/Z/V/C, trap payload)`` of one ALU execution."""
+def _recording(cpu):
+    """Give ``cpu`` a trap table whose every handler records the trap
+    it is handed and retries; returns the record."""
+    taken = []
+
+    def record(cpu, frame, trap):
+        taken.append(trap)
+        return TrapAction.RETRY
+
+    cpu.trap_table = TrapTable()
+    for kind in TrapKind:
+        cpu.trap_table.register(kind, record)
+    return taken
+
+
+def _outcome(cpu, taken, run):
+    """``(result, N/Z/V/C, trap payload)`` of one ALU execution, the
+    payload read off the trap ``cpu`` took (``taken``, its recording
+    table).  Generated code takes its trap in place; a raised one —
+    the reference ALU's, the closure's — is taken as ``step()`` takes
+    it."""
+    del taken[:]
     try:
         result, cc = run()
     except TrapSignal as signal:
-        trap = signal.trap
+        cpu._take_trap(cpu.frame, signal.trap)
+    if taken:
+        trap, = taken
         return None, None, (trap.kind, trap.pc, trap.value, trap.cause)
     return result, cc, None
 
@@ -111,7 +135,7 @@ class TestEveryAluRowAgreesWithTheReference:
         cpu, memory, _ = build_cpu("halt", base=_PC)
         memory.write_word(_PC, encode(instr))
         memory.write_word(_PC + 4, encode(Instruction(Opcode.HALT)))
-        return cpu, instr
+        return cpu, instr, _recording(cpu)
 
     @staticmethod
     def _run_on(cpu, a, b, execute):
@@ -126,7 +150,7 @@ class TestEveryAluRowAgreesWithTheReference:
     @given(a=_WORDS, b=_WORDS)
     def test_alu_execute_closure_and_generated_code_agree(self, op, a, b):
         row = ROWS[op]
-        cpu, instr = self._machine(op)
+        cpu, instr, taken = self._machine(op)
         block = compile_block(cpu, _PC, sliced=True)
         assert block is not None and block.count == 1
         entry = build_entry(instr)
@@ -135,11 +159,11 @@ class TestEveryAluRowAgreesWithTheReference:
             result, (n, z, v, c) = alu.execute(op, a, b, instr=instr, pc=_PC)
             return result, n * N_BIT | z * Z_BIT | v * V_BIT | c * C_BIT
 
-        expected = _outcome(reference)
-        closure = _outcome(lambda: self._run_on(
+        expected = _outcome(cpu, taken, reference)
+        closure = _outcome(cpu, taken, lambda: self._run_on(
             cpu, a, b, lambda cpu, frame: entry.run(cpu, frame, _PC,
                                                     _PC + 4)))
-        generated = _outcome(lambda: self._run_on(
+        generated = _outcome(cpu, taken, lambda: self._run_on(
             cpu, a, b, lambda cpu, frame: block.fn(cpu, frame)))
         for result, cc, trap in (closure, generated):
             if "rd" in row.writes:      # cmp discards its result
