@@ -56,6 +56,11 @@ PREDECODE_CACHE_CAPACITY = 1 << 16
 #: Bound on a machine's JIT block cache (LRU).
 JIT_CACHE_CAPACITY = 2048
 
+#: The least budget the machine loop hands :meth:`Processor.step_block`
+#: on a budgeted slice; below it the loop runs :meth:`Processor.step`
+#: itself, so a chain stops there too.
+MIN_BLOCK_BUDGET = 4
+
 #: Why a run-ahead tail was taken back (:attr:`Processor.ahead_undone_by`):
 #: the run ended under it, another processor (or a trap handler)
 #: touched the stack window it had loaded or stored in, a lazy steal
@@ -181,8 +186,8 @@ class Processor:
         self.ipi_queue = deque()
         self.share_translations(Translations())
         #: Master switch for generated code (the machine sets it from
-        #: its ``jit`` argument); off, :meth:`step_block` is
-        #: :meth:`step`.
+        #: its ``jit`` argument); off, the machine loop calls
+        #: :meth:`step` where it would call :meth:`step_block`.
         self.jit_enabled = True
         #: Run-ahead diagnostics (deliberately not part of
         #: ``stats.snapshot()``, and not part of
@@ -383,8 +388,9 @@ class Processor:
 
     # -- generated code (fast path only) --------------------------------------
 
-    def step_block(self, budget, ahead=False):
-        """Execute one generated block at the pc, or one :meth:`step`.
+    def step_block(self, budget, ahead=False, overrun=False):
+        """Run generated blocks from the pc back to back, or one
+        :meth:`step`; returns the cycles consumed.
 
         The fast path has two rungs: :meth:`step` runs one predecoded
         closure, and this runs generated code.  The first visit to a
@@ -395,14 +401,38 @@ class Processor:
         and runs :meth:`step`, as does a block that does not fit the
         budget.
 
-        ``budget`` bounds the block's cost in cycles — its ``count``,
-        every block instruction costing exactly one cycle — so the
-        caller's event-loop slice is never overshot (a delegated memory
-        terminator may
-        stall past the horizon, but so would the same instruction under
-        :meth:`step` — the reference loop has the same property).
+        **The chain.**  This is the machine loop's dispatch loop too:
+        after a block that took no trap and retired one instruction per
+        cycle, it looks up the block at the new pc and runs it in the
+        same call, exactly as the loop would have run it next.  It
+        stops — and leaves the rest to the caller — after a gap (a
+        stalled delegated terminator), a trap (taken in place or
+        raised) or zero progress, once ``halted`` is set, the active
+        frame holds no thread or an IPI is pending with ET set, at a
+        pc in a delay slot (``npc != pc + 4``), uncompiled or whose
+        block does not fit, and when the budget is spent.  So every
+        block of a call but the last retires one instruction per
+        cycle, and :attr:`jit_runs` counts blocks, not calls.
 
-        ``ahead`` lets a budget too small for a full-length block be
+        ``budget`` is the cycles left before the caller's horizon.
+        Without ``overrun`` a block is admitted only if its ``count`` —
+        every block instruction costing exactly one cycle — fits what
+        is left, so the event-loop slice is never overshot (a delegated
+        memory terminator may stall past the horizon, but so would the
+        same instruction under :meth:`step` — the reference loop has
+        the same property), and the chain stops when less than
+        :data:`MIN_BLOCK_BUDGET` is left, where the loop runs
+        :meth:`step` itself.  With ``overrun`` — a solo slice, nobody
+        queued to yield to — any block is admitted and may run past the
+        horizon, and the chain stops once the clock reaches it.  Either
+        way the horizon must not move during the call: a caller whose
+        queue a step may re-key says so with ``ahead``.
+
+        ``ahead`` — a machine that runs ahead, others queued — runs one
+        block or slice and no chain: a non-tail access may wind another
+        processor back below the horizon (``AlewifeMachine.
+        _wind_back``), which the caller re-reads after every call.  And
+        it lets a budget too small for a full-length block be
         overrun by a *sync-headed slice* instead: the instruction at
         the pc — the caller vouches that it is next in the machine's
         schedule — and then, in the same generated function, every
@@ -429,18 +459,18 @@ class Processor:
         :meth:`unrun_tail` takes that back.  A pc with no slice runs one
         :meth:`step` — a slice of one.
 
-        Falls back to :meth:`step` — same return convention, cycles
-        consumed — whenever no block applies, the JIT is off or a
-        per-instruction hook is attached; only call this while
-        ``AlewifeMachine._hooks_dormant``.
+        Falls back to :meth:`step` — same return convention — whenever
+        no block applies at the pc.  The machine loop's fast form calls
+        this only while ``AlewifeMachine._hooks_dormant`` and with the
+        JIT on (off, it calls :meth:`step` in its place), so neither is
+        tested here: a direct caller sees to both.
         """
         if self.halted:
             return 0
         self.ahead_tail = None
-        if self.profile_hook is not None or not self.jit_enabled:
-            return self.step()
         frame = self.frames[self.fp]
-        if self.ipi_queue and frame.psr.value & ET_BIT:
+        ipi_queue = self.ipi_queue
+        if ipi_queue and frame.psr.value & ET_BIT:
             return self.step()
         pc = frame.pc
         if frame.npc != pc + 4:
@@ -448,21 +478,20 @@ class Processor:
             # block's straight-line npc math would be wrong.
             return self.step()
 
-        if budget >= MAX_JIT_BLOCK:
-            # Nobody to run ahead of: a full-length block, memory
-            # accesses and all, beats a slice.
-            ahead = False
+        # Nobody to run ahead of, or room for a full-length block,
+        # memory accesses and all, which beats a slice.
+        sliced = ahead and budget < MAX_JIT_BLOCK
         jit_map = self._jit_map
-        key = ~pc if ahead else pc
+        key = ~pc if sliced else pc
         jb = jit_map.get(key)
         if jb is None:
-            jb = self._compile_jit(pc, ahead)
+            jb = self._compile_jit(pc, sliced)
         else:
             jit_map.move_to_end(key)
-        if not jb or (not ahead and jb.count > budget):
+        if not jb or not (sliced or overrun) and jb.count > budget:
             # Uncompilable here, or the block does not fit.
             return self.step()
-        # The block may stop early — at a tripped future guard, at the
+        # A block may stop early — at a tripped future guard, at the
         # slow path of an inlined memory access, or at a taken branch —
         # so the cycles consumed are whatever the generated code
         # banked, not ``jb.count``.  A tripped guard or a ``TRAP``
@@ -470,26 +499,54 @@ class Processor:
         # the PC chain at the instruction and committing the prefix)
         # and returns True; a delegated instruction's trap is raised
         # and taken here, exactly as :meth:`step` takes it.  Either
-        # way the run counts and its cycles are the trap's, however
-        # few: a handler charging nothing is no zero-progress block.
-        start = self.cycles
+        # way the run counts, its cycles are the trap's, however few
+        # (a handler charging nothing is no zero-progress block), and
+        # the chain ends.
+        start = at = self.cycles
+        horizon = start + budget
+        least = 1 if overrun else MIN_BLOCK_BUDGET
+        stats = self.stats
+        # Constant while every block retires one instruction per cycle.
+        skew = start - stats.instructions
+        frames = self.frames
+        runs = 1
         try:
-            if jb.fn(self, frame):
-                self.jit_runs += 1
-                return self.cycles - start
+            while True:
+                if jb.fn(self, frame):
+                    break
+                cycles = self.cycles
+                if cycles == at:
+                    # Cannot happen on current codegen (guards trap or
+                    # park after the head, delegates charge); keeps a
+                    # zero-progress block from livelocking the loop.
+                    runs -= 1
+                    self.jit_deopts += 1
+                    self.step()
+                    break
+                room = horizon - cycles
+                if (ahead or room < least
+                        or cycles - stats.instructions != skew
+                        or self.halted):
+                    break
+                frame = frames[self.fp]
+                pc = frame.pc
+                if (frame.thread is None or frame.npc != pc + 4
+                        or ipi_queue and frame.psr.value & ET_BIT):
+                    break
+                jb = jit_map.get(pc)
+                if jb is None:
+                    jb = self._compile_jit(pc)
+                else:
+                    jit_map.move_to_end(pc)
+                if not jb or not overrun and jb.count > room:
+                    break
+                runs += 1
+                at = cycles
         except TrapSignal as signal:
             self._take_trap(frame, signal.trap)
-            self.jit_runs += 1
-            return self.cycles - start
-        spent = self.cycles - start
-        if spent == 0:
-            # Cannot happen on current codegen (guards trap or park
-            # after the head, delegates charge); keeps a zero-progress
-            # block from livelocking the loop.
-            self.jit_deopts += 1
-            return self.step()
-        self.jit_runs += 1
-        return spent
+        finally:
+            self.jit_runs += runs
+        return self.cycles - start
 
     def _compile_jit(self, pc, sliced=False):
         """Compile the block (or slice) at ``pc``; caches the result.

@@ -46,6 +46,8 @@ class ResultCache:
         self.misses = 0
         self.writes = 0
         self.dropped = 0
+        #: Shard directories this cache has made (or found) already.
+        self._shards = set()
 
     def path_for(self, content_hash):
         """Where the payload for ``content_hash`` lives (sharded by its
@@ -89,17 +91,31 @@ class ResultCache:
         """Atomically store ``payload`` as one line of canonical JSON;
         returns its path.  A caller that already holds
         ``canonical_json(payload)`` as UTF-8 bytes passes it as
-        ``encoded`` and the payload is not serialised again."""
+        ``encoded`` and the payload is not serialised again.  Each
+        shard directory is made once per cache; one removed underneath
+        it is made again when the write finds it missing."""
         if encoded is None:
             encoded = canonical_json(payload).encode("utf-8")
         path = self.path_for(content_hash)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
+        shard = os.path.dirname(path)
+        if shard not in self._shards:
+            os.makedirs(shard, exist_ok=True)
+            self._shards.add(shard)
+        try:
+            self._write(path, encoded)
+        except FileNotFoundError:
+            # The shard was removed underneath this cache.
+            os.makedirs(shard, exist_ok=True)
+            self._write(path, encoded)
+        self.writes += 1
+        return path
+
+    @staticmethod
+    def _write(path, encoded):
         tmp = "%s.tmp.%d" % (path, os.getpid())
         with open(tmp, "wb") as handle:
             handle.write(encoded + b"\n")
         os.replace(tmp, path)
-        self.writes += 1
-        return path
 
     def counters(self):
         """JSON-ready hit/miss/write counts for the sweep summary."""

@@ -21,7 +21,7 @@ import weakref
 # pushes and pops (perf/spans.py counts slices that way).
 from heapq import heapify
 
-from repro.core.processor import Processor, Translations
+from repro.core.processor import MIN_BLOCK_BUDGET, Processor, Translations
 from repro.errors import DeadlockError, SimulationError
 from repro.isa.encoding import DecodeCache
 from repro.machine.config import MachineConfig
@@ -35,7 +35,6 @@ from repro.runtime.rts import RuntimeSystem
 #: so that the per-pop cycle-limit and watchdog polls stay live.
 SOLO_SLICE_CYCLES = 4096
 
-_NO_BUDGET = 1 << 62
 _ALL_HALTED = "all processors halted without a result"
 _CYCLE_LIMIT = "cycle limit %d exceeded (deadlock or undersized limit)"
 
@@ -301,11 +300,24 @@ class AlewifeMachine:
         **Budget-bound slices.**  A popped processor runs while its
         clock stays strictly below the next entry's (at equality the
         key decides, so it is pushed back).  ``step_block(budget)``
-        never overshoots: block instructions cost a cycle each and a
-        gap (trap, stall) ends the block.  Cross-processor
+        never overshoots: block instructions cost a cycle each, a block
+        runs only if it fits what is left of the budget, and a gap
+        (trap, stall) ends the block.  Cross-processor
         interactions (shared memory is serialized by the host; IPIs are
         stamped by the receiver's clock at delivery) therefore happen
         at identical simulated times.  Halted processors are dropped.
+
+        **Who chains.**  One ``step_block`` call runs blocks back to
+        back — exactly the blocks, in the order, this loop would have
+        run one per call — until the budget is spent, a gap or trap
+        ends one, or the next pc needs :meth:`~repro.core.processor.
+        Processor.step`.  That is legal only while nothing can move
+        the horizon during the call: on a machine that does not run
+        ahead (no step of this processor re-keys another), and on a
+        solo slice (nobody queued).  A machine that runs ahead with
+        others queued passes ``ahead`` and gets one block or slice per
+        call: a non-tail access may wind another processor back below
+        the horizon, which is re-read after every call.
 
         **Run-ahead slices** (while :meth:`_runs_ahead`).  At a tie the
         budget is a cycle or less, and a popped processor instead runs
@@ -354,8 +366,12 @@ class AlewifeMachine:
         and what they stored.
 
         A processor popped off an empty queue — the only one, or the
-        last not halted — has nobody to yield to: its blocks run
-        unbudgeted and :data:`SOLO_SLICE_CYCLES` ends the slice.
+        last not halted — has nobody to yield to: its blocks may
+        overrun the slice's end (``step_block``'s ``overrun``), one
+        call chains them until the clock reaches it, and
+        :data:`SOLO_SLICE_CYCLES` ends the slice — so the cycle limit
+        and the watchdog are polled once per solo slice and an endless
+        loop still comes back to the queue.
         """
         runtime = self.runtime
         cpus = self.cpus
@@ -366,6 +382,7 @@ class AlewifeMachine:
         heappop = heapq.heappop
         step_blocks = [cpu.step_block for cpu in cpus]
         steps = [cpu.step for cpu in cpus]
+        jit = self.jit
         idle_limit = 4 * len(cpus)
         ahead = self._runs_ahead()
         queue = [(clock, 0, seq, index) for clock, seq, index in queue]
@@ -412,23 +429,25 @@ class AlewifeMachine:
                 turn[:3] = index, behind, oseq
             while True:
                 if has_work(cpu):
-                    budget = _NO_BUDGET if solo else horizon - cpu.cycles
+                    budget = horizon - cpu.cycles
                     # `lead` one-cycle instructions retire, then at
                     # most one gap (a trap, a stall), which ends
-                    # whatever block or slice ran.
+                    # whatever chain of blocks or slice ran.
                     if ahead:
                         lead = stats.instructions
                         turn[3] = cpu.cycles - lead
-                        spent = step_block(budget, True)
+                        spent = step_block(budget, not solo, solo)
                         lead = stats.instructions - lead
                         gap = spent != lead
                         if not solo:
                             # It may have wound somebody back below
                             # the horizon (re-keyed: `_wind_back`).
                             horizon = queue[0][0]
-                    elif budget >= 4:
+                    elif solo or budget >= MIN_BLOCK_BUDGET:
                         lead = stats.instructions
-                        spent = step_block(budget)
+                        # With the JIT off, the closure tier's step.
+                        spent = (step_block(budget, False, solo) if jit
+                                 else step())
                         lead = stats.instructions - lead
                         gap = spent != lead
                     else:

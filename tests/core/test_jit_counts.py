@@ -13,7 +13,12 @@ their first load or store again move the calls and the run-ahead
 accesses.  Guards and ``TRAP`` terminators that take their traps in
 place moved the characters last: a guard's call carries its opcode's
 name, and a ``TRAP`` is one helper call instead of a delegated
-closure's exit.  A change that means to move a
+closure's exit.  The fourth piece is how often the machine loop calls
+into ``Processor.step_block``: one call chains generated blocks back to
+back until its slice ends wherever the horizon cannot move (one
+processor; machines that do not run ahead), so the sequential leg's
+thousand blocks are a handful of calls, while run-ahead machines keep
+one block or slice per call.  A change that means to move a
 count re-pins it here and says why; any other must not move one.
 """
 
@@ -23,6 +28,7 @@ from repro import workloads
 from repro.lang.compiler import compile_source
 from repro.machine.alewife import AlewifeMachine
 from repro.machine.config import MachineConfig
+from tests.helpers import record_step_block
 
 #: ``(mode, fib's n, processors)`` -> the run's counts.
 PINNED = {
@@ -41,6 +47,14 @@ COHERENT = {
     ("eager", 8, 4): {"jit_runs": 1337, "instructions": 4396,
                       "jit_compiles": 72, "source_chars": 240432,
                       "ahead_loads": 468, "ahead_stores": 311},
+}
+
+#: Calls into ``Processor.step_block`` per leg, ``memory_mode`` too.
+CALLS = {
+    ("sequential", 12, 1, "ideal"): 6,
+    ("eager", 8, 4, "ideal"): 801,
+    ("lazy", 9, 4, "ideal"): 595,
+    ("eager", 8, 4, "coherent"): 1348,
 }
 
 
@@ -75,3 +89,15 @@ def test_generated_code_counts_are_pinned(leg):
 @pytest.mark.parametrize("leg", sorted(COHERENT))
 def test_coherent_counts_are_pinned(leg):
     assert _counts(*leg, memory_mode="coherent") == COHERENT[leg]
+
+
+@pytest.mark.parametrize("leg", sorted(CALLS),
+                         ids=lambda leg: "-".join(map(str, leg)))
+def test_calls_into_step_block_are_pinned(leg, monkeypatch):
+    calls = record_step_block(monkeypatch)
+    *leg_args, memory_mode = leg
+    counts = _counts(*leg_args, memory_mode=memory_mode)
+    assert len(calls) == CALLS[leg]
+    # The chain runs the same blocks: the other pins hold beside it.
+    pinned = (PINNED if memory_mode == "ideal" else COHERENT)[tuple(leg_args)]
+    assert counts == pinned

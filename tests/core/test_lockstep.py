@@ -36,6 +36,7 @@ from repro.obs import FlightRecorder, Observation, Watchdog
 from repro.obs.events import EventKind, EventLog
 from repro.obs.txn import TransactionTracer
 from repro.runtime import stubs
+from tests.helpers import record_step_block
 from tests.integration.test_differential import future_programs, programs
 from tests.runtime.test_rts_asm import make_thunk
 
@@ -749,6 +750,18 @@ class TestForeignStackAccess:
         machine = self._leaked(self.THROUGH_A_FORGED_FUTURE, processors)
         assert _undone(machine, "foreign") > 0
         assert sum(cpu.stats.traps_taken for cpu in machine.cpus[1:]) > 10
+
+    @pytest.mark.parametrize("processors", [2, 4])
+    def test_a_step_that_may_wind_back_runs_one_block(self, processors,
+                                                      monkeypatch):
+        # With others queued, any non-tail access may wind one of them
+        # back below the horizon, which the loop re-reads after every
+        # call: so such a call runs one block or slice, never a chain.
+        calls = record_step_block(monkeypatch)
+        machine = self._leaked(self.THROUGH_A_POINTER, processors)
+        assert _undone(machine, "foreign") > 0
+        chains = [runs for ahead, _, runs in calls if ahead]
+        assert chains and max(chains) == 1
 
     #: The worker flips the full/empty bit of a word of its own frame
     #: for ever, SP-relative; the root returns ``pad`` cycles later,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 from repro.exp.cache import ResultCache, default_cache, default_cache_dir
 from repro.exp.job import canonical_json
@@ -130,6 +131,32 @@ class TestSharding:
             os.path.join(str(tmp_path), "de", "deadbeef.json"))
         assert not os.path.exists(
             os.path.join(str(tmp_path), "deadbeef.json"))
+
+    def test_puts_into_one_shard_make_one_directory(self, tmp_path,
+                                                     monkeypatch):
+        made = []
+        makedirs = os.makedirs
+
+        def counting(path, *args, **kwargs):
+            made.append(path)
+            return makedirs(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "makedirs", counting)
+        cache = ResultCache(str(tmp_path))
+        for index in range(8):
+            cache.put("ab%02d" % index, {"status": "ok", "value": index})
+        assert made == [os.path.join(str(tmp_path), "ab")]
+        assert cache.counters()["writes"] == 8
+        assert cache.get("ab07")["value"] == 7
+
+    def test_put_after_the_shard_is_removed_still_lands(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        first = cache.put("cd01", {"status": "ok", "value": 1})
+        shutil.rmtree(os.path.dirname(first))
+        cache.put("cd02", {"status": "ok", "value": 2})
+        assert cache.get("cd02")["value"] == 2
+        assert cache.get("cd01") is None
+        assert cache.counters()["writes"] == 2
 
     def test_sharded_entry_wins_over_flat(self, tmp_path):
         # A flat-layout file (a cache from before sharding) is never

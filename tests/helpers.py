@@ -42,3 +42,20 @@ def ignore_trap_handler(action=TrapAction.RESUME, cycles=0):
             cpu.charge(cycles, "trap")
         return action
     return handler
+
+
+def record_step_block(monkeypatch):
+    """Patch ``Processor.step_block`` to record every call as
+    ``(ahead, overrun, blocks run)``; returns the list it appends to.
+    Install it before the machine runs (the loop binds the method)."""
+    calls = []
+    step_block = Processor.step_block
+
+    def recording(cpu, budget, ahead=False, overrun=False):
+        runs = cpu.jit_runs
+        spent = step_block(cpu, budget, ahead, overrun)
+        calls.append((ahead, overrun, cpu.jit_runs - runs))
+        return spent
+
+    monkeypatch.setattr(Processor, "step_block", recording)
+    return calls

@@ -30,6 +30,7 @@ from tests.core.test_lockstep import (
     _spawn_on,
     _step_to_completion,
 )
+from tests.helpers import record_step_block
 
 SPIN = """
 main:
@@ -677,3 +678,57 @@ class TestWhoRunsAhead:
         assert machine.loop_used == (
             "reference" if case == "no-fastpath" else "fast")
         assert ahead == [(0, 0, 0)] * len(machine.cpus)
+
+
+class TestChainsEndWhereSlicesDo:
+    """One ``Processor.step_block`` call runs generated blocks back to
+    back until its slice ends.  The chain must not move a slice's end:
+    budgeted chains on a machine that does not run ahead stay in
+    lockstep with the oracle, and a solo chain stops at the slice's
+    end, so the per-slice polls — cycle limit, watchdog — land where
+    the loop took one block per call landed them (the pins below are
+    that loop's clocks)."""
+
+    @pytest.mark.parametrize("program,mode,args", [
+        ("fib", "eager", (9,)), ("fib", "lazy", (9,)),
+        ("queens", "eager", (4,)), ("factor", "eager", (10007, 6))])
+    def test_budgeted_chains_match_the_oracle(self, program, mode, args,
+                                              monkeypatch):
+        # One-cycle traps: a squash cannot tell a trap from retired
+        # instructions, so nobody runs ahead and every slice is
+        # budgeted to the next processor's clock.
+        config = MachineConfig(num_processors=4, trap_squash_cycles=1)
+        module = workloads.get(program)
+        compiled = compile_source(module.source(), mode=mode)
+        entry = compiled.entry_label("main")
+        calls = record_step_block(monkeypatch)
+        fast_machine = _machine(compiled, config, True)
+        assert not fast_machine._runs_ahead()
+        fast = fast_machine.run(entry=entry, args=module.args(*args))
+        assert fast.value == module.reference(*args)
+        # Budgeted calls ran several blocks each.
+        assert max(runs for _, overrun, runs in calls if not overrun) > 1
+        reference = _machine(compiled, config, False)
+        _assert_lockstep((fast_machine, fast), (
+            reference, reference.run(entry=entry, args=module.args(*args))))
+
+    @pytest.mark.parametrize("limit,time", [(10_000, 12_297),
+                                            (123_457, 126_985)])
+    def test_solo_cycle_limit_at_the_same_clock(self, limit, time,
+                                                monkeypatch):
+        calls = record_step_block(monkeypatch)
+        machine = _build(_asm(SPIN), "fast-1cpu")
+        with pytest.raises(SimulationError, match="cycle limit %d " % limit):
+            _drive(machine, "fast-1cpu", max_cycles=limit)
+        assert machine.time == machine.cpus[0].cycles == time
+        # One call per solo slice, not per block.
+        assert len(calls) < 2 * time // SOLO_SLICE_CYCLES + 2
+        assert all(overrun for _, overrun, _ in calls)
+
+    def test_solo_watchdog_checked_at_the_same_clocks(self):
+        machine = _build(_asm(SPIN), "fast-1cpu")
+        watchdog = RecordingWatchdog(interval=1000).attach(machine)
+        with pytest.raises(SimulationError, match="cycle limit 30000 "):
+            _drive(machine, "fast-1cpu", max_cycles=30_000)
+        assert watchdog.checked_at == [4105, 8201, 12297, 16393, 20489,
+                                       24585, 28681, 32777]

@@ -75,10 +75,11 @@ class TestOneTablePerMachine:
         pc = compiled.program.address_of(compiled.entry_label("main"))
         block = cpu0._compile_jit(pc)
         assert block is not None and compile_calls == [(pc, False)]
-        # CPU 3 never visited the pc: no second compile.
+        # CPU 3 never visited the pc: no second compile.  A budget of
+        # the block's own count runs that block and chains no further.
         frame = cpu3.frame
         frame.pc, frame.npc = pc, pc + 4
-        assert cpu3.step_block(1 << 30) > 0
+        assert cpu3.step_block(block.count) > 0
         assert cpu3.jit_runs == 1 and cpu3.jit_compiles == 0
         assert cpu3._jit_map[pc] is block
         assert compile_calls == [(pc, False)]
@@ -114,7 +115,9 @@ class TestFirstVisitRunsGeneratedCode:
         pc = compiled.program.address_of(compiled.entry_label("main"))
         frame = cpu.frame
         frame.pc, frame.npc = pc, pc + 4
-        assert cpu.step_block(1 << 30) > 0
+        # The block's own count: one block runs, no chain after it.
+        count = processor.compile_block(cpu, pc).count
+        assert cpu.step_block(count) > 0
         assert cpu.jit_runs == 1 and cpu.jit_compiles == 1
 
     def test_an_uncompilable_pc_reaches_compile_block_once(
