@@ -423,6 +423,15 @@ def _cmd_serve(args):
     return asyncio.run(_main())
 
 
+def _endpoint(args):
+    """``(socket_path, host, port)`` a client command connects to:
+    ``--tcp`` when given, else ``--socket``."""
+    if not args.tcp:
+        return args.socket, None, None
+    from repro.serve.protocol import parse_tcp
+    return (None,) + parse_tcp(args.tcp)
+
+
 def _cmd_loadgen(args):
     """The traffic harness (``april loadgen``)."""
     import asyncio
@@ -430,17 +439,7 @@ def _cmd_loadgen(args):
     from repro.serve.loadgen import render_report as render_loadgen
     from repro.serve.loadgen import run_loadgen
 
-    host = port = None
-    socket_path = args.socket
-    if args.tcp:
-        host, _, port_text = args.tcp.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            print("error: --tcp wants HOST:PORT, got %r" % args.tcp,
-                  file=sys.stderr)
-            return 2
-        socket_path = None
+    socket_path, host, port = _endpoint(args)
 
     try:
         report = asyncio.run(run_loadgen(
@@ -471,17 +470,7 @@ def _cmd_top(args):
 
     from repro.serve.top import run_top
 
-    host = port = None
-    socket_path = args.socket
-    if args.tcp:
-        host, _, port_text = args.tcp.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            print("error: --tcp wants HOST:PORT, got %r" % args.tcp,
-                  file=sys.stderr)
-            return 2
-        socket_path = None
+    socket_path, host, port = _endpoint(args)
 
     count = 1 if args.once else args.count
     plain = args.plain or args.once
@@ -503,6 +492,7 @@ def _window(text):
 
 
 def _add_machine_options(cmd):
+    """The program and the machine it runs on."""
     cmd.add_argument("program")
     cmd.add_argument("-p", "--processors", type=int, default=1)
     cmd.add_argument("--mode", default="eager",
@@ -513,6 +503,10 @@ def _add_machine_options(cmd):
                      help="full caches + directory + network")
     cmd.add_argument("--args", type=int, nargs="*", default=[],
                      help="fixnum arguments passed to (main ...)")
+
+
+def _add_observation_options(cmd):
+    """What a batch run records (``run``, ``explain``, ``report``)."""
     cmd.add_argument("--events", metavar="FILE",
                      help="write a Perfetto/Chrome trace JSON of the run")
     cmd.add_argument("--txn", metavar="FILE",
@@ -548,6 +542,7 @@ def build_parser():
 
     run_cmd = sub.add_parser("run", help="compile and run a Mul-T program")
     _add_machine_options(run_cmd)
+    _add_observation_options(run_cmd)
     run_cmd.add_argument("--json", action="store_true",
                          help="machine-readable result on stdout")
     run_cmd.add_argument("--profile", action="store_true",
@@ -569,16 +564,7 @@ def build_parser():
     mon_cmd = sub.add_parser(
         "monitor", help="interactive machine debugger: step, breakpoints, "
                         "full/empty watchpoints, pokes, disassembly")
-    mon_cmd.add_argument("program")
-    mon_cmd.add_argument("-p", "--processors", type=int, default=1)
-    mon_cmd.add_argument("--mode", default="eager",
-                         choices=("eager", "lazy", "sequential"))
-    mon_cmd.add_argument("--encore", action="store_true",
-                         help="Encore Multimax baseline configuration")
-    mon_cmd.add_argument("--coherent", action="store_true",
-                         help="full caches + directory + network")
-    mon_cmd.add_argument("--args", type=int, nargs="*", default=[],
-                         help="fixnum arguments passed to (main ...)")
+    _add_machine_options(mon_cmd)
     mon_cmd.add_argument("--script", metavar="FILE",
                          help="run monitor commands from FILE (echoed; "
                               "deterministic transcript) instead of stdin")
@@ -589,6 +575,7 @@ def build_parser():
         "explain", help="explain why speedup is sublinear: per-thread "
                         "cycle accounting + ranked critical-path report")
     _add_machine_options(explain_cmd)
+    _add_observation_options(explain_cmd)
     explain_cmd.add_argument("--json", action="store_true",
                              help="byte-stable JSON (thread accounting + "
                                   "critical path) instead of text")
@@ -597,6 +584,7 @@ def build_parser():
     report_cmd = sub.add_parser(
         "report", help="run a program and emit the full JSON machine report")
     _add_machine_options(report_cmd)
+    _add_observation_options(report_cmd)
     report_cmd.add_argument("--out", metavar="FILE",
                             help="write the report here instead of stdout")
     report_cmd.add_argument("--histograms", action="store_true",

@@ -137,7 +137,8 @@ coherent node, the old LRU stamp of every line they hit (the hit
 log), so :meth:`repro.core.processor.Processor.unrun_tail` can take
 them back.
 Slices share :data:`SHARED_BLOCKS` (own key suffix), promotion at the
-first visit, the machine's LRU bound and code-watch invalidation.
+first visit, the machine's table (under ``~pc``) and code-watch
+invalidation.
 
 On a bank with stack windows (``_port_spec``'s last field) every
 inlined access that is *not* a tail access — a head, or anywhere in a
@@ -201,8 +202,6 @@ is what makes late PSR bits legal.  The differential lockstep harness
 ``tests/core/test_jit.py::TestFlagsAtEveryExit`` per kind of exit.
 """
 
-from collections import OrderedDict
-
 from repro.core.alu import execute as alu_execute
 from repro.core.psr import (
     C_BIT,
@@ -226,6 +225,7 @@ from repro.isa.optable import (
     STRAIGHT,
 )
 from repro.isa.tags import WORD_MASK
+from repro.lru import LRU
 from repro.mem.cache import LineState
 from repro.mem.controller import CacheController
 from repro.mem.ideal import IdealMemoryPort
@@ -384,70 +384,15 @@ _GLOBALS.update(_psr_fe=_psr_fe, _park=_park, _tail=_tail, _trap=_trap,
                 _swtrap=_swtrap, _delegate=_delegate, _M=LineState.MODIFIED)
 
 
-class CodeCache:
-    """A bounded pc-keyed translation cache with true LRU eviction.
-
-    Shared by the predecode entry cache and the JIT block cache (the
-    "same LRU policy" both tiers advertise).  ``data`` is the backing
-    :class:`OrderedDict`; hot paths may read it directly (``data.get``
-    + ``data.move_to_end``) and must route insertions through
-    :meth:`put` so the bound and the eviction counter stay exact.  The
-    dict object is never replaced, so callers may alias it.
-    """
-
-    __slots__ = ("data", "capacity", "evictions", "invalidations")
-
-    def __init__(self, capacity):
-        self.data = OrderedDict()
-        self.capacity = capacity
-        self.evictions = 0
-        self.invalidations = 0
-
-    def get(self, key):
-        """LRU lookup: returns the value or None, refreshing recency."""
-        data = self.data
-        value = data.get(key)
-        if value is not None:
-            data.move_to_end(key)
-        return value
-
-    def put(self, key, value):
-        """Insert (refreshing recency), evicting the LRU tail if full."""
-        data = self.data
-        data[key] = value
-        data.move_to_end(key)
-        if len(data) > self.capacity:
-            data.popitem(last=False)
-            self.evictions += 1
-
-    def discard(self, key):
-        """Drop one key (an invalidation); returns True if present."""
-        if key in self.data:
-            del self.data[key]
-            self.invalidations += 1
-            return True
-        return False
-
-    def __len__(self):
-        return len(self.data)
-
-    def counters(self):
-        """JSON-ready size/eviction/invalidation counters."""
-        return {
-            "size": len(self.data),
-            "capacity": self.capacity,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
-
-
 #: Process-wide cache of compiled blocks, keyed by
 #: ``(pc, words tuple, port spec)``.  Nothing machine-specific is baked
 #: into a generated function (see the module docstring), so any machine
 #: whose code words at ``pc`` match — and whose port admits the same
 #: inline-memory specialization — reuses the block and skips
-#: ``compile()``, the dominant cost of warming a fresh machine.
-SHARED_BLOCKS = CodeCache(1 << 12)
+#: ``compile()``, the dominant cost of warming a fresh machine.  Unlike
+#: a machine's own table, which its program bounds, this outlives
+#: machines and programs, so it is an :class:`~repro.lru.LRU`.
+SHARED_BLOCKS = LRU(1 << 12)
 
 
 def _spec_tag(spec):
@@ -569,8 +514,8 @@ class _Emitter:
         self.undoable = False
         self.body = []
         # name -> load statement, in first-reference order.
-        self.refs = OrderedDict()
-        self.dirty = OrderedDict()   # name -> store_stmt
+        self.refs = {}
+        self.dirty = {}   # name -> store_stmt
         self._stores = {}
         self._numbers = {}           # name -> encoded register number
         self.psr_used = False
@@ -1097,7 +1042,7 @@ def _emit_delay(emitter, delay, pending, pc_i, npc_expr, spec):
     return pending + 1
 
 
-def _classify_delay(decoder, fetch, address):
+def _classify_delay(code, fetch, address):
     """Decode the delay-slot instruction at ``address`` for fusion.
 
     Returns ``("s", instr, None, word)`` for an inlineable straight
@@ -1108,7 +1053,7 @@ def _classify_delay(decoder, fetch, address):
     """
     try:
         word = fetch(address)
-        instr = decoder.decode(word)
+        instr = code.decode(word)
     except Exception:
         return None
     shape = ROWS[instr.op].shape
@@ -1116,7 +1061,7 @@ def _classify_delay(decoder, fetch, address):
         return ("s", instr, None, word)
     if shape in _MEMORY:
         try:
-            run = decoder.predecode(word).run
+            run = code.predecode(word).run
         except Exception:
             return None
         return ("m", instr, run, word)
@@ -1179,9 +1124,9 @@ def _scan_block(cpu, pc, spec, sliced=False):
         ``("d", instr, run, pc)`` — delegated terminator (any memory
         access on a port nothing is inlined for, too).
     """
-    decoder = cpu.decoder
+    code = cpu.translations
     fetch = cpu.port.fetch
-    predecode = decoder.predecode
+    predecode = code.predecode
     plan = []
     words = []
     runs = []
@@ -1191,7 +1136,7 @@ def _scan_block(cpu, pc, spec, sliced=False):
     while total < MAX_JIT_BLOCK:
         try:
             word = fetch(scan)
-            instr = decoder.decode(word)
+            instr = code.decode(word)
         except Exception:
             # Unfetchable/undecodable word ends the block; executing
             # into it falls to step(), which raises the ILLEGAL trap.
@@ -1228,7 +1173,7 @@ def _scan_block(cpu, pc, spec, sliced=False):
             continue
 
         if redirect:
-            delay = _classify_delay(decoder, fetch, scan + 4)
+            delay = _classify_delay(code, fetch, scan + 4)
             if delay is not None and delay[0] == "m" and (
                     spec is None
                     or sliced and not _rides_tail(delay[1], spec)):

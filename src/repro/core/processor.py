@@ -24,7 +24,8 @@ from collections import deque
 
 from repro.core import alu
 from repro.core.fpu import FPU
-from repro.core.jit import MAX_JIT_BLOCK, CodeCache, compile_block
+from repro.core.execops import build_entry
+from repro.core.jit import MAX_JIT_BLOCK, compile_block
 from repro.core.psr import ET_BIT
 from repro.core.task_frame import TaskFrame
 from repro.core.traps import (
@@ -37,7 +38,7 @@ from repro.core.traps import (
 )
 from repro.errors import ProcessorError
 from repro.isa import registers
-from repro.isa.encoding import DecodeCache
+from repro.isa.encoding import decode
 from repro.isa.instructions import (
     LOAD_FLAVORS,
     STORE_FLAVORS,
@@ -49,12 +50,6 @@ from repro.obs.events import EventBus, EventKind
 
 #: Cycle-cost categories tracked by :attr:`Processor.stats`.
 CATEGORIES = ("useful", "stall", "trap", "switch", "spin", "idle")
-
-#: Bound on a machine's pc -> ExecEntry predecode cache (LRU).
-PREDECODE_CACHE_CAPACITY = 1 << 16
-
-#: Bound on a machine's JIT block cache (LRU).
-JIT_CACHE_CAPACITY = 2048
 
 #: The least budget the machine loop hands :meth:`Processor.step_block`
 #: on a budgeted slice; below it the loop runs :meth:`Processor.step`
@@ -159,7 +154,6 @@ class Processor:
         node_id: index of the ALEWIFE node this processor belongs to.
         port: a :class:`repro.core.memport.MemoryPort`.
         num_frames: hardware task frames (4 in the SPARC implementation).
-        decoder: optionally shared :class:`DecodeCache`.
         events: the machine's :class:`~repro.obs.events.EventBus` (a
             bare processor makes a dormant one of its own).
     """
@@ -171,7 +165,7 @@ class Processor:
     superblocks = 0
 
     def __init__(self, node_id=0, port=None, num_frames=registers.NUM_TASK_FRAMES,
-                 decoder=None, events=None):
+                 events=None):
         self.node_id = node_id
         self.port = port
         self.frames = [TaskFrame(i) for i in range(num_frames)]
@@ -179,15 +173,16 @@ class Processor:
         self.fp = 0
         self.fpu = FPU()
         self.trap_table = TrapTable()
-        self.decoder = decoder if decoder is not None else DecodeCache()
         self.cycles = 0
         self.stats = ProcessorStats()
         self.halted = False
         self.ipi_queue = deque()
         self.share_translations(Translations())
-        #: Master switch for generated code (the machine sets it from
-        #: its ``jit`` argument); off, the machine loop calls
-        #: :meth:`step` where it would call :meth:`step_block`.
+        #: Whether generated code runs here, as reported by
+        #: :meth:`translation_counters` (its only reader).  The machine
+        #: copies its ``jit`` argument in; its loop reads
+        #: ``AlewifeMachine.jit`` itself and, off, calls :meth:`step`
+        #: where it would call :meth:`step_block`.
         self.jit_enabled = True
         #: Run-ahead diagnostics (deliberately not part of
         #: ``stats.snapshot()``, and not part of
@@ -283,7 +278,7 @@ class Processor:
         :attr:`cycles` by the same amount.
 
         Dispatches through the translation cache
-        (:meth:`DecodeCache.predecode`): each fetched word resolves to a
+        (:meth:`Translations.predecode`): each fetched word resolves to a
         prebuilt :class:`~repro.core.execops.ExecEntry` whose ``run``
         closure has the operand fields already unpacked, replacing the
         old ``_execute`` if-chain walk.  The if-chain survives as
@@ -301,11 +296,11 @@ class Processor:
             return self.cycles - start
 
         pc = frame.pc
-        entries = self._entry_map
-        entry = entries.get(pc)
+        entry = self._entry_map.get(pc)
         if entry is None:
+            code = self.translations
             try:
-                entry = self.decoder.predecode(self.port.fetch(pc))
+                entry = code.predecode(self.port.fetch(pc))
             except Exception as exc:
                 self._take_trap(
                     frame, Trap(TrapKind.ILLEGAL, pc=pc, cause=str(exc)))
@@ -313,12 +308,9 @@ class Processor:
             # Only successful translations are cached, so a faulting pc
             # re-raises (and re-traps) on every execution, like the
             # reference interpreter.
-            code = self.translations
-            code.entries.put(pc, entry)
+            code.entries[pc] = entry
             if code.watch is not None:
                 code.watch.cover(pc, pc + 4)
-        else:
-            entries.move_to_end(pc)
 
         if self.profile_hook is not None:
             self.profile_hook(self, pc, entry.instr)
@@ -356,7 +348,7 @@ class Processor:
         pc = frame.pc
         try:
             word = self.port.fetch(pc)
-            instr = self.decoder.decode(word)
+            instr = self.translations.decode(word)
         except Exception as exc:
             self._take_trap(frame, Trap(TrapKind.ILLEGAL, pc=pc, cause=str(exc)))
             return self.cycles - start
@@ -486,8 +478,6 @@ class Processor:
         jb = jit_map.get(key)
         if jb is None:
             jb = self._compile_jit(pc, sliced)
-        else:
-            jit_map.move_to_end(key)
         if not jb or not (sliced or overrun) and jb.count > budget:
             # Uncompilable here, or the block does not fit.
             return self.step()
@@ -536,8 +526,6 @@ class Processor:
                 jb = jit_map.get(pc)
                 if jb is None:
                     jb = self._compile_jit(pc)
-                else:
-                    jit_map.move_to_end(pc)
                 if not jb or not overrun and jb.count > room:
                     break
                 runs += 1
@@ -558,7 +546,7 @@ class Processor:
         """
         jb = compile_block(self, pc, sliced)
         code = self.translations
-        code.jit.put(~pc if sliced else pc, jb if jb is not None else False)
+        code.jit[~pc if sliced else pc] = jb if jb is not None else False
         if jb is not None:
             self.jit_compiles += 1
             if code.watch is not None:
@@ -619,11 +607,11 @@ class Processor:
 
     def share_translations(self, shared):
         """Run from ``shared`` tables — a machine gives all its
-        processors one :class:`Translations`.  The hot paths alias the
-        backing dicts, which are never replaced."""
+        processors one :class:`Translations`.  The hot paths alias its
+        dicts, which are never replaced."""
         self.translations = shared
-        self._entry_map = shared.entries.data
-        self._jit_map = shared.jit.data
+        self._entry_map = shared.entries
+        self._jit_map = shared.jit
 
     def translation_counters(self):
         """JSON-ready per-tier translation-cache counters.
@@ -634,19 +622,20 @@ class Processor:
         byte-identical across tiers).
         """
         code = self.translations
-        jit = code.jit.counters()
-        jit.update(
-            blocks=sum(1 for jb in code.jit.data.values()
-                       if jb is not False),
-            compiles=self.jit_compiles,
-            runs=self.jit_runs,
-            deopts=self.jit_deopts,
-            enabled=self.jit_enabled,
-        )
         return {
             "node": self.node_id,
-            "predecode": code.entries.counters(),
-            "jit": jit,
+            "predecode": {"size": len(code.entries),
+                          "invalidations": code.entry_invalidations},
+            "jit": {
+                "size": len(code.jit),
+                "invalidations": code.jit_invalidations,
+                "blocks": sum(1 for jb in code.jit.values()
+                              if jb is not False),
+                "compiles": self.jit_compiles,
+                "runs": self.jit_runs,
+                "deopts": self.jit_deopts,
+                "enabled": self.jit_enabled,
+            },
             # Zeros for perf/simloads.py (see ``superblocks``), in the
             # shape reports already have.
             "superblocks": {"size": 0, "executed": 0, "invalidations": 0},
@@ -900,7 +889,7 @@ class Processor:
 
 
 class Translations:
-    """The pc-keyed translation tables of one machine.
+    """What one machine caches about its code.
 
     What is cached at a pc depends on the code words there and on the
     kind of memory port — one per machine — never on which processor
@@ -909,22 +898,50 @@ class Translations:
     them is warm for all, and a store into translated code is answered
     once.  A bare :class:`Processor` has its own.  It points back at no
     processor, so sharing it closes no reference cycle.
+
+    The tables are plain dicts with no bound and no eviction: every
+    key is a word of the loaded program (a pc, or ``~pc``) or a word
+    value found there, so the program bounds them.  What outlives a
+    machine is bounded elsewhere (:data:`repro.core.jit.SHARED_BLOCKS`).
     """
 
     def __init__(self):
-        #: pc -> :class:`ExecEntry`, bounded LRU; lets
-        #: :meth:`Processor.step` skip the fetch + word-keyed predecode
-        #: pair on every revisited pc.
-        self.entries = CodeCache(PREDECODE_CACHE_CAPACITY)
+        #: pc -> :class:`ExecEntry`; lets :meth:`Processor.step` skip
+        #: the fetch + :meth:`predecode` pair on every revisited pc.
+        self.entries = {}
         #: Generated code (see :mod:`repro.core.jit`): pc ->
         #: :class:`JitBlock` (or ``False`` for "not compilable here"),
-        #: bounded LRU, filled at a pc's first visit.  Its second
-        #: shape, the sync-headed slice compiled at a pc
+        #: filled at a pc's first visit.  Its second shape, the
+        #: sync-headed slice compiled at a pc
         #: (``step_block(..., True)``), lives here under ``~pc``.
-        self.jit = CodeCache(JIT_CACHE_CAPACITY)
+        self.jit = {}
+        #: Entries of each table a store into translated code dropped.
+        self.entry_invalidations = self.jit_invalidations = 0
+        #: Code word -> :class:`Instruction` and -> :class:`ExecEntry`.
+        #: Keyed by the word *value*, so a patched word is a new key
+        #: and neither needs invalidating.
+        self._decoded = {}
+        self._predecoded = {}
         #: Optional :class:`~repro.mem.memory.CodeWatch` the translated
         #: pc ranges are registered with; see :meth:`attach_code_watch`.
         self.watch = None
+
+    def decode(self, word):
+        """Word -> :class:`Instruction` (memoized)."""
+        instr = self._decoded.get(word)
+        if instr is None:
+            instr = self._decoded[word] = decode(word)
+        return instr
+
+    def predecode(self, word):
+        """Word -> bound :class:`ExecEntry` (memoized): the closure
+        :meth:`Processor.step` dispatches through.  Raises exactly
+        what :meth:`decode` raises on bad words, so the fast path's
+        illegal-instruction behavior matches the reference."""
+        entry = self._predecoded.get(word)
+        if entry is None:
+            entry = self._predecoded[word] = build_entry(self.decode(word))
+        return entry
 
     def attach_code_watch(self, watch):
         """Register with a :class:`~repro.mem.memory.CodeWatch`.
@@ -945,16 +962,16 @@ class Translations:
         dropping them.
         """
         word = address & ~3
-        self.entries.discard(word)
+        if self.entries.pop(word, None) is not None:
+            self.entry_invalidations += 1
         jit = self.jit
-        jit_map = jit.data
-        if jit_map:
-            for key in [k for k, jb in jit_map.items()
-                        if jb is not False and jb.covers(word)]:
-                # A block can never invalidate *itself* mid-run (inline
-                # stores refuse watched words; delegated stores end the
-                # block), so dropping the cache entry is sufficient.
-                jit.discard(key)
+        # A block can never invalidate *itself* mid-run (inline stores
+        # refuse watched words; delegated stores end the block), so
+        # dropping the table entry is sufficient.
+        for key in [k for k, jb in jit.items()
+                    if jb is not False and jb.covers(word)]:
+            del jit[key]
+            self.jit_invalidations += 1
 
 
 class _ReferenceProcessor(Processor):

@@ -112,46 +112,3 @@ def decode(word):
         if attr == "imm":
             instr.use_imm = True
     return instr
-
-
-class DecodeCache:
-    """Memoizing decoder: code words repeat, so cache word -> Instruction.
-
-    Simulated programs are read-only once loaded, and the cache is keyed
-    by the word *value*, so self-modifying code would still decode
-    correctly (a changed word is a different key).
-
-    :meth:`predecode` is the second cache level: word -> bound
-    :class:`~repro.core.execops.ExecEntry` handler, the translation
-    cache that lets the processor dispatch through an opcode-indexed
-    table of prebuilt closures instead of re-interpreting the
-    instruction fields on every execution.
-    """
-
-    def __init__(self):
-        self._cache = {}
-        self._entries = {}
-
-    def decode(self, word):
-        instr = self._cache.get(word)
-        if instr is None:
-            instr = decode(word)
-            self._cache[word] = instr
-        return instr
-
-    def predecode(self, word):
-        """Word -> predecoded :class:`ExecEntry` (cached).
-
-        Raises exactly what :meth:`decode` raises on bad words, so the
-        fast path's illegal-instruction behavior matches the reference.
-        """
-        entry = self._entries.get(word)
-        if entry is None:
-            # Imported here: repro.core.execops imports from this
-            # module's siblings, keeping the isa -> core layering
-            # one-way at import time.
-            from repro.core.execops import build_entry
-
-            entry = build_entry(self.decode(word))
-            self._entries[word] = entry
-        return entry

@@ -19,12 +19,12 @@ future-tag tests before every strict operand (no tag hardware).
 """
 
 import threading
-from collections import OrderedDict
 
 from repro.errors import CompilerError
 from repro.isa.assembler import assemble
 from repro.lang.analyzer import Analyzer
 from repro.lang.codegen import CodeGenerator
+from repro.lru import LRU
 
 #: Library functions available to every program, written in Mul-T.
 PRELUDE = """
@@ -73,53 +73,17 @@ class CompiledProgram:
         return self.mode == "lazy"
 
 
-class CompileCache:
-    """A bounded LRU of :class:`CompiledProgram` keyed by every
-    :func:`compile_source` argument.
-
-    Sweeps are grids of cells over a handful of programs, and every
-    cell needs the compiled words twice (content hash, then run); the
-    cache makes each distinct program cost one compilation per
-    process.  A hit hands back the same object, which is sound because
-    nothing outside the assembler writes a ``Program``'s
-    words/labels/source map — the machine copies the words into its
-    own memory bank.
-    """
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self._entries = OrderedDict()
-
-    def get(self, key):
-        compiled = self._entries.get(key)
-        if compiled is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-            self._entries.move_to_end(key)
-        return compiled
-
-    def put(self, key, compiled):
-        self._entries[key] = compiled
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def clear(self):
-        """Drop every entry (the counters keep running)."""
-        self._entries.clear()
-
-    def counters(self):
-        """JSON-ready hit/miss/size counts."""
-        return {"hits": self.hits, "misses": self.misses,
-                "size": len(self._entries)}
-
-
-#: The process-wide compile cache.  64 programs is several sweeps'
+#: The process-wide compile cache: :class:`CompiledProgram` by every
+#: :func:`compile_source` argument.  Sweeps are grids of cells over a
+#: handful of programs, and every cell needs the compiled words twice
+#: (content hash, then run), so each distinct program costs one
+#: compilation per process.  A hit hands back the same object, which
+#: is sound because nothing outside the assembler writes a
+#: ``Program``'s words/labels/source map — the machine copies the
+#: words into its own memory bank.  64 programs is several sweeps'
 #: worth of (program, mode, checks) variants at well under a megabyte
 #: each.
-COMPILE_CACHE = CompileCache(64)
+COMPILE_CACHE = LRU(64)
 
 # One compile at a time: a key compiles once even when serve's thread
 # dispatch mode asks for it from several threads, and the lock guards

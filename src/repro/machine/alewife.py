@@ -23,7 +23,6 @@ from heapq import heapify
 
 from repro.core.processor import MIN_BLOCK_BUDGET, Processor, Translations
 from repro.errors import DeadlockError, SimulationError
-from repro.isa.encoding import DecodeCache
 from repro.machine.config import MachineConfig
 from repro.machine.stats import MachineStats
 from repro.mem.ideal import IdealMemoryPort
@@ -135,10 +134,9 @@ class AlewifeMachine:
         #: poll its ``next_check_at`` and turn the run-time system's
         #: deadlock abort into its typed ``HangDetected``.
         self.watchdog = None
-        decoder = DecodeCache()
 
         self.cpus = []
-        self._build_memory_system(decoder)
+        self._build_memory_system()
         self.jit = jit
         watch = CodeWatch()
         self.memory.code_watch = watch
@@ -153,14 +151,14 @@ class AlewifeMachine:
         self.runtime = RuntimeSystem(
             self.config, self.memory, self.cpus, program, self.events)
 
-    def _build_memory_system(self, decoder):
+    def _build_memory_system(self):
         config = self.config
         if config.memory_mode == "ideal":
             port = IdealMemoryPort(self.memory, latency=config.memory_latency)
             for node in range(config.num_processors):
                 cpu = Processor(node_id=node, port=port,
                                 num_frames=config.num_task_frames,
-                                decoder=decoder, events=self.events)
+                                events=self.events)
                 cpu.trap_squash_cycles = config.trap_squash_cycles
                 self.cpus.append(cpu)
             self.fabric = None
@@ -168,7 +166,7 @@ class AlewifeMachine:
             # Full cache + directory + network system.
             from repro.mem.system import CoherentMemorySystem
             self.fabric = CoherentMemorySystem(
-                config, self.memory, decoder, self.events)
+                config, self.memory, self.events)
             self.fabric.interconnect.wind_back = weakref.WeakMethod(
                 self._wind_back)
             self.cpus = self.fabric.cpus

@@ -56,7 +56,7 @@ class Interconnect:
 class CoherentMemorySystem:
     """Builds and owns the per-node memory hierarchy."""
 
-    def __init__(self, config, memory, decoder, events):
+    def __init__(self, config, memory, events):
         peers = self.interconnect = Interconnect(config, events)
         self.network = peers.network
         self.caches = peers.caches
@@ -73,7 +73,7 @@ class CoherentMemorySystem:
             controller = CacheController(node, memory, cache, peers, events)
             cpu = Processor(node_id=node, port=controller,
                             num_frames=config.num_task_frames,
-                            decoder=decoder, events=events)
+                            events=events)
             cpu.trap_squash_cycles = config.trap_squash_cycles
             self.caches.append(cache)
             self.directories.append(Directory(node, events))

@@ -28,10 +28,10 @@ def component_counters(machine):
         },
         "sync": (sync.counters() if sync is not None
                  else SyncAllocator.empty_counters()),
-        # Per-CPU view of the translation tables (predecode entries,
-        # JIT code cache): sizes, evictions, invalidations, compiles,
-        # runs.  This block describes the
-        # *host* run — it differs with the interpreter tier and the
+        # Per-CPU view of the machine's translation tables (predecode
+        # entries, generated code): table sizes and invalidations,
+        # this CPU's compiles, runs and deopts.  This block describes
+        # the *host* run — it differs with the interpreter tier and the
         # machine schedule — while everything around it is a function
         # of the job.  It rides in cached payloads as a diagnostic;
         # nothing may key on it or compare it, and nothing in src/

@@ -33,6 +33,7 @@ import time
 
 from repro.exp.job import canonical_json
 from repro.obs.hist import Log2Histogram
+from repro.serve.protocol import open_connection
 
 #: Upper bound on pipelined-but-unanswered requests per connection.
 MAX_OUTSTANDING = 512
@@ -166,12 +167,6 @@ async def _read_worker(gen, conn, clock):
         conn.window.release()
 
 
-async def _open(socket_path, host, port):
-    if socket_path:
-        return await asyncio.open_unix_connection(socket_path)
-    return await asyncio.open_connection(host or "127.0.0.1", port)
-
-
 async def _request(reader, writer, payload):
     writer.write((json.dumps(payload) + "\n").encode())
     await writer.drain()
@@ -184,7 +179,7 @@ async def dedupe_burst(socket_path, host, port, nonce, count,
     """Fire ``count`` identical never-seen cold requests back-to-back
     on one connection; returns the single-flight scorecard."""
     spec = cold_spec(nonce, 7_999_993, program=program, args=args)
-    reader, writer = await _open(socket_path, host, port)
+    reader, writer = await open_connection(socket_path, host, port)
     start = clock()
     lines = b"".join(
         (json.dumps({"op": "job", "id": "burst-%d" % index, "job": spec})
@@ -227,7 +222,7 @@ async def run_loadgen(socket_path=None, host=None, port=None, *,
                         hot_args=hot_args, cold_args=cold_args)
     conns = []
     for _ in range(max(1, connections)):
-        reader, writer = await _open(socket_path, host, port)
+        reader, writer = await open_connection(socket_path, host, port)
         conns.append(_Conn(reader, writer))
     readers = [asyncio.ensure_future(_read_worker(gen, conn, clock))
                for conn in conns]
@@ -264,7 +259,7 @@ async def run_loadgen(socket_path=None, host=None, port=None, *,
             socket_path, host, port, nonce, burst, program=program,
             clock=clock)
     if fetch_metrics:
-        reader, writer = await _open(socket_path, host, port)
+        reader, writer = await open_connection(socket_path, host, port)
         response = await _request(reader, writer,
                                   {"op": "metrics", "id": "loadgen"})
         writer.close()

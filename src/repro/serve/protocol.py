@@ -68,9 +68,10 @@ Because canonical JSON sorts keys, that concatenation is exactly what
 the two equal byte for byte.
 """
 
+import asyncio
 import json
 
-from repro.errors import ReproError, ServeRequestError
+from repro.errors import ReproError, ServeError, ServeRequestError
 from repro.exp.job import Job, canonical_json
 
 #: Protocol tag echoed by ``ping`` and ``metrics`` responses.
@@ -214,6 +215,27 @@ def encode_ok(response, result):
     return b"".join((
         canonical_json(head)[:-len("null}")].encode("utf-8"), result,
         b",", canonical_json(tail)[1:].encode("utf-8"), b"\n"))
+
+
+# -- endpoints -------------------------------------------------------------
+
+
+def parse_tcp(text):
+    """A ``--tcp HOST:PORT`` value as ``(host, port)``; the host may
+    be empty (the listener's or the opener's default)."""
+    host, _, port_text = text.rpartition(":")
+    try:
+        return host, int(port_text)
+    except ValueError:
+        raise ServeError("--tcp wants HOST:PORT, got %r" % text) from None
+
+
+async def open_connection(socket_path=None, host=None, port=None):
+    """``(reader, writer)`` to a server: its unix socket if
+    ``socket_path`` is given, else TCP (host 127.0.0.1 by default)."""
+    if socket_path:
+        return await asyncio.open_unix_connection(socket_path)
+    return await asyncio.open_connection(host or "127.0.0.1", port)
 
 
 # -- response shapes -------------------------------------------------------

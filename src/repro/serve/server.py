@@ -61,12 +61,12 @@ import functools
 import itertools
 import os
 import time
-from collections import OrderedDict
 
 from repro.errors import ServeError, ServeRequestError
 from repro.exp.cache import ResultCache
 from repro.exp.job import canonical_json
 from repro.lang.compiler import COMPILE_CACHE
+from repro.lru import LRU
 from repro.obs.hist import Log2Histogram
 from repro.serve import protocol
 from repro.serve.dispatch import Dispatcher
@@ -86,54 +86,29 @@ def _no_mark(name):
     """Span sink for untraced requests (``--trace-ring 0``)."""
 
 
-class _LRU:
-    """A bounded mapping with least-recently-used eviction."""
-
-    def __init__(self, capacity):
-        self.capacity = max(0, int(capacity))
-        self._entries = OrderedDict()
-
-    def __len__(self):
-        return len(self._entries)
-
-    def get(self, key):
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def put(self, key, value):
-        if self.capacity <= 0:
-            return
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-
-class SpecIndex:
+class SpecIndex(LRU):
     """LRU memo: canonical job-spec JSON -> (hash, payload, cacheable).
 
     Resolving a spec means building the Job and *compiling* its
     program (the content hash covers compiled words) — milliseconds.
     Hot traffic repeats a handful of specs, so this memo turns the
-    per-request cost into one dict lookup.
+    per-request cost into one dict lookup.  ``builds`` counts the
+    misses that resolved: a spec that fails validation is none.
     """
 
+    __slots__ = ("builds",)
+
     def __init__(self, capacity=512):
-        self.lru = _LRU(capacity)
-        self.hits = 0
+        super().__init__(capacity)
         self.builds = 0
 
     def resolve(self, spec):
         key = canonical_json(spec)
-        entry = self.lru.get(key)
-        if entry is not None:
-            self.hits += 1
-            return entry
-        entry = protocol.compile_job(protocol.job_from_spec(spec))
-        self.lru.put(key, entry)
-        self.builds += 1
+        entry = self.get(key)
+        if entry is None:
+            entry = protocol.compile_job(protocol.job_from_spec(spec))
+            self.put(key, entry)
+            self.builds += 1
         return entry
 
 
@@ -293,7 +268,7 @@ class SweepServer:
         self.rate = rate
         self.burst = burst
         self.cache = cache
-        self.hot = _LRU(hot_entries)
+        self.hot = LRU(hot_entries)
         self.specs = SpecIndex(spec_entries)
         self.flights = SingleFlight()
         self.dispatcher = dispatcher or Dispatcher(
@@ -665,18 +640,13 @@ class SweepServer:
 
 def build_server(args, clock=time.monotonic):
     """A :class:`SweepServer` from ``april serve`` CLI args."""
+    host, port = (protocol.parse_tcp(args.tcp) if getattr(args, "tcp", None)
+                  else (None, None))
     cache = None
     if not getattr(args, "no_cache", False):
         from repro.exp.cache import default_cache
         cache = (ResultCache(args.cache_dir) if args.cache_dir
                  else default_cache())
-    host = port = None
-    if getattr(args, "tcp", None):
-        host, _, port_text = args.tcp.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise ServeError("--tcp wants HOST:PORT, got %r" % args.tcp)
     return SweepServer(
         socket_path=args.socket, host=host or None, port=port,
         workers=args.workers, queue_limit=args.queue_limit,

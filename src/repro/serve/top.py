@@ -19,6 +19,8 @@ import asyncio
 import json
 import time
 
+from repro.serve.protocol import open_connection
+
 #: Served axes shown in the latency pane, in display order.
 _AXES = ("hit", "executed", "deduped", "failed", "rejected")
 
@@ -29,11 +31,7 @@ CLEAR = "\x1b[2J\x1b[H"
 async def poll(socket_path=None, host=None, port=None, slowest=5):
     """One sample: the server's metrics snapshot plus a ``trace`` pull
     (slowest-K completed + the in-flight table) on a fresh connection."""
-    if socket_path:
-        reader, writer = await asyncio.open_unix_connection(socket_path)
-    else:
-        reader, writer = await asyncio.open_connection(
-            host or "127.0.0.1", port)
+    reader, writer = await open_connection(socket_path, host, port)
     try:
         writer.write(json.dumps({"op": "metrics", "id": "top-m"}).encode()
                      + b"\n")

@@ -70,7 +70,7 @@ def _counts(mode, n, processors, memory_mode="ideal"):
     assert result.value == fib.reference(n)
     cpus = machine.cpus
     # One translation table per machine, whichever processor compiled.
-    blocks = [jb for jb in cpus[0].translations.jit.data.values() if jb]
+    blocks = [jb for jb in cpus[0].translations.jit.values() if jb]
     counts = {"jit_runs": sum(cpu.jit_runs for cpu in cpus),
               "instructions": result.stats.instructions,
               "jit_compiles": sum(cpu.jit_compiles for cpu in cpus),

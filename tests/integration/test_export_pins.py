@@ -31,6 +31,7 @@ from repro import workloads
 from repro.exp.job import canonical_json
 from repro.lang import compiler
 from repro.lang.run import run_mult
+from repro.lru import LRU
 from repro.machine import alewife
 from repro.machine.config import MachineConfig
 from repro.obs import Observation
@@ -79,7 +80,7 @@ def explain_digest():
 def own_compile_cache(monkeypatch):
     # A cache of its own, so the process-wide one's hit and miss counts
     # stay what the compile-cache tests expect.
-    monkeypatch.setattr(compiler, "COMPILE_CACHE", compiler.CompileCache(64))
+    monkeypatch.setattr(compiler, "COMPILE_CACHE", LRU(64))
 
 
 class TestExportPins:

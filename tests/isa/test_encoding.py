@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.processor import Translations
 from repro.errors import EncodingError
 from repro.isa import encoding
 from repro.isa.encoding import (
     IMM11_MAX, IMM11_MIN, IMM12_MAX, IMM12_MIN, IMM18_MAX,
-    OFF24_MAX, OFF24_MIN, DecodeCache, decode, encode,
+    OFF24_MAX, OFF24_MIN, decode, encode,
 )
 from repro.isa.instructions import (
     Category, Instruction, Opcode, category_of,
@@ -159,14 +160,25 @@ class TestRoundtripProperties:
 
 
 class TestDecodeCache:
+    """A machine's word-keyed memos (``Translations.decode`` and
+    ``.predecode``): a word decodes and predecodes once."""
+
     def test_same_object_returned(self):
-        cache = DecodeCache()
+        cache = Translations()
         word = encode(Instruction(Opcode.ADD, rd=1, rs1=2, rs2=3))
         first = cache.decode(word)
         second = cache.decode(word)
         assert first is second
+        entry = cache.predecode(word)
+        assert entry is cache.predecode(word) and entry.instr is first
 
     def test_decodes_correctly(self):
-        cache = DecodeCache()
+        cache = Translations()
         instr = Instruction(Opcode.BNE, imm=-8, use_imm=True)
         assert cache.decode(encode(instr)) == instr
+
+    def test_a_bad_word_raises_every_time(self):
+        cache = Translations()
+        for _ in range(2):
+            with pytest.raises(EncodingError):
+                cache.predecode(0xFF000000)

@@ -24,7 +24,8 @@ from repro import workloads
 from repro.isa.disassembler import disassemble_word
 from repro.isa.encoding import decode, encode
 from repro.lang import compiler
-from repro.lang.compiler import MODES, CompileCache, compile_source
+from repro.lang.compiler import MODES, compile_source
+from repro.lru import LRU
 
 WORD_CORPUS_SHA256 = (
     "c6968449e420a3e55ac47a4be07f34349fb7d367e40b124fcb9a804c2c527715")
@@ -81,5 +82,5 @@ class TestByteIdentity:
     def test_compiled_words(self, monkeypatch):
         # A cache of its own, so the process-wide one's hit and miss
         # counts stay what the compile-cache tests expect.
-        monkeypatch.setattr(compiler, "COMPILE_CACHE", CompileCache(64))
+        monkeypatch.setattr(compiler, "COMPILE_CACHE", LRU(64))
         assert compiled_words_digest() == COMPILED_WORDS_SHA256

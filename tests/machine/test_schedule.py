@@ -593,7 +593,7 @@ class TestWhoRunsAhead:
         neither tests nor reads one."""
         assert machine.memory.windows is None
         assert machine.runtime.scheduler.windows is None
-        blocks = [jb for jb in machine.cpus[0].translations.jit.data.values()
+        blocks = [jb for jb in machine.cpus[0].translations.jit.values()
                   if jb]
         assert len(blocks) > 10
         for jb in blocks:
@@ -629,7 +629,7 @@ class TestWhoRunsAhead:
                    for slices, instructions, _ in ahead)
         assert all(cpu.ahead_loads > 0 and cpu.ahead_stores > 0
                    for cpu in machine.cpus)
-        blocks = [jb for jb in machine.cpus[0].translations.jit.data.values()
+        blocks = [jb for jb in machine.cpus[0].translations.jit.values()
                   if jb]
         assert any(jb.key[-1] == "slice" for jb in blocks)
         assert {jb.key[2][2:] for jb in blocks} == {

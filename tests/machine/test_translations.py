@@ -4,10 +4,10 @@ What is cached at a pc — predecoded entry, JIT block or slice, or the
 fact that nothing compiles there — is a function of the code there, so
 a machine's processors share one
 :class:`~repro.core.processor.Translations`: each block start is
-compiled once, at its first visit by any of them, a store into
-translated code is answered once, and the LRU bounds are the
-machine's.  Two machines share nothing but the
-process-wide :data:`~repro.core.jit.SHARED_BLOCKS`.
+compiled once, at its first visit by any of them, and a store into
+translated code is answered once.  Its tables have no bound of their
+own: every key is a word of the loaded program.  Two machines share
+nothing but the process-wide :data:`~repro.core.jit.SHARED_BLOCKS`.
 """
 
 from collections import Counter
@@ -21,6 +21,12 @@ from repro.isa.instructions import Opcode
 from repro.lang.run import build_mult_machine
 from repro.machine.alewife import AlewifeMachine
 from repro.machine.config import MachineConfig
+from tests.core.test_jit import (
+    SMC_STORE_SOURCE,
+    build_jit_cpu,
+    run_jit_to_halt,
+    run_slices_to_halt,
+)
 
 FIB = workloads.get("fib")
 
@@ -91,11 +97,11 @@ class TestOneTablePerMachine:
         assert max(Counter(compile_calls).values()) == 1
         # ... and the work was really spread over the processors.
         assert sum(1 for cpu in machine.cpus if cpu.jit_runs) >= 3
-        jit = machine.cpus[0].translations.jit
-        assert jit.evictions == 0 and jit.invalidations == 0
-        assert len(compile_calls) == len(jit)
+        tables = machine.cpus[0].translations
+        assert tables.jit_invalidations == 0
+        assert len(compile_calls) == len(tables.jit)
         assert sum(cpu.jit_compiles for cpu in machine.cpus) == sum(
-            1 for block in jit.data.values() if block is not False)
+            1 for block in tables.jit.values() if block is not False)
 
     def test_one_cpu_machine_shares_with_nobody(self):
         machine, _ = _machine(processors=1)
@@ -125,7 +131,7 @@ class TestFirstVisitRunsGeneratedCode:
         machine, compiled = _machine()
         # A lone HALT is one delegated instruction: nothing to compile.
         program = compiled.program
-        decode = machine.cpus[0].decoder.decode
+        decode = machine.cpus[0].translations.decode
         pc = next(program.base + 4 * index
                   for index, word in enumerate(program.words)
                   if decode(word).op is Opcode.HALT)
@@ -145,15 +151,15 @@ class TestInvalidationIsPerMachine:
         memory = machine.memory
         assert len(memory.code_watch._listeners) == 1
         tables = machine.cpus[0].translations
-        block = next(b for key, b in tables.jit.data.items()
+        block = next(b for key, b in tables.jit.items()
                      if b is not False and key >= 0)
-        covering = sum(1 for b in tables.jit.data.values()
+        covering = sum(1 for b in tables.jit.values()
                        if b is not False and b.covers(block.start))
-        before = tables.jit.invalidations
+        before = tables.jit_invalidations
         # Same word back through the watched write path: a store into
         # translated code, whatever it stores.
         memory.write_word(block.start, memory.read_word(block.start))
-        assert tables.jit.invalidations == before + covering
+        assert tables.jit_invalidations == before + covering
         for cpu in machine.cpus:
             assert not any(b is not False and b.covers(block.start)
                            for b in cpu._jit_map.values())
@@ -163,11 +169,11 @@ class TestInvalidationIsPerMachine:
         machine, compiled = _closure_machine()
         _run(machine, compiled)
         memory = machine.memory
-        entries = machine.cpus[0].translations.entries
-        pc = next(iter(entries.data))
-        before = entries.invalidations
+        tables = machine.cpus[0].translations
+        pc = next(iter(tables.entries))
+        before = tables.entry_invalidations
         memory.write_word(pc, memory.read_word(pc))
-        assert entries.invalidations == before + 1
+        assert tables.entry_invalidations == before + 1
         assert all(pc not in cpu._entry_map for cpu in machine.cpus)
 
     def test_every_cpu_retranslates_after_a_patch(self, compile_calls):
@@ -184,23 +190,46 @@ class TestInvalidationIsPerMachine:
         assert all(cpu._jit_map[pc] is fresh for cpu in machine.cpus)
 
 
-class TestBoundsAreTheMachines:
-    def test_jit_lru_bound_holds_across_cpus(self):
-        machine, compiled = _machine()
-        jit = machine.cpus[0].translations.jit
-        jit.capacity = 8
-        _run(machine, compiled)
-        assert len(jit) <= 8 and jit.evictions > 0
-        assert sum(1 for cpu in machine.cpus if cpu.jit_runs) >= 3
+class TestTheProgramBoundsTheTables:
+    """The tables have no capacity because they need none: every pc
+    they are keyed by (``~pc`` for a slice) is a word of the loaded
+    program, so its length bounds them."""
 
-    def test_predecode_lru_bound_holds_across_cpus(self):
-        machine, compiled = _closure_machine()
-        entries = machine.cpus[0].translations.entries
-        entries.capacity = 16
-        _run(machine, compiled)
-        assert len(entries) <= 16 and entries.evictions > 0
-        assert sum(1 for cpu in machine.cpus
-                   if cpu.stats.instructions) >= 3
+    #: ``args`` of each workload at ``perf/run.py --quick`` sizes.
+    SIZES = {"fib": (8,), "queens": (4,), "factor": (10000, 4)}
+
+    @staticmethod
+    def _assert_keys_are_program_words(tables, program):
+        words = range(program.base, program.base + 4 * len(program.words), 4)
+        assert tables.entries or tables.jit
+        for key in list(tables.entries) + list(tables.jit):
+            assert (~key if key < 0 else key) in words, hex(key)
+
+    @pytest.mark.parametrize("memory_mode", ["ideal", "coherent"])
+    @pytest.mark.parametrize("mode", ["sequential", "eager", "lazy"])
+    @pytest.mark.parametrize("name", sorted(SIZES))
+    def test_every_key_is_a_word_of_the_program(self, name, mode,
+                                                memory_mode):
+        workload = workloads.get(name)
+        size = self.SIZES[name]
+        processors = 1 if mode == "sequential" else 4
+        machine, compiled = build_mult_machine(
+            workload.source(), mode=mode, config=MachineConfig(
+                num_processors=processors, memory_mode=memory_mode))
+        result = machine.run(entry=compiled.entry_label("main"),
+                             args=workload.args(*size))
+        assert result.value == workload.reference(*size)
+        self._assert_keys_are_program_words(
+            machine.cpus[0].translations, compiled.program)
+
+    @pytest.mark.parametrize("run", [run_jit_to_halt, run_slices_to_halt])
+    def test_self_modifying_code_keys_stay_in_the_program(self, run):
+        cpu, _, program = build_jit_cpu(SMC_STORE_SOURCE)
+        run(cpu)
+        assert cpu.read_reg(1) == 8 + 8 * 5
+        tables = cpu.translations
+        assert tables.jit_invalidations + tables.entry_invalidations > 0
+        self._assert_keys_are_program_words(tables, program)
 
 
 class TestTwoMachinesShareOnlyCompiledBlocks:
@@ -214,26 +243,26 @@ class TestTwoMachinesShareOnlyCompiledBlocks:
         for name in ("entries", "jit"):
             assert getattr(a, name) is not getattr(b, name)
         assert a.watch is not b.watch
-        common = [key for key, block in a.jit.data.items()
-                  if block is not False and b.jit.data.get(key)]
+        common = [key for key, block in a.jit.items()
+                  if block is not False and b.jit.get(key)]
         assert common
         for key in common:
-            assert a.jit.data[key] is b.jit.data[key]
-            assert a.jit.data[key].key in SHARED_BLOCKS.data
+            assert a.jit[key] is b.jit[key]
+            assert a.jit[key].key in SHARED_BLOCKS
 
 
 class TestCountersKeepTheirShape:
     def test_translation_counters_keys(self):
         machine, compiled = _machine()
         _run(machine, compiled)
-        cache_keys = {"size", "capacity", "evictions", "invalidations"}
+        table_keys = {"size", "invalidations"}
         for node, cpu in enumerate(machine.cpus):
             counters = cpu.translation_counters()
             assert set(counters) == {"node", "predecode", "jit",
                                      "superblocks"}
             assert counters["node"] == node
-            assert set(counters["predecode"]) == cache_keys
-            assert set(counters["jit"]) == cache_keys | {
+            assert set(counters["predecode"]) == table_keys
+            assert set(counters["jit"]) == table_keys | {
                 "blocks", "compiles", "runs", "deopts", "enabled"}
             assert not any(counters["superblocks"].values())
             # Run counters stay per processor; table sizes are shared.

@@ -251,6 +251,19 @@ class TestMonitorCommand:
         assert "program finished: result 8" in first
 
 
+    def test_takes_the_machine_options_but_no_observation_ones(self):
+        parser = cli.build_parser()
+        args = parser.parse_args([
+            "monitor", "x.mult", "-p", "4", "--mode", "lazy", "--encore",
+            "--coherent", "--args", "1", "2", "--script", "s"])
+        assert (args.program, args.processors, args.mode, args.encore,
+                args.coherent, args.args, args.script) == (
+            "x.mult", 4, "lazy", True, True, [1, 2], "s")
+        for flag in ("--events", "--txn", "--window", "--top"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["monitor", "x.mult", flag, "1"])
+
+
 class TestUsageErrors:
     """What the command line got wrong is one ``error:`` line and exit
     2 — a usage error, never a traceback."""
@@ -261,8 +274,12 @@ class TestUsageErrors:
         (["run", "{fib}", "--timeline", "--window", "-5"], "--window"),
         (["asm", "{fib}"], "unknown mnemonic"),
         (["speedup", "--programs", "nope"], "unknown program 'nope'"),
+        (["serve", "--no-cache", "--tcp", "nohost"], "--tcp wants HOST:PORT"),
+        (["loadgen", "--tcp", "localhost:http"], "--tcp wants HOST:PORT"),
+        (["top", "--once", "--tcp", "7010:"], "--tcp wants HOST:PORT"),
     ], ids=["missing-file", "no-processors", "negative-window",
-            "asm-of-mult", "unknown-workload"])
+            "asm-of-mult", "unknown-workload", "serve-tcp", "loadgen-tcp",
+            "top-tcp"])
     def test_one_error_line_exit_2(self, argv, complaint, fib_program,
                                    tmp_path, capsys):
         argv = [arg.format(fib=fib_program, missing=tmp_path / "nope.mult")

@@ -16,6 +16,7 @@ import pytest
 from repro import workloads
 from repro.harness.table3 import SYSTEMS, cell_job
 from repro.lang import compiler
+from repro.lru import LRU
 from repro.machine import alewife
 from repro.obs import events as events_module
 from repro.obs.events import EventBus, EventKind
@@ -63,7 +64,7 @@ def counted(monkeypatch):
     monkeypatch.setattr(events_module, "Event", CountedEvent)
     # A compile cache of its own, so the process-wide one's hit and miss
     # counts stay what the compile-cache tests expect.
-    monkeypatch.setattr(compiler, "COMPILE_CACHE", compiler.CompileCache(64))
+    monkeypatch.setattr(compiler, "COMPILE_CACHE", LRU(64))
     return emits, built
 
 

@@ -11,10 +11,13 @@ import json
 import os
 import socket
 
+import pytest
+
+from repro.errors import ServeRequestError
 from repro.exp.cache import ResultCache
 from repro.serve import protocol
 from repro.serve.dispatch import Dispatcher
-from repro.serve.server import SweepServer
+from repro.serve.server import SpecIndex, SweepServer
 
 from tests.serve import harness
 
@@ -109,6 +112,41 @@ class TestLadder:
         # The spec memo compiled the job once, not twice.
         assert server.specs.builds == 1
         assert server.specs.hits == 1
+
+    def test_hot_entries_zero_caches_nothing(self, tmp_path):
+        socket_path = str(tmp_path / "april.sock")
+
+        async def scenario():
+            server = make_server(socket_path, hot_entries=0)
+
+            async def client():
+                reader, writer = await harness.connect(socket_path)
+                spec = harness.cold_source_spec(3)
+                served = []
+                for request_id in (1, 2):
+                    response = await harness.request(
+                        reader, writer,
+                        {"op": "job", "id": request_id, "job": spec})
+                    served.append(response["served"])
+                metrics = await harness.request(
+                    reader, writer, {"op": "metrics"})
+                writer.close()
+                return served, metrics["metrics"]
+
+            return await harness.serving(server, client)
+
+        served, metrics = harness.run(scenario())
+        assert served == ["executed", "executed"]
+        assert metrics["cache"]["hot_entries"] == 0
+        assert metrics["cache"]["hot_capacity"] == 0
+        assert metrics["spec_index"] == {"hits": 1, "builds": 1}
+
+    def test_a_spec_that_fails_validation_is_no_build(self):
+        specs = SpecIndex(4)
+        for _ in range(2):
+            with pytest.raises(ServeRequestError):
+                specs.resolve({"program": "nope"})
+        assert (specs.hits, specs.builds, len(specs)) == (0, 0, 0)
 
     def test_disk_cache_survives_restart(self, tmp_path):
         """A restarted server resumes warm from the shared disk cache."""

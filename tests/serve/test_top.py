@@ -2,6 +2,7 @@
 
 import json
 
+from repro.serve import protocol
 from repro.serve.dispatch import Dispatcher
 from repro.serve.server import SweepServer
 from repro.serve.top import poll, render_frame, run_top
@@ -110,6 +111,33 @@ class TestLive:
         assert one["metrics"]["counters"]["executed"] == 1
         assert one["trace"]["enabled"] is True
         assert one["trace"]["stats"]["recorded"] == 1
+
+    def test_ping_and_poll_over_tcp(self):
+        """TCP only, through the shared opener: port 0 binds a free
+        port, read back off the listener."""
+        async def scenario():
+            server = SweepServer(
+                host="127.0.0.1", port=0, cache=None,
+                dispatcher=Dispatcher(workers=2, mode="thread"))
+
+            async def client():
+                listener, = server._servers
+                port = listener.sockets[0].getsockname()[1]
+                reader, writer = await protocol.open_connection(
+                    host="127.0.0.1", port=port)
+                pong = await harness.request(
+                    reader, writer, {"op": "ping", "id": "tcp"})
+                writer.close()
+                return pong, await poll(port=port)
+
+            return await harness.serving(server, client)
+
+        pong, sample = harness.run(scenario())
+        assert (pong["status"], pong["id"]) == ("ok", "tcp")
+        assert pong["protocol"] == protocol.PROTOCOL
+        # The ping and the poll's own metrics request.
+        assert sample["metrics"]["counters"]["requests"] == 2
+        assert sample["trace"]["enabled"] is True
 
     def test_run_top_reports_unreachable_server(self, tmp_path):
         out = []
