@@ -261,17 +261,6 @@ def _split_names(values):
     return names
 
 
-def _unknown_name(kind, names, known):
-    """Print ``error:`` for the first of ``names`` not in ``known``;
-    true when there is one."""
-    for name in names or ():
-        if name not in known:
-            print("error: unknown %s %r (have: %s)"
-                  % (kind, name, ", ".join(known)), file=sys.stderr)
-            return True
-    return False
-
-
 def _print_sweep_trailer(summary, failures):
     """Summary + failed cells on stderr (stdout stays byte-stable)."""
     from repro.harness.reporting import sweep_summary_line
@@ -313,13 +302,8 @@ def _cmd_asm(args):
 
 
 def _cmd_table3(args):
-    from repro import workloads
-    programs = _split_names(args.programs) or None
-    systems = tuple(_split_names(args.systems)) or SYSTEMS
-    if (_unknown_name("program", programs, workloads.BY_NAME)
-            or _unknown_name("system", systems, SYSTEMS)):
-        return 2
-    result = run_table3(program_names=programs, systems=systems,
+    result = run_table3(program_names=_split_names(args.programs) or None,
+                        systems=tuple(_split_names(args.systems)) or SYSTEMS,
                         pool_size=args.jobs, cache=_build_cache(args),
                         force=args.force, timeout_s=args.timeout)
     print(render_table3(result))
@@ -328,15 +312,11 @@ def _cmd_table3(args):
 
 
 def _cmd_speedup(args):
-    from repro import workloads
     from repro.harness.speedup import render_speedup, run_speedup
-    programs = _split_names(args.programs) or None
-    if _unknown_name("program", programs, workloads.BY_NAME):
-        return 2
-    curves, sweep = run_speedup(program_names=programs, system=args.system,
-                                cpus=tuple(args.cpus), pool_size=args.jobs,
-                                cache=_build_cache(args), force=args.force,
-                                timeout_s=args.timeout)
+    curves, sweep = run_speedup(
+        program_names=_split_names(args.programs) or None,
+        system=args.system, cpus=tuple(args.cpus), pool_size=args.jobs,
+        cache=_build_cache(args), force=args.force, timeout_s=args.timeout)
     print(render_speedup(curves))
     _print_sweep_trailer(sweep.timing_summary(), sweep.failures)
     return 1 if sweep.failures else 0

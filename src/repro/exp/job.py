@@ -78,42 +78,6 @@ class Job:
         self.cacheable = cacheable
         self._hash = None
 
-    @classmethod
-    def from_spec(cls, spec, key=("serve", "source")):
-        """Build a Job from a plain-dict *source-form* spec.
-
-        This is the wire shape ``april serve`` accepts for ad-hoc jobs::
-
-            {"source": "(define (main) 42)", "mode": "eager",
-             "processors": 4, "config": {...}, "args": [...],
-             "max_cycles": ..., "expect": optional}
-
-        ``processors`` is a convenience alias for
-        ``config.num_processors`` (it may not appear in both).  Raises
-        :class:`TypeError`/:class:`~repro.errors.ConfigError` on
-        unknown config knobs — callers turn that into a typed
-        bad-request, never a crash.
-        """
-        config_knobs = dict(spec.get("config") or {})
-        if "processors" in spec:
-            if "num_processors" in config_knobs:
-                raise TypeError(
-                    "give either processors or config.num_processors, "
-                    "not both")
-            config_knobs["num_processors"] = spec["processors"]
-        return cls(
-            key,
-            spec["source"],
-            mode=spec.get("mode", "eager"),
-            software_checks=bool(spec.get("software_checks", False)),
-            optimize=bool(spec.get("optimize", False)),
-            config=MachineConfig(**config_knobs),
-            entry=spec.get("entry", "main"),
-            args=tuple(spec.get("args", ())),
-            max_cycles=spec.get("max_cycles", 200_000_000),
-            expect=spec.get("expect"),
-        )
-
     # -- identity ----------------------------------------------------------
 
     @property

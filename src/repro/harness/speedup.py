@@ -10,6 +10,7 @@ run of the same cells share cache entries).
 """
 
 from repro.exp.runner import run_jobs
+from repro.exp.spec import check_name
 from repro.harness.table3 import APRIL_CPUS, cell_job, raise_outcome
 from repro import workloads
 
@@ -78,8 +79,10 @@ def run_speedup(program_names=None, system="Apr-lazy", cpus=APRIL_CPUS,
                 timeout_s=None):
     """Compute curves for each program; returns ``(curves, sweep)``."""
     names = program_names or [m.NAME for m in workloads.ALL]
+    check_name("system", system)
     jobs = []
     for name in names:
+        check_name("program", name)
         module = workloads.get(name)
         args = (args_by_program or {}).get(name)
         jobs.extend(speedup_jobs(module, system=system, cpus=cpus,

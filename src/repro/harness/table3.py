@@ -26,6 +26,7 @@ from repro.baselines.encore import encore_config
 from repro.errors import SimulationError, WorkloadCheckError
 from repro.exp.job import Job
 from repro.exp.runner import run_jobs
+from repro.exp.spec import check_name
 from repro.machine.config import MachineConfig
 from repro import errors as _errors
 from repro import workloads
@@ -62,15 +63,6 @@ class Table3Row:
 # -- job construction ------------------------------------------------------
 
 
-def system_compile_options(system):
-    """``(parallel mode, software_checks)`` for a Table 3 system row."""
-    if system not in SYSTEMS:
-        raise ValueError("unknown system %r (have: %s)"
-                         % (system, ", ".join(SYSTEMS)))
-    mode = "lazy" if system == "Apr-lazy" else "eager"
-    return mode, system == "Encore"
-
-
 def system_config(system, processors, lazy=False, **overrides):
     """The :class:`MachineConfig` a system row runs on."""
     if system == "Encore":
@@ -85,18 +77,18 @@ def cell_job(module, system, variant, processors, args=None,
     """One grid cell as a :class:`~repro.exp.job.Job`.
 
     The key layout ``(*prefix, program, system, variant, processors)``
-    is what :func:`rows_from_sweep` parses back into rows.
+    is what :func:`rows_from_sweep` parses back into rows.  Names are
+    not checked here: :func:`repro.exp.spec.cell_to_job` checks a
+    cell, :func:`run_table3` its filters.
     """
-    if variant not in VARIANTS:
-        raise ValueError("unknown variant %r" % variant)
-    mode, checks = system_compile_options(system)
+    mode = "lazy" if system == "Apr-lazy" else "eager"
+    checks = system == "Encore"
     if variant == "seq_plain":
         mode, checks = "sequential", False
     elif variant == "mult_seq":
         mode = "sequential"
-    overrides = dict(config_overrides or {})
     config = system_config(system, processors, lazy=(mode == "lazy"),
-                           **overrides)
+                           **(config_overrides or {}))
     if args is None:
         args = module.args()
     key = tuple(key_prefix) + (module.NAME, system, variant, processors)
@@ -240,9 +232,11 @@ def run_table3(program_names=None, systems=SYSTEMS, args_by_program=None,
     :func:`repro.exp.runner.run_jobs`: with a cache, an interrupted or
     partially edited table resumes from the cells already on disk.
     """
+    for system in systems:
+        check_name("system", system)
     jobs = []
-    names = program_names or [m.NAME for m in workloads.ALL]
-    for name in names:
+    for name in program_names or [m.NAME for m in workloads.ALL]:
+        check_name("program", name)
         module = workloads.get(name)
         args = (args_by_program or {}).get(name)
         for system in systems:

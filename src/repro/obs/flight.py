@@ -159,7 +159,7 @@ class Watchdog:
         runtime = machine.runtime
         if runtime.done:
             return
-        if self._all_blocked(runtime):
+        if runtime.stuck() and runtime.futures.waiting_count() > 0:
             raise self.hang(
                 "deadlock", now,
                 "every thread is blocked on an unresolved future")
@@ -205,16 +205,6 @@ class Watchdog:
         return HangDetected(kind, machine.time, reason, postmortem)
 
     # -- probes ------------------------------------------------------------
-
-    @staticmethod
-    def _all_blocked(runtime):
-        if any(runtime.has_work(cpu) for cpu in runtime.cpus):
-            return False
-        if runtime.scheduler.ready_count():
-            return False
-        if any(len(q) for q in runtime.lazy_queues):
-            return False
-        return runtime.futures.waiting_count() > 0
 
     @staticmethod
     def _snapshot(machine, now):

@@ -416,20 +416,20 @@ class RuntimeSystem:
         return self._kernel_heaps[0].to_python(
             word, false_object=self.nil, true_object=self.true)
 
+    def stuck(self):
+        """True when no processor can make progress: nothing loaded,
+        no ready thread and no lazy marker to steal."""
+        return not (any(self.has_work(cpu) for cpu in self.cpus)
+                    or self.scheduler.ready_count()
+                    or any(len(q) for q in self.lazy_queues))
+
     def check_deadlock(self):
         """Raise if no processor can ever make progress again."""
-        if self.done:
+        if self.done or not self.stuck():
             return
-        if any(self.has_work(cpu) for cpu in self.cpus):
-            return
-        if self.scheduler.ready_count():
-            return
-        if any(len(q) for q in self.lazy_queues):
-            return
-        blocked = self.futures.waiting_count()
         raise DeadlockError(
             "deadlock: no loaded or ready threads, %d blocked on futures"
-            % blocked)
+            % self.futures.waiting_count())
 
 
 class TaggedWord(int):

@@ -2,23 +2,18 @@
 
 Latency is tracked as **streaming log2 histograms**
 (:class:`repro.obs.hist.Log2Histogram`, microseconds) — O(1) memory
-per axis, exact merge.  Each connection records into its own
-histogram; when a connection closes, its histogram is folded into a
-``retired`` accumulator, and a metrics snapshot merges retired +
-every live connection into one rollup via
-:meth:`~repro.obs.hist.Log2Histogram.merge`.  Because merge is exact
-(bucket-wise addition), the rollup's percentiles equal those of the
-concatenated per-connection streams — no averaging-of-percentiles
-fallacy.
-
-A second axis keys histograms by how the request was served
-(``hit`` / ``executed`` / ``deduped`` / ``failed`` / ``rejected``),
-which is the number that makes the caching story visible: hits are
-microseconds, executions are milliseconds-to-seconds.  All five
-:data:`SERVED_AXES` appear in every snapshot — empty histograms and
-all — so dashboards and ``april top`` bind to a stable schema instead
-of key-probing; axes outside the standard five (``error``) still
-appear lazily once observed.
+per axis, exact merge.  Each request lands in one histogram keyed by
+how it was served (``hit`` / ``executed`` / ``deduped`` / ``failed`` /
+``rejected``), which is the number that makes the caching story
+visible: hits are microseconds, executions are
+milliseconds-to-seconds.  The overall rollup merges those histograms
+via :meth:`~repro.obs.hist.Log2Histogram.merge`; because merge is
+exact (bucket-wise addition), its percentiles equal those of the one
+concatenated stream of every request — no averaging-of-percentiles
+fallacy.  All five :data:`SERVED_AXES` appear in every snapshot —
+empty histograms and all — so dashboards and ``april top`` bind to a
+stable schema instead of key-probing; axes outside the standard five
+(``error``) still appear lazily once observed.
 """
 
 import time
@@ -53,7 +48,6 @@ class ServerMetrics:
 
     def __init__(self, clock=time.monotonic):
         self.counts = dict.fromkeys(COUNTER_NAMES, 0)
-        self.retired = Log2Histogram()
         self.by_served = {axis: Log2Histogram() for axis in SERVED_AXES}
         self.started_at = clock()
         self._clock = clock
@@ -61,31 +55,24 @@ class ServerMetrics:
     def bump(self, name, n=1):
         self.counts[name] += n
 
-    def observe(self, served, latency_us, connection_hist=None):
+    def observe(self, served, latency_us):
         """Record one finished request's service latency."""
         hist = self.by_served.get(served)
         if hist is None:
             hist = self.by_served[served] = Log2Histogram()
         hist.record(latency_us)
-        if connection_hist is not None:
-            connection_hist.record(latency_us)
 
-    def retire_connection(self, connection_hist):
-        """Fold a closed connection's histogram into the rollup base."""
-        self.retired.merge(connection_hist)
-
-    def rollup(self, live_hists=()):
-        """The merged service-latency histogram: retired + live."""
+    def rollup(self):
+        """The merged service-latency histogram over every served axis."""
         merged = Log2Histogram()
-        merged.merge(self.retired)
-        for hist in live_hists:
+        for hist in self.by_served.values():
             merged.merge(hist)
         return merged
 
-    def snapshot(self, live_hists=(), **sections):
+    def snapshot(self, **sections):
         """The JSON-ready metrics dict; extra keyword sections (queue,
         workers, cache, ...) are spliced in verbatim."""
-        rollup = self.rollup(live_hists)
+        rollup = self.rollup()
         counters = dict(self.counts)
         counters["cache_hits"] = (counters["hit_hot"]
                                   + counters["hit_disk"])

@@ -24,13 +24,16 @@ The ``trace`` op reads the request flight recorder
 includes the in-flight table and the recorder's counters; pulling a
 completed trace twice yields byte-identical JSON.
 
-Job specs come in two forms.  The **named-workload form** (key
-``program``) names one cell of the sweep vocabulary — program, system
-row, variant, processor count, args, config overrides — and is
-validated by :func:`repro.exp.spec.validate_cell`, exactly the checks
-``april sweep`` applies to a grid.  The **source form** (key
-``source``) carries inline Mul-T source plus compile/run knobs and
-maps to :meth:`repro.exp.job.Job.from_spec`.
+Job specs come in two forms of one vocabulary, :mod:`repro.exp.spec`,
+which holds every check on them.  The **named-workload form** (key
+``program``) is one cell of a sweep grid — program, system row,
+variant, processor count, args, config overrides — and becomes a job
+through :func:`~repro.exp.spec.cell_to_job`, the path every ``april
+sweep`` grid point takes.  The **source form** (key ``source``)
+carries inline Mul-T source plus compile/run knobs and becomes a job
+through :func:`~repro.exp.spec.source_to_job`.  This module only picks
+the form (:func:`job_from_spec`) and turns the spec module's
+:class:`~repro.errors.SweepSpecError` into a ``bad-job`` error.
 
 Responses
 ---------
@@ -71,8 +74,11 @@ the two equal byte for byte.
 import asyncio
 import json
 
-from repro.errors import ReproError, ServeError, ServeRequestError
-from repro.exp.job import Job, canonical_json
+from repro.errors import (
+    ReproError, ServeError, ServeRequestError, SweepSpecError,
+)
+from repro.exp.job import canonical_json
+from repro.exp.spec import cell_to_job, source_to_job
 
 #: Protocol tag echoed by ``ping`` and ``metrics`` responses.
 PROTOCOL = "april-serve/1"
@@ -83,14 +89,6 @@ MAX_LINE_BYTES = 1 << 20
 
 #: Request types the server understands.
 OPS = ("job", "metrics", "ping", "trace")
-
-#: Keys a source-form job spec may carry (see Job.from_spec).
-SOURCE_KEYS = frozenset((
-    "source", "mode", "software_checks", "optimize", "processors",
-    "config", "entry", "args", "max_cycles", "expect",
-))
-
-_MODES = ("eager", "lazy", "sequential")
 
 
 def parse_request(line):
@@ -118,60 +116,18 @@ def parse_request(line):
 
 
 def job_from_spec(spec):
-    """A validated :class:`~repro.exp.job.Job` from a wire job spec.
-
-    Accepts both the named-workload form and the source form; every
-    validation problem becomes a :class:`ServeRequestError` (kind
-    ``"bad-job"``) so the server can answer with a typed error and
-    move on.
+    """A checked :class:`~repro.exp.job.Job` from a wire job spec: the
+    named-workload form if it has ``program``, else the source form.
+    Every problem :mod:`repro.exp.spec` finds becomes a
+    :class:`ServeRequestError` (kind ``"bad-job"``) so the server can
+    answer with a typed error and move on.
     """
-    from repro.errors import SweepSpecError
-    from repro.exp.spec import cell_to_job, validate_cell
-
-    if not isinstance(spec, dict):
-        raise ServeRequestError("job spec must be a JSON object",
-                                kind="bad-job")
-    if "program" in spec:
-        try:
-            validate_cell(spec)
-            return cell_to_job(spec)
-        except SweepSpecError as exc:
-            raise ServeRequestError(str(exc), kind="bad-job")
-    if "source" not in spec:
-        raise ServeRequestError(
-            "job spec needs either \"program\" (named workload) or "
-            "\"source\" (inline Mul-T)", kind="bad-job")
-    unknown = sorted(set(spec) - SOURCE_KEYS)
-    if unknown:
-        raise ServeRequestError(
-            "unknown job spec key(s) %s (have: %s)"
-            % (", ".join(unknown), ", ".join(sorted(SOURCE_KEYS))),
-            kind="bad-job")
-    if not isinstance(spec["source"], str) or not spec["source"].strip():
-        raise ServeRequestError("source must be non-empty Mul-T text",
-                                kind="bad-job")
-    if spec.get("mode", "eager") not in _MODES:
-        raise ServeRequestError(
-            "unknown mode %r (have: %s)"
-            % (spec.get("mode"), ", ".join(_MODES)), kind="bad-job")
-    args = spec.get("args", [])
-    if not (isinstance(args, list)
-            and all(isinstance(a, int) for a in args)):
-        raise ServeRequestError("args must be a list of ints",
-                                kind="bad-job")
-    for knob, minimum in (("processors", 1), ("max_cycles", 1)):
-        value = spec.get(knob)
-        if value is not None and (not isinstance(value, int)
-                                  or value < minimum):
-            raise ServeRequestError("%s must be a positive int" % knob,
-                                    kind="bad-job")
-    if not isinstance(spec.get("config", {}), dict):
-        raise ServeRequestError("config must be an object of knob "
-                                "overrides", kind="bad-job")
     try:
-        return Job.from_spec(spec)
-    except (TypeError, ValueError, ReproError) as exc:
-        raise ServeRequestError("bad job spec: %s" % exc, kind="bad-job")
+        if isinstance(spec, dict) and "program" in spec:
+            return cell_to_job(spec)
+        return source_to_job(spec)
+    except SweepSpecError as exc:
+        raise ServeRequestError(str(exc), kind="bad-job") from None
 
 
 def compile_job(job):

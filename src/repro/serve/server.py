@@ -67,7 +67,6 @@ from repro.exp.cache import ResultCache
 from repro.exp.job import canonical_json
 from repro.lang.compiler import COMPILE_CACHE
 from repro.lru import LRU
-from repro.obs.hist import Log2Histogram
 from repro.serve import protocol
 from repro.serve.dispatch import Dispatcher
 from repro.serve.flight import SingleFlight
@@ -113,8 +112,8 @@ class SpecIndex(LRU):
 
 
 class _Connection(asyncio.BufferedProtocol):
-    """One client connection: its read buffer, bucket, histogram and
-    the flights it is waiting on.
+    """One client connection: its read buffer, bucket and the flights
+    it is waiting on.
 
     The loop fills ``buffer`` through :meth:`get_buffer`;
     :meth:`buffer_updated` serves every complete line and keeps a
@@ -129,7 +128,6 @@ class _Connection(asyncio.BufferedProtocol):
         self.bucket = (TokenBucket(server.rate, server.burst,
                                    clock=server._clock)
                        if server.rate and server.rate > 0 else None)
-        self.hist = Log2Histogram()
         self.tasks = {}                 # flight task -> its trace (or None)
         self.transport = None
         self.closed = False
@@ -231,9 +229,9 @@ class _Connection(asyncio.BufferedProtocol):
             await self._writable.wait()
 
     def close(self):
-        """Abandon the connection: cancel its flights, fold its
-        histogram and traces into the server's, close the transport
-        (which still flushes what it was already handed)."""
+        """Abandon the connection: cancel its flights, fold its traces
+        into the server's, close the transport (which still flushes
+        what it was already handed)."""
         if self.closed:
             return
         self.closed = True
@@ -245,7 +243,6 @@ class _Connection(asyncio.BufferedProtocol):
                 server.traces.record(trace)
         self.transport.close()
         server._connections.discard(self)
-        server.metrics.retire_connection(self.hist)
         if server.traces is not None:
             server.traces.retire_conn(self.id)
 
@@ -369,14 +366,14 @@ class SweepServer:
         response, result, flight = self._handle_job(conn, request, trace)
         if flight is None:
             self._send(conn, response, result, trace,
-                       self._seal(conn, response, trace, start))
+                       self._seal(response, trace, start))
             return
         task = asyncio.ensure_future(
             self._fly(conn, request_id, trace, start, *flight))
         conn.tasks[task] = trace
         task.add_done_callback(conn.tasks.pop)
 
-    def _seal(self, conn, response, trace, start):
+    def _seal(self, response, trace, start):
         """Close a job request's books: the trace frozen, its latency
         observed and stamped on the response.  Returns the clock at
         which the response became ready — where ``flush_us`` starts."""
@@ -387,7 +384,7 @@ class SweepServer:
             response["trace"] = trace.id
         else:
             latency_us = int((self._clock() - start) * 1_000_000)
-        self.metrics.observe(axis, latency_us, conn.hist)
+        self.metrics.observe(axis, latency_us)
         response["latency_us"] = latency_us
         return self._clock()
 
@@ -513,7 +510,7 @@ class SweepServer:
                 self.metrics.bump("failed")
                 response = protocol.failed_response(
                     request_id, content_hash, failure, served=served)
-        ready = self._seal(conn, response, trace, start)
+        ready = self._seal(response, trace, start)
         await conn.writable()
         self._send(conn, response, result, trace, ready)
 
@@ -608,7 +605,6 @@ class SweepServer:
             "timeouts": self.dispatcher.timeouts,
         }
         snapshot = self.metrics.snapshot(
-            live_hists=[conn.hist for conn in self._connections],
             protocol=protocol.PROTOCOL,
             draining=self.draining,
             queue={"depth": len(self.flights), "limit": self.queue_limit},

@@ -59,6 +59,88 @@ class TestValidation:
         assert load_spec(str(path))["name"] == "smoke"
 
 
+class TestBadCellsFailBeforeAnyRuns:
+    """A grid whose cells cannot build is refused by ``expand_spec``,
+    before any cell runs — not left to fail cell by cell."""
+
+    @pytest.mark.parametrize("mutate, fragment", [
+        (lambda s: s.update(config={"bogus_knob": 1}), "bogus_knob"),
+        (lambda s: s.update(config={"num_task_frames": 0}), "task frame"),
+        (lambda s: s.update(config={"num_processors": 2}),
+         "config.num_processors"),
+        (lambda s: s["grid"].update(args={"fib": "x"}), "args"),
+        (lambda s: s["grid"].update(args={"fib": [7, "8"]}), "args"),
+        (lambda s: s.update(max_cycles=-5), "max_cycles"),
+        (lambda s: s.update(max_cycles=0), "max_cycles"),
+    ], ids=["unknown-knob", "no-task-frames", "num-processors",
+            "args-not-a-list", "args-not-ints", "negative-max-cycles",
+            "zero-max-cycles"])
+    def test_expand_spec_raises(self, mutate, fragment):
+        spec = smoke_spec()
+        mutate(spec)
+        with pytest.raises(SweepSpecError, match=fragment):
+            expand_spec(spec)
+
+
+#: Keys and content hashes of accepted specs, computed before the
+#: job-spec checks moved into one module.
+GRID_PINS = [
+    (("smoke", "fib", "APRIL", "parallel", 1),
+     "6540202ddb5352a4e0e0c9ba4c2b0931044e04453ed62fc8e9f030352eb423ba"),
+    (("smoke", "fib", "APRIL", "parallel", 2),
+     "fedad899b7025981ab1f280f2c665a023c4b37d257bb1730f5b0fa441bfeb073"),
+    (("smoke", "fib", "Apr-lazy", "parallel", 1),
+     "db1af0cdc8e3b01d50c2fed1ce0e4757db7dc96fcc6c90ecba3cd81744a44170"),
+    (("smoke", "fib", "Apr-lazy", "parallel", 2),
+     "ede5fb3c14a182faf5a1c71f129844b5e386e127ecd4dee209d3010f0e48fd50"),
+    (("mixed", "queens", "Encore", "parallel", 2),
+     "3d63063b182461d89699c47c7eb9b5a028814b53c688826309e8115978e800fd"),
+]
+SERVE_PINS = [
+    (("serve", "fib", "APRIL", "parallel", 1),
+     "bae09eb70ae7064528cf2e32ab7657bc06382edae43a67b77d427bed8a70ff2f"),
+    (("serve", "fib", "Apr-lazy", "parallel", 1),
+     "d2c16d8438615579b829275ee9e68c54ff14c20546f480ebc254301a9c15890d"),
+    (("serve", "fib", "APRIL", "parallel", 2),
+     "a9d0e5ff982dd3c4ba637539a9ff33550115e4922448e2d8910aac9c1b291544"),
+    (("serve", "fib", "Apr-lazy", "parallel", 2),
+     "8ad22624f270080e6cb76c4ee58324e4034cc958c830d9557ab4448bfc7de8ff"),
+    (("serve", "fib", "APRIL", "parallel", 1),
+     "750c3256cf3de44c82c226ff0427ccad486a49b088b611977b0cfb9e2749d27e"),
+    (("serve", "source"),
+     "c2fca66be786aa308cb5c8d03b9d7a413ebf56dc70b1fe2f2b195609801b7847"),
+    (("serve", "source"),
+     "167a0233d15fc1c77ae88e8f0eba2c15c4f94274d85cfaf429a60507024b3b32"),
+]
+
+
+class TestAcceptedSpecsUnchanged:
+    """A spec that was accepted builds exactly the job it built."""
+
+    def test_grid_cells(self):
+        mixed = {"name": "mixed",
+                 "grid": {"programs": ["queens"], "systems": ["Encore"],
+                          "cpus": [2]},
+                 "max_cycles": 9_000_000,
+                 "config": {"touch_spin_limit": 0}}
+        jobs = expand_spec(smoke_spec()) + expand_spec(mixed)
+        assert [(job.key, job.content_hash()) for job in jobs] == GRID_PINS
+
+    def test_serve_specs(self):
+        from repro.serve.loadgen import cold_spec, hot_specs
+        from repro.serve.protocol import job_from_spec
+
+        specs = hot_specs() + [
+            cold_spec(12345, 3),
+            {"source": "(define (main n) (+ n 1))", "mode": "lazy",
+             "processors": 2, "args": [41], "max_cycles": 1_000_000,
+             "config": {"touch_spin_limit": 0}},
+            {"source": "(define (main) 42)"},
+        ]
+        jobs = [job_from_spec(spec) for spec in specs]
+        assert [(job.key, job.content_hash()) for job in jobs] == SERVE_PINS
+
+
 class TestExpansion:
     def test_grid_expansion_order(self):
         jobs = expand_spec(smoke_spec())

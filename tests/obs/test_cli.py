@@ -296,6 +296,20 @@ class TestUsageErrors:
         assert len(errors) == 1 and complaint in errors[0]
         assert "Traceback" not in captured.err
 
+    def test_sweep_with_an_unknown_knob(self, tmp_path, capsys):
+        """A spec whose cells cannot build exits 2 before any runs."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "grid": {"programs": ["fib"], "args": {"fib": [5]}},
+            "config": {"bogus_knob": 1}}))
+        assert main(["sweep", str(spec), "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert "bogus_knob" in captured.err
+        assert "Traceback" not in captured.err
+        assert "sweep:" not in captured.err     # no cell ran
+
     def test_asm_of_a_bare_directive(self, tmp_path, capsys):
         source = tmp_path / "bare.s"
         source.write_text("    .space\n")

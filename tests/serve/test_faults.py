@@ -1,5 +1,5 @@
 """Faults at the connection layer: disconnects mid-flight, shutdown
-with a flight open — each answered without a leaked flight, task or
+with a flight open, a malformed named spec — each answered without a leaked flight, task or
 trace, and each balancing the service's conservation law
 (:func:`tests.serve.harness.accounted_jobs`).
 """
@@ -7,6 +7,8 @@ trace, and each balancing the service's conservation law
 import asyncio
 import json
 import os
+
+import pytest
 
 from tests.serve import harness
 
@@ -130,4 +132,43 @@ class TestStopWithAFlightOpen:
         assert len(connections) == 2
         assert all(conn.closed and not conn.tasks for conn in connections)
         assert not server._connections
+        assert_conserved(server)
+
+
+class TestMalformedNamedSpec:
+    """A named-form spec whose config cannot build a machine is a
+    typed ``bad-job`` error; the connection lives on and answers what
+    was pipelined behind it."""
+
+    @pytest.mark.parametrize("config, fragment", [
+        ({"bogus": 1}, "bogus"),
+        ({"num_task_frames": 0}, "task frame"),
+        ({"num_processors": 2}, "config.num_processors"),
+    ], ids=["unknown-knob", "no-task-frames", "num-processors"])
+    def test_bad_job_then_ping_on_the_same_connection(self, tmp_path,
+                                                      config, fragment):
+        socket_path = str(tmp_path / "april.sock")
+        spec = {"program": "fib", "args": [5], "config": config}
+
+        async def scenario():
+            server = harness.make_server(socket_path)
+
+            async def clients():
+                reader, writer = await harness.connect(socket_path)
+                writer.write(harness.job_line("bad", spec)
+                             + b'{"op": "ping", "id": "after"}\n')
+                responses = [json.loads(await reader.readline())
+                             for _ in range(2)]
+                writer.close()
+                return responses, server
+
+            return await harness.serving(server, clients)
+
+        (error, pong), server = harness.run(scenario())
+        assert (error["id"], error["status"], error["kind"]) == (
+            "bad", "error", "bad-job")
+        assert fragment in error["message"]
+        assert (pong["id"], pong["status"]) == ("after", "ok")
+        assert server.metrics.counts["bad_requests"] == 1
+        assert server.specs.builds == 0
         assert_conserved(server)

@@ -63,25 +63,20 @@ class TestLatencyRollup:
         assert metrics.by_served["hit"].count == 2
         assert metrics.by_served["executed"].count == 1
 
-    def test_rollup_merges_retired_and_live_exactly(self):
-        """The rollup's buckets equal those of one concatenated stream
-        — per-connection histograms never average percentiles."""
+    def test_rollup_is_one_stream_of_every_observed_request(self):
+        """The rollup equals one concatenated stream of every observed
+        request, whatever axis each landed on — merging the per-axis
+        histograms never averages percentiles."""
         metrics = ServerMetrics(clock=FakeClock())
-        closed = Log2Histogram()
-        live = Log2Histogram()
         reference = Log2Histogram()
-        for value in (3, 9, 81, 6561):
-            metrics.observe("hit", value, closed)
+        for axis, value in (("hit", 3), ("hit", 9), ("executed", 81),
+                            ("deduped", 6561), ("failed", 2),
+                            ("rejected", 4), ("error", 8)):
+            metrics.observe(axis, value)
             reference.record(value)
-        for value in (2, 4, 8):
-            metrics.observe("hit", value, live)
-            reference.record(value)
-        metrics.retire_connection(closed)
-        rollup = metrics.rollup(live_hists=[live])
-        assert rollup.counts == reference.counts
-        assert rollup.count == reference.count
-        for p in (50, 90, 99):
-            assert rollup.percentile(p) == reference.percentile(p)
+        rollup = metrics.rollup()
+        assert rollup.to_dict() == reference.to_dict()
+        assert metrics.snapshot()["latency_us"] == reference.to_dict()
 
     def test_snapshot_splices_extra_sections(self):
         metrics = ServerMetrics(clock=FakeClock())
