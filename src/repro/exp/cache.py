@@ -7,8 +7,9 @@ survives service-scale entry counts (a flat directory degrades badly
 once ``april serve`` has pushed a few hundred thousand results into
 it).  Caches are disposable: nothing reads another layout.  A file is
 one line of :func:`~repro.exp.job.canonical_json`, written in a single
-``write``; files from before that (``", "`` separators) read back the
-same.
+``write`` and read back as bytes in a single ``read`` (``json.loads``
+decodes the UTF-8 itself); files from before that (``", "``
+separators) read back the same.
 
 The cache is what makes sweeps resumable and the serve hot path cheap:
 an interrupted or edited sweep re-executes only the cells whose hashes
@@ -18,6 +19,8 @@ truncated entry; a corrupt or truncated entry (a server killed
 mid-``put`` on a filesystem that reordered the replace, a stray
 editor) degrades to a cache miss *and is unlinked*, so one bad file
 can never permanently poison every future request with that hash.
+Bytes that are not UTF-8 count as corrupt: ``UnicodeDecodeError`` is
+a ``ValueError``.
 """
 
 import json
@@ -68,8 +71,8 @@ class ResultCache:
         """Parse one entry file; corrupt/non-dict entries are unlinked
         so they can never poison future lookups of that hash."""
         try:
-            with open(path) as handle:
-                payload = json.load(handle)
+            with open(path, "rb") as handle:
+                payload = json.loads(handle.read())
         except OSError:
             return None
         except ValueError:

@@ -13,6 +13,16 @@ Jobs are picklable plain data: a job never holds its compiled program
 (:func:`~repro.lang.compiler.compile_source` keeps one per distinct
 program per process), so workers compile from source — once each —
 and compilation is deterministic.
+
+The hash input is one canonical JSON object, but it is not encoded in
+one piece.  A sweep has many cells over a handful of programs, and the
+program's words are most of the bytes, so their encoding
+(``{"base", "entry", "words"}``) is memoised per entry point on the
+shared :class:`~repro.lang.compiler.CompiledProgram`
+(:func:`program_fragment`).  :meth:`Job.content_hash` encodes the
+cell's own small fields and splices that fragment in at the place the
+sorted keys put it, so the bytes hashed are exactly
+``canonical_json`` of the whole object.
 """
 
 import hashlib
@@ -35,6 +45,28 @@ def canonical_json(data):
 
 def _digest(data):
     return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
+
+
+def program_fragment(compiled, entry):
+    """``canonical_json`` of the ``"program"`` block a job over
+    ``compiled`` and ``entry`` hashes, memoised on ``compiled`` (one
+    encode per entry per compiled program, however many cells share
+    it).  It holds the entry's *address*, not its label: the words and
+    addresses are what runs, and a label's name is not."""
+    fragment = compiled.hash_fragments.get(entry)
+    if fragment is None:
+        fragment = _encode_program(compiled, entry)
+        compiled.hash_fragments[entry] = fragment
+    return fragment
+
+
+def _encode_program(compiled, entry):
+    program = compiled.program
+    return canonical_json({
+        "base": program.base,
+        "entry": program.labels[compiled.entry_label(entry)],
+        "words": list(program.words),
+    })
 
 
 class Job:
@@ -95,25 +127,25 @@ class Job:
             optimize=self.optimize)
 
     def content_hash(self):
-        """The cache key: schema + compiled words + knobs + run params."""
+        """The cache key: schema + compiled words + knobs + run params.
+
+        The SHA-256 of ``canonical_json`` of ``{"args", "config",
+        "kind", "max_cycles", "program", "schema"}``.  Those keys sort
+        in that order, so the encoding is the head object's (the first
+        four) with its closing brace replaced by the memoised
+        ``"program"`` fragment and the schema version, read here.
+        """
         if self._hash is None:
-            compiled = self.compiled()
-            program = compiled.program
-            # Hash the entry's *address*, not its label: the words and
-            # addresses are what runs, and a label's name is not.
-            entry_label = compiled.entry_label(self.entry)
-            self._hash = _digest({
-                "schema": SCHEMA_VERSION,
-                "kind": self.kind,
-                "program": {
-                    "base": program.base,
-                    "words": list(program.words),
-                    "entry": program.labels[entry_label],
-                },
-                "config": self.config.to_dict(),
+            head = canonical_json({
                 "args": list(self.args),
+                "config": self.config.to_dict(),
+                "kind": self.kind,
                 "max_cycles": self.max_cycles,
             })
+            text = "%s,\"program\":%s,\"schema\":%s}" % (
+                head[:-1], program_fragment(self.compiled(), self.entry),
+                canonical_json(SCHEMA_VERSION))
+            self._hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
         return self._hash
 
     def payload(self):

@@ -262,6 +262,10 @@ def run_jobs(jobs, pool_size=1, cache=None, force=False, timeout_s=None,
         timeout_s: per-job wall-clock limit enforced in the worker.
         retries: extra attempts for ``timeout``/``crash`` failures.
         progress: optional callable invoked with each finished outcome.
+
+    The cache is read once per distinct content hash: cells with the
+    same hash share one cached payload dict, as the followers of an
+    executed cell share its payload.
     """
     from repro.lang.compiler import COMPILE_CACHE
     jobs = list(jobs)
@@ -271,10 +275,14 @@ def run_jobs(jobs, pool_size=1, cache=None, force=False, timeout_s=None,
     cache_hits = 0
 
     pending = []
+    read = {}           # content hash -> cache.get's answer, read once
     for index, job in enumerate(jobs):
         content_hash = job.content_hash()
         if cache is not None and job.cacheable and not force:
-            payload = cache.get(content_hash)
+            if content_hash in read:
+                payload = read[content_hash]
+            else:
+                payload = read[content_hash] = cache.get(content_hash)
             if payload is not None and payload.get("status") == "ok":
                 outcomes[index] = JobResult(job, content_hash, payload,
                                             cached=True)

@@ -59,6 +59,12 @@ class CompiledProgram:
         self.asm_source = asm_source
         self.program = program
         self.ast = program_ast
+        #: Entry name -> the canonical JSON of the program block a job's
+        #: content hash covers, filled by
+        #: :func:`repro.exp.job.program_fragment`.  It rides the shared
+        #: object through :data:`COMPILE_CACHE`, so each distinct
+        #: program is encoded once per process.
+        self.hash_fragments = {}
 
     def entry_label(self, name="main"):
         """Assembly label of a top-level function."""

@@ -17,7 +17,12 @@ Pacing is open-loop: request *k* of the run is scheduled at
 ``t0 + k/rate`` on a shared ticket counter, whichever connection is
 free takes the next ticket, and a slow response delays nothing but
 its own connection's pipeline — so the measured rate is what the
-service sustained, not what a lock-step client allowed it.
+service sustained, not what a lock-step client allowed it.  A paced
+request's latency is timed from when it was *due*, not from when it
+was sent: a request held back by a full pipeline window waited on the
+service, and timing it from its late send would leave that wait out
+(coordinated omission).  Without a rate there is no schedule, and a
+request is timed from its send.
 
 ``--dedupe-burst N`` appends the single-flight proof: N identical
 never-seen-before requests written back-to-back on one connection,
@@ -95,7 +100,7 @@ class LoadGenerator:
         self.program = program
         self.cold_args = cold_args
         self.tickets = itertools.count()
-        self.pending = {}                  # id -> send timestamp
+        self.pending = {}                  # id -> due (paced) or send time
         self.hist = Log2Histogram()
         self.statuses = {"ok": 0, "failed": 0, "rejected": 0, "error": 0}
         self.served = {"hit": 0, "executed": 0, "deduped": 0}
@@ -136,6 +141,7 @@ async def _send_worker(gen, conn, clock):
         ticket = next(gen.tickets)
         if ticket >= gen.requests:
             break
+        due = None
         if gen.rate and gen.rate > 0:
             due = t0 + ticket / gen.rate
             delay = due - clock()
@@ -143,7 +149,7 @@ async def _send_worker(gen, conn, clock):
                 await asyncio.sleep(delay)
         await conn.window.acquire()
         spec = gen.next_spec(ticket)
-        gen.pending[ticket] = clock()
+        gen.pending[ticket] = clock() if due is None else due
         conn.writer.write(
             (json.dumps({"op": "job", "id": ticket, "job": spec})
              + "\n").encode())
@@ -159,9 +165,9 @@ async def _read_worker(gen, conn, clock):
         if not line:
             break
         response = json.loads(line)
-        sent_at = gen.pending.pop(response.get("id"), None)
-        latency_us = (int((clock() - sent_at) * 1_000_000)
-                      if sent_at is not None else 0)
+        since = gen.pending.pop(response.get("id"), None)
+        latency_us = (int((clock() - since) * 1_000_000)
+                      if since is not None else 0)
         gen.tally(response, latency_us, hist=conn.hist)
         conn.received += 1
         conn.window.release()

@@ -46,6 +46,17 @@ class TestResultCache:
         assert not os.path.exists(path)
         assert cache.counters()["dropped"] == 1
 
+    def test_non_utf8_entry_is_miss_and_unlinked(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        path = cache.path_for("latin1")
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as handle:
+            handle.write(b'{"status":"ok","value":"caf\xe9"}\n')
+        assert cache.get("latin1") is None
+        assert not os.path.exists(path)
+        assert cache.counters() == {"hits": 0, "misses": 1, "writes": 0,
+                                    "dropped": 1}
+
     def test_corrupt_entry_recomputed_roundtrip(self, tmp_path):
         """A poisoned hash is usable again right after the miss."""
         cache = ResultCache(str(tmp_path))
@@ -102,6 +113,19 @@ class TestFileLayout:
             assert handle.read() == encoded + b"\n"
         assert cache.get("abc123") == self.PAYLOAD
         assert cache.counters()["writes"] == 1
+
+    def test_spaced_utf8_entry_reads_back_equal(self, tmp_path):
+        # The spaced layout with its non-ASCII text as raw UTF-8 bytes
+        # (the escaped form is the next test's).
+        cache = ResultCache(str(tmp_path))
+        path = cache.path_for("old")
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as handle:
+            handle.write(json.dumps(self.PAYLOAD, sort_keys=True,
+                                    ensure_ascii=False).encode("utf-8")
+                         + b"\n")
+        assert cache.get("old") == self.PAYLOAD
+        assert cache.counters()["dropped"] == 0
 
     def test_both_layouts_read_back_equal(self, tmp_path):
         cache = ResultCache(str(tmp_path))

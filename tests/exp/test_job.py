@@ -4,12 +4,18 @@ import pickle
 
 import pytest
 
+from repro.baselines.encore import encore_config
+from repro.exp import job as job_module
 from repro.exp.job import SCHEMA_VERSION, CallJob, Job, canonical_json
 from repro.lang.compiler import COMPILE_CACHE
 from repro.machine.config import MachineConfig
 from repro import workloads
 
 FIB = workloads.get("fib").source()
+TWO_ENTRIES = """
+(define (add3 a b c) (+ a (+ b c)))
+(define (main) (add3 1 2 3))
+"""
 
 
 def fib_job(**overrides):
@@ -64,6 +70,83 @@ class TestContentHash:
         reformatted = FIB.replace("\n", "\n ")
         assert (fib_job().content_hash()
                 == fib_job(source=reformatted).content_hash())
+
+
+def whole_dict_hash(job):
+    """The content hash as one ``_digest`` of the whole hash input —
+    the form :meth:`Job.content_hash` splices together."""
+    compiled = job.compiled()
+    program = compiled.program
+    return job_module._digest({
+        "schema": job_module.SCHEMA_VERSION,
+        "kind": job.kind,
+        "program": {
+            "base": program.base,
+            "words": list(program.words),
+            "entry": program.labels[compiled.entry_label(job.entry)],
+        },
+        "config": job.config.to_dict(),
+        "args": list(job.args),
+        "max_cycles": job.max_cycles,
+    })
+
+
+HASH_MATRIX = {
+    "sequential": dict(mode="sequential"),
+    "eager": dict(mode="eager"),
+    "lazy": dict(mode="lazy",
+                 config=MachineConfig(num_processors=4, lazy_futures=True)),
+    "software-checks": dict(software_checks=True, config=encore_config(2)),
+    "optimize": dict(optimize=True),
+    "other-entry": dict(source=TWO_ENTRIES, entry="add3", args=(4, 5, 6)),
+    "prelude-entry": dict(entry="abs", args=(-3,)),
+    "no-args": dict(source=TWO_ENTRIES, args=()),
+    "coherent": dict(config=MachineConfig(num_processors=4,
+                                          memory_mode="coherent")),
+    "encore": dict(mode="sequential", config=encore_config(1)),
+    "max-cycles-nonce": dict(max_cycles=400_000_000 + 8 * 12345 + 3),
+}
+
+
+class TestHashSplice:
+    """``content_hash`` splices a memoised program fragment into the
+    encoding of the cell's own fields; the bytes hashed must be those
+    of ``canonical_json`` over the whole input, for every kind of
+    cell."""
+
+    @pytest.mark.parametrize("case", sorted(HASH_MATRIX))
+    def test_spliced_hash_equals_whole_dict_hash(self, case):
+        job = fib_job(**HASH_MATRIX[case])
+        assert job.content_hash() == whole_dict_hash(job)
+
+    def test_cells_of_one_program_share_one_fragment(self, monkeypatch):
+        built = []
+        encode = job_module._encode_program
+        monkeypatch.setattr(job_module, "_encode_program",
+                            lambda *a: built.append(a) or encode(*a))
+        COMPILE_CACHE.clear()
+        hashes = {fib_job(args=(n,)).content_hash() for n in range(6)}
+        assert len(hashes) == 6
+        assert len(built) == 1
+        # Another entry point of the same program is its own fragment.
+        fib_job(entry="abs", args=(1,)).content_hash()
+        assert len(built) == 2
+
+    def test_schema_is_read_at_hash_time(self, monkeypatch):
+        job = fib_job()
+        job.content_hash()                  # fragment memoised
+        monkeypatch.setattr(job_module, "SCHEMA_VERSION",
+                            SCHEMA_VERSION + 1)
+        bumped = fib_job()
+        assert bumped.content_hash() == whole_dict_hash(bumped)
+        assert bumped.content_hash() != job.content_hash()
+
+    def test_unknown_entry_raises_and_memoises_nothing(self):
+        from repro.errors import CompilerError
+        job = fib_job(entry="no-such-function")
+        with pytest.raises(CompilerError):
+            job.content_hash()
+        assert "no-such-function" not in job.compiled().hash_fragments
 
 
 class TestPayloadAndPickle:

@@ -146,6 +146,47 @@ class TestCacheAndDedupe:
         assert cache.counters()["writes"] == 0
 
 
+class TestWarmPass:
+    """A warm ``run_table3`` over the fib rows, structurally: one cache
+    read per distinct content hash, one program encode per compiled
+    program and entry."""
+
+    def test_fib_rows_read_each_hash_once_and_encode_each_program_once(
+            self, tmp_path, monkeypatch):
+        from repro.exp import job as job_module
+        from repro.harness.table3 import run_table3
+        from repro.lang.compiler import COMPILE_CACHE
+
+        built = []
+        encode = job_module._encode_program
+        monkeypatch.setattr(job_module, "_encode_program",
+                            lambda *a: built.append(a) or encode(*a))
+        COMPILE_CACHE.clear()
+        root = str(tmp_path)
+        cold = run_table3(program_names=["fib"], pool_size=1,
+                          cache=ResultCache(root))
+        assert cold.sweep.summary()["executed"] == 17
+        assert len(built) == 5          # five distinct fib programs
+
+        del built[:]
+        cache = ResultCache(root)
+        warm = run_table3(program_names=["fib"], pool_size=1, cache=cache)
+        assert warm.sweep.summary() == {
+            "jobs": 20, "executed": 0, "cache_hits": 20, "deduped": 0,
+            "retries": 0, "failed": 0}
+        assert cache.counters() == {"hits": 17, "misses": 0, "writes": 0,
+                                    "dropped": 0}
+        assert built == []
+        # Cells with one hash share the one payload read for it.
+        by_hash = {}
+        for outcome in warm.sweep:
+            assert by_hash.setdefault(outcome.hash,
+                                      outcome.payload) is outcome.payload
+        assert len(by_hash) == 17
+        assert ([row.as_dict() for row in warm.rows]
+                == [row.as_dict() for row in cold.rows])
+
+
 class TestPoolParity:
     def test_pool_matches_serial(self, tmp_path):
         jobs = [fib_job(n) for n in (1, 2, 4)]
