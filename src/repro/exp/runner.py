@@ -143,7 +143,14 @@ _failed = failed_payload
 
 
 class JobResult:
-    """A finished cell: the worker payload plus sweep bookkeeping."""
+    """A finished cell: the worker payload plus sweep bookkeeping.
+
+    ``payload`` is the worker's dict for an executed cell and the cache
+    entry itself — a read-only :class:`~repro.exp.cache.CachedPayload`
+    — for a ``cached`` one: :attr:`value` and :attr:`cycles` read its
+    head, and only :attr:`report` or another key decodes the stored
+    payload line.
+    """
 
     ok = True
 
@@ -264,8 +271,12 @@ def run_jobs(jobs, pool_size=1, cache=None, force=False, timeout_s=None,
         progress: optional callable invoked with each finished outcome.
 
     The cache is read once per distinct content hash: cells with the
-    same hash share one cached payload dict, as the followers of an
-    executed cell share its payload.
+    same hash share the one entry ``cache.get`` returned, as the
+    followers of an executed cell share its payload.  A hit is kept
+    as that entry, undecoded: telling it is ``ok`` reads its head, and
+    its payload line is decoded only if a caller reads past
+    ``status``, ``cycles`` and ``value`` (``run_speedup``'s
+    ``critpath``, say), once for all the cells that share it.
     """
     from repro.lang.compiler import COMPILE_CACHE
     jobs = list(jobs)
@@ -275,7 +286,7 @@ def run_jobs(jobs, pool_size=1, cache=None, force=False, timeout_s=None,
     cache_hits = 0
 
     pending = []
-    read = {}           # content hash -> cache.get's answer, read once
+    read = {}           # content hash -> cache.get's entry, read once
     for index, job in enumerate(jobs):
         content_hash = job.content_hash()
         if cache is not None and job.cacheable and not force:

@@ -64,8 +64,9 @@ built as a dict and passed through it — except the one that matters
 for throughput.  An ``ok`` job response is a ~100-byte envelope around
 a 2–16 KB ``result``, and the same result is sent again on every hit,
 so the server serialises a result once (:func:`encode_result`, when it
-enters the hot LRU) and :func:`encode_ok` writes the line as *encoded
-keys before ``"result"``* + *those bytes* + *encoded keys after it*.
+is executed; a disk hit brings the bytes the cache stored) and
+:func:`encode_ok` writes the line as *encoded keys before
+``"result"``* + *those bytes* + *encoded keys after it*.
 Because canonical JSON sorts keys, that concatenation is exactly what
 :func:`encode` would have produced from the whole dict; the tests hold
 the two equal byte for byte.

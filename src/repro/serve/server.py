@@ -7,12 +7,14 @@ cheaper than the next:
 
 1. **hot LRU** — recent results by content hash, in memory, held as
    their canonical JSON bytes (:func:`protocol.encode_result`): a
-   result is serialised once, when it enters this level, and every
-   response that carries it splices those bytes into its envelope
+   result is serialised once, when it is executed, and every response
+   that carries it splices those bytes into its envelope
    (:func:`protocol.encode_ok`) — a hit encodes no result at all;
 2. **disk cache** — the shared content-addressed
    :class:`~repro.exp.cache.ResultCache` the sweep commands also use,
    so a restarted server (or a sweep that ran yesterday) resumes warm;
+   a disk hit sends the entry's stored payload line as it is, neither
+   decoded nor encoded;
 3. **single-flight join** — an identical request is already executing:
    await its result (``deduped``) instead of running it again;
 4. **execution** — dispatch to the persistent worker pool, then write
@@ -453,9 +455,9 @@ class SweepServer:
             result = self.cache.get(content_hash)
             mark("disk")
             if result is not None and result.get("status") == "ok":
-                # Re-encoded, not read raw: an entry written before the
-                # cache went canonical has other separators.
-                encoded = protocol.encode_result(result)
+                # The stored payload line is the canonical encoding:
+                # sent as it is, never decoded here.
+                encoded = result.encoded
                 self.hot.put(content_hash, encoded)
                 self.metrics.bump("hit_disk")
         if encoded is not None:

@@ -3,8 +3,14 @@
 import json
 import os
 import shutil
+import types
+import zlib
 
-from repro.exp.cache import ResultCache, default_cache, default_cache_dir
+import pytest
+
+from repro.exp import cache as cache_module
+from repro.exp.cache import (HEAD_KEYS, CachedPayload, ResultCache,
+                             default_cache, default_cache_dir)
 from repro.exp.job import canonical_json
 
 
@@ -15,6 +21,34 @@ def _plant(cache, content_hash, text):
     with open(path, "w") as handle:
         handle.write(text)
     return path
+
+
+def _lines(path):
+    """An entry file's head and payload line."""
+    with open(path, "rb") as handle:
+        head, payload, end = handle.read().split(b"\n")
+    assert end == b""
+    return head, payload
+
+
+class CountingLoads:
+    """Counts the cache module's ``json.loads`` calls: heads (the lines
+    that start ``{"crc":``) and payload lines."""
+
+    def __init__(self, monkeypatch):
+        self.heads = 0
+        self.payloads = 0
+        loads = json.loads
+
+        def counting(data):
+            if data.startswith(b'{"crc":'):
+                self.heads += 1
+            else:
+                self.payloads += 1
+            return loads(data)
+
+        monkeypatch.setattr(cache_module, "json",
+                            types.SimpleNamespace(loads=counting))
 
 
 class TestResultCache:
@@ -41,7 +75,7 @@ class TestResultCache:
 
     def test_non_dict_entry_is_miss_and_unlinked(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        path = _plant(cache, "list", json.dumps([1, 2]))
+        path = _plant(cache, "list", "[1,2]\n{}\n")
         assert cache.get("list") is None
         assert not os.path.exists(path)
         assert cache.counters()["dropped"] == 1
@@ -51,11 +85,71 @@ class TestResultCache:
         path = cache.path_for("latin1")
         os.makedirs(os.path.dirname(path))
         with open(path, "wb") as handle:
-            handle.write(b'{"status":"ok","value":"caf\xe9"}\n')
+            handle.write(b'{"crc":0,"status":"ok","value":"caf\xe9"}\n'
+                         b'{"status":"ok","value":"caf\xe9"}\n')
         assert cache.get("latin1") is None
         assert not os.path.exists(path)
         assert cache.counters() == {"hits": 0, "misses": 1, "writes": 0,
                                     "dropped": 1}
+
+    def test_truncated_entry_is_miss_and_unlinked(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        path = cache.put("cut", {"status": "ok", "value": 55,
+                                 "cycles": 1234, "report": {"a": [1, 2]}})
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(data[:-9])
+        assert cache.get("cut") is None
+        assert not os.path.exists(path)
+        assert cache.counters() == {"hits": 0, "misses": 1, "writes": 1,
+                                    "dropped": 1}
+
+    def test_same_length_parseable_corrupt_payload_is_miss_and_unlinked(
+            self, tmp_path):
+        """A flipped digit in the payload line's ``cycles``: the file
+        still parses, is as long as before, and must not be served."""
+        cache = ResultCache(str(tmp_path))
+        path = cache.put("flip", {"status": "ok", "value": 55,
+                                  "cycles": 1234, "report": {"a": [1, 2]}})
+        with open(path, "rb") as handle:
+            lines = handle.read().split(b"\n")
+        # The payload line is the last one, whatever comes before it.
+        lines[-2] = lines[-2].replace(b'"cycles":1234', b'"cycles":1235')
+        corrupt = b"\n".join(lines)
+        with open(path, "wb") as handle:
+            handle.write(corrupt)
+        assert json.loads(corrupt.split(b"\n")[-2])["cycles"] == 1235
+        assert cache.get("flip") is None
+        assert not os.path.exists(path)
+        assert cache.counters() == {"hits": 0, "misses": 1, "writes": 1,
+                                    "dropped": 1}
+
+    def test_same_length_parseable_corrupt_head_is_miss_and_unlinked(
+            self, tmp_path):
+        """The head's fields are under the CRC too: a flipped digit in
+        its ``cycles`` is a miss, not a wrong answer."""
+        cache = ResultCache(str(tmp_path))
+        path = cache.put("flip", {"status": "ok", "value": 55,
+                                  "cycles": 1234})
+        head, payload = _lines(path)
+        with open(path, "wb") as handle:
+            handle.write(head.replace(b'"cycles":1234', b'"cycles":1235')
+                         + b"\n" + payload + b"\n")
+        assert cache.get("flip") is None
+        assert not os.path.exists(path)
+        assert cache.counters()["dropped"] == 1
+
+    def test_a_non_canonical_head_is_miss_and_unlinked(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        path = cache.put("sp", {"status": "ok", "value": 55})
+        head, payload = _lines(path)
+        with open(path, "wb") as handle:
+            handle.write(json.dumps(json.loads(head)).encode() + b"\n"
+                         + payload + b"\n")
+        assert cache.get("sp") is None
+        assert not os.path.exists(path)
+        assert cache.counters()["dropped"] == 1
 
     def test_corrupt_entry_recomputed_roundtrip(self, tmp_path):
         """A poisoned hash is usable again right after the miss."""
@@ -85,61 +179,146 @@ class TestResultCache:
 
 
 class TestFileLayout:
-    """An entry is one line of canonical JSON; the spaced layout that
-    ``json.dump`` wrote before stays readable."""
+    """An entry is a head line, then the payload's one canonical line;
+    an entry in any layout from before the head is a clean miss."""
 
     PAYLOAD = {"status": "ok", "value": 13, "output": ["caf\u00e9", "a\"b"],
                "stats": {"per_cpu": [{"cycles": 5}, {"cycles": 7}],
                          "utilization": 0.25}}
 
-    def test_put_writes_one_canonical_line(self, tmp_path):
+    #: What earlier caches held: one canonical line, and the spaced
+    #: ``json.dump`` layout before that (its non-ASCII text escaped or
+    #: raw UTF-8).
+    OLD = {
+        "one-line": canonical_json(PAYLOAD).encode("utf-8") + b"\n",
+        "spaced": (json.dumps(PAYLOAD, sort_keys=True) + "\n").encode(),
+        "spaced-utf8": json.dumps(PAYLOAD, sort_keys=True,
+                                  ensure_ascii=False).encode("utf-8")
+        + b"\n",
+    }
+
+    def test_put_writes_a_canonical_head_then_the_payload_line(
+            self, tmp_path):
         cache = ResultCache(str(tmp_path))
         path = cache.put("abc123", self.PAYLOAD)
-        with open(path, "rb") as handle:
-            data = handle.read()
-        assert data == canonical_json(self.PAYLOAD).encode("utf-8") + b"\n"
+        head, payload = _lines(path)
+        # The payload line is the whole of what the cache held before.
+        assert payload + b"\n" == self.OLD["one-line"]
+        fields = json.loads(head)
+        assert head == canonical_json(fields).encode("utf-8")
+        crc = fields.pop("crc")
+        assert fields == {"status": "ok", "value": 13}
+        rest = head[len(b'{"crc":%d' % crc):]
+        assert rest == b"," + canonical_json(fields)[1:].encode("utf-8")
+        assert crc == zlib.crc32(payload, zlib.crc32(rest))
+
+    def test_a_head_holds_the_head_keys_the_payload_has(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        for name, payload in (("none", {"stats": {}}),
+                              ("all", dict(self.PAYLOAD, cycles=9))):
+            head, _ = _lines(cache.put(name, payload))
+            fields = json.loads(head)
+            del fields["crc"]
+            assert fields == {key: payload[key] for key in HEAD_KEYS
+                              if key in payload}
+            assert cache.get(name) == payload
 
     def test_put_takes_the_callers_encoding(self, tmp_path, monkeypatch):
-        import repro.exp.cache as cache_module
-
-        def no_encode(payload):
-            raise AssertionError("payload was serialised a second time")
+        # The head is encoded (a few fields); the payload is not again.
+        def no_encode(data):
+            if data == self.PAYLOAD:
+                raise AssertionError("payload was serialised a second time")
+            return canonical_json(data)
 
         encoded = canonical_json(self.PAYLOAD).encode("utf-8")
         monkeypatch.setattr(cache_module, "canonical_json", no_encode)
         cache = ResultCache(str(tmp_path))
         path = cache.put("abc123", self.PAYLOAD, encoded=encoded)
-        with open(path, "rb") as handle:
-            assert handle.read() == encoded + b"\n"
+        assert _lines(path)[1] == encoded
         assert cache.get("abc123") == self.PAYLOAD
         assert cache.counters()["writes"] == 1
 
-    def test_spaced_utf8_entry_reads_back_equal(self, tmp_path):
-        # The spaced layout with its non-ASCII text as raw UTF-8 bytes
-        # (the escaped form is the next test's).
+    @pytest.mark.parametrize("layout", sorted(OLD))
+    def test_an_old_layout_is_a_miss_then_reput(self, tmp_path, layout):
         cache = ResultCache(str(tmp_path))
         path = cache.path_for("old")
         os.makedirs(os.path.dirname(path))
         with open(path, "wb") as handle:
-            handle.write(json.dumps(self.PAYLOAD, sort_keys=True,
-                                    ensure_ascii=False).encode("utf-8")
-                         + b"\n")
+            handle.write(self.OLD[layout])
+        assert cache.get("old") is None
+        assert not os.path.exists(path)
+        cache.put("old", self.PAYLOAD)
+        assert _lines(path)[1] + b"\n" == self.OLD["one-line"]
         assert cache.get("old") == self.PAYLOAD
-        assert cache.counters()["dropped"] == 0
+        assert cache.counters() == {"hits": 1, "misses": 1, "writes": 1,
+                                    "dropped": 1}
 
-    def test_both_layouts_read_back_equal(self, tmp_path):
+
+class TestDecodedOnDemand:
+    """``get`` decodes a head; the payload line waits for a reader."""
+
+    PAYLOAD = TestFileLayout.PAYLOAD
+
+    def _entry(self, tmp_path, monkeypatch):
         cache = ResultCache(str(tmp_path))
-        spaced = json.dumps(self.PAYLOAD, sort_keys=True) + "\n"
-        assert ", " in spaced and ": " in spaced
-        _plant(cache, "old", spaced)
-        cache.put("new", self.PAYLOAD)
-        assert cache.get("old") == cache.get("new") == self.PAYLOAD
-        # Rewriting an old entry converts it; nothing is dropped.
-        cache.put("old", cache.get("old"))
-        with open(cache.path_for("old"), "rb") as old, \
-                open(cache.path_for("new"), "rb") as new:
-            assert old.read() == new.read()
-        assert cache.counters()["dropped"] == 0
+        cache.put("k", dict(self.PAYLOAD, cycles=321))
+        loads = CountingLoads(monkeypatch)
+        payload = cache.get("k")
+        assert isinstance(payload, CachedPayload)
+        assert (loads.heads, loads.payloads) == (1, 0)
+        return payload, loads
+
+    def test_head_keys_decode_nothing(self, tmp_path, monkeypatch):
+        payload, loads = self._entry(tmp_path, monkeypatch)
+        assert (payload["status"], payload["cycles"], payload["value"]) == (
+            "ok", 321, 13)
+        assert payload.get("value") == 13 and "cycles" in payload
+        assert payload.encoded == canonical_json(
+            dict(self.PAYLOAD, cycles=321)).encode("utf-8")
+        assert (loads.heads, loads.payloads) == (1, 0)
+
+    def test_a_head_key_the_payload_lacks_decodes_nothing(
+            self, tmp_path, monkeypatch):
+        cache = ResultCache(str(tmp_path))
+        cache.put("k", {"status": "ok", "stats": {}})
+        loads = CountingLoads(monkeypatch)
+        payload = cache.get("k")
+        assert payload.get("cycles") is None
+        assert payload.get("value", 7) == 7
+        assert "value" not in payload
+        with pytest.raises(KeyError):
+            payload["cycles"]
+        assert (loads.heads, loads.payloads) == (1, 0)
+
+    @pytest.mark.parametrize("read", [
+        lambda payload: payload["output"],
+        lambda payload: payload.get("stats"),
+        lambda payload: "stats" in payload,
+        lambda payload: list(payload),
+        len,
+        lambda payload: payload == {},
+    ], ids=["item", "get", "contains", "iter", "len", "eq"])
+    def test_anything_else_decodes_the_payload_line_once(
+            self, tmp_path, monkeypatch, read):
+        payload, loads = self._entry(tmp_path, monkeypatch)
+        read(payload)
+        read(payload)
+        assert payload["stats"]["utilization"] == 0.25
+        assert dict(payload) == dict(self.PAYLOAD, cycles=321)
+        assert (loads.heads, loads.payloads) == (1, 1)
+
+    def test_equality_both_ways_and_read_only(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        cache.put("a", self.PAYLOAD)
+        cache.put("b", self.PAYLOAD)
+        payload = cache.get("a")
+        assert payload == self.PAYLOAD and self.PAYLOAD == payload
+        assert payload == cache.get("b")
+        assert payload != dict(self.PAYLOAD, value=14)
+        with pytest.raises(TypeError):
+            payload["value"] = 14
+        with pytest.raises(TypeError):
+            hash(payload)
 
 
 class TestSharding:

@@ -11,6 +11,7 @@ from repro.exp.job import CallJob, Job
 from repro.exp.runner import JobFailed, JobResult, run_jobs
 from repro.machine.config import MachineConfig
 from repro import workloads
+from tests.exp.test_cache import CountingLoads
 
 FIB = workloads.get("fib").source()
 
@@ -148,8 +149,9 @@ class TestCacheAndDedupe:
 
 class TestWarmPass:
     """A warm ``run_table3`` over the fib rows, structurally: one cache
-    read per distinct content hash, one program encode per compiled
-    program and entry."""
+    read per distinct content hash, each decoding its head and not its
+    payload line, and one program encode per compiled program and
+    entry."""
 
     def test_fib_rows_read_each_hash_once_and_encode_each_program_once(
             self, tmp_path, monkeypatch):
@@ -170,6 +172,7 @@ class TestWarmPass:
 
         del built[:]
         cache = ResultCache(root)
+        loads = CountingLoads(monkeypatch)
         warm = run_table3(program_names=["fib"], pool_size=1, cache=cache)
         assert warm.sweep.summary() == {
             "jobs": 20, "executed": 0, "cache_hits": 20, "deduped": 0,
@@ -177,6 +180,9 @@ class TestWarmPass:
         assert cache.counters() == {"hits": 17, "misses": 0, "writes": 0,
                                     "dropped": 0}
         assert built == []
+        # 17 heads read, no payload line decoded: the table reads
+        # status, cycles and value only.
+        assert (loads.heads, loads.payloads) == (17, 0)
         # Cells with one hash share the one payload read for it.
         by_hash = {}
         for outcome in warm.sweep:
@@ -185,6 +191,14 @@ class TestWarmPass:
         assert len(by_hash) == 17
         assert ([row.as_dict() for row in warm.rows]
                 == [row.as_dict() for row in cold.rows])
+        assert (loads.heads, loads.payloads) == (17, 0)
+        # Read past its head, an entry decodes once for every cell that
+        # shares it, and equals what the cold pass executed.
+        cold_by_hash = {outcome.hash: outcome.payload
+                        for outcome in cold.sweep}
+        for content_hash, payload in by_hash.items():
+            assert payload == cold_by_hash[content_hash]
+        assert (loads.heads, loads.payloads) == (17, 17)
 
 
 class TestPoolParity:

@@ -306,6 +306,24 @@ class TestSpeedupHarness:
                                cache=cache)
         assert sweep.summary()["executed"] == 0    # all cells shared
 
+    def test_warm_run_reads_the_cold_critpath(self, tmp_path):
+        """``critpath`` is past a cached entry's head: a warm run
+        decodes it from the payload line and gets the cold run's."""
+        from repro.exp.cache import ResultCache
+        from repro.harness.speedup import render_speedup, run_speedup
+        root = str(tmp_path)
+        grid = dict(program_names=["fib"], system="Apr-lazy", cpus=(1, 2),
+                    args_by_program={"fib": (7,)})
+        (cold,), cold_sweep = run_speedup(cache=ResultCache(root), **grid)
+        (warm,), warm_sweep = run_speedup(cache=ResultCache(root), **grid)
+        assert cold_sweep.summary()["executed"] == 3
+        assert warm_sweep.summary()["cache_hits"] == 3
+        assert warm_sweep.summary()["executed"] == 0
+        assert sorted(cold.critpath) == [2]      # p > 1 cells carry one
+        assert warm.critpath == cold.critpath
+        assert warm.as_dict() == cold.as_dict()
+        assert render_speedup([warm]) == render_speedup([cold])
+
 
 class TestSweepCLI:
     def _spec(self, tmp_path, cpus=(1, 2)):
@@ -333,6 +351,30 @@ class TestSweepCLI:
         assert second["summary"]["cache_hits"] == 2
         assert second["summary"]["executed"] == 0
         assert "cache_hits=2" in capsys.readouterr().err
+
+    def test_rerun_is_all_cache_hits_and_byte_stable(self, tmp_path,
+                                                     monkeypatch, capsys):
+        """CI's sweep smoke: a 2x2 grid with 2 workers, then the same
+        sweep answered from the cache, its cells byte for byte."""
+        from repro.cli import main
+        from repro.exp.job import canonical_json
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"name": "ci-smoke", "grid": {
+            "programs": ["fib"], "systems": ["APRIL", "Apr-lazy"],
+            "cpus": [1, 2], "args": {"fib": [8]}}}))
+        outs = [tmp_path / "first.json", tmp_path / "resumed.json"]
+        for out in outs:
+            assert main(["sweep", str(path), "--jobs", "2",
+                         "--out", str(out)]) == 0
+        first, resumed = (json.loads(out.read_text()) for out in outs)
+        assert (first["summary"]["jobs"], first["summary"]["executed"],
+                first["summary"]["failed"]) == (4, 4, 0)
+        assert (resumed["summary"]["executed"],
+                resumed["summary"]["cache_hits"]) == (0, 4)
+        assert canonical_json(first["cells"]) == canonical_json(
+            resumed["cells"])
+        assert [cell["value"] for cell in resumed["cells"]] == [21] * 4
 
     def test_sweep_bad_spec_exits_2(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,6 +1,7 @@
 """Faults at the connection layer: disconnects mid-flight, shutdown
-with a flight open, a malformed named spec — each answered without a leaked flight, task or
-trace, and each balancing the service's conservation law
+with a flight open, a malformed named spec, a damaged disk-cache entry
+— each answered without a leaked flight, task or trace, and each
+balancing the service's conservation law
 (:func:`tests.serve.harness.accounted_jobs`).
 """
 
@@ -10,6 +11,8 @@ import os
 
 import pytest
 
+from repro.exp.cache import ResultCache
+from repro.exp.job import canonical_json
 from tests.serve import harness
 
 
@@ -171,4 +174,62 @@ class TestMalformedNamedSpec:
         assert (pong["id"], pong["status"]) == ("after", "ok")
         assert server.metrics.counts["bad_requests"] == 1
         assert server.specs.builds == 0
+        assert_conserved(server)
+
+
+def _truncate(data):
+    return data[:len(data) // 2]
+
+
+def _flip_cycles(data):
+    """The entry with a digit of its payload's ``cycles`` changed: as
+    long as before and still JSON."""
+    lines = data.split(b"\n")
+    payload = json.loads(lines[-2])
+    lines[-2] = canonical_json(
+        dict(payload, cycles=payload["cycles"] ^ 1)).encode("utf-8")
+    return b"\n".join(lines)
+
+
+class TestDamagedDiskEntry:
+    """A disk entry that is cut short, or changed in place and still
+    parses, is a disk miss: unlinked, executed again, answered with the
+    right value and stored whole."""
+
+    @pytest.mark.parametrize("damage", [_truncate, _flip_cycles],
+                             ids=["truncated", "flipped-cycles"])
+    def test_is_a_miss_then_executed_again(self, tmp_path, damage):
+        socket_path = str(tmp_path / "april.sock")
+        cache_root = str(tmp_path / "cache")
+        spec = harness.cold_source_spec(90)         # (+ 40 90)
+
+        async def ask(server, request_id):
+            return await harness.serving(server, lambda: harness.one_shot(
+                socket_path, {"op": "job", "id": request_id, "job": spec}))
+
+        async def scenario():
+            first = await ask(harness.make_server(
+                socket_path, cache=ResultCache(cache_root)), "first")
+            path = ResultCache(cache_root).path_for(first["hash"])
+            with open(path, "rb") as handle:
+                data = handle.read()
+            damaged = damage(data)
+            assert damaged != data
+            with open(path, "wb") as handle:
+                handle.write(damaged)
+            server = harness.make_server(socket_path,
+                                         cache=ResultCache(cache_root))
+            return first, await ask(server, "again"), server
+
+        first, again, server = harness.run(scenario())
+        assert (first["status"], first["served"]) == ("ok", "executed")
+        assert (again["id"], again["status"], again["served"]) == (
+            "again", "ok", "executed")
+        assert again["result"]["value"] == 130
+        assert again["result"] == first["result"]
+        assert server.cache.counters() == {"hits": 0, "misses": 1,
+                                           "writes": 1, "dropped": 1}
+        counts = server.metrics.counts
+        assert (counts["hit_disk"], counts["executed"]) == (0, 1)
+        assert ResultCache(cache_root).get(first["hash"]) == first["result"]
         assert_conserved(server)

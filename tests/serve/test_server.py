@@ -194,13 +194,17 @@ def result_bytes(line):
 class CountingCodec:
     """Counts the places a result payload can be serialised: the
     protocol's ``encode_result``, the disk cache's own encoder, and a
-    whole-response ``encode`` that carries a result."""
+    whole-response ``encode`` that carries a result.  The cache's
+    encoder also writes each entry's head (a payload's ``status``,
+    ``cycles`` and ``value``): those calls count apart, as
+    ``head_encodes``, and are no payload encode."""
 
     def __init__(self, monkeypatch):
         import repro.exp.cache as cache_module
         self.result_encodes = 0
         self.cache_encodes = 0
         self.whole_encodes = 0
+        self.head_encodes = 0
         encode_result = protocol.encode_result
         canonical_json = cache_module.canonical_json
         encode = protocol.encode
@@ -210,7 +214,10 @@ class CountingCodec:
             return encode_result(result)
 
         def counting_canonical_json(payload):
-            self.cache_encodes += 1
+            if set(payload) <= set(cache_module.HEAD_KEYS):
+                self.head_encodes += 1
+            else:
+                self.cache_encodes += 1
             return canonical_json(payload)
 
         def counting_encode(response):
@@ -283,9 +290,16 @@ class TestEncodedOnce:
         assert len(sent) == 1
         encoded, = sent
         content_hash = json.loads(lines[0])["hash"]
+        # The entry is a head line, then the sent bytes as its payload
+        # line; the disk hit sent that line as it was stored.
         with open(ResultCache(cache_root).path_for(content_hash),
                   "rb") as handle:
-            assert handle.read() == encoded + b"\n"
+            head, payload_line, end = handle.read().split(b"\n")
+        assert (payload_line, end) == (encoded, b"")
+        assert json.loads(head) == dict(
+            {key: json.loads(encoded)[key]
+             for key in ("cycles", "status", "value")},
+            crc=json.loads(head)["crc"])
         # What the LRU holds is those bytes, not a decoded dict.
         assert server.hot.get(content_hash) == encoded
         assert type(restarted.hot.get(content_hash)) is bytes
@@ -330,10 +344,12 @@ class TestEncodedOnce:
         assert cold[:3] == [("executed", 1), ("executed", 2),
                             ("executed", 3)]
         assert cold[3:] == [("hit", 3)] * 12
-        # Restarted server: one encode per disk hit, then zero again.
-        assert warm == [("hit", 4), ("hit", 5), ("hit", 6)] + [("hit", 6)] * 12
+        # Restarted server: a disk hit sends the stored payload line, so
+        # it encodes nothing (it used to re-encode the decoded entry).
+        assert warm == [("hit", 3)] * 15
+        # Each stored entry also encoded its head, once.
         assert (codec.result_encodes, codec.cache_encodes,
-                codec.whole_encodes) == (6, 0, 0)
+                codec.whole_encodes, codec.head_encodes) == (3, 0, 0, 3)
 
     def test_other_responses_are_encoded_whole(self, tmp_path, monkeypatch):
         """Failed, error, rejected and ping lines are ``encode``'s, as
