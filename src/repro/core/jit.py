@@ -153,7 +153,8 @@ full/empty bit, and the next producer overwrites nearly all of it
 unread.  So an inlined instruction emits its *result* only and the
 emitter remembers the *pending producers* — the last compute
 instruction's kind and operand locals, and that ``_fb`` holds the last
-access's full/empty bit (:meth:`_Emitter.produce`).  One method,
+access's full/empty byte, in the bank's sense: 1 is *empty*
+(:meth:`_Emitter.produce`).  One method,
 :meth:`_Emitter.materialize`, emits the bit arithmetic, and only the
 places that read or publish the PSR call it: the write-back every hot
 exit starts with (a taken branch, a terminator — inside an ``if`` arm
@@ -315,8 +316,9 @@ _PSR_HELPERS = {kind: _psr_helper(kind) for kind in PRODUCERS}
 
 
 def _psr_fe(psr, fb):
-    """``psr`` with the full/empty condition bit ``fb``."""
-    return psr | FE_BIT if fb else psr & ~FE_BIT
+    """``psr`` with the full/empty condition bit of the bank's byte
+    ``fb`` (1 = empty)."""
+    return psr & ~FE_BIT if fb else psr | FE_BIT
 
 
 def _park(cpu, frame, count, pc, npc):
@@ -523,7 +525,8 @@ class _Emitter:
         #: The pending producers — what the PSR *would* hold had the
         #: bits been computed: ``(kind, a, b)`` of the last compute
         #: instruction (see :meth:`produce`), and whether the local
-        #: ``_fb`` is the full/empty bit of the last inlined access.
+        #: ``_fb`` is the bank's byte (1 = empty) of the last inlined
+        #: access.
         self.cc = None
         self.fe = False
         self.needs_regs = False
@@ -610,8 +613,8 @@ class _Emitter:
         self.psr_used = self.psr_dirty = True
 
     def produce_fe(self):
-        """The access just emitted left its word's full/empty bit, as
-        it was *before* the access, in ``_fb``."""
+        """The access just emitted left its word's full/empty byte (1 =
+        empty), as it was *before* the access, in ``_fb``."""
         self.fe = True
         self.psr_used = self.psr_dirty = True
 
@@ -634,8 +637,8 @@ class _Emitter:
                     line(indent + depth, text)
                 line(indent, "psr = psr & %d | _cc" % _NOT_CC)
         if self.fe:
-            line(indent, "psr = psr | %d if _fb else psr & %d" % (
-                FE_BIT, ~FE_BIT))
+            line(indent, "psr = psr & %d if _fb else psr | %d" % (
+                ~FE_BIT, FE_BIT))
         if indent == 1:
             self.cc = None
             self.fe = False
@@ -651,7 +654,7 @@ class _Emitter:
         """
         if op is Opcode.JFULL or op is Opcode.JEMPTY:
             if self.fe:
-                return "_fb" if op is Opcode.JFULL else "not _fb"
+                return "not _fb" if op is Opcode.JFULL else "_fb"
         elif self.cc is not None:
             kind, a, b = self.cc
             test = None
@@ -773,7 +776,7 @@ class _Emitter:
         tail starts from and the post-head value of everything the
         tail may dirty — they are already locals, so one tuple build
         records them.  A tail that changes memory starts its store log
-        ``_sl`` here: ``(index, old word, old full/empty bit)`` per
+        ``_sl`` here: ``(index, old word, old empty byte)`` per
         change, oldest first; one that hits a coherent cache its hit
         log ``_hl``: ``(line, old LRU stamp)`` per hit, oldest first.
         """
@@ -973,11 +976,11 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
                     else "_l is None or _l.state is not _M")
     if is_load:
         if flavor.trap_on_empty:
-            slow.append("not _fe[_x]")
+            slow.append("_fe[_x]")
     else:
         slow.append("_x in _ww")
         if flavor.trap_on_full:
-            slow.append("_fe[_x]")
+            slow.append("not _fe[_x]")
     if not tail and _has_windows(spec):
         emitter.needs_window = emitter.needs_owners = True
         foreign = ["not _lo <= _a < _hi",
@@ -1004,7 +1007,8 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
         line(1, "_cs.hits += 1")
     # Fast path: the flavor's semantics inline.  The PSR full/empty
     # condition bit reflects the state *before* the access; ``_fb``
-    # keeps it for whoever reads the PSR next.
+    # keeps it, in the bank's empty sense, for whoever reads the PSR
+    # next.
     line(1, "_fb = _fe[_x]")
     emitter.produce_fe()
     changes = flavor.set_empty if is_load else True
@@ -1021,12 +1025,12 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
             name = emitter.def_reg(instr.rd)
             line(1, "%s = _mw[_x]" % name)
         if flavor.set_empty:
-            line(1, "_fe[_x] = 0")
+            line(1, "_fe[_x] = 1")
     else:
         value = emitter.use_reg(instr.rd)
         line(1, "_mw[_x] = %s" % value)
         if flavor.set_full:
-            line(1, "_fe[_x] = 1")
+            line(1, "_fe[_x] = 0")
 
 
 def _emit_delay(emitter, delay, pending, pc_i, npc_expr, spec):

@@ -565,7 +565,7 @@ class Processor:
         lines its accesses hit in the hit log, its cache's clock and
         hit count — each by exactly one per hit, and only this node's
         own accesses move them.  So restoring the first three, putting
-        the old words, full/empty bits and stamps back newest-first and
+        the old words, empty bits and stamps back newest-first and
         subtracting from the counters is the state right after the
         head; :meth:`step` replays what the caller's place in the
         schedule still covers (nobody else touched the window since,
@@ -578,10 +578,10 @@ class Processor:
         if stores:
             memory = self.port.memory
             words = memory._words
-            full = memory._full
+            empty = memory._full
             for index, word, bit in reversed(stores):
                 words[index] = word
-                full[index] = bit
+                empty[index] = bit
         if hit_log:
             hits, = hit_log
             cache = self.port.cache

@@ -11,16 +11,25 @@ full/empty state of every word defaults to *full*, so ordinary data is
 unaffected; the run-time system allocates synchronization slots (future
 value cells, I-structure elements, lock words) in the empty state.
 
-Storage is the paper's 33 bits per word, literally: the data fields are
-one ``array('I')`` (four bytes each) and the full/empty bits one
-``bytearray``.  Neither holds Python object references, so a cycle
-collector pass finds nothing to walk in a bank however large it is (a
-2 Mi-entry ``list`` cost one pass ~8 ms, about once per short job), and
-a finished machine's bank is one ``free()``.  The price is a contract:
+Storage is the paper's 33 bits per word, on two private anonymous
+mappings: the data fields are an ``'I'`` view (four bytes each) of one,
+the full/empty bits a byte view of the other.  Mapping writes nothing,
+so a bank costs resident memory only in the pages its program touches
+(a fib run on the default 2 Mi-word bank: a few dozen 4 KiB pages of
+its 10 MiB), and an untouched page reads zero.  Every word must read
+*full*, so the bit map is stored in the *empty* sense: 1 is empty.
+``_full`` keeps its name — it is the full/empty map — and every reader
+of it (the methods here, :attr:`StackWindows.view`, the JIT's inlined
+accesses, ``Processor.unrun_tail``'s undo log) reads 0 as full.
+
+Neither view holds Python object references, so a cycle collector pass
+finds nothing to walk in a bank however large it is (a 2 Mi-entry
+``list`` cost one pass ~8 ms, about once per short job), and a
+finished machine's bank is two ``munmap()``.  The price is a contract:
 a value stored into a word must already be a masked 32-bit unsigned
 integer — every write choke point here masks with ``WORD_MASK``, and
 the JIT's inlined stores rely on registers only ever holding masked
-words — because an unmasked value raises ``OverflowError`` where a
+words — because an unmasked value raises ``ValueError`` where a
 ``list`` would have silently widened the word.
 
 The :meth:`Memory.sync_load` / :meth:`Memory.sync_store` helpers apply
@@ -38,6 +47,7 @@ a cell the run-time system allocated itself (:meth:`Memory.new_cell`,
 every stack, so no window can hold it and the gate is skipped.
 """
 
+import mmap
 import weakref
 from array import array
 
@@ -45,8 +55,28 @@ from repro.core.traps import TrapKind
 from repro.errors import MemoryError_
 from repro.isa.tags import WORD_MASK
 
-if array("I").itemsize != 4:                    # pragma: no cover
-    raise ImportError("repro.mem.memory needs a 4-byte array('I') item")
+if memoryview(bytes(4)).cast("I").itemsize != 4:   # pragma: no cover
+    raise ImportError("repro.mem.memory needs a 4-byte 'I' item")
+
+
+def _anonymous(nbytes):
+    """``nbytes`` of zero-filled private anonymous memory, as a byte
+    view.  Mapping writes nothing: a page takes memory when it is first
+    written (a read of an untouched one maps the kernel's shared zero
+    page).  ``MAP_PRIVATE`` because Python's default for an
+    anonymous map is ``MAP_SHARED``, which would let a ``fork``-ed
+    child write its parent's bank.  ``mmap`` refuses length 0, so an
+    empty bank is an empty buffer."""
+    if not nbytes:
+        return memoryview(bytearray())
+    bank = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    try:
+        # Where transparent huge pages are "always", one touch would
+        # make a whole 2 MiB resident.
+        bank.madvise(mmap.MADV_NOHUGEPAGE)
+    except (AttributeError, OSError):           # pragma: no cover
+        pass                                    # no THP here
+    return memoryview(bank)
 
 
 class CodeWatch:
@@ -130,7 +160,8 @@ class StackWindows:
     held weakly: the registry hangs off the bank the machine owns.
 
     :attr:`view` is what generated code on such a bank reads in one
-    go: the word and full/empty arrays, the code-watched word set and
+    go: the word view, the full/empty view (1 = empty, as
+    :class:`Memory` stores it), the code-watched word set and
     :attr:`owners` — four objects that live as long as the bank.
     """
 
@@ -197,10 +228,11 @@ class Memory:
             raise MemoryError_("memory base must be word aligned")
         self.base = base
         self.size_words = size_words
-        # Both repeats fill in place: no per-word temporary is built.
-        self._words = array("I", (0,)) * size_words
-        # full/empty bits: 1 = full (the default for ordinary data)
-        self._full = bytearray(b"\x01") * size_words
+        self._words = _anonymous(4 * size_words).cast("I")
+        # The full/empty bits, one byte per word in the *empty* sense
+        # (1 = empty): an untouched page reads 0, so every word starts
+        # full.
+        self._full = _anonymous(size_words)
         #: Optional :class:`CodeWatch` (the machine attaches one per
         #: bank); None keeps both write paths check-free.
         self.code_watch = None
@@ -228,10 +260,10 @@ class Memory:
         return index
 
     def peek(self, address):
-        """``(full/empty bit, word)`` at a byte address, through the
+        """``(whether full, word)`` at a byte address, through the
         window gate once."""
         index = self._index(address)
-        return self._full[index], self._words[index]
+        return not self._full[index], self._words[index]
 
     def contains(self, address):
         """True if the byte address falls in this bank."""
@@ -254,11 +286,11 @@ class Memory:
 
     def is_full(self, address):
         """State of the word's full/empty bit."""
-        return bool(self._full[self._index(address)])
+        return not self._full[self._index(address)]
 
     def set_full(self, address, full):
         """Set the word's full/empty bit."""
-        self._full[self._index(address)] = 1 if full else 0
+        self._full[self._index(address)] = 0 if full else 1
 
     # -- Table 2 semantics ------------------------------------------------------
 
@@ -270,14 +302,14 @@ class Memory:
         untouched) and the caller must trap the processor.
         """
         index = self._index(address)
-        was_full = bool(self._full[index])
+        was_full = not self._full[index]
         if flavor.raw:
             return self._words[index], was_full, None
         if flavor.trap_on_empty and not was_full:
             return 0, was_full, TrapKind.EMPTY_LOAD
         value = self._words[index]
         if flavor.set_empty:
-            self._full[index] = 0
+            self._full[index] = 1
         return value, was_full, None
 
     def sync_store(self, address, value, flavor):
@@ -287,17 +319,17 @@ class Memory:
         :meth:`sync_load` (stores trap on *full* locations).
         """
         index = self._index(address)
-        was_full = bool(self._full[index])
+        was_full = not self._full[index]
         if flavor.raw:
             self._words[index] = value & WORD_MASK
             if flavor.set_full:
-                self._full[index] = 1
+                self._full[index] = 0
         else:
             if flavor.trap_on_full and was_full:
                 return was_full, TrapKind.FULL_STORE
             self._words[index] = value & WORD_MASK
             if flavor.set_full:
-                self._full[index] = 1
+                self._full[index] = 0
         watch = self.code_watch
         if watch is not None and (address >> 2) in watch.words:
             watch.notify(address)
@@ -328,7 +360,7 @@ class Memory:
         index = self._cell_index(address, 2)
         words = self._words
         words[index] = 0
-        self._full[index] = 0
+        self._full[index] = 1
         words[index + 1] = state & WORD_MASK
         watch = self.code_watch
         if watch is not None:
@@ -343,11 +375,11 @@ class Memory:
         and set its bit full.  Returns ``False``, changing nothing, when
         the bit was full already."""
         index = self._cell_index(address, 1)
-        full = self._full
-        if full[index]:
+        empty = self._full
+        if not empty[index]:
             return False
         self._words[index] = value & WORD_MASK
-        full[index] = 1
+        empty[index] = 0
         watch = self.code_watch
         if watch is not None and (address >> 2) in watch.words:
             watch.notify(address)

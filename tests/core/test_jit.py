@@ -269,8 +269,8 @@ _seeds = st.one_of(_words, st.integers(min_value=-(1 << 40),
 
 
 class TestStoredWordsStayWords:
-    """The bank is an ``array('I')``: a stored value outside
-    ``[0, 2**32)`` raises ``OverflowError`` where a list widened the
+    """The bank's words are an ``'I'`` view of a mapping: a stored value
+    outside ``[0, 2**32)`` raises ``ValueError`` where a list widened the
     word.  The JIT's inlined ``_mw[_x] = reg`` carries no mask of its
     own — it relies on every register write in every tier being masked
     — so this drives each result-producing instruction class into each
@@ -306,7 +306,7 @@ class TestStoredWordsStayWords:
         for cpu, memory in ((reference, ref_mem), (closure, closure_mem),
                             (jit, jit_mem)):
             prepare(cpu, memory)
-        run_to_halt(reference)              # none may raise OverflowError
+        run_to_halt(reference)              # none may raise ValueError
         run_to_halt(closure)
         run_jit_to_halt(jit)
         assert jit.jit_runs > 0 and not closure.jit_runs
@@ -936,29 +936,30 @@ class TestWhoPaysForWindows:
 
     #: sha256 over the plain-block source at every pc of fib, queens
     #: and factor in all three modes.  A change that means to alter
-    #: what these machines compile re-pins it (last: tripped guards and
-    #: ``TRAP`` take their traps in place, the guard's cause baked into
-    #: its call); any other must not.
+    #: what these machines compile re-pins it (last: the bank stores
+    #: its full/empty bits in the empty sense, so the inlined bit tests
+    #: and stores flip); any other must not.
     PINNED = {
-        "ideal": (5483, "9499b4f0437a9ef31cdd6cb900f9049c"
-                        "b831204048060a2236cf7ea6222dbcf6"),
+        "ideal": (5483, "cca5f1648368d06211f23953f95ed531"
+                        "a7605cdf28ac74bd34f81227237f87b5"),
         "delegating": (3485, "7066b99e29e59b13a144d5c31502ff4d"
                              "5ca1e3dacf0acdb1cf6a8eca8bbcdf1d"),
-        "coherent": (5483, "43012b3436645d69aa0a38fae6136e66"
-                           "82670eed3acff0cdad043350aa9c3608"),
+        "coherent": (5483, "34195689f7fb7636f3a4da925e7cd38f"
+                           "7bdf290c91c8b260a15914cdea239831"),
     }
 
     #: The same over the slice source (``compile_block(..., sliced=True)``)
     #: at every pc of the same corpus, on a bank with
     #: :class:`StackWindows` installed: an ideal one (tails carry stack
     #: accesses) and a coherent node's (tails carry the stack accesses
-    #: its cache hits; last re-pinned when heads began to take their
-    #: traps in place).  Same rule as :data:`PINNED`.
+    #: its cache hits; last re-pinned when the inlined full/empty bit
+    #: tests flipped with the bank's empty-sense bits).  Same rule as
+    #: :data:`PINNED`.
     SLICES = {
-        "coherent": (5558, "c2a3fc604a9dd9b233187a2c7910d282"
-                           "e916f546cacf6bba68f87453e4a7098d"),
-        "windows": (5558, "0d291533130607feb711b0e39e6cfa21"
-                          "8ceef00882ec008a42df525c6911a25d"),
+        "coherent": (5558, "3ea2a853d47ffb7594a8ae74b2d2af87"
+                           "8a13bfeba95c53c5c8d978d251ed0377"),
+        "windows": (5558, "5bf3d54ce1be7bbe699a935a9d92a4c5"
+                          "efd6f8adbb8254a908c1e4a1a93a7c25"),
     }
 
     @staticmethod

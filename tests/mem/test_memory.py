@@ -1,18 +1,23 @@
 """Memory bank + full/empty bit semantics (the Table 2 matrix)."""
 
+import ctypes
 import gc
 import io
-from array import array
+import mmap
+import multiprocessing
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import workloads
 from repro.core.traps import TrapKind
 from repro.errors import MemoryError_
 from repro.isa.assembler import assemble
 from repro.isa.instructions import LOAD_FLAVORS, Opcode, STORE_FLAVORS
 from repro.isa.tags import WORD_MASK
+from repro.lang.compiler import compile_source
 from repro.lang.run import build_mult_machine
 from repro.machine.alewife import AlewifeMachine
 from repro.machine.config import MachineConfig
@@ -169,31 +174,48 @@ def tiny_machine(mode, **overrides):
         num_processors=2, memory_mode=mode, **overrides))
 
 
+def _reach(root):
+    """Every object a cycle-collector pass walks from ``root`` (types,
+    which a pass visits anyway, left out)."""
+    seen, todo = [], [root]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, type) or any(obj is old for old in seen):
+            continue
+        seen.append(obj)
+        todo.extend(gc.get_referents(obj))
+    return seen
+
+
 class TestWordStorage:
-    """The bank is ``array('I')`` + ``bytearray`` (Section 3.3's 33 bits
-    per word): nothing for the cycle collector to walk, and a store of
-    an unmasked value is an error rather than a wider word — so every
-    write path must mask."""
+    """The bank is Section 3.3's 33 bits per word on two private
+    anonymous mappings: an ``'I'`` view of the data fields and a byte
+    view of the full/empty bits, stored *empty* (1 = empty) so that an
+    untouched page, which reads zero, reads full.  Nothing for the
+    cycle collector to walk, and a store of an unmasked value is an
+    error rather than a wider word — so every write path must mask."""
 
     def test_bank_shape(self):
         memory = Memory(1024)
-        assert isinstance(memory._words, array)
-        assert memory._words.typecode == "I" and memory._words.itemsize == 4
-        assert isinstance(memory._full, bytearray)
+        assert memory._words.format == "I" and memory._words.itemsize == 4
+        assert memory._full.format == "B" and memory._full.itemsize == 1
         assert len(memory._words) == len(memory._full) == 1024
-        assert not any(memory._words)
-        assert all(memory._full)
+        assert isinstance(memory._words.obj, mmap.mmap)
+        assert isinstance(memory._full.obj, mmap.mmap)
+        # Through the API: every word reads 0 and full.
+        assert memory.dump(0, 1024) == [0] * 1024
+        assert all(memory.is_full(4 * i) for i in range(1024))
+        assert memory.peek(4 * 1023) == (True, 0)
 
     def test_bank_gives_the_collector_nothing_to_walk(self):
-        # CPython >= 3.10 tracks an array *object* (its type is a heap
-        # type), so ``gc.is_tracked`` is not the contract: what a
-        # collector pass visits through the bank — its ``tp_traverse``,
-        # which is what ``get_referents`` runs — is.  A list bank
-        # answers with one entry per word.
+        # A view reaches its buffer manager and the mapping, whatever
+        # the bank's size: no per-word object.  A list bank answers
+        # with one entry per word.
         memory = Memory(1024)
-        assert gc.get_referents(memory._words) in ([], [array])
-        assert not gc.is_tracked(memory._full)
-        assert gc.get_referents(memory._full) == []
+        for view in (memory._words, memory._full):
+            reached = _reach(view)
+            assert len(reached) == 3
+            assert reached[-1] is view.obj
 
     @pytest.mark.parametrize("mode", ["ideal", "coherent"])
     def test_collector_sees_no_bank_sized_container_in_a_machine(self, mode):
@@ -204,15 +226,15 @@ class TestWordStorage:
                   if isinstance(obj, (list, tuple, dict, set, frozenset))
                   and len(obj) >= words]
         assert walked == []
-        assert gc.get_referents(machine.memory._words) in ([], [array])
-        assert not gc.is_tracked(machine.memory._full)
+        for view in (machine.memory._words, machine.memory._full):
+            assert len(_reach(view)) == 3
 
     def test_an_unmasked_store_into_the_bank_is_an_error(self):
         # The contract the masks below (and the JIT's inlined stores)
         # live by: the bank itself refuses what a list used to widen.
         memory = Memory(16)
         for value in (-1, WORD_MASK + 1):
-            with pytest.raises(OverflowError):
+            with pytest.raises(ValueError, match="invalid value for format 'I'"):
                 memory._words[0] = value
 
     @given(unmasked_words)
@@ -331,3 +353,96 @@ class TestLoadProgram:
         memory.code_watch.cover(0x3C, 0x48)     # 0x3C inside, rest past it
         memory.load_program(Program)
         assert listener.seen == [0x20, 0x24, 0x3C]
+
+
+def _statm_resident_pages():
+    try:
+        with open("/proc/self/statm") as handle:
+            return int(handle.read().split()[1])
+    except OSError:
+        pytest.skip("no /proc/self/statm")
+
+
+def _resident_pages(view):
+    """Pages of ``view``'s buffer that are resident (or swapped out),
+    from this process's page map."""
+    view = memoryview(view)
+    address = ctypes.addressof(ctypes.c_char.from_buffer(view))
+    first = address // mmap.PAGESIZE
+    last = (address + view.nbytes - 1) // mmap.PAGESIZE
+    try:
+        with open("/proc/self/pagemap", "rb") as handle:
+            handle.seek(8 * first)
+            entries = handle.read(8 * (last - first + 1))
+    except OSError:
+        pytest.skip("no /proc/self/pagemap")
+    # Bit 63: present; bit 62: swapped.
+    return sum(1 for entry, in struct.iter_unpack("<Q", entries)
+               if entry >> 62)
+
+
+class TestResidentCost:
+    """Building a bank writes nothing: a machine is resident only in
+    the pages its program touches."""
+
+    def test_fresh_banks_cost_no_resident_memory(self):
+        before = _statm_resident_pages()
+        banks = [Memory(1 << 21) for _ in range(8)]     # 80 MiB mapped
+        grown = (_statm_resident_pages() - before) * mmap.PAGESIZE
+        assert grown < 1 << 20, (len(banks), grown)
+
+    def test_a_finished_machine_holds_the_pages_it_touched(self):
+        fib = workloads.get("fib")
+        compiled = compile_source(fib.source(), mode="eager")
+        machine = AlewifeMachine(compiled.program,
+                                 MachineConfig(num_processors=4))
+        result = machine.run(entry=compiled.entry_label("main"),
+                             args=fib.args(8))
+        assert result.value == fib.reference(8)
+        memory = machine.memory
+        pages = _resident_pages(memory._words) + _resident_pages(memory._full)
+        # 27 word pages and 11 bit pages of the 2048 + 512 mapped.
+        assert pages < 48
+
+
+def _scribble(memory):
+    memory.write_word(0x100, 0xBAD)
+    memory.set_full(0x104, False)
+    assert memory.read_word(0x100) == 0xBAD
+
+
+class TestForkedChildren:
+    def test_a_child_writes_its_own_copy_of_the_bank(self):
+        # Python maps anonymous memory MAP_SHARED unless told otherwise;
+        # a pool worker forked from a parent holding a machine must not
+        # write the parent's bank.
+        memory = Memory(1 << 16)
+        memory.write_word(0x100, 7)
+        child = multiprocessing.get_context("fork").Process(
+            target=_scribble, args=(memory,))
+        child.start()
+        child.join(timeout=60)
+        assert not child.is_alive() and child.exitcode == 0
+        assert memory.read_word(0x100) == 7
+        assert memory.is_full(0x104)
+
+
+class TestEmptyBank:
+    def test_every_access_to_a_zero_word_bank_is_out_of_bounds(self):
+        memory = Memory(0)
+        assert len(memory._words) == len(memory._full) == 0
+        assert memory.limit == 0 and not memory.contains(0)
+        load, store = LOAD_FLAVORS[Opcode.LDNT], STORE_FLAVORS[Opcode.STNT]
+        for access in (lambda: memory.read_word(0),
+                       lambda: memory.write_word(0, 1),
+                       lambda: memory.is_full(0),
+                       lambda: memory.set_full(0, True),
+                       lambda: memory.peek(0),
+                       lambda: memory.sync_load(0, load),
+                       lambda: memory.sync_store(0, 1, store),
+                       lambda: memory.new_cell(0, 0),
+                       lambda: memory.fill_cell(0, 1),
+                       lambda: memory.dump(0, 1)):
+            with pytest.raises(MemoryError_):
+                access()
+        assert memory.dump(0, 0) == []
