@@ -1,5 +1,6 @@
-"""The opcode table (:mod:`repro.isa.optable`): one row per opcode, and
-every fast statement of an ALU row agrees with the reference ALU."""
+"""The opcode table (:mod:`repro.isa.optable`): one row per opcode,
+every fast statement of an ALU row agrees with the reference ALU, and
+every other delegated row runs the same on all three tiers."""
 
 import os
 import subprocess
@@ -13,14 +14,19 @@ from hypothesis import strategies as st
 from repro.core import alu
 from repro.core.execops import build_entry
 from repro.core.jit import compile_block
-from repro.core.psr import C_BIT, ET_BIT, N_BIT, V_BIT, Z_BIT
+from repro.core.memport import MemOutcome
+from repro.core.processor import Processor
+from repro.core.psr import C_BIT, ET_BIT, FE_BIT, N_BIT, V_BIT, Z_BIT
 from repro.core.traps import TrapAction, TrapKind, TrapSignal, TrapTable
 from repro.isa import registers
 from repro.isa.assembler import Assembler, _tokenize_operands, assemble
 from repro.isa.encoding import decode, encode
 from repro.isa.instructions import Instruction, Opcode, render
-from repro.isa.optable import FORMATS, REGISTER_FIELDS, ROWS, TABLE
+from repro.isa.optable import (
+    DELEGATED, FIELDS, FORMATS, REGISTER_FIELDS, ROWS, TABLE)
 from repro.isa.tags import WORD_MASK
+from repro.mem.ideal import IdealMemoryPort
+from repro.mem.memory import Memory
 
 from tests.helpers import build_cpu
 from tests.isa.test_disassembler_roundtrip import printed
@@ -171,3 +177,139 @@ class TestEveryAluRowAgreesWithTheReference:
             assert (cc, trap) == expected[1:]
         if (a | b) & 1:
             assert (expected[2] is not None) == row.strict
+
+
+#: The delegated rows with no ALU statement: the frame-pointer, system
+#: and out-of-band ops.
+_STATEMENT_OPS = [row.op for row in TABLE
+                  if row.shape == DELEGATED and row.alu is None]
+#: ``(rd, rs1)`` per operand plan: frame-relative, global, hardwired 0.
+_OPERANDS = {
+    "frame": (3, 5),
+    "global": (registers.GLOBAL_BASE + 5, registers.GLOBAL_BASE + 6),
+    "zero": (0, 0),
+}
+
+
+class _Settles(list):
+    """A lifetime accountant that records what each settle saw."""
+
+    def settle(self, cpu):
+        self.append((cpu.cycles, cpu.fp, cpu.stats.total_cycles))
+
+
+def _generated(cpu):
+    """Run the one-instruction slice at the pc, taking a raised trap
+    as :meth:`Processor.step_block` takes it."""
+    block = compile_block(cpu, _PC, sliced=True)
+    assert block is not None and block.count == 1
+    frame = cpu.frame
+    try:
+        block.fn(cpu, frame)
+    except TrapSignal as signal:
+        cpu._take_trap(frame, signal.trap)
+
+
+class TestEveryStatementRowAgreesWithTheReference:
+    """Per delegated row with no ALU statement: the reference
+    interpreter, :meth:`Processor.step` and a one-instruction generated
+    block, each from the same seeded state."""
+
+    def test_the_rows_are_the_frame_system_and_out_of_band_ops(self):
+        assert {op.name for op in _STATEMENT_OPS} == {
+            "INCFP", "DECFP", "RDFP", "STFP", "TRAP", "RDPSR", "WRPSR",
+            "RETT", "HALT", "FLUSH", "LDIO", "STIO"}
+
+    @staticmethod
+    def _seeded(op, operands, et):
+        """A processor at ``op`` with every frame, global, PSR and trap
+        window filled in, FP at frame 2, a recording trap table, a
+        recording lifetime accountant and an ideal port whose
+        out-of-band calls are recorded (and cost a few cycles)."""
+        rd, rs1 = _OPERANDS[operands]
+        fmt = ROWS[op].format
+        fields = {"rd": rd, "rs1": rs1}
+        fields = {name: fields[name] for name in fmt.fields
+                  if name in fields}
+        if "imm12" in fmt.fields:
+            fields["imm"] = -8
+        elif "vector8" in fmt.fields:
+            fields["imm"] = 5
+        assert set(fmt.fields) <= set(FIELDS)
+        memory = Memory(1 << 12)
+        memory.write_word(_PC, encode(Instruction(op, **fields)))
+        memory.write_word(_PC + 4, encode(Instruction(Opcode.HALT)))
+        port = IdealMemoryPort(memory)
+        calls = []
+
+        def flush(address, context=None):
+            calls.append(("flush", address))
+            return MemOutcome.hit(cycles=2)
+
+        def ldio(address, context):
+            calls.append(("ldio", address))
+            return 0x12345679, 3
+
+        def stio(address, value, context):
+            calls.append(("stio", address, value))
+            return 4
+
+        port.flush = flush
+        port.io_read_hook = ldio
+        port.io_write_hook = stio
+        cpu = Processor(port=port)
+        for frame in cpu.frames:
+            base = 0x1000 * (frame.index + 1)
+            frame.regs[1:] = [base + 0x40 + 4 * r
+                              for r in range(1, len(frame.regs))]
+            frame.pc, frame.npc = base, base + 4
+            frame.psr.value = N_BIT | C_BIT | FE_BIT | (ET_BIT if et else 0)
+            frame.trap_saved_pc = base + 0x80
+            frame.trap_saved_npc = base + 0x88
+            frame.trap_saved_psr = Z_BIT | V_BIT | (0 if et else ET_BIT)
+        cpu.globals[1:] = [0x9000 + 4 * g + 3
+                           for g in range(1, len(cpu.globals))]
+        cpu.fp = 2
+        cpu.frame.pc, cpu.frame.npc = _PC, _PC + 4
+        taken = _recording(cpu)
+        cpu.trap_table.register_software(
+            5, lambda cpu, frame, trap: taken.append(trap)
+            or TrapAction.RETRY)
+        settles = _Settles()
+        cpu.events.lifetime = settles
+        return cpu, taken, settles, calls
+
+    @staticmethod
+    def _state(cpu, taken, settles, calls):
+        return {
+            "frames": [(list(f.regs), f.pc, f.npc, f.psr.value,
+                        f.trap_saved_pc, f.trap_saved_npc,
+                        f.trap_saved_psr) for f in cpu.frames],
+            "globals": list(cpu.globals),
+            "fp": cpu.fp,
+            "halted": cpu.halted,
+            "cycles": cpu.cycles,
+            "stats": cpu.stats.snapshot(),
+            "trap_counts": dict(cpu.stats.trap_counts),
+            "traps": [(t.kind, t.vector, t.instr, t.pc, t.address,
+                       t.value, t.cause) for t in taken],
+            "port": list(calls),
+            "settles": list(settles),
+        }
+
+    def _run(self, op, operands, et, execute):
+        cpu, *record = self._seeded(op, operands, et)
+        before = self._state(cpu, *record)
+        execute(cpu)
+        after = self._state(cpu, *record)
+        assert after != before
+        return after
+
+    @pytest.mark.parametrize("op", _STATEMENT_OPS, ids=lambda op: op.name)
+    @pytest.mark.parametrize("operands", sorted(_OPERANDS))
+    @pytest.mark.parametrize("et", [True, False], ids=["et", "no-et"])
+    def test_reference_step_and_generated_code_agree(self, op, operands,
+                                                     et):
+        expected = self._run(op, operands, et, Processor.step_reference)
+        assert self._run(op, operands, et, Processor.step) == expected
+        assert self._run(op, operands, et, _generated) == expected
