@@ -10,7 +10,9 @@ the APRIL simulator.
 :class:`~repro.isa.instructions.Instruction` into an :class:`ExecEntry`
 via :data:`DISPATCH`, an opcode-indexed table of handler factories, one
 per fast-path shape of the opcode's :mod:`repro.isa.optable` row.
-Each factory unpacks the operand fields into Python locals at
+The factories state the straight, load, store, conditional and
+redirect shapes and ``div``/``rem``: all compiled Mul-T runs but
+``trap``.  Each unpacks the operand fields into Python locals at
 *predecode* time:
 
 * register numbers are classified once (hardwired zero / frame-relative
@@ -24,6 +26,19 @@ Each factory unpacks the operand fields into Python locals at
   statements generated code inlines, then the bit arithmetic generated
   code emits where somebody reads the PSR
   (:func:`repro.core.psr.cc_source`).
+
+Every other delegated row — the frame-pointer ops (``incfp``,
+``decfp``, ``rdfp``, ``stfp``), the system ops (``trap``, ``rdpsr``,
+``wrpsr``, ``rett``, ``halt``) and the out-of-band ops (``flush``,
+``ldio``, ``stio``) — gets one closure that runs the reference
+interpreter's own statement (``cpu._execute``).  The paper's trap
+handlers run those rows, but here the handlers are Python microcode:
+over one dormant round of each full-size ``*-steady`` benchmark
+workload the closure tier ran ``trap`` 3 (seq), 505 (eager), 2 (lazy)
+and 78 (coherent) times and the other eleven rows never, and on the
+oracle schedule ``trap`` was 0.67 % of the dynamic mix and the rest
+0 %.  At about 1 us more per ``trap`` run, under 1 ms of an eager
+round, a second statement does not pay for itself.
 
 The resulting ``run(cpu, frame, pc, npc)`` closure has *identical
 architectural semantics* to the reference ``Processor._execute``
@@ -47,9 +62,9 @@ table.
 Cycle accounting contract: handlers charge "useful" cycles inline
 (``cpu.cycles``/``stats.useful``/``stats._total``); all other
 categories go through ``cpu.charge``.  Nothing observes a charge — the
-lifetime accountant reads the counters by difference — but the three
-instructions that move FP change who the next cycles belong to, so they
-let it settle first (``cpu.events.lifetime``, after their own cycle).
+lifetime accountant reads the counters by difference; the three
+instructions that move FP, which let it settle first, run only the
+reference's statement.
 """
 
 from repro.core.psr import (
@@ -68,7 +83,6 @@ from repro.isa.instructions import LOAD_FLAVORS, STORE_FLAVORS, Opcode
 from repro.isa.optable import (
     CONDITIONAL,
     DELEGATED,
-    FP,
     LOAD,
     REDIRECT,
     ROWS,
@@ -413,151 +427,13 @@ def _factory_jmpl(instr):
 # -- delegated: what generated code hands to these closures --------------------
 
 def _factory_delegated(instr):
-    """``div``/``rem``, the frame-pointer ops, and the system and
-    out-of-band ops."""
-    row = ROWS[instr.op]
-    if row.alu is not None:
+    """``div``/``rem`` get their ALU closure; every other delegated row
+    runs the reference interpreter's own statement of it."""
+    if ROWS[instr.op].alu is not None:
         return _factory_alu(instr)
-    if FP in row.reads or FP in row.writes:
-        return _factory_frame(instr)
-    return _factory_system(instr)
-
-
-def _factory_frame(instr):
-    op = instr.op
-    rd, rs1 = instr.rd, instr.rs1
-    rdf, gd = _reg_plan(rd)
-    rs1f, g1 = _reg_plan(rs1)
 
     def run(cpu, frame, pc, npc):
-        cpu.cycles += 1
-        stats = cpu.stats
-        stats.useful += 1
-        stats._total += 1
-        if op is Opcode.RDFP:
-            if rd:
-                if rdf:
-                    frame.regs[rd] = cpu.fp
-                else:
-                    cpu.globals[gd] = cpu.fp
-            return npc, npc + 4
-        lifetime = cpu.events.lifetime
-        if lifetime is not None:
-            # The cycles so far, this one included, ran in this frame.
-            lifetime.settle(cpu)
-        count = len(cpu.frames)
-        if op is Opcode.INCFP:
-            cpu.fp = (cpu.fp + 1) % count
-        elif op is Opcode.DECFP:
-            cpu.fp = (cpu.fp - 1) % count
-        else:  # STFP
-            value = frame.regs[rs1] if rs1f else cpu.globals[g1]
-            cpu.fp = value % count
-        return npc, npc + 4
-
-    return ExecEntry(instr, run)
-
-
-def _factory_system(instr):
-    """``halt``, ``trap``, ``rdpsr``, ``wrpsr``, ``rett``, and the
-    out-of-band ``flush``, ``ldio``, ``stio``."""
-    op = instr.op
-    rd, rs1, imm = instr.rd, instr.rs1, instr.imm
-    rs1f, g1 = _reg_plan(rs1)
-    rdf, gd = _reg_plan(rd)
-
-    if op is Opcode.HALT:
-
-        def run(cpu, frame, pc, npc):
-            cpu.cycles += 1
-            stats = cpu.stats
-            stats.useful += 1
-            stats._total += 1
-            cpu.halted = True
-            return pc, npc  # PC frozen at the halt
-
-    elif op is Opcode.TRAP:
-
-        def run(cpu, frame, pc, npc):
-            cpu.cycles += 1
-            stats = cpu.stats
-            stats.useful += 1
-            stats._total += 1
-            raise TrapSignal(Trap(
-                TrapKind.SOFTWARE, vector=imm, instr=instr, pc=pc))
-
-    elif op is Opcode.RDPSR:
-
-        def run(cpu, frame, pc, npc):
-            cpu.cycles += 1
-            stats = cpu.stats
-            stats.useful += 1
-            stats._total += 1
-            if rd:
-                value = frame.psr.value & WORD_MASK
-                if rdf:
-                    frame.regs[rd] = value
-                else:
-                    cpu.globals[gd] = value
-            return npc, npc + 4
-
-    elif op is Opcode.WRPSR:
-
-        def run(cpu, frame, pc, npc):
-            cpu.cycles += 1
-            stats = cpu.stats
-            stats.useful += 1
-            stats._total += 1
-            frame.psr.value = (
-                frame.regs[rs1] if rs1f else cpu.globals[g1])
-            return npc, npc + 4
-
-    elif op is Opcode.RETT:
-
-        def run(cpu, frame, pc, npc):
-            cpu.cycles += 1
-            stats = cpu.stats
-            stats.useful += 1
-            stats._total += 1
-            frame.return_from_trap(retry=True)
-            return frame.pc, frame.npc
-
-    elif op is Opcode.FLUSH:
-
-        def run(cpu, frame, pc, npc):
-            base = frame.regs[rs1] if rs1f else cpu.globals[g1]
-            address = (base + imm) & WORD_MASK
-            outcome = cpu.port.flush(address, context=cpu)
-            cpu.charge(outcome.cycles)
-            return npc, npc + 4
-
-    elif op is Opcode.LDIO:
-
-        def run(cpu, frame, pc, npc):
-            base = frame.regs[rs1] if rs1f else cpu.globals[g1]
-            address = (base + imm) & WORD_MASK
-            outcome = cpu.port.ldio(address, context=cpu)
-            cpu.charge(outcome.cycles)
-            if rd:
-                value = outcome.value & WORD_MASK
-                if rdf:
-                    frame.regs[rd] = value
-                else:
-                    cpu.globals[gd] = value
-            return npc, npc + 4
-
-    elif op is Opcode.STIO:
-
-        def run(cpu, frame, pc, npc):
-            base = frame.regs[rs1] if rs1f else cpu.globals[g1]
-            address = (base + imm) & WORD_MASK
-            value = frame.regs[rd] if rdf else cpu.globals[gd]
-            outcome = cpu.port.stio(address, value, context=cpu)
-            cpu.charge(outcome.cycles)
-            return npc, npc + 4
-
-    else:
-        raise ProcessorError("unimplemented system op %r" % (instr,))
+        return cpu._execute(frame, instr, pc, npc)
 
     return ExecEntry(instr, run)
 

@@ -280,10 +280,13 @@ class Processor:
         Dispatches through the translation cache
         (:meth:`Translations.predecode`): each fetched word resolves to a
         prebuilt :class:`~repro.core.execops.ExecEntry` whose ``run``
-        closure has the operand fields already unpacked, replacing the
-        old ``_execute`` if-chain walk.  The if-chain survives as
-        :meth:`step_reference` so the lockstep harness can run both
-        interpreters differentially.
+        closure has the operand fields already unpacked, in place of
+        the ``_execute`` if-chain walk.  The frame-pointer, system and
+        out-of-band rows are the exception: their closure is that walk
+        (:meth:`_execute_frame_op`, :meth:`_execute_system`,
+        :meth:`_execute_oob` state them for every tier).  The if-chain
+        is also :meth:`step_reference`, the other side of the lockstep
+        harness.
         """
         if self.halted:
             return 0

@@ -16,6 +16,7 @@ from repro.core.traps import (
     SWITCH_HANDLER_CYCLES,
 )
 from repro.errors import ConfigError
+from repro.mem.cache import check_geometry
 
 
 class MachineConfig:
@@ -126,6 +127,14 @@ class MachineConfig:
             )
         if self.stack_words * 4 > self.kernel_heap_words:
             raise ConfigError("stack_words larger than the kernel heap")
+        for name, least in _FLOORS:
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError("%s must be at least %d, got %r"
+                                  % (name, least, value))
+        if self.memory_mode == "coherent":
+            check_geometry(self.cache_bytes, self.cache_block_bytes,
+                           self.cache_assoc)
 
     def to_dict(self):
         """Canonical constructor-equivalent knob dict.
@@ -179,3 +188,17 @@ class MachineConfig:
         fields = self._fields()
         fields.update(overrides)
         return MachineConfig(**fields)
+
+
+#: What :meth:`MachineConfig.validate` floors: the sizes a machine is
+#: built from at 1, every cycle count and latency at 0.
+_FLOORS = tuple(
+    (name, 1) for name in ("network_dim", "cache_bytes",
+                           "cache_block_bytes", "cache_assoc")
+) + tuple((name, 0) for name in (
+    "switch_handler_cycles", "trap_squash_cycles",
+    "future_touch_resolved_cycles", "eager_task_create_cycles",
+    "thread_exit_cycles", "future_resolve_cycles", "lazy_push_cycles",
+    "lazy_finish_cycles", "lazy_steal_cycles", "thread_load_cycles",
+    "thread_unload_cycles", "idle_poll_cycles", "steal_poll_cycles",
+    "memory_latency", "coherent_memory_latency", "network_hop_cycles"))

@@ -63,15 +63,21 @@ class CacheStats:
         }
 
 
+def check_geometry(size_bytes, block_bytes, assoc):
+    """Raise :class:`ConfigError` unless positive sizes make whole sets
+    of power-of-two blocks."""
+    if size_bytes % (block_bytes * assoc):
+        raise ConfigError("cache geometry does not divide evenly")
+    if block_bytes & (block_bytes - 1):
+        raise ConfigError("block size must be a power of two")
+
+
 class Cache:
     """State/tag array of one node's cache."""
 
     def __init__(self, size_bytes=64 * 1024, block_bytes=16, assoc=4,
                  node_id=0, events=None):
-        if size_bytes % (block_bytes * assoc):
-            raise ConfigError("cache geometry does not divide evenly")
-        if block_bytes & (block_bytes - 1):
-            raise ConfigError("block size must be a power of two")
+        check_geometry(size_bytes, block_bytes, assoc)
         self.node_id = node_id
         self.block_bytes = block_bytes
         self.assoc = assoc

@@ -26,6 +26,9 @@ class KAryNCube:
     @classmethod
     def fitting(cls, num_nodes, dim=2):
         """The smallest dim-dimensional mesh with >= num_nodes nodes."""
+        if dim < 1:
+            # No radix covers more than one node in zero dimensions.
+            raise ConfigError("degenerate topology: %d-cube" % dim)
         radix = 1
         while radix ** dim < num_nodes:
             radix += 1

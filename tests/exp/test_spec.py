@@ -72,9 +72,13 @@ class TestBadCellsFailBeforeAnyRuns:
         (lambda s: s["grid"].update(args={"fib": [7, "8"]}), "args"),
         (lambda s: s.update(max_cycles=-5), "max_cycles"),
         (lambda s: s.update(max_cycles=0), "max_cycles"),
+        # Once a worker that hung building the machine.
+        (lambda s: s.update(config={"memory_mode": "coherent",
+                                    "network_dim": 0}),
+         "bad config: network_dim"),
     ], ids=["unknown-knob", "no-task-frames", "num-processors",
             "args-not-a-list", "args-not-ints", "negative-max-cycles",
-            "zero-max-cycles"])
+            "zero-max-cycles", "zero-dimensional-network"])
     def test_expand_spec_raises(self, mutate, fragment):
         spec = smoke_spec()
         mutate(spec)

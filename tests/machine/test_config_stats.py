@@ -45,6 +45,31 @@ class TestConfig:
         with pytest.raises(ConfigError):
             MachineConfig(stack_words=1 << 20)
 
+    @pytest.mark.parametrize("knobs, fragment", [
+        ({"network_dim": 0}, "network_dim"),
+        ({"cache_bytes": 0}, "cache_bytes"),
+        ({"cache_block_bytes": 0}, "cache_block_bytes"),
+        ({"cache_assoc": 0}, "cache_assoc"),
+        ({"memory_mode": "coherent", "cache_bytes": 1000},
+         "divide evenly"),
+        ({"memory_mode": "coherent", "cache_block_bytes": 12,
+          "cache_assoc": 1, "cache_bytes": 1200}, "power of two"),
+    ])
+    def test_build_knobs_are_checked_up_front(self, knobs, fragment):
+        with pytest.raises(ConfigError, match=fragment):
+            MachineConfig(**knobs)
+
+    @pytest.mark.parametrize("name", [
+        name for name in MachineConfig().to_dict()
+        if name.endswith(("_cycles", "_latency"))])
+    def test_no_cycle_count_or_latency_is_negative(self, name):
+        with pytest.raises(ConfigError, match=name):
+            MachineConfig(**{name: -1})
+
+    def test_cache_knobs_of_an_ideal_machine_need_not_divide(self):
+        # An ideal machine builds no cache; only its sizes are checked.
+        assert MachineConfig(cache_bytes=1000).cache_bytes == 1000
+
 
 class TestMachineStats:
     FIB = """

@@ -1,5 +1,7 @@
 """k-ary n-cube topology and contention-network tests."""
 
+import signal
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -51,6 +53,21 @@ class TestTopology:
     def test_degenerate_raises(self):
         with pytest.raises(ConfigError):
             KAryNCube(0, 4)
+
+    def test_fitting_zero_dimensions_raises(self):
+        # No radix covers 4 nodes in 0 dimensions; the alarm turns a
+        # search that never ends into a failure instead of a hang.
+        def expire(signum, frame):
+            raise AssertionError("fitting(4, dim=0) did not return")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ConfigError):
+                KAryNCube.fitting(4, dim=0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     @given(st.integers(min_value=1, max_value=3),
            st.integers(min_value=2, max_value=6),
