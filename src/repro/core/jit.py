@@ -1,10 +1,14 @@
-"""Superblock JIT: translation-cache entries compiled to Python code.
+"""Superblock JIT: the fast statement of the instruction set.
 
-The second of the fast path's two rungs.  :mod:`repro.core.execops`
-predecodes each word into a bound closure, which
-``Processor.step`` runs one at a time; this module compiles a whole
-superblock into a *single generated Python function* via ``compile()``
-+ ``exec``, the first time ``Processor.step_block`` visits its start:
+Generated code is the simulator's one fast statement of what an
+instruction does; the other is the reference interpreter
+(``Processor._execute*`` and :mod:`repro.core.alu`), which generated
+code delegates to for whatever it does not state.  This module compiles
+a whole superblock into a *single generated Python function* via
+``compile()`` + ``exec``, the first time ``Processor.step_block``
+visits its start — and, with the same scan and emitter over a plan of
+one, the *one-instruction form* ``Processor.step`` runs at a pc
+(``compile_block(..., single=True)``; below):
 
 * operand fields, masks, immediates, and memory-flavor semantics are
   baked into the source as integer literals;
@@ -31,19 +35,20 @@ instructions and the per-call overhead eats the win):
   access the inline path cannot complete bit-identically — a future
   base address, a misaligned or out-of-bank address, a full/empty
   mismatch (the flavors that trap), a store into a code-watched word,
-  or an attached ``watch_hook`` — falls to the instruction's
-  :class:`~repro.core.execops.ExecEntry` closure with the PC chain
-  parked at the instruction, and the block *ends there*: the closure
-  redoes the access from scratch (the inline test mutated nothing), so
-  trap payloads, stall charging, watch notifications, and hook calls
-  stay exactly the closure tier's.  On a coherent node (the cache /
-  directory machine) the inlined access is a *cache hit*, the case the
-  paper's controller answers in the processor's one cycle: a probe of
-  the node's ``Cache.valid`` map (the line the controller's set walk
-  would find) must find a valid line for a load and a modified one for
-  a store; the generated code then stamps the line, advances the
-  cache's LRU clock and counts the hit as ``CacheController._access``
-  does, and performs the ideal port's access.  A miss, an upgrade and
+  or an attached ``watch_hook`` — falls to the reference's statement
+  (``cpu._execute`` with the decoded instruction baked in) with the PC
+  chain parked at the instruction, and the block *ends there*: the
+  reference redoes the access from scratch (the inline test mutated
+  nothing), so trap payloads, stall charging, watch notifications, and
+  hook calls are exactly the reference's.  On a coherent node (the
+  cache / directory machine) the inlined access is a *cache hit*, the
+  case the paper's controller answers in the processor's one cycle: a
+  probe of the node's ``Cache.valid`` map (the line the controller's
+  set walk would find) must find a valid line for a load and a
+  modified one for a store; the generated code then stamps the line,
+  advances the cache's LRU clock and counts the hit as
+  ``CacheController._access`` does, and performs the ideal port's
+  access.  A miss, an upgrade and
   an attached transaction tracer (read once per function, like the
   watch hook) are slow too.  On any other port every memory
   instruction is a delegated block terminator.  Because delegation
@@ -64,26 +69,27 @@ instructions and the per-call overhead eats the win):
   target as its next pc).  A block therefore covers several separate
   runs of words, and a loop closed by ``BA`` unrolls up to the bound.
 
-Strict compute ops (``ADD``/``SUB``/``MUL``/``CMP``) are inlined with
-their future-detection guard.  A tripped guard writes back the
-registers dirtied so far, commits the cycles already earned, parks the
-PC chain at the guarded instruction, and *takes* the trap the closure
-tier's strict op would raise — same kind, instr, pc, value, and cause
-— in place: it calls :meth:`repro.core.processor.Processor._take_trap`,
-the one trap sequence, and returns ``True``.  A ``TRAP`` terminator
-does the same with its software trap.  Nothing is raised, so nothing
-unwinds; the runner (:meth:`repro.core.processor.Processor.step_block`)
-reads the ``True`` and accounts the run exactly as it accounts a
-closure's raised trap.  Only a delegated closure still raises.
-``DIV``/``REM`` (divide-by-zero on top of strictness) are never
-inlined.
+Strict compute ops (``ADD``/``SUB``/``MUL``/``DIV``/``REM``/``CMP``)
+are inlined with their future-detection guard, and ``DIV``/``REM``
+then with a zero-divisor guard, in the order
+:func:`repro.core.alu.execute` checks them.  A tripped guard writes
+back the registers dirtied so far, commits the cycles already earned,
+parks the PC chain at the guarded instruction, and *takes* the trap the
+reference would raise there — same kind, instr, pc, value, and cause
+(``FUTURE_COMPUTE``; ``ILLEGAL``, "divide by zero") — in place: it
+calls :meth:`repro.core.processor.Processor._take_trap`, the one trap
+sequence, and returns ``True``.  A ``TRAP`` terminator does the same
+with its software trap.  Nothing is raised, so nothing unwinds; the
+runner (:meth:`repro.core.processor.Processor.step_block`) reads the
+``True`` and accounts the run exactly as it accounts a raised trap.
+Only what is delegated to the reference still raises.
 
 What ends a block: an inlined ``JMPL`` (its target is a register's),
 a ``BA`` or ``CALL`` that is not followed (its slot does not fuse, or
 the bound is near), a conditional branch whose slot does not fuse, a
 *delegated* terminator — any other decodable instruction (frame ops,
-system ops, ``DIV``/``REM``, memory on a port nothing is inlined for)
-runs through its closure after the prefix commits — a ``TRAP``, which
+system ops, I/O, memory on a port nothing is inlined for) runs through
+the reference's statement after the prefix commits — a ``TRAP``, which
 takes its software trap in place, or the bound.
 
 Exits come in two forms.  *Hot* exits — the terminator and a fused
@@ -94,9 +100,9 @@ block has one per inlined access or guard, so their source is cut to
 the register write-back, the PSR through one ``_psr_<kind>`` helper
 per producer kind (built at import from the same
 :func:`repro.core.psr.cc_source` text) and one call, ``_park``,
-``_tail``, ``_trap`` or ``_delegate``, that commits the counts and then
-parks, traps or delegates.  That is what keeps cold compiles from
-growing with the followed code.
+``_tail``, ``_trap``, ``_divzero`` or ``_delegate``, that commits the
+counts and then parks, traps or delegates.  That is what keeps cold
+compiles from growing with the followed code.
 
 What is inlined, how, and what may ride a slice are read from each
 opcode's :mod:`repro.isa.optable` row: its shape (straight, load,
@@ -140,10 +146,21 @@ Slices share :data:`SHARED_BLOCKS` (own key suffix), promotion at the
 first visit, the machine's table (under ``~pc``) and code-watch
 invalidation.
 
+The third shape, the *one-instruction form* (``compile_block(...,
+single=True)``), is what ``Processor.step`` runs where the PC chain
+is straight: the instruction at the pc, emitted as in a block — guards
+taken in place, a memory slow path or a delegated row handed to the
+reference — with no delay slot fused, nothing followed and no floor
+on its size.  Forms live in the machine's ``Translations.steps`` and in
+:data:`SHARED_BLOCKS` under their own key suffix, are registered with
+the code watch like blocks, and are not counted as JIT compiles or
+runs.  A delay slot (whose next pc is not ``pc + 4``) and a word that
+does not decode run the reference directly.
+
 On a bank with stack windows (``_port_spec``'s last field) every
 inlined access that is *not* a tail access — a head, or anywhere in a
 plain block — is slow too when it lands in a page holding some thread
-stack outside the executing frame's own window: the closure's access
+stack outside the executing frame's own window: the reference's access
 then passes ``Memory._index`` (on a coherent node, first the
 controller), where the window's owner is wound back first.  Machines
 without windows (one processor) carry no such test.
@@ -168,8 +185,8 @@ branch_test`: ``res == 0``, the sign of ``res``, the carry out of
 redefined while its producer is pending is recovered from ``_t`` and
 the other operand; it is copied aside only when that is impossible
 (:meth:`_Emitter.def_reg`).  Two operands off the hard-wired zero fold
-to a literal result and literal bits.  The closure and reference tiers
-keep computing the bits per instruction.
+to a literal result and literal bits (unless a divide by zero traps).
+The reference keeps computing the bits per instruction.
 
 Self-modifying code: each compiled block records the runs of words
 ``[lo, hi)`` it was translated from (``JitBlock.runs``: one, plus one
@@ -237,6 +254,7 @@ _CC_MASK = N_BIT | Z_BIT | V_BIT | C_BIT
 _NOT_CC = ~_CC_MASK
 _SIGN = 0x80000000
 _FUTURE_COMPUTE = TrapKind.FUTURE_COMPUTE
+_ILLEGAL = TrapKind.ILLEGAL
 _SOFTWARE = TrapKind.SOFTWARE
 
 #: Most instructions one generated function may execute on a single
@@ -348,7 +366,7 @@ def _tail(cpu, frame, count, pc, npc, undo, log, loads, stores, *hits):
 
 def _trap(cpu, frame, count, pc, npc, instr, value, cause):
     """A tripped future guard: :func:`_park` at the guarded
-    instruction, then take the closure tier's identical trap in place
+    instruction, then take the reference's identical trap in place
     (``cause``, the opcode's name, is baked into the call)."""
     _park(cpu, frame, count, pc, npc)
     cpu._take_trap(frame, Trap(_FUTURE_COMPUTE, 0, instr, pc, None, value,
@@ -356,10 +374,19 @@ def _trap(cpu, frame, count, pc, npc, instr, value, cause):
     return True
 
 
+def _divzero(cpu, frame, count, pc, npc, instr):
+    """A ``div``/``rem`` by zero: :func:`_park` at it, then take the
+    reference's illegal-instruction trap in place."""
+    _park(cpu, frame, count, pc, npc)
+    cpu._take_trap(frame, Trap(_ILLEGAL, 0, instr, pc, None, None,
+                               "divide by zero"))
+    return True
+
+
 def _swtrap(cpu, frame, count, pc, instr):
     """A ``TRAP`` terminator after ``count`` committed instructions: its
-    closure's cycle (not an instruction: a trapping one retires
-    nothing), the chain at it, and its software trap taken in place."""
+    own cycle (not an instruction: a trapping one retires nothing), the
+    chain at it, and its software trap taken in place."""
     cpu.cycles += count + 1
     stats = cpu.stats
     stats.useful += count + 1
@@ -371,11 +398,14 @@ def _swtrap(cpu, frame, count, pc, instr):
     return True
 
 
-def _delegate(cpu, frame, count, run, pc, npc):
-    """An access the inline path cannot complete: :func:`_park` at it,
-    then its closure redoes it from scratch and moves the chain on."""
+def _delegate(cpu, frame, count, instr, pc, npc):
+    """An instruction generated code does not state — a delegated
+    terminator, or an access the inline path cannot complete:
+    :func:`_park` at it, then the reference interpreter's statement
+    runs it from scratch and moves the chain on (a trap it raises
+    propagates to the caller, which takes it)."""
     _park(cpu, frame, count, pc, npc)
-    frame.pc, frame.npc = run(cpu, frame, pc, npc)
+    frame.pc, frame.npc = cpu._execute(frame, instr, pc, npc)
     cpu.stats.instructions += 1
 
 
@@ -383,11 +413,13 @@ def _delegate(cpu, frame, count, run, pc, npc):
 _GLOBALS = {"_psr_" + kind: helper
             for kind, (helper, _) in _PSR_HELPERS.items()}
 _GLOBALS.update(_psr_fe=_psr_fe, _park=_park, _tail=_tail, _trap=_trap,
-                _swtrap=_swtrap, _delegate=_delegate, _M=LineState.MODIFIED)
+                _divzero=_divzero, _swtrap=_swtrap, _delegate=_delegate,
+                _M=LineState.MODIFIED)
 
 
 #: Process-wide cache of compiled blocks, keyed by
-#: ``(pc, words tuple, port spec)``.  Nothing machine-specific is baked
+#: ``(pc, words tuple, port spec)`` (plus ``"slice"`` or ``"step"`` for
+#: the other two shapes).  Nothing machine-specific is baked
 #: into a generated function (see the module docstring), so any machine
 #: whose code words at ``pc`` match — and whose port admits the same
 #: inline-memory specialization — reuses the block and skips
@@ -450,8 +482,8 @@ class JitBlock:
         fn: the generated ``fn(cpu, frame)`` — executes the whole
             block including accounting and the PC-chain exit; returns
             ``True`` when it took a trap in place (a guard, a ``TRAP``),
-            else ``None``; a delegated closure may raise
-            :class:`~repro.core.traps.TrapSignal`.
+            else ``None``; a delegated instruction (the reference's
+            statement) may raise :class:`~repro.core.traps.TrapSignal`.
         count: instructions the block executes on a full pass, each
             one cycle — the slice-budget admission test.
         start: the pc the block is entered at.
@@ -541,8 +573,9 @@ class _Emitter:
         #: Some tail access hit a coherent cache (needs the hit log).
         self.stamps = False
         self.needs_owners = False    # reads the bank's window pages
-        self.delegates = []          # closures (namespace constants)
-        self.instrs = []             # Instruction constants (trap payloads)
+        #: Instruction constants: trap payloads and delegated
+        #: instructions.
+        self.instrs = []
 
     def line(self, indent, text):
         self.body.append("    " * indent + text)
@@ -670,14 +703,9 @@ class _Emitter:
         self.psr_used = True
         return condition_source(op)
 
-    def add_delegate(self, run):
-        """Bake a closure as a namespace constant; returns its name."""
-        name = "_D%d" % len(self.delegates)
-        self.delegates.append(run)
-        return name
-
     def add_instr(self, instr):
-        """Bake an Instruction as a namespace constant (trap payloads)."""
+        """Bake an Instruction as a namespace constant (a trap payload,
+        or what :func:`_delegate` hands the reference)."""
         name = "_i%d" % len(self.instrs)
         self.instrs.append(instr)
         return name
@@ -792,18 +820,20 @@ class _Emitter:
             self.body.insert(at, "    _hl = []")
 
 
-def _emit_guard(emitter, guard_expr, value_expr, instr, pending, pc_k,
-                npc_expr=None):
-    """Inline future-detection guard: write back, commit, trap.
+def _emit_guard(emitter, guard_expr, instr, pending, pc_k, npc_expr,
+                helper, *args):
+    """Inline trap guard: write back, commit, trap.
 
     ``pending`` is the number of uncommitted instructions already
     executed when the guard trips.  The tripped guard writes back the
     dirt so far, commits the earned cycles, parks the PC chain at the
     guarded instruction (``npc_expr`` overrides the straight ``pc +
     4`` for a delay-slot guard whose next pc is the branch target),
-    and takes the trap the closure tier's strict op would raise — same
-    kind, instr, pc, value, and cause — in place, exactly as ``step()``
-    takes the raised one.
+    and takes the trap the reference would raise there in place —
+    ``helper(cpu, frame, pending, pc, npc, instr, *args)``: a strict
+    op's future trap (:func:`_trap`, same kind, instr, pc, value and
+    cause) or a zero divisor's (:func:`_divzero`) — exactly as
+    ``step()`` takes the raised one.
 
     Past the head of a sync-headed slice the guard only parks: the
     trap reads shared state (is the future resolved yet?), so it is
@@ -815,14 +845,18 @@ def _emit_guard(emitter, guard_expr, value_expr, instr, pending, pc_k,
     if emitter.sliced and pending:
         emitter.park(pending, pc_k, npc_expr)
         return
-    emitter.bail("_trap", pending, pc_k, npc_expr, emitter.add_instr(instr),
-                 value_expr, repr(instr.op.name))
+    emitter.bail(helper, pending, pc_k, npc_expr, emitter.add_instr(instr),
+                 *args)
 
 
 def _emit_straight(emitter, instr, pending, pc_i, npc_expr=None):
     """Emit one inlined straight-line instruction at ``pc_i``: its table
-    row's statements, or one of the forms a row does not state —
-    ``lui``/``oril``, two literal operands, and ``mov``."""
+    row's guards and statements, or one of the forms a row does not
+    state — ``lui``/``oril``, two literal operands, and ``mov``.
+
+    A strict row is guarded against futures; ``div`` and ``rem`` then
+    against a zero divisor, in :func:`repro.core.alu.execute`'s order.
+    """
     op = instr.op
     if op is Opcode.LUI:
         if instr.rd:
@@ -833,8 +867,8 @@ def _emit_straight(emitter, instr, pending, pc_i, npc_expr=None):
         if instr.rd:
             name = emitter.def_reg(instr.rd)
             if instr.rd < _GLOBAL_BASE:
-                # Mirrors the closure: frame regs hold masked words and
-                # the 18-bit immediate cannot push them out of range.
+                # Frame regs hold masked words and the 18-bit
+                # immediate cannot push them out of range.
                 emitter.line(1, "%s |= %d" % (name, instr.imm))
             else:
                 emitter.line(1, "%s = (%s | %d) & %d" % (
@@ -853,12 +887,15 @@ def _emit_straight(emitter, instr, pending, pc_i, npc_expr=None):
         b = emitter.use_reg(instr.rs2)
         b_const = 0 if instr.rs2 == 0 else None
     strict = row.strict
+    divides = op is Opcode.DIV or op is Opcode.REM
     line = emitter.line
     rd = instr.rd if "rd" in row.writes else 0
 
-    if instr.rs1 == 0 and b_const is not None and not (strict and b_const & 1):
+    if (instr.rs1 == 0 and b_const is not None
+            and not (strict and b_const & 1 or divides and b_const == 0)):
         # Both operands are literals (how codegen loads every small
-        # constant): the reference ALU runs now, not in the block.
+        # constant) and nothing traps: the reference ALU runs now, not
+        # in the block.
         result, (n, z, v, c) = alu_execute(op, 0, b_const)
         emitter.produce("const", n * N_BIT | z * Z_BIT | v * V_BIT | c * C_BIT)
         if rd:
@@ -876,7 +913,12 @@ def _emit_straight(emitter, instr, pending, pc_i, npc_expr=None):
         else:
             guard = "(%s | %s) & 1" % (a, b)
             value = "%s if %s & 1 else %s" % (a, a, b)
-        _emit_guard(emitter, guard, value, instr, pending, pc_i, npc_expr)
+        _emit_guard(emitter, guard, instr, pending, pc_i, npc_expr, "_trap",
+                    value, repr(op.name))
+    if divides and not b_const:
+        # A register divisor, or a literal zero one.
+        _emit_guard(emitter, "not %s" % b if b_const is None else "1",
+                    instr, pending, pc_i, npc_expr, "_divzero")
 
     # The result only: the condition codes wait for a reader.
     if op is Opcode.OR and "0" in (a, b):
@@ -891,7 +933,7 @@ def _emit_straight(emitter, instr, pending, pc_i, npc_expr=None):
         line(1, "%s = res" % name)
 
 
-def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
+def _emit_mem_inline(emitter, instr, pending, pc_i, npc_expr, spec,
                      tail=False):
     """Emit an inlined load/store at ``pc_i``.
 
@@ -900,15 +942,15 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
     flavor's trap condition, a future base, a misaligned or
     out-of-bank address, a store into a code-watched word, an attached
     ``watch_hook`` — takes the slow branch, which delegates to the
-    closure and ends the block (the inline test mutated nothing, so
-    the closure redoes the access from scratch, bit-identically, and
-    its return value is the next chain: ``npc_expr`` may be a branch
-    target).
+    reference interpreter (:func:`_delegate`) and ends the block (the
+    inline test mutated nothing, so the reference redoes the access
+    from scratch, bit-identically, and its return value is the next
+    chain: ``npc_expr`` may be a branch target).
 
     On a bank with stack windows (``spec`` ends ``"windows"``) one
     more case is slow: an address in a page that holds some thread
     stack, unless it is in the executing frame's own window — the
-    closure's access goes through ``Memory._index`` (on a coherent
+    reference's access goes through ``Memory._index`` (on a coherent
     node, the controller's ``load``/``store`` before that), which has
     whoever ran ahead over that word wound back first.
 
@@ -918,13 +960,12 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
     hit advances the cache's LRU clock, stamps the line and counts
     itself before the ideal port's access.
 
-    ``tail`` emits the access behind a slice's head instead (``run``
-    is not used): it happens only inside the executing frame's own
-    window (which is inside the bank; on a coherent node its whole
-    cache block must be), any other case *parks* the chain at the
-    instruction like a tripped guard, and whatever it changes in
-    memory — the word, the full/empty bit — and in a coherent cache —
-    the line's LRU stamp — is logged first so
+    ``tail`` emits the access behind a slice's head instead: it happens
+    only inside the executing frame's own window (which is inside the
+    bank; on a coherent node its whole cache block must be), any other
+    case *parks* the chain at the instruction like a tripped guard, and
+    whatever it changes in memory — the word, the full/empty bit — and
+    in a coherent cache — the line's LRU stamp — is logged first so
     :meth:`Processor.unrun_tail` can put it back.
     """
     emitter.needs_mem = True
@@ -994,7 +1035,7 @@ def _emit_mem_inline(emitter, instr, run, pending, pc_i, npc_expr, spec,
     if tail:
         emitter.park(pending, pc_i, npc_expr)
     else:
-        emitter.bail("_delegate", pending, emitter.add_delegate(run), pc_i,
+        emitter.bail("_delegate", pending, emitter.add_instr(instr), pc_i,
                      npc_expr)
 
     if coherent:
@@ -1037,23 +1078,22 @@ def _emit_delay(emitter, delay, pending, pc_i, npc_expr, spec):
     """Emit the fused delay slot of the branch at ``pc_i``, its next pc
     ``npc_expr``; returns ``pending`` with it counted.  Behind a slice's
     head a memory slot rides the tail."""
-    dkind, dinstr, drun, _dword = delay
+    dkind, dinstr, _dword = delay
     if dkind == "s":
         _emit_straight(emitter, dinstr, pending, pc_i + 4, npc_expr=npc_expr)
     else:
-        _emit_mem_inline(emitter, dinstr, drun, pending, pc_i + 4, npc_expr,
-                         spec, tail=emitter.sliced)
+        _emit_mem_inline(emitter, dinstr, pending, pc_i + 4, npc_expr, spec,
+                         tail=emitter.sliced)
     return pending + 1
 
 
 def _classify_delay(code, fetch, address):
     """Decode the delay-slot instruction at ``address`` for fusion.
 
-    Returns ``("s", instr, None, word)`` for an inlineable straight
-    op, ``("m", instr, run, word)`` for a load/store, or ``None`` when
-    the slot cannot be fused (another branch, a system op, an
-    unfetchable word) — the exit then leaves the delay slot to
-    ``step()``, exactly as the closure tier does.
+    Returns ``("s", instr, word)`` for an inlineable straight op,
+    ``("m", instr, word)`` for a load/store, or ``None`` when the slot
+    cannot be fused (another branch, a system op, an unfetchable word)
+    — the exit then leaves the delay slot to ``step()``.
     """
     try:
         word = fetch(address)
@@ -1062,13 +1102,9 @@ def _classify_delay(code, fetch, address):
         return None
     shape = ROWS[instr.op].shape
     if shape == STRAIGHT:
-        return ("s", instr, None, word)
+        return ("s", instr, word)
     if shape in _MEMORY:
-        try:
-            run = code.predecode(word).run
-        except Exception:
-            return None
-        return ("m", instr, run, word)
+        return ("m", instr, word)
     return None
 
 
@@ -1083,7 +1119,7 @@ def _rides_tail(instr, spec):
             and instr.rs1 == registers.SP)
 
 
-def _scan_block(cpu, pc, spec, sliced=False):
+def _scan_block(cpu, pc, spec, sliced=False, single=False):
     """Scan the superblock at ``pc`` into a translation plan.
 
     Returns ``(plan, words, total, runs)`` — the classified
@@ -1104,7 +1140,8 @@ def _scan_block(cpu, pc, spec, sliced=False):
 
     ``sliced`` scans the second shape, a *sync-headed slice*: whatever
     stands at ``pc``, then only *private* instructions — one cycle,
-    unable to trap (a strict op's guard parks instead), touching
+    unable to trap (a strict op's or a divide's guard parks instead),
+    touching
     nothing but this CPU's registers, condition codes and PC chain,
     or (:func:`_rides_tail`) a word of the executing frame's stack
     window, tested at run time.  The scan stops *before* any other
@@ -1114,10 +1151,14 @@ def _scan_block(cpu, pc, spec, sliced=False):
     instructions are held to the same test: a ``CALL`` is private, and
     so is what it reaches, or the scan stops there.
 
+    ``single`` scans the third shape, the *one-instruction form*
+    ``Processor.step`` runs: the instruction at ``pc`` and nothing
+    else — no delay slot fused, nothing followed.
+
     Plan items:
         ``("s", instr, pc)`` — inlined straight-line op;
-        ``("mi", instr, run, pc)`` — inlined load/store (ideal port,
-        or a coherent cache hit);
+        ``("mi", instr, pc)`` — inlined load/store (ideal port, or a
+        coherent cache hit);
         ``("mt", instr, pc)`` — the same behind a slice's head:
         inside the frame's stack window, or the chain parks;
         ``("cb", instr, pc)`` — bare conditional exit;
@@ -1125,19 +1166,18 @@ def _scan_block(cpu, pc, spec, sliced=False):
         ``("u", instr, pc, delay_or_None, followed)`` — BA/CALL/JMPL,
         an exit unless ``followed``;
         ``("t", instr, pc)`` — a ``TRAP`` terminator, taken in place;
-        ``("d", instr, run, pc)`` — delegated terminator (any memory
-        access on a port nothing is inlined for, too).
+        ``("d", instr, pc)`` — delegated terminator (any memory access
+        on a port nothing is inlined for, too).
     """
     code = cpu.translations
     fetch = cpu.port.fetch
-    predecode = code.predecode
     plan = []
     words = []
     runs = []
     start = scan = pc
     total = 0
 
-    while total < MAX_JIT_BLOCK:
+    while total < (1 if single else MAX_JIT_BLOCK):
         try:
             word = fetch(scan)
             instr = code.decode(word)
@@ -1166,18 +1206,14 @@ def _scan_block(cpu, pc, spec, sliced=False):
             continue
 
         if shape in _MEMORY and spec is not None:
-            try:
-                run = predecode(word).run
-            except Exception:
-                break
-            plan.append(("mi", instr, run, scan))
+            plan.append(("mi", instr, scan))
             words.append(word)
             total += 1
             scan += 4
             continue
 
         if redirect:
-            delay = _classify_delay(code, fetch, scan + 4)
+            delay = None if single else _classify_delay(code, fetch, scan + 4)
             if delay is not None and delay[0] == "m" and (
                     spec is None
                     or sliced and not _rides_tail(delay[1], spec)):
@@ -1199,7 +1235,7 @@ def _scan_block(cpu, pc, spec, sliced=False):
                     break
                 plan.append(("c", instr, scan, delay))
                 words.append(word)
-                words.append(delay[3])
+                words.append(delay[2])
                 total += 2
                 scan += 8
                 continue
@@ -1209,7 +1245,7 @@ def _scan_block(cpu, pc, spec, sliced=False):
             words.append(word)
             total += 1
             if delay is not None:
-                words.append(delay[3])
+                words.append(delay[2])
                 total += 1
             if not followed:
                 scan += 8 if delay is not None else 4
@@ -1225,14 +1261,10 @@ def _scan_block(cpu, pc, spec, sliced=False):
             scan += 4
             break
 
-        # Anything else decodable (frame ops, system ops, DIV/REM, IO,
-        # memory on a port nothing is inlined for): a delegated
-        # terminator ending the block.
-        try:
-            run = predecode(word).run
-        except Exception:
-            break
-        plan.append(("d", instr, run, scan))
+        # Anything else decodable (frame ops, system ops, IO, memory on
+        # a port nothing is inlined for): a delegated terminator ending
+        # the block.
+        plan.append(("d", instr, scan))
         words.append(word)
         total += 1
         scan += 4
@@ -1242,7 +1274,7 @@ def _scan_block(cpu, pc, spec, sliced=False):
     return plan, words, total, runs
 
 
-def compile_block(cpu, pc, sliced=False):
+def compile_block(cpu, pc, sliced=False, single=False):
     """Compile the superblock starting at ``pc`` for ``cpu``.
 
     Returns a :class:`JitBlock`, or ``None`` when the code at ``pc``
@@ -1258,17 +1290,23 @@ def compile_block(cpu, pc, sliced=False):
     sets ``cpu.ahead_tail`` to the number of private instructions it
     ran, their undo snapshot and their store log.  A head that is
     delegated ends the slice like any block: it has no tail.
+
+    ``single`` compiles the one-instruction form ``Processor.step``
+    runs at ``pc`` (``None`` only where nothing decodes): the same
+    emitter over a plan of one.
     """
     spec = _port_spec(cpu)
-    plan, words, total, runs = _scan_block(cpu, pc, spec, sliced)
-    if total < (1 if sliced else 2):
-        # A slice of one still beats step(): an inlined head skips the
-        # closure tier's port call, a delegated one its dispatch.
+    plan, words, total, runs = _scan_block(cpu, pc, spec, sliced, single)
+    if total < (1 if sliced or single else 2):
+        # A slice of one still beats step(): its head runs in the
+        # same call as the loop's dispatch.
         return None
 
     key = (pc, tuple(words), spec)
     if sliced:
         key += ("slice",)
+    elif single:
+        key += ("step",)
     shared = SHARED_BLOCKS.get(key)
     if shared is not None:
         return shared
@@ -1286,14 +1324,14 @@ def compile_block(cpu, pc, sliced=False):
             pending += 1
             emitter.mark_head(pc_i + 4, pc_i + 8)
         elif kind == "mi":
-            _, instr, run, pc_i = item
-            _emit_mem_inline(emitter, instr, run, pending, pc_i,
+            _, instr, pc_i = item
+            _emit_mem_inline(emitter, instr, pending, pc_i,
                              "%d" % (pc_i + 4), spec)
             pending += 1
             emitter.mark_head(pc_i + 4, pc_i + 8)
         elif kind == "mt":
             _, instr, pc_i = item
-            _emit_mem_inline(emitter, instr, None, pending, pc_i,
+            _emit_mem_inline(emitter, instr, pending, pc_i,
                              "%d" % (pc_i + 4), spec, tail=True)
             pending += 1
         elif kind == "cb":
@@ -1376,19 +1414,11 @@ def compile_block(cpu, pc, sliced=False):
                 pending, pc_i, emitter.add_instr(instr)))
             term_emitted = True
         else:  # "d": delegated terminator
-            _, instr, run, pc_i = item
-            name = emitter.add_delegate(run)
+            # The prefix commits, then the reference runs it.
+            _, instr, pc_i = item
             emitter.writeback(1)
-            if pending:
-                emitter.commit(1, pending)
-            line(1, "frame.pc = %d" % pc_i)
-            line(1, "frame.npc = %d" % (pc_i + 4))
-            line(1, "_p, _n = %s(cpu, frame, %d, %d)" % (
-                name, pc_i, pc_i + 4))
-            line(1, "frame.pc = _p")
-            line(1, "frame.npc = _n")
-            line(1, "cpu.stats.instructions += 1")
-            line(1, "return")
+            line(1, "return _delegate(cpu, frame, %d, %s, %d, %d)" % (
+                pending, emitter.add_instr(instr), pc_i, pc_i + 4))
             term_emitted = True
 
     scan = runs[-1][1]
@@ -1445,14 +1475,12 @@ def compile_block(cpu, pc, sliced=False):
     prologue.extend("    " + load for load in emitter.refs.values())
     source = "\n".join(header + prologue + emitter.body) + "\n"
 
-    # The slow exits' helpers, the closures and the Instruction
-    # payloads resolve through the generated function's globals: once
-    # per exit at most (and a coherent store's MODIFIED state ``_M``).
+    # The slow exits' helpers and the Instruction constants resolve
+    # through the generated function's globals: once per exit at most
+    # (and a coherent store's MODIFIED state ``_M``).
     namespace = dict(_GLOBALS)
     for index, instr_const in enumerate(emitter.instrs):
         namespace["_i%d" % index] = instr_const
-    for index, run in enumerate(emitter.delegates):
-        namespace["_D%d" % index] = run
     code = compile(source, "<jit:%#x>" % pc, "exec")
     exec(code, namespace)
     fn = namespace["_jit"]

@@ -24,7 +24,6 @@ from collections import deque
 
 from repro.core import alu
 from repro.core.fpu import FPU
-from repro.core.execops import build_entry
 from repro.core.jit import MAX_JIT_BLOCK, compile_block
 from repro.core.psr import ET_BIT
 from repro.core.task_frame import TaskFrame
@@ -70,9 +69,8 @@ class ProcessorStats:
     ``_total`` mirrors the sum of the six category counters
     incrementally, so :attr:`total_cycles` is an attribute read instead
     of a 6-way ``getattr`` sum; everything that bumps a category (the
-    ``_add_*`` table, the fast-path handlers in
-    :mod:`repro.core.execops`, generated code) bumps ``_total``
-    by the same amount.  The invariant is asserted in the test suite.
+    ``_add_*`` table, generated code) bumps ``_total`` by the same
+    amount.  The invariant is asserted in the test suite.
     """
 
     __slots__ = (
@@ -159,7 +157,7 @@ class Processor:
     """
 
     #: Always 0, as is the ``superblocks`` entry of
-    #: :meth:`translation_counters`: no tier fuses closures, but
+    #: :meth:`translation_counters`: no tier fuses instructions, but
     #: ``perf/simloads.py`` reads both into its ``core.superblocks``
     #: metric.
     superblocks = 0
@@ -178,7 +176,7 @@ class Processor:
         self.halted = False
         self.ipi_queue = deque()
         self.share_translations(Translations())
-        #: Whether generated code runs here, as reported by
+        #: Whether generated blocks run here, as reported by
         #: :meth:`translation_counters` (its only reader).  The machine
         #: copies its ``jit`` argument in; its loop reads
         #: ``AlewifeMachine.jit`` itself and, off, calls :meth:`step`
@@ -206,7 +204,8 @@ class Processor:
         #: accessed its cache adds a fourth field, the hit log:
         #: ``(line, old LRU stamp)`` per hit, oldest first.
         self.ahead_tail = None
-        #: JIT tier diagnostics (same non-snapshot contract).
+        #: JIT tier diagnostics (same non-snapshot contract): blocks
+        #: and slices only, not :meth:`step`'s one-instruction forms.
         self.jit_compiles = 0
         self.jit_runs = 0
         self.jit_deopts = 0
@@ -277,16 +276,16 @@ class Processor:
         Returns the number of cycles consumed, and advances
         :attr:`cycles` by the same amount.
 
-        Dispatches through the translation cache
-        (:meth:`Translations.predecode`): each fetched word resolves to a
-        prebuilt :class:`~repro.core.execops.ExecEntry` whose ``run``
-        closure has the operand fields already unpacked, in place of
-        the ``_execute`` if-chain walk.  The frame-pointer, system and
-        out-of-band rows are the exception: their closure is that walk
-        (:meth:`_execute_frame_op`, :meth:`_execute_system`,
-        :meth:`_execute_oob` state them for every tier).  The if-chain
-        is also :meth:`step_reference`, the other side of the lockstep
-        harness.
+        Where the PC chain is straight (``npc == pc + 4``) this runs
+        the pc's *one-instruction form*: the generated code
+        :func:`~repro.core.jit.compile_block` emits for that
+        instruction alone (``single``), compiled at the pc's first visit
+        and kept in :attr:`Translations.steps`.  In a delay slot or at
+        a pc where nothing decodes it runs the reference's statement of
+        the memoised decode (:meth:`_execute`), as
+        :meth:`step_reference` does — which takes the ILLEGAL trap at
+        an undecodable word.  Either way ``profile_hook`` is handed the
+        decoded instruction first.
         """
         if self.halted:
             return 0
@@ -299,36 +298,22 @@ class Processor:
             return self.cycles - start
 
         pc = frame.pc
-        entry = self._entry_map.get(pc)
-        if entry is None:
-            code = self.translations
-            try:
-                entry = code.predecode(self.port.fetch(pc))
-            except Exception as exc:
-                self._take_trap(
-                    frame, Trap(TrapKind.ILLEGAL, pc=pc, cause=str(exc)))
+        if frame.npc == pc + 4:
+            form = self._step_map.get(pc)
+            if form is None:
+                form = self._compile_step(pc)
+            if form:
+                if self.profile_hook is not None:
+                    word, = form.key[1]
+                    self.profile_hook(self, pc, self.translations.decode(word))
+                # A trap the form finds is taken in place; a delegated
+                # instruction's is raised, and taken here.
+                try:
+                    form.fn(self, frame)
+                except TrapSignal as signal:
+                    self._take_trap(frame, signal.trap)
                 return self.cycles - start
-            # Only successful translations are cached, so a faulting pc
-            # re-raises (and re-traps) on every execution, like the
-            # reference interpreter.
-            code.entries[pc] = entry
-            if code.watch is not None:
-                code.watch.cover(pc, pc + 4)
-
-        if self.profile_hook is not None:
-            self.profile_hook(self, pc, entry.instr)
-        try:
-            next_pc, next_npc = entry.run(self, frame, pc, frame.npc)
-        except TrapSignal as signal:
-            self._take_trap(frame, signal.trap)
-            return self.cycles - start
-
-        # The executing frame's PC chain advances; a handler or INCFP may
-        # have redirected FP, which only affects the *next* fetch.
-        frame.pc = next_pc
-        frame.npc = next_npc
-        self.stats.instructions += 1
-        return self.cycles - start
+        return self._step_decoded(frame, pc, start)
 
     def step_reference(self):
         """The original decode + if-chain interpreter step.
@@ -347,8 +332,11 @@ class Processor:
             message = self.ipi_queue.popleft()
             self._take_trap(frame, Trap(TrapKind.IPI, pc=frame.pc, value=message))
             return self.cycles - start
+        return self._step_decoded(frame, frame.pc, start)
 
-        pc = frame.pc
+    def _step_decoded(self, frame, pc, start):
+        """Fetch and decode the word at ``pc`` and run the reference's
+        statement of it; the cycles since ``start``."""
         try:
             word = self.port.fetch(pc)
             instr = self.translations.decode(word)
@@ -358,13 +346,14 @@ class Processor:
 
         if self.profile_hook is not None:
             self.profile_hook(self, pc, instr)
-        npc = frame.npc
         try:
-            next_pc, next_npc = self._execute(frame, instr, pc, npc)
+            next_pc, next_npc = self._execute(frame, instr, pc, frame.npc)
         except TrapSignal as signal:
             self._take_trap(frame, signal.trap)
             return self.cycles - start
 
+        # The executing frame's PC chain advances; a handler or INCFP may
+        # have redirected FP, which only affects the *next* fetch.
         frame.pc = next_pc
         frame.npc = next_npc
         self.stats.instructions += 1
@@ -387,14 +376,14 @@ class Processor:
         """Run generated blocks from the pc back to back, or one
         :meth:`step`; returns the cycles consumed.
 
-        The fast path has two rungs: :meth:`step` runs one predecoded
-        closure, and this runs generated code.  The first visit to a
-        block-start pc compiles it (:mod:`repro.core.jit`) into one
-        Python function that executes the whole straight-line run *and*
-        its terminating branch/memory instruction with batched
-        accounting; a pc that cannot be compiled is remembered as such
-        and runs :meth:`step`, as does a block that does not fit the
-        budget.
+        The fast path has two rungs: :meth:`step` runs one
+        instruction's generated form, and this runs generated blocks.
+        The first visit to a block-start pc compiles it
+        (:mod:`repro.core.jit`) into one Python function that executes
+        the whole straight-line run *and* its terminating branch/memory
+        instruction with batched accounting; a pc that cannot be
+        compiled is remembered as such and runs :meth:`step`, as does a
+        block that does not fit the budget.
 
         **The chain.**  This is the machine loop's dispatch loop too:
         after a block that took no trap and retired one instruction per
@@ -491,8 +480,9 @@ class Processor:
         # takes its trap in place (:meth:`_take_trap`, after parking
         # the PC chain at the instruction and committing the prefix)
         # and returns True; a delegated instruction's trap is raised
-        # and taken here, exactly as :meth:`step` takes it.  Either
-        # way the run counts, its cycles are the trap's, however few
+        # by the reference's statement and taken here, exactly as
+        # :meth:`step` takes it.  Either way the run counts, its
+        # cycles are the trap's, however few
         # (a handler charging nothing is no zero-progress block), and
         # the chain ends.
         start = at = self.cycles
@@ -557,6 +547,18 @@ class Processor:
                     code.watch.cover(lo, hi)
         return jb
 
+    def _compile_step(self, pc):
+        """Compile :meth:`step`'s one-instruction form at ``pc``; cached
+        like a block (``False`` where nothing decodes, its word
+        registered with the code watch), but not counted in
+        :attr:`jit_compiles`."""
+        form = compile_block(self, pc, single=True)
+        code = self.translations
+        code.steps[pc] = form if form is not None else False
+        if form is not None and code.watch is not None:
+            code.watch.cover(pc, pc + 4)
+        return form
+
     def unrun_tail(self, keep, cause="run_end"):
         """Take back the private tail of the slice just run, then
         re-execute its first ``keep`` instructions.
@@ -613,7 +615,7 @@ class Processor:
         processors one :class:`Translations`.  The hot paths alias its
         dicts, which are never replaced."""
         self.translations = shared
-        self._entry_map = shared.entries
+        self._step_map = shared.steps
         self._jit_map = shared.jit
 
     def translation_counters(self):
@@ -627,8 +629,10 @@ class Processor:
         code = self.translations
         return {
             "node": self.node_id,
-            "predecode": {"size": len(code.entries),
-                          "invalidations": code.entry_invalidations},
+            # The one-instruction forms, under the key reports have
+            # always had for the table ``step`` runs from.
+            "predecode": {"size": len(code.steps),
+                          "invalidations": code.step_invalidations},
             "jit": {
                 "size": len(code.jit),
                 "invalidations": code.jit_invalidations,
@@ -909,9 +913,10 @@ class Translations:
     """
 
     def __init__(self):
-        #: pc -> :class:`ExecEntry`; lets :meth:`Processor.step` skip
-        #: the fetch + :meth:`predecode` pair on every revisited pc.
-        self.entries = {}
+        #: pc -> the one-instruction form :meth:`Processor.step` runs
+        #: there (a :class:`JitBlock` of one, or ``False`` where
+        #: nothing decodes), filled at a pc's first visit.
+        self.steps = {}
         #: Generated code (see :mod:`repro.core.jit`): pc ->
         #: :class:`JitBlock` (or ``False`` for "not compilable here"),
         #: filled at a pc's first visit.  Its second shape, the
@@ -919,12 +924,11 @@ class Translations:
         #: (``step_block(..., True)``), lives here under ``~pc``.
         self.jit = {}
         #: Entries of each table a store into translated code dropped.
-        self.entry_invalidations = self.jit_invalidations = 0
-        #: Code word -> :class:`Instruction` and -> :class:`ExecEntry`.
-        #: Keyed by the word *value*, so a patched word is a new key
-        #: and neither needs invalidating.
+        self.step_invalidations = self.jit_invalidations = 0
+        #: Code word -> :class:`Instruction`.  Keyed by the word
+        #: *value*, so a patched word is a new key and needs no
+        #: invalidating.
         self._decoded = {}
-        self._predecoded = {}
         #: Optional :class:`~repro.mem.memory.CodeWatch` the translated
         #: pc ranges are registered with; see :meth:`attach_code_watch`.
         self.watch = None
@@ -936,21 +940,11 @@ class Translations:
             instr = self._decoded[word] = decode(word)
         return instr
 
-    def predecode(self, word):
-        """Word -> bound :class:`ExecEntry` (memoized): the closure
-        :meth:`Processor.step` dispatches through.  Raises exactly
-        what :meth:`decode` raises on bad words, so the fast path's
-        illegal-instruction behavior matches the reference."""
-        entry = self._predecoded.get(word)
-        if entry is None:
-            entry = self._predecoded[word] = build_entry(self.decode(word))
-        return entry
-
     def attach_code_watch(self, watch):
         """Register with a :class:`~repro.mem.memory.CodeWatch`.
 
         The watch notifies :meth:`invalidate_code` on every store into
-        a translated word, keeping both tables (predecode entries, JIT
+        a translated word, keeping both tables (one-instruction forms,
         blocks and slices) correct under self-modifying code.
         """
         self.watch = watch
@@ -959,14 +953,14 @@ class Translations:
     def invalidate_code(self, address):
         """Drop every cached translation covering ``address``.
 
-        ``False`` sentinels ("nothing to compile here") are kept: they
-        never execute stale instructions, only route the pc to
-        :meth:`Processor.step`, so correctness cannot depend on
-        dropping them.
+        The block table's ``False`` sentinels ("nothing to compile
+        here") are kept: they never execute stale instructions, only
+        route the pc to :meth:`Processor.step`, so correctness cannot
+        depend on dropping them.
         """
         word = address & ~3
-        if self.entries.pop(word, None) is not None:
-            self.entry_invalidations += 1
+        if self.steps.pop(word, None):
+            self.step_invalidations += 1
         jit = self.jit
         # A block can never invalidate *itself* mid-run (inline stores
         # refuse watched words; delegated stores end the block), so

@@ -23,9 +23,8 @@ Bits   Field
 Where the fast rungs need these bits as Python source, this module
 fills them into the :mod:`repro.isa.optable` templates:
 :func:`condition_source` (a conditional branch's taken test) and
-:func:`cc_source` (a producer's N/Z/V/C).  Generated code inlines both;
-:mod:`repro.core.execops` compiles its branch tests and ALU cores from
-the same text.  The reference interpreter keeps its own statements
+:func:`cc_source` (a producer's N/Z/V/C).  Generated code inlines both.
+The reference interpreter keeps its own statements
 (:mod:`repro.core.alu`).
 """
 

@@ -135,11 +135,11 @@ class TrapTable:
 class TrapSignal(Exception):
     """Internal control-flow signal: an instruction raised a trap.
 
-    Raised inside the execute stage of the closure tier and the
-    reference interpreter, which must unwind, and caught by the
-    processor's step loop, which then runs the trap mechanism.  Never
-    escapes the processor.  Generated code takes its traps in place
-    instead (:mod:`repro.core.jit`).
+    Raised inside the reference interpreter's execute stage, which must
+    unwind, and caught by the processor's step loop, which then runs
+    the trap mechanism.  Never escapes the processor.  Generated code
+    takes its traps in place instead (:mod:`repro.core.jit`); only what
+    it delegates to the reference raises.
     """
 
     def __init__(self, trap):

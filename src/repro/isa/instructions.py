@@ -199,13 +199,17 @@ _CATEGORY_RANGES = (
 )
 
 
+#: Opcode value -> :class:`Category`, built once from the ranges.
+_CATEGORIES = {value: cat for lo, hi, cat in _CATEGORY_RANGES
+               for value in range(lo, hi + 1)}
+
+
 def category_of(opcode):
     """Return the :class:`Category` of an opcode."""
-    value = int(opcode)
-    for lo, hi, cat in _CATEGORY_RANGES:
-        if lo <= value <= hi:
-            return cat
-    raise ValueError("unknown opcode: %r" % (opcode,))
+    try:
+        return _CATEGORIES[opcode]
+    except KeyError:
+        raise ValueError("unknown opcode: %r" % (opcode,)) from None
 
 
 class Instruction:
@@ -248,8 +252,8 @@ class Instruction:
 
     @property
     def category(self):
-        """The instruction's :class:`Category`."""
-        return category_of(self.op)
+        """The instruction's :class:`Category` (one table lookup)."""
+        return _CATEGORIES[self.op]
 
     def source_registers(self):
         """Encoded register numbers this instruction reads: its

@@ -6,11 +6,10 @@ what the lockstep harness compares everything else with, so nothing
 here feeds it.  Every other place that needs a per-opcode fact reads
 it from :data:`ROWS`:
 
-* the closure rung (:mod:`repro.core.execops`) compiles its ALU cores
-  from ``alu`` and picks each handler factory by ``shape``;
-* generated code (:mod:`repro.core.jit`) inlines ``alu``, builds PSR
-  bits from :data:`PRODUCERS`, tests ``condition`` and scans blocks and
-  slices by ``shape``;
+* generated code (:mod:`repro.core.jit`) — blocks, slices and the
+  one-instruction form ``Processor.step`` runs — inlines ``alu``, builds
+  PSR bits from :data:`PRODUCERS`, tests ``condition`` and scans by
+  ``shape``;
 * :meth:`~repro.isa.instructions.Instruction.source_registers` is
   ``reads``;
 * the delay-slot filler (:mod:`repro.isa.optimizer`) moves an
@@ -36,7 +35,9 @@ A row gives:
     The lazy-PSR producer kind: the :data:`PRODUCERS` entry that turns
     those locals into N/Z/V/C.
 ``strict``
-    Traps when an operand is a future (has its low bit set).
+    Traps when an operand is a future (has its low bit set).  ``div``
+    and ``rem`` then trap on a zero divisor too (generated code tests
+    it after the strict guard, as :func:`repro.core.alu.execute` does).
 ``delayed``
     Followed by an architectural delay slot.
 ``condition``
@@ -48,7 +49,8 @@ A row gives:
     cycle), :data:`LOAD` / :data:`STORE` (inlined over a port generated
     code understands), :data:`CONDITIONAL`, :data:`REDIRECT` (``ba``,
     ``call``, ``jmpl``: PC-chain math) or :data:`DELEGATED` (generated
-    code calls the closure).  :attr:`Row.private` follows from it.
+    code calls the reference interpreter's statement,
+    ``Processor._execute``).  :attr:`Row.private` follows from it.
 
 ``format``
     The operand format, a :data:`FORMATS` entry: the bit fields of
@@ -240,10 +242,10 @@ TABLE = (
     Row(Opcode.ADD, "alu", STRAIGHT, _RS, _SETS, _ADD, "add", strict=True),
     Row(Opcode.SUB, "alu", STRAIGHT, _RS, _SETS, _SUB, "sub", strict=True),
     Row(Opcode.MUL, "alu", STRAIGHT, _RS, _SETS, _MUL, "mul", strict=True),
-    Row(Opcode.DIV, "alu", DELEGATED, _RS, _SETS,
+    Row(Opcode.DIV, "alu", STRAIGHT, _RS, _SETS,
         _QUOTIENT + ("res = (_q << 2) & %d" % WORD_MASK,), "logic",
         strict=True),
-    Row(Opcode.REM, "alu", DELEGATED, _RS, _SETS,
+    Row(Opcode.REM, "alu", STRAIGHT, _RS, _SETS,
         _QUOTIENT + ("res = ((_x - _q * _y) << 2) & %d" % WORD_MASK,),
         "logic", strict=True),
     Row(Opcode.CMP, "cmp", STRAIGHT, _RS, (CC,), _SUB, "sub", strict=True),

@@ -87,7 +87,8 @@ class AlewifeMachine:
     tail is wound back to where the oracle stops (:meth:`_end_at`).
 
     ``fastpath=True`` (the default) pairs the fast form with the fast
-    path's two rungs, predecoded dispatch and generated code; ``False``
+    path's two rungs, one instruction's generated form per ``step()``
+    and generated blocks; ``False``
     pins every processor to the original decode + if-chain interpreter
     under the oracle, which is the reference side of the differential
     lockstep harness.  It is deliberately a constructor argument and
@@ -96,9 +97,11 @@ class AlewifeMachine:
 
     ``jit`` gates the second rung (:mod:`repro.core.jit`): every block
     start compiled, at its first visit, to a generated Python function.
-    ``False`` sends every instruction through the predecoded closures
-    of ``Processor.step`` — the A/B knob for pricing what the generated
-    code is worth (``perf/``'s ``core.ns_per_instr.closure``).  Same
+    ``False`` sends every instruction through ``Processor.step`` and
+    its one-instruction forms (the same emitter, one instruction per
+    call, no blocks) — the A/B knob for pricing what blocks are worth
+    (``perf/``'s ``core.ns_per_instr.closure``, named for the closure
+    tier that one-instruction forms replaced).  Same
     contract as ``fastpath``: a constructor argument, not a config
     knob, and architecturally invisible (the lockstep harness pins all
     tiers cycle-identical).

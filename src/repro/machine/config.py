@@ -111,6 +111,11 @@ class MachineConfig:
 
     def validate(self):
         """Raise :class:`ConfigError` on inconsistent settings."""
+        for name in _INTEGERS:
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigError("%s must be an integer, got %r"
+                                  % (name, value))
         if self.num_processors < 1:
             raise ConfigError("need at least one processor")
         if self.num_task_frames < 1:
@@ -202,3 +207,10 @@ _FLOORS = tuple(
     "lazy_finish_cycles", "lazy_steal_cycles", "thread_load_cycles",
     "thread_unload_cycles", "idle_poll_cycles", "steal_poll_cycles",
     "memory_latency", "coherent_memory_latency", "network_hop_cycles"))
+
+#: The knobs :meth:`MachineConfig.validate` holds to plain ``int``s —
+#: every knob but the two flags and the two names: a float, bool or
+#: string in one fails further in, at build or run.
+_INTEGERS = ("num_processors", "num_task_frames", "memory_words",
+             "user_heap_words", "kernel_heap_words", "stack_words",
+             "touch_spin_limit") + tuple(name for name, _ in _FLOORS)

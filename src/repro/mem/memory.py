@@ -82,9 +82,9 @@ def _anonymous(nbytes):
 class CodeWatch:
     """Write-watch over words that processors have translated.
 
-    Self-modifying-code support for the translation-cache tiers
-    (:mod:`repro.core.execops` closures and :mod:`repro.core.jit`
-    blocks): each processor registers the word ranges it has compiled
+    Self-modifying-code support for the translation caches (the
+    :mod:`repro.core.jit` one-instruction forms, blocks and slices):
+    each processor registers the word ranges it has compiled
     via :meth:`cover`; :class:`Memory` calls :meth:`notify` from its
     write choke points (:meth:`Memory.sync_store`,
     :meth:`Memory.write_word` — every store flavor, block transfer, and

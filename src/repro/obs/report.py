@@ -28,8 +28,9 @@ def component_counters(machine):
         },
         "sync": (sync.counters() if sync is not None
                  else SyncAllocator.empty_counters()),
-        # Per-CPU view of the machine's translation tables (predecode
-        # entries, generated code): table sizes and invalidations,
+        # Per-CPU view of the machine's translation tables
+        # (one-instruction forms under "predecode", generated blocks and
+        # slices under "jit"): table sizes and invalidations,
         # this CPU's compiles, runs and deopts.  This block describes
         # the *host* run — it differs with the interpreter tier and the
         # machine schedule — while everything around it is a function

@@ -936,30 +936,30 @@ class TestWhoPaysForWindows:
 
     #: sha256 over the plain-block source at every pc of fib, queens
     #: and factor in all three modes.  A change that means to alter
-    #: what these machines compile re-pins it (last: the bank stores
-    #: its full/empty bits in the empty sense, so the inlined bit tests
-    #: and stores flip); any other must not.
+    #: what these machines compile re-pins it (last: ``div``/``rem``
+    #: are inlined, so 27 more pcs start a block, and what generated
+    #: code delegates is an ``Instruction`` the reference runs); any
+    #: other must not.
     PINNED = {
-        "ideal": (5483, "cca5f1648368d06211f23953f95ed531"
-                        "a7605cdf28ac74bd34f81227237f87b5"),
-        "delegating": (3485, "7066b99e29e59b13a144d5c31502ff4d"
-                             "5ca1e3dacf0acdb1cf6a8eca8bbcdf1d"),
-        "coherent": (5483, "34195689f7fb7636f3a4da925e7cd38f"
-                           "7bdf290c91c8b260a15914cdea239831"),
+        "ideal": (5510, "86c448acc7232434563fb489e3663ce2"
+                        "c1a20465fd0f1669569ca350ba750723"),
+        "delegating": (3512, "33e0333f1fb3089f99c8b117aa264cec"
+                             "c15a950eb6b71b83ee26abc38f298d5a"),
+        "coherent": (5510, "af02ba1b4a29903e7cea1f603c757b76"
+                           "0730bf6a25d22c51b215106f0830b218"),
     }
 
     #: The same over the slice source (``compile_block(..., sliced=True)``)
     #: at every pc of the same corpus, on a bank with
     #: :class:`StackWindows` installed: an ideal one (tails carry stack
     #: accesses) and a coherent node's (tails carry the stack accesses
-    #: its cache hits; last re-pinned when the inlined full/empty bit
-    #: tests flipped with the bank's empty-sense bits).  Same rule as
-    #: :data:`PINNED`.
+    #: its cache hits; last re-pinned with :data:`PINNED`, for the
+    #: same reasons).  Same rule as :data:`PINNED`.
     SLICES = {
-        "coherent": (5558, "3ea2a853d47ffb7594a8ae74b2d2af87"
-                           "8a13bfeba95c53c5c8d978d251ed0377"),
-        "windows": (5558, "5bf3d54ce1be7bbe699a935a9d92a4c5"
-                          "efd6f8adbb8254a908c1e4a1a93a7c25"),
+        "coherent": (5558, "096478e3f439dc220d61cd65b3a13fe7"
+                           "7f0f72ec30ad55ef3d0a3ba892122ca6"),
+        "windows": (5558, "7b35f8f6dcf4ce8dc1c906dddcaf1002"
+                          "ead80d680dd50bb5ef559c51e5a1f88a"),
     }
 
     @staticmethod
@@ -1037,9 +1037,9 @@ class TestCoherentHits:
     hits — a valid line for a load, a modified one for a store — in
     one cycle itself, stamping the line and counting the hit as the
     controller would; everything else is the controller's, through the
-    closure.  Per case below, a loop whose later passes hit inline and
-    whose case-access delegates, run by ``step_block`` and by
-    ``step()`` (the ``jit=False`` tier): counters, registers, memory,
+    reference's statement.  Per case below, a loop whose later passes
+    hit inline and whose case-access delegates, run by ``step_block``
+    and by ``step()`` (the ``jit=False`` tier): counters, registers, memory,
     every cache line, the LRU clock and whatever an attached observer
     records must be equal, and the accesses the controller served in
     the generated-code run must be exactly the case's."""

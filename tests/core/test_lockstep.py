@@ -2,8 +2,10 @@
 
 Every scenario runs three times from one compile — generated code
 (``fastpath=True, jit=True``: every block start compiled at its first
-visit), the closure tier (``fastpath=True, jit=False``: every
-instruction through one predecoded closure), and the reference
+visit), the step tier (``fastpath=True, jit=False``: every
+instruction through ``step()``'s one-instruction generated form, or the
+reference's statement in a delay slot; the harness still calls it
+``closure``, after the tier it replaced), and the reference
 (``fastpath=False``: the original decode + if-chain interpreter on the
 per-instruction heapq loop) — and all runs
 must agree on everything a program or an observer could see: the
@@ -76,7 +78,8 @@ def _run_pair(source, mode, config, args):
 
 
 def _run_triple(source, mode, config, args):
-    """One compile, three runs: JIT, closure tier, reference."""
+    """One compile, three runs: JIT, step tier (``jit=False``),
+    reference."""
     compiled = compile_source(source, mode=mode)
     runs = []
     for fastpath, jit in ((True, True), (True, False), (False, False)):
@@ -477,7 +480,7 @@ class TestFallbackMatrix:
 class TestJitFallbackMatrix:
     """The fallback matrix again, with the JIT axis explicit: a pinned
     run (reference loop, JIT never fires), a riding run (fast loop, JIT
-    and run-ahead slices fire) and a closure-tier run (``jit=False``)
+    and run-ahead slices fire) and a step-tier run (``jit=False``)
     must all be cycle-identical to the dormant JIT-enabled fast run."""
 
     @pytest.mark.parametrize("hook", sorted(ATTACHERS))

@@ -76,9 +76,18 @@ class TestBadCellsFailBeforeAnyRuns:
         (lambda s: s.update(config={"memory_mode": "coherent",
                                     "network_dim": 0}),
          "bad config: network_dim"),
+        # Once accepted, and a TypeError in the worker.
+        (lambda s: s.update(config={"memory_mode": "coherent",
+                                    "network_dim": 1.5}),
+         "bad config: network_dim must be an integer"),
+        (lambda s: s.update(config={"cache_assoc": True}),
+         "bad config: cache_assoc must be an integer"),
+        (lambda s: s.update(config={"touch_spin_limit": "2"}),
+         "bad config: touch_spin_limit must be an integer"),
     ], ids=["unknown-knob", "no-task-frames", "num-processors",
             "args-not-a-list", "args-not-ints", "negative-max-cycles",
-            "zero-max-cycles", "zero-dimensional-network"])
+            "zero-max-cycles", "zero-dimensional-network",
+            "fractional-network", "flag-for-a-count", "string-for-a-count"])
     def test_expand_spec_raises(self, mutate, fragment):
         spec = smoke_spec()
         mutate(spec)
@@ -116,6 +125,33 @@ SERVE_PINS = [
     (("serve", "source"),
      "167a0233d15fc1c77ae88e8f0eba2c15c4f94274d85cfaf429a60507024b3b32"),
 ]
+
+
+class TestServeRefusesNonIntegerKnobs:
+    """A serve spec with a float, bool or string in an integer knob is
+    a ``bad-job``, named or source form; a flag stays a flag."""
+
+    @pytest.mark.parametrize("spec", [
+        {"program": "fib", "config": {"memory_mode": "coherent",
+                                      "network_dim": 1.5}},
+        {"source": "(define (main) 1)",
+         "config": {"memory_mode": "coherent", "network_dim": 1.5}},
+        {"source": "(define (main) 1)", "config": {"stack_words": 512.0}},
+    ], ids=["named", "source", "source-float-size"])
+    def test_bad_job(self, spec):
+        from repro.serve.protocol import ServeRequestError, job_from_spec
+
+        with pytest.raises(ServeRequestError, match="must be an integer") \
+                as err:
+            job_from_spec(spec)
+        assert err.value.kind == "bad-job"
+
+    def test_flags_stay_flags(self):
+        from repro.serve.protocol import job_from_spec
+
+        job = job_from_spec({"source": "(define (main) 1)",
+                             "config": {"custom_april_switch": True}})
+        assert job.config.custom_april_switch is True
 
 
 class TestAcceptedSpecsUnchanged:

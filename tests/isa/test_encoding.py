@@ -160,8 +160,8 @@ class TestRoundtripProperties:
 
 
 class TestDecodeCache:
-    """A machine's word-keyed memos (``Translations.decode`` and
-    ``.predecode``): a word decodes and predecodes once."""
+    """A machine's word-keyed decode memo (``Translations.decode``): a
+    word decodes once."""
 
     def test_same_object_returned(self):
         cache = Translations()
@@ -169,8 +169,6 @@ class TestDecodeCache:
         first = cache.decode(word)
         second = cache.decode(word)
         assert first is second
-        entry = cache.predecode(word)
-        assert entry is cache.predecode(word) and entry.instr is first
 
     def test_decodes_correctly(self):
         cache = Translations()
@@ -181,4 +179,4 @@ class TestDecodeCache:
         cache = Translations()
         for _ in range(2):
             with pytest.raises(EncodingError):
-                cache.predecode(0xFF000000)
+                cache.decode(0xFF000000)

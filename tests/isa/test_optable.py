@@ -1,6 +1,7 @@
 """The opcode table (:mod:`repro.isa.optable`): one row per opcode,
-every fast statement of an ALU row agrees with the reference ALU, and
-every other delegated row runs the same on all three tiers."""
+every generated statement of an ALU row agrees with the reference ALU
+(``div``/``rem``'s two guards wherever they stand in generated code),
+and every delegated row runs the same on all three tiers."""
 
 import os
 import subprocess
@@ -12,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import alu
-from repro.core.execops import build_entry
 from repro.core.jit import compile_block
 from repro.core.memport import MemOutcome
 from repro.core.processor import Processor
@@ -118,8 +118,7 @@ def _outcome(cpu, taken, run):
     """``(result, N/Z/V/C, trap payload)`` of one ALU execution, the
     payload read off the trap ``cpu`` took (``taken``, its recording
     table).  Generated code takes its trap in place; a raised one —
-    the reference ALU's, the closure's — is taken as ``step()`` takes
-    it."""
+    the reference ALU's — is taken as ``step()`` takes it."""
     del taken[:]
     try:
         result, cc = run()
@@ -132,8 +131,9 @@ def _outcome(cpu, taken, run):
 
 
 class TestEveryAluRowAgreesWithTheReference:
-    """Per ALU row: the reference ALU, the closure rung's handler and a
-    one-instruction generated block, on the same operand words."""
+    """Per ALU row: the reference ALU, the one-instruction form
+    ``step()`` runs and a one-instruction slice, on the same operand
+    words."""
 
     @staticmethod
     def _machine(op):
@@ -155,28 +155,158 @@ class TestEveryAluRowAgreesWithTheReference:
     @settings(max_examples=150, deadline=None)
     @given(a=_WORDS, b=_WORDS)
     def test_alu_execute_closure_and_generated_code_agree(self, op, a, b):
+        # ("closure" names the rung the one-instruction form replaced.)
         row = ROWS[op]
         cpu, instr, taken = self._machine(op)
         block = compile_block(cpu, _PC, sliced=True)
         assert block is not None and block.count == 1
-        entry = build_entry(instr)
+        form = compile_block(cpu, _PC, single=True)
+        assert form is not None and form.count == 1
 
         def reference():
             result, (n, z, v, c) = alu.execute(op, a, b, instr=instr, pc=_PC)
             return result, n * N_BIT | z * Z_BIT | v * V_BIT | c * C_BIT
 
         expected = _outcome(cpu, taken, reference)
-        closure = _outcome(cpu, taken, lambda: self._run_on(
-            cpu, a, b, lambda cpu, frame: entry.run(cpu, frame, _PC,
-                                                    _PC + 4)))
+        stepped = _outcome(cpu, taken, lambda: self._run_on(
+            cpu, a, b, lambda cpu, frame: form.fn(cpu, frame)))
         generated = _outcome(cpu, taken, lambda: self._run_on(
             cpu, a, b, lambda cpu, frame: block.fn(cpu, frame)))
-        for result, cc, trap in (closure, generated):
+        for result, cc, trap in (stepped, generated):
             if "rd" in row.writes:      # cmp discards its result
                 assert result == expected[0]
             assert (cc, trap) == expected[1:]
         if (a | b) & 1:
             assert (expected[2] is not None) == row.strict
+
+
+#: ``(a, b)`` per divide case: what ``alu.execute`` checks first wins.
+_DIVIDE_CASES = {
+    "quotient": (-36, 8),
+    "zero-divisor": (36, 0),
+    "future-dividend": (37, 8),
+    "future-divisor": (36, 9),
+    "future-and-zero": (37, 0),
+    "both-futures": (37, 9),
+}
+
+#: How the divide names its operands: two registers, a literal divisor
+#: (a literal zero is always a zero divisor), and a literal divisor of
+#: the hard-wired zero (two literals, folded unless something traps).
+_FORMS = {
+    "registers": "r1, r2",
+    "literal": "r1, {b}",
+    "r0-and-literal": "r0, {b}",
+}
+
+#: Where the divide stands: the source around it, every rung starting
+#: at its first word, and the divide's offset in bytes from there.
+_PLACEMENTS = {
+    # Behind an instruction, in one block.
+    "block": ("""
+            addr r4, 1, r4
+            {op} {operands}, r3
+            halt
+    """, 4),
+    # Heading a slice (and a block of its own).
+    "slice-head": ("""
+            {op} {operands}, r3
+            halt
+    """, 0),
+    # In a branch's delay slot, fused into the branch's block.
+    "delay-slot": ("""
+            ba target
+            @{op} {operands}, r3
+            halt
+        target:
+            halt
+    """, 4),
+}
+
+
+class TestDivideGuardsOnEveryRung:
+    """``div`` and ``rem`` are inlined: a strict guard, then a zero
+    divisor's, each taking the reference's trap in place.  Per case
+    and placement, the reference interpreter, ``step()`` (one
+    instruction's generated form, or the reference in a delay slot),
+    generated blocks and sync-headed slices all leave the same state
+    and the same trap payload."""
+
+    @staticmethod
+    def _run(op, case, placement, form, drive):
+        a, b = _DIVIDE_CASES[case]
+        source = _PLACEMENTS[placement][0].format(
+            op=op.name.lower(), operands=_FORMS[form].format(b=b))
+        cpu, _, program = build_cpu(source)
+        taken = _recording(cpu)
+        frame = cpu.frame
+        frame.regs[1], frame.regs[2] = a & WORD_MASK, b & WORD_MASK
+        frame.psr.value = ET_BIT
+        calls = 0
+        while not taken and not cpu.halted:
+            drive(cpu)
+            calls += 1
+            assert calls < 10
+        return {
+            "regs": list(frame.regs),
+            "chain": (frame.pc, frame.npc),
+            "psr": frame.psr.value,
+            "cycles": cpu.cycles,
+            "stats": cpu.stats.snapshot(),
+            "traps": [(t.kind, t.instr, t.pc, t.value, t.cause)
+                      for t in taken],
+        }, program
+
+    @pytest.mark.parametrize("form", sorted(_FORMS))
+    @pytest.mark.parametrize("placement", sorted(_PLACEMENTS))
+    @pytest.mark.parametrize("case", sorted(_DIVIDE_CASES))
+    @pytest.mark.parametrize("op", [Opcode.DIV, Opcode.REM],
+                             ids=lambda op: op.name)
+    def test_every_rung_leaves_the_same_state(self, op, case, placement,
+                                              form):
+        expected, program = self._run(op, case, placement, form,
+                                      Processor.step_reference)
+        a, b = _DIVIDE_CASES[case]
+        if form == "r0-and-literal":
+            a = 0
+        if (a | b) & 1:
+            kind = TrapKind.FUTURE_COMPUTE
+        elif b == 0:
+            kind = TrapKind.ILLEGAL
+        else:
+            kind = None
+        assert [t[0] for t in expected["traps"]] == ([kind] if kind else [])
+        if kind is not None:
+            divide = program.base + _PLACEMENTS[placement][1]
+            assert expected["traps"][0][2] == expected["chain"][0] == divide
+        for drive in (Processor.step, lambda cpu: cpu.step_block(1 << 20),
+                      lambda cpu: cpu.step_block(0, True)):
+            assert self._run(op, case, placement, form, drive)[0] == expected
+
+    @pytest.mark.parametrize("case", sorted(_DIVIDE_CASES))
+    def test_past_a_slice_head_the_guards_park(self, case):
+        """Behind a slice's head neither guard traps: the chain parks
+        at the divide, which heads the next slice and traps there."""
+        a, b = _DIVIDE_CASES[case]
+        source = _PLACEMENTS["block"][0].format(op="div",
+                                                operands=_FORMS["registers"])
+        cpu, _, program = build_cpu(source)
+        taken = _recording(cpu)
+        frame = cpu.frame
+        frame.regs[1], frame.regs[2] = a & WORD_MASK, b & WORD_MASK
+        frame.psr.value = ET_BIT
+        block = compile_block(cpu, program.base, sliced=True)
+        assert block.count == 2
+        cpu.step_block(0, True)
+        assert not taken
+        if (a | b) & 1 or b == 0:
+            assert (frame.pc, frame.npc) == (program.base + 4,
+                                             program.base + 8)
+            assert cpu.stats.instructions == 1 and cpu.ahead_tail is None
+            cpu.step_block(0, True)
+            assert [t.pc for t in taken] == [program.base + 4]
+        else:
+            assert frame.pc == program.base + 8
 
 
 #: The delegated rows with no ALU statement: the frame-pointer, system
@@ -200,7 +330,8 @@ class _Settles(list):
 
 def _generated(cpu):
     """Run the one-instruction slice at the pc, taking a raised trap
-    as :meth:`Processor.step_block` takes it."""
+    (the reference's statement raises it) as
+    :meth:`Processor.step_block` takes it."""
     block = compile_block(cpu, _PC, sliced=True)
     assert block is not None and block.count == 1
     frame = cpu.frame

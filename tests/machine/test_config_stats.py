@@ -66,6 +66,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match=name):
             MachineConfig(**{name: -1})
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2"],
+                             ids=["float", "whole-float", "bool", "str"])
+    @pytest.mark.parametrize("name", [
+        name for name, value in MachineConfig().to_dict().items()
+        if type(value) is int])
+    def test_integer_knobs_take_only_integers(self, name, value):
+        # network_dim=1.5 on a coherent machine once passed here and
+        # killed the worker with a TypeError.
+        with pytest.raises(ConfigError, match="%s must be an integer" % name):
+            MachineConfig(memory_mode="coherent", **{name: value})
+
+    def test_flags_stay_flags(self):
+        config = MachineConfig(custom_april_switch=True, lazy_futures=True)
+        assert config.custom_april_switch is True
+        assert config.lazy_futures is True
+
     def test_cache_knobs_of_an_ideal_machine_need_not_divide(self):
         # An ideal machine builds no cache; only its sizes are checked.
         assert MachineConfig(cache_bytes=1000).cache_bytes == 1000

@@ -1,7 +1,8 @@
 """Translation state belongs to the machine, not to its processors.
 
-What is cached at a pc — predecoded entry, JIT block or slice, or the
-fact that nothing compiles there — is a function of the code there, so
+What is cached at a pc — the one-instruction form ``step()`` runs, a
+JIT block or slice, or the fact that nothing compiles there — is a
+function of the code there, so
 a machine's processors share one
 :class:`~repro.core.processor.Translations`: each block start is
 compiled once, at its first visit by any of them, and a store into
@@ -37,7 +38,7 @@ def _machine(processors=4, **build):
 
 def _closure_machine(processors=4):
     """The same machine with ``jit=False``: every instruction goes
-    through ``step()`` and its predecode table."""
+    through ``step()`` and its table of one-instruction forms."""
     machine, compiled = _machine(processors)
     return AlewifeMachine(compiled.program, machine.config,
                           jit=False), compiled
@@ -51,13 +52,14 @@ def _run(machine, compiled, n=9):
 
 @pytest.fixture
 def compile_calls(monkeypatch):
-    """Every ``compile_block`` call the processors make: (pc, sliced)."""
+    """Every ``compile_block`` call the processors make: (pc, sliced,
+    single)."""
     calls = []
     real = processor.compile_block
 
-    def counting(cpu, pc, sliced=False):
-        calls.append((pc, sliced))
-        return real(cpu, pc, sliced)
+    def counting(cpu, pc, sliced=False, single=False):
+        calls.append((pc, sliced, single))
+        return real(cpu, pc, sliced, single)
 
     monkeypatch.setattr(processor, "compile_block", counting)
     return calls
@@ -71,7 +73,7 @@ class TestOneTablePerMachine:
         first = machine.cpus[0]
         for cpu in machine.cpus[1:]:
             assert cpu.translations is first.translations
-            assert cpu._entry_map is first._entry_map
+            assert cpu._step_map is first._step_map
             assert cpu._jit_map is first._jit_map
 
     def test_block_compiled_through_one_cpu_runs_on_another(
@@ -80,7 +82,7 @@ class TestOneTablePerMachine:
         cpu0, cpu3 = machine.cpus[0], machine.cpus[3]
         pc = compiled.program.address_of(compiled.entry_label("main"))
         block = cpu0._compile_jit(pc)
-        assert block is not None and compile_calls == [(pc, False)]
+        assert block is not None and compile_calls == [(pc, False, False)]
         # CPU 3 never visited the pc: no second compile.  A budget of
         # the block's own count runs that block and chains no further.
         frame = cpu3.frame
@@ -88,7 +90,7 @@ class TestOneTablePerMachine:
         assert cpu3.step_block(block.count) > 0
         assert cpu3.jit_runs == 1 and cpu3.jit_compiles == 0
         assert cpu3._jit_map[pc] is block
-        assert compile_calls == [(pc, False)]
+        assert compile_calls == [(pc, False, False)]
 
     def test_a_run_compiles_each_pc_once_for_all_cpus(self, compile_calls):
         machine, compiled = _machine()
@@ -99,7 +101,7 @@ class TestOneTablePerMachine:
         assert sum(1 for cpu in machine.cpus if cpu.jit_runs) >= 3
         tables = machine.cpus[0].translations
         assert tables.jit_invalidations == 0
-        assert len(compile_calls) == len(tables.jit)
+        assert len(compile_calls) == len(tables.jit) + len(tables.steps)
         assert sum(cpu.jit_compiles for cpu in machine.cpus) == sum(
             1 for block in tables.jit.values() if block is not False)
 
@@ -113,7 +115,8 @@ class TestOneTablePerMachine:
 class TestFirstVisitRunsGeneratedCode:
     """No warm-up: a block start is compiled the first time any of the
     machine's processors reaches it, and a pc that does not compile is
-    asked about once."""
+    asked about once — then once more for the one-instruction form
+    ``step()`` runs there instead."""
 
     def test_first_step_block_at_a_block_start_runs_generated_code(self):
         machine, compiled = _machine()
@@ -140,8 +143,9 @@ class TestFirstVisitRunsGeneratedCode:
             frame.pc, frame.npc = pc, pc + 4
             assert cpu.step_block(1 << 30) == 1
             assert cpu.halted and cpu.jit_runs == 0
-        assert compile_calls == [(pc, False)]
+        assert compile_calls == [(pc, False, False), (pc, False, True)]
         assert machine.cpus[0]._jit_map[pc] is False
+        assert machine.cpus[0]._step_map[pc].count == 1
 
 
 class TestInvalidationIsPerMachine:
@@ -165,16 +169,17 @@ class TestInvalidationIsPerMachine:
                            for b in cpu._jit_map.values())
 
     def test_a_store_drops_a_predecoded_entry_once_for_all(self):
-        # Without generated code every instruction is predecoded.
+        # Without generated blocks every instruction runs its
+        # one-instruction form.
         machine, compiled = _closure_machine()
         _run(machine, compiled)
         memory = machine.memory
         tables = machine.cpus[0].translations
-        pc = next(iter(tables.entries))
-        before = tables.entry_invalidations
+        pc = next(pc for pc, form in tables.steps.items() if form)
+        before = tables.step_invalidations
         memory.write_word(pc, memory.read_word(pc))
-        assert tables.entry_invalidations == before + 1
-        assert all(pc not in cpu._entry_map for cpu in machine.cpus)
+        assert tables.step_invalidations == before + 1
+        assert all(pc not in cpu._step_map for cpu in machine.cpus)
 
     def test_every_cpu_retranslates_after_a_patch(self, compile_calls):
         machine, compiled = _machine()
@@ -184,7 +189,7 @@ class TestInvalidationIsPerMachine:
         memory.write_word(pc, memory.read_word(pc))
         assert all(pc not in cpu._jit_map for cpu in machine.cpus)
         fresh = machine.cpus[2]._compile_jit(pc)
-        assert compile_calls == [(pc, False), (pc, False)]
+        assert compile_calls == [(pc, False, False), (pc, False, False)]
         # Same words, so the process-wide cache answers with the block.
         assert fresh is stale
         assert all(cpu._jit_map[pc] is fresh for cpu in machine.cpus)
@@ -201,8 +206,8 @@ class TestTheProgramBoundsTheTables:
     @staticmethod
     def _assert_keys_are_program_words(tables, program):
         words = range(program.base, program.base + 4 * len(program.words), 4)
-        assert tables.entries or tables.jit
-        for key in list(tables.entries) + list(tables.jit):
+        assert tables.steps or tables.jit
+        for key in list(tables.steps) + list(tables.jit):
             assert (~key if key < 0 else key) in words, hex(key)
 
     @pytest.mark.parametrize("memory_mode", ["ideal", "coherent"])
@@ -228,7 +233,7 @@ class TestTheProgramBoundsTheTables:
         run(cpu)
         assert cpu.read_reg(1) == 8 + 8 * 5
         tables = cpu.translations
-        assert tables.jit_invalidations + tables.entry_invalidations > 0
+        assert tables.jit_invalidations + tables.step_invalidations > 0
         self._assert_keys_are_program_words(tables, program)
 
 
@@ -240,7 +245,7 @@ class TestTwoMachinesShareOnlyCompiledBlocks:
         _run(two, compiled)
         a, b = one.cpus[0].translations, two.cpus[0].translations
         assert a is not b
-        for name in ("entries", "jit"):
+        for name in ("steps", "jit"):
             assert getattr(a, name) is not getattr(b, name)
         assert a.watch is not b.watch
         common = [key for key, block in a.jit.items()
