@@ -365,10 +365,16 @@ def _tail(cpu, frame, count, pc, npc, undo, log, loads, stores, *hits):
 
 
 def _trap(cpu, frame, count, pc, npc, instr, value, cause):
-    """A tripped future guard: :func:`_park` at the guarded
-    instruction, then take the reference's identical trap in place
-    (``cause``, the opcode's name, is baked into the call)."""
-    _park(cpu, frame, count, pc, npc)
+    """A tripped future guard: :func:`_park` (stated inline) at the
+    guarded instruction, then take the reference's identical trap in
+    place (``cause``, the opcode's name, is baked into the call)."""
+    cpu.cycles += count
+    stats = cpu.stats
+    stats.useful += count
+    stats._total += count
+    stats.instructions += count
+    frame.pc = pc
+    frame.npc = npc
     cpu._take_trap(frame, Trap(_FUTURE_COMPUTE, 0, instr, pc, None, value,
                                cause))
     return True

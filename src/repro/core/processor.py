@@ -47,6 +47,8 @@ from repro.isa.instructions import (
 from repro.isa.tags import WORD_MASK
 from repro.obs.events import EventBus, EventKind
 
+_SOFTWARE = TrapKind.SOFTWARE
+
 #: Cycle-cost categories tracked by :attr:`Processor.stats`.
 CATEGORIES = ("useful", "stall", "trap", "switch", "spin", "idle")
 
@@ -68,15 +70,14 @@ class ProcessorStats:
 
     ``_total`` mirrors the sum of the six category counters
     incrementally, so :attr:`total_cycles` is an attribute read instead
-    of a 6-way ``getattr`` sum; everything that bumps a category (the
-    ``_add_*`` table, generated code) bumps ``_total`` by the same
-    amount.  The invariant is asserted in the test suite.
+    of a 6-way ``getattr`` sum; everything that bumps a category
+    (:meth:`Processor.charge`, generated code) bumps ``_total`` by the
+    same amount.  The invariant is asserted in the test suite.
     """
 
     __slots__ = (
         "useful", "stall", "trap", "switch", "spin", "idle", "_total",
         "instructions", "context_switches", "traps_taken", "trap_counts",
-        "_charge",
     )
 
     def __init__(self):
@@ -87,42 +88,6 @@ class ProcessorStats:
         self.context_switches = 0
         self.traps_taken = 0
         self.trap_counts = {}
-        # Per-category bound-method dispatch: replaces the
-        # getattr/setattr pair in the old Processor.charge.
-        self._charge = {
-            "useful": self._add_useful,
-            "stall": self._add_stall,
-            "trap": self._add_trap,
-            "switch": self._add_switch,
-            "spin": self._add_spin,
-            "idle": self._add_idle,
-        }
-
-    # -- category adders (the precomputed charge table) --------------------
-
-    def _add_useful(self, cycles):
-        self.useful += cycles
-        self._total += cycles
-
-    def _add_stall(self, cycles):
-        self.stall += cycles
-        self._total += cycles
-
-    def _add_trap(self, cycles):
-        self.trap += cycles
-        self._total += cycles
-
-    def _add_switch(self, cycles):
-        self.switch += cycles
-        self._total += cycles
-
-    def _add_spin(self, cycles):
-        self.spin += cycles
-        self._total += cycles
-
-    def _add_idle(self, cycles):
-        self.idle += cycles
-        self._total += cycles
 
     @property
     def total_cycles(self):
@@ -256,11 +221,28 @@ class Processor:
     # -- cycle accounting ------------------------------------------------------
 
     def charge(self, cycles, category="useful"):
-        """Advance the local clock, attributing cycles to a category."""
+        """Advance the local clock, attributing cycles to one of
+        :data:`CATEGORIES`, tested in place (the trap path's two first)
+        so that a charge is one call."""
         if cycles < 0:
             raise ProcessorError("negative cycle charge")
+        stats = self.stats
+        if category == "trap":
+            stats.trap += cycles
+        elif category == "switch":
+            stats.switch += cycles
+        elif category == "useful":
+            stats.useful += cycles
+        elif category == "idle":
+            stats.idle += cycles
+        elif category == "stall":
+            stats.stall += cycles
+        elif category == "spin":
+            stats.spin += cycles
+        else:
+            raise ProcessorError("unknown cycle category %r" % (category,))
+        stats._total += cycles
         self.cycles += cycles
-        self.stats._charge[category](cycles)
 
     # -- IPI delivery (Section 3.4) -----------------------------------------
 
@@ -648,19 +630,6 @@ class Processor:
             "superblocks": {"size": 0, "executed": 0, "invalidations": 0},
         }
 
-    def run(self, max_cycles=None, max_instructions=None):
-        """Step until halted or a limit is reached; returns cycles run."""
-        start = self.cycles
-        executed = 0
-        while not self.halted:
-            if max_cycles is not None and self.cycles - start >= max_cycles:
-                break
-            if max_instructions is not None and executed >= max_instructions:
-                break
-            self.step()
-            executed += 1
-        return self.cycles - start
-
     # -- trap mechanism -----------------------------------------------------
 
     def _take_trap(self, frame, trap):
@@ -669,14 +638,19 @@ class Processor:
         self.charge(self.trap_squash_cycles, "trap")
         stats = self.stats
         stats.traps_taken += 1
+        kind = trap.kind
         counts = stats.trap_counts
-        counts[trap.kind] = counts.get(trap.kind, 0) + 1
+        counts[kind] = counts.get(kind, 0) + 1
         bus = self.events
         if bus.active and EventKind.TRAP_ENTER in bus.active:
             bus.emit(EventKind.TRAP_ENTER, self.cycles, self.node_id,
-                     trap=trap.kind.name, pc=trap.pc, frame=frame.index)
+                     trap=kind.name, pc=trap.pc, frame=frame.index)
         frame.enter_trap()
-        handler = self.trap_table.lookup(trap)
+        table = self.trap_table
+        handler = (table.by_vector.get(trap.vector) if kind is _SOFTWARE
+                   else table.by_kind.get(kind))
+        if handler is None:
+            table.lookup(trap)          # raises: no handler
         action = handler(self, frame, trap)
         if action is None:
             raise ProcessorError("trap handler returned no action for %r" % trap)

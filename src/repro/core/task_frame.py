@@ -14,7 +14,7 @@ PSR of the interrupted thread.
 """
 
 from repro.isa import registers
-from repro.core.psr import PSR
+from repro.core.psr import ET_BIT, PSR
 
 _ZEROS = (0,) * registers.NUM_FRAME_REGISTERS
 
@@ -56,28 +56,21 @@ class TaskFrame:
         self.regs[:] = _ZEROS
         self.pc = 0
         self.npc = 4
-        self.psr = PSR()
+        self.psr.value = ET_BIT
         self.thread = None
 
     def save_state(self):
         """Capture the full architectural state (for thread unloading).
 
-        Returns a dict the run-time system stores with the unloaded
-        thread; pass it back to :meth:`load_state` to reload.
+        Returns the ``(regs, pc, npc, psr)`` tuple the run-time system
+        stores with the unloaded thread; pass it back to
+        :meth:`load_state` to reload.
         """
-        return {
-            "regs": list(self.regs),
-            "pc": self.pc,
-            "npc": self.npc,
-            "psr": self.psr.value,
-        }
+        return list(self.regs), self.pc, self.npc, self.psr.value
 
     def load_state(self, state):
         """Restore architectural state captured by :meth:`save_state`."""
-        self.regs[:] = state["regs"]
-        self.pc = state["pc"]
-        self.npc = state["npc"]
-        self.psr = PSR(state["psr"])
+        self.regs[:], self.pc, self.npc, self.psr.value = state
 
     def enter_trap(self):
         """Bank the PC chain and PSR in the trap window (hardware trap)."""

@@ -99,16 +99,19 @@ class TrapTable:
     """
 
     def __init__(self):
-        self._by_kind = {}
-        self._by_vector = {}
+        #: kind -> handler, and software vector -> handler: what
+        #: :meth:`register` and :meth:`register_software` installed,
+        #: read by the trap sequence (``Processor._take_trap``).
+        self.by_kind = {}
+        self.by_vector = {}
 
     def register(self, kind, handler):
         """Install the handler for one trap kind."""
-        self._by_kind[kind] = handler
+        self.by_kind[kind] = handler
 
     def register_software(self, vector, handler):
         """Install the handler for software trap number ``vector``."""
-        self._by_vector[vector] = handler
+        self.by_vector[vector] = handler
 
     def lookup(self, trap):
         """Find the handler for a trap event.
@@ -118,13 +121,13 @@ class TrapTable:
         ignoring one in a simulator hides bugs.
         """
         if trap.kind is _SOFTWARE:
-            handler = self._by_vector.get(trap.vector)
+            handler = self.by_vector.get(trap.vector)
             if handler is None:
                 raise ProcessorError(
                     "unhandled software trap %d at pc=%#x" % (trap.vector, trap.pc)
                 )
             return handler
-        handler = self._by_kind.get(trap.kind)
+        handler = self.by_kind.get(trap.kind)
         if handler is None:
             raise ProcessorError(
                 "unhandled %s trap at pc=%#x (%r)" % (trap.kind.name, trap.pc, trap)

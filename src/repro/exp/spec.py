@@ -94,6 +94,11 @@ def check_name(kind, name):
             "unknown %s %r (have: %s)" % (kind, name, ", ".join(known)))
 
 
+def _is_int(value):
+    """True for an int that is not a bool (JSON ``true`` is not 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_fields(spec, keys):
     """Raise :class:`SweepSpecError` unless ``spec`` is a job spec
     whose keys are among ``keys`` (:data:`CELL_KEYS` or
@@ -119,11 +124,11 @@ def _check_fields(spec, keys):
             check_name(kind, spec[kind])
     for knob in ("processors", "max_cycles"):
         value = spec.get(knob, 1)
-        if not isinstance(value, int) or value < 1:
+        if not _is_int(value) or value < 1:
             raise SweepSpecError("%s must be a positive int" % knob)
     # A cell's null args mean the program's default size.
     args = spec.get("args", [])
-    if not (isinstance(args, list) and all(isinstance(a, int) for a in args)
+    if not (isinstance(args, list) and all(_is_int(a) for a in args)
             or args is None and cell):
         raise SweepSpecError("args must be a list of ints")
     config = spec.get("config", {})
@@ -207,7 +212,7 @@ def expand_spec(spec):
         raise SweepSpecError("grid.systems must be a list")
     cpus = grid.get("cpus", [1])
     if (not isinstance(cpus, list) or not cpus
-            or not all(isinstance(n, int) and n >= 1 for n in cpus)):
+            or not all(_is_int(n) and n >= 1 for n in cpus)):
         raise SweepSpecError("grid.cpus must be a list of positive ints")
     args_by_program = grid.get("args", {})
     if not isinstance(args_by_program, dict):

@@ -43,6 +43,9 @@ TAG_FUTURE = 0b101
 #: Mask covering a three-bit pointer tag.
 PTR_TAG_MASK = 0b111
 
+#: Mask covering a tagged pointer's address bits.
+ADDRESS_MASK = ~PTR_TAG_MASK & WORD_MASK
+
 FIXNUM_MIN = -(1 << 29)
 FIXNUM_MAX = (1 << 29) - 1
 
@@ -91,7 +94,7 @@ def make_pointer(tag, address):
 
 def pointer_address(word):
     """Recover the 8-byte-aligned byte address from a tagged pointer."""
-    return word & ~PTR_TAG_MASK & WORD_MASK
+    return word & ADDRESS_MASK
 
 
 def pointer_tag(word):

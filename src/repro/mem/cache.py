@@ -135,25 +135,18 @@ class Cache:
                 return line
         return None
 
-    def _relink(self, block):
-        """``block`` just lost a line: point :attr:`valid` at the one
-        the set walk finds now, or drop it.  Usually there is none, but
-        an upgrade may install the block into an invalid line ahead of
-        its old shared copy, which stays valid behind it."""
-        line = self.probe(block)
-        if line is None:
-            self.valid.pop(block, None)
-        else:
-            self.valid[block] = line
-
     def check_valid(self):
-        """Raise unless :attr:`valid` is exactly what the set walk
-        finds: every valid block, mapped to its first valid line."""
+        """Raise unless every valid block has exactly one valid line and
+        :attr:`valid` maps each to it, as the set walk finds it."""
         walk = {}
         for lines in self._sets:
             for line in lines or ():
                 if line.state is not LineState.INVALID:
-                    walk.setdefault(line.tag, line)
+                    if line.tag in walk:
+                        raise SimulationError(
+                            "cache %d: block %#x holds two valid lines"
+                            % (self.node_id, line.tag))
+                    walk[line.tag] = line
         if walk.keys() != self.valid.keys() or any(
                 self.valid[block] is not line for block, line in walk.items()):
             raise SimulationError(
@@ -165,13 +158,17 @@ class Cache:
         ``(tag, state)`` when a valid line was displaced, else None."""
         lines, block = self._locate(address, build=True)
         self._clock += 1
-        victim = None
-        for line in lines:
-            if line.state is LineState.INVALID or line.tag == block:
-                victim = line
-                break
+        # The block's own valid line first (an upgrade rewrites its
+        # shared copy), then an invalid line, then the LRU one: a block
+        # never holds two valid lines.
+        victim = self.valid.get(block)
         if victim is None:
-            victim = min(lines, key=lambda l: l.last_used)
+            for line in lines:
+                if line.state is LineState.INVALID:
+                    victim = line
+                    break
+            else:
+                victim = min(lines, key=lambda l: l.last_used)
         displaced = None
         if victim.state is not LineState.INVALID and victim.tag != block:
             displaced = (victim.tag, victim.state)
@@ -183,11 +180,9 @@ class Cache:
         victim.tag = block
         victim.state = state
         victim.last_used = self._clock
-        # Every line ahead of the victim is valid and holds another
-        # block, so the walk finds the block here.
         self.valid[block] = victim
         if displaced is not None:
-            self._relink(displaced[0])
+            del self.valid[displaced[0]]
         return displaced
 
     def invalidate(self, address, now=0):
@@ -197,7 +192,7 @@ class Cache:
             return LineState.INVALID
         old = line.state
         line.state = LineState.INVALID
-        self._relink(line.tag)
+        del self.valid[line.tag]
         self.stats.invalidations_received += 1
         bus = self.events
         if bus.active and EventKind.CACHE_INVALIDATE in bus.active:
@@ -226,7 +221,7 @@ class Cache:
             return False
         dirty = line.state is LineState.MODIFIED
         line.state = LineState.INVALID
-        self._relink(line.tag)
+        del self.valid[line.tag]
         if dirty:
             self.fence_counters[context] = (
                 self.fence_counters.get(context, 0) + 1)

@@ -8,7 +8,7 @@ blocked threads wait on which unresolved future, so resolution can move
 them back to a ready queue.
 """
 
-from repro.isa import tags
+from repro.isa.tags import ADDRESS_MASK
 from repro.errors import RuntimeSystemError
 from repro.obs.events import EventBus, EventKind
 
@@ -45,13 +45,16 @@ class FutureTable:
             bus.emit(EventKind.FUTURE_TOUCH, cycle, node,
                      cell=cell, resolved=resolved)
 
-    def note_resolved(self, cycle=0, node=0, cell=None, waiters=0):
-        """A future cell was resolved, waking ``waiters`` threads."""
+    def note_resolved(self, cell, cycle=0, node=0):
+        """The future cell at ``cell`` was resolved: returns the threads
+        blocked on it, no longer recorded as waiting."""
+        waiters = self._waiters.pop(cell, ())
         self.resolved += 1
         bus = self.events
         if bus.active and EventKind.FUTURE_RESOLVE in bus.active:
             bus.emit(EventKind.FUTURE_RESOLVE, cycle, node,
-                     cell=cell, waiters=waiters)
+                     cell=cell, waiters=len(waiters))
+        return waiters
 
     def note_woken(self, cycle=0, node=0, cell=None, tid=None, waker=None):
         """One blocked waiter was moved back to a ready queue.
@@ -76,13 +79,7 @@ class FutureTable:
 
     def add_waiter(self, future_word, thread):
         """Record a thread blocked on an unresolved future."""
-        cell = tags.pointer_address(future_word)
-        self._waiters.setdefault(cell, []).append(thread)
-
-    def take_waiters(self, future_word):
-        """Remove and return all threads blocked on this future."""
-        cell = tags.pointer_address(future_word)
-        return self._waiters.pop(cell, [])
+        self._waiters.setdefault(future_word & ADDRESS_MASK, []).append(thread)
 
     def waiting_count(self):
         """Total threads blocked on any future (deadlock diagnostics)."""

@@ -17,14 +17,18 @@ import weakref
 from repro.core.traps import TrapAction, TrapKind
 from repro.errors import RuntimeSystemError, SimulationError
 from repro.isa import registers, tags
+from repro.isa.tags import ADDRESS_MASK
 from repro.obs.events import EventKind
 from repro.runtime import stubs
 from repro.runtime.lazy import LazyMarker
+from repro.runtime.scheduler import loaded_frames
 from repro.runtime.thread import ThreadState
 
 _A0 = registers.ARG_REGS[0]
 _A1 = registers.ARG_REGS[1]
 _T7 = registers.TEMP_REGS[7]
+_SP = registers.SP
+_GLOBAL_BASE = registers.GLOBAL_BASE
 
 
 class TrapHandlers:
@@ -32,12 +36,27 @@ class TrapHandlers:
 
     def __init__(self, rts):
         # Weak: the handlers sit in every processor's trap table and
-        # the run-time system holds the processors, so a strong
-        # reference would make the whole machine — memory bank
+        # the run-time system and its scheduler hold the processors, so
+        # a strong reference would make the whole machine — memory bank
         # included — cyclic garbage.  The machine owns the run-time
         # system for as long as anything can trap.
         self.rts = weakref.proxy(rts)
-        self.config = rts.config
+        self.scheduler = weakref.proxy(rts.scheduler)
+        # These reach no processor, so they are held directly.
+        self.memory = rts.memory
+        self.futures = rts.futures
+        self.ready = rts.scheduler.ready
+        self.kernel_heaps = [rts.kernel_heap(node)
+                             for node in range(len(rts.cpus))]
+        # Each handler's costs, bound once.
+        config = rts.config
+        self.spin_limit = config.touch_spin_limit
+        self.switch_cycles = config.switch_handler_cycles
+        self.touch_cycles = config.future_touch_resolved_cycles
+        self.create_cycles = config.eager_task_create_cycles
+        self.exit_cycles = config.thread_exit_cycles
+        self.push_cycles = config.lazy_push_cycles
+        self.finish_cycles = config.lazy_finish_cycles
 
     def install(self, cpu):
         """Register every handler on a processor's trap table."""
@@ -62,26 +81,17 @@ class TrapHandlers:
 
     # -- context switching -----------------------------------------------
 
-    def _spin_limit(self, cpu):
-        """Switch-spins a faulting thread gets before it is unloaded:
-        the configured limit per loaded frame (at least one)."""
-        loaded = 0
-        for frame in cpu.frames:
-            if frame.thread is not None:
-                loaded += 1
-        return self.config.touch_spin_limit * (loaded or 1)
-
-    def _switch_spin(self, cpu, frame):
-        """The Section 6.1 switch-spin: FP moves to the next loaded frame.
+    def _switch_spin(self, cpu, frame, next_frame):
+        """The Section 6.1 switch-spin: FP moves to ``next_frame``, the
+        next loaded frame (:func:`~repro.runtime.scheduler.loaded_frames`).
 
         The trapping instruction re-executes when control returns to
         this frame (the handler body is the rdpsr/save/save/wrpsr/jmpl/
         rett sequence: 6 cycles, 11 with the squash)."""
-        cpu.charge(self.config.switch_handler_cycles, "switch")
+        cpu.charge(self.switch_cycles, "switch")
         cpu.stats.context_switches += 1
-        next_frame = self.rts.scheduler.next_occupied_frame(cpu)
         if next_frame is not None and next_frame is not frame:
-            self.rts.scheduler.activate_frame(cpu, next_frame)
+            self.scheduler.activate_frame(cpu, next_frame)
         bus = cpu.events
         if bus.active and EventKind.CONTEXT_SWITCH in bus.active:
             bus.emit(EventKind.CONTEXT_SWITCH, cpu.cycles, cpu.node_id,
@@ -90,7 +100,7 @@ class TrapHandlers:
 
     def on_cache_miss(self, cpu, frame, trap):
         """Remote cache miss: the controller trapped us; switch-spin."""
-        return self._switch_spin(cpu, frame)
+        return self._switch_spin(cpu, frame, loaded_frames(cpu)[1])
 
     def on_fe_exception(self, cpu, frame, trap):
         """Full/empty synchronization fault (Section 6.1).
@@ -109,13 +119,16 @@ class TrapHandlers:
         else:
             thread.last_fault_pc = trap.pc
             thread.spin_count = 1
-        if thread.spin_count <= self._spin_limit(cpu):
-            return self._switch_spin(cpu, frame)
+        # Switch-spin up to the configured limit per loaded frame.
+        loaded, next_frame = loaded_frames(cpu)
+        if thread.spin_count <= self.spin_limit * (loaded or 1):
+            return self._switch_spin(cpu, frame, next_frame)
         # Yield: unload and requeue so unloaded producers can run.
         thread.spin_count = 0
         thread.block_pc = trap.pc
-        self.rts.scheduler.unload_thread(cpu, frame, ThreadState.READY)
-        self.rts.scheduler.enqueue(thread)
+        scheduler = self.scheduler
+        scheduler.unload_thread(cpu, frame, ThreadState.READY)
+        scheduler.enqueue(thread)
         self.rts.dispatch_next(cpu)
         return TrapAction.SWITCHED
 
@@ -132,41 +145,44 @@ class TrapHandlers:
         future_word = trap.value
         if future_word is None or not future_word & 1:
             raise RuntimeSystemError("future trap without a future operand")
-        cell = tags.pointer_address(future_word)
+        cell = future_word & ADDRESS_MASK
         # The pointer is the program's: it goes through the window gate
         # (once), as a forged one into some stack must.
-        full, value = self.rts.memory.peek(cell)
+        full, value = self.memory.peek(cell)
         if full:
+            regs = frame.regs
             for reg in trap.instr.source_registers():
-                if cpu.read_reg(reg, frame) == future_word:
-                    cpu.write_reg(reg, value, frame)
-            cpu.charge(self.config.future_touch_resolved_cycles, "trap")
-            self.rts.futures.note_touch(True, cpu.cycles, cpu.node_id,
-                                        cell=cell)
+                if reg >= _GLOBAL_BASE:
+                    if cpu.read_reg(reg) == future_word:
+                        cpu.write_reg(reg, value)
+                elif reg and regs[reg] == future_word:
+                    regs[reg] = value           # a word from the bank
+            cpu.charge(self.touch_cycles, "trap")
+            self.futures.note_touch(True, cpu.cycles, cpu.node_id, cell)
             if frame.thread is not None:
                 frame.thread.spin_count = 0
             return TrapAction.RETRY
 
-        self.rts.futures.note_touch(False, cpu.cycles, cpu.node_id,
-                                    cell=cell)
+        self.futures.note_touch(False, cpu.cycles, cpu.node_id, cell)
         thread = frame.thread
         if thread is None:
             raise RuntimeSystemError("future touch in an empty frame")
         thread.spin_count += 1
-        if thread.spin_count <= self._spin_limit(cpu):
-            return self._switch_spin(cpu, frame)
+        loaded, next_frame = loaded_frames(cpu)
+        if thread.spin_count <= self.spin_limit * (loaded or 1):
+            return self._switch_spin(cpu, frame, next_frame)
         # Block: unload the thread onto the future's waiter list.
         thread.spin_count = 0
         thread.blocked_on = future_word
         thread.block_pc = trap.pc
-        self.rts.futures.add_waiter(future_word, thread)
-        self.rts.scheduler.unload_thread(cpu, frame, ThreadState.BLOCKED)
+        self.futures.add_waiter(future_word, thread)
+        self.scheduler.unload_thread(cpu, frame, ThreadState.BLOCKED)
         self.rts.dispatch_next(cpu)
         return TrapAction.SWITCHED
 
     def on_explicit_touch(self, cpu, frame, trap):
         """``(touch X)`` run-time service: resolve-or-wait on ``a0``."""
-        value = cpu.read_reg(_A0, frame)
+        value = frame.regs[_A0]
         if not tags.is_future(value):
             cpu.charge(2, "trap")
             return TrapAction.RESUME
@@ -176,19 +192,20 @@ class TrapHandlers:
 
     def on_future_create(self, cpu, frame, trap):
         """``(future E)`` with eager task creation (and ``future-on``)."""
-        thunk = cpu.read_reg(_A0, frame)
+        regs = frame.regs
         pinned = None
         if trap.vector == stubs.V_FUTURE_ON:
-            pinned = tags.fixnum_value(cpu.read_reg(_A1, frame))
-        future_word = self.rts.kernel_heap(cpu.node_id).future_cell()
-        node = self.rts.scheduler.pick_node(cpu.node_id, pinned)
+            pinned = tags.fixnum_value(regs[_A1])
+        future_word = self.kernel_heaps[cpu.node_id].future_cell()
+        node = self.scheduler.pick_node(cpu.node_id, pinned)
         thread = self.rts.new_thread(
-            node, entry_closure=thunk, future=future_word, cpu=cpu)
-        self.rts.scheduler.enqueue(thread, node)
-        self.rts.futures.note_created(
-            cpu.cycles, cpu.node_id, cell=tags.pointer_address(future_word))
-        cpu.write_reg(_A0, future_word, frame)
-        cpu.charge(self.config.eager_task_create_cycles, "trap")
+            node, entry_closure=regs[_A0], future=future_word, cpu=cpu)
+        # Fresh, so READY: Scheduler.enqueue's one check holds.
+        self.ready[node].append(thread)
+        self.futures.note_created(cpu.cycles, cpu.node_id,
+                                  future_word & ADDRESS_MASK)
+        regs[_A0] = future_word
+        cpu.charge(self.create_cycles, "trap")
         return TrapAction.RESUME
 
     # -- lazy task creation ---------------------------------------------------
@@ -196,16 +213,13 @@ class TrapHandlers:
     def on_lazy_push(self, cpu, frame, trap):
         """Push a lazy-task marker before evaluating the child inline."""
         thread = frame.thread
-        marker = LazyMarker(
-            thread,
-            sp=cpu.read_reg(registers.SP, frame),
-            resume_pc=cpu.read_reg(_T7, frame),
-            node=cpu.node_id,
-        )
+        regs = frame.regs
+        marker = LazyMarker(thread, regs[_SP], regs[_T7], cpu.node_id)
         thread.lazy_markers.append(marker)
-        self.rts.lazy_queues[cpu.node_id].push(marker)
-        self.rts.lazy_pushed += 1
-        cpu.charge(self.config.lazy_push_cycles, "trap")
+        rts = self.rts
+        rts.lazy_queues[cpu.node_id].push(marker)
+        rts.lazy_pushed += 1
+        cpu.charge(self.push_cycles, "trap")
         return TrapAction.RESUME
 
     def on_lazy_finish(self, cpu, frame, trap):
@@ -217,7 +231,7 @@ class TrapHandlers:
         marker = thread.lazy_markers.pop()
         if not marker.stolen:
             self.rts.lazy_queues[marker.node].discard(marker)
-            cpu.charge(self.config.lazy_finish_cycles, "trap")
+            cpu.charge(self.finish_cycles, "trap")
             return TrapAction.RESUME
         # Stolen: resolve the thief's future with the child's value;
         # this thread's continuation now runs elsewhere, so retire it.
@@ -225,15 +239,16 @@ class TrapHandlers:
             raise RuntimeSystemError(
                 "%s: markers older than a stolen marker must have been "
                 "transferred at steal time" % thread.name)
-        value = cpu.read_reg(_A0, frame)
-        self.rts.resolve_future(cpu, marker.future, value, waker=thread.tid)
+        rts = self.rts
+        rts.resolve_future(cpu, marker.future, frame.regs[_A0],
+                           waker=thread.tid)
         marker.active = False
         if thread.is_root:
             raise RuntimeSystemError(
                 "root-ness must transfer with the stolen stack bottom")
-        self.rts.scheduler.retire_thread(frame, cpu=cpu)
-        self.rts.free_stack(thread)
-        self.rts.dispatch_next(cpu)
+        self.scheduler.retire_thread(frame, cpu)
+        rts.free_stack(thread)
+        rts.dispatch_next(cpu)
         return TrapAction.SWITCHED
 
     # -- thread exit -------------------------------------------------------------
@@ -241,50 +256,47 @@ class TrapHandlers:
     def on_thread_exit(self, cpu, frame, trap):
         """A thread's entry closure returned; result is in ``a0``."""
         thread = frame.thread
-        result = cpu.read_reg(_A0, frame)
-        thread.result = result
-        cpu.charge(self.config.thread_exit_cycles, "trap")
-        self.rts.scheduler.retire_thread(frame, cpu=cpu)
-        self.rts.free_stack(thread)
+        result = thread.result = frame.regs[_A0]
+        cpu.charge(self.exit_cycles, "trap")
+        self.scheduler.retire_thread(frame, cpu)
+        rts = self.rts
+        rts.free_stack(thread)
         if thread.future is not None:
             # The frame is already empty: tell the accountant the resolve
             # cost still belongs to the exiting thread.
-            lifetime = self.rts.events.lifetime
+            lifetime = rts.events.lifetime
             if lifetime is not None:
                 lifetime.push_owner(cpu, thread.tid)
-            self.rts.resolve_future(cpu, thread.future, result,
-                                    waker=thread.tid)
+            rts.resolve_future(cpu, thread.future, result, waker=thread.tid)
             if lifetime is not None:
                 lifetime.pop_owner(cpu)
         if thread.is_root:
-            self.rts.finish(result)
+            rts.finish(result)
             return TrapAction.SWITCHED
-        self.rts.dispatch_next(cpu)
+        rts.dispatch_next(cpu)
         return TrapAction.SWITCHED
 
     # -- services -----------------------------------------------------------------
 
     def on_make_vector(self, cpu, frame, trap):
         """``(make-vector n fill)`` — allocates in the node's user heap."""
-        length = tags.fixnum_value(cpu.read_reg(_A0, frame))
-        fill = cpu.read_reg(_A1, frame)
-        vector = self.rts.user_vector(cpu, length, fill)
-        cpu.write_reg(_A0, vector, frame)
+        regs = frame.regs
+        length = tags.fixnum_value(regs[_A0])
+        regs[_A0] = self.rts.user_vector(cpu, length, regs[_A1])
         cpu.charge(10 + max(length, 0) // 4, "trap")
         return TrapAction.RESUME
 
     def on_print(self, cpu, frame, trap):
         """Record ``a0`` (decoded to Python data) on the output list."""
-        word = cpu.read_reg(_A0, frame)
-        self.rts.output.append(self.rts.decode_value(word))
+        rts = self.rts
+        rts.output.append(rts.decode_value(frame.regs[_A0]))
         cpu.charge(5, "trap")
         return TrapAction.RESUME
 
     def on_error(self, cpu, frame, trap):
-        code = cpu.read_reg(_A0, frame)
         raise SimulationError(
             "program signalled error %s at pc=%#x"
-            % (tags.describe(code), trap.pc))
+            % (tags.describe(frame.regs[_A0]), trap.pc))
 
     def on_fatal(self, cpu, frame, trap):
         raise SimulationError(

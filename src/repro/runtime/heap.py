@@ -149,7 +149,9 @@ class Heap:
         """
         address = self.arena.allocate(2)
         self.memory.new_cell(address, _UNRESOLVED)
-        return tags.make_future(address)
+        # An arena address is an aligned word in the bank (new_cell
+        # checked the bank): make_future's checks hold.
+        return address | tags.TAG_FUTURE
 
     def singleton(self, code):
         """Allocate a distinguished static object (``()``/``#f``, ``#t``)."""

@@ -14,14 +14,20 @@ handler execution, which subsumes those locks (see DESIGN.md).
 from repro.core.psr import ET_BIT
 from repro.errors import DeadlockError, RuntimeSystemError
 from repro.isa import registers, tags
+from repro.isa.tags import ADDRESS_MASK
 from repro.obs.events import EventBus, EventKind
 from repro.runtime.futures import FutureTable
 from repro.runtime.handlers import TrapHandlers
 from repro.runtime.heap import Arena, Heap
 from repro.runtime.lazy import LazyQueue
-from repro.runtime.scheduler import Scheduler
+from repro.runtime.scheduler import Scheduler, loaded_frames
 from repro.runtime.stubs import THREAD_START_LABEL
 from repro.runtime.thread import Thread, ThreadState
+
+
+_CL = registers.CL
+_SP = registers.SP
+_ARG_REGS = registers.ARG_REGS
 
 
 def _align8(address):
@@ -47,6 +53,8 @@ class RuntimeSystem:
         self.cpus = cpus
         self.program = program
         self.thread_start_pc = program.address_of(THREAD_START_LABEL)
+        self._stack_words = config.stack_words
+        self._resolve_cycles = config.future_resolve_cycles
 
         #: The machine's observer surface (:mod:`repro.obs.events`).
         self.events = events if events is not None else EventBus()
@@ -157,18 +165,10 @@ class RuntimeSystem:
         spawning thread's tid (the spawn edge of the causal DAG); when
         omitted it is taken from the creating processor's active frame.
         """
-        thread = Thread(
-            tid=len(self.threads),
-            stack_base=None,
-            stack_words=self.config.stack_words,
-            home_node=home_node,
-            future=future,
-            entry_closure=entry_closure,
-            args=args,
-            is_root=is_root,
-            name=name,
-        )
-        self.threads.append(thread)
+        threads = self.threads
+        thread = Thread(len(threads), None, self._stack_words, home_node,
+                        future, name, entry_closure, args, is_root)
+        threads.append(thread)
         bus = self.events
         if bus.active and EventKind.THREAD_SPAWN in bus.active:
             if parent is None and cpu is not None:
@@ -183,15 +183,18 @@ class RuntimeSystem:
 
     def bootstrap(self, cpu, frame, thread):
         """Initialize a fresh thread's registers in its new frame."""
-        if thread.stack_base is None:
-            thread.stack_base = self.allocate_stack(thread.home_node)
-            thread.stolen_base = thread.stack_base
-        frame.regs[registers.CL] = thread.entry_closure or 0
+        base = thread.stack_base
+        if base is None:
+            base = thread.stack_base = thread.stolen_base = (
+                self.allocate_stack(thread.home_node))
+        regs = frame.regs
+        regs[_CL] = thread.entry_closure or 0
         for i, arg in enumerate(thread.args):
-            frame.regs[registers.ARG_REGS[i]] = arg & tags.WORD_MASK
-        frame.regs[registers.SP] = thread.stack_base
-        frame.pc = self.thread_start_pc
-        frame.npc = self.thread_start_pc + 4
+            regs[_ARG_REGS[i]] = arg & tags.WORD_MASK
+        regs[_SP] = base
+        start = self.thread_start_pc
+        frame.pc = start
+        frame.npc = start + 4
         frame.psr.value = ET_BIT
 
     def spawn_main(self, entry, args=()):
@@ -227,38 +230,41 @@ class RuntimeSystem:
         retiring the producer must pass it explicitly — the frame is
         empty by then).
         """
-        cell = tags.pointer_address(future_word)
+        cell = future_word & ADDRESS_MASK
         if not self.memory.fill_cell(cell, value):
             raise RuntimeSystemError("future @%#x resolved twice" % cell)
-        cpu.charge(self.config.future_resolve_cycles, "trap")
-        waiters = self.futures.take_waiters(future_word)
-        self.futures.note_resolved(cpu.cycles, cpu.node_id, cell=cell,
-                                   waiters=len(waiters))
+        cpu.charge(self._resolve_cycles, "trap")
+        futures = self.futures
+        waiters = futures.note_resolved(cell, cpu.cycles, cpu.node_id)
+        if not waiters:
+            return
         if waker is None:
             active = cpu.frames[cpu.fp].thread
             waker = active.tid if active is not None else None
+        ready = self.scheduler.ready
         for waiter in waiters:
             waiter.blocked_on = None
             waiter.transition(ThreadState.READY)
-            self.scheduler.enqueue(waiter)
-            self.futures.note_woken(cpu.cycles, cpu.node_id, cell=cell,
-                                    tid=waiter.tid, waker=waker)
+            # READY now: Scheduler.enqueue's one check holds.
+            ready[waiter.home_node].append(waiter)
+            futures.note_woken(cpu.cycles, cpu.node_id, cell, waiter.tid,
+                               waker)
 
     # -- dispatch / idle loop ------------------------------------------------------
 
     def dispatch_next(self, cpu):
         """After a frame frees up: run another loaded thread, or load one."""
-        next_frame = self.scheduler.next_occupied_frame(cpu)
-        if next_frame is not None:
-            self.scheduler.activate_frame(cpu, next_frame)
-            return True
-        thread = self.scheduler.dequeue_local(cpu.node_id)
-        if thread is not None:
-            frame = self.scheduler.load_thread(
-                cpu, thread, bootstrap=self.bootstrap)
-            self.scheduler.activate_frame(cpu, frame)
-            return True
-        return False
+        scheduler = self.scheduler
+        next_frame = loaded_frames(cpu)[1]
+        if next_frame is None:
+            thread = scheduler.dequeue_local(cpu.node_id)
+            if thread is None:
+                return False
+            # No frame holds a thread: the first is free.
+            next_frame = scheduler.load_thread(
+                cpu, thread, cpu.frames[0], self.bootstrap)
+        scheduler.activate_frame(cpu, next_frame)
+        return True
 
     def has_work(self, cpu):
         """True if the processor has a loaded thread to execute."""
@@ -376,12 +382,8 @@ class RuntimeSystem:
         regs = [0] * registers.NUM_FRAME_REGISTERS
         regs[registers.SP] = new_sp
         regs[registers.ARG_REGS[0]] = future_word
-        thread.saved_state = {
-            "regs": regs,
-            "pc": marker.resume_pc,
-            "npc": marker.resume_pc + 4,
-            "psr": ET_BIT,
-        }
+        thread.saved_state = (regs, marker.resume_pc, marker.resume_pc + 4,
+                              ET_BIT)
         lifetime = self.events.lifetime
         if lifetime is not None:
             # The steal cost is the stolen thread's startup, not idle time.

@@ -13,10 +13,29 @@ costs to the processor doing the work.
 
 from collections import deque
 
+from repro.core.psr import TID_MASK
 from repro.errors import RuntimeSystemError
 from repro.isa import tags
 from repro.obs.events import EventBus, EventKind
 from repro.runtime.thread import ThreadState
+
+
+def loaded_frames(cpu):
+    """``(loaded, next_frame)`` in one pass over ``cpu``'s frames: how
+    many hold a thread, and the first of those after FP in round-robin
+    order (FP's own frame last), or ``None``.  With none loaded every
+    frame is free, ``frames[0]`` first."""
+    fp = cpu.fp
+    loaded = 0
+    first = after = None
+    for frame in cpu.frames:
+        if frame.thread is not None:
+            loaded += 1
+            if first is None:
+                first = frame
+            if after is None and frame.index > fp:
+                after = frame
+    return loaded, after if after is not None else first
 
 
 class Scheduler:
@@ -25,6 +44,8 @@ class Scheduler:
     def __init__(self, cpus, config, events=None):
         self.cpus = cpus
         self.config = config
+        self._load_cycles = config.thread_load_cycles
+        self._unload_cycles = config.thread_unload_cycles
         self.ready = [deque() for _ in cpus]
         self._rr_counter = 0
         # Event counters for the harness.
@@ -88,8 +109,9 @@ class Scheduler:
         """
         if frame is None:
             frame = cpu.free_frame()
-        if frame is None:
-            raise RuntimeSystemError("no free task frame on node %d" % cpu.node_id)
+            if frame is None:
+                raise RuntimeSystemError(
+                    "no free task frame on node %d" % cpu.node_id)
         if frame.thread is not None:
             raise RuntimeSystemError("loading into occupied frame %d" % frame.index)
         thread.transition(ThreadState.LOADED)
@@ -110,10 +132,11 @@ class Scheduler:
             frame.reset()
             frame.thread = thread
             bootstrap(cpu, frame, thread)
-        frame.psr.tid = thread.tid & 0xFFFF
+        psr = frame.psr
+        psr.value = psr.value & ~TID_MASK | thread.tid & TID_MASK
         if self.windows is not None:
             self.windows.open(cpu.node_id, frame, thread)
-        cpu.charge(self.config.thread_load_cycles, "switch")
+        cpu.charge(self._load_cycles, "switch")
         if lifetime is not None:
             lifetime.pop_owner(cpu)
         self.loads += 1
@@ -136,7 +159,7 @@ class Scheduler:
         frame.thread = None
         if self.windows is not None:
             self.windows.close(thread)
-        cpu.charge(self.config.thread_unload_cycles, "switch")
+        cpu.charge(self._unload_cycles, "switch")
         if lifetime is not None:
             lifetime.pop_owner(cpu)
         self.unloads += 1
@@ -169,23 +192,6 @@ class Scheduler:
         return thread
 
     # -- frame selection ----------------------------------------------------------
-
-    def next_occupied_frame(self, cpu, exclude=None):
-        """The next loaded frame after FP (round robin), or ``None``.
-
-        ``exclude`` skips a frame index (e.g. the one being vacated).
-        """
-        frames = cpu.frames
-        count = len(frames)
-        fp = cpu.fp
-        for step in range(1, count + 1):
-            index = (fp + step) % count
-            if index == exclude:
-                continue
-            frame = frames[index]
-            if frame.thread is not None:
-                return frame
-        return None
 
     def activate_frame(self, cpu, frame):
         """Point FP at a frame (the context-switch FP change)."""

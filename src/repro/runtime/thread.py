@@ -56,6 +56,13 @@ class Thread:
             or ``None`` for plain threads (the main thread).
     """
 
+    __slots__ = (
+        "tid", "_name", "state", "stack_base", "stack_words", "home_node",
+        "future", "entry_closure", "args", "is_root", "stolen_base",
+        "saved_state", "spin_count", "last_fault_pc", "blocked_on",
+        "block_pc", "result", "lazy_markers",
+    )
+
     def __init__(self, tid, stack_base, stack_words, home_node=0, future=None,
                  name=None, entry_closure=None, args=(), is_root=False):
         self.tid = tid
@@ -75,7 +82,8 @@ class Thread:
         self.is_root = is_root
         #: Stack addresses below this were stolen away (lazy splitting).
         self.stolen_base = stack_base
-        #: Saved architectural state while unloaded (TaskFrame.save_state).
+        #: Saved architectural state while unloaded: the
+        #: ``(regs, pc, npc, psr)`` tuple of TaskFrame.save_state.
         self.saved_state = None
         #: Consecutive unresolved-touch context switches (starvation guard).
         self.spin_count = 0
@@ -102,16 +110,14 @@ class Thread:
         """First byte past the stack region."""
         return self.stack_base + 4 * self.stack_words
 
-    def check_transition(self, new_state):
-        """Validate a state transition; the scheduler calls this."""
+    def transition(self, new_state):
+        """Move to ``new_state``; raise unless :data:`TRANSITIONS`
+        allows it.  The scheduler calls this."""
         if new_state not in TRANSITIONS[self.state]:
             raise RuntimeSystemError(
                 "%s: illegal transition %s -> %s"
                 % (self.name, self.state.value, new_state.value)
             )
-
-    def transition(self, new_state):
-        self.check_transition(new_state)
         self.state = new_state
 
     def __repr__(self):

@@ -153,19 +153,26 @@ class TestFPU:
 
 class TestProcessorStats:
     def test_utilization(self):
-        stats = ProcessorStats()
-        stats._charge["useful"](80)
-        stats._charge["idle"](20)
-        assert stats.utilization() == 0.8
+        cpu = Processor()
+        cpu.charge(80)
+        cpu.charge(20, "idle")
+        assert cpu.stats.utilization() == 0.8
 
     def test_total_cycles_is_incremental(self):
-        stats = ProcessorStats()
+        cpu = Processor()
         for i, name in enumerate(("useful", "stall", "trap",
                                   "switch", "spin", "idle")):
-            stats._charge[name](i + 1)
+            cpu.charge(i + 1, name)
+        stats = cpu.stats
         categorical = (stats.useful + stats.stall + stats.trap
                        + stats.switch + stats.spin + stats.idle)
-        assert stats.total_cycles == categorical == 21
+        assert stats.total_cycles == categorical == cpu.cycles == 21
+
+    def test_unknown_category_rejected(self):
+        cpu = Processor()
+        with pytest.raises(ProcessorError, match="unknown cycle category"):
+            cpu.charge(1, "instructions")
+        assert cpu.cycles == cpu.stats.total_cycles == 0
 
     def test_snapshot_keys(self):
         snapshot = ProcessorStats().snapshot()

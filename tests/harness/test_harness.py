@@ -383,6 +383,19 @@ class TestSweepCLI:
         assert main(["sweep", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", [
+        {"grid": {"programs": ["fib"], "cpus": [1]}, "max_cycles": True},
+        {"grid": {"programs": ["fib"], "cpus": [True]}},
+        {"grid": {"programs": ["fib"], "cpus": [1], "args": {"fib": [True]}}},
+    ], ids=["max_cycles", "cpus", "args"])
+    def test_sweep_bool_for_an_int_exits_2(self, tmp_path, capsys, spec):
+        # JSON true is no integer: it used to build a one-cycle job.
+        from repro.cli import main
+        path = tmp_path / "bools.json"
+        path.write_text(json.dumps(spec))
+        assert main(["sweep", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_table3_filters_single_cell(self, tmp_path, monkeypatch,
                                         capsys):
         from repro.cli import main

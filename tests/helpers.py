@@ -13,7 +13,7 @@ def build_cpu(source, base=0, memory_words=DEFAULT_MEMORY_WORDS, latency=1):
     """Assemble source, load it, and return (cpu, memory, program).
 
     The processor's frame 0 starts at the program base with a thread-less
-    frame; callers drive it with ``cpu.run()`` / ``cpu.step()``.
+    frame; callers drive it with ``cpu.step()`` (see :func:`run_to_halt`).
     """
     program = assemble(source, base=base)
     memory = Memory(memory_words)

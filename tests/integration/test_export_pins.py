@@ -1,6 +1,6 @@
 """Byte-identity pins for what a run exports about its threads.
 
-Three sha256 digests:
+Four sha256 digests:
 
 * **Cell payloads.** The canonical bytes of every job in
   :data:`tests.exp.test_determinism.JOBS` (the host-run translation
@@ -15,6 +15,12 @@ Three sha256 digests:
   eager and lazy: the per-thread accounting rows (tids, names, parents)
   and the critical path.  Taken before thread ids became per-machine
   and the exporters stopped renumbering them.
+* **Event stream.** ``EventLog.to_dicts()`` of eager fib(8) and lazy
+  fib(9) on four CPUs, each observed with ``Observation(events=True,
+  threads=True)`` (the sampler's reference schedule) and again with
+  ``window=0`` (the fast loop): every event, in emit order, with its
+  cycle, node and fields.  Streams are otherwise compared only run
+  against run, so an emit the trap path reorders would pass.
 
 The compiled words of every workload are pinned beside the ISA tools
 (``tests/isa/test_word_digests.py``).  A change that means to alter
@@ -43,6 +49,8 @@ CELL_PAYLOADS_NO_EVENTS_SHA256 = (
     "da25a7df6235d3ab56c9e5f84559d09f196a89e4a37f9e1bbadf93c0cdb848ac")
 EXPLAIN_SHA256 = (
     "e4251e9cc7d57e867716f4a47d28ab0b604460c4bcb5294fb3a93632541296dd")
+EVENT_STREAM_SHA256 = (
+    "1c87e61fdaea9a6220f13dec4fe3d1b4190199ca298bbb254005d84125d63297")
 
 
 def _without_events(payload):
@@ -76,6 +84,23 @@ def explain_digest():
     return digest.hexdigest()
 
 
+def event_stream_digest():
+    fib = workloads.get("fib")
+    digest = hashlib.sha256()
+    for mode, n in (("eager", 8), ("lazy", 9)):
+        for window in (4096, 0):
+            obs = Observation(events=True, threads=True, window=window)
+            result = run_mult(fib.source(), mode=mode, args=fib.args(n),
+                              config=MachineConfig(num_processors=4),
+                              observe=obs)
+            assert result.value == fib.reference(n)
+            assert obs.bus.dropped == 0
+            digest.update(("%s %d %d\n" % (mode, n, window)).encode())
+            digest.update((canonical_json(obs.bus.to_dicts())
+                           + "\n").encode())
+    return digest.hexdigest()
+
+
 @pytest.fixture(autouse=True)
 def own_compile_cache(monkeypatch):
     # A cache of its own, so the process-wide one's hit and miss counts
@@ -94,9 +119,13 @@ class TestExportPins:
     def test_explain(self):
         assert explain_digest() == EXPLAIN_SHA256
 
+    def test_event_stream(self):
+        assert event_stream_digest() == EVENT_STREAM_SHA256
+
 
 if __name__ == "__main__":
     print("CELL_PAYLOADS_SHA256 =", cell_payloads_digest())
     print("CELL_PAYLOADS_NO_EVENTS_SHA256 =",
           cell_payloads_digest(strip_events=True))
     print("EXPLAIN_SHA256 =", explain_digest())
+    print("EVENT_STREAM_SHA256 =", event_stream_digest())

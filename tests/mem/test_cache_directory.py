@@ -116,11 +116,11 @@ class TestCache:
               ("install-m", 2), ("invalidate", 2)])
     def test_valid_map_is_the_set_walk(self, operations):
         # Two sets of two ways and six blocks: evictions, re-installs of
-        # a resident block and upgrades into an invalid way ahead of an
-        # old shared copy (the example: block 2 is then in both ways,
-        # and losing the first copy leaves the second) all come up.
-        # After every operation the map generated code probes must be
-        # what `lookup` walks to.
+        # a resident block and upgrades of a shared copy that sits
+        # behind an invalid way (the example: block 2 must be upgraded
+        # in place, not copied into way 0) all come up.  After every
+        # operation the block has one valid line at most, and the map
+        # generated code probes is what `lookup` walks to.
         cache = self.make(size_bytes=64, assoc=2)
         for operation, block in operations:
             address = block * 16
@@ -145,6 +145,30 @@ class TestCache:
         cache.install(0x40, LineState.SHARED)
         cache.valid.pop(0x40)
         with pytest.raises(SimulationError, match="valid-line map"):
+            cache.check_valid()
+
+    def test_upgrade_behind_an_invalid_way_rewrites_the_shared_copy(self):
+        # One set of two ways: block 0x00 in way 0, block 0x20 in way
+        # 1, then way 0 invalidated.  Upgrading block 0x20 must take its
+        # own line, not the invalid way ahead of it.
+        cache = self.make(size_bytes=32, assoc=2)
+        cache.install(0x00, LineState.SHARED)
+        cache.install(0x20, LineState.SHARED)
+        shared = cache.valid[0x20]
+        cache.invalidate(0x00)
+        assert cache.install(0x20, LineState.MODIFIED) is None
+        assert cache.valid[0x20] is shared
+        assert shared.state is LineState.MODIFIED
+        assert cache.contents() == {0x20: LineState.MODIFIED}
+        cache.check_valid()
+
+    def test_check_valid_catches_a_second_valid_line(self):
+        cache = self.make(size_bytes=32, assoc=2)
+        cache.install(0x00, LineState.SHARED)
+        cache.install(0x20, LineState.SHARED)
+        lines = cache._sets[0]
+        lines[0].tag = 0x20
+        with pytest.raises(SimulationError, match="two valid lines"):
             cache.check_valid()
 
 

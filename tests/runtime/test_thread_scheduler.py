@@ -9,7 +9,7 @@ from repro.machine.config import MachineConfig
 from repro.mem.ideal import IdealMemoryPort
 from repro.mem.memory import Memory
 from repro.runtime.lazy import LazyMarker, LazyQueue
-from repro.runtime.scheduler import Scheduler
+from repro.runtime.scheduler import Scheduler, loaded_frames
 from repro.runtime.thread import Thread, ThreadState
 from tests.obs.conftest import FIB
 
@@ -116,7 +116,8 @@ class TestScheduler:
         assert frame.thread is thread
         scheduler.unload_thread(cpus[0], frame, ThreadState.READY)
         assert thread.state is ThreadState.READY
-        assert thread.saved_state["regs"][5] == 99
+        regs, pc, npc, psr = thread.saved_state
+        assert (regs[5], pc, npc) == (99, 0x40, 0x44)
         assert frame.thread is None
         # Reload restores the register.
         frame2 = scheduler.load_thread(cpus[0], thread, bootstrap=bootstrap)
@@ -147,9 +148,16 @@ class TestScheduler:
         scheduler.load_thread(cpu, t2, frame=cpu.frames[2],
                               bootstrap=lambda c, f, t: None)
         cpu.fp = 0
-        assert scheduler.next_occupied_frame(cpu) is cpu.frames[2]
+        assert loaded_frames(cpu) == (2, cpu.frames[2])
         cpu.fp = 2
-        assert scheduler.next_occupied_frame(cpu) is cpu.frames[0]
+        assert loaded_frames(cpu) == (2, cpu.frames[0])
+        cpu.fp = 1
+        assert loaded_frames(cpu) == (2, cpu.frames[2])
+        scheduler.retire_thread(cpu.frames[2], cpu)
+        cpu.fp = 0
+        assert loaded_frames(cpu) == (1, cpu.frames[0])
+        scheduler.retire_thread(cpu.frames[0], cpu)
+        assert loaded_frames(cpu) == (0, None)
 
 
 class TestLazyQueue:

@@ -434,6 +434,29 @@ class TestBadRequests:
         assert response["kind"] == "bad-job"
         assert response["id"] == 4
 
+    def test_bool_for_an_int_is_a_bad_job(self, tmp_path):
+        socket_path = str(tmp_path / "april.sock")
+        specs = [{"program": "fib", "max_cycles": True},
+                 {"program": "fib", "processors": True},
+                 {"source": "(define (main n) n)", "args": [True]}]
+
+        async def scenario():
+            server = make_server(socket_path)
+
+            async def client():
+                responses = []
+                for number, spec in enumerate(specs):
+                    responses.append(await harness.one_shot(
+                        socket_path,
+                        {"op": "job", "id": number, "job": spec}))
+                return responses
+            return await harness.serving(server, client)
+
+        for number, response in enumerate(harness.run(scenario())):
+            assert response["status"] == "error"
+            assert response["kind"] == "bad-job"
+            assert response["id"] == number
+
     def test_oversized_line_is_refused(self, tmp_path):
         socket_path = str(tmp_path / "april.sock")
 
