@@ -94,12 +94,19 @@ class CodeWatch:
     false-positive; the set only grows with the translated code
     footprint.  Purely a host-level mechanism: no cycle accounting is
     involved, so the lockstep schedules are unaffected.
+
+    Words are numbered absolutely, ``address >> 2``, whatever bank
+    holds them.  :attr:`top` is the highest watched word (-1 while
+    none is): a run of stores wholly above it cannot hit translated
+    code, which is how generated code tests a whole stack group's
+    stores at once (:mod:`repro.core.jit`).
     """
 
-    __slots__ = ("words", "_listeners")
+    __slots__ = ("words", "top", "_listeners")
 
     def __init__(self):
         self.words = set()
+        self.top = -1
         self._listeners = []
 
     def add_listener(self, callback):
@@ -112,7 +119,10 @@ class CodeWatch:
 
     def cover(self, start, end):
         """Watch the byte range ``[start, end)`` (word granular)."""
-        self.words.update(range(start >> 2, (end + 3) >> 2))
+        last = (end + 3) >> 2
+        self.words.update(range(start >> 2, last))
+        if last > start >> 2 and last - 1 > self.top:
+            self.top = last - 1
 
     def notify(self, address):
         for listener in self._listeners:
@@ -161,8 +171,9 @@ class StackWindows:
 
     :attr:`view` is what generated code on such a bank reads in one
     go: the word view, the full/empty view (1 = empty, as
-    :class:`Memory` stores it), the code-watched word set and
-    :attr:`owners` — four objects that live as long as the bank.
+    :class:`Memory` stores it), the bank's :class:`CodeWatch` (an
+    empty one where the bank has none) and :attr:`owners` — four
+    objects that live as long as the bank.
     """
 
     __slots__ = ("owners", "loaded", "view", "_wind_back")
@@ -174,7 +185,8 @@ class StackWindows:
         self.loaded = {}
         watch = memory.code_watch
         self.view = (memory._words, memory._full,
-                     watch.words if watch is not None else (), self.owners)
+                     watch if watch is not None else CodeWatch(),
+                     self.owners)
         self._wind_back = weakref.WeakMethod(wind_back)
 
     def carve(self, base, limit):

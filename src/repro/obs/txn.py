@@ -131,6 +131,14 @@ class TransactionTracer:
     def capacity(self):
         return self.finished.maxlen
 
+    @property
+    def faults(self):
+        """The full/empty faults still open, keyed by ``(node,
+        address)``: the live map, for reading only.  A served access
+        at any other word is nothing to the tracer (:meth:`fe_sync`),
+        so generated code answers those cache hits itself."""
+        return self._fe
+
     # -- controller hooks --------------------------------------------------
 
     def begin(self, node, block, home, write, now, cpu=None, upgrade=False,

@@ -354,6 +354,17 @@ class TestLoadProgram:
         memory.load_program(Program)
         assert listener.seen == [0x20, 0x24, 0x3C]
 
+    def test_the_code_watch_keeps_its_highest_word(self):
+        watch = CodeWatch()
+        assert watch.top == -1
+        watch.cover(0x40, 0x48)
+        assert watch.top == 0x44 >> 2 == max(watch.words)
+        watch.cover(0x10, 0x18)                 # below: top stays
+        watch.cover(0x80, 0x80)                 # empty: nothing watched
+        assert watch.top == 0x44 >> 2 == max(watch.words)
+        watch.cover(0x10000, 0x10006)           # a partial last word
+        assert watch.top == 0x10004 >> 2 == max(watch.words)
+
 
 def _statm_resident_pages():
     try:
