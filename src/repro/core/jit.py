@@ -40,34 +40,37 @@ instructions and the per-call overhead eats the win):
   chain parked at the instruction, and the block *ends there*: the
   reference redoes the access from scratch (the inline test mutated
   nothing), so trap payloads, stall charging, watch notifications, and
-  hook calls are exactly the reference's.  Loads and stores off ``sp``
-  with literal, word-aligned offsets are tested in *stack groups*: over
-  a stretch where ``sp`` moves only by literal adds and subtracts of
-  multiples of four (through followed ``CALL``/``BA`` and fused delay
-  slots, up to any other write to ``sp``), one guard before the
-  group's first access tests what each access would test of its
-  address — ``sp``'s future bit and alignment, the lowest and highest
-  word inside the bank (on a windowed bank, inside the executing
-  frame's own window), no watch hook, every store above the code
-  watch's highest word — and each access then states only its word
-  (``_g`` plus a literal) and its flavor's full/empty test.  A failing
-  guard is the first access's slow path, so the reference decides
-  every odd case.  Behind a slice's head the guard leaves the window
-  out: an access that reaches past the group's words so far tests its
-  own, so the tail parks where the first access outside the window
-  stands, as each access's own test would park it.  On a coherent
-  node (the cache / directory machine) the inlined access is a *cache
-  hit*, the case the paper's controller answers in the processor's
-  one cycle: a
+  hook calls are exactly the reference's.  Every load and store off
+  ``sp`` with a literal, word-aligned offset — in a block, a
+  one-instruction form or a slice's tail, on every port that inlines
+  — is tested in a *stack group*; only a slice's head tests one on
+  its own.  Over a stretch where ``sp`` moves only by literal adds and
+  subtracts of multiples of four (through followed ``CALL``/``BA``
+  and fused delay slots, up to any other write to ``sp``), one guard
+  before the group's first access tests what each access would test
+  of its address — ``sp``'s future bit and alignment, the lowest and
+  highest word inside the bank (on a windowed bank, inside the
+  executing frame's own window), no watch hook, every store above the
+  code watch's highest word — and each access then states only its
+  word (``_g`` plus a literal) and its flavor's full/empty test.  A
+  failing guard is the first access's slow path, so the reference
+  decides every odd case.  Behind a slice's head the guard leaves the
+  window out: an access that reaches past the group's words so far
+  tests its own (on a coherent node, its whole cache block), so the
+  tail parks where the first access outside the window stands, as
+  each access's own test would park it.  On a coherent node (the
+  cache / directory machine) the inlined access is a *cache hit*, the
+  case the paper's controller answers in the processor's one cycle: a
   probe of the node's ``Cache.valid`` map (the line the controller's
   set walk would find) must find a valid line for a load and a
   modified one for a store; the generated code then stamps the line,
   advances the cache's LRU clock and counts the hit as
   ``CacheController._access`` does, and performs the ideal port's
-  access; each access there keeps its own test.  A miss, an upgrade
-  and, with a transaction tracer attached, an access to a word where a
-  full/empty fault is open (the tracer's ``faults``, read once per
-  function like the watch hook) are slow too.  On any other port every memory
+  access.  Each group member keeps its own probe, stamp and hit.  A
+  miss, an upgrade and, with a transaction tracer attached, an access
+  to a word where a full/empty fault is open (the tracer's
+  ``faults``, read once per function like the watch hook) are slow
+  too.  On any other port every memory
   instruction is a delegated block terminator.  Because delegation
   always ends the block, a compiled block never runs on past a stall
   or a self-invalidating store — the multi-CPU slice interleaving
@@ -140,8 +143,9 @@ cycle, no trap, and nothing touched that another processor can see or
 change before this one's next head.  Straight ops, branches and
 ``CALL``/``JMPL`` are (this processor's registers, condition codes and
 PC chain, nothing else); so is an inlined load or store off the stack
-pointer *whose address falls, at run time, inside the executing
-frame's stack window* (``frame.window``: the loaded thread's
+pointer with a literal, word-aligned offset (a stack group's member)
+*whose address falls, at run time, inside the executing frame's stack
+window* (``frame.window``: the loaded thread's
 ``[stolen_base, stack_limit)`` on a machine that runs ahead, empty
 anywhere else) — the machine keeps every other processor out of that
 window or winds this one back (``AlewifeMachine._wind_back``).  On a
@@ -166,21 +170,21 @@ invalidation.
 The third shape, the *one-instruction form* (``compile_block(...,
 single=True)``), is what ``Processor.step`` runs where the PC chain
 is straight: the instruction at the pc, emitted as in a block — guards
-taken in place, a memory slow path or a delegated row handed to the
-reference — with no delay slot fused, nothing followed and no floor
-on its size.  Forms live in the machine's ``Translations.steps`` and in
-:data:`SHARED_BLOCKS` under their own key suffix, are registered with
-the code watch like blocks, and are not counted as JIT compiles or
-runs.  A delay slot (whose next pc is not ``pc + 4``) and a word that
+taken in place, a stack access a group of one, a memory slow path or
+a delegated row handed to the reference — with no delay slot fused,
+nothing followed and no floor on its size.  Forms live in the
+machine's ``Translations.steps`` and in :data:`SHARED_BLOCKS` under
+their own key suffix, are registered with the code watch like blocks,
+and are not counted as JIT compiles or runs.  A delay slot (whose next pc is not ``pc + 4``) and a word that
 does not decode run the reference directly.
 
 On a bank with stack windows (``_port_spec``'s last field) every
-inlined access that is *not* a tail access — a head, or anywhere in a
-plain block — is slow too when it lands in a page holding some thread
-stack outside the executing frame's own window: the reference's access
-then passes ``Memory._index`` (on a coherent node, first the
-controller), where the window's owner is wound back first.  A stack
-group's guard there asks for the executing frame's own window
+inlined access outside a stack group — a slice's head, or an access
+off another register — is slow too when it lands in a page holding
+some thread stack outside the executing frame's own window: the
+reference's access then passes ``Memory._index`` (on a coherent node,
+first the controller), where the window's owner is wound back first.
+A stack group's guard there asks for the executing frame's own window
 outright, for the whole group, tail or not.  Machines without windows
 (one processor) carry no such test.
 
@@ -455,8 +459,8 @@ SHARED_BLOCKS = LRU(1 << 12)
 
 
 def _spec_tag(spec):
-    """The third field of ``spec`` (see :func:`_port_spec`), if any."""
-    return spec[2] if spec is not None and len(spec) > 2 else None
+    """The second field of ``spec`` (see :func:`_port_spec`), if any."""
+    return spec[1] if spec is not None and len(spec) > 1 else None
 
 
 def _has_windows(spec):
@@ -474,13 +478,13 @@ def _port_spec(cpu):
     its cache answers in the processor's one cycle (a valid line for a
     load, a modified one for a store), which are then the ideal port's
     access (``"coherent"`` and the block size, for the cache probe).
-    The spec carries the bank geometry because it is baked into the
-    generated bounds checks.  ``None`` means "delegate every memory
-    access".
+    The spec starts with the bank's size in words because it is baked
+    into the generated bounds checks.  ``None`` means "delegate every
+    memory access".
 
     A bank with :class:`~repro.mem.memory.StackWindows` installed — a
     machine that runs ahead, ideal or coherent — ends the spec with
-    ``"windows"``: every inlined access that is not a tail access then
+    ``"windows"``: every inlined access outside a stack group then
     carries the foreign-window test.  Everybody else's key, and so
     their generated source, is what it was without one.
     """
@@ -488,12 +492,11 @@ def _port_spec(cpu):
     if type(port) is IdealMemoryPort and port.latency == 1:
         memory = port.memory
         if memory.windows is not None:
-            return (memory.base, memory.size_words, "windows")
-        return (memory.base, memory.size_words)
+            return (memory.size_words, "windows")
+        return (memory.size_words,)
     if type(port) is CacheController:
         memory = port.memory
-        spec = (memory.base, memory.size_words, "coherent",
-                port.cache.block_bytes)
+        spec = (memory.size_words, "coherent", port.cache.block_bytes)
         if memory.windows is not None:
             spec += ("windows",)
         return spec
@@ -562,13 +565,11 @@ class _Emitter:
     :func:`compile_block`): guards and stack accesses past the head
     park instead of raising or delegating, and every exit that ran a
     private tail leaves the undo record (register snapshot, store log)
-    :meth:`Processor.unrun_tail` restores from.  ``grouping`` tests
-    loads and stores off ``sp`` in stack groups (:meth:`join_group`).
+    :meth:`Processor.unrun_tail` restores from.
     """
 
-    def __init__(self, sliced=False, grouping=False):
+    def __init__(self, sliced=False):
         self.sliced = sliced
-        self.grouping = grouping
         #: ``(body index, pc expr, npc expr)`` just past the slice head.
         self.head = None
         #: Some exit emitted so far leaves an undo record.
@@ -843,27 +844,32 @@ class _Emitter:
         bound: the first access, and each one that reaches past the
         words the group reached before it, tests its own reach against
         the window, so the chain parks where the first access outside
-        it stands, as each access's own test would park it.
+        it stands, as each access's own test would park it.  On a
+        coherent node that reach is the access's whole cache block:
+        another node's access to a word of the block outside the window
+        would change the line and wind nothing back.
         """
         group = self.group
         opened = group is None
         if opened:
             sp = self.use_reg(registers.SP)
-            base = spec[0]
-            self.line(1, "_g = (%s - %d) >> 2" % (sp, base) if base
-                      else "_g = %s >> 2" % sp)
+            self.line(1, "_g = %s >> 2" % sp)
             group = self.group = _StackGroup(
-                sp, spec, tail or _has_windows(spec), tail, offset)
+                sp, spec[0], tail or _has_windows(spec), tail, offset)
             self.needs_window |= group.window
         offset += group.delta
         reach = []
         if tail:
-            at = ("(_x << 2) + %d" % group.base if group.base
-                  else "_x << 2")
+            if _spec_tag(spec) == "coherent":
+                block = spec[2]
+                at = "(_x << 2) & %d" % _block_mask(block)
+                low, high = at + " < _lo", "%s > _hi - %d" % (at, block)
+            else:
+                low, high = "_x << 2 < _lo", "_x << 2 >= _hi"
             if opened or offset < group.lo:
-                reach.append("%s < _lo" % at)
+                reach.append(low)
             if opened or offset > group.hi:
-                reach.append("%s >= _hi" % at)
+                reach.append(high)
         group.lo = min(group.lo, offset)
         group.hi = max(group.hi, offset)
         if store and (group.low_store is None or offset < group.low_store):
@@ -917,6 +923,12 @@ class _Emitter:
             self.body.insert(at, "    _hl = []")
 
 
+def _block_mask(block_bytes):
+    """The mask that takes an address to its cache block's first
+    byte."""
+    return WORD_MASK & ~(block_bytes - 1)
+
+
 def _plus(expr, offset):
     """Source of ``expr`` plus the literal ``offset``."""
     if offset > 0:
@@ -926,21 +938,22 @@ def _plus(expr, offset):
 
 class _StackGroup:
     """A stack group the emitter has open (see :meth:`_Emitter.
-    join_group`): ``sp``'s local at its first access, the bank, whether
-    it keeps to the executing frame's own window (``window``) and
-    whether each access tests its own reach (``tail``), where ``sp``
-    has moved since its first access (``delta``, bytes), the lowest and
-    highest offset from there that it accesses (``lo``, ``hi``) and the
-    lowest it stores to (``low_store``, ``None`` before a store), and
-    where its first access's slow test stands in the body (``at``;
-    ``own``: that access's own terms)."""
+    join_group`): ``sp``'s local at its first access, the bank's size
+    in words, whether it keeps to the executing frame's own window
+    (``window``) and whether each access tests its own reach
+    (``tail``), where ``sp`` has moved since its first access
+    (``delta``, bytes), the lowest and highest offset from there that
+    it accesses (``lo``, ``hi``) and the lowest it stores to
+    (``low_store``, ``None`` before a store), and where its first
+    access's slow test stands in the body (``at``; ``own``: that
+    access's own terms)."""
 
-    __slots__ = ("sp", "base", "words", "window", "tail", "delta", "lo",
-                 "hi", "low_store", "at", "own")
+    __slots__ = ("sp", "words", "window", "tail", "delta", "lo", "hi",
+                 "low_store", "at", "own")
 
-    def __init__(self, sp, spec, window, tail, offset):
+    def __init__(self, sp, words, window, tail, offset):
         self.sp = sp
-        self.base, self.words = spec[:2]
+        self.words = words
         self.window = window
         self.tail = tail
         self.delta = 0
@@ -955,19 +968,18 @@ class _StackGroup:
         inside the executing frame's own window, which is inside the
         bank; behind a slice's head each access tests its own reach
         instead —, no watch hook, and every store above the code
-        watch's highest word (absolute numbering, as the watch's)."""
+        watch's highest word."""
         terms = ["%s & 3" % self.sp]
         if self.window and not self.tail:
             terms.append("%s < _lo" % _plus(self.sp, self.lo))
             terms.append("%s >= _hi" % _plus(self.sp, self.hi))
         elif not self.window:
-            if self.base or self.lo < 0:
+            if self.lo < 0:
                 terms.append("_g < %d" % -(self.lo >> 2))
             terms.append("_g >= %d" % (self.words - (self.hi >> 2)))
         terms.append("_wh")
         if self.low_store is not None:
-            terms.append("%s <= _wt" % _plus(
-                "_g", (self.low_store + self.base) >> 2))
+            terms.append("%s <= _wt" % _plus("_g", self.low_store >> 2))
         return terms
 
 
@@ -1111,22 +1123,23 @@ def _emit_mem_inline(emitter, instr, pending, pc_i, npc_expr, spec,
     from scratch, bit-identically, and its return value is the next
     chain: ``npc_expr`` may be a branch target).
 
-    An access off ``sp`` with a literal, word-aligned offset — in a
-    block or behind a slice's head, not on a coherent node — joins a
-    stack group instead (:meth:`_Emitter.join_group`): everything but
-    its flavor's full/empty test is the group's guard, made once
-    before the group's first access, whose slow branch it is (behind
-    a slice's head, an access that reaches past the group's words so
-    far adds its own window test to its own slow test).  The
-    code watch numbers words absolutely: a bank-relative ``_x`` is
-    shifted by the bank's base before it is looked up.
+    An access off ``sp`` with a literal, word-aligned offset — on any
+    port, in a block, a one-instruction form or behind a slice's head —
+    joins a stack group (:meth:`_Emitter.join_group`): everything but
+    its flavor's full/empty test (and, on a coherent node, its cache
+    probe) is the group's guard, made once before the group's first
+    access, whose slow branch it is (behind a slice's head, an access
+    that reaches past the group's words so far adds its own window
+    test to its own slow test).  Only a slice's head tests such an
+    access on its own.
 
     On a bank with stack windows (``spec`` ends ``"windows"``) one
-    more case is slow: an address in a page that holds some thread
-    stack, unless it is in the executing frame's own window — the
-    reference's access goes through ``Memory._index`` (on a coherent
-    node, the controller's ``load``/``store`` before that), which has
-    whoever ran ahead over that word wound back first.
+    more case is slow for an access outside a group: an address in a
+    page that holds some thread stack, unless it is in the executing
+    frame's own window — the reference's access goes through
+    ``Memory._index`` (on a coherent node, the controller's
+    ``load``/``store`` before that), which has whoever ran ahead over
+    that word wound back first.
 
     On a coherent node (``spec`` tagged ``"coherent"``) the access
     must also hit its cache: the line ``Cache.valid`` maps the block
@@ -1134,80 +1147,53 @@ def _emit_mem_inline(emitter, instr, pending, pc_i, npc_expr, spec,
     hit advances the cache's LRU clock, stamps the line and counts
     itself before the ideal port's access.
 
-    ``tail`` emits the access behind a slice's head instead: it happens
-    only inside the executing frame's own window (which is inside the
-    bank; on a coherent node its whole cache block must be), any other
-    case *parks* the chain at the instruction like a tripped guard, and
-    whatever it changes in memory — the word, the full/empty bit — and
-    in a coherent cache — the line's LRU stamp — is logged first so
+    ``tail`` emits the access behind a slice's head instead, always
+    in a group (:func:`_rides_tail`): it happens only inside the
+    executing frame's own window, any other case *parks* the chain at
+    the instruction like a tripped guard, and whatever it changes in
+    memory — the word, the full/empty bit — and in a coherent cache —
+    the line's LRU stamp — is logged first so
     :meth:`Processor.unrun_tail` can put it back.
     """
     emitter.needs_mem = True
     op = instr.op
     is_load = ROWS[op].shape == LOAD
     flavor = LOAD_FLAVORS[op] if is_load else STORE_FLAVORS[op]
-    base, size_words = spec[:2]
     coherent = _spec_tag(spec) == "coherent"
     line = emitter.line
 
-    grouped = (emitter.grouping and instr.rs1 == registers.SP
-               and not instr.imm & 3 and (tail or not emitter.sliced))
+    grouped = (instr.rs1 == registers.SP and not instr.imm & 3
+               and (tail or not emitter.sliced))
     if grouped:
         x, opened, slow = emitter.join_group(instr.imm, not is_load, spec,
                                              tail)
         line(1, "_x = %s" % x)
+        address = "(_x << 2)"
     else:
-        slow = []
+        opened = False
         b = emitter.use_reg(instr.rs1)
         line(1, "_a = (%s + %d) & %d" % (b, instr.imm, WORD_MASK))
-        if base:
-            line(1, "_x = (_a - %d) >> 2" % base)
-        else:
-            line(1, "_x = _a >> 2")
-        if tail:
-            # The window is inside the bank.
-            emitter.needs_window = True
-            if not flavor.raw and not instr.imm & 3:
-                slow.append("%s & 3" % b)    # future bit and alignment
-            else:
-                if not flavor.raw:
-                    slow.append("%s & 1" % b)
-                slow.append("_a & 3")
-            if coherent:
-                # The whole block: another node's access to a word of it
-                # outside the window would change this line and wind
-                # nothing back.
-                slow.append("not _lo <= _a & %d <= _hi - %d" % (
-                    WORD_MASK & ~(spec[3] - 1), spec[3]))
-            else:
-                slow.append("not _lo <= _a < _hi")
-        else:
-            if not flavor.raw:
-                slow.append("%s & 1" % b)
-            slow.append("_a & 3")
-            if base:
-                slow.append("_x < 0")
-            slow.append("_x >= %d" % size_words)
-        # Read once per generated function: nothing a block runs can
-        # attach a hook, and a delegate ends the block.
-        slow.append("_wh")
+        line(1, "_x = _a >> 2")
+        slow = ["%s & 1" % b] if not flavor.raw else []
+        # ``_wh`` is read once per generated function: nothing a block
+        # runs can attach a hook, and a delegate ends the block.
+        slow += ["_a & 3", "_x >= %d" % spec[0], "_wh"]
+        address = "_a"
     if coherent:
         # Before anything changes: the line the set walk would find.
-        line(1, "_l = _cl.get(_a & %d)" % (WORD_MASK & ~(spec[3] - 1)))
+        line(1, "_l = _cl.get(%s & %d)" % (address, _block_mask(spec[2])))
         slow.append("_l is None" if is_load
                     else "_l is None or _l.state is not _M")
-        slow.append("_pf and (_po.node_id, _a) in _pf")
+        slow.append("_pf and (_po.node_id, %s) in _pf" % address)
     if is_load:
         if flavor.trap_on_empty:
             slow.append("_fe[_x]")
     else:
         if not grouped:
-            # The watch numbers words absolutely.
-            slow.append("_x + %d in _ww" % (base >> 2) if base
-                        else "_x in _ww")
+            slow.append("_x in _ww")
         if flavor.trap_on_full:
             slow.append("not _fe[_x]")
-    if not tail and not grouped and _has_windows(spec):
+    if not grouped and _has_windows(spec):
         emitter.needs_window = emitter.needs_owners = True
         foreign = ["not _lo <= _a < _hi",
                    "_a >> %d in _ow" % WINDOW_PAGE_SHIFT]
@@ -1216,12 +1202,12 @@ def _emit_mem_inline(emitter, instr, pending, pc_i, npc_expr, spec,
             # the page table first.
             foreign.reverse()
         slow.append("(%s)" % " and ".join(foreign))
-    if grouped and opened:
+    if opened:
         # Its slow test leads with the group's guard.
         emitter.guard_group(slow)
     elif slow:
         line(1, "if %s:" % " or ".join(slow))
-    if slow or grouped and opened:
+    if slow or opened:
         if tail:
             emitter.park(pending, pc_i, npc_expr)
         else:
@@ -1300,13 +1286,14 @@ def _classify_delay(code, fetch, address):
 
 def _rides_tail(instr, spec):
     """Whether a slice may carry ``instr`` behind its head: an inlined
-    load or store off the stack pointer, on a port generated code
+    load or store off the stack pointer with a literal, word-aligned
+    offset — a stack group's member —, on a port generated code
     inlines (on a coherent node, what its cache answers).  Only a
     guess at what will pass the window test at run time — that test
     alone decides, for any program — so that a heap access does not
     drag a tail it always parks."""
     return (spec is not None and ROWS[instr.op].shape in _MEMORY
-            and instr.rs1 == registers.SP)
+            and instr.rs1 == registers.SP and not instr.imm & 3)
 
 
 def _scan_block(cpu, pc, spec, sliced=False, single=False):
@@ -1349,8 +1336,9 @@ def _scan_block(cpu, pc, spec, sliced=False, single=False):
         ``("s", instr, pc)`` — inlined straight-line op;
         ``("mi", instr, pc)`` — inlined load/store (ideal port, or a
         coherent cache hit);
-        ``("mt", instr, pc)`` — the same behind a slice's head:
-        inside the frame's stack window, or the chain parks;
+        ``("mt", instr, pc)`` — the same behind a slice's head, a
+        stack group's member: inside the frame's stack window, or the
+        chain parks;
         ``("cb", instr, pc)`` — bare conditional exit;
         ``("c", instr, pc, delay)`` — fused conditional (continues);
         ``("u", instr, pc, delay_or_None, followed)`` — BA/CALL/JMPL,
@@ -1501,10 +1489,7 @@ def compile_block(cpu, pc, sliced=False, single=False):
     if shared is not None:
         return shared
 
-    # No stack groups on a coherent node, where each access probes its
-    # own cache line anyway, nor in a one-instruction form.
-    emitter = _Emitter(sliced, spec is not None and not single
-                       and _spec_tag(spec) != "coherent")
+    emitter = _Emitter(sliced)
     line = emitter.line
     pending = 0        # uncommitted 1-cycle instructions so far
     term_emitted = False
@@ -1653,8 +1638,7 @@ def compile_block(cpu, pc, sliced=False, single=False):
         prologue.append("    _fe = _mem._full")
         prologue.append("    _cw = _mem.code_watch")
         prologue.append("    _ww = _cw.words if _cw is not None else ()")
-        if tag != "coherent":    # where stack groups are
-            prologue.append("    _wt = _cw.top if _cw is not None else -1")
+        prologue.append("    _wt = _cw.top if _cw is not None else -1")
         if tag == "coherent":
             prologue.append("    _ca = _po.cache")
             prologue.append("    _cl = _ca.valid")

@@ -35,7 +35,10 @@ atomic (tmp file + ``os.replace``) so a killed worker never leaves a
 truncated entry; a bad entry (a server killed mid-``put`` on a
 filesystem that reordered the replace, a stray editor, a flipped bit)
 degrades to a cache miss *and is unlinked*, so one bad file can never
-permanently poison every future request with that hash.  Bad is
+permanently poison every future request with that hash.  A write that
+fails — a read-only or full cache directory — removes its temp file
+and is counted (``write_errors``); the caller keeps its result, which
+is only not cached.  Bad is
 anything but two newline-terminated lines whose head is canonical
 JSON with a matching CRC — which takes in an entry written before the
 head existed: caches are disposable, and nothing reads another layout.
@@ -76,6 +79,7 @@ class ResultCache:
         self.misses = 0
         self.writes = 0
         self.dropped = 0
+        self.write_errors = 0
         #: Shard directories this cache has made (or found) already.
         self._shards = set()
 
@@ -121,35 +125,51 @@ class ResultCache:
         ``canonical_json(payload)`` as UTF-8 bytes passes it as
         ``encoded`` and the payload is not serialised again.  Each
         shard directory is made once per cache; one removed underneath
-        it is made again when the write finds it missing."""
+        it is made again when the write finds it missing.  A write that
+        fails with an ``OSError`` is counted in ``write_errors`` and
+        returns ``None``."""
         if encoded is None:
             encoded = canonical_json(payload).encode("utf-8")
         entry = _entry(payload, encoded)
         path = self.path_for(content_hash)
         shard = os.path.dirname(path)
-        if shard not in self._shards:
-            os.makedirs(shard, exist_ok=True)
-            self._shards.add(shard)
         try:
-            self._write(path, entry)
-        except FileNotFoundError:
-            # The shard was removed underneath this cache.
-            os.makedirs(shard, exist_ok=True)
-            self._write(path, entry)
+            if shard not in self._shards:
+                os.makedirs(shard, exist_ok=True)
+                self._shards.add(shard)
+            try:
+                self._write(path, entry)
+            except FileNotFoundError:
+                # The shard was removed underneath this cache.
+                os.makedirs(shard, exist_ok=True)
+                self._write(path, entry)
+        except OSError:
+            self.write_errors += 1
+            return None
         self.writes += 1
         return path
 
     @staticmethod
     def _write(path, entry):
+        """Write ``entry`` to a temp file and move it to ``path``; on
+        any failure the temp file is removed."""
         tmp = "%s.tmp.%d" % (path, os.getpid())
-        with open(tmp, "wb") as handle:
-            handle.write(entry)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as handle:
+                handle.write(entry)
+            os.replace(tmp, path)
+        except OSError:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
     def counters(self):
         """JSON-ready hit/miss/write counts for the sweep summary."""
         return {"hits": self.hits, "misses": self.misses,
-                "writes": self.writes, "dropped": self.dropped}
+                "writes": self.writes, "dropped": self.dropped,
+                "write_errors": self.write_errors}
 
 
 class CachedPayload(Mapping):

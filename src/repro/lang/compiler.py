@@ -97,7 +97,7 @@ COMPILE_CACHE = LRU(64)
 _COMPILE_LOCK = threading.Lock()
 
 
-def compile_source(source, mode="eager", software_checks=False, base=0,
+def compile_source(source, mode="eager", software_checks=False,
                    include_prelude=True, optimize=False):
     """Compile Mul-T source text into a :class:`CompiledProgram`.
 
@@ -110,7 +110,7 @@ def compile_source(source, mode="eager", software_checks=False, base=0,
     """
     if mode not in MODES:
         raise CompilerError("unknown compilation mode %r" % mode)
-    key = (source, mode, software_checks, base, include_prelude, optimize)
+    key = (source, mode, software_checks, include_prelude, optimize)
     with _COMPILE_LOCK:
         compiled = COMPILE_CACHE.get(key)
         if compiled is None:
@@ -119,7 +119,7 @@ def compile_source(source, mode="eager", software_checks=False, base=0,
     return compiled
 
 
-def _compile(source, mode, software_checks, base, include_prelude, optimize):
+def _compile(source, mode, software_checks, include_prelude, optimize):
     full_source = (PRELUDE + source) if include_prelude else source
     analyzer = Analyzer(strip_futures=(mode == "sequential"),
                         lazy_futures=(mode == "lazy"))
@@ -132,8 +132,8 @@ def _compile(source, mode, software_checks, base, include_prelude, optimize):
     asm_source = generator.generate()
     if optimize:
         from repro.isa.optimizer import assemble_optimized
-        program = assemble_optimized(asm_source, base=base)
+        program = assemble_optimized(asm_source)
     else:
-        program = assemble(asm_source, base=base)
+        program = assemble(asm_source)
     return CompiledProgram(
         source, mode, software_checks, asm_source, program, program_ast)

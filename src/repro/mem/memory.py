@@ -227,18 +227,14 @@ class StackWindows:
 
 
 class Memory:
-    """A bank of 32-bit words, each with a full/empty bit.
+    """A bank of 32-bit words, each with a full/empty bit, at byte
+    addresses ``[0, 4 * size_words)``.
 
     Args:
         size_words: capacity in words.
-        base: byte address of the first word (banks in a distributed
-            machine each cover a slice of the global address space).
     """
 
-    def __init__(self, size_words, base=0):
-        if base % 4:
-            raise MemoryError_("memory base must be word aligned")
-        self.base = base
+    def __init__(self, size_words):
         self.size_words = size_words
         self._words = _anonymous(4 * size_words).cast("I")
         # The full/empty bits, one byte per word in the *empty* sense
@@ -255,16 +251,15 @@ class Memory:
     @property
     def limit(self):
         """First byte address past this bank."""
-        return self.base + 4 * self.size_words
+        return 4 * self.size_words
 
     def _index(self, address):
         if address % 4:
             raise MemoryError_("misaligned word access: %#x" % address)
-        index = (address - self.base) >> 2
+        index = address >> 2
         if not 0 <= index < self.size_words:
             raise MemoryError_(
-                "address %#x outside bank [%#x, %#x)" % (address, self.base, self.limit)
-            )
+                "address %#x outside bank [0x0, %#x)" % (address, self.limit))
         windows = self.windows
         if (windows is not None
                 and address >> WINDOW_PAGE_SHIFT in windows.owners):
@@ -276,10 +271,6 @@ class Memory:
         window gate once."""
         index = self._index(address)
         return not self._full[index], self._words[index]
-
-    def contains(self, address):
-        """True if the byte address falls in this bank."""
-        return self.base <= address < self.limit and address % 4 == 0
 
     # -- raw word access (no synchronization semantics) --------------------
 
@@ -358,11 +349,10 @@ class Memory:
     # a stack, and goes through the gate.
 
     def _cell_index(self, address, words):
-        index = (address - self.base) >> 2
+        index = address >> 2
         if address & 3 or index < 0 or index + words > self.size_words:
             raise MemoryError_(
-                "cell %#x outside bank [%#x, %#x)"
-                % (address, self.base, self.limit))
+                "cell %#x outside bank [0x0, %#x)" % (address, self.limit))
         return index
 
     def new_cell(self, address, state):

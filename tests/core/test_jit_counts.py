@@ -20,7 +20,10 @@ group moved them last: on the ideal port a run of loads and stores off
 ``sp`` is tested once, so each access states only its word and its
 full/empty test (the three ideal legs ~22-35 % shorter); the coherent
 leg grew, each hit testing for an open full/empty fault of an attached
-transaction tracer.  The fourth piece
+transaction tracer.  Stack groups on coherent nodes moved the coherent
+leg's characters back down ~5 %: each member still probes its own
+cache line, but states no alignment, bank or window test of its own.
+The fourth piece
 is how often the machine loop calls into ``Processor.step_block``: one
 call chains generated blocks back to back until its slice ends
 wherever the horizon cannot move (one processor; machines that do not
@@ -53,7 +56,7 @@ PINNED = {
 #: coherent machine.
 COHERENT = {
     ("eager", 8, 4): {"jit_runs": 1337, "instructions": 4396,
-                      "jit_compiles": 72, "source_chars": 251983,
+                      "jit_compiles": 72, "source_chars": 239779,
                       "ahead_loads": 468, "ahead_stores": 311},
 }
 

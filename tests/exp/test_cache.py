@@ -1,5 +1,6 @@
 """The content-addressed on-disk result cache."""
 
+import errno
 import json
 import os
 import shutil
@@ -59,7 +60,7 @@ class TestResultCache:
         assert os.path.exists(path)
         assert cache.get("abc123") == payload
         assert cache.counters() == {"hits": 1, "misses": 0, "writes": 1,
-                                    "dropped": 0}
+                                    "dropped": 0, "write_errors": 0}
 
     def test_missing_entry_is_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -90,7 +91,7 @@ class TestResultCache:
         assert cache.get("latin1") is None
         assert not os.path.exists(path)
         assert cache.counters() == {"hits": 0, "misses": 1, "writes": 0,
-                                    "dropped": 1}
+                                    "dropped": 1, "write_errors": 0}
 
     def test_truncated_entry_is_miss_and_unlinked(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -103,7 +104,7 @@ class TestResultCache:
         assert cache.get("cut") is None
         assert not os.path.exists(path)
         assert cache.counters() == {"hits": 0, "misses": 1, "writes": 1,
-                                    "dropped": 1}
+                                    "dropped": 1, "write_errors": 0}
 
     def test_same_length_parseable_corrupt_payload_is_miss_and_unlinked(
             self, tmp_path):
@@ -123,7 +124,7 @@ class TestResultCache:
         assert cache.get("flip") is None
         assert not os.path.exists(path)
         assert cache.counters() == {"hits": 0, "misses": 1, "writes": 1,
-                                    "dropped": 1}
+                                    "dropped": 1, "write_errors": 0}
 
     def test_same_length_parseable_corrupt_head_is_miss_and_unlinked(
             self, tmp_path):
@@ -170,6 +171,33 @@ class TestResultCache:
         shard = os.path.dirname(cache.path_for("k"))
         assert [name for name in os.listdir(shard)
                 if ".tmp" in name] == []
+
+    def test_a_failed_write_is_counted_and_leaves_no_tmp(
+            self, tmp_path, monkeypatch):
+        # A full disk: the temp file is written, the move fails.
+        def full(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        cache = ResultCache(str(tmp_path))
+        monkeypatch.setattr(cache_module.os, "replace", full)
+        assert cache.put("k", {"status": "ok"}) is None
+        monkeypatch.undo()
+        shard = os.path.dirname(cache.path_for("k"))
+        assert os.listdir(shard) == []
+        assert cache.counters() == {"hits": 0, "misses": 0, "writes": 0,
+                                    "dropped": 0, "write_errors": 1}
+        assert cache.get("k") is None
+
+    def test_an_unmakeable_shard_is_a_counted_failed_write(self, tmp_path):
+        # The cache root is a file: no shard directory can be made under
+        # it (as with a read-only directory, for a user that is not
+        # root).
+        root = tmp_path / "cache"
+        root.write_text("")
+        cache = ResultCache(str(root))
+        assert cache.put("k", {"status": "ok"}) is None
+        assert cache.counters()["write_errors"] == 1
+        assert root.read_text() == ""
 
     def test_overwrite(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -251,7 +279,7 @@ class TestFileLayout:
         assert _lines(path)[1] + b"\n" == self.OLD["one-line"]
         assert cache.get("old") == self.PAYLOAD
         assert cache.counters() == {"hits": 1, "misses": 1, "writes": 1,
-                                    "dropped": 1}
+                                    "dropped": 1, "write_errors": 0}
 
 
 class TestDecodedOnDemand:

@@ -111,6 +111,18 @@ class TestCacheAndDedupe:
         assert forced.summary()["executed"] == 1
         assert forced.summary()["cache_hits"] == 0
 
+    def test_a_cache_that_cannot_be_written_keeps_the_result(self,
+                                                             tmp_path):
+        # The cache root is a file: the write fails (as on a read-only
+        # or full directory), the sweep still has the job's value.
+        root = tmp_path / "cache"
+        root.write_text("")
+        cache = ResultCache(str(root))
+        sweep = run_jobs([fib_job()], cache=cache)
+        assert sweep.summary()["executed"] == 1
+        assert sweep.outcomes[0].ok and sweep.outcomes[0].value == 13
+        assert cache.counters()["write_errors"] == 1
+
     def test_failures_not_cached(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         run_jobs([fib_job(expect=999)], cache=cache)
@@ -178,7 +190,7 @@ class TestWarmPass:
             "jobs": 20, "executed": 0, "cache_hits": 20, "deduped": 0,
             "retries": 0, "failed": 0}
         assert cache.counters() == {"hits": 17, "misses": 0, "writes": 0,
-                                    "dropped": 0}
+                                    "dropped": 0, "write_errors": 0}
         assert built == []
         # 17 heads read, no payload line decoded: the table reads
         # status, cycles and value only.

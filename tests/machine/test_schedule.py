@@ -23,6 +23,7 @@ from repro.machine.alewife import SOLO_SLICE_CYCLES, AlewifeMachine
 from repro.machine.config import MachineConfig
 from repro.obs import Observation, Watchdog
 from repro.runtime import stubs
+from tests.core.test_jit import WINDOW_TEST, window_tested
 from tests.core.test_lockstep import (
     _assert_lockstep,
     _build as _machine,
@@ -611,14 +612,15 @@ class TestWhoRunsAhead:
         machine, ahead = self._run(MachineConfig(**knobs))
         assert not machine._runs_ahead()
         for jb in self._assert_windowless(machine):
-            assert len(jb.key[2]) == 2
+            assert jb.key[2] == (machine.memory.size_words,)
 
     def test_coherent_machine_runs_ahead_on_its_own_stack_hits(self):
         # A coherent node's tails carry the stack accesses its own cache
         # hits, so its bank carries stack windows as an ideal one that
-        # runs ahead does, and every inlined access that is not a
-        # tail's — in a plain block or at a slice head — tests for a
-        # foreign window.
+        # runs ahead does.  Every inlined access carries its own
+        # foreign-window test, or sits in a stack group whose bounds
+        # hold its word inside the executing frame's own window —
+        # behind a slice's head, its whole cache block.
         machine, ahead = self._run(MachineConfig(num_processors=4,
                                                  memory_mode="coherent"))
         assert machine._runs_ahead()
@@ -632,15 +634,20 @@ class TestWhoRunsAhead:
         blocks = [jb for jb in machine.cpus[0].translations.jit.values()
                   if jb]
         assert any(jb.key[-1] == "slice" for jb in blocks)
-        assert {jb.key[2][2:] for jb in blocks} == {
+        assert {jb.key[2][1:] for jb in blocks} == {
             ("coherent", machine.config.cache_block_bytes, "windows")}
-        tested = 0
+        tested = grouped = 0
         for jb in blocks:
             inlined = jb.source.count("_fb = _fe[_x]")
-            tail = jb.source.count("_hl.append(")
-            assert jb.source.count(" in _ow") == inlined - tail
-            tested += inlined - tail
-        assert tested > 10
+            assert (jb.source.count(WINDOW_TEST)
+                    == jb.source.count(" in _ow"))
+            assert window_tested(jb.source) == inlined
+            # A tail's own reach is its cache block, never its word.
+            assert " _x << 2 <" not in jb.source
+            assert " _x << 2 >=" not in jb.source
+            tested += inlined
+            grouped += jb.source.count("_x = _g")
+        assert tested > 10 and grouped > tested // 2
 
     #: case -> (config knobs, machine arguments, prepare(machine))
     MUST_NOT = {

@@ -1,7 +1,7 @@
 """Faults at the connection layer: disconnects mid-flight, shutdown
-with a flight open, a malformed named spec, a damaged disk-cache entry
-— each answered without a leaked flight, task or trace, and each
-balancing the service's conservation law
+with a flight open, a malformed named spec, a damaged or unwritable
+disk cache — each answered without a leaked flight, task or trace,
+and each balancing the service's conservation law
 (:func:`tests.serve.harness.accounted_jobs`).
 """
 
@@ -228,8 +228,41 @@ class TestDamagedDiskEntry:
         assert again["result"]["value"] == 130
         assert again["result"] == first["result"]
         assert server.cache.counters() == {"hits": 0, "misses": 1,
-                                           "writes": 1, "dropped": 1}
+                                           "writes": 1, "dropped": 1,
+                                           "write_errors": 0}
         counts = server.metrics.counts
         assert (counts["hit_disk"], counts["executed"]) == (0, 1)
         assert ResultCache(cache_root).get(first["hash"]) == first["result"]
+        assert_conserved(server)
+
+
+class TestUnwritableCache:
+    def test_a_cold_job_is_answered_though_its_result_is_not_stored(
+            self, tmp_path):
+        """A disk cache that cannot be written (its root is a file, as a
+        read-only or full directory would refuse the write too): the
+        leader still gets its ``ok`` result, the write failure is
+        counted, and no flight stays open."""
+        socket_path = str(tmp_path / "april.sock")
+        root = tmp_path / "cache"
+        root.write_text("")
+        spec = harness.cold_source_spec(91)         # (+ 40 91)
+
+        async def scenario():
+            server = harness.make_server(socket_path,
+                                         cache=ResultCache(str(root)))
+            ask = harness.one_shot(socket_path, {"op": "job", "id": "cold",
+                                                 "job": spec})
+            response = await harness.serving(
+                server, lambda: asyncio.wait_for(ask, 10.0))
+            return response, server
+
+        response, server = harness.run(scenario())
+        assert (response["id"], response["status"], response["served"]) == (
+            "cold", "ok", "executed")
+        assert response["result"]["value"] == 131
+        assert server.cache.counters() == {"hits": 0, "misses": 1,
+                                           "writes": 0, "dropped": 0,
+                                           "write_errors": 1}
+        assert root.read_text() == ""
         assert_conserved(server)
