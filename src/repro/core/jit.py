@@ -457,6 +457,15 @@ _GLOBALS.update(_psr_fe=_psr_fe, _park=_park, _tail=_tail, _trap=_trap,
 #: machines and programs, so it is an :class:`~repro.lru.LRU`.
 SHARED_BLOCKS = LRU(1 << 12)
 
+#: What a fresh machine looks a translation up by before it scans:
+#: ``(program, pc, shape, spec)`` -> ``(reads, block or None)``, where
+#: ``program`` is the :class:`~repro.isa.assembler.Program` the compile
+#: cache shares between machines and ``reads`` the ``(lo, hi, bytes)``
+#: word ranges of the bank the scan read.  A machine whose bank holds
+#: the same bytes there takes the block without the walk
+#: (:func:`compile_block`).
+PROGRAM_BLOCKS = LRU(1 << 12)
+
 
 def _spec_tag(spec):
     """The second field of ``spec`` (see :func:`_port_spec`), if any."""
@@ -1305,8 +1314,10 @@ def _scan_block(cpu, pc, spec, sliced=False, single=False):
     came from in scan order (the last one's ``hi`` is where a block
     that runs off the scan bound parks) — without generating any
     source.  The split from emission exists so a :data:`SHARED_BLOCKS`
-    hit (the common case on every machine after the first) pays only
-    this cheap classification walk, not the string building.  Scanning
+    hit (a pc whose words another program or a written bank shares)
+    pays only this classification walk, not the string building; a
+    machine running a program some machine ran before skips the walk
+    too (:data:`PROGRAM_BLOCKS`).  Scanning
     uses side-effect-free instruction fetches (the perfect I-cache).
 
     An unconditional ``CALL`` or ``BA`` whose delay slot fuses is
@@ -1472,22 +1483,56 @@ def compile_block(cpu, pc, sliced=False, single=False):
     ``single`` compiles the one-instruction form ``Processor.step``
     runs at ``pc`` (``None`` only where nothing decodes): the same
     emitter over a plan of one.
+
+    On a machine that loaded a program (``cpu.translations.program``),
+    the answer is looked up by that program first
+    (:data:`PROGRAM_BLOCKS`): where the bank holds the words the
+    earlier scan read, the earlier answer is this one, and nothing is
+    scanned.  A miss, or a bank whose code was written there, scans.
     """
     spec = _port_spec(cpu)
+    shape = "slice" if sliced else "step" if single else None
+    code = cpu.translations
+    program = code.program
+    if program is not None:
+        known = PROGRAM_BLOCKS.get((program, pc, shape, spec))
+        if known is not None:
+            reads, jb = known
+            bank = code.bank
+            for lo, hi, image in reads:
+                if bank[lo:hi].tobytes() != image:
+                    break
+            else:
+                return jb
     plan, words, total, runs = _scan_block(cpu, pc, spec, sliced, single)
-    if total < (1 if sliced or single else 2):
+    jb = None
+    if total >= (1 if sliced or single else 2):
         # A slice of one still beats step(): its head runs in the
         # same call as the loop's dispatch.
-        return None
+        key = (pc, tuple(words), spec)
+        if shape is not None:
+            key += (shape,)
+        jb = SHARED_BLOCKS.get(key)
+        if jb is None:
+            jb = _emit_block(plan, total, pc, runs, key, spec, sliced)
+    if program is not None:
+        PROGRAM_BLOCKS.put((program, pc, shape, spec),
+                           (_reads(code.bank, runs), jb))
+    return jb
 
-    key = (pc, tuple(words), spec)
-    if sliced:
-        key += ("slice",)
-    elif single:
-        key += ("step",)
-    shared = SHARED_BLOCKS.get(key)
-    if shared is not None:
-        return shared
+
+def _reads(bank, runs):
+    """The ``(lo, hi, bytes)`` word ranges of ``bank`` a scan that
+    covered ``runs`` read: each run, and two words past the last, where
+    a scan decides to stop."""
+    *followed, (start, end) = runs
+    return tuple((lo >> 2, hi >> 2, bank[lo >> 2:hi >> 2].tobytes())
+                 for lo, hi in followed + [(start, end + 8)])
+
+
+def _emit_block(plan, total, pc, runs, key, spec, sliced):
+    """Generate, compile and share the :class:`JitBlock` for a scanned
+    plan (see :func:`compile_block`)."""
 
     emitter = _Emitter(sliced)
     line = emitter.line

@@ -906,6 +906,10 @@ class Translations:
         #: Optional :class:`~repro.mem.memory.CodeWatch` the translated
         #: pc ranges are registered with; see :meth:`attach_code_watch`.
         self.watch = None
+        #: The :class:`~repro.isa.assembler.Program` loaded into
+        #: :attr:`bank` (a memory bank's word view), see
+        #: :meth:`load_program`; ``None`` for a bare processor.
+        self.program = self.bank = None
 
     def decode(self, word):
         """Word -> :class:`Instruction` (memoized)."""
@@ -923,6 +927,13 @@ class Translations:
         """
         self.watch = watch
         watch.add_listener(self.invalidate_code)
+
+    def load_program(self, program, memory):
+        """``program`` is loaded into ``memory``: translations are looked
+        up by it before a pc is scanned (see
+        :func:`repro.core.jit.compile_block`)."""
+        self.program = program
+        self.bank = memory._words
 
     def invalidate_code(self, address):
         """Drop every cached translation covering ``address``.

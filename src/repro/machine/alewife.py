@@ -145,6 +145,7 @@ class AlewifeMachine:
         self.memory.code_watch = watch
         shared = Translations()
         shared.attach_code_watch(watch)
+        shared.load_program(program, self.memory)
         for cpu in self.cpus:
             cpu.jit_enabled = jit
             cpu.share_translations(shared)

@@ -41,6 +41,8 @@ largest-remainder rounding inside loaded episodes).
 
 from bisect import bisect_left
 
+from repro.obs.lifetime import Segment
+
 #: Path "what" classes in fixed report order.
 WHAT_KEYS = ("running", "trap", "switch_spin", "blocked_memory",
              "loaded_wait", "queue_wait", "runnable_unloaded",
@@ -78,10 +80,8 @@ class CriticalPath:
         self.what = what_totals   # {class: cycles}
         self.why = why_totals     # {pc or None: cycles}
         self.truncated = truncated
-
-    @property
-    def length(self):
-        return sum(sum(step.what.values()) for step in self.steps)
+        #: The steps tile the path, and ``what`` sums their tilings.
+        self.length = sum(what_totals.values())
 
     def ranked_why(self, source_map=None, top=None):
         """The "why not linear" ranking, largest cause first."""
@@ -202,8 +202,7 @@ def analyze(accountant, source_map=None):
         return CriticalPath(accountant, None, 0, [], {}, {}, False)
     anchor_cycle = min(anchor_cycle, accountant.end_cycle or anchor_cycle)
 
-    starts = {tid: [seg.start for seg in ledger.segments]
-              for tid, ledger in threads.items()}
+    starts = {}                   # tid -> its segments' starts, as visited
 
     steps = []
     what_totals = {}
@@ -232,8 +231,14 @@ def analyze(accountant, source_map=None):
         if ledger is None:
             truncated = True
             break
-        segs = ledger.segments
-        index = bisect_left(starts[tid], t) - 1
+        # The walk reads the ledger's segment log (the tuples of
+        # :meth:`~repro.obs.lifetime.Segment.from_entry`) and builds a
+        # Segment only for an episode it splits.
+        log = ledger.log
+        bounds = starts.get(tid)
+        if bounds is None:
+            bounds = starts[tid] = [entry[1] for entry in log]
+        index = bisect_left(bounds, t) - 1
         if index < 0:
             # Before the thread's first segment: follow the spawn edge.
             parent = ledger.parent
@@ -242,43 +247,43 @@ def analyze(accountant, source_map=None):
             t = min(t, ledger.spawn_cycle)
             tid = parent
             continue
-        seg = segs[index]
-        if seg.end < t:
+        entry = log[index]
+        kind, start, end = entry[0], entry[1], entry[2]
+        if end < t:
             # Cross-clock skew gap between threads; keep the tiling
             # honest by booking the hole explicitly.
-            consume(seg.end, t, tid, {"skew": t - seg.end})
-            t = seg.end
+            consume(end, t, tid, {"skew": t - end})
+            t = end
             continue
-        if seg.kind == "blocked":
-            waker = seg.waker
+        if kind == "blocked":
+            _, _, _, _, pc, waker = entry
             if (waker is not None and waker != tid and waker in threads
-                    and seg.start < t and (waker, t) not in jumped):
+                    and start < t and (waker, t) not in jumped):
                 # Future edge: the wait is covered by the producer chain.
                 jumped.add((waker, t))
-                wait_stack.append((seg.pc, seg.start))
+                wait_stack.append((pc, start))
                 tid = waker
                 continue
-            consume(seg.start, t, tid, {"blocked_future": t - seg.start})
-            t = seg.start
+            consume(start, t, tid, {"blocked_future": t - start})
+            t = start
             continue
-        if seg.kind in ("queue", "ready"):
-            prev = seg.prev_free
+        if kind != "loaded":
+            prev = entry[4]
             if (prev is not None and prev[1] is not None
                     and prev[1] != tid and prev[1] in threads
-                    and seg.start < prev[0] < t):
+                    and start < prev[0] < t):
                 # Frame-limited wait: the load depended on the previous
                 # occupant freeing the frame, not on our readiness.
-                consume(prev[0], t, tid,
-                        {_WAIT_WHAT[seg.kind]: t - prev[0]})
+                consume(prev[0], t, tid, {_WAIT_WHAT[kind]: t - prev[0]})
                 t, tid = prev
                 continue
-            consume(seg.start, t, tid, {_WAIT_WHAT[seg.kind]: t - seg.start})
-            t = seg.start
+            consume(start, t, tid, {_WAIT_WHAT[kind]: t - start})
+            t = start
             continue
         # Loaded episode: split the covered span across its activity mix.
-        span = t - seg.start
-        consume(seg.start, t, tid, _split_loaded(seg, span))
-        t = seg.start
+        consume(start, t, tid,
+                _split_loaded(Segment.from_entry(entry), t - start))
+        t = start
 
     steps.reverse()
     return CriticalPath(accountant, anchor_tid, anchor_cycle, steps,

@@ -33,10 +33,12 @@ class Observation:
         txn: enable the coherence-transaction tracer (+ histograms).
         txn_capacity: finished-transaction ring size (None = unbounded).
         threads: enable the per-thread lifetime accountant (and the
-            critical-path analyzer on top of it).  The accountant
-            subscribes to the six thread kinds on the machine's bus
-            itself, so it needs no event log (:attr:`bus` is one only
-            with ``events``) and no ring capacity truncates its view.
+            critical-path analyzer on top of it).  The run-time system
+            and the scheduler call the accountant directly, once per
+            scheduling event, through the bus's ``lifetime`` attribute:
+            it subscribes to nothing, so it needs no event log
+            (:attr:`bus` is one only with ``events``), makes no site
+            build an event, and no ring capacity truncates its view.
     """
 
     def __init__(self, events=True, capacity=1_000_000, window=4096,
@@ -71,7 +73,6 @@ class Observation:
             bus.txn = self.txn
         if self.lifetime is not None:
             bus.lifetime = self.lifetime
-            self._subscriptions += self.lifetime.subscribe(bus)
         if self.bus is not None:
             self._subscriptions.append(bus.subscribe(self.bus.record))
 
@@ -222,8 +223,9 @@ def for_job(config):
     ``machine_report`` already covers everything observable there.
     Nothing attached here observes single instructions (no sampler
     window, no profiler), so every cell runs the machine's fast
-    schedule, and nothing keeps an event log: the accountant's six
-    thread kinds are the only events a cell's sites build.
+    schedule, and nothing subscribes to the event bus: the accountant
+    and the tracer are called directly, so a cell's sites build no
+    event at all.
     """
     coherent = getattr(config, "memory_mode", "ideal") == "coherent"
     parallel = getattr(config, "num_processors", 1) > 1

@@ -63,6 +63,8 @@ class FutureTable:
         the producer→consumer edge the critical-path analyzer follows.
         """
         bus = self.events
+        if bus.lifetime is not None:
+            bus.lifetime.wake(cycle, tid, waker)
         if bus.active and EventKind.THREAD_WAKE in bus.active:
             bus.emit(EventKind.THREAD_WAKE, cycle, node,
                      cell=cell, tid=tid, waker=waker)

@@ -55,6 +55,7 @@ class TrapHandlers:
         self.touch_cycles = config.future_touch_resolved_cycles
         self.create_cycles = config.eager_task_create_cycles
         self.exit_cycles = config.thread_exit_cycles
+        self.resolve_cycles = config.future_resolve_cycles
         self.push_cycles = config.lazy_push_cycles
         self.finish_cycles = config.lazy_finish_cycles
 
@@ -258,18 +259,15 @@ class TrapHandlers:
         thread = frame.thread
         result = thread.result = frame.regs[_A0]
         cpu.charge(self.exit_cycles, "trap")
-        self.scheduler.retire_thread(frame, cpu)
+        # The resolve below runs with the frame already empty: the
+        # accountant books its cost to the exiting thread.
+        self.scheduler.retire_thread(
+            frame, cpu,
+            self.resolve_cycles if thread.future is not None else 0)
         rts = self.rts
         rts.free_stack(thread)
         if thread.future is not None:
-            # The frame is already empty: tell the accountant the resolve
-            # cost still belongs to the exiting thread.
-            lifetime = rts.events.lifetime
-            if lifetime is not None:
-                lifetime.push_owner(cpu, thread.tid)
             rts.resolve_future(cpu, thread.future, result, waker=thread.tid)
-            if lifetime is not None:
-                lifetime.pop_owner(cpu)
         if thread.is_root:
             rts.finish(result)
             return TrapAction.SWITCHED

@@ -170,15 +170,19 @@ class RuntimeSystem:
                         future, name, entry_closure, args, is_root)
         threads.append(thread)
         bus = self.events
-        if bus.active and EventKind.THREAD_SPAWN in bus.active:
+        lifetime = bus.lifetime
+        if lifetime is not None or bus.active:
             if parent is None and cpu is not None:
                 active = cpu.frames[cpu.fp].thread
                 parent = active.tid if active is not None else None
-            bus.emit(EventKind.THREAD_SPAWN,
-                     cpu.cycles if cpu is not None else 0,
-                     cpu.node_id if cpu is not None else home_node,
-                     tid=thread.tid, thread=thread.name, home=home_node,
-                     parent=parent)
+            cycle = cpu.cycles if cpu is not None else 0
+            if lifetime is not None:
+                lifetime.spawn(cycle, thread.tid, name, parent, home_node)
+            if bus.active and EventKind.THREAD_SPAWN in bus.active:
+                bus.emit(EventKind.THREAD_SPAWN, cycle,
+                         cpu.node_id if cpu is not None else home_node,
+                         tid=thread.tid, thread=thread.name,
+                         home=home_node, parent=parent)
         return thread
 
     def bootstrap(self, cpu, frame, thread):
@@ -384,14 +388,12 @@ class RuntimeSystem:
         regs[registers.ARG_REGS[0]] = future_word
         thread.saved_state = (regs, marker.resume_pc, marker.resume_pc + 4,
                               ET_BIT)
+        cost = self.config.lazy_steal_cycles + copied_words
         lifetime = self.events.lifetime
         if lifetime is not None:
             # The steal cost is the stolen thread's startup, not idle time.
-            lifetime.push_owner(thief_cpu, thread.tid)
-        thief_cpu.charge(
-            self.config.lazy_steal_cycles + copied_words, "trap")
-        if lifetime is not None:
-            lifetime.pop_owner(thief_cpu)
+            lifetime.credit(thief_cpu, thread.tid, cost, "trap")
+        thief_cpu.charge(cost, "trap")
         return thread
 
     # -- IPIs ----------------------------------------------------------------------

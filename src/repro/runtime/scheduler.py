@@ -54,8 +54,9 @@ class Scheduler:
         self.steals = 0
         #: The machine's observer surface (:mod:`repro.obs.events`).
         #: Its ``lifetime`` accountant works by difference, so it is
-        #: told *before* a node's owner changes: a frame gains or loses
-        #: its thread, FP moves.
+        #: called *before* a node's owner changes (a frame gains or
+        #: loses its thread, FP moves) and before the charge of a load
+        #: or unload, which it books to the thread.
         self.events = events if events is not None else EventBus()
         #: The :class:`~repro.mem.memory.StackWindows` of a machine that
         #: runs ahead (it installs one), else ``None``.  A thread owns
@@ -120,7 +121,7 @@ class Scheduler:
         if lifetime is not None:
             # Settles what the node ran before this frame had a thread;
             # the load cost below is the thread's own.
-            lifetime.push_owner(cpu, thread.tid)
+            lifetime.load(cpu, thread.tid, frame.index, self._load_cycles)
         frame.thread = thread
         if thread.saved_state is not None:
             frame.load_state(thread.saved_state)
@@ -137,8 +138,6 @@ class Scheduler:
         if self.windows is not None:
             self.windows.open(cpu.node_id, frame, thread)
         cpu.charge(self._load_cycles, "switch")
-        if lifetime is not None:
-            lifetime.pop_owner(cpu)
         self.loads += 1
         if bus.active and EventKind.THREAD_LOAD in bus.active:
             bus.emit(EventKind.THREAD_LOAD, cpu.cycles, cpu.node_id,
@@ -154,35 +153,44 @@ class Scheduler:
         thread.transition(new_state)
         bus = self.events
         lifetime = bus.lifetime
+        blocked = new_state is ThreadState.BLOCKED
+        cell = pc = None
+        if (blocked and thread.blocked_on is not None
+                and (lifetime is not None or bus.active)):
+            cell = tags.pointer_address(thread.blocked_on)
+            pc = thread.block_pc
         if lifetime is not None:
-            lifetime.push_owner(cpu, thread.tid)
+            lifetime.unload(cpu, thread.tid, frame.index,
+                            self._unload_cycles, blocked, cell, pc)
         frame.thread = None
         if self.windows is not None:
             self.windows.close(thread)
         cpu.charge(self._unload_cycles, "switch")
-        if lifetime is not None:
-            lifetime.pop_owner(cpu)
         self.unloads += 1
         if bus.active and EventKind.THREAD_UNLOAD in bus.active:
             extra = {}
-            if (new_state is ThreadState.BLOCKED
-                    and thread.blocked_on is not None):
-                extra["cell"] = tags.pointer_address(thread.blocked_on)
-                if thread.block_pc is not None:
-                    extra["pc"] = thread.block_pc
+            if cell is not None:
+                extra["cell"] = cell
+                if pc is not None:
+                    extra["pc"] = pc
             bus.emit(EventKind.THREAD_UNLOAD, cpu.cycles, cpu.node_id,
                      frame=frame.index, tid=thread.tid, thread=thread.name,
                      state=new_state.value, **extra)
         return thread
 
-    def retire_thread(self, frame, cpu):
-        """Free the frame of a thread that finished (no state to save)."""
+    def retire_thread(self, frame, cpu, resolve_cycles=0):
+        """Free the frame of a thread that finished (no state to save).
+
+        ``resolve_cycles`` is what the caller charges next, with the
+        frame already empty, to resolve the thread's future: the
+        accountant books it to the thread.
+        """
         thread = frame.thread
         thread.transition(ThreadState.DONE)
         bus = self.events
         lifetime = bus.lifetime
         if lifetime is not None:
-            lifetime.settle(cpu)
+            lifetime.retire(cpu, thread.tid, frame.index, resolve_cycles)
         frame.thread = None
         if self.windows is not None:
             self.windows.close(thread)
@@ -194,7 +202,11 @@ class Scheduler:
     # -- frame selection ----------------------------------------------------------
 
     def activate_frame(self, cpu, frame):
-        """Point FP at a frame (the context-switch FP change)."""
+        """Point FP at a frame (the context-switch FP change).  Where
+        FP is there already — a frame just loaded in place — the node's
+        owner does not change, so the accountant is not told."""
+        if frame.index == cpu.fp:
+            return
         lifetime = self.events.lifetime
         if lifetime is not None:
             lifetime.settle(cpu)
@@ -223,6 +235,8 @@ class Scheduler:
                 self.steals += 1
                 thread = queue.popleft()
                 bus = self.events
+                if bus.lifetime is not None:
+                    bus.lifetime.steal(thread.tid)
                 if bus.active and EventKind.THREAD_STEAL in bus.active:
                     bus.emit(EventKind.THREAD_STEAL, self.cpus[node].cycles,
                              node, victim=victim, tid=thread.tid,

@@ -8,8 +8,8 @@ wanted kinds, so the site reads ::
         bus.emit(EventKind.X, ...)
 
 A site gated on plain ``bus.active`` would build its payload whenever
-anybody subscribes to anything — what every engine cell's lifetime
-accountant does — and cost each cell the work nobody reads.  This scan
+anybody subscribes to anything — a flight recorder watching for a few
+kinds, say — and cost the run the work nobody reads.  This scan
 fails, naming the site, on any ``emit`` of ``EventKind.X`` in the
 package that is not in the body of an ``if`` whose test is
 ``EventKind.X in <...>.active`` (alone or as an ``and`` operand).

@@ -7,12 +7,24 @@ import pytest
 
 from repro.errors import CompilerError
 from repro.harness.table3 import SYSTEMS, row_jobs
+from repro.lang import compiler
 from repro.lang.compiler import COMPILE_CACHE, compile_source
+from repro.lru import LRU
 from repro.machine.alewife import run_program
 from repro.machine.config import MachineConfig
 from repro import workloads
 
 FIB = workloads.get("fib").source()
+
+
+@pytest.fixture(autouse=True)
+def own_cache(monkeypatch):
+    """A compile cache of this module's own, so what modules run
+    earlier in the process compiled cannot turn an expected miss into
+    a hit."""
+    cache = LRU(COMPILE_CACHE.capacity)
+    monkeypatch.setattr(compiler, "COMPILE_CACHE", cache)
+    monkeypatch.setitem(globals(), "COMPILE_CACHE", cache)
 
 
 def test_hit_is_the_identical_object():

@@ -8,7 +8,9 @@ a machine's processors share one
 compiled once, at its first visit by any of them, and a store into
 translated code is answered once.  Its tables have no bound of their
 own: every key is a word of the loaded program.  Two machines share
-nothing but the process-wide :data:`~repro.core.jit.SHARED_BLOCKS`.
+nothing but the process-wide :data:`~repro.core.jit.SHARED_BLOCKS` and
+:data:`~repro.core.jit.PROGRAM_BLOCKS`, through which a machine running
+a program an earlier machine ran takes its translations unscanned.
 """
 
 from collections import Counter
@@ -16,18 +18,26 @@ from collections import Counter
 import pytest
 
 from repro import workloads
-from repro.core import processor
+from repro.core import jit, processor
 from repro.core.jit import SHARED_BLOCKS
+from repro.exp.cache import ResultCache
+from repro.harness.table3 import run_table3
+from repro.isa.assembler import assemble
 from repro.isa.instructions import Opcode
+from repro.lang import compiler
 from repro.lang.run import build_mult_machine
+from repro.lru import LRU
 from repro.machine.alewife import AlewifeMachine
 from repro.machine.config import MachineConfig
+from repro.mem.ideal import IdealMemoryPort
+from repro.mem.memory import CodeWatch, Memory
 from tests.core.test_jit import (
     SMC_STORE_SOURCE,
     build_jit_cpu,
     run_jit_to_halt,
     run_slices_to_halt,
 )
+from tests.helpers import DEFAULT_MEMORY_WORDS
 
 FIB = workloads.get("fib")
 
@@ -276,3 +286,76 @@ class TestCountersKeepTheirShape:
         sizes = {cpu.translation_counters()["jit"]["size"]
                  for cpu in machine.cpus}
         assert len(sizes) == 1
+
+
+class TestFreshMachinesSkipTheScan:
+    """A machine running a program that a machine in the process ran
+    before takes that machine's translations without scanning the pc
+    again; a bank whose code was written at the pc scans."""
+
+    #: ``(scans, compiles)`` of a fresh ``april table3`` pass over the
+    #: fib rows: every compile, plus 19 pcs where nothing compiles and
+    #: 18 whose words another mode's program compiled first, each
+    #: scanned once (651 scans before a fresh machine looked its
+    #: program up first).  The same pass again scans nothing.
+    FRESH_PASS = (292, 255)
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """``(scanned pcs, compiled pcs)``, with every process-wide
+        cache empty to begin with."""
+        scans, compiles = [], []
+        monkeypatch.setattr(jit, "SHARED_BLOCKS", LRU(1 << 12))
+        monkeypatch.setattr(jit, "PROGRAM_BLOCKS", LRU(1 << 12))
+        monkeypatch.setattr(compiler, "COMPILE_CACHE", LRU(64))
+        real_scan, real_emit = jit._scan_block, jit._emit_block
+
+        def scan(*args):
+            scans.append(args[1])
+            return real_scan(*args)
+
+        def emit(*args):
+            compiles.append(args[2])
+            return real_emit(*args)
+
+        monkeypatch.setattr(jit, "_scan_block", scan)
+        monkeypatch.setattr(jit, "_emit_block", emit)
+        return scans, compiles
+
+    def test_a_table3_pass_scans_each_translation_once(self, counted,
+                                                        tmp_path):
+        scans, compiles = counted
+        for index, expected in enumerate((self.FRESH_PASS, (0, 0))):
+            result = run_table3(program_names=["fib"],
+                                cache=ResultCache(tmp_path / str(index)))
+            assert not result.failures
+            assert (len(scans), len(compiles)) == expected
+            del scans[:], compiles[:]
+
+    def test_a_bank_whose_code_was_written_scans(self, counted):
+        scans, _ = counted
+        program = assemble(SMC_STORE_SOURCE)
+        target = program.address_of("target")
+
+        def fresh():
+            memory = Memory(DEFAULT_MEMORY_WORDS)
+            memory.load_program(program)
+            cpu = processor.Processor(port=IdealMemoryPort(memory))
+            watch = CodeWatch()
+            memory.code_watch = watch
+            cpu.translations.attach_code_watch(watch)
+            cpu.translations.load_program(program, memory)
+            cpu.frame.pc, cpu.frame.npc = program.base, program.base + 4
+            return cpu
+
+        first = jit.compile_block(fresh(), target)
+        assert scans == [target]
+        assert jit.compile_block(fresh(), target) is first
+        assert scans == [target]
+        # This one patches the word at ``target`` before its first
+        # visit there: the first machine's block is stale for it.
+        cpu = fresh()
+        run_jit_to_halt(cpu)
+        assert cpu.read_reg(1) == 8 + 8 * 5
+        assert scans.count(target) == 2
+

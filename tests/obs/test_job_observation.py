@@ -1,12 +1,14 @@
 """What the per-job observation costs, counted rather than timed.
 
 A sweep worker attaches :func:`repro.obs.session.for_job`'s observation
-to every multiprocessor cell; its lifetime accountant subscribes to six
-thread kinds and nothing keeps an event log.  Every other site tests
-its own kind and builds nothing, so over a fixed grid of cells the
-number of ``EventBus.emit`` calls and of ``Event`` objects built is an
-exact, host-independent figure: a log subscribed again, or a site gated
-on "anybody subscribed" rather than on its kind, moves it.
+to every multiprocessor cell.  Its lifetime accountant subscribes to
+nothing: the run-time system and the scheduler call it directly, once
+per scheduling event, and nothing keeps an event log.  So over a fixed
+grid of cells no site calls ``EventBus.emit`` or builds an ``Event``,
+and the calls into the accountant and the settles that move a counter
+are exact, host-independent figures: a log subscribed again, a site
+gated on "anybody subscribed" rather than on its kind, or per-event
+work added back to the accountant moves one of them.
 """
 
 import collections
@@ -14,20 +16,27 @@ import collections
 import pytest
 
 from repro import workloads
+from repro.exp.job import canonical_json
 from repro.harness.table3 import SYSTEMS, cell_job
 from repro.lang import compiler
 from repro.lru import LRU
 from repro.machine import alewife
 from repro.obs import events as events_module
-from repro.obs.events import EventBus, EventKind
+from repro.obs import session
+from repro.obs.events import EventBus
+from repro.obs.lifetime import LifetimeAccountant
+from tests.exp.test_determinism import JOBS
 
-#: The accountant's kinds (``LifetimeAccountant.subscribe``).
-THREAD_KINDS = {EventKind.THREAD_SPAWN, EventKind.THREAD_LOAD,
-                EventKind.THREAD_UNLOAD, EventKind.THREAD_EXIT,
-                EventKind.THREAD_WAKE, EventKind.THREAD_STEAL}
+#: The accountant's entry points: the scheduling calls and ``settle``.
+ENTRY_POINTS = ("spawn", "load", "unload", "retire", "wake", "steal",
+                "credit", "settle")
 
-#: ``emit`` calls (= ``Event`` objects built) over :func:`_grid`.
-PINNED_EMITS = 1449
+#: Over :func:`_grid`: the calls into the accountant, by entry point
+#: (one per scheduling event of the six thread kinds, whose events
+#: number 1 449), and its settles that moved a counter (``"moves"``).
+PINNED_WORK = {"spawn": 310, "load": 469, "unload": 159, "retire": 310,
+               "wake": 159, "steal": 42, "credit": 15, "settle": 20,
+               "moves": 536}
 
 
 def _grid():
@@ -74,6 +83,65 @@ def test_job_observation_emits_only_the_accountants_kinds(counted):
         payload = alewife.execute_payload(job.payload())
         assert "critpath" in payload
         assert "events" not in payload["report"]
-    assert set(emits) == THREAD_KINDS
-    assert built == emits
-    assert sum(emits.values()) == PINNED_EMITS
+    assert sum(emits.values()) == 0
+    assert sum(built.values()) == 0
+
+
+@pytest.fixture
+def accountant_work(monkeypatch):
+    """A Counter of the calls into every accountant the observations
+    build while the fixture is live, by entry point, and of the settles
+    that moved a counter (``"moves"``)."""
+    work = collections.Counter()
+
+    def counting(name, real):
+        def entry(self, *args):
+            work[name] += 1
+            return real(self, *args)
+        return entry
+
+    class Counting(LifetimeAccountant):
+        _settle = counting("moves", LifetimeAccountant._settle)
+
+    for name in ENTRY_POINTS:
+        setattr(Counting, name,
+                counting(name, getattr(LifetimeAccountant, name)))
+    monkeypatch.setattr(session, "LifetimeAccountant", Counting)
+    monkeypatch.setattr(compiler, "COMPILE_CACHE", LRU(64))
+    return work
+
+
+def test_accountant_work_is_one_call_per_scheduling_event(accountant_work):
+    for job in _grid():
+        assert "critpath" in alewife.execute_payload(job.payload())
+    assert dict(accountant_work) == PINNED_WORK
+
+
+PARALLEL = [job for job in JOBS if job.config.num_processors > 1]
+
+
+@pytest.mark.parametrize("job", PARALLEL, ids=lambda job: "-".join(
+    str(part) for part in job.key))
+def test_accounting_does_not_depend_on_what_else_is_attached(job,
+                                                             monkeypatch):
+    """``explain()`` and the critical-path summary are the same with the
+    accountant alone and with an event log subscribed beside it."""
+    exports = []
+    for events in (False, True):
+        built = []
+
+        def for_job(config, events=events):
+            observation = session.Observation(
+                events=events, capacity=None, window=0, threads=True,
+                txn=config.memory_mode == "coherent")
+            built.append(observation)
+            return observation
+
+        monkeypatch.setattr(session, "for_job", for_job)
+        alewife.execute_payload(job.payload())
+        observation, = built
+        if events:
+            assert observation.bus.counts()["thread_load"] > 0
+        exports.append((canonical_json(observation.explain()),
+                        canonical_json(observation.critpath_summary())))
+    assert exports[0] == exports[1]

@@ -20,15 +20,20 @@ and the walk.  ``step()`` running one-instruction forms in place of
 the closures that raised and called the gate moved them last: eager
 signals 9 -> 0 and coherent 59 -> 54, lazy gate 443 -> 428 and walks
 132 -> 117.  A change that means to move a count re-pins it here and
-says why; any other must not move one.
+says why; any other must not move one.  The gate's calls include the
+JIT's instruction fetches, so each leg starts from an empty
+:data:`~repro.core.jit.PROGRAM_BLOCKS`: it scans every translation as
+the first machine of a process does, whatever ran before it.
 """
 
 import pytest
 
 from repro import workloads
+from repro.core import jit
 from repro.core.traps import TrapSignal
 from repro.lang.compiler import compile_source
 from repro.machine.alewife import AlewifeMachine
+from repro.lru import LRU
 from repro.machine.config import MachineConfig
 from repro.mem.memory import Memory, StackWindows
 from repro.runtime.thread import Thread
@@ -63,6 +68,7 @@ def _counter(counts, name, original):
 
 
 def _counts(monkeypatch, mode, n, processors, memory_mode):
+    monkeypatch.setattr(jit, "PROGRAM_BLOCKS", LRU(1 << 12))
     counts = dict.fromkeys(COUNTED, 0)
     for name, (owner, method) in COUNTED.items():
         monkeypatch.setattr(owner, method, _counter(

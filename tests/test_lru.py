@@ -1,7 +1,7 @@
 """The package's one bounded LRU (:class:`repro.lru.LRU`) and the
 caches that are instances of it."""
 
-from repro.core.jit import SHARED_BLOCKS
+from repro.core.jit import PROGRAM_BLOCKS, SHARED_BLOCKS
 from repro.lang.compiler import COMPILE_CACHE
 from repro.lru import LRU
 from repro.serve.server import SpecIndex, SweepServer
@@ -45,7 +45,7 @@ def test_capacity_zero_stores_nothing():
 def test_the_process_caches_are_the_one_class():
     server = SweepServer(socket_path="unused.sock", cache=None,
                          hot_entries=0, dispatcher=object())
-    for cache in (SHARED_BLOCKS, COMPILE_CACHE, server.hot, server.specs,
-                  SpecIndex(4)):
+    for cache in (SHARED_BLOCKS, PROGRAM_BLOCKS, COMPILE_CACHE, server.hot,
+                  server.specs, SpecIndex(4)):
         assert isinstance(cache, LRU)
     assert server.hot.capacity == 0
